@@ -24,7 +24,7 @@
 //! violation. Writes `BENCH_smoke.json` under `--out`.
 
 use elephant_bench::{emit_report, fmt_f, print_table, Args};
-use elephant_core::{run_ground_truth, run_ground_truth_observed, run_sequential_supervised};
+use elephant_core::{execute, run_ground_truth, Fidelity, Observe, RunPlan};
 use elephant_des::SimDuration;
 use elephant_net::{NetSampler, TraceLog};
 use elephant_scenario::{compile, load, CompileOverrides};
@@ -60,6 +60,16 @@ fn main() {
     let params = compiled.params;
     let flows = compiled.flows;
 
+    let plan = || {
+        RunPlan::new(
+            params,
+            Default::default(),
+            &flows,
+            horizon,
+            Fidelity::Full { capture: None },
+        )
+    };
+
     // Warm-up: touch the allocator and page in the code paths once.
     run_ground_truth(params, Default::default(), None, &flows, horizon);
 
@@ -73,20 +83,13 @@ fn main() {
         let (_, m) = run_ground_truth(params, Default::default(), None, &flows, horizon);
         base.push(m.wall.as_secs_f64());
         events = m.events;
-        let (_, m) = run_ground_truth_observed(
-            params,
-            Default::default(),
-            None,
-            &flows,
-            horizon,
-            None,
-            None,
-        );
-        disabled.push(m.wall.as_secs_f64());
-        let run = run_sequential_supervised(params, Default::default(), &flows, horizon, &policy)
-            .unwrap_or_else(|e| panic!("supervised run failed: {e}"));
-        checkpoints_taken = run.log.checkpoints_taken;
-        checkpointed.push(run.wall.as_secs_f64());
+        let run = execute(plan()).expect("unsupervised sequential runs cannot fail");
+        disabled.push(run.meta.wall.as_secs_f64());
+        let mut supervised = plan();
+        supervised.supervise = Some(&policy);
+        let run = execute(supervised).unwrap_or_else(|e| panic!("supervised run failed: {e}"));
+        checkpoints_taken = run.recovery.expect("supervised").checkpoints_taken;
+        checkpointed.push(run.meta.wall.as_secs_f64());
     }
 
     // One enabled run, informational: full timeline + sampler + trace.
@@ -94,15 +97,14 @@ fn main() {
     elephant_obs::set_timeline_enabled(true);
     let mut sampler = NetSampler::new(SimDuration::from_micros(100), &flows);
     let trace = TraceLog::strided(50_000, events);
-    let (net, enabled_meta) = run_ground_truth_observed(
-        params,
-        Default::default(),
-        None,
-        &flows,
-        horizon,
-        Some(trace),
-        Some(&mut sampler),
-    );
+    let mut observed = plan();
+    observed.observe = Observe {
+        trace: Some(trace),
+        sampler: Some(&mut sampler),
+    };
+    let (net, enabled_meta) = execute(observed)
+        .expect("unsupervised sequential runs cannot fail")
+        .into_single();
     elephant_net::export_flow_timeline(&net, elephant_net::MAX_FLOW_TRACKS);
     elephant_obs::set_timeline_enabled(false);
     let timeline_records = elephant_obs::timeline().len();

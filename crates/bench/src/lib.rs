@@ -14,8 +14,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use elephant_core::{
-    run_ground_truth, run_pdes_full, run_pdes_hybrid, train_cluster_model, ClusterModel,
-    TrainReport, TrainingOptions,
+    execute, run_ground_truth, train_cluster_model, ClusterModel, Exec, Fidelity, PdesExec,
+    RunPlan, TrainReport, TrainingOptions,
 };
 use elephant_des::{EpochMode, PdesReport, SimTime};
 use elephant_net::{ClosParams, FlowSpec, NetConfig, RttScope};
@@ -177,7 +177,7 @@ pub fn emit_report(report: &elephant_obs::RunReport, args: &Args) {
 /// rack-partitioned logical processes dealt round-robin over `machines`
 /// emulated machines (cross-machine messages marshalled with
 /// `envelope_bytes` of MPI-style envelope). Thin wrapper over
-/// [`elephant_core::run_pdes_full`] keeping the harnesses' historic
+/// [`elephant_core::execute`] keeping the harnesses' historic
 /// panic-on-error contract.
 pub fn run_pdes(
     params: ClosParams,
@@ -210,21 +210,24 @@ pub fn run_pdes_mode(
     envelope_bytes: usize,
     mode: EpochMode,
 ) -> PdesOutcome {
-    let run = run_pdes_full(
+    let mut plan = RunPlan::new(
         params,
+        NetConfig::default(),
         flows,
         horizon,
+        Fidelity::Full { capture: None },
+    );
+    plan.exec = Exec::Pdes(PdesExec {
         partitions,
         machines,
         envelope_bytes,
         mode,
-        None,
-        None,
-    )
-    .unwrap_or_else(|e| panic!("PDES run failed: {e}"));
+        faults: None,
+    });
+    let run = execute(plan).unwrap_or_else(|e| panic!("{e}"));
     PdesOutcome {
-        report: run.report,
-        wall: run.wall,
+        report: run.report.expect("PDES runs carry a kernel report"),
+        wall: run.meta.wall,
     }
 }
 
@@ -250,31 +253,33 @@ pub fn run_hybrid_pdes(
     seed: u64,
 ) -> (PdesOutcome, u64) {
     use elephant_core::{DropPolicy, LearnedOracle};
-    let run = run_pdes_hybrid(
-        params,
+    let mut oracles = |p: Option<usize>| -> Box<dyn elephant_net::ClusterOracle + Send> {
+        let salt = p.expect("PDES builds one oracle per partition") as u64;
+        Box::new(LearnedOracle::new(
+            model.clone(),
+            params,
+            DropPolicy::Sample,
+            seed.wrapping_add(salt),
+        ))
+    };
+    let fidelity = Fidelity::Hybrid {
         full_cluster,
-        |p| {
-            Box::new(LearnedOracle::new(
-                model.clone(),
-                params,
-                DropPolicy::Sample,
-                seed.wrapping_add(p as u64),
-            ))
-        },
-        flows,
-        horizon,
+        oracles: &mut oracles,
+    };
+    let mut plan = RunPlan::new(params, NetConfig::default(), flows, horizon, fidelity);
+    plan.exec = Exec::Pdes(PdesExec {
+        partitions: 0, // hybrid runs partition by cluster
         machines,
         envelope_bytes,
-        EpochMode::Adaptive,
-        None,
-        None,
-    )
-    .unwrap_or_else(|e| panic!("PDES run failed: {e}"));
+        mode: EpochMode::Adaptive,
+        faults: None,
+    });
+    let run = execute(plan).unwrap_or_else(|e| panic!("{e}"));
     let oracle_total = run.oracle_deliveries();
     (
         PdesOutcome {
-            report: run.report,
-            wall: run.wall,
+            report: run.report.expect("PDES runs carry a kernel report"),
+            wall: run.meta.wall,
         },
         oracle_total,
     )

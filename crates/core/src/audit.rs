@@ -18,15 +18,17 @@
 //! * **oracle subsystem** — verdict-cache traffic and guard trips, which
 //!   only exist on the approximate side.
 //!
-//! Read-only contract: the audit calls the exact observed runners the
-//! standalone drivers call, with a sampler (chunked driving, proven
+//! Read-only contract: both sides go through [`crate::execute`] like
+//! any standalone run, the hybrid with a sampler (chunked driving, proven
 //! bit-identity-preserving); `tests/audit_determinism.rs` asserts the
 //! audited runs' fingerprints equal standalone runs'.
 
 use std::collections::BTreeMap;
 
 use crate::cache::CacheStatsHandle;
-use crate::experiment::{run_ground_truth_observed, run_hybrid_observed, RunMeta};
+use crate::experiment::{
+    execute, run_ground_truth, single_oracle, Fidelity, Observe, RunMeta, RunPlan,
+};
 use crate::macro_model::MacroState;
 
 use elephant_des::{SimDuration, SimTime};
@@ -93,20 +95,18 @@ pub fn run_audit(
         rtt_scope: RttScope::Cluster(full_cluster),
         ..cfg
     };
-    let (truth_net, truth_meta) =
-        run_ground_truth_observed(params, truth_cfg, None, flows, horizon, None, None);
+    let (truth_net, truth_meta) = run_ground_truth(params, truth_cfg, None, flows, horizon);
 
     let mut sampler = NetSampler::new(sample_every, flows);
-    let (hybrid_net, hybrid_meta) = run_hybrid_observed(
-        params,
+    let fidelity = Fidelity::Hybrid {
         full_cluster,
-        oracle,
-        cfg,
-        flows,
-        horizon,
-        None,
-        Some(&mut sampler),
-    );
+        oracles: &mut single_oracle(oracle),
+    };
+    let mut plan = RunPlan::new(params, cfg, flows, horizon, fidelity);
+    plan.observe = Observe::sampled(Some(&mut sampler));
+    let (hybrid_net, hybrid_meta) = execute(plan)
+        .expect("unsupervised sequential runs cannot fail")
+        .into_single();
 
     let regimes = regime_timeline(&sampler);
     let divergence = diverge(&truth_net, &hybrid_net, &regimes, bounds, &hooks);

@@ -67,6 +67,9 @@ pub enum ElephantError {
         /// Diagnostic message.
         detail: String,
     },
+    /// The PDES engine faulted (stall, corrupt exchange, partition panic)
+    /// in an unsupervised run.
+    Pdes(elephant_des::PdesError),
     /// The supervised retry ladder ran out of rungs: every retry and every
     /// degradation step failed, so the run cannot complete even degraded.
     RecoveryExhausted {
@@ -89,7 +92,9 @@ impl ElephantError {
             | ElephantError::ModelVersion { .. }
             | ElephantError::ModelChecksum { .. }
             | ElephantError::ModelNonFinite { .. } => 4,
-            ElephantError::CaptureMissing | ElephantError::StreamMisaligned { .. } => 5,
+            ElephantError::CaptureMissing
+            | ElephantError::StreamMisaligned { .. }
+            | ElephantError::Pdes(_) => 5,
             ElephantError::Scenario { .. } => 6,
             ElephantError::RecoveryExhausted { .. } => 7,
         }
@@ -133,6 +138,7 @@ impl fmt::Display for ElephantError {
             ElephantError::Scenario { path, line, detail } => {
                 write!(f, "{path}:{line}: {detail}")
             }
+            ElephantError::Pdes(e) => write!(f, "PDES run failed: {e}"),
             ElephantError::RecoveryExhausted { detail } => {
                 write!(f, "recovery ladder exhausted: {detail}")
             }

@@ -1,25 +1,34 @@
-//! Experiment runners: the paper's §3 workflow as three functions.
+//! Experiment runners: one run description, one [`execute`].
 //!
-//! 1. [`run_ground_truth`] — full-fidelity simulation with boundary
-//!    capture around the cluster to be learned;
-//! 2. [`train_cluster_model`](crate::train_cluster_model) — fit the macro
-//!    + micro models from the capture (in `train`);
-//! 3. [`run_hybrid`] — assemble the large simulation in which every
-//!    cluster but one is replaced by the learned oracle (Figure 3) and
-//!    only traffic touching the full cluster is scheduled (§6.2's
-//!    elision).
+//! The paper's result is a ratio between two runs of the same inputs —
+//! full fidelity vs. hybrid (§3, Figure 5), sequential vs. PDES (§6.2,
+//! Figure 1) — so both sides must be built identically. A [`RunPlan`]
+//! names a point in fidelity × execution × supervision × observation and
+//! [`execute`] is the only code that builds worlds and drives them:
 //!
-//! Each runner reports wall-clock time, events executed, and simulated
-//! seconds, the currencies of Figures 1 and 5.
+//! * [`Fidelity`] — everything at packet level, or one cluster plus the
+//!   core with every other fabric served by a learned oracle (Figure 3,
+//!   with §6.2's elision left to the caller's flow list);
+//! * [`Exec`] — the sequential engine, or conservative PDES;
+//! * `supervise` — checkpoint/restore with the retry ladder of
+//!   [`crate::supervise`];
+//! * [`Observe`] — an event trace and a periodic sampler, both
+//!   bit-identity-preserving.
+//!
+//! [`run_ground_truth`] and [`run_hybrid`] are the §3 workflow's one-call
+//! lowerings (step 2, training, lives in `train`). Every run reports
+//! wall-clock time, events executed, and simulated seconds, the
+//! currencies of Figures 1 and 5.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::ElephantError;
+use crate::supervise::{supervise_pdes, supervise_simulator, RecoveryLog, RecoveryPolicy};
 
 use elephant_des::{
     EpochMode, FaultPlan, PartitionSim, PdesConfig, PdesError, PdesReport, PdesRunner, SimDuration,
-    SimTime, Simulator,
+    SimTime, Simulator, StopReason,
 };
 use elephant_net::{
     run_sampled, schedule_flows, ClosParams, ClusterOracle, FlowSpec, NetConfig, NetEvent,
@@ -29,9 +38,11 @@ use elephant_net::{
 /// Performance facts about one run.
 #[derive(Clone, Copy, Debug)]
 pub struct RunMeta {
-    /// Wall-clock time spent simulating.
+    /// Wall-clock time spent in the run loop (world construction
+    /// excluded; failed attempts and restores of a supervised run
+    /// included).
     pub wall: Duration,
-    /// Events the kernel executed.
+    /// Events the kernel executed on the successful path.
     pub events: u64,
     /// Simulated horizon reached, in seconds.
     pub sim_seconds: f64,
@@ -44,147 +55,222 @@ impl RunMeta {
     }
 }
 
-/// Runs a fully simulated network over `flows` until `horizon`.
-///
-/// Set `capture_cluster` to harvest training records; set
-/// `cfg.rtt_scope` to restrict accuracy measurements (Figure 4 restricts
-/// both runs to the observed cluster).
-pub fn run_ground_truth(
-    params: ClosParams,
-    cfg: NetConfig,
-    capture_cluster: Option<u16>,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-) -> (Network, RunMeta) {
-    run_ground_truth_observed(params, cfg, capture_cluster, flows, horizon, None, None)
-}
+/// Builds the oracle serving the stub fabrics: `Some(p)` asks for PDES
+/// partition `p`'s replica (each partition needs its own instance; salt
+/// the seed by `p` for sampled drop policies), `None` for the sequential
+/// engine's single oracle.
+pub type OracleFactory<'a> = &'a mut dyn FnMut(Option<usize>) -> Box<dyn ClusterOracle + Send>;
 
-/// [`run_ground_truth`] with observability hooks: `trace` installs an
-/// event trace (first-N or strided) on the network, and `sampler` drives
-/// the run in sampling-period chunks, recording time series between
-/// chunks. Both are bit-identity-preserving — the simulation executes the
-/// exact same event sequence with or without them.
-pub fn run_ground_truth_observed(
-    params: ClosParams,
-    mut cfg: NetConfig,
-    capture_cluster: Option<u16>,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    trace: Option<TraceLog>,
-    sampler: Option<&mut NetSampler>,
-) -> (Network, RunMeta) {
-    cfg.capture_cluster = capture_cluster;
-    let _span = elephant_obs::span("ground_truth");
-    let topo = Arc::new(Topology::clos(params));
-    let mut net = Network::new(topo, cfg);
-    if let Some(log) = trace {
-        net.install_trace(log);
-    }
-    let mut sim = Simulator::new(net);
-    schedule_flows(&mut sim, flows);
-    finish(sim, horizon, sampler)
-}
-
-/// Runs the hybrid simulation: `full_cluster` plus the core layer at
-/// packet fidelity, every other cluster's fabric served by `oracle`.
-///
-/// `flows` should already be elided to traffic touching `full_cluster`
-/// (see `elephant_trace::filter_touching_cluster`); the engine tolerates
-/// other traffic but the paper's speedups assume the elision.
-pub fn run_hybrid(
-    params: ClosParams,
-    full_cluster: u16,
+/// Lowers one ready-built oracle to the [`OracleFactory`] shape, for
+/// sequential runs (which build exactly one).
+pub fn single_oracle(
     oracle: Box<dyn ClusterOracle + Send>,
-    cfg: NetConfig,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-) -> (Network, RunMeta) {
-    run_hybrid_observed(
-        params,
-        full_cluster,
-        oracle,
-        cfg,
-        flows,
-        horizon,
-        None,
-        None,
-    )
+) -> impl FnMut(Option<usize>) -> Box<dyn ClusterOracle + Send> {
+    let mut slot = Some(oracle);
+    move |_| slot.take().expect("a sequential run builds one oracle")
 }
 
-/// [`run_hybrid`] with observability hooks; see
-/// [`run_ground_truth_observed`] for the trace/sampler semantics.
-#[allow(clippy::too_many_arguments)] // the base runner's spec plus two hooks
-pub fn run_hybrid_observed(
-    params: ClosParams,
-    full_cluster: u16,
-    oracle: Box<dyn ClusterOracle + Send>,
-    mut cfg: NetConfig,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    trace: Option<TraceLog>,
-    sampler: Option<&mut NetSampler>,
-) -> (Network, RunMeta) {
-    assert!(
-        params.clusters >= 2,
-        "hybrid simulation needs clusters to approximate"
-    );
-    let stubs: Vec<u16> = (0..params.clusters)
-        .filter(|&c| c != full_cluster)
-        .collect();
-    cfg.capture_cluster = None;
-    // Accuracy is only drawn from the full-fidelity region (§3: "a portion
-    // of the network can be left un-approximated so that we can continue
-    // to draw full-fidelity statistics").
-    cfg.rtt_scope = RttScope::Cluster(full_cluster);
-    let _span = elephant_obs::span("hybrid");
-    let topo = Arc::new(Topology::clos_with_stubs(params, &stubs));
-    let mut net = Network::new(topo, cfg);
-    net.set_oracle(oracle);
-    if let Some(log) = trace {
-        net.install_trace(log);
-    }
-    let mut sim = Simulator::new(net);
-    schedule_flows(&mut sim, flows);
-    finish(sim, horizon, sampler)
+/// Which part of the network runs at packet fidelity.
+pub enum Fidelity<'a> {
+    /// Every cluster is simulated. `capture` harvests boundary training
+    /// records around one cluster.
+    Full {
+        /// The cluster to capture around, if any.
+        capture: Option<u16>,
+    },
+    /// `full_cluster` plus the core layer at packet fidelity, every other
+    /// cluster's fabric served by an oracle. RTT statistics are drawn
+    /// from `full_cluster` only (§3: "a portion of the network can be
+    /// left un-approximated so that we can continue to draw full-fidelity
+    /// statistics"). The flow list should already be elided to traffic
+    /// touching `full_cluster` (`elephant_trace::filter_touching_cluster`);
+    /// the engine tolerates other traffic but the paper's speedups assume
+    /// the elision.
+    Hybrid {
+        /// The cluster kept at packet fidelity.
+        full_cluster: u16,
+        /// Builds the oracle(s).
+        oracles: OracleFactory<'a>,
+    },
 }
 
-/// Extracts the boundary capture from a finished network, or a typed
-/// [`ElephantError::CaptureMissing`] if the run was not configured to
-/// record one — the fallible replacement for `into_capture().expect(…)`.
-pub fn capture_records(net: Network) -> Result<Vec<elephant_net::BoundaryRecord>, ElephantError> {
-    net.into_capture()
-        .map(|c| c.into_records())
-        .ok_or(ElephantError::CaptureMissing)
+/// Which engine executes the run.
+#[derive(Debug)]
+pub enum Exec {
+    /// The sequential kernel.
+    Sequential,
+    /// Conservative PDES: full-fidelity runs are rack-partitioned into
+    /// `partitions` logical processes; hybrid runs are partitioned by
+    /// cluster (the full cluster plus core is one process, every stub
+    /// cluster with its oracle replica another — §6.2's observation that
+    /// approximation removes the fabric interdependence that made PDES
+    /// unprofitable) and ignore `partitions`. RTT statistics are not
+    /// collected under PDES.
+    Pdes(PdesExec),
 }
 
-fn finish(
-    mut sim: Simulator<Network>,
-    horizon: SimTime,
-    sampler: Option<&mut NetSampler>,
-) -> (Network, RunMeta) {
-    let _span = elephant_obs::span("run");
-    let start = Instant::now();
-    match sampler {
-        Some(s) => {
-            run_sampled(&mut sim, horizon, s);
-        }
-        None => {
-            sim.run_until(horizon);
+/// The PDES engine's settings.
+#[derive(Debug)]
+pub struct PdesExec {
+    /// Rack partitions (full fidelity only).
+    pub partitions: usize,
+    /// Emulated machines the partitions are dealt over round-robin.
+    pub machines: usize,
+    /// MPI-style envelope bytes per cross-machine message.
+    pub envelope_bytes: usize,
+    /// Epoch planner ([`EpochMode::Adaptive`] unless A/B-ing against
+    /// fixed-increment stepping).
+    pub mode: EpochMode,
+    /// Exchange-layer fault plan for resilience drills.
+    pub faults: Option<FaultPlan>,
+}
+
+/// Observability hooks. Both preserve bit identity: the simulation
+/// executes the exact same event sequence with or without them.
+#[derive(Default)]
+pub struct Observe<'a> {
+    /// Event trace (first-N or strided) installed on the network.
+    /// Sequential runs only.
+    pub trace: Option<TraceLog>,
+    /// Drives the run in sampling-period chunks, recording time series
+    /// between chunks (across all partitions under PDES). A sampler
+    /// follows one timeline: under supervision it also samples at every
+    /// checkpoint boundary and keeps a failed attempt's samples.
+    pub sampler: Option<&'a mut NetSampler>,
+}
+
+impl<'a> Observe<'a> {
+    /// No trace, and `sampler` if there is one.
+    pub fn sampled(sampler: Option<&'a mut NetSampler>) -> Self {
+        Observe {
+            trace: None,
+            sampler,
         }
     }
-    let wall = start.elapsed();
-    let events = sim.scheduler().executed_total();
-    let meta = RunMeta {
-        wall,
-        events,
-        sim_seconds: horizon.as_secs_f64(),
-    };
-    (sim.into_world(), meta)
 }
 
-/// Outcome of a PDES run: the merged kernel report, wall time, and the
-/// consumed partition networks (for post-run statistics such as summed
-/// oracle deliveries or flow-completion counts).
+/// One run, fully described.
+pub struct RunPlan<'a> {
+    /// Topology.
+    pub params: ClosParams,
+    /// Network configuration. Fidelity and execution override
+    /// `capture_cluster` and `rtt_scope`; everything else (notably `tcp`)
+    /// reaches every engine unchanged.
+    pub cfg: NetConfig,
+    /// Flows to schedule.
+    pub flows: &'a [FlowSpec],
+    /// Simulated horizon.
+    pub horizon: SimTime,
+    /// What runs at packet level.
+    pub fidelity: Fidelity<'a>,
+    /// Which engine runs it.
+    pub exec: Exec,
+    /// Checkpoint + retry-ladder supervision, if any.
+    pub supervise: Option<&'a RecoveryPolicy>,
+    /// Trace and sampler.
+    pub observe: Observe<'a>,
+}
+
+impl<'a> RunPlan<'a> {
+    /// A sequential, unsupervised, unobserved run; set the other fields
+    /// to move along the matrix.
+    pub fn new(
+        params: ClosParams,
+        cfg: NetConfig,
+        flows: &'a [FlowSpec],
+        horizon: SimTime,
+        fidelity: Fidelity<'a>,
+    ) -> Self {
+        RunPlan {
+            params,
+            cfg,
+            flows,
+            horizon,
+            fidelity,
+            exec: Exec::Sequential,
+            supervise: None,
+            observe: Observe::default(),
+        }
+    }
+
+    /// The topology and effective network config — the one place
+    /// fidelity shapes the world, shared by every engine.
+    fn world(&self) -> (Arc<Topology>, NetConfig) {
+        let mut cfg = self.cfg;
+        let topo = match self.fidelity {
+            Fidelity::Full { capture } => {
+                cfg.capture_cluster = capture;
+                Topology::clos(self.params)
+            }
+            Fidelity::Hybrid { full_cluster, .. } => {
+                assert!(
+                    self.params.clusters >= 2,
+                    "hybrid simulation needs clusters to approximate"
+                );
+                let stubs: Vec<u16> = (0..self.params.clusters)
+                    .filter(|&c| c != full_cluster)
+                    .collect();
+                cfg.capture_cluster = None;
+                cfg.rtt_scope = RttScope::Cluster(full_cluster);
+                Topology::clos_with_stubs(self.params, &stubs)
+            }
+        };
+        (Arc::new(topo), cfg)
+    }
+
+    /// Installs the oracle for `partition` (`None` = sequential) on a
+    /// hybrid run's network.
+    fn install_oracle(&mut self, net: &mut Network, partition: Option<usize>) {
+        if let Fidelity::Hybrid { oracles, .. } = &mut self.fidelity {
+            net.set_oracle(oracles(partition));
+        }
+    }
+}
+
+/// A finished run.
+pub struct Outcome {
+    /// Final network state: one per partition under PDES, a single entry
+    /// after sequential completion (including a supervised PDES run that
+    /// degraded to the sequential rung).
+    pub nets: Vec<Network>,
+    /// Wall time, events, simulated seconds.
+    pub meta: RunMeta,
+    /// Kernel statistics, merged across sampling and checkpoint chunks;
+    /// `None` when the run finished on the sequential engine.
+    pub report: Option<PdesReport>,
+    /// What the supervisor did; `None` for unsupervised runs.
+    pub recovery: Option<RecoveryLog>,
+}
+
+impl Outcome {
+    /// Flows completed across every partition.
+    pub fn flows_completed(&self) -> u64 {
+        self.nets.iter().map(|n| n.stats.flows_completed).sum()
+    }
+
+    /// Oracle deliveries across every partition (0 for full-fidelity runs).
+    pub fn oracle_deliveries(&self) -> u64 {
+        self.nets.iter().map(|n| n.stats.oracle_deliveries).sum()
+    }
+
+    /// The network and facts of a run that finished sequentially.
+    pub fn into_single(mut self) -> (Network, RunMeta) {
+        assert_eq!(self.nets.len(), 1, "not a sequential outcome");
+        (self.nets.remove(0), self.meta)
+    }
+
+    /// The PDES view of a run that finished under PDES.
+    pub fn into_pdes_run(self) -> PdesRun {
+        PdesRun {
+            report: self.report.expect("not a PDES outcome"),
+            wall: self.meta.wall,
+            nets: self.nets,
+        }
+    }
+}
+
+/// Outcome of a run that finished under PDES: the merged kernel report,
+/// wall time, and the consumed partition networks.
 pub struct PdesRun {
     /// Kernel statistics, merged across sampling chunks if a sampler was
     /// attached.
@@ -200,16 +286,123 @@ impl PdesRun {
     pub fn events(&self) -> u64 {
         self.report.events_executed
     }
+}
 
-    /// Flows completed across every partition.
-    pub fn flows_completed(&self) -> u64 {
-        self.nets.iter().map(|n| n.stats.flows_completed).sum()
+/// Runs `plan`. An unsupervised PDES engine fault is
+/// [`ElephantError::Pdes`]; a supervised run fails only with
+/// [`ElephantError::RecoveryExhausted`]; unsupervised sequential runs
+/// cannot fail.
+pub fn execute(mut plan: RunPlan<'_>) -> Result<Outcome, ElephantError> {
+    // A PDES plan is left describing its own terminal rung: the same run
+    // on the sequential engine.
+    match std::mem::replace(&mut plan.exec, Exec::Sequential) {
+        Exec::Sequential => run_sequential(&mut plan),
+        Exec::Pdes(pdes) => run_pdes(&mut plan, pdes),
     }
+}
 
-    /// Oracle deliveries across every partition (0 for full-fidelity runs).
-    pub fn oracle_deliveries(&self) -> u64 {
-        self.nets.iter().map(|n| n.stats.oracle_deliveries).sum()
+/// Runs a fully simulated network over `flows` until `horizon`.
+///
+/// Set `capture_cluster` to harvest training records; set
+/// `cfg.rtt_scope` to restrict accuracy measurements (Figure 4 restricts
+/// both runs to the observed cluster).
+pub fn run_ground_truth(
+    params: ClosParams,
+    cfg: NetConfig,
+    capture_cluster: Option<u16>,
+    flows: &[FlowSpec],
+    horizon: SimTime,
+) -> (Network, RunMeta) {
+    let fidelity = Fidelity::Full {
+        capture: capture_cluster,
+    };
+    execute(RunPlan::new(params, cfg, flows, horizon, fidelity))
+        .expect("unsupervised sequential runs cannot fail")
+        .into_single()
+}
+
+/// Runs the hybrid simulation: `full_cluster` plus the core layer at
+/// packet fidelity, every other cluster's fabric served by `oracle` (see
+/// [`Fidelity::Hybrid`]).
+pub fn run_hybrid(
+    params: ClosParams,
+    full_cluster: u16,
+    oracle: Box<dyn ClusterOracle + Send>,
+    cfg: NetConfig,
+    flows: &[FlowSpec],
+    horizon: SimTime,
+) -> (Network, RunMeta) {
+    let fidelity = Fidelity::Hybrid {
+        full_cluster,
+        oracles: &mut single_oracle(oracle),
+    };
+    execute(RunPlan::new(params, cfg, flows, horizon, fidelity))
+        .expect("unsupervised sequential runs cannot fail")
+        .into_single()
+}
+
+/// Extracts the boundary capture from a finished network, or a typed
+/// [`ElephantError::CaptureMissing`] if the run was not configured to
+/// record one — the fallible replacement for `into_capture().expect(…)`.
+pub fn capture_records(net: Network) -> Result<Vec<elephant_net::BoundaryRecord>, ElephantError> {
+    net.into_capture()
+        .map(|c| c.into_records())
+        .ok_or(ElephantError::CaptureMissing)
+}
+
+/// Advances a sequential simulation to `until`, through the sampler when
+/// one is attached.
+pub(crate) fn drive(
+    sim: &mut Simulator<Network>,
+    until: SimTime,
+    sampler: Option<&mut NetSampler>,
+) -> StopReason {
+    match sampler {
+        Some(s) => run_sampled(sim, until, s),
+        None => sim.run_until(until),
     }
+}
+
+fn run_sequential(plan: &mut RunPlan<'_>) -> Result<Outcome, ElephantError> {
+    let _span = elephant_obs::span(match plan.fidelity {
+        Fidelity::Full { .. } => "ground_truth",
+        Fidelity::Hybrid { .. } => "hybrid",
+    });
+    let (topo, cfg) = plan.world();
+    let mut net = Network::new(topo, cfg);
+    plan.install_oracle(&mut net, None);
+    if let Some(log) = plan.observe.trace.take() {
+        net.install_trace(log);
+    }
+    let mut sim = Simulator::new(net);
+    schedule_flows(&mut sim, plan.flows);
+
+    let _run = elephant_obs::span("run");
+    let start = Instant::now();
+    let sampler = plan.observe.sampler.as_deref_mut();
+    let recovery = match plan.supervise {
+        None => {
+            drive(&mut sim, plan.horizon, sampler);
+            None
+        }
+        Some(policy) => Some(supervise_simulator(
+            &mut sim,
+            plan.horizon,
+            policy,
+            sampler,
+        )?),
+    };
+    let meta = RunMeta {
+        wall: start.elapsed(),
+        events: sim.scheduler().executed_total(),
+        sim_seconds: plan.horizon.as_secs_f64(),
+    };
+    Ok(Outcome {
+        nets: vec![sim.into_world()],
+        meta,
+        report: None,
+        recovery,
+    })
 }
 
 /// Drives a [`PdesRunner`] to `horizon`, optionally pausing at every
@@ -217,7 +410,7 @@ impl PdesRun {
 /// driving is exact: each `run_until` chunk resumes the per-partition
 /// schedulers where the previous one parked them, and the per-chunk
 /// reports are disjoint, so the merged report equals a single-call run's.
-fn drive_pdes(
+pub(crate) fn drive_pdes(
     runner: &mut PdesRunner<NetPartition>,
     horizon: SimTime,
     sampler: Option<&mut NetSampler>,
@@ -253,163 +446,95 @@ fn drive_pdes(
     Ok((report, t0.elapsed()))
 }
 
-/// Runs the full-fidelity simulator under conservative PDES:
-/// `partitions` rack-partitioned logical processes dealt round-robin over
-/// `machines` emulated machines (cross-machine messages marshalled with
-/// `envelope_bytes` of MPI-style envelope). With the timeline enabled
-/// (`elephant_obs::set_timeline_enabled`), each partition thread records
-/// per-epoch compute/barrier/marshal slices onto its own wall-clock track.
-/// `mode` selects the epoch planner ([`EpochMode::Adaptive`] unless the
-/// caller is A/B-ing against fixed-increment stepping); chunked sampling
-/// stays exact in either mode. `faults` optionally injects the exchange-
-/// layer fault plan (drop/dup/corrupt/slowdown/stall) for resilience
-/// drills.
-#[allow(clippy::too_many_arguments)] // an experiment spec, not an API surface
-pub fn run_pdes_full(
-    params: ClosParams,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    partitions: usize,
-    machines: usize,
-    envelope_bytes: usize,
-    mode: EpochMode,
-    faults: Option<FaultPlan>,
-    sampler: Option<&mut NetSampler>,
-) -> Result<PdesRun, PdesError> {
-    let (parts, lookahead) = build_full_partitions(params, flows, partitions);
-
-    let mut pdes_cfg = PdesConfig::round_robin(partitions, machines, lookahead, envelope_bytes)
-        .with_epoch_mode(mode);
-    if let Some(plan) = faults {
-        pdes_cfg = pdes_cfg.with_faults(plan);
+fn run_pdes(plan: &mut RunPlan<'_>, exec: PdesExec) -> Result<Outcome, ElephantError> {
+    let mode = exec.mode;
+    let (parts, lookahead) = build_partitions(plan, exec.partitions);
+    let mut pdes_cfg =
+        PdesConfig::round_robin(parts.len(), exec.machines, lookahead, exec.envelope_bytes)
+            .with_epoch_mode(mode);
+    if let Some(faults) = exec.faults {
+        pdes_cfg = pdes_cfg.with_faults(faults);
     }
     let mut runner = PdesRunner::new(parts, pdes_cfg);
-    let (report, wall) = drive_pdes(&mut runner, horizon, sampler)?;
+
+    let sampler = plan.observe.sampler.as_deref_mut();
+    let (report, wall, recovery) = match plan.supervise {
+        None => {
+            let (report, wall) =
+                drive_pdes(&mut runner, plan.horizon, sampler).map_err(ElephantError::Pdes)?;
+            (report, wall, None)
+        }
+        Some(policy) => {
+            let _span = elephant_obs::span("pdes_supervised");
+            let t0 = Instant::now();
+            let (report, mut log) =
+                supervise_pdes(&mut runner, plan.horizon, policy, mode, sampler);
+            let Some(report) = report else {
+                // Terminal rung: restart from time zero on the sequential
+                // engine, built from the same plan the partitions were
+                // (fingerprint-preserving for fault-free dynamics).
+                drop(runner);
+                let mut out = run_sequential(plan)?;
+                log.absorb(out.recovery.take().expect("the plan is supervised"));
+                out.recovery = Some(log);
+                out.meta.wall = t0.elapsed();
+                return Ok(out);
+            };
+            (report, t0.elapsed(), Some(log))
+        }
+    };
+    let meta = RunMeta {
+        wall,
+        events: report.events_executed,
+        sim_seconds: plan.horizon.as_secs_f64(),
+    };
     let nets = runner
         .into_partitions()
         .into_iter()
         .map(|p| p.into_world().net)
         .collect();
-    Ok(PdesRun { report, wall, nets })
+    Ok(Outcome {
+        nets,
+        meta,
+        report: Some(report),
+        recovery,
+    })
 }
 
-/// Builds the rack-partitioned logical processes for a full-fidelity PDES
-/// run and seeds each partition's scheduler with the flows it owns.
-/// Returns the partitions plus the min-cut lookahead. Shared between
-/// [`run_pdes_full`] and the supervised driver
-/// ([`crate::run_pdes_full_supervised`]) so their runs are constructed
-/// identically — the precondition for bit-equal fingerprints across them.
-pub(crate) fn build_full_partitions(
-    params: ClosParams,
-    flows: &[FlowSpec],
-    partitions: usize,
+/// Builds the logical processes of a PDES run — rack partitions at full
+/// fidelity, one per cluster (each with its own oracle replica) for a
+/// hybrid — and seeds each partition's scheduler with the flows it owns.
+/// Returns the partitions plus the min-cut lookahead.
+fn build_partitions(
+    plan: &mut RunPlan<'_>,
+    rack_partitions: usize,
 ) -> (Vec<PartitionSim<NetPartition>>, SimDuration) {
-    let topo = Arc::new(Topology::clos(params));
-    let map = Arc::new(topo.partition_by_rack(partitions));
+    let (topo, mut cfg) = plan.world();
+    cfg.rtt_scope = RttScope::None;
+    let (map, partitions) = match plan.fidelity {
+        Fidelity::Full { .. } => (topo.partition_by_rack(rack_partitions), rack_partitions),
+        Fidelity::Hybrid { .. } => topo.partition_by_cluster(),
+    };
+    let map = Arc::new(map);
     let lookahead = topo
         .min_cut_latency(&map)
         .unwrap_or(SimDuration::from_micros(1));
-    let cfg = NetConfig {
-        rtt_scope: RttScope::None,
-        ..Default::default()
-    };
 
     let mut parts: Vec<PartitionSim<NetPartition>> = (0..partitions)
         .map(|p| {
             let mut net = Network::new(Arc::clone(&topo), cfg);
             net.set_partition(p, Arc::clone(&map));
+            plan.install_oracle(&mut net, Some(p));
             PartitionSim::new(NetPartition { net })
         })
         .collect();
-    for f in flows {
+    for f in plan.flows {
         let owner = map[topo.host_node(f.src).idx()] as usize;
         parts[owner]
             .scheduler_mut()
             .schedule_at(f.start, NetEvent::FlowStart(*f));
     }
     (parts, lookahead)
-}
-
-/// Runs the *hybrid* simulator under PDES, partitioned by cluster: the
-/// full cluster plus the core layer is one logical process, every stub
-/// cluster (its hosts, TCP stacks, and oracle replica) another — the
-/// paper's §6.2 observation that approximation removes the fabric
-/// interdependence that made PDES unprofitable. `oracle_factory` builds
-/// partition `p`'s oracle (each partition needs its own instance; vary the
-/// seed by `p` for sampled drop policies).
-#[allow(clippy::too_many_arguments)] // an experiment spec, not an API surface
-pub fn run_pdes_hybrid(
-    params: ClosParams,
-    full_cluster: u16,
-    mut oracle_factory: impl FnMut(usize) -> Box<dyn ClusterOracle + Send>,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    machines: usize,
-    envelope_bytes: usize,
-    mode: EpochMode,
-    faults: Option<FaultPlan>,
-    sampler: Option<&mut NetSampler>,
-) -> Result<PdesRun, PdesError> {
-    let (parts, lookahead, partitions) =
-        build_hybrid_partitions(params, full_cluster, &mut oracle_factory, flows);
-
-    let mut pdes_cfg = PdesConfig::round_robin(partitions, machines, lookahead, envelope_bytes)
-        .with_epoch_mode(mode);
-    if let Some(plan) = faults {
-        pdes_cfg = pdes_cfg.with_faults(plan);
-    }
-    let mut runner = PdesRunner::new(parts, pdes_cfg);
-    let (report, wall) = drive_pdes(&mut runner, horizon, sampler)?;
-    let nets = runner
-        .into_partitions()
-        .into_iter()
-        .map(|p| p.into_world().net)
-        .collect();
-    Ok(PdesRun { report, wall, nets })
-}
-
-/// Builds the cluster-partitioned logical processes for a hybrid PDES run
-/// — the full cluster plus core layer as one process, each stub cluster
-/// (with its own oracle replica) as another — and seeds each partition's
-/// scheduler with the flows it owns. Returns the partitions, the min-cut
-/// lookahead, and the partition count. Shared between [`run_pdes_hybrid`]
-/// and the supervised driver ([`crate::run_pdes_hybrid_supervised`]) so
-/// their runs are constructed identically.
-pub(crate) fn build_hybrid_partitions(
-    params: ClosParams,
-    full_cluster: u16,
-    oracle_factory: &mut dyn FnMut(usize) -> Box<dyn ClusterOracle + Send>,
-    flows: &[FlowSpec],
-) -> (Vec<PartitionSim<NetPartition>>, SimDuration, usize) {
-    let stubs: Vec<u16> = (0..params.clusters)
-        .filter(|&c| c != full_cluster)
-        .collect();
-    let topo = Arc::new(Topology::clos_with_stubs(params, &stubs));
-    let (map, partitions) = topo.partition_by_cluster();
-    let map = Arc::new(map);
-    let lookahead = topo
-        .min_cut_latency(&map)
-        .expect("multi-cluster hybrid has cut links");
-    let cfg = NetConfig {
-        rtt_scope: RttScope::None,
-        ..Default::default()
-    };
-
-    let mut parts: Vec<PartitionSim<NetPartition>> = (0..partitions)
-        .map(|p| {
-            let mut net = Network::new(Arc::clone(&topo), cfg);
-            net.set_partition(p, Arc::clone(&map));
-            net.set_oracle(oracle_factory(p));
-            PartitionSim::new(NetPartition { net })
-        })
-        .collect();
-    for f in flows {
-        let owner = map[topo.host_node(f.src).idx()] as usize;
-        parts[owner]
-            .scheduler_mut()
-            .schedule_at(f.start, NetEvent::FlowStart(*f));
-    }
-    (parts, lookahead, partitions)
 }
 
 #[cfg(test)]

@@ -61,6 +61,7 @@ mod features;
 mod learned;
 mod ledger;
 mod macro_model;
+mod oracle_stack;
 mod supervise;
 mod train;
 
@@ -74,8 +75,8 @@ pub use cache::{
 };
 pub use error::ElephantError;
 pub use experiment::{
-    capture_records, run_ground_truth, run_ground_truth_observed, run_hybrid, run_hybrid_observed,
-    run_pdes_full, run_pdes_hybrid, PdesRun, RunMeta,
+    capture_records, execute, run_ground_truth, run_hybrid, single_oracle, Exec, Fidelity, Observe,
+    OracleFactory, Outcome, PdesExec, PdesRun, RunMeta, RunPlan,
 };
 pub use features::{FeatureExtractor, LatencyCodec, FEATURE_DIM};
 pub use learned::{
@@ -84,10 +85,9 @@ pub use learned::{
 };
 pub use ledger::{compare_ledgers, fnv1a_64, RunLedger, LEDGER_SCHEMA_VERSION};
 pub use macro_model::{MacroConfig, MacroModel, MacroState};
+pub use oracle_stack::{guard_primary, oracle_stack, OracleStack};
 pub use supervise::{
-    run_hybrid_supervised, run_pdes_full_supervised, run_pdes_hybrid_supervised,
-    run_sequential_supervised, RecoveryEvent, RecoveryLog, RecoveryPolicy, Rung, SupervisedRun,
-    DEFAULT_CHECKPOINT_EVERY, DEFAULT_MAX_RETRIES,
+    RecoveryEvent, RecoveryLog, RecoveryPolicy, Rung, DEFAULT_CHECKPOINT_EVERY, DEFAULT_MAX_RETRIES,
 };
 pub use train::{
     build_samples, calibrate_macro, evaluate, model_meta, train_cluster_model, DirectionReport,

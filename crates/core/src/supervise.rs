@@ -1,9 +1,9 @@
 //! Supervised runs: checkpoint-backed retry with a deterministic
 //! degradation ladder.
 //!
-//! The experiment drivers in [`crate::experiment`] throw the whole run
-//! away on the first [`PdesError`]; at hour-long, 100k-host scale that is
-//! untenable. A supervised run instead takes a checkpoint
+//! An unsupervised [`crate::execute`] throws the whole run away on the
+//! first [`PdesError`]; at hour-long, 100k-host scale that is untenable.
+//! A run with [`crate::RunPlan::supervise`] set instead takes a checkpoint
 //! ([`elephant_des::PdesCheckpoint`] / [`elephant_des::SimCheckpoint`])
 //! every [`RecoveryPolicy::checkpoint_every`] of simulated time — at an
 //! epoch barrier under PDES, between `run_until` chunks sequentially —
@@ -36,19 +36,14 @@
 //! are monotonic telemetry and keep the failed attempts' contributions.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::error::ElephantError;
-use crate::experiment::{build_full_partitions, build_hybrid_partitions};
+use crate::experiment::{drive, drive_pdes};
 
 use elephant_des::{
-    EpochMode, FaultPlan, PdesConfig, PdesError, PdesReport, PdesRunner, SimDuration, SimTime,
-    Simulator, StopReason,
+    EpochMode, PdesError, PdesReport, PdesRunner, SimDuration, SimTime, Simulator, StopReason,
 };
-use elephant_net::{
-    schedule_flows, ClosParams, ClusterOracle, FlowSpec, NetConfig, Network, RttScope, Topology,
-};
+use elephant_net::{NetPartition, NetSampler, Network};
 use elephant_obs::{TraceRecord, PID_RECOVERY};
 
 /// Default checkpoint interval: 10 simulated milliseconds.
@@ -200,7 +195,7 @@ impl RecoveryLog {
 
     /// Folds a nested run's log (the sequential rung re-runs under its own
     /// supervisor) into this one.
-    fn absorb(&mut self, inner: RecoveryLog) {
+    pub(crate) fn absorb(&mut self, inner: RecoveryLog) {
         self.checkpoints_taken += inner.checkpoints_taken;
         self.restores += inner.restores;
         self.degradations += inner.degradations;
@@ -220,24 +215,6 @@ fn instant(name: &'static str, at: SimTime) {
     }
 }
 
-/// A completed supervised run.
-pub struct SupervisedRun {
-    /// Final network state: one per partition under PDES, a single entry
-    /// after sequential completion (initial run or terminal-rung restart).
-    pub nets: Vec<Network>,
-    /// Events executed on the *successful* path (failed attempts between a
-    /// checkpoint and their restore are excluded, exactly as if the
-    /// failure never happened).
-    pub events: u64,
-    /// Wall-clock duration including all failed attempts and restores.
-    pub wall: Duration,
-    /// Merged kernel report; `None` once the run degraded to (or started
-    /// on) the sequential engine.
-    pub report: Option<PdesReport>,
-    /// What the supervisor did.
-    pub log: RecoveryLog,
-}
-
 fn cause_label(e: &PdesError) -> &'static str {
     match e {
         PdesError::Stalled { .. } => "stalled",
@@ -254,50 +231,39 @@ fn failure_time(e: &PdesError) -> SimTime {
     }
 }
 
-/// Runs the full-fidelity simulator under PDES with checkpointing and the
-/// retry ladder. Constructed identically to
-/// [`crate::run_pdes_full`] (same partitions, lookahead, flow seeding), so
-/// a supervised run that never fails produces the same fingerprint as an
-/// unsupervised one.
-#[allow(clippy::too_many_arguments)] // an experiment spec, not an API surface
-pub fn run_pdes_full_supervised(
-    params: ClosParams,
-    flows: &[FlowSpec],
+/// Drives `runner` to `horizon` in checkpoint-interval chunks, restoring
+/// and walking the ladder (retry → adaptive→fixed) on engine faults.
+/// Returns the merged report of the successful path — failed attempts
+/// between a checkpoint and their restore are discarded along with their
+/// state, exactly as if the failure never happened — or `None` once the
+/// PDES rungs are exhausted and the caller must restart sequentially.
+pub(crate) fn supervise_pdes(
+    runner: &mut PdesRunner<NetPartition>,
     horizon: SimTime,
-    partitions: usize,
-    machines: usize,
-    envelope_bytes: usize,
-    mode: EpochMode,
-    faults: Option<FaultPlan>,
     policy: &RecoveryPolicy,
-) -> Result<SupervisedRun, ElephantError> {
-    let _span = elephant_obs::span("pdes_supervised");
-    let t0 = Instant::now();
-    let (parts, lookahead) = build_full_partitions(params, flows, partitions);
-    let mut pdes_cfg = PdesConfig::round_robin(partitions, machines, lookahead, envelope_bytes)
-        .with_epoch_mode(mode);
-    if let Some(plan) = faults.clone() {
-        pdes_cfg = pdes_cfg.with_faults(plan);
-    }
-    let mut runner = PdesRunner::new(parts, pdes_cfg);
-
+    mode: EpochMode,
+    mut sampler: Option<&mut NetSampler>,
+) -> (Option<PdesReport>, RecoveryLog) {
     let mut rung = match mode {
         EpochMode::Adaptive => Rung::Adaptive,
         EpochMode::Fixed => Rung::Fixed,
     };
     let mut log = RecoveryLog::new(rung);
-    let mut checkpoint = runner.checkpoint();
-    log.note_checkpoint(SimTime::ZERO);
-
     let interval = policy.interval();
     let mut cursor = SimTime::ZERO;
     let mut retries = 0u32;
     let mut total: Option<PdesReport> = None;
+    let mut checkpoint = None;
 
     loop {
+        // `total` covers exactly [0, cursor], where the checkpoint sits.
+        let snapshot = checkpoint.get_or_insert_with(|| {
+            log.note_checkpoint(cursor);
+            runner.checkpoint()
+        });
         let next = (cursor + interval).min(horizon);
-        match runner.run_until(next) {
-            Ok(chunk) => {
+        match drive_pdes(runner, next, sampler.as_deref_mut()) {
+            Ok((chunk, _)) => {
                 match &mut total {
                     None => total = Some(chunk),
                     Some(t) => t.merge(&chunk),
@@ -306,285 +272,66 @@ pub fn run_pdes_full_supervised(
                 if cursor >= horizon {
                     break;
                 }
-                checkpoint = runner.checkpoint();
-                log.note_checkpoint(cursor);
+                checkpoint = None;
             }
             Err(e) => {
                 let at = failure_time(&e);
                 if retries < policy.max_retries {
                     retries += 1;
-                    runner.restore(&checkpoint);
+                    runner.restore(snapshot);
                     log.note_restore(at, rung, cause_label(&e));
-                    // `total` covers exactly [0, last checkpoint]; the
-                    // failed attempt's partial report is discarded along
-                    // with its state.
+                } else if rung == Rung::Adaptive {
+                    runner.restore(snapshot);
+                    runner.set_epoch_mode(EpochMode::Fixed);
+                    log.note_degrade(at, Rung::Adaptive, Rung::Fixed);
+                    rung = Rung::Fixed;
+                    retries = 0;
                 } else {
-                    match rung {
-                        Rung::Adaptive => {
-                            runner.restore(&checkpoint);
-                            runner.set_epoch_mode(EpochMode::Fixed);
-                            log.note_degrade(at, Rung::Adaptive, Rung::Fixed);
-                            rung = Rung::Fixed;
-                            retries = 0;
-                        }
-                        Rung::Fixed => {
-                            // Terminal rung: restart sequentially from
-                            // time zero with the same construction the
-                            // PDES partitions had (fingerprint-preserving
-                            // for fault-free dynamics).
-                            log.note_degrade(at, Rung::Fixed, Rung::Sequential);
-                            let cfg = NetConfig {
-                                rtt_scope: RttScope::None,
-                                ..Default::default()
-                            };
-                            let mut inner =
-                                run_sequential_supervised(params, cfg, flows, horizon, policy)?;
-                            log.absorb(std::mem::replace(
-                                &mut inner.log,
-                                RecoveryLog::new(Rung::Sequential),
-                            ));
-                            return Ok(SupervisedRun {
-                                nets: inner.nets,
-                                events: inner.events,
-                                wall: t0.elapsed(),
-                                report: None,
-                                log,
-                            });
-                        }
-                        Rung::Sequential => unreachable!("sequential runs have no PDES errors"),
-                    }
+                    log.note_degrade(at, Rung::Fixed, Rung::Sequential);
+                    return (None, log);
                 }
             }
         }
     }
-
-    log.final_rung = rung;
-    let report = total.expect("supervised run executes at least one chunk");
-    let events = report.events_executed;
-    let nets = runner
-        .into_partitions()
-        .into_iter()
-        .map(|p| p.into_world().net)
-        .collect();
-    Ok(SupervisedRun {
-        nets,
-        events,
-        wall: t0.elapsed(),
-        report: Some(report),
-        log,
-    })
+    (total, log)
 }
 
-/// Runs the hybrid simulator under PDES with checkpointing and the retry
-/// ladder. Constructed identically to [`crate::run_pdes_hybrid`] (same
-/// cluster partitioning, lookahead, per-partition oracles), so a
-/// supervised hybrid run that never fails produces the same fingerprint
-/// as an unsupervised one. The terminal rung restarts the whole scenario
-/// on the sequential hybrid engine with the oracle `sequential_oracle`
-/// builds (per-partition oracles use partition-salted seeds; the
-/// sequential engine needs the unsalted one).
-#[allow(clippy::too_many_arguments)] // an experiment spec, not an API surface
-pub fn run_pdes_hybrid_supervised(
-    params: ClosParams,
-    full_cluster: u16,
-    mut oracle_factory: impl FnMut(usize) -> Box<dyn ClusterOracle + Send>,
-    sequential_oracle: impl FnOnce() -> Box<dyn ClusterOracle + Send>,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    machines: usize,
-    envelope_bytes: usize,
-    mode: EpochMode,
-    faults: Option<FaultPlan>,
-    policy: &RecoveryPolicy,
-) -> Result<SupervisedRun, ElephantError> {
-    let _span = elephant_obs::span("pdes_hybrid_supervised");
-    let t0 = Instant::now();
-    let (parts, lookahead, partitions) =
-        build_hybrid_partitions(params, full_cluster, &mut oracle_factory, flows);
-    let mut pdes_cfg = PdesConfig::round_robin(partitions, machines, lookahead, envelope_bytes)
-        .with_epoch_mode(mode);
-    if let Some(plan) = faults.clone() {
-        pdes_cfg = pdes_cfg.with_faults(plan);
-    }
-    let mut runner = PdesRunner::new(parts, pdes_cfg);
-
-    let mut rung = match mode {
-        EpochMode::Adaptive => Rung::Adaptive,
-        EpochMode::Fixed => Rung::Fixed,
-    };
-    let mut log = RecoveryLog::new(rung);
-    let mut checkpoint = runner.checkpoint();
-    log.note_checkpoint(SimTime::ZERO);
-
-    let interval = policy.interval();
-    let mut cursor = SimTime::ZERO;
-    let mut retries = 0u32;
-    let mut total: Option<PdesReport> = None;
-
-    loop {
-        let next = (cursor + interval).min(horizon);
-        match runner.run_until(next) {
-            Ok(chunk) => {
-                match &mut total {
-                    None => total = Some(chunk),
-                    Some(t) => t.merge(&chunk),
-                }
-                cursor = next;
-                if cursor >= horizon {
-                    break;
-                }
-                checkpoint = runner.checkpoint();
-                log.note_checkpoint(cursor);
-            }
-            Err(e) => {
-                let at = failure_time(&e);
-                if retries < policy.max_retries {
-                    retries += 1;
-                    runner.restore(&checkpoint);
-                    log.note_restore(at, rung, cause_label(&e));
-                } else {
-                    match rung {
-                        Rung::Adaptive => {
-                            runner.restore(&checkpoint);
-                            runner.set_epoch_mode(EpochMode::Fixed);
-                            log.note_degrade(at, Rung::Adaptive, Rung::Fixed);
-                            rung = Rung::Fixed;
-                            retries = 0;
-                        }
-                        Rung::Fixed => {
-                            // Terminal rung: restart on the sequential
-                            // hybrid engine from time zero with a fresh
-                            // oracle (fingerprint-preserving for
-                            // fault-free dynamics).
-                            log.note_degrade(at, Rung::Fixed, Rung::Sequential);
-                            let mut inner = run_hybrid_supervised(
-                                params,
-                                full_cluster,
-                                sequential_oracle(),
-                                NetConfig::default(),
-                                flows,
-                                horizon,
-                                policy,
-                            )?;
-                            log.absorb(std::mem::replace(
-                                &mut inner.log,
-                                RecoveryLog::new(Rung::Sequential),
-                            ));
-                            return Ok(SupervisedRun {
-                                nets: inner.nets,
-                                events: inner.events,
-                                wall: t0.elapsed(),
-                                report: None,
-                                log,
-                            });
-                        }
-                        Rung::Sequential => unreachable!("sequential runs have no PDES errors"),
-                    }
-                }
-            }
-        }
-    }
-
-    log.final_rung = rung;
-    let report = total.expect("supervised run executes at least one chunk");
-    let events = report.events_executed;
-    let nets = runner
-        .into_partitions()
-        .into_iter()
-        .map(|p| p.into_world().net)
-        .collect();
-    Ok(SupervisedRun {
-        nets,
-        events,
-        wall: t0.elapsed(),
-        report: Some(report),
-        log,
-    })
-}
-
-/// Runs the sequential full-fidelity simulator with checkpointing. The
-/// sequential engine has no barrier to stall and no exchange to corrupt;
-/// the failures it survives are model panics, caught at the chunk
-/// boundary, rolled back to the latest checkpoint, and retried up to
-/// [`RecoveryPolicy::max_retries`] times. A failure that persists past
-/// the budget is [`ElephantError::RecoveryExhausted`] — there is no rung
-/// below sequential.
-pub fn run_sequential_supervised(
-    params: ClosParams,
-    cfg: NetConfig,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    policy: &RecoveryPolicy,
-) -> Result<SupervisedRun, ElephantError> {
-    let _span = elephant_obs::span("sequential_supervised");
-    let t0 = Instant::now();
-    let topo = Arc::new(Topology::clos(params));
-    let mut sim = Simulator::new(Network::new(topo, cfg));
-    schedule_flows(&mut sim, flows);
-    supervise_simulator(sim, horizon, policy, t0)
-}
-
-/// Runs the sequential *hybrid* simulator with checkpointing: constructed
-/// exactly like [`crate::run_hybrid`] (stub topology, forced RTT scope,
-/// oracle installed before the first event), so a supervised hybrid run
-/// that never fails produces the same fingerprint as an unsupervised one.
-/// Checkpoints deep-copy the installed oracle stack via
+/// The sequential supervision loop. The sequential engine has no barrier
+/// to stall and no exchange to corrupt; the failures it survives are
+/// model panics, caught at the chunk boundary, rolled back to the latest
+/// checkpoint, and retried up to [`RecoveryPolicy::max_retries`] times. A
+/// failure that persists past the budget is
+/// [`ElephantError::RecoveryExhausted`] — there is no rung below
+/// sequential. Checkpoints deep-copy an installed oracle stack via
 /// `ClusterOracle::clone_box`, so guard state and cached verdicts rewind
 /// with the network.
-pub fn run_hybrid_supervised(
-    params: ClosParams,
-    full_cluster: u16,
-    oracle: Box<dyn ClusterOracle + Send>,
-    mut cfg: NetConfig,
-    flows: &[FlowSpec],
+pub(crate) fn supervise_simulator(
+    sim: &mut Simulator<Network>,
     horizon: SimTime,
     policy: &RecoveryPolicy,
-) -> Result<SupervisedRun, ElephantError> {
-    assert!(
-        params.clusters >= 2,
-        "hybrid simulation needs clusters to approximate"
-    );
-    let _span = elephant_obs::span("hybrid_supervised");
-    let t0 = Instant::now();
-    let stubs: Vec<u16> = (0..params.clusters)
-        .filter(|&c| c != full_cluster)
-        .collect();
-    cfg.capture_cluster = None;
-    cfg.rtt_scope = RttScope::Cluster(full_cluster);
-    let topo = Arc::new(Topology::clos_with_stubs(params, &stubs));
-    let mut net = Network::new(topo, cfg);
-    net.set_oracle(oracle);
-    let mut sim = Simulator::new(net);
-    schedule_flows(&mut sim, flows);
-    supervise_simulator(sim, horizon, policy, t0)
-}
-
-/// The shared sequential supervision loop: checkpoint every interval,
-/// catch model panics at chunk boundaries, restore and retry.
-fn supervise_simulator(
-    mut sim: Simulator<Network>,
-    horizon: SimTime,
-    policy: &RecoveryPolicy,
-    t0: Instant,
-) -> Result<SupervisedRun, ElephantError> {
+    mut sampler: Option<&mut NetSampler>,
+) -> Result<RecoveryLog, ElephantError> {
     let mut log = RecoveryLog::new(Rung::Sequential);
-    let mut checkpoint = sim.checkpoint();
-    log.note_checkpoint(SimTime::ZERO);
-
     let interval = policy.interval();
     let mut cursor = SimTime::ZERO;
     let mut retries = 0u32;
+    let mut checkpoint = None;
 
     loop {
+        let snapshot = checkpoint.get_or_insert_with(|| {
+            log.note_checkpoint(cursor);
+            sim.checkpoint()
+        });
         let next = (cursor + interval).min(horizon);
-        match catch_unwind(AssertUnwindSafe(|| sim.run_until(next))) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            drive(sim, next, sampler.as_deref_mut())
+        })) {
             Ok(stop) => {
                 cursor = next;
                 if cursor >= horizon || stop == StopReason::Exhausted {
                     break;
                 }
-                checkpoint = sim.checkpoint();
-                log.note_checkpoint(cursor);
+                checkpoint = None;
             }
             Err(payload) => {
                 if retries >= policy.max_retries {
@@ -598,20 +345,12 @@ fn supervise_simulator(
                     });
                 }
                 retries += 1;
-                sim.restore(&checkpoint);
+                sim.restore(snapshot);
                 log.note_restore(cursor, Rung::Sequential, "panicked");
             }
         }
     }
-
-    let events = sim.scheduler().executed_total();
-    Ok(SupervisedRun {
-        nets: vec![sim.into_world()],
-        events,
-        wall: t0.elapsed(),
-        report: None,
-        log,
-    })
+    Ok(log)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -627,60 +366,65 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{execute, Exec, Fidelity, Outcome, PdesExec, RunPlan};
+    use elephant_des::FaultPlan;
+    use elephant_net::{ClosParams, FlowSpec, NetConfig};
     use elephant_trace::{generate, WorkloadConfig};
 
-    fn drill_flows(params: &ClosParams, horizon: SimTime) -> Vec<FlowSpec> {
-        generate(params, &WorkloadConfig::paper_default(horizon, 17))
+    const HORIZON: SimTime = SimTime::from_millis(8);
+
+    fn drill_flows(params: &ClosParams) -> Vec<FlowSpec> {
+        generate(params, &WorkloadConfig::paper_default(HORIZON, 17))
+    }
+
+    /// Full fidelity on two clusters: 4 rack partitions over 2 machines
+    /// when `pdes`, the sequential engine otherwise.
+    fn run(
+        flows: &[FlowSpec],
+        pdes: bool,
+        faults: Option<FaultPlan>,
+        policy: Option<&RecoveryPolicy>,
+    ) -> Outcome {
+        let mut plan = RunPlan::new(
+            ClosParams::paper_cluster(2),
+            NetConfig::default(),
+            flows,
+            HORIZON,
+            Fidelity::Full { capture: None },
+        );
+        if pdes {
+            plan.exec = Exec::Pdes(PdesExec {
+                partitions: 4,
+                machines: 2,
+                envelope_bytes: 0,
+                mode: EpochMode::Adaptive,
+                faults,
+            });
+        }
+        plan.supervise = policy;
+        execute(plan).expect("run completes")
     }
 
     #[test]
     fn supervised_without_failures_matches_unsupervised() {
-        let params = ClosParams::paper_cluster(2);
-        let horizon = SimTime::from_millis(8);
-        let flows = drill_flows(&params, horizon);
-
-        let clean = crate::run_pdes_full(
-            params,
-            &flows,
-            horizon,
-            4,
-            2,
-            0,
-            EpochMode::Adaptive,
-            None,
-            None,
-        )
-        .expect("clean run");
+        let flows = drill_flows(&ClosParams::paper_cluster(2));
+        let clean = run(&flows, true, None, None);
         let policy = RecoveryPolicy {
             checkpoint_every: SimDuration::from_millis(2),
             max_retries: 2,
         };
-        let sup = run_pdes_full_supervised(
-            params,
-            &flows,
-            horizon,
-            4,
-            2,
-            0,
-            EpochMode::Adaptive,
-            None,
-            &policy,
-        )
-        .expect("supervised run");
-        assert_eq!(sup.log.restores, 0);
-        assert_eq!(sup.log.degradations, 0);
-        assert!(sup.log.checkpoints_taken >= 2, "{}", sup.log.summary());
-        assert_eq!(sup.events, clean.events());
-        let clean_completed: u64 = clean.nets.iter().map(|n| n.stats.flows_completed).sum();
-        let sup_completed: u64 = sup.nets.iter().map(|n| n.stats.flows_completed).sum();
-        assert_eq!(sup_completed, clean_completed);
+        let sup = run(&flows, true, None, Some(&policy));
+        let log = sup.recovery.as_ref().expect("supervised runs carry a log");
+        assert_eq!(log.restores, 0);
+        assert_eq!(log.degradations, 0);
+        assert!(log.checkpoints_taken >= 2, "{}", log.summary());
+        assert_eq!(sup.meta.events, clean.meta.events);
+        assert_eq!(sup.flows_completed(), clean.flows_completed());
     }
 
     #[test]
     fn scripted_stall_restores_and_degrades_deterministically() {
-        let params = ClosParams::paper_cluster(2);
-        let horizon = SimTime::from_millis(8);
-        let flows = drill_flows(&params, horizon);
+        let flows = drill_flows(&ClosParams::paper_cluster(2));
         // A stall that re-arms every restore (epoch progress is part of
         // the checkpoint, so the stall re-fires deterministically): the
         // ladder must walk adaptive → fixed → sequential and complete.
@@ -692,40 +436,22 @@ mod tests {
             checkpoint_every: SimDuration::from_millis(2),
             max_retries: 1,
         };
-        let run_once = || {
-            run_pdes_full_supervised(
-                params,
-                &flows,
-                horizon,
-                4,
-                2,
-                0,
-                EpochMode::Adaptive,
-                Some(faults.clone()),
-                &policy,
-            )
-            .expect("ladder bottoms out sequentially")
-        };
-        let a = run_once();
-        assert_eq!(a.log.final_rung, Rung::Sequential);
-        assert!(a.log.restores >= 2, "{}", a.log.summary());
-        assert_eq!(a.log.degradations, 2, "{}", a.log.summary());
+        let a = run(&flows, true, Some(faults.clone()), Some(&policy));
+        let log = a.recovery.as_ref().expect("supervised runs carry a log");
+        assert_eq!(log.final_rung, Rung::Sequential);
+        assert!(log.restores >= 2, "{}", log.summary());
+        assert_eq!(log.degradations, 2, "{}", log.summary());
         assert!(
             a.report.is_none(),
             "sequential completion has no PDES report"
         );
 
         // Identical failure sequence → identical ladder.
-        let b = run_once();
-        assert_eq!(a.log, b.log);
+        let b = run(&flows, true, Some(faults), Some(&policy));
+        assert_eq!(a.recovery, b.recovery);
 
         // The degraded run's outcome matches a clean sequential run.
-        let cfg = NetConfig {
-            rtt_scope: RttScope::None,
-            ..Default::default()
-        };
-        let clean = run_sequential_supervised(params, cfg, &flows, horizon, &policy)
-            .expect("clean sequential");
+        let clean = run(&flows, false, None, Some(&policy));
         assert_eq!(
             a.nets[0].stats.flows_completed,
             clean.nets[0].stats.flows_completed

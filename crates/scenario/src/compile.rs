@@ -1,4 +1,4 @@
-//! Lowering: [`Scenario`] → the engine types the `experiment` drivers eat.
+//! Lowering: [`Scenario`] → the engine types `elephant_core::execute` eats.
 //!
 //! A [`Compiled`] scenario is the fully materialized run: `ClosParams`,
 //! the complete flow list (every traffic group lowered, replicated, and
@@ -18,11 +18,10 @@
 
 use crate::schema::{ProfileSpec, RegimeWindow, Scenario, SizeSpec, TrafficGroup, TrafficKind};
 use elephant_core::{
-    run_ground_truth_observed, run_hybrid_observed, run_hybrid_supervised, run_pdes_full,
-    run_pdes_full_supervised, run_pdes_hybrid, run_pdes_hybrid_supervised,
-    run_sequential_supervised, ElephantError, PdesRun, RecoveryPolicy, RunMeta, SupervisedRun,
+    execute, single_oracle, ElephantError, Exec, Fidelity, Observe, OracleFactory, Outcome,
+    PdesExec, PdesRun, RecoveryPolicy, RunMeta, RunPlan,
 };
-use elephant_des::{EpochMode, FaultPlan, PdesError, SimDuration, SimTime};
+use elephant_des::{EpochMode, FaultPlan, SimDuration, SimTime};
 use elephant_net::{
     ClosParams, ClusterOracle, FlowId, FlowSpec, GuardConfig, HostAddr, NetConfig, NetSampler,
     Network, RttScope, TcpConfig,
@@ -63,7 +62,7 @@ pub struct Compiled {
     pub horizon: SimTime,
     /// Effective seed.
     pub seed: u64,
-    /// DCTCP run (selects [`TcpConfig::dctcp`] on sequential drivers).
+    /// DCTCP run (selects [`TcpConfig::dctcp`] on every engine).
     pub dctcp: bool,
     /// PDES rack partitions.
     pub partitions: usize,
@@ -441,7 +440,7 @@ fn lower_profile(p: &ProfileSpec, regimes: &[RegimeWindow], start_ms: f64) -> Lo
 }
 
 impl Compiled {
-    /// The sequential drivers' network config for this run.
+    /// The network config for this run.
     pub fn net_config(&self) -> NetConfig {
         NetConfig {
             tcp: if self.dctcp {
@@ -454,170 +453,97 @@ impl Compiled {
         }
     }
 
-    /// Runs the scenario on the sequential full-fidelity driver.
-    pub fn run_sequential(&self, sampler: Option<&mut NetSampler>) -> (Network, RunMeta) {
-        run_ground_truth_observed(
-            self.params,
-            self.net_config(),
-            None,
-            &self.flows,
-            self.horizon,
-            None,
-            sampler,
-        )
-    }
-
-    /// Runs the scenario under conservative PDES with the partitioning
-    /// declared in `[topology.pdes]` (or the caller's override) and the
-    /// scenario's fault plan.
-    pub fn run_pdes(
-        &self,
-        partitions: Option<usize>,
-        mode: EpochMode,
-        sampler: Option<&mut NetSampler>,
-    ) -> Result<PdesRun, PdesError> {
-        run_pdes_full(
-            self.params,
-            &self.flows,
-            self.horizon,
-            partitions.unwrap_or(self.partitions),
-            self.machines,
-            self.envelope_bytes,
-            mode,
-            self.faults.clone(),
-            sampler,
-        )
-    }
-
-    /// Runs the scenario sequentially under checkpoint/restore supervision.
-    pub fn run_sequential_supervised(
-        &self,
-        policy: &RecoveryPolicy,
-    ) -> Result<SupervisedRun, ElephantError> {
-        run_sequential_supervised(
-            self.params,
-            self.net_config(),
-            &self.flows,
-            self.horizon,
-            policy,
-        )
-    }
-
-    /// Runs the scenario under supervised PDES: checkpoints at `policy`
-    /// intervals, restores on engine faults, and walks the degradation
-    /// ladder (adaptive → fixed epochs → sequential) when retries are
-    /// exhausted.
-    pub fn run_pdes_supervised(
-        &self,
-        partitions: Option<usize>,
-        mode: EpochMode,
-        policy: &RecoveryPolicy,
-    ) -> Result<SupervisedRun, ElephantError> {
-        run_pdes_full_supervised(
-            self.params,
-            &self.flows,
-            self.horizon,
-            partitions.unwrap_or(self.partitions),
-            self.machines,
-            self.envelope_bytes,
-            mode,
-            self.faults.clone(),
-            policy,
-        )
-    }
-
-    /// The hybrid driver's flow list: the compiled flows elided to
-    /// traffic touching the full-fidelity cluster (the paper's §6.2
-    /// elision — identical to what the `hybrid` subcommand schedules).
+    /// The hybrid flow list: the compiled flows elided to traffic
+    /// touching the full-fidelity cluster (the paper's §6.2 elision).
     pub fn hybrid_flows(&self) -> Vec<FlowSpec> {
         filter_touching_cluster(&self.flows, self.hybrid.full_cluster)
     }
 
-    /// Runs the scenario on the sequential hybrid driver: the
-    /// `[model]`-selected full cluster at packet fidelity, every other
-    /// cluster served by `oracle`.
+    /// PDES execution with the `[topology.pdes]` partitioning (or the
+    /// caller's partition override) and the scenario's fault plan.
+    pub fn pdes(&self, partitions: Option<usize>, mode: EpochMode) -> Exec {
+        Exec::Pdes(PdesExec {
+            partitions: partitions.unwrap_or(self.partitions),
+            machines: self.machines,
+            envelope_bytes: self.envelope_bytes,
+            mode,
+            faults: self.faults.clone(),
+        })
+    }
+
+    /// Runs the scenario at any point of the run matrix. With `oracles`
+    /// the run is hybrid — the `[model]`-selected full cluster at packet
+    /// fidelity over the elided flow list, every other cluster served by
+    /// the oracles the factory builds — and full fidelity without.
+    pub fn run(
+        &self,
+        oracles: Option<OracleFactory<'_>>,
+        exec: Exec,
+        supervise: Option<&RecoveryPolicy>,
+        observe: Observe<'_>,
+    ) -> Result<Outcome, ElephantError> {
+        let elided;
+        let (fidelity, flows) = match oracles {
+            None => (Fidelity::Full { capture: None }, &self.flows),
+            Some(oracles) => {
+                elided = self.hybrid_flows();
+                let full_cluster = self.hybrid.full_cluster;
+                (
+                    Fidelity::Hybrid {
+                        full_cluster,
+                        oracles,
+                    },
+                    &elided,
+                )
+            }
+        };
+        execute(RunPlan {
+            params: self.params,
+            cfg: self.net_config(),
+            flows,
+            horizon: self.horizon,
+            fidelity,
+            exec,
+            supervise,
+            observe,
+        })
+    }
+
+    /// [`Self::run`] at full fidelity on the sequential engine.
+    pub fn run_sequential(&self, sampler: Option<&mut NetSampler>) -> (Network, RunMeta) {
+        self.run(None, Exec::Sequential, None, Observe::sampled(sampler))
+            .expect("unsupervised sequential runs cannot fail")
+            .into_single()
+    }
+
+    /// [`Self::run`] as a hybrid served by `oracle` on the sequential
+    /// engine.
     pub fn run_hybrid(
         &self,
         oracle: Box<dyn ClusterOracle + Send>,
         sampler: Option<&mut NetSampler>,
     ) -> (Network, RunMeta) {
-        run_hybrid_observed(
-            self.params,
-            self.hybrid.full_cluster,
-            oracle,
-            self.net_config(),
-            &self.hybrid_flows(),
-            self.horizon,
+        let oracles = &mut single_oracle(oracle);
+        self.run(
+            Some(oracles),
+            Exec::Sequential,
             None,
-            sampler,
+            Observe::sampled(sampler),
         )
+        .expect("unsupervised sequential runs cannot fail")
+        .into_single()
     }
 
-    /// Runs the scenario on the cluster-partitioned PDES hybrid driver.
-    /// `oracle_factory` builds partition `p`'s oracle instance.
-    pub fn run_pdes_hybrid(
+    /// [`Self::run`] at full fidelity under [`Self::pdes`].
+    pub fn run_pdes(
         &self,
-        oracle_factory: impl FnMut(usize) -> Box<dyn ClusterOracle + Send>,
+        partitions: Option<usize>,
         mode: EpochMode,
         sampler: Option<&mut NetSampler>,
-    ) -> Result<PdesRun, PdesError> {
-        run_pdes_hybrid(
-            self.params,
-            self.hybrid.full_cluster,
-            oracle_factory,
-            &self.hybrid_flows(),
-            self.horizon,
-            self.machines,
-            self.envelope_bytes,
-            mode,
-            self.faults.clone(),
-            sampler,
-        )
-    }
-
-    /// Runs the scenario on the sequential hybrid driver under
-    /// checkpoint/restore supervision.
-    pub fn run_hybrid_supervised(
-        &self,
-        oracle: Box<dyn ClusterOracle + Send>,
-        policy: &RecoveryPolicy,
-    ) -> Result<SupervisedRun, ElephantError> {
-        run_hybrid_supervised(
-            self.params,
-            self.hybrid.full_cluster,
-            oracle,
-            self.net_config(),
-            &self.hybrid_flows(),
-            self.horizon,
-            policy,
-        )
-    }
-
-    /// Runs the scenario on the PDES hybrid driver under supervision:
-    /// checkpoints, restores, and degrades adaptive → fixed → sequential
-    /// hybrid. `sequential_oracle` builds the oracle for the terminal
-    /// sequential rung (its seed derivation differs from the per-partition
-    /// PDES oracles).
-    pub fn run_pdes_hybrid_supervised(
-        &self,
-        oracle_factory: impl FnMut(usize) -> Box<dyn ClusterOracle + Send>,
-        sequential_oracle: impl FnOnce() -> Box<dyn ClusterOracle + Send>,
-        mode: EpochMode,
-        policy: &RecoveryPolicy,
-    ) -> Result<SupervisedRun, ElephantError> {
-        run_pdes_hybrid_supervised(
-            self.params,
-            self.hybrid.full_cluster,
-            oracle_factory,
-            sequential_oracle,
-            &self.hybrid_flows(),
-            self.horizon,
-            self.machines,
-            self.envelope_bytes,
-            mode,
-            self.faults.clone(),
-            policy,
-        )
+    ) -> Result<PdesRun, ElephantError> {
+        let observe = Observe::sampled(sampler);
+        self.run(None, self.pdes(partitions, mode), None, observe)
+            .map(Outcome::into_pdes_run)
     }
 }
 

@@ -13,7 +13,7 @@
 //!   └─ toml::parse        line-tracked TOML tree
 //!       └─ decode         validated [`Scenario`] (typed errors w/ lines)
 //!           └─ compile    [`Compiled`]: ClosParams + flows + FaultPlan
-//!               └─ elephant_core::{run_ground_truth, run_pdes_full}
+//!               └─ Compiled::run ─► elephant_core::execute
 //! ```
 //!
 //! Runs are deterministic by `(scenario file, seed)`: compilation is a

@@ -1,63 +1,59 @@
 //! `elephant` — command-line driver for the simulator.
 //!
-//! Four subcommands cover the workflows a user reaches for before writing
-//! code against the library API:
+//! Seven subcommands cover the workflows a user reaches for before
+//! writing code against the library API:
 //!
 //! ```text
 //! elephant run     --clusters 4 --horizon-ms 50          # full-fidelity simulation
 //! elephant train   --horizon-ms 100 --out model.json     # capture + train a cluster model
 //! elephant hybrid  --model model.json --clusters 16      # deploy it at scale
 //! elephant compare --model model.json --clusters 4       # truth vs hybrid accuracy table
+//! elephant run-scenario scenarios/incast.toml --pdes     # run a declarative scenario
+//! elephant audit scenarios/smoke.toml                    # = run-scenario FILE --audit
+//! elephant compare A.json B.json                         # diff two run ledgers
 //! ```
 //!
-//! Every command prints a summary and is a pure function of its `--seed`.
+//! Every simulation — `run`, `hybrid`, `run-scenario`, `audit` — becomes
+//! one [`Request`] around a compiled scenario (the hand flags lower to an
+//! in-memory one), goes through one [`dispatch`] onto
+//! `Compiled::run`, and ends in one [`finish`]. Every command prints a
+//! summary and is a pure function of its seed.
 
 use std::process::exit;
 
 use elephant::core::{
-    capture_records, compare_cdfs, compare_ledgers, run_audit, run_ground_truth, run_hybrid,
-    run_hybrid_observed, run_pdes_full, run_pdes_hybrid, train_cluster_model, AuditHooks,
-    CacheStats, CacheStatsHandle, ClusterModel, DropPolicy, ElephantError, LearnedOracle, PdesRun,
-    RunLedger, SupervisedRun, TrainingOptions, LEDGER_SCHEMA_VERSION,
+    capture_records, compare_cdfs, compare_ledgers, guard_primary, oracle_stack, run_audit,
+    run_ground_truth, run_hybrid, train_cluster_model, AuditHooks, CacheStats, CacheStatsHandle,
+    ClusterModel, ElephantError, Exec, Observe, OracleStack, Outcome, RecoveryPolicy, RunLedger,
+    RunMeta, TrainingOptions, LEDGER_SCHEMA_VERSION,
 };
 use elephant::des::{EpochMode, FaultCounts, FaultPlan, SimDuration, SimTime};
 use elephant::net::{
-    ClosParams, ClusterOracle, FaultyOracle, FixedLatencyOracle, FlowSpec, GuardConfig,
-    GuardStatsHandle, GuardedOracle, NetConfig, NetSampler, Network, OracleFaultMode, RttScope,
-    TcpConfig, TraceLog, MAX_FLOW_TRACKS, SAMPLE_CSV_HEADER,
+    ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardConfig, GuardStatsHandle, NetConfig,
+    NetSampler, Network, OracleFaultMode, RttScope, TcpConfig, TraceLog, MAX_FLOW_TRACKS,
+    SAMPLE_CSV_HEADER,
 };
 use elephant::nn::RnnKind;
-use elephant::obs::{DivergenceReport, RunReport, TimelineWriter, TraceRecord, PID_FLOWS};
-use elephant::scenario::run_fingerprint;
-use elephant::trace::{filter_touching_cluster, generate, write_csv, WorkloadConfig};
+use elephant::obs::{RunReport, TimelineWriter, TraceRecord, PID_FLOWS};
+use elephant::scenario::{
+    compile, list_scenarios, load, run_fingerprint, CompileOverrides, Compiled, HybridSpec,
+};
+use elephant::trace::{generate, write_csv, WorkloadConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    if cmd == "run-scenario" {
-        // Takes a positional scenario file, which Opts::parse rejects.
-        return cmd_run_scenario(&args[1..]);
-    }
-    if cmd == "audit" {
-        return cmd_audit(&args[1..]);
-    }
-    if cmd == "compare" && args.len() >= 2 && !args[1].starts_with('-') {
-        // `compare A.json B.json` diffs two run-ledger artifacts; the
-        // legacy accuracy table always leads with --model.
-        return cmd_compare_ledgers(&args[1..]);
-    }
-    let opts = Opts::parse(&args[1..]);
-    if opts.observing() {
-        elephant::obs::set_enabled(true);
-    }
-    if opts.trace_out.is_some() {
-        elephant::obs::set_timeline_enabled(true);
-    }
+    let rest = &args[1..];
     match cmd.as_str() {
-        "run" => cmd_run(&opts),
-        "train" => cmd_train(&opts),
-        "hybrid" => cmd_hybrid(&opts),
-        "compare" => cmd_compare(&opts),
+        "run-scenario" => cmd_scenario(rest, false),
+        "audit" => cmd_scenario(rest, true),
+        // `compare A.json B.json` diffs two run-ledger artifacts; the
+        // accuracy table always leads with --model.
+        "compare" if rest.first().is_some_and(|a| !a.starts_with('-')) => cmd_compare_ledgers(rest),
+        "run" => dispatch(Opts::parse(rest).lower(false)),
+        "hybrid" => dispatch(Opts::parse(rest).lower(true)),
+        "train" => cmd_train(&Opts::parse(rest)),
+        "compare" => cmd_compare(&Opts::parse(rest)),
         "--help" | "-h" | "help" => usage(),
         other => {
             eprintln!("unknown command: {other}\n");
@@ -79,19 +75,23 @@ fn usage() -> ! {
          compare  run truth and hybrid side by side; print the accuracy table\n\
          compare A.json B.json  diff two run-ledger artifacts; exit 8 on drift\n\
          run-scenario FILE  run a declarative TOML scenario (see scenarios/)\n\
-         audit FILE         paired truth+hybrid run of a scenario; print the\n\
-         \u{20}                  divergence table and gate on its [audit] bounds\n\
+         audit FILE         = run-scenario FILE --audit: paired truth+hybrid\n\
+         \u{20}                  run; print the divergence table and gate on the\n\
+         \u{20}                  scenario's [audit] bounds\n\
          \n\
          AUDIT (see DESIGN.md \"Accuracy observatory\")\n\
-         --model PATH      trained model for the hybrid side (default: capture\n\
-         \u{20}                and quick-train a small one first)\n\
+         --model PATH      trained model for the hybrid side (default: the\n\
+         \u{20}                scenario's [model] path, else capture and\n\
+         \u{20}                quick-train a small one first)\n\
          --seed N          override the scenario's run.seed\n\
          --horizon-ms N    override the scenario's run.horizon_ms\n\
          --sample-every T  macro-regime timeline granularity in us (200)\n\
          --ledger-out P    write the hybrid-side run ledger (with divergence\n\
          \u{20}                block) to P and the truth-side ledger to\n\
-         \u{20}                P-minus-.json + .truth.json\n\
-         --oracle-cache / --oracle-cache-cap N / --no-guard  as for hybrid\n\
+         \u{20}                P-minus-.json + .truth.json (run-scenario --audit\n\
+         \u{20}                spells it --metrics-out)\n\
+         --oracle-cache / --oracle-cache-cap N / --no-guard  override the\n\
+         \u{20}                scenario's [oracle]/[guard] settings\n\
          \n\
          COMPARE LEDGERS\n\
          --tolerance F     relative drift tolerance for events/scalars (0.05)\n\
@@ -178,6 +178,101 @@ fn die(e: ElephantError) -> ! {
     exit(e.exit_code())
 }
 
+/// Exits 3 on a failed output write.
+fn written(path: &str, result: std::io::Result<()>) {
+    if let Err(e) = result {
+        eprintln!("cannot write {path}: {e}");
+        exit(3)
+    }
+}
+
+/// Cursor over one subcommand's arguments. A flag missing its value, or
+/// carrying one that does not parse, is a usage error (exit 2).
+struct Args<'a>(std::iter::Peekable<std::slice::Iter<'a, String>>);
+
+impl<'a> Args<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Args(args.iter().peekable())
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    fn val(&mut self, flag: &str) -> String {
+        self.next().map(str::to_string).unwrap_or_else(|| {
+            eprintln!("{flag} needs a value");
+            exit(2)
+        })
+    }
+
+    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> T {
+        let s = self.val(flag);
+        s.parse().unwrap_or_else(|_| {
+            eprintln!("invalid value for {flag}: {s}");
+            exit(2)
+        })
+    }
+
+    /// The next token if it is not a flag (an optional positional value).
+    fn positional(&mut self) -> Option<String> {
+        self.0.next_if(|a| !a.starts_with('-')).cloned()
+    }
+}
+
+/// Where a command's results go besides stdout.
+#[derive(Debug, Default)]
+struct Sinks {
+    profile: bool,
+    metrics_out: Option<String>,
+    samples_out: Option<String>,
+    trace: Option<usize>,
+    trace_out: Option<String>,
+}
+
+impl Sinks {
+    fn observing(&self) -> bool {
+        self.profile || self.metrics_out.is_some()
+    }
+
+    /// Switches on the collection these sinks read from.
+    fn enable(&self) {
+        if self.observing() {
+            elephant::obs::set_enabled(true);
+        }
+        if self.trace_out.is_some() {
+            elephant::obs::set_timeline_enabled(true);
+        }
+    }
+
+    /// The event trace to install, if any: `--trace N` keeps the first N;
+    /// `--trace-out` alone installs a strided trace sized from a packet
+    /// estimate of the workload, so drop/oracle instants span the run.
+    fn build_trace(&self, flows: &[FlowSpec]) -> Option<TraceLog> {
+        if let Some(n) = self.trace {
+            return Some(TraceLog::new(n));
+        }
+        self.trace_out.as_ref().map(|_| {
+            // ~1 data packet per MSS plus handshake/ack overhead, and a
+            // handful of trace events per packet — a coverage hint, not a
+            // promise (TraceLog::strided tolerates both error directions).
+            let pkts: u64 = flows.iter().map(|f| f.bytes / 1448 + 2).sum();
+            TraceLog::strided(50_000, pkts.saturating_mul(6))
+        })
+    }
+
+    /// Where the sampler CSV goes: `--samples-out`, else next to the
+    /// timeline when `--trace-out` is set, else `samples.csv`.
+    fn samples_path(&self) -> String {
+        match (&self.samples_out, &self.trace_out) {
+            (Some(p), _) => p.clone(),
+            (None, Some(p)) => format!("{}.samples.csv", p.trim_end_matches(".json")),
+            (None, None) => "samples.csv".into(),
+        }
+    }
+}
+
+/// The hand flags of `run`, `train`, `hybrid` and `compare`.
 #[derive(Debug)]
 struct Opts {
     clusters: u16,
@@ -192,14 +287,11 @@ struct Opts {
     layers: usize,
     epochs: usize,
     gru: bool,
-    trace: Option<usize>,
-    trace_out: Option<String>,
     sample_every: Option<SimDuration>,
     pdes: Option<usize>,
     machines: usize,
     epoch_mode: EpochMode,
-    profile: bool,
-    metrics_out: Option<String>,
+    sinks: Sinks,
     oracle_cache: bool,
     oracle_cache_cap: usize,
     no_guard: bool,
@@ -225,14 +317,11 @@ impl Opts {
             layers: 2,
             epochs: 8,
             gru: false,
-            trace: None,
-            trace_out: None,
             sample_every: None,
             pdes: None,
             machines: 1,
             epoch_mode: EpochMode::Adaptive,
-            profile: false,
-            metrics_out: None,
+            sinks: Sinks::default(),
             oracle_cache: false,
             oracle_cache_cap: 65_536,
             no_guard: false,
@@ -242,46 +331,38 @@ impl Opts {
             fault_oracle: None,
             fault_every: 97,
         };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let mut val = || {
-                it.next().map(|s| s.to_string()).unwrap_or_else(|| {
-                    eprintln!("{a} needs a value");
-                    exit(2)
-                })
-            };
-            match a.as_str() {
-                "--clusters" => o.clusters = parse(&val(), a),
-                "--horizon-ms" => o.horizon = SimTime::from_millis(parse(&val(), a)),
-                "--load" => o.load = parse(&val(), a),
-                "--seed" => o.seed = parse(&val(), a),
+        let mut args = Args::new(args);
+        while let Some(a) = args.next() {
+            match a {
+                "--clusters" => o.clusters = args.parsed(a),
+                "--horizon-ms" => o.horizon = SimTime::from_millis(args.parsed(a)),
+                "--load" => o.load = args.parsed(a),
+                "--seed" => o.seed = args.parsed(a),
                 "--dctcp" => o.dctcp = true,
-                "--model" => o.model = Some(val()),
-                "--out" => o.out = val(),
-                "--full-cluster" => o.full_cluster = parse(&val(), a),
-                "--hidden" => o.hidden = parse(&val(), a),
-                "--layers" => o.layers = parse(&val(), a),
-                "--epochs" => o.epochs = parse(&val(), a),
+                "--model" => o.model = Some(args.val(a)),
+                "--out" => o.out = args.val(a),
+                "--full-cluster" => o.full_cluster = args.parsed(a),
+                "--hidden" => o.hidden = args.parsed(a),
+                "--layers" => o.layers = args.parsed(a),
+                "--epochs" => o.epochs = args.parsed(a),
                 "--gru" => o.gru = true,
-                "--trace" => o.trace = Some(parse(&val(), a)),
-                "--trace-out" => o.trace_out = Some(val()),
-                "--sample-every" => {
-                    o.sample_every = Some(SimDuration::from_micros(parse(&val(), a)))
-                }
-                "--pdes" => o.pdes = Some(parse(&val(), a)),
-                "--machines" => o.machines = parse(&val(), a),
+                "--trace" => o.sinks.trace = Some(args.parsed(a)),
+                "--trace-out" => o.sinks.trace_out = Some(args.val(a)),
+                "--sample-every" => o.sample_every = Some(SimDuration::from_micros(args.parsed(a))),
+                "--pdes" => o.pdes = Some(args.parsed(a)),
+                "--machines" => o.machines = args.parsed(a),
                 "--adaptive-epochs" => o.epoch_mode = EpochMode::Adaptive,
                 "--fixed-epochs" => o.epoch_mode = EpochMode::Fixed,
-                "--profile" => o.profile = true,
-                "--metrics-out" => o.metrics_out = Some(val()),
+                "--profile" => o.sinks.profile = true,
+                "--metrics-out" => o.sinks.metrics_out = Some(args.val(a)),
                 "--oracle-cache" => o.oracle_cache = true,
-                "--oracle-cache-cap" => o.oracle_cache_cap = parse(&val(), a),
+                "--oracle-cache-cap" => o.oracle_cache_cap = args.parsed(a),
                 "--no-guard" => o.no_guard = true,
-                "--guard-ceiling-ms" => o.guard_ceiling_ms = parse(&val(), a),
-                "--guard-trip-limit" => o.guard_trip_limit = parse(&val(), a),
-                "--guard-tolerance" => o.guard_tolerance = parse(&val(), a),
+                "--guard-ceiling-ms" => o.guard_ceiling_ms = args.parsed(a),
+                "--guard-trip-limit" => o.guard_trip_limit = args.parsed(a),
+                "--guard-tolerance" => o.guard_tolerance = args.parsed(a),
                 "--fault-oracle" => {
-                    o.fault_oracle = Some(match val().as_str() {
+                    o.fault_oracle = Some(match args.val(a).as_str() {
                         "nan" => OracleFaultMode::Nan,
                         "negative" => OracleFaultMode::Negative,
                         "huge" => OracleFaultMode::Huge,
@@ -291,7 +372,7 @@ impl Opts {
                         }
                     })
                 }
-                "--fault-every" => o.fault_every = parse(&val(), a),
+                "--fault-every" => o.fault_every = args.parsed(a),
                 other => {
                     eprintln!("unknown option: {other}\n");
                     usage()
@@ -301,8 +382,8 @@ impl Opts {
         o
     }
 
-    fn params(&self) -> ClosParams {
-        let mut p = ClosParams::paper_cluster(self.clusters);
+    fn params(&self, clusters: u16) -> ClosParams {
+        let mut p = ClosParams::paper_cluster(clusters);
         if self.dctcp {
             p.host_link = p.host_link.with_ecn(30_000);
             p.fabric_link = p.fabric_link.with_ecn(30_000);
@@ -311,171 +392,671 @@ impl Opts {
         p
     }
 
-    fn net_config(&self, scope: RttScope) -> NetConfig {
-        NetConfig {
-            tcp: if self.dctcp {
-                TcpConfig::dctcp()
-            } else {
-                TcpConfig::default()
-            },
-            rtt_scope: scope,
-            ..Default::default()
+    fn workload(&self, params: &ClosParams, seed: u64) -> Vec<FlowSpec> {
+        workload(params, self.horizon, self.load, seed)
+    }
+
+    /// The oracle-stack settings the guard/cache flags spell, in the
+    /// shape a scenario's `[model]`/`[guard]`/`[oracle]` sections compile
+    /// to. No artifact is bound here (`--model` rides on the request);
+    /// without one the quick-trained default model serves.
+    fn hybrid_spec(&self, declared: bool) -> HybridSpec {
+        HybridSpec {
+            model_path: None,
+            model_line: 0,
+            model_declared: declared,
+            train_fallback: true,
+            full_cluster: self.full_cluster,
+            cache: self.oracle_cache,
+            cache_cap: self.oracle_cache_cap,
+            guard: (!self.no_guard).then(|| GuardConfig {
+                latency_ceiling: SimDuration::from_secs_f64(self.guard_ceiling_ms / 1e3),
+                drop_rate_tolerance: self.guard_tolerance,
+                trip_limit: self.guard_trip_limit,
+                ..Default::default()
+            }),
         }
     }
 
-    fn workload(&self, params: &ClosParams, seed: u64) -> Vec<elephant::net::FlowSpec> {
-        let mut wl = WorkloadConfig::paper_default(self.horizon, seed);
-        wl.load = self.load;
-        generate(params, &wl)
+    fn fault(&self) -> Option<(OracleFaultMode, u64)> {
+        self.fault_oracle.map(|mode| (mode, self.fault_every))
     }
 
-    fn observing(&self) -> bool {
-        self.profile || self.metrics_out.is_some()
-    }
-
-    /// The event trace to install, if any: `--trace N` keeps the first N;
-    /// `--trace-out` alone installs a strided trace sized from a packet
-    /// estimate of the workload, so drop/oracle instants span the run.
-    fn build_trace(&self, flows: &[FlowSpec]) -> Option<TraceLog> {
-        if let Some(n) = self.trace {
-            return Some(TraceLog::new(n));
+    /// Lowers `run` (`hybrid = false`) or `hybrid` flags to the in-memory
+    /// compiled scenario they describe, applying the scenario decoder's
+    /// range rules to the hybrid selection.
+    fn lower(self, hybrid: bool) -> Request {
+        if hybrid && self.clusters < 2 {
+            eprintln!(
+                "hybrid needs --clusters >= 2 (the oracle approximates every cluster \
+                 but the full-fidelity one)\n"
+            );
+            usage()
         }
-        if self.trace_out.is_some() {
-            // ~1 data packet per MSS plus handshake/ack overhead, and a
-            // handful of trace events per packet — a coverage hint, not a
-            // promise (TraceLog::strided tolerates both error directions).
-            let pkts: u64 = flows.iter().map(|f| f.bytes / 1448 + 2).sum();
-            return Some(TraceLog::strided(50_000, pkts.saturating_mul(6)));
+        if hybrid && self.full_cluster >= self.clusters {
+            eprintln!(
+                "--full-cluster: cluster {} out of range (--clusters = {})\n",
+                self.full_cluster, self.clusters
+            );
+            usage()
         }
-        None
-    }
-
-    fn build_sampler(&self, flows: &[FlowSpec]) -> Option<NetSampler> {
-        self.sample_every.map(|d| NetSampler::new(d, flows))
-    }
-
-    /// Where `--sample-every` writes its CSV: next to the timeline when
-    /// `--trace-out` is set, else `samples.csv` in the working directory.
-    fn samples_path(&self) -> String {
-        match &self.trace_out {
-            Some(p) => format!("{}.samples.csv", p.trim_end_matches(".json")),
-            None => "samples.csv".into(),
-        }
-    }
-
-    fn load_model(&self) -> ClusterModel {
-        let path = self.model.as_deref().unwrap_or_else(|| {
-            eprintln!("--model PATH is required for this command");
-            exit(2)
-        });
-        let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            die(ElephantError::Io {
-                path: path.to_string(),
-                source: e,
-            })
-        });
-        ClusterModel::load_json(&json).unwrap_or_else(|e| die(e))
-    }
-
-    fn guard_config(&self, model: &ClusterModel) -> GuardConfig {
-        GuardConfig {
-            latency_ceiling: SimDuration::from_secs_f64(self.guard_ceiling_ms / 1e3),
-            // A model trained on real records carries its drop rate; use it
-            // as the center of the drift band. Legacy artifacts (zeroed
-            // meta) disable the check.
-            expected_drop_rate: (model.meta.train_records > 0)
-                .then_some(model.meta.train_drop_rate),
-            drop_rate_tolerance: self.guard_tolerance,
-            trip_limit: self.guard_trip_limit,
-            ..Default::default()
-        }
-    }
-
-    /// Assembles the oracle stack for hybrid runs: the learned oracle (or
-    /// a deliberately faulty one, under `--fault-oracle`), wrapped in a
-    /// [`GuardedOracle`] unless `--no-guard` asked for bare metal. The
-    /// verdict cache (`--oracle-cache`) lives *inside* the learned oracle,
-    /// under the guard, so guard validation sees every served verdict.
-    fn build_oracle(
-        &self,
-        model: ClusterModel,
-        params: ClosParams,
-    ) -> (
-        Box<dyn ClusterOracle + Send>,
-        Option<GuardStatsHandle>,
-        Option<CacheStatsHandle>,
-    ) {
-        let meta = model.meta;
-        let guard_cfg = self.guard_config(&model);
-        let mut cache = None;
-        let primary: Box<dyn ClusterOracle + Send> = match self.fault_oracle {
-            None if self.oracle_cache => {
-                let oracle = LearnedOracle::with_cache(
-                    model,
-                    params,
-                    DropPolicy::Sample,
-                    self.seed ^ 0xE1E,
-                    self.oracle_cache_cap,
-                );
-                cache = oracle.cache_stats_handle();
-                Box::new(oracle)
-            }
-            None => Box::new(LearnedOracle::new(
-                model,
-                params,
-                DropPolicy::Sample,
-                self.seed ^ 0xE1E,
-            )),
-            Some(mode) => {
-                println!(
-                    "fault drill: oracle emits {mode:?} latency every {} verdicts",
-                    self.fault_every
-                );
-                Box::new(FaultyOracle::new(
-                    mode,
-                    self.fault_every,
-                    SimDuration::from_micros(5),
-                ))
-            }
+        let params = self.params(self.clusters);
+        let title = if hybrid { "hybrid" } else { "full-fidelity" };
+        let compiled = Compiled {
+            name: title.to_string(),
+            params,
+            flows: self.workload(&params, self.seed),
+            horizon: self.horizon,
+            seed: self.seed,
+            dctcp: self.dctcp,
+            partitions: self.pdes.unwrap_or(1),
+            machines: self.machines,
+            envelope_bytes: 64,
+            faults: None,
+            recovery: None,
+            sample_every: self.sample_every,
+            audit_bounds: None,
+            hybrid: self.hybrid_spec(hybrid),
         };
-        if self.no_guard {
-            return (primary, None, cache);
+        Request {
+            command: if hybrid { "hybrid" } else { "run" },
+            title: format!("{title} run"),
+            origin: title.to_string(),
+            compiled,
+            hybrid,
+            audit: false,
+            model_flag: self.model.clone(),
+            train_load: self.load,
+            fault: self.fault(),
+            pdes: self.pdes.is_some(),
+            partitions_flag: false,
+            epoch_mode: self.epoch_mode,
+            sinks: self.sinks,
         }
-        // The fallback delivers at the training-time median latency when
-        // the artifact records one, else a generic fabric traversal.
-        let fallback_latency = if meta.train_latency_p50 > 0.0 {
-            SimDuration::from_secs_f64(meta.train_latency_p50)
-        } else {
-            SimDuration::from_micros(50)
-        };
-        let guarded = GuardedOracle::new(
-            primary,
-            Box::new(FixedLatencyOracle(fallback_latency)),
-            guard_cfg,
-        );
-        let handle = guarded.stats_handle();
-        (Box::new(guarded), Some(handle), cache)
     }
 }
 
-/// Prints the post-run verdict-cache summary and mirrors it into the
-/// metrics registry (so `--metrics-out` reports carry `hybrid/cache/*`).
-fn report_cache(handle: &Option<CacheStatsHandle>) {
-    let Some(h) = handle else { return };
-    h.publish_metrics();
-    let s = h.snapshot();
+/// One simulation to run, however it was spelled: `run`/`hybrid` flags
+/// or a scenario file with its overrides already applied to `compiled`.
+struct Request {
+    /// Subcommand, naming the run report.
+    command: &'static str,
+    /// What the header and the ledger call the run.
+    title: String,
+    /// The scenario file (for `file:line` model diagnostics).
+    origin: String,
+    compiled: Compiled,
+    /// Route through the hybrid engine: the scenario's full cluster at
+    /// packet fidelity, the learned oracle serving every other fabric.
+    hybrid: bool,
+    /// Pair the hybrid against ground truth and gate on `[audit]` bounds.
+    audit: bool,
+    /// `--model PATH`; wins over the scenario's `[model] path`.
+    model_flag: Option<String>,
+    /// Offered load of the quick default model's training capture.
+    train_load: f64,
+    /// `--fault-oracle` drill: (mode, poison one verdict in N).
+    fault: Option<(OracleFaultMode, u64)>,
+    pdes: bool,
+    /// `--partitions` was given (hybrid PDES ignores it, with a note).
+    partitions_flag: bool,
+    epoch_mode: EpochMode,
+    sinks: Sinks,
+}
+
+/// Runs `req` on the engine it selects and reports through [`finish`].
+fn dispatch(req: Request) {
+    let c = &req.compiled;
+    req.sinks.enable();
     println!(
-        "  cache     : {} lookups, {:.1}% hit rate ({} evictions, {} invalidations)",
-        s.lookups(),
-        s.hit_rate() * 100.0,
-        s.evictions,
-        s.invalidations
+        "{}: {} clusters, {} hosts, {} flows, horizon {}, seed {}{}",
+        req.title,
+        c.params.clusters,
+        c.params.total_hosts(),
+        c.flows.len(),
+        c.horizon,
+        c.seed,
+        match req.pdes {
+            // Hybrid PDES always partitions one cluster per partition.
+            true if req.hybrid => format!(", PDES x{}", c.params.clusters),
+            true => format!(", PDES x{}", c.partitions),
+            false => String::new(),
+        }
+    );
+    if c.faults.is_some() && !req.pdes {
+        println!("note: the scenario's [faults] plan applies only under --pdes");
+    }
+
+    // A [model] section (or --model / --audit / `hybrid`) routes the run
+    // through the hybrid engine, guarded and cached per the compiled
+    // [guard]/[oracle] settings.
+    let model = req.hybrid.then(|| resolve_model(&req));
+    let elided = req.hybrid.then(|| c.hybrid_flows());
+    let flows = elided.as_deref().unwrap_or(&c.flows);
+    if req.hybrid {
+        println!(
+            "  hybrid: cluster {} at packet fidelity ({} approximated), {} flows after elision",
+            c.hybrid.full_cluster,
+            c.params.clusters - 1,
+            flows.len()
+        );
+    }
+    if req.audit {
+        return audit(&req, model.expect("audits are hybrid"), flows);
+    }
+
+    let mut sampler = c.sample_every.map(|d| NetSampler::new(d, flows));
+    if c.recovery.is_some() && sampler.is_some() {
+        println!(
+            "note: samplers observe a single timeline and cannot follow checkpoint \
+             restores; sampling is disabled under [recovery] supervision"
+        );
+        sampler = None;
+    }
+    if req.pdes && (req.sinks.trace.is_some() || req.sinks.trace_out.is_some()) {
+        println!("note: --pdes runs record no raw event trace; the timeline still gets partition, flow, and sampler tracks");
+    }
+    if req.pdes && req.hybrid {
+        if req.partitions_flag {
+            println!(
+                "note: hybrid PDES partitions one cluster per partition; --partitions is ignored"
+            );
+        }
+        if c.hybrid.guard.is_some() || req.fault.is_some() {
+            println!("note: --pdes runs the learned oracle unguarded (per-partition guard stats are not aggregated); guard settings and --fault-oracle are ignored");
+        }
+    }
+
+    let mut guard = None;
+    let mut caches = Vec::new();
+    let mut oracles = |partition: Option<usize>| {
+        let model = model.clone().expect("hybrid runs resolve a model");
+        let stack = build_stack(model, c.params, c.seed, &c.hybrid, req.fault, partition);
+        guard = stack.guard;
+        caches.extend(stack.cache);
+        stack.oracle
+    };
+    let exec = match req.pdes {
+        true => c.pdes(None, req.epoch_mode),
+        false => Exec::Sequential,
+    };
+    let observe = Observe {
+        trace: match req.pdes {
+            true => None,
+            false => req.sinks.build_trace(flows),
+        },
+        sampler: sampler.as_mut(),
+    };
+    let outcome = c
+        .run(
+            req.hybrid.then_some(&mut oracles),
+            exec,
+            c.recovery.as_ref(),
+            observe,
+        )
+        .unwrap_or_else(|e| die(e));
+    if c.recovery.is_some() {
+        // The handles would outlive checkpoint restores (a restored net
+        // carries a deep-copied oracle stack), so supervised runs report
+        // recovery state instead of guard/cache stats.
+        guard = None;
+        caches.clear();
+    }
+    finish(&req, &outcome, &guard, &caches, sampler.as_ref());
+}
+
+/// The one epilogue: summary, guard/cache report, fingerprint line,
+/// samples CSV, `--trace-out` timeline, `--profile` table, sealed ledger.
+fn finish(
+    req: &Request,
+    out: &Outcome,
+    guard: &Option<GuardStatsHandle>,
+    caches: &[CacheStatsHandle],
+    sampler: Option<&NetSampler>,
+) {
+    let c = &req.compiled;
+    print_outcome(out);
+    if req.sinks.trace.is_some() {
+        print_trace_sample(&out.nets[0]);
+    }
+    report_fault_counts(
+        c.faults.as_ref().filter(|_| req.pdes),
+        out.report.as_ref().map(|r| r.faults),
+    );
+    report_guard(guard);
+    report_cache(caches);
+    let fingerprint = run_fingerprint(&out.nets);
+    println!("  fingerprint: {fingerprint:#018x}");
+
+    if let Some(s) = sampler {
+        let path = req.sinks.samples_path();
+        written(&path, write_csv(&path, &SAMPLE_CSV_HEADER, s.rows()));
+        println!("wrote {path} ({} samples)", s.rows().len());
+    }
+    if let Some(path) = &req.sinks.trace_out {
+        write_timeline(path, &out.nets, guard);
+    }
+
+    // Driver and mode name the point of the run matrix that executed.
+    let supervised = out.recovery.is_some();
+    let engine = match (supervised, req.pdes) {
+        (true, _) => "supervised",
+        (false, true) => "pdes",
+        (false, false) => "sequential",
+    };
+    let driver = match (req.hybrid, engine) {
+        (false, engine) => engine.to_string(),
+        (true, "sequential") => "hybrid".to_string(),
+        (true, engine) => format!("hybrid-{engine}"),
+    };
+    let report = RunReport::new(req.command, format!("{}, seed {}", req.title, c.seed));
+    let mut ledger = RunLedger::new(driver, report);
+    ledger.seed = c.seed;
+    ledger.fingerprint = fingerprint;
+    ledger.mode = match req.pdes {
+        true => format!("{:?}", req.epoch_mode).to_lowercase(),
+        false => "sequential".to_string(),
+    };
+    if let Some(log) = &out.recovery {
+        ledger.recovery = vec![log.summary()];
+        ledger
+            .recovery
+            .extend(log.transitions.iter().map(|t| format!("{t:?}")));
+    }
+    emit_ledger(&req.sinks, ledger, &out.meta);
+}
+
+/// Fills `ledger`'s report from `meta` and the global registry/profiler,
+/// prints it under `--profile`, and seals it under `--metrics-out`. Every
+/// report gets one zero-wait partition row so sequential and PDES
+/// artifacts share a schema.
+fn emit_ledger(sinks: &Sinks, mut ledger: RunLedger, meta: &RunMeta) {
+    if !sinks.observing() {
+        return;
+    }
+    let report = &mut ledger.report;
+    report.set_run(meta.wall.as_secs_f64(), meta.events, meta.sim_seconds);
+    report.partitions = vec![elephant::obs::PartitionRow {
+        partition: 0,
+        events: meta.events,
+        work_seconds: meta.wall.as_secs_f64(),
+        ..Default::default()
+    }
+    .finish()];
+    report.gather();
+    if sinks.profile {
+        println!("\n{}", report.to_table());
+    }
+    if let Some(path) = &sinks.metrics_out {
+        save_ledger(path, ledger);
+    }
+}
+
+/// Seals and writes a schema-v1 [`RunLedger`] — the one artifact shape
+/// every command's `--metrics-out`/`--ledger-out` emits, and the input
+/// `elephant compare A.json B.json` diffs.
+fn save_ledger(path: &str, mut ledger: RunLedger) {
+    ledger.scenario = ledger.report.scenario.clone();
+    written(path, ledger.save(std::path::Path::new(path)));
+    println!("wrote {path} (schema-v{LEDGER_SCHEMA_VERSION} run ledger)");
+}
+
+/// The `--audit` leg of [`dispatch`]: ground truth and hybrid over the
+/// same elided flows and seed, the divergence table attributed by
+/// regime/layer/oracle, the ledger pair under `--metrics-out`, and the
+/// gate on the scenario's `[audit]` bounds (exit 8 on breach).
+fn audit(req: &Request, model: ClusterModel, flows: &[FlowSpec]) {
+    let c = &req.compiled;
+    if c.recovery.is_some() {
+        println!("note: --audit runs both sides unsupervised; the [recovery] ladder is ignored");
+    }
+    if req.pdes {
+        println!("note: --audit runs both sides sequentially; --pdes is ignored");
+    }
+    let bounds = c.audit_bounds.unwrap_or_default();
+    let stack = build_stack(model, c.params, c.seed, &c.hybrid, None, None);
+    let run = run_audit(
+        c.params,
+        c.hybrid.full_cluster,
+        stack.oracle,
+        c.net_config(),
+        flows,
+        c.horizon,
+        bounds,
+        c.sample_every
+            .unwrap_or_else(|| SimDuration::from_micros(200)),
+        AuditHooks {
+            cache: stack.cache,
+            guard: stack.guard,
+        },
+    );
+    println!("\n{}", run.divergence.to_table());
+    println!(
+        "  truth : {} events in {:.2}s wall | hybrid: {} events in {:.2}s wall \
+         ({:.1}x fewer events)",
+        run.truth_meta.events,
+        run.truth_meta.wall.as_secs_f64(),
+        run.hybrid_meta.events,
+        run.hybrid_meta.wall.as_secs_f64(),
+        run.truth_meta.events as f64 / run.hybrid_meta.events.max(1) as f64
+    );
+    let fingerprint = run_fingerprint([&run.hybrid_net]);
+    println!("  fingerprint: {fingerprint:#018x}");
+
+    if let Some(base) = &req.sinks.metrics_out {
+        let side = |driver: &str, meta: &RunMeta, fingerprint: u64| {
+            let mut report = RunReport::new(driver, format!("{}, seed {}", req.title, c.seed));
+            report.set_run(meta.wall.as_secs_f64(), meta.events, meta.sim_seconds);
+            let mut ledger = RunLedger::new(driver, report);
+            ledger.seed = c.seed;
+            ledger.fingerprint = fingerprint;
+            ledger.mode = "paired".to_string();
+            ledger
+        };
+        let mut hybrid = side("audit-hybrid", &run.hybrid_meta, fingerprint);
+        hybrid.divergence = Some(run.divergence.clone());
+        save_ledger(base, hybrid);
+        let truth_fingerprint = run_fingerprint([&run.truth_net]);
+        save_ledger(
+            &format!("{}.truth.json", base.trim_end_matches(".json")),
+            side("audit-truth", &run.truth_meta, truth_fingerprint),
+        );
+    }
+
+    let breaches = run.divergence.breaches();
+    if !breaches.is_empty() {
+        eprintln!("\naudit FAILED: hybrid diverges outside the [audit] bounds");
+        for b in &breaches {
+            eprintln!("  - {b}");
+        }
+        exit(8)
+    }
+    println!(
+        "\naudit OK: drop-rate err {:.4} <= {}, FCT KS {:.3} <= {}, W1/mean {:.3} <= {}",
+        run.divergence.drop_rate_error(),
+        bounds.max_drop_rate_error,
+        run.divergence.fct_ks,
+        bounds.max_ks,
+        run.divergence.w1_ratio(),
+        bounds.max_w1_ratio
     );
 }
 
-/// Per-partition verdict caches (PDES hybrid): publishes each handle's
-/// metrics and prints the fleet total.
-fn report_cache_fleet(handles: &[CacheStatsHandle]) {
+/// Assembles the oracle stack `spec` describes (see
+/// `elephant_core::oracle_stack`). `--fault-oracle` substitutes a
+/// deliberately faulty primary under the same guard — sequential runs
+/// only, like the guard itself.
+fn build_stack(
+    model: ClusterModel,
+    params: ClosParams,
+    seed: u64,
+    spec: &HybridSpec,
+    fault: Option<(OracleFaultMode, u64)>,
+    partition: Option<usize>,
+) -> OracleStack {
+    let Some((mode, every)) = fault.filter(|_| partition.is_none()) else {
+        return oracle_stack(
+            model,
+            params,
+            seed,
+            partition,
+            spec.cache.then_some(spec.cache_cap),
+            spec.guard.as_ref(),
+        );
+    };
+    println!("fault drill: oracle emits {mode:?} latency every {every} verdicts");
+    let faulty: Box<dyn ClusterOracle + Send> =
+        Box::new(FaultyOracle::new(mode, every, SimDuration::from_micros(5)));
+    match &spec.guard {
+        Some(cfg) => guard_primary(faulty, &model.meta, cfg),
+        None => OracleStack {
+            oracle: faulty,
+            guard: None,
+            cache: None,
+        },
+    }
+}
+
+fn read_model(path: &str) -> Result<ClusterModel, ElephantError> {
+    let json = std::fs::read_to_string(path).map_err(|source| ElephantError::Io {
+        path: path.to_string(),
+        source,
+    })?;
+    ClusterModel::load_json(&json)
+}
+
+/// Resolves the model artifact for a hybrid run. Precedence: the
+/// `--model` flag (plain CLI semantics: exit 3/4 on failure), then the
+/// scenario's `[model] path` (scenario semantics: exit 6 naming the
+/// binding's `file:line`), then — when `train_fallback = true`, or under
+/// `--audit` with no binding at all — a quick-trained default model.
+fn resolve_model(req: &Request) -> ClusterModel {
+    let c = &req.compiled;
+    let spec = &c.hybrid;
+    let scenario_err = |detail: String| -> ! {
+        die(ElephantError::Scenario {
+            path: req.origin.clone(),
+            line: spec.model_line,
+            detail,
+        })
+    };
+    if c.params.clusters < 2 {
+        scenario_err(
+            "hybrid simulation needs >= 2 clusters (the oracle approximates \
+             every cluster but the full-fidelity one)"
+                .into(),
+        )
+    }
+    if let Some(p) = &req.model_flag {
+        return read_model(p).unwrap_or_else(|e| die(e));
+    }
+    let allow_fallback = req.audit || spec.train_fallback;
+    match &spec.model_path {
+        Some(p) => match read_model(p) {
+            Ok(model) => return model,
+            Err(ElephantError::Io { source, .. })
+                if allow_fallback && source.kind() == std::io::ErrorKind::NotFound =>
+            {
+                println!(
+                    "model artifact `{p}` does not exist; capturing + training a small \
+                     default model (train_fallback) ..."
+                )
+            }
+            Err(ElephantError::Io { source, .. }) => {
+                scenario_err(format!("model artifact `{p}`: {source}"))
+            }
+            Err(e) => scenario_err(format!("model artifact `{p}`: {e}")),
+        },
+        None if allow_fallback => {
+            println!(
+                "no model artifact bound; capturing + training a small default model first ..."
+            )
+        }
+        None => scenario_err(
+            "[model] names no `path` and `train_fallback` is false; \
+             pass --model or bind an artifact"
+                .into(),
+        ),
+    }
+    quick_default_model(c.seed, req.train_load, c.dctcp)
+}
+
+/// Captures a short two-cluster ground truth and trains a deliberately
+/// small model — the fallback when no artifact is bound.
+fn quick_default_model(seed: u64, load: f64, dctcp: bool) -> ClusterModel {
+    let params = ClosParams::paper_cluster(2);
+    let horizon = SimTime::from_millis(30);
+    let flows = workload(&params, horizon, load, seed);
+    let (records, _) = capture_ground_truth(params, dctcp, &flows, horizon);
+    let opts = TrainingOptions {
+        hidden: 16,
+        layers: 1,
+        epochs: 4,
+        ..Default::default()
+    };
+    train_cluster_model(&records, &params, &opts).0
+}
+
+/// Ground truth with boundary capture around cluster 1: the training input.
+fn capture_ground_truth(
+    params: ClosParams,
+    dctcp: bool,
+    flows: &[FlowSpec],
+    horizon: SimTime,
+) -> (Vec<elephant::net::BoundaryRecord>, RunMeta) {
+    let cfg = net_config(dctcp, RttScope::None);
+    let (net, meta) = run_ground_truth(params, cfg, Some(1), flows, horizon);
+    (capture_records(net).unwrap_or_else(|e| die(e)), meta)
+}
+
+fn net_config(dctcp: bool, rtt_scope: RttScope) -> NetConfig {
+    NetConfig {
+        tcp: if dctcp {
+            TcpConfig::dctcp()
+        } else {
+            TcpConfig::default()
+        },
+        rtt_scope,
+        ..Default::default()
+    }
+}
+
+/// The paper's default Poisson web-search mix at `load`.
+fn workload(params: &ClosParams, horizon: SimTime, load: f64, seed: u64) -> Vec<FlowSpec> {
+    let mut wl = WorkloadConfig::paper_default(horizon, seed);
+    wl.load = load;
+    generate(params, &wl)
+}
+
+/// Post-run summary: the run line, network statistics (per-layer detail
+/// for a single network, totals across partitions), the kernel's
+/// per-partition wall-time breakdown (the timeline has the per-epoch
+/// view), and the supervisor's log.
+fn print_outcome(out: &Outcome) {
+    println!(
+        "\nsimulated {:.3}s{}{} in {:.2}s wall ({} events{})",
+        out.meta.sim_seconds,
+        if out.recovery.is_some() {
+            " supervised"
+        } else {
+            ""
+        },
+        if out.report.is_some() {
+            " under PDES"
+        } else {
+            ""
+        },
+        out.meta.wall.as_secs_f64(),
+        out.meta.events,
+        out.report.as_ref().map_or(String::new(), |r| format!(
+            ", {} epochs ({} jumped), {} partitions",
+            r.epochs,
+            r.epochs_jumped,
+            r.partitions.len()
+        )),
+    );
+    if let [net] = out.nets.as_slice() {
+        print_net_stats(net);
+    } else {
+        println!(
+            "  flows     : {} completed across partitions",
+            out.flows_completed()
+        );
+        if out.oracle_deliveries() > 0 {
+            println!(
+                "  oracle    : {} packets teleported",
+                out.oracle_deliveries()
+            );
+        }
+    }
+    if let Some(r) = &out.report {
+        for p in &r.partitions {
+            println!(
+                "  partition {:>2}: {:>9} events | work {:.3}s | barrier {:.3}s | marshal {:.3}s",
+                p.partition, p.events, p.work_seconds, p.barrier_wait_seconds, p.marshal_seconds
+            );
+        }
+        let f = &r.faults;
+        if f.total() > 0 {
+            println!(
+                "  faults    : {} injected (dropped {}, duplicated {}, corrupted {})",
+                f.total(),
+                f.dropped,
+                f.duplicated,
+                f.corrupted
+            );
+        }
+    }
+    if let Some(log) = &out.recovery {
+        println!("  {}", log.summary());
+    }
+}
+
+fn print_net_stats(net: &Network) {
+    let s = &net.stats;
+    println!(
+        "  flows     : {}/{} completed",
+        s.flows_completed, s.flows_started
+    );
+    println!(
+        "  goodput   : {:.3} GB delivered",
+        s.delivered_bytes as f64 / 1e9
+    );
+    println!(
+        "  drops     : {} (host {}, tor {}, agg {}, core {}, oracle {})",
+        s.drops.total(),
+        s.drops.host,
+        s.drops.tor,
+        s.drops.agg,
+        s.drops.core,
+        s.drops.oracle
+    );
+    if s.rtt_hist.count() > 0 {
+        println!(
+            "  RTT       : p50 {:.1}us  p90 {:.1}us  p99 {:.1}us  ({} samples)",
+            s.rtt_hist.quantile(0.5) * 1e6,
+            s.rtt_hist.quantile(0.9) * 1e6,
+            s.rtt_hist.quantile(0.99) * 1e6,
+            s.rtt_hist.count()
+        );
+    }
+    if let Some(fct) = s.mean_fct() {
+        println!("  mean FCT  : {fct}");
+    }
+    if s.oracle_deliveries > 0 {
+        println!("  oracle    : {} packets teleported", s.oracle_deliveries);
+    }
+}
+
+fn print_trace_sample(net: &Network) {
+    let Some(trace) = net.trace() else { return };
+    println!(
+        "\nfirst events of the raw trace ({} retained, {} observed{}):",
+        trace.entries().len(),
+        trace.observed(),
+        if trace.truncated() { ", truncated" } else { "" }
+    );
+    println!(
+        "  {:>12}  {:<14} {:>6} {:>8} {:>8} {:>10}",
+        "time", "kind", "node", "packet", "flow", "seq"
+    );
+    for e in trace.entries().iter().take(20) {
+        println!(
+            "  {:>12}  {:<14} {:>6} {:>8} {:>8} {:>10}",
+            format!("{}", e.time),
+            e.kind.name(),
+            e.node.0,
+            e.packet,
+            e.flow.0,
+            e.seq
+        );
+    }
+}
+
+/// Prints the post-run verdict-cache summary — one cache sequentially,
+/// the fleet total across PDES partitions — and mirrors it into the
+/// metrics registry (so `--metrics-out` reports carry `hybrid/cache/*`).
+fn report_cache(handles: &[CacheStatsHandle]) {
     if handles.is_empty() {
         return;
     }
@@ -489,10 +1070,12 @@ fn report_cache_fleet(handles: &[CacheStatsHandle]) {
         total.invalidations += s.invalidations;
     }
     println!(
-        "  cache     : {} lookups across {} partitions, {:.1}% hit rate \
-         ({} evictions, {} invalidations)",
+        "  cache     : {} lookups{}, {:.1}% hit rate ({} evictions, {} invalidations)",
         total.lookups(),
-        handles.len(),
+        match handles.len() {
+            1 => String::new(),
+            n => format!(" across {n} partitions"),
+        },
         total.hit_rate() * 100.0,
         total.evictions,
         total.invalidations
@@ -530,128 +1113,6 @@ fn report_guard(handle: &Option<GuardStatsHandle>) {
     }
 }
 
-/// Post-run observability export: the samples CSV (when sampling) and the
-/// Chrome-trace timeline (when `--trace-out` is set), with flow tracks,
-/// drop/oracle instants from the nets' traces, and guard-trip instants
-/// from the guard's log.
-fn finish_observability(
-    o: &Opts,
-    nets: &[&Network],
-    guard: &Option<GuardStatsHandle>,
-    sampler: Option<&NetSampler>,
-) {
-    if let Some(s) = sampler {
-        let path = o.samples_path();
-        match write_csv(&path, &SAMPLE_CSV_HEADER, s.rows()) {
-            Ok(()) => println!("wrote {path} ({} samples)", s.rows().len()),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                exit(3)
-            }
-        }
-    }
-    let Some(path) = &o.trace_out else { return };
-    elephant::net::export_flow_timeline_multi(nets, MAX_FLOW_TRACKS);
-    let tl = elephant::obs::timeline();
-    if let Some(h) = guard {
-        for (t, v) in h.trip_events() {
-            tl.record(
-                TraceRecord::instant(PID_FLOWS, 0, "guard_trip", t.as_nanos() as f64 / 1e3)
-                    .category("guard")
-                    .arg("kind", format!("{v:?}")),
-            );
-        }
-    }
-    let writer = TimelineWriter::from_timeline(tl);
-    match writer.save(std::path::Path::new(path)) {
-        Ok(()) => {
-            let dropped = tl.dropped();
-            println!(
-                "wrote {path} ({} trace records{}) — open in https://ui.perfetto.dev or chrome://tracing",
-                tl.len(),
-                if dropped > 0 {
-                    format!(", {dropped} dropped at capacity")
-                } else {
-                    String::new()
-                }
-            );
-        }
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            exit(3)
-        }
-    }
-}
-
-/// PDES counterpart of [`print_summary`]: the merged kernel report plus a
-/// per-partition wall-time breakdown (the timeline has the per-epoch view).
-fn print_pdes_summary(run: &PdesRun, horizon: SimTime) {
-    println!(
-        "\nsimulated {:.3}s under PDES in {:.2}s wall ({} events, {} epochs ({} jumped), {} partitions)",
-        horizon.as_secs_f64(),
-        run.wall.as_secs_f64(),
-        run.report.events_executed,
-        run.report.epochs,
-        run.report.epochs_jumped,
-        run.report.partitions.len()
-    );
-    println!(
-        "  flows     : {} completed across partitions",
-        run.flows_completed()
-    );
-    if run.oracle_deliveries() > 0 {
-        println!(
-            "  oracle    : {} packets teleported",
-            run.oracle_deliveries()
-        );
-    }
-    for p in &run.report.partitions {
-        println!(
-            "  partition {:>2}: {:>9} events | work {:.3}s | barrier {:.3}s | marshal {:.3}s",
-            p.partition, p.events, p.work_seconds, p.barrier_wait_seconds, p.marshal_seconds
-        );
-    }
-    print_fault_line(&run.report.faults);
-}
-
-/// The `[faults]` injection tally, printed whenever a run injected any.
-fn print_fault_line(f: &FaultCounts) {
-    if f.total() > 0 {
-        println!(
-            "  faults    : {} injected (dropped {}, duplicated {}, corrupted {})",
-            f.total(),
-            f.dropped,
-            f.duplicated,
-            f.corrupted
-        );
-    }
-}
-
-/// Post-run summary for a supervised (checkpoint + retry ladder) run.
-fn print_supervised_summary(run: &SupervisedRun, horizon: SimTime) {
-    let engine = match &run.report {
-        Some(r) => format!(
-            "{} epochs ({} jumped), {} partitions",
-            r.epochs,
-            r.epochs_jumped,
-            r.partitions.len()
-        ),
-        None => "sequential".to_string(),
-    };
-    println!(
-        "\nsimulated {:.3}s supervised in {:.2}s wall ({} events, {engine})",
-        horizon.as_secs_f64(),
-        run.wall.as_secs_f64(),
-        run.events,
-    );
-    let completed: u64 = run.nets.iter().map(|n| n.stats.flows_completed).sum();
-    println!("  flows     : {completed} completed");
-    if let Some(r) = &run.report {
-        print_fault_line(&r.faults);
-    }
-    println!("  {}", run.log.summary());
-}
-
 /// Mirrors `FaultCounts` into `fault/*` metrics and warns when a plan with
 /// probabilistic message faults fired none of them (horizon too short, or
 /// too little cross-machine traffic for the configured probabilities).
@@ -675,295 +1136,89 @@ fn report_fault_counts(plan: Option<&FaultPlan>, counts: Option<FaultCounts>) {
     }
 }
 
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value for {flag}: {s}");
-        exit(2)
-    })
-}
-
-/// Seals and writes a schema-v1 [`RunLedger`] wrapping `report` — the one
-/// artifact shape every driver's `--metrics-out`/`--ledger-out` emits, and
-/// the input `elephant compare A.json B.json` diffs.
-#[allow(clippy::too_many_arguments)] // an artifact spec, not an API surface
-fn write_ledger(
-    path: &str,
-    driver: &str,
-    mode: &str,
-    seed: u64,
-    fingerprint: u64,
-    recovery: Vec<String>,
-    divergence: Option<DivergenceReport>,
-    report: RunReport,
-) {
-    let mut ledger = RunLedger::new(driver, report);
-    ledger.scenario = ledger.report.scenario.clone();
-    ledger.seed = seed;
-    ledger.fingerprint = fingerprint;
-    ledger.mode = mode.to_string();
-    ledger.recovery = recovery;
-    ledger.divergence = divergence;
-    match ledger.save(std::path::Path::new(path)) {
-        Ok(()) => println!("wrote {path} (schema-v{LEDGER_SCHEMA_VERSION} run ledger)"),
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            exit(3)
-        }
-    }
-}
-
-/// Builds the run report from the global registry/profiler, prints it when
-/// `--profile` is set, and writes a sealed run ledger when `--metrics-out`
-/// is set. Sequential runs get one zero-wait partition row so the schema
-/// matches PDES reports.
-fn emit_metrics(
-    o: &Opts,
-    name: &str,
-    scenario: String,
-    meta: Option<&elephant::core::RunMeta>,
-    fingerprint: u64,
-) {
-    if !o.observing() {
-        return;
-    }
-    let mut report = RunReport::new(name, scenario);
-    if let Some(m) = meta {
-        report.set_run(m.wall.as_secs_f64(), m.events, m.sim_seconds);
-        report.partitions = vec![elephant::obs::PartitionRow {
-            partition: 0,
-            events: m.events,
-            work_seconds: m.wall.as_secs_f64(),
-            ..Default::default()
-        }
-        .finish()];
-    }
-    report.gather();
-    if o.profile {
-        println!("\n{}", report.to_table());
-    }
-    if let Some(path) = &o.metrics_out {
-        let (driver, mode) = match name {
-            "run" => ("sequential", "full-fidelity"),
-            "run-pdes" => ("pdes", "full-fidelity"),
-            "hybrid" => ("hybrid", "sequential"),
-            "hybrid-pdes" => ("hybrid", "pdes"),
-            other => (other, ""),
-        };
-        write_ledger(
-            path,
-            driver,
-            mode,
-            o.seed,
-            fingerprint,
-            Vec::new(),
-            None,
-            report,
-        );
-    }
-}
-
-fn print_summary(net: &Network, meta: &elephant::core::RunMeta) {
-    let s = &net.stats;
-    println!(
-        "\nsimulated {:.3}s in {:.2}s wall ({} events)",
-        meta.sim_seconds,
-        meta.wall.as_secs_f64(),
-        meta.events
-    );
-    println!(
-        "  flows     : {}/{} completed",
-        s.flows_completed, s.flows_started
-    );
-    println!(
-        "  goodput   : {:.3} GB delivered",
-        s.delivered_bytes as f64 / 1e9
-    );
-    println!(
-        "  drops     : {} (host {}, tor {}, agg {}, core {}, oracle {})",
-        s.drops.total(),
-        s.drops.host,
-        s.drops.tor,
-        s.drops.agg,
-        s.drops.core,
-        s.drops.oracle
-    );
-    if s.rtt_hist.count() > 0 {
-        println!(
-            "  RTT       : p50 {:.1}us  p90 {:.1}us  p99 {:.1}us  ({} samples)",
-            s.rtt_hist.quantile(0.5) * 1e6,
-            s.rtt_hist.quantile(0.9) * 1e6,
-            s.rtt_hist.quantile(0.99) * 1e6,
-            s.rtt_hist.count()
-        );
-    }
-    if let Some(fct) = s.mean_fct() {
-        println!("  mean FCT  : {fct}");
-    }
-    if s.oracle_deliveries > 0 {
-        println!("  oracle    : {} packets teleported", s.oracle_deliveries);
-    }
-}
-
-fn print_trace_sample(net: &Network) {
-    if let Some(trace) = net.trace() {
-        println!(
-            "\nfirst events of the raw trace ({} retained, {} observed{}):",
-            trace.entries().len(),
-            trace.observed(),
-            if trace.truncated() { ", truncated" } else { "" }
-        );
-        println!(
-            "  {:>12}  {:<14} {:>6} {:>8} {:>8} {:>10}",
-            "time", "kind", "node", "packet", "flow", "seq"
-        );
-        for e in trace.entries().iter().take(20) {
-            println!(
-                "  {:>12}  {:<14} {:>6} {:>8} {:>8} {:>10}",
-                format!("{}", e.time),
-                e.kind.name(),
-                e.node.0,
-                e.packet,
-                e.flow.0,
-                e.seq
+/// Writes the Chrome-trace timeline: flow tracks and drop/oracle instants
+/// from the nets' traces, guard-trip instants from the guard's log, and
+/// whatever the run itself recorded (sampler counters, PDES partitions).
+fn write_timeline(path: &str, nets: &[Network], guard: &Option<GuardStatsHandle>) {
+    let nets: Vec<&Network> = nets.iter().collect();
+    elephant::net::export_flow_timeline_multi(&nets, MAX_FLOW_TRACKS);
+    let tl = elephant::obs::timeline();
+    if let Some(h) = guard {
+        for (t, v) in h.trip_events() {
+            tl.record(
+                TraceRecord::instant(PID_FLOWS, 0, "guard_trip", t.as_nanos() as f64 / 1e3)
+                    .category("guard")
+                    .arg("kind", format!("{v:?}")),
             );
         }
     }
-}
-
-fn cmd_run(o: &Opts) {
-    let params = o.params();
-    let flows = o.workload(&params, o.seed);
+    let writer = TimelineWriter::from_timeline(tl);
+    written(path, writer.save(std::path::Path::new(path)));
+    let dropped = tl.dropped();
     println!(
-        "full-fidelity run: {} clusters, {} hosts, {} flows, horizon {}",
-        params.clusters,
-        params.total_hosts(),
-        flows.len(),
-        o.horizon
-    );
-    let mut sampler = o.build_sampler(&flows);
-
-    if let Some(partitions) = o.pdes {
-        if o.trace.is_some() || o.trace_out.is_some() {
-            println!("note: --pdes runs record no raw event trace; the timeline still gets partition, flow, and sampler tracks");
+        "wrote {path} ({} trace records{}) — open in https://ui.perfetto.dev or chrome://tracing",
+        tl.len(),
+        if dropped > 0 {
+            format!(", {dropped} dropped at capacity")
+        } else {
+            String::new()
         }
-        let run = run_pdes_full(
-            params,
-            &flows,
-            o.horizon,
-            partitions,
-            o.machines,
-            64,
-            o.epoch_mode,
-            None,
-            sampler.as_mut(),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("elephant: PDES run failed: {e}");
-            exit(5)
-        });
-        print_pdes_summary(&run, o.horizon);
-        let nets: Vec<&Network> = run.nets.iter().collect();
-        finish_observability(o, &nets, &None, sampler.as_ref());
-        let meta = elephant::core::RunMeta {
-            wall: run.wall,
-            events: run.report.events_executed,
-            sim_seconds: o.horizon.as_secs_f64(),
-        };
-        emit_metrics(
-            o,
-            "run-pdes",
-            format!(
-                "full fidelity, {} clusters, {partitions} partitions, seed {}",
-                o.clusters, o.seed
-            ),
-            Some(&meta),
-            run_fingerprint(run.nets.iter()),
-        );
-        return;
-    }
-
-    // Tracing needs direct Simulator access rather than the runner helper.
-    let topo = std::sync::Arc::new(elephant::net::Topology::clos(params));
-    let mut net = Network::new(topo, o.net_config(RttScope::All));
-    if let Some(t) = o.build_trace(&flows) {
-        net.install_trace(t);
-    }
-    let mut sim = elephant::des::Simulator::new(net);
-    elephant::net::schedule_flows(&mut sim, &flows);
-    let t0 = std::time::Instant::now();
-    match sampler.as_mut() {
-        Some(s) => {
-            elephant::net::run_sampled(&mut sim, o.horizon, s);
-        }
-        None => {
-            sim.run_until(o.horizon);
-        }
-    }
-    let meta = elephant::core::RunMeta {
-        wall: t0.elapsed(),
-        events: sim.scheduler().executed_total(),
-        sim_seconds: o.horizon.as_secs_f64(),
-    };
-    print_summary(sim.world(), &meta);
-    if o.trace.is_some() {
-        print_trace_sample(sim.world());
-    }
-    finish_observability(o, &[sim.world()], &None, sampler.as_ref());
-    emit_metrics(
-        o,
-        "run",
-        format!("full fidelity, {} clusters, seed {}", o.clusters, o.seed),
-        Some(&meta),
-        run_fingerprint([sim.world()]),
     );
 }
 
-/// `run-scenario FILE`: load, validate, compile, and run a declarative
-/// scenario. Scenario errors exit with code 6 and name the offending
-/// `file:line`; missing files exit 3.
-fn cmd_run_scenario(args: &[String]) {
-    use elephant::scenario::{compile, list_scenarios, load, CompileOverrides};
-
+/// `run-scenario FILE` and its `audit FILE` spelling (`audit` = always
+/// `--audit`, `--ledger-out` for `--metrics-out`, plus flag overrides of
+/// the scenario's oracle settings): load, validate, compile, apply the
+/// flag overrides, and [`dispatch`]. Scenario errors exit with code 6
+/// and name the offending `file:line`; missing files exit 3.
+fn cmd_scenario(args: &[String], audit_cmd: bool) {
+    let cmd = if audit_cmd { "audit" } else { "run-scenario" };
     let mut file: Option<String> = None;
     let mut over = CompileOverrides::default();
     let mut validate = false;
+    let mut list_dir: Option<String> = None;
     let mut pdes = false;
     let mut partitions: Option<usize> = None;
     let mut epoch_mode = EpochMode::Adaptive;
     let mut sample_every: Option<SimDuration> = None;
-    let mut samples_out: Option<String> = None;
-    let mut list_dir: Option<String> = None;
     let mut checkpoint_every_ms: Option<f64> = None;
     let mut max_retries: Option<u32> = None;
-    let mut profile = false;
-    let mut metrics_out: Option<String> = None;
     let mut model_flag: Option<String> = None;
-    let mut audit = false;
+    let mut audit = audit_cmd;
+    let mut oracle_cache = false;
+    let mut oracle_cache_cap: Option<usize> = None;
+    let mut no_guard = false;
+    let mut sinks = Sinks::default();
 
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        let mut val = || {
-            it.next().map(|s| s.to_string()).unwrap_or_else(|| {
-                eprintln!("{a} needs a value");
-                exit(2)
-            })
-        };
-        match a.as_str() {
-            "--seed" => over.seed = Some(parse(&val(), a)),
-            "--horizon-ms" => over.horizon_ms = Some(parse(&val(), a)),
-            "--repeat" => over.repeat = Some(parse(&val(), a)),
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        match a {
+            "--seed" => over.seed = Some(args.parsed(a)),
+            "--horizon-ms" => over.horizon_ms = Some(args.parsed(a)),
+            "--repeat" => over.repeat = Some(args.parsed(a)),
+            "--model" => model_flag = Some(args.val(a)),
+            "--sample-every" => sample_every = Some(SimDuration::from_micros(args.parsed(a))),
+            "--ledger-out" if audit_cmd => sinks.metrics_out = Some(args.val(a)),
+            "--oracle-cache" if audit_cmd => oracle_cache = true,
+            "--oracle-cache-cap" if audit_cmd => oracle_cache_cap = Some(args.parsed(a)),
+            "--no-guard" if audit_cmd => no_guard = true,
+            // Every flag below this arm is `run-scenario`'s alone.
+            other if audit_cmd && other.starts_with('-') => {
+                eprintln!("unknown audit option: {other}\n");
+                usage()
+            }
+            "--metrics-out" => sinks.metrics_out = Some(args.val(a)),
             "--validate" => validate = true,
             "--pdes" => pdes = true,
             "--partitions" => {
-                partitions = Some(parse(&val(), a));
+                partitions = Some(args.parsed(a));
                 pdes = true;
             }
             "--adaptive-epochs" => epoch_mode = EpochMode::Adaptive,
             "--fixed-epochs" => epoch_mode = EpochMode::Fixed,
-            "--sample-every" => sample_every = Some(SimDuration::from_micros(parse(&val(), a))),
-            "--samples-out" => samples_out = Some(val()),
+            "--samples-out" => sinks.samples_out = Some(args.val(a)),
             "--checkpoint-every-ms" => {
-                let ms: f64 = parse(&val(), a);
+                let ms: f64 = args.parsed(a);
                 if ms <= 0.0 {
                     eprintln!("--checkpoint-every-ms must be > 0, got {ms}");
                     exit(2)
@@ -971,26 +1226,19 @@ fn cmd_run_scenario(args: &[String]) {
                 checkpoint_every_ms = Some(ms);
             }
             "--max-retries" => {
-                let n: u32 = parse(&val(), a);
+                let n: u32 = args.parsed(a);
                 if n == 0 {
                     eprintln!("--max-retries must be >= 1");
                     exit(2)
                 }
                 max_retries = Some(n);
             }
-            "--profile" => profile = true,
-            "--metrics-out" => metrics_out = Some(val()),
-            "--model" => model_flag = Some(val()),
+            "--profile" => sinks.profile = true,
             "--audit" => audit = true,
+            // DIR is optional; the next token is a directory unless it
+            // looks like a flag.
             "--list-scenarios" => {
-                // DIR is optional; the next token is a directory unless it
-                // looks like a flag. `val` is unused on this path, so its
-                // borrow of the iterator has already ended.
-                let dir = match it.peek() {
-                    Some(next) if !next.starts_with('-') => it.next().expect("peeked").clone(),
-                    _ => "scenarios".to_string(),
-                };
-                list_dir = Some(dir);
+                list_dir = Some(args.positional().unwrap_or_else(|| "scenarios".into()))
             }
             other if other.starts_with('-') => {
                 eprintln!("unknown run-scenario option: {other}\n");
@@ -998,7 +1246,7 @@ fn cmd_run_scenario(args: &[String]) {
             }
             path => {
                 if file.replace(path.to_string()).is_some() {
-                    eprintln!("run-scenario takes one scenario file\n");
+                    eprintln!("{cmd} takes one scenario file\n");
                     usage()
                 }
             }
@@ -1014,7 +1262,6 @@ fn cmd_run_scenario(args: &[String]) {
         });
         if files.is_empty() {
             println!("no scenario files under {dir}/");
-            return;
         }
         for f in files {
             match load(&f.display().to_string()) {
@@ -1026,16 +1273,36 @@ fn cmd_run_scenario(args: &[String]) {
     }
 
     let Some(path) = file else {
-        eprintln!("run-scenario needs a scenario file (or --list-scenarios)\n");
+        eprintln!("{cmd} needs a scenario file\n");
         usage()
     };
     let scenario = load(&path).unwrap_or_else(|e| die(e));
-    let compiled = compile(&scenario, &over);
-    // A [model] section (or --model / --audit) routes the scenario
-    // through the hybrid drivers: the selected cluster stays at packet
-    // fidelity while the learned oracle serves every other fabric,
-    // guarded and cached per the [guard]/[oracle] sections.
-    let hybrid_mode = audit || model_flag.is_some() || compiled.hybrid.model_declared;
+    let mut compiled = compile(&scenario, &over);
+
+    // Flags override what the file says; the run reads only `compiled`.
+    if let Some(n) = partitions {
+        compiled.partitions = n;
+    }
+    compiled.sample_every = sample_every.or(compiled.sample_every);
+    compiled.hybrid.cache |= oracle_cache;
+    if let Some(cap) = oracle_cache_cap {
+        compiled.hybrid.cache_cap = cap;
+    }
+    if no_guard {
+        compiled.hybrid.guard = None;
+    }
+    // --checkpoint-every-ms / --max-retries enable supervision even
+    // without a [recovery] section and override its knobs when present.
+    if checkpoint_every_ms.is_some() || max_retries.is_some() {
+        let mut p: RecoveryPolicy = compiled.recovery.unwrap_or_default();
+        if let Some(ms) = checkpoint_every_ms {
+            p.checkpoint_every = SimDuration::from_secs_f64(ms / 1e3);
+        }
+        if let Some(n) = max_retries {
+            p.max_retries = n;
+        }
+        compiled.recovery = Some(p);
+    }
 
     if validate {
         println!(
@@ -1048,674 +1315,46 @@ fn cmd_run_scenario(args: &[String]) {
             compiled.horizon,
             compiled.partitions,
         );
-        if compiled.hybrid.model_declared {
+        let spec = &compiled.hybrid;
+        if spec.model_declared {
             println!(
                 "  [model]: {} — full cluster {}, cache {}, guard {}",
-                compiled
-                    .hybrid
-                    .model_path
-                    .as_deref()
-                    .unwrap_or("(train_fallback)"),
-                compiled.hybrid.full_cluster,
-                if compiled.hybrid.cache { "on" } else { "off" },
-                if compiled.hybrid.guard.is_some() {
-                    "on"
-                } else {
-                    "off"
-                },
+                spec.model_path.as_deref().unwrap_or("(train_fallback)"),
+                spec.full_cluster,
+                if spec.cache { "on" } else { "off" },
+                if spec.guard.is_some() { "on" } else { "off" },
             );
         }
         return;
     }
 
-    println!(
-        "scenario `{}` ({path}): {} clusters, {} hosts, {} flows, horizon {}, seed {}{}",
-        compiled.name,
-        compiled.params.clusters,
-        compiled.params.total_hosts(),
-        compiled.flows.len(),
-        compiled.horizon,
-        compiled.seed,
-        if pdes {
-            // Hybrid PDES always partitions one cluster per partition.
-            let n = if hybrid_mode {
-                compiled.params.clusters as usize
-            } else {
-                partitions.unwrap_or(compiled.partitions)
-            };
-            format!(", PDES x{n}")
-        } else {
-            String::new()
-        }
-    );
-    if compiled.faults.is_some() && !pdes {
-        println!("note: the scenario's [faults] plan applies only under --pdes");
-    }
-
-    if profile || metrics_out.is_some() {
-        elephant::obs::set_enabled(true);
-    }
-
-    // CLI flags enable supervision even without a [recovery] section and
-    // override the section's knobs when present.
-    let mut recovery = compiled.recovery;
-    if checkpoint_every_ms.is_some() || max_retries.is_some() {
-        let mut p = recovery.unwrap_or_default();
-        if let Some(ms) = checkpoint_every_ms {
-            p.checkpoint_every = SimDuration::from_secs_f64(ms / 1e3);
-        }
-        if let Some(n) = max_retries {
-            p.max_retries = n;
-        }
-        recovery = Some(p);
-    }
-
-    if hybrid_mode {
-        run_scenario_hybrid(HybridRunArgs {
-            path: &path,
-            compiled: &compiled,
-            model_flag: model_flag.as_deref(),
-            audit,
-            pdes,
-            partitions_flag: partitions.is_some(),
-            epoch_mode,
-            recovery,
-            sample_every,
-            samples_out,
-            profile,
-            metrics_out,
-        });
-        return;
-    }
-
-    let mut sampler = sample_every
-        .or(compiled.sample_every)
-        .map(|d| NetSampler::new(d, &compiled.flows));
-    if recovery.is_some() && sampler.is_some() {
-        println!(
-            "note: samplers observe a single timeline and cannot follow checkpoint \
-             restores; sampling is disabled under [recovery] supervision"
-        );
-        sampler = None;
-    }
-
-    let (fingerprint, wall, events, recovery_lines, driver) = if let Some(policy) = recovery {
-        let run = if pdes {
-            compiled.run_pdes_supervised(partitions, epoch_mode, &policy)
-        } else {
-            compiled.run_sequential_supervised(&policy)
-        }
-        .unwrap_or_else(|e| die(e));
-        print_supervised_summary(&run, compiled.horizon);
-        report_fault_counts(
-            compiled.faults.as_ref().filter(|_| pdes),
-            run.report.as_ref().map(|r| r.faults),
-        );
-        let mut lines = vec![run.log.summary()];
-        lines.extend(run.log.transitions.iter().map(|t| format!("{t:?}")));
-        (
-            run_fingerprint(run.nets.iter()),
-            run.wall,
-            run.events,
-            lines,
-            "supervised",
-        )
-    } else if pdes {
-        let run = compiled
-            .run_pdes(partitions, epoch_mode, sampler.as_mut())
-            .unwrap_or_else(|e| {
-                eprintln!("elephant: PDES run failed: {e}");
-                exit(5)
-            });
-        print_pdes_summary(&run, compiled.horizon);
-        report_fault_counts(compiled.faults.as_ref(), Some(run.report.faults));
-        (
-            run_fingerprint(run.nets.iter()),
-            run.wall,
-            run.events(),
-            Vec::new(),
-            "pdes",
-        )
-    } else {
-        let (net, meta) = compiled.run_sequential(sampler.as_mut());
-        print_summary(&net, &meta);
-        (
-            run_fingerprint([&net]),
-            meta.wall,
-            meta.events,
-            Vec::new(),
-            "sequential",
-        )
-    };
-    let mode = if pdes {
-        format!("{epoch_mode:?}").to_lowercase()
-    } else {
-        String::new()
-    };
-    finish_scenario_run(
-        &compiled,
-        profile,
-        metrics_out.as_ref(),
-        samples_out,
-        sampler.as_ref(),
-        fingerprint,
-        wall,
-        events,
-        recovery_lines,
-        driver,
-        &mode,
-    );
-}
-
-/// Arguments for the run-scenario hybrid path, bundled so the dispatch
-/// site stays readable.
-struct HybridRunArgs<'a> {
-    path: &'a str,
-    compiled: &'a elephant::scenario::Compiled,
-    model_flag: Option<&'a str>,
-    audit: bool,
-    pdes: bool,
-    partitions_flag: bool,
-    epoch_mode: EpochMode,
-    recovery: Option<elephant::core::RecoveryPolicy>,
-    sample_every: Option<SimDuration>,
-    samples_out: Option<String>,
-    profile: bool,
-    metrics_out: Option<String>,
-}
-
-/// Resolves the model artifact for a hybrid scenario run. Precedence:
-/// the `--model` flag (plain CLI semantics: exit 3/4 on failure), then
-/// the scenario's `[model] path` (scenario semantics: exit 6 naming the
-/// binding's `file:line`), then — when `train_fallback = true`, or under
-/// `--audit` with no binding at all — a quick-trained default model, the
-/// same fallback the `hybrid` subcommand uses without `--model`.
-fn resolve_scenario_model(
-    scenario_path: &str,
-    spec: &elephant::scenario::HybridSpec,
-    cli_model: Option<&str>,
-    seed: u64,
-    dctcp: bool,
-    allow_fallback: bool,
-) -> ClusterModel {
-    let scenario_err = |artifact: &str, e: &dyn std::fmt::Display| ElephantError::Scenario {
-        path: scenario_path.to_string(),
-        line: spec.model_line,
-        detail: format!("model artifact `{artifact}`: {e}"),
-    };
-    if let Some(p) = cli_model {
-        let json = std::fs::read_to_string(p).unwrap_or_else(|e| {
-            die(ElephantError::Io {
-                path: p.to_string(),
-                source: e,
-            })
-        });
-        return ClusterModel::load_json(&json).unwrap_or_else(|e| die(e));
-    }
-    if let Some(p) = &spec.model_path {
-        match std::fs::read_to_string(p) {
-            Ok(json) => {
-                return ClusterModel::load_json(&json).unwrap_or_else(|e| die(scenario_err(p, &e)));
-            }
-            Err(e) if allow_fallback && e.kind() == std::io::ErrorKind::NotFound => {
-                println!(
-                    "model artifact `{p}` does not exist; capturing + training a small \
-                     default model (train_fallback) ..."
-                );
-            }
-            Err(e) => die(scenario_err(p, &e)),
-        }
-    } else if allow_fallback {
-        println!("no model artifact bound; capturing + training a small default model first ...");
-    } else {
-        die(ElephantError::Scenario {
-            path: scenario_path.to_string(),
-            line: spec.model_line,
-            detail: "[model] names no `path` and `train_fallback` is false; \
-                     pass --model or bind an artifact"
-                .into(),
-        })
-    }
-    let mut o = Opts::parse(&[]);
-    o.seed = seed;
-    o.dctcp = dctcp;
-    quick_default_model(&o)
-}
-
-/// The scenario-path twin of [`Opts::build_oracle`]: assembles the
-/// learned oracle — with the `[oracle]` verdict cache *under* the
-/// `[guard]` wrapper, so guard validation sees every served verdict —
-/// from the compiled hybrid spec. The guard's drift band centers on the
-/// artifact's training drop rate exactly as the `hybrid` subcommand's
-/// does, and the fallback delivers at the training-time median latency.
-fn scenario_oracle(
-    model: ClusterModel,
-    spec: &elephant::scenario::HybridSpec,
-    params: ClosParams,
-    seed: u64,
-) -> (
-    Box<dyn ClusterOracle + Send>,
-    Option<GuardStatsHandle>,
-    Option<CacheStatsHandle>,
-) {
-    let meta = model.meta;
-    let mut cache = None;
-    let primary: Box<dyn ClusterOracle + Send> = if spec.cache {
-        let oracle = LearnedOracle::with_cache(
-            model,
-            params,
-            DropPolicy::Sample,
-            seed ^ 0xE1E,
-            spec.cache_cap,
-        );
-        cache = oracle.cache_stats_handle();
-        Box::new(oracle)
-    } else {
-        Box::new(LearnedOracle::new(
-            model,
-            params,
-            DropPolicy::Sample,
-            seed ^ 0xE1E,
-        ))
-    };
-    let Some(guard_cfg) = &spec.guard else {
-        return (primary, None, cache);
-    };
-    let mut guard_cfg = guard_cfg.clone();
-    guard_cfg.expected_drop_rate = (meta.train_records > 0).then_some(meta.train_drop_rate);
-    let fallback_latency = if meta.train_latency_p50 > 0.0 {
-        SimDuration::from_secs_f64(meta.train_latency_p50)
-    } else {
-        SimDuration::from_micros(50)
-    };
-    let guarded = GuardedOracle::new(
-        primary,
-        Box::new(FixedLatencyOracle(fallback_latency)),
-        guard_cfg,
-    );
-    let handle = guarded.stats_handle();
-    (Box::new(guarded), Some(handle), cache)
-}
-
-/// Partition `p`'s oracle for PDES hybrid scenario runs: the same
-/// per-partition seed salting as `hybrid --pdes`, unguarded (per-
-/// partition guard stats are not aggregated), honoring the `[oracle]`
-/// cache settings. Collects cache handles into `handles` when given.
-fn scenario_partition_oracle(
-    model: &ClusterModel,
-    spec: &elephant::scenario::HybridSpec,
-    params: ClosParams,
-    seed: u64,
-    p: usize,
-    handles: Option<&std::sync::Mutex<Vec<CacheStatsHandle>>>,
-) -> Box<dyn ClusterOracle + Send> {
-    let s = (seed ^ 0xE1E).wrapping_add(p as u64);
-    if spec.cache {
-        let oracle =
-            LearnedOracle::with_cache(model.clone(), params, DropPolicy::Sample, s, spec.cache_cap);
-        if let Some(hs) = handles {
-            if let Some(h) = oracle.cache_stats_handle() {
-                hs.lock().unwrap().push(h);
-            }
-        }
-        Box::new(oracle)
-    } else {
-        Box::new(LearnedOracle::new(
-            model.clone(),
-            params,
-            DropPolicy::Sample,
-            s,
-        ))
-    }
-}
-
-/// The hybrid half of `run-scenario`: resolves the model artifact, elides
-/// the flow list to traffic touching the full-fidelity cluster, and runs
-/// the guarded/cached hybrid on the driver the flags select (sequential,
-/// PDES, supervised, or — under `--audit` — paired against ground truth
-/// and gated on the `[audit]` bounds).
-fn run_scenario_hybrid(a: HybridRunArgs) {
-    let compiled = a.compiled;
-    let spec = &compiled.hybrid;
-    if compiled.params.clusters < 2 {
-        die(ElephantError::Scenario {
-            path: a.path.to_string(),
-            line: spec.model_line,
-            detail: "hybrid simulation needs >= 2 clusters (the oracle approximates \
-                     every cluster but the full-fidelity one)"
-                .into(),
-        });
-    }
-    let model = resolve_scenario_model(
-        a.path,
-        spec,
-        a.model_flag,
-        compiled.seed,
-        compiled.dctcp,
-        a.audit || spec.train_fallback,
-    );
-    let flows = compiled.hybrid_flows();
-    println!(
-        "  hybrid: cluster {} at packet fidelity ({} approximated), {} flows after elision",
-        spec.full_cluster,
-        compiled.params.clusters - 1,
-        flows.len()
-    );
-
-    if a.audit {
-        if a.recovery.is_some() {
-            println!(
-                "note: --audit runs both sides unsupervised; the [recovery] ladder is ignored"
-            );
-        }
-        if a.pdes {
-            println!("note: --audit runs both sides sequentially; --pdes is ignored");
-        }
-        let bounds = compiled.audit_bounds.unwrap_or_default();
-        let (oracle, guard, cache) = scenario_oracle(model, spec, compiled.params, compiled.seed);
-        let hooks = AuditHooks { cache, guard };
-        let run = run_audit(
-            compiled.params,
-            spec.full_cluster,
-            oracle,
-            compiled.net_config(),
-            &flows,
-            compiled.horizon,
-            bounds,
-            a.sample_every
-                .or(compiled.sample_every)
-                .unwrap_or_else(|| SimDuration::from_micros(200)),
-            hooks,
-        );
-        println!("\n{}", run.divergence.to_table());
-        println!(
-            "  truth : {} events in {:.2}s wall | hybrid: {} events in {:.2}s wall \
-             ({:.1}x fewer events)",
-            run.truth_meta.events,
-            run.truth_meta.wall.as_secs_f64(),
-            run.hybrid_meta.events,
-            run.hybrid_meta.wall.as_secs_f64(),
-            run.truth_meta.events as f64 / run.hybrid_meta.events.max(1) as f64
-        );
-        let fingerprint = run_fingerprint([&run.hybrid_net]);
-        println!("  fingerprint: {fingerprint:#018x}");
-        if let Some(base) = &a.metrics_out {
-            let truth_path = format!("{}.truth.json", base.trim_end_matches(".json"));
-            let mut hreport = RunReport::new("audit-hybrid", a.path.to_string());
-            hreport.set_run(
-                run.hybrid_meta.wall.as_secs_f64(),
-                run.hybrid_meta.events,
-                compiled.horizon.as_secs_f64(),
-            );
-            write_ledger(
-                base,
-                "audit-hybrid",
-                "paired",
-                compiled.seed,
-                fingerprint,
-                Vec::new(),
-                Some(run.divergence.clone()),
-                hreport,
-            );
-            let mut treport = RunReport::new("audit-truth", a.path.to_string());
-            treport.set_run(
-                run.truth_meta.wall.as_secs_f64(),
-                run.truth_meta.events,
-                compiled.horizon.as_secs_f64(),
-            );
-            write_ledger(
-                &truth_path,
-                "audit-truth",
-                "paired",
-                compiled.seed,
-                run_fingerprint([&run.truth_net]),
-                Vec::new(),
-                None,
-                treport,
-            );
-        }
-        let breaches = run.divergence.breaches();
-        if !breaches.is_empty() {
-            eprintln!("\naudit FAILED: hybrid diverges outside the [audit] bounds");
-            for b in &breaches {
-                eprintln!("  - {b}");
-            }
-            exit(8)
-        }
-        println!(
-            "\naudit OK: drop-rate err {:.4} <= {}, FCT KS {:.3} <= {}, W1/mean {:.3} <= {}",
-            run.divergence.drop_rate_error(),
-            bounds.max_drop_rate_error,
-            run.divergence.fct_ks,
-            bounds.max_ks,
-            run.divergence.w1_ratio(),
-            bounds.max_w1_ratio
-        );
-        return;
-    }
-
-    let mut sampler = a
-        .sample_every
-        .or(compiled.sample_every)
-        .map(|d| NetSampler::new(d, &flows));
-    if a.recovery.is_some() && sampler.is_some() {
-        println!(
-            "note: samplers observe a single timeline and cannot follow checkpoint \
-             restores; sampling is disabled under [recovery] supervision"
-        );
-        sampler = None;
-    }
-    if a.pdes && a.partitions_flag {
-        println!("note: hybrid PDES partitions one cluster per partition; --partitions is ignored");
-    }
-
-    let fleet_handles = std::sync::Mutex::new(Vec::new());
-    let (fingerprint, wall, events, recovery_lines, driver, mode) = if let Some(policy) =
-        &a.recovery
-    {
-        let run = if a.pdes {
-            let seq_model = model.clone();
-            compiled.run_pdes_hybrid_supervised(
-                |p| {
-                    scenario_partition_oracle(&model, spec, compiled.params, compiled.seed, p, None)
-                },
-                move || scenario_oracle(seq_model, spec, compiled.params, compiled.seed).0,
-                a.epoch_mode,
-                policy,
-            )
-        } else {
-            // Handles would outlive checkpoint restores (the restored
-            // net carries a deep-copied oracle stack), so supervised
-            // runs report recovery state instead of guard/cache stats.
-            let (oracle, _, _) = scenario_oracle(model, spec, compiled.params, compiled.seed);
-            compiled.run_hybrid_supervised(oracle, policy)
-        }
-        .unwrap_or_else(|e| die(e));
-        print_supervised_summary(&run, compiled.horizon);
-        report_fault_counts(
-            compiled.faults.as_ref().filter(|_| a.pdes),
-            run.report.as_ref().map(|r| r.faults),
-        );
-        let mut lines = vec![run.log.summary()];
-        lines.extend(run.log.transitions.iter().map(|t| format!("{t:?}")));
-        let mode = if a.pdes {
-            format!("{:?}", a.epoch_mode).to_lowercase()
-        } else {
-            String::new()
-        };
-        (
-            run_fingerprint(run.nets.iter()),
-            run.wall,
-            run.events,
-            lines,
-            "hybrid-supervised",
-            mode,
-        )
-    } else if a.pdes {
-        let run = compiled
-            .run_pdes_hybrid(
-                |p| {
-                    scenario_partition_oracle(
-                        &model,
-                        spec,
-                        compiled.params,
-                        compiled.seed,
-                        p,
-                        Some(&fleet_handles),
-                    )
-                },
-                a.epoch_mode,
-                sampler.as_mut(),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("elephant: PDES run failed: {e}");
-                exit(5)
-            });
-        print_pdes_summary(&run, compiled.horizon);
-        report_cache_fleet(&fleet_handles.lock().unwrap());
-        report_fault_counts(compiled.faults.as_ref(), Some(run.report.faults));
-        (
-            run_fingerprint(run.nets.iter()),
-            run.wall,
-            run.events(),
-            Vec::new(),
-            "hybrid-pdes",
-            format!("{:?}", a.epoch_mode).to_lowercase(),
-        )
-    } else {
-        let (oracle, guard, cache) = scenario_oracle(model, spec, compiled.params, compiled.seed);
-        let (net, meta) = compiled.run_hybrid(oracle, sampler.as_mut());
-        print_summary(&net, &meta);
-        report_guard(&guard);
-        report_cache(&cache);
-        (
-            run_fingerprint([&net]),
-            meta.wall,
-            meta.events,
-            Vec::new(),
-            "hybrid",
-            "sequential".to_string(),
-        )
-    };
-    finish_scenario_run(
+    dispatch(Request {
+        command: cmd,
+        title: format!("scenario `{}` ({path})", compiled.name),
+        origin: path,
+        hybrid: audit || model_flag.is_some() || compiled.hybrid.model_declared,
         compiled,
-        a.profile,
-        a.metrics_out.as_ref(),
-        a.samples_out,
-        sampler.as_ref(),
-        fingerprint,
-        wall,
-        events,
-        recovery_lines,
-        driver,
-        &mode,
-    );
-}
-
-/// The shared run-scenario epilogue: the fingerprint line, the profile
-/// table, the sealed run ledger, and the samples CSV.
-#[allow(clippy::too_many_arguments)] // a CLI epilogue, not an API surface
-fn finish_scenario_run(
-    compiled: &elephant::scenario::Compiled,
-    profile: bool,
-    metrics_out: Option<&String>,
-    samples_out: Option<String>,
-    sampler: Option<&NetSampler>,
-    fingerprint: u64,
-    wall: std::time::Duration,
-    events: u64,
-    recovery_lines: Vec<String>,
-    driver: &str,
-    mode: &str,
-) {
-    println!("  fingerprint: {fingerprint:#018x}");
-
-    if profile || metrics_out.is_some() {
-        let mut report = RunReport::new(
-            "run-scenario",
-            format!("scenario `{}`, seed {}", compiled.name, compiled.seed),
-        );
-        report.set_run(wall.as_secs_f64(), events, compiled.horizon.as_secs_f64());
-        report.gather();
-        if profile {
-            println!("\n{}", report.to_table());
-        }
-        if let Some(path) = metrics_out {
-            write_ledger(
-                path,
-                driver,
-                mode,
-                compiled.seed,
-                fingerprint,
-                recovery_lines,
-                None,
-                report,
-            );
-        }
-    }
-
-    if let Some(s) = sampler {
-        let out = samples_out.unwrap_or_else(|| "samples.csv".into());
-        match write_csv(&out, &SAMPLE_CSV_HEADER, s.rows()) {
-            Ok(()) => println!("wrote {out} ({} samples)", s.rows().len()),
-            Err(e) => {
-                eprintln!("cannot write {out}: {e}");
-                exit(3)
-            }
-        }
-    }
-}
-
-/// Captures a short two-cluster ground truth and trains a deliberately
-/// small model — the `hybrid` fallback when no `--model` is supplied.
-fn quick_default_model(o: &Opts) -> ClusterModel {
-    let params = ClosParams::paper_cluster(2);
-    let horizon = SimTime::from_millis(30);
-    let mut wl = WorkloadConfig::paper_default(horizon, o.seed);
-    wl.load = o.load;
-    let flows = generate(&params, &wl);
-    let (net, _) = run_ground_truth(
-        params,
-        o.net_config(RttScope::None),
-        Some(1),
-        &flows,
-        horizon,
-    );
-    let records = capture_records(net).unwrap_or_else(|e| die(e));
-    let opts = TrainingOptions {
-        hidden: 16,
-        layers: 1,
-        epochs: 4,
-        ..Default::default()
-    };
-    let (model, _) = train_cluster_model(&records, &params, &opts);
-    model
+        audit,
+        model_flag,
+        train_load: 0.3,
+        fault: None,
+        pdes,
+        partitions_flag: partitions.is_some(),
+        epoch_mode,
+        sinks,
+    });
 }
 
 fn cmd_train(o: &Opts) {
-    let params = {
-        let mut p = ClosParams::paper_cluster(2);
-        if o.dctcp {
-            p.host_link = p.host_link.with_ecn(30_000);
-            p.fabric_link = p.fabric_link.with_ecn(30_000);
-            p.core_link = p.core_link.with_ecn(30_000);
-        }
-        p
-    };
+    o.sinks.enable();
+    let params = o.params(2);
     let flows = o.workload(&params, o.seed);
     println!(
         "capturing ground truth: 2 clusters, {} flows, horizon {} ...",
         flows.len(),
         o.horizon
     );
-    let (net, meta) = run_ground_truth(
-        params,
-        o.net_config(RttScope::None),
-        Some(1),
-        &flows,
-        o.horizon,
-    );
-    let records = capture_records(net).unwrap_or_else(|e| die(e));
+    let (records, meta) = capture_ground_truth(params, o.dctcp, &flows, o.horizon);
     println!(
         "  {} events, {} boundary records",
         meta.events,
@@ -1729,13 +1368,13 @@ fn cmd_train(o: &Opts) {
         rnn: if o.gru { RnnKind::Gru } else { RnnKind::Lstm },
         ..Default::default()
     };
-    println!(
-        "training {}x{} {} for {} epochs ...",
+    let shape = format!(
+        "{}x{} {}",
         o.layers,
         o.hidden,
-        if o.gru { "GRU" } else { "LSTM" },
-        o.epochs
+        if o.gru { "GRU" } else { "LSTM" }
     );
+    println!("training {shape} for {} epochs ...", o.epochs);
     let (model, report) = train_cluster_model(&records, &params, &opts);
     println!(
         "  up:   {} samples | drop accuracy {:.3} | latency rmse {:.3}",
@@ -1757,157 +1396,39 @@ fn cmd_train(o: &Opts) {
         elephant::core::MODEL_VERSION,
         model.weight_checksum()
     );
-    emit_metrics(
-        o,
-        "train",
-        format!(
-            "capture + {}x{} {} training, seed {}",
-            o.layers,
-            o.hidden,
-            if o.gru { "GRU" } else { "LSTM" },
-            o.seed
-        ),
-        Some(&meta),
-        // The captured net was consumed by training; no fingerprint.
-        0,
-    );
-}
-
-fn cmd_hybrid(o: &Opts) {
-    let model = match &o.model {
-        Some(_) => o.load_model(),
-        None => {
-            println!("no --model given; capturing + training a small default model first ...");
-            quick_default_model(o)
-        }
-    };
-    let params = o.params();
-    assert!(o.full_cluster < o.clusters, "--full-cluster out of range");
-    let flows = filter_touching_cluster(&o.workload(&params, o.seed), o.full_cluster);
-    println!(
-        "hybrid run: {} clusters ({} approximated), {} flows after elision, horizon {}",
-        params.clusters,
-        params.clusters - 1,
-        flows.len(),
-        o.horizon
-    );
-    let mut sampler = o.build_sampler(&flows);
-
-    if o.pdes.is_some() {
-        if !o.no_guard || o.fault_oracle.is_some() {
-            println!("note: --pdes runs the learned oracle unguarded (per-partition guard stats are not aggregated); --no-guard/--fault-oracle flags are ignored");
-        }
-        let cache_handles = std::sync::Mutex::new(Vec::new());
-        let run = run_pdes_hybrid(
-            params,
-            o.full_cluster,
-            |p| {
-                let seed = (o.seed ^ 0xE1E).wrapping_add(p as u64);
-                if o.oracle_cache {
-                    let oracle = LearnedOracle::with_cache(
-                        model.clone(),
-                        params,
-                        DropPolicy::Sample,
-                        seed,
-                        o.oracle_cache_cap,
-                    );
-                    if let Some(h) = oracle.cache_stats_handle() {
-                        cache_handles.lock().unwrap().push(h);
-                    }
-                    Box::new(oracle)
-                } else {
-                    Box::new(LearnedOracle::new(
-                        model.clone(),
-                        params,
-                        DropPolicy::Sample,
-                        seed,
-                    ))
-                }
-            },
-            &flows,
-            o.horizon,
-            o.machines,
-            64,
-            o.epoch_mode,
-            None,
-            sampler.as_mut(),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("elephant: PDES run failed: {e}");
-            exit(5)
-        });
-        print_pdes_summary(&run, o.horizon);
-        report_cache_fleet(&cache_handles.into_inner().unwrap());
-        println!("  fingerprint: {:#018x}", run_fingerprint(run.nets.iter()));
-        let nets: Vec<&Network> = run.nets.iter().collect();
-        finish_observability(o, &nets, &None, sampler.as_ref());
-        let meta = elephant::core::RunMeta {
-            wall: run.wall,
-            events: run.report.events_executed,
-            sim_seconds: o.horizon.as_secs_f64(),
-        };
-        emit_metrics(
-            o,
-            "hybrid-pdes",
-            format!(
-                "{} clusters ({} approximated), one partition per cluster, seed {}",
-                o.clusters,
-                o.clusters - 1,
-                o.seed
-            ),
-            Some(&meta),
-            run_fingerprint(run.nets.iter()),
-        );
-        return;
-    }
-
-    let (oracle, guard, cache) = o.build_oracle(model, params);
-    let (net, meta) = run_hybrid_observed(
-        params,
-        o.full_cluster,
-        oracle,
-        o.net_config(RttScope::Cluster(o.full_cluster)),
-        &flows,
-        o.horizon,
-        o.build_trace(&flows),
-        sampler.as_mut(),
-    );
-    print_summary(&net, &meta);
-    if o.trace.is_some() {
-        print_trace_sample(&net);
-    }
-    report_guard(&guard);
-    report_cache(&cache);
-    println!("  fingerprint: {:#018x}", run_fingerprint([&net]));
-    finish_observability(o, &[&net], &guard, sampler.as_ref());
-    emit_metrics(
-        o,
-        "hybrid",
-        format!(
-            "{} clusters ({} approximated), seed {}",
-            o.clusters,
-            o.clusters - 1,
-            o.seed
-        ),
-        Some(&meta),
-        run_fingerprint([&net]),
-    );
+    let scenario = format!("capture + {shape} training, seed {}", o.seed);
+    // The captured net was consumed by training; no fingerprint.
+    let mut ledger = RunLedger::new("train", RunReport::new("train", scenario));
+    ledger.seed = o.seed;
+    emit_ledger(&o.sinks, ledger, &meta);
 }
 
 fn cmd_compare(o: &Opts) {
-    let model = o.load_model();
-    let params = o.params();
+    o.sinks.enable();
+    let path = o.model.as_deref().unwrap_or_else(|| {
+        eprintln!("--model PATH is required for this command");
+        exit(2)
+    });
+    let model = read_model(path).unwrap_or_else(|e| die(e));
+    let params = o.params(o.clusters);
     let flows = o.workload(&params, o.seed.wrapping_add(1));
-    let cfg = o.net_config(RttScope::Cluster(o.full_cluster));
+    let cfg = net_config(o.dctcp, RttScope::Cluster(o.full_cluster));
 
     println!("ground truth ({} flows) ...", flows.len());
     let (truth, tmeta) = run_ground_truth(params, cfg, None, &flows, o.horizon);
-    let elided = filter_touching_cluster(&flows, o.full_cluster);
+    let elided = elephant::trace::filter_touching_cluster(&flows, o.full_cluster);
     println!("hybrid ({} flows after elision) ...", elided.len());
-    let (oracle, guard, cache) = o.build_oracle(model, params);
-    let (hybrid, hmeta) = run_hybrid(params, o.full_cluster, oracle, cfg, &elided, o.horizon);
-    report_guard(&guard);
-    report_cache(&cache);
+    let stack = build_stack(model, params, o.seed, &o.hybrid_spec(true), o.fault(), None);
+    let (hybrid, hmeta) = run_hybrid(
+        params,
+        o.full_cluster,
+        stack.oracle,
+        cfg,
+        &elided,
+        o.horizon,
+    );
+    report_guard(&stack.guard);
+    report_cache(stack.cache.as_slice());
 
     let cmp = compare_cdfs(&truth.stats.rtt_cdf(), &hybrid.stats.rtt_cdf());
     println!("\n  quantile   truth       hybrid      error");
@@ -1928,186 +1449,11 @@ fn cmd_compare(o: &Opts) {
         tmeta.wall.as_secs_f64() / hmeta.wall.as_secs_f64().max(1e-9),
         tmeta.events as f64 / hmeta.events.max(1) as f64,
     );
-    emit_metrics(
-        o,
-        "compare",
-        format!("truth vs hybrid, {} clusters, seed {}", o.clusters, o.seed),
-        Some(&hmeta),
-        run_fingerprint([&hybrid]),
-    );
-}
-
-/// `audit FILE`: ground truth and hybrid over the same compiled scenario
-/// and seed, the divergence table attributed by regime/layer/oracle, and a
-/// gate on the scenario's `[audit]` bounds — exit 8 when the hybrid
-/// diverges beyond them. `--ledger-out` writes both sides' run ledgers.
-fn cmd_audit(args: &[String]) {
-    use elephant::scenario::{compile, load, CompileOverrides};
-
-    let mut file: Option<String> = None;
-    let mut over = CompileOverrides::default();
-    let mut model_path: Option<String> = None;
-    let mut ledger_out: Option<String> = None;
-    let mut sample_every = SimDuration::from_micros(200);
-    let mut oracle_cache = false;
-    let mut oracle_cache_cap = 65_536usize;
-    let mut no_guard = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = || {
-            it.next().map(|s| s.to_string()).unwrap_or_else(|| {
-                eprintln!("{a} needs a value");
-                exit(2)
-            })
-        };
-        match a.as_str() {
-            "--seed" => over.seed = Some(parse(&val(), a)),
-            "--horizon-ms" => over.horizon_ms = Some(parse(&val(), a)),
-            "--repeat" => over.repeat = Some(parse(&val(), a)),
-            "--model" => model_path = Some(val()),
-            "--ledger-out" => ledger_out = Some(val()),
-            "--sample-every" => sample_every = SimDuration::from_micros(parse(&val(), a)),
-            "--oracle-cache" => oracle_cache = true,
-            "--oracle-cache-cap" => oracle_cache_cap = parse(&val(), a),
-            "--no-guard" => no_guard = true,
-            other if other.starts_with('-') => {
-                eprintln!("unknown audit option: {other}\n");
-                usage()
-            }
-            path => {
-                if file.replace(path.to_string()).is_some() {
-                    eprintln!("audit takes one scenario file\n");
-                    usage()
-                }
-            }
-        }
-    }
-    let Some(path) = file else {
-        eprintln!("audit needs a scenario file\n");
-        usage()
-    };
-    let scenario = load(&path).unwrap_or_else(|e| die(e));
-    let compiled = compile(&scenario, &over);
-    if compiled.params.clusters < 2 {
-        die(ElephantError::Scenario {
-            path: path.clone(),
-            line: 0,
-            detail: "audit needs >= 2 clusters (the hybrid side approximates the others)".into(),
-        });
-    }
-    let full_cluster = scenario.oracle.full_cluster;
-    let bounds = compiled.audit_bounds.unwrap_or_default();
-    let flows = filter_touching_cluster(&compiled.flows, full_cluster);
-
-    // Reuse the standard oracle stack assembly (guard, cache) with the
-    // scenario's seed; the handles feed the audit's oracle axis.
-    let mut o = Opts::parse(&[]);
-    o.seed = compiled.seed;
-    o.dctcp = compiled.dctcp;
-    o.oracle_cache = oracle_cache || scenario.oracle.cache;
-    o.oracle_cache_cap = if oracle_cache {
-        oracle_cache_cap
-    } else {
-        scenario.oracle.cache_cap
-    };
-    o.no_guard = no_guard;
-    o.model = model_path.clone();
-    let model = match &model_path {
-        Some(_) => o.load_model(),
-        None => {
-            println!("no --model given; capturing + training a small default model first ...");
-            quick_default_model(&o)
-        }
-    };
-    let (oracle, guard, cache) = o.build_oracle(model, compiled.params);
-    let hooks = AuditHooks { cache, guard };
-
-    println!(
-        "audit `{}` ({path}): {} clusters (cluster {} at packet fidelity), \
-         {} flows after elision, horizon {}, seed {}",
-        compiled.name,
-        compiled.params.clusters,
-        full_cluster,
-        flows.len(),
-        compiled.horizon,
-        compiled.seed
-    );
-    let run = run_audit(
-        compiled.params,
-        full_cluster,
-        oracle,
-        compiled.net_config(),
-        &flows,
-        compiled.horizon,
-        bounds,
-        sample_every,
-        hooks,
-    );
-    println!("\n{}", run.divergence.to_table());
-    println!(
-        "  truth : {} events in {:.2}s wall | hybrid: {} events in {:.2}s wall \
-         ({:.1}x fewer events)",
-        run.truth_meta.events,
-        run.truth_meta.wall.as_secs_f64(),
-        run.hybrid_meta.events,
-        run.hybrid_meta.wall.as_secs_f64(),
-        run.truth_meta.events as f64 / run.hybrid_meta.events.max(1) as f64
-    );
-
-    if let Some(base) = &ledger_out {
-        let truth_path = format!("{}.truth.json", base.trim_end_matches(".json"));
-        let mut hreport = RunReport::new("audit-hybrid", path.clone());
-        hreport.set_run(
-            run.hybrid_meta.wall.as_secs_f64(),
-            run.hybrid_meta.events,
-            compiled.horizon.as_secs_f64(),
-        );
-        write_ledger(
-            base,
-            "audit-hybrid",
-            "paired",
-            compiled.seed,
-            run_fingerprint([&run.hybrid_net]),
-            Vec::new(),
-            Some(run.divergence.clone()),
-            hreport,
-        );
-        let mut treport = RunReport::new("audit-truth", path.clone());
-        treport.set_run(
-            run.truth_meta.wall.as_secs_f64(),
-            run.truth_meta.events,
-            compiled.horizon.as_secs_f64(),
-        );
-        write_ledger(
-            &truth_path,
-            "audit-truth",
-            "paired",
-            compiled.seed,
-            run_fingerprint([&run.truth_net]),
-            Vec::new(),
-            None,
-            treport,
-        );
-    }
-
-    let breaches = run.divergence.breaches();
-    if !breaches.is_empty() {
-        eprintln!("\naudit FAILED: hybrid diverges outside the [audit] bounds");
-        for b in &breaches {
-            eprintln!("  - {b}");
-        }
-        exit(8)
-    }
-    println!(
-        "\naudit OK: drop-rate err {:.4} <= {}, FCT KS {:.3} <= {}, W1/mean {:.3} <= {}",
-        run.divergence.drop_rate_error(),
-        bounds.max_drop_rate_error,
-        run.divergence.fct_ks,
-        bounds.max_ks,
-        run.divergence.w1_ratio(),
-        bounds.max_w1_ratio
-    );
+    let scenario = format!("truth vs hybrid, {} clusters, seed {}", o.clusters, o.seed);
+    let mut ledger = RunLedger::new("compare", RunReport::new("compare", scenario));
+    ledger.seed = o.seed;
+    ledger.fingerprint = run_fingerprint([&hybrid]);
+    emit_ledger(&o.sinks, ledger, &hmeta);
 }
 
 /// `compare A.json B.json`: validate and diff two run-ledger artifacts.
@@ -2116,16 +1462,10 @@ fn cmd_audit(args: &[String]) {
 fn cmd_compare_ledgers(args: &[String]) {
     let mut files: Vec<String> = Vec::new();
     let mut tolerance = 0.05f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tolerance" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--tolerance needs a value");
-                    exit(2)
-                });
-                tolerance = parse(v, a);
-            }
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        match a {
+            "--tolerance" => tolerance = args.parsed(a),
             other if other.starts_with('-') => {
                 eprintln!("unknown compare option: {other}\n");
                 usage()

@@ -179,6 +179,55 @@ fn cli_rejects_bad_usage() {
     assert!(!out.status.success());
     let out = elephant().args(["hybrid", "--model"]).output().unwrap(); // flag missing its value
     assert!(!out.status.success());
+    // Out-of-range hybrid selections are usage errors, not panics.
+    for bad in [
+        &["hybrid", "--clusters", "2", "--full-cluster", "5"][..],
+        &["hybrid", "--clusters", "1"],
+    ] {
+        let out = elephant().args(bad).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "elephant {bad:?}: {stderr}");
+        assert!(stderr.contains("USAGE"), "usage printed: {stderr}");
+    }
+}
+
+/// `audit FILE` is `run-scenario FILE --audit`: both spellings honor the
+/// scenario's `[model]` section, so they audit the same cluster and print
+/// the same fingerprint.
+#[test]
+fn cli_audit_spellings_agree() {
+    let smoke = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/smoke.toml");
+    let doc = std::fs::read_to_string(smoke).expect("committed scenario reads");
+    let dir = std::env::temp_dir().join("elephant_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("audit_cluster_1.toml");
+    std::fs::write(
+        &file,
+        doc + "\n[model]\nfull_cluster = 1\ntrain_fallback = true\n",
+    )
+    .unwrap();
+    let file = file.to_str().unwrap();
+
+    let verdict_lines = |args: &[&str]| -> (String, String) {
+        let out = elephant().args(args).output().expect("binary runs");
+        assert!(
+            matches!(out.status.code(), Some(0) | Some(8)),
+            "audit must run to verdict:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = |needle: &str| {
+            let found = stdout.lines().find(|l| l.contains(needle));
+            found
+                .unwrap_or_else(|| panic!("no `{needle}` line in:\n{stdout}"))
+                .to_string()
+        };
+        (line("at packet fidelity"), line("fingerprint: "))
+    };
+    let direct = verdict_lines(&["audit", file, "--horizon-ms", "6"]);
+    let flagged = verdict_lines(&["run-scenario", file, "--audit", "--horizon-ms", "6"]);
+    assert!(direct.0.contains("cluster 1 at"), "{}", direct.0);
+    assert_eq!(direct, flagged, "the two audit spellings disagree");
 }
 
 /// `hybrid` without `--model` falls back to capturing and training a small

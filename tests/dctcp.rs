@@ -55,3 +55,27 @@ fn dctcp_marks_instead_of_dropping() {
         "throughput not sacrificed"
     );
 }
+
+/// `dctcp = true` must reach the PDES engine too: the same scenario with
+/// and without it runs different TCP stacks, so the fingerprints differ,
+/// and the DCTCP side sees ECN marks.
+#[test]
+fn dctcp_reaches_pdes_partitions() {
+    use elephant::des::EpochMode;
+    use elephant::scenario::{compile, load, run_fingerprint, CompileOverrides};
+
+    let mut scenario = load("scenarios/incast.toml").expect("committed scenario loads");
+    let mut run = |dctcp: bool| {
+        scenario.run.dctcp = dctcp;
+        let run = compile(&scenario, &CompileOverrides::default())
+            .run_pdes(None, EpochMode::Adaptive, None)
+            .expect("PDES run completes");
+        let marks: u64 = run.nets.iter().map(|n| n.port_totals().0).sum();
+        (run_fingerprint(&run.nets), marks)
+    };
+    let (reno, reno_marks) = run(false);
+    let (dctcp, dctcp_marks) = run(true);
+    assert_eq!(reno_marks, 0, "no ECN on plain drop-tail");
+    assert!(dctcp_marks > 0, "ECN-marking switches under DCTCP");
+    assert_ne!(reno, dctcp, "PDES ignored the scenario's TCP config");
+}

@@ -8,7 +8,7 @@
 //! drain-to-quiescence run, delivered byte counts match exactly, and event
 //! counts agree to within tie-ordering noise.
 
-use elephant::core::{run_pdes_full, PdesRun};
+use elephant::core::{execute, Exec, Fidelity, PdesExec, PdesRun, RunPlan};
 use elephant::des::{EpochMode, SimTime};
 use elephant::net::{ClosParams, NetConfig, RttScope};
 use elephant::trace::{generate, LoadProfile, Locality, SizeDist, WorkloadConfig};
@@ -156,8 +156,18 @@ fn adaptive_and_fixed_epochs_compute_identical_simulations() {
     let horizon = SimTime::from_millis(24);
 
     let run = |mode: EpochMode| -> PdesRun {
-        run_pdes_full(params, &flows, horizon, 4, 2, 64, mode, None, None)
-            .unwrap_or_else(|e| panic!("PDES run failed: {e}"))
+        let fidelity = Fidelity::Full { capture: None };
+        let mut plan = RunPlan::new(params, NetConfig::default(), &flows, horizon, fidelity);
+        plan.exec = Exec::Pdes(PdesExec {
+            partitions: 4,
+            machines: 2,
+            envelope_bytes: 64,
+            mode,
+            faults: None,
+        });
+        execute(plan)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .into_pdes_run()
     };
     let adaptive = run(EpochMode::Adaptive);
     let fixed = run(EpochMode::Fixed);

@@ -350,6 +350,7 @@ fn sequential_checkpoint_resume_is_bit_identical() {
 /// checkpoints capture everything the dynamics depend on.
 #[test]
 fn scripted_stall_recovers_to_the_healthy_fingerprint() {
+    use elephant::core::Observe;
     use elephant::des::EpochMode;
     use elephant::scenario::{compile, load, run_fingerprint, CompileOverrides};
 
@@ -366,19 +367,22 @@ fn scripted_stall_recovers_to_the_healthy_fingerprint() {
     let (healthy, _) = compiled.run_sequential(None);
     let want = run_fingerprint([&healthy]);
 
-    let run = compiled
-        .run_pdes_supervised(None, EpochMode::Adaptive, &policy)
-        .expect("supervised run must survive the scripted stall");
+    let supervised = || {
+        let exec = compiled.pdes(None, EpochMode::Adaptive);
+        compiled.run(None, exec, Some(&policy), Observe::default())
+    };
+    let run = supervised().expect("supervised run must survive the scripted stall");
+    let log = run.recovery.as_ref().expect("supervised runs carry a log");
     assert!(
-        run.log.restores >= 2,
+        log.restores >= 2,
         "watchdog restores expected, log: {}",
-        run.log.summary()
+        log.summary()
     );
     assert_eq!(
-        run.log.degradations,
+        log.degradations,
         2,
         "stall re-arms until the ladder reaches sequential, log: {}",
-        run.log.summary()
+        log.summary()
     );
     assert_eq!(
         run_fingerprint(run.nets.iter()),
@@ -388,11 +392,9 @@ fn scripted_stall_recovers_to_the_healthy_fingerprint() {
 
     // Ladder determinism, end to end: an identical failure sequence
     // produces the identical transition log.
-    let again = compiled
-        .run_pdes_supervised(None, EpochMode::Adaptive, &policy)
-        .expect("supervised run is repeatable");
+    let again = supervised().expect("supervised run is repeatable");
     assert_eq!(
-        run.log, again.log,
+        run.recovery, again.recovery,
         "recovery transitions must be deterministic"
     );
 }
@@ -401,6 +403,7 @@ fn scripted_stall_recovers_to_the_healthy_fingerprint() {
 /// its checkpoints and still lands on the unsupervised fingerprint.
 #[test]
 fn supervised_pdes_without_faults_matches_unsupervised_fingerprint() {
+    use elephant::core::Observe;
     use elephant::des::EpochMode;
     use elephant::scenario::{compile, load, run_fingerprint, CompileOverrides};
 
@@ -414,13 +417,15 @@ fn supervised_pdes_without_faults_matches_unsupervised_fingerprint() {
     let clean = compiled
         .run_pdes(None, EpochMode::Adaptive, None)
         .expect("unsupervised run completes");
+    let exec = compiled.pdes(None, EpochMode::Adaptive);
     let run = compiled
-        .run_pdes_supervised(None, EpochMode::Adaptive, &policy)
+        .run(None, exec, Some(&policy), Observe::default())
         .expect("supervised run completes");
 
-    assert_eq!(run.log.restores, 0, "no faults, no restores");
-    assert_eq!(run.log.degradations, 0, "no faults, no degradations");
-    assert!(run.log.checkpoints_taken >= 2, "checkpoints were taken");
+    let log = run.recovery.as_ref().expect("supervised runs carry a log");
+    assert_eq!(log.restores, 0, "no faults, no restores");
+    assert_eq!(log.degradations, 0, "no faults, no degradations");
+    assert!(log.checkpoints_taken >= 2, "checkpoints were taken");
     assert_eq!(
         run_fingerprint(run.nets.iter()),
         run_fingerprint(clean.nets.iter()),

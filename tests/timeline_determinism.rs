@@ -4,9 +4,11 @@
 //! chunks instead of scheduling FEL events, and trace/timeline recording
 //! only reads state — so an observed run is bit-identical to a blind one.
 
-use elephant::core::{run_ground_truth_observed, run_hybrid_observed};
+use elephant::core::{execute, single_oracle, Fidelity, Observe, RunMeta, RunPlan};
 use elephant::des::{SimDuration, SimTime};
-use elephant::net::{ClosParams, IdealOracle, NetConfig, NetSampler, Network, RttScope, TraceLog};
+use elephant::net::{
+    ClosParams, FlowSpec, IdealOracle, NetConfig, NetSampler, Network, RttScope, TraceLog,
+};
 use elephant::trace::{filter_touching_cluster, generate, WorkloadConfig};
 
 const HORIZON: SimTime = SimTime::from_millis(15);
@@ -54,27 +56,41 @@ fn cfg() -> NetConfig {
     }
 }
 
+/// Two clusters, sequential, full fidelity or (`hybrid`) cluster 0 behind
+/// an ideal oracle, under `observe`.
+fn run(flows: &[FlowSpec], hybrid: bool, observe: Observe<'_>) -> (Network, RunMeta) {
+    let fidelity = match hybrid {
+        false => Fidelity::Full { capture: None },
+        true => Fidelity::Hybrid {
+            full_cluster: 0,
+            oracles: &mut single_oracle(Box::new(IdealOracle)),
+        },
+    };
+    let params = ClosParams::paper_cluster(2);
+    let mut plan = RunPlan::new(params, cfg(), flows, HORIZON, fidelity);
+    plan.observe = observe;
+    execute(plan)
+        .expect("unsupervised sequential runs cannot fail")
+        .into_single()
+}
+
 #[test]
 fn ground_truth_fingerprint_survives_full_observability() {
     let params = ClosParams::paper_cluster(2);
     let flows = generate(&params, &WorkloadConfig::paper_default(HORIZON, 21));
 
-    let (net, meta) = run_ground_truth_observed(params, cfg(), None, &flows, HORIZON, None, None);
+    let (net, meta) = run(&flows, false, Observe::default());
     let blind = fingerprint(&net, meta.events);
 
     // Timeline on, strided trace installed, 50µs sampler chunking the run.
     elephant::obs::timeline().reset();
     elephant::obs::set_timeline_enabled(true);
     let mut sampler = NetSampler::new(SimDuration::from_micros(50), &flows);
-    let (net, meta) = run_ground_truth_observed(
-        params,
-        cfg(),
-        None,
-        &flows,
-        HORIZON,
-        Some(TraceLog::strided(20_000, 500_000)),
-        Some(&mut sampler),
-    );
+    let observe = Observe {
+        trace: Some(TraceLog::strided(20_000, 500_000)),
+        sampler: Some(&mut sampler),
+    };
+    let (net, meta) = run(&flows, false, observe);
     elephant::net::export_flow_timeline(&net, 32);
     elephant::obs::set_timeline_enabled(false);
     let recorded = elephant::obs::timeline().len();
@@ -94,29 +110,15 @@ fn hybrid_fingerprint_survives_full_observability() {
         0,
     );
 
-    let (net, meta) = run_hybrid_observed(
-        params,
-        0,
-        Box::new(IdealOracle),
-        cfg(),
-        &flows,
-        HORIZON,
-        None,
-        None,
-    );
+    let (net, meta) = run(&flows, true, Observe::default());
     let blind = fingerprint(&net, meta.events);
 
     let mut sampler = NetSampler::new(SimDuration::from_micros(75), &flows);
-    let (net, meta) = run_hybrid_observed(
-        params,
-        0,
-        Box::new(IdealOracle),
-        cfg(),
-        &flows,
-        HORIZON,
-        Some(TraceLog::strided(20_000, 500_000)),
-        Some(&mut sampler),
-    );
+    let observe = Observe {
+        trace: Some(TraceLog::strided(20_000, 500_000)),
+        sampler: Some(&mut sampler),
+    };
+    let (net, meta) = run(&flows, true, observe);
     let observed = fingerprint(&net, meta.events);
 
     assert!(net.stats.oracle_deliveries > 0, "oracle exercised");
