@@ -144,11 +144,17 @@ fn probability(v: f64, line: u32, what: &str) -> Result<f64, ScenarioError> {
     }
 }
 
-/// Decodes and validates a scenario document.
+/// Parses, decodes and validates a scenario document.
 pub fn from_toml_str(src: &str) -> Result<Scenario, ScenarioError> {
-    let root = toml::parse(src).map_err(|e| err(e.line, e.msg))?;
+    from_table(&toml::parse(src).map_err(|e| err(e.line, e.msg))?)
+}
+
+/// Decodes and validates a parsed scenario document — the one validator:
+/// the CLI applies its flags to `root` with [`Table::set`] first, so a
+/// value is judged by the same rules whether a file or a flag spelled it.
+pub fn from_table(root: &Table) -> Result<Scenario, ScenarioError> {
     reject_unknown(
-        &root,
+        root,
         "scenario file",
         &[
             "schema", "scenario", "topology", "run", "traffic", "regime", "faults", "guard",
@@ -156,7 +162,7 @@ pub fn from_toml_str(src: &str) -> Result<Scenario, ScenarioError> {
         ],
     )?;
 
-    let schema = req(&root, "schema", "scenario file")?;
+    let schema = req(root, "schema", "scenario file")?;
     let version = int_of(schema, "schema")?;
     if version != SCHEMA_VERSION {
         return Err(err(
@@ -167,14 +173,14 @@ pub fn from_toml_str(src: &str) -> Result<Scenario, ScenarioError> {
         ));
     }
 
-    let (name, description) = decode_scenario_header(&root)?;
+    let (name, description) = decode_scenario_header(root)?;
     let topology = decode_topology(table_of(
-        req(&root, "topology", "scenario file")?,
+        req(root, "topology", "scenario file")?,
         "topology",
     )?)?;
-    let run = decode_run(table_of(req(&root, "run", "scenario file")?, "run")?)?;
+    let run = decode_run(table_of(req(root, "run", "scenario file")?, "run")?)?;
 
-    let traffic_items = array_of(req(&root, "traffic", "scenario file")?, "traffic")?;
+    let traffic_items = array_of(req(root, "traffic", "scenario file")?, "traffic")?;
     if traffic_items.is_empty() {
         return Err(err(root.line, "scenario declares no [[traffic]] groups"));
     }
@@ -383,7 +389,7 @@ fn decode_topology(t: &Table) -> Result<TopologySpec, ScenarioError> {
     }
     if spec.pdes.partitions > racks {
         return Err(err(
-            t.line,
+            t.at("pdes.partitions").map_or(t.line, |s| s.line),
             format!(
                 "topology.pdes.partitions: {} partitions but the topology only has {racks} racks",
                 spec.pdes.partitions
@@ -424,7 +430,7 @@ fn decode_pdes(t: &Table) -> Result<PdesSpec, ScenarioError> {
     }
     if spec.machines > spec.partitions {
         return Err(err(
-            t.line,
+            t.get("machines").map_or(t.line, |s| s.line),
             format!(
                 "topology.pdes: {} machines cannot host {} partitions",
                 spec.machines, spec.partitions

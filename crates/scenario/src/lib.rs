@@ -11,6 +11,8 @@
 //! ```text
 //! scenarios/incast.toml
 //!   └─ toml::parse        line-tracked TOML tree
+//!       └─ Table::set     (the CLI only: each flag value is written into
+//!       │                 the tree, so the decoder judges it like the file's)
 //!       └─ decode         validated [`Scenario`] (typed errors w/ lines)
 //!           └─ compile    [`Compiled`]: ClosParams + flows + FaultPlan
 //!               └─ Compiled::run ─► elephant_core::execute

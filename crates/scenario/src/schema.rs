@@ -804,13 +804,10 @@ impl Scenario {
         }
 
         let o = &self.oracle;
-        let defaults = OracleSpec::default();
-        if *o != defaults {
-            out.push_str("\n[oracle]\n");
-            out.push_str(&format!("cache = {}\n", o.cache));
-            out.push_str(&format!("cache_cap = {}\n", o.cache_cap));
-            out.push_str(&format!("full_cluster = {}\n", o.full_cluster));
-        }
+        out.push_str("\n[oracle]\n");
+        out.push_str(&format!("cache = {}\n", o.cache));
+        out.push_str(&format!("cache_cap = {}\n", o.cache_cap));
+        out.push_str(&format!("full_cluster = {}\n", o.full_cluster));
 
         if let Some(us) = self.outputs.sample_every_us {
             out.push_str("\n[outputs]\n");

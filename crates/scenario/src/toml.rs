@@ -80,16 +80,54 @@ impl Table {
         self.get(key).is_some()
     }
 
-    /// All keys, in source order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(k, _)| k.as_str())
-    }
-
     fn get_mut(&mut self, key: &str) -> Option<&mut Spanned> {
         self.entries
             .iter_mut()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
+    }
+
+    /// The entry at the dotted key `path` (`run.seed`, `traffic.load`); a
+    /// segment naming an array of tables means its most recent element.
+    pub fn at(&self, path: &str) -> Option<&Spanned> {
+        let mut segments = path.split('.');
+        let mut entry = self.get(segments.next()?)?;
+        for seg in segments {
+            let table = match &entry.value {
+                TomlValue::Array(items) => &items.last()?.value,
+                other => other,
+            };
+            let TomlValue::Table(table) = table else {
+                return None;
+            };
+            entry = table.get(seg)?;
+        }
+        Some(entry)
+    }
+
+    /// Edits the document before it is decoded: parses `text` as one TOML
+    /// value and stores it at the dotted key `path`, replacing what the
+    /// source said there and creating missing tables on the way (a segment
+    /// naming an array of tables means its most recent element, so
+    /// `traffic.load` is the last `[[traffic]]` group's `load`). The value
+    /// and any table it creates carry `line`, so a decoder rejection of
+    /// the edit names it rather than a line of the file.
+    pub fn set(&mut self, path: &str, text: &str, line: u32) -> Result<(), TomlError> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            line,
+        };
+        let value = p.value()?;
+        p.require_line_end()?;
+        let path: Vec<String> = path.split('.').map(str::to_string).collect();
+        let (key, prefix) = path.split_last().expect("split yields a segment");
+        let table = navigate(self, prefix, line)?;
+        match table.get_mut(key) {
+            Some(slot) => *slot = value,
+            None => table.entries.push((key.clone(), value)),
+        }
+        Ok(())
     }
 }
 
@@ -704,6 +742,35 @@ mix = [
 
         let e = parse("a = 0xff\n").unwrap_err();
         assert!(e.msg.contains("hex"), "{e}");
+    }
+
+    #[test]
+    fn set_replaces_creates_and_rejects() {
+        let mut doc = parse("[run]\nseed = 1\n[[traffic]]\nload = 0.1\n[[traffic]]\nload = 0.2\n")
+            .expect("parses");
+        doc.set("run.seed", "7", 90).expect("replaces");
+        doc.set("topology.pdes.partitions", "4", 91)
+            .expect("creates");
+        doc.set("traffic.load", "0.5", 92).expect("last group");
+        assert_eq!(doc.at("run.seed").unwrap().value, TomlValue::Int(7));
+        assert_eq!(doc.at("run.seed").unwrap().line, 90);
+        let made = doc.at("topology.pdes.partitions").unwrap();
+        assert_eq!((&made.value, made.line), (&TomlValue::Int(4), 91));
+        assert_eq!(doc.get("topology").unwrap().line, 91, "created tables");
+        assert_eq!(doc.at("traffic.load").unwrap().value, TomlValue::Float(0.5));
+        match get(&doc, "traffic") {
+            TomlValue::Array(a) => match &a[0].value {
+                TomlValue::Table(first) => assert_eq!(get(first, "load"), &TomlValue::Float(0.1)),
+                other => panic!("group is {other:?}"),
+            },
+            other => panic!("traffic is {other:?}"),
+        }
+        assert!(doc.at("run.nope").is_none() && doc.at("nope.seed").is_none());
+
+        let e = doc.set("run.seed", "seven", 93).unwrap_err();
+        assert_eq!(e.line, 93);
+        assert!(doc.set("run.seed", "1 2", 94).is_err(), "trailing garbage");
+        assert!(doc.set("run.seed.x", "1", 95).is_err(), "scalar on the way");
     }
 
     #[test]

@@ -13,162 +13,174 @@
 //! elephant compare A.json B.json                         # diff two run ledgers
 //! ```
 //!
-//! Every simulation — `run`, `hybrid`, `run-scenario`, `audit` — becomes
-//! one [`Request`] around a compiled scenario (the hand flags lower to an
-//! in-memory one), goes through one [`dispatch`] onto
-//! `Compiled::run`, and ends in one [`finish`]. Every command prints a
-//! summary and is a pure function of its seed.
+//! Every simulation is one pipeline: **scenario document → flag edits →
+//! decode → compile → [`dispatch`] → [`finish`]**. `run-scenario` and
+//! `audit` start from a file; `run`, `hybrid`, `train` and `compare
+//! --model` start from the built-in [`TEMPLATE`]. A flag is one row of
+//! [`FLAGS`] — name, help, the commands that accept it, and where its
+//! value lands: a key of the scenario document (written before the
+//! decoder runs, so the decoder is the one validator of flag and file
+//! values alike) or a field of the [`Request`]. `--help` and the parser
+//! are both read off that table. Every command prints a summary and is a
+//! pure function of its seed.
 
 use std::process::exit;
 
 use elephant::core::{
     capture_records, compare_cdfs, compare_ledgers, guard_primary, oracle_stack, run_audit,
     run_ground_truth, run_hybrid, train_cluster_model, AuditHooks, CacheStats, CacheStatsHandle,
-    ClusterModel, ElephantError, Exec, Observe, OracleStack, Outcome, RecoveryPolicy, RunLedger,
-    RunMeta, TrainingOptions, LEDGER_SCHEMA_VERSION,
+    ClusterModel, ElephantError, Exec, Observe, OracleStack, Outcome, RunLedger, RunMeta,
+    TrainingOptions, LEDGER_SCHEMA_VERSION,
 };
-use elephant::des::{EpochMode, FaultCounts, FaultPlan, SimDuration, SimTime};
+use elephant::des::{EpochMode, FaultCounts, FaultPlan, SimDuration};
 use elephant::net::{
-    ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardConfig, GuardStatsHandle, NetConfig,
-    NetSampler, Network, OracleFaultMode, RttScope, TcpConfig, TraceLog, MAX_FLOW_TRACKS,
-    SAMPLE_CSV_HEADER,
+    ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig, NetSampler,
+    Network, OracleFaultMode, RttScope, TraceLog, MAX_FLOW_TRACKS, SAMPLE_CSV_HEADER,
 };
 use elephant::nn::RnnKind;
 use elephant::obs::{RunReport, TimelineWriter, TraceRecord, PID_FLOWS};
+use elephant::scenario::toml::{self, TomlValue};
 use elephant::scenario::{
-    compile, list_scenarios, load, run_fingerprint, CompileOverrides, Compiled, HybridSpec,
+    compile, decode, list_scenarios, load, run_fingerprint, CompileOverrides, Compiled, HybridSpec,
+    Scenario,
 };
-use elephant::trace::{generate, write_csv, WorkloadConfig};
+use elephant::trace::write_csv;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "run-scenario" => cmd_scenario(rest, false),
-        "audit" => cmd_scenario(rest, true),
+    let Some((first, rest)) = args.split_first() else {
+        eprint!("{}", overview());
+        exit(2)
+    };
+    let cmd = match COMMANDS.iter().map(|c| c.0).find(|c| c.name() == first) {
         // `compare A.json B.json` diffs two run-ledger artifacts; the
-        // accuracy table always leads with --model.
-        "compare" if rest.first().is_some_and(|a| !a.starts_with('-')) => cmd_compare_ledgers(rest),
-        "run" => dispatch(Opts::parse(rest).lower(false)),
-        "hybrid" => dispatch(Opts::parse(rest).lower(true)),
-        "train" => cmd_train(&Opts::parse(rest)),
-        "compare" => cmd_compare(&Opts::parse(rest)),
-        "--help" | "-h" | "help" => usage(),
-        other => {
-            eprintln!("unknown command: {other}\n");
-            usage()
+        // accuracy table always leads with a flag.
+        Some(Cmd::Compare) if rest.first().is_some_and(|a| !a.starts_with('-')) => Cmd::Ledgers,
+        Some(cmd) => cmd,
+        None if matches!(first.as_str(), HELP | "-h" | "help") => {
+            let sections: Vec<String> = COMMANDS.iter().map(|c| section(c.0)).collect();
+            print!("{}\n{}", overview(), sections.join("\n"));
+            return;
         }
+        None => {
+            eprint!("unknown command: {first}\n\n{}", overview());
+            exit(2)
+        }
+    };
+    let req = Request::parse(cmd, rest);
+    if cmd == Cmd::Ledgers {
+        return diff_ledgers(&req);
+    }
+    if let Some(dir) = &req.list_dir {
+        return list(dir);
+    }
+    let scenario = req.scenario();
+    match cmd {
+        Cmd::Train => train(&req, &scenario),
+        Cmd::Compare => compare(&req, &scenario),
+        _ if req.validate => validated(&req, &compile(&scenario, &req.over)),
+        _ => dispatch(&req, &compile(&scenario, &req.over)),
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "elephant — fast network simulation through approximation\n\
-         \n\
-         USAGE: elephant <command> [options]\n\
-         \n\
-         COMMANDS\n\
-         run      full-fidelity packet simulation; prints summary statistics\n\
-         train    ground-truth capture + model training; writes a model JSON\n\
-         hybrid   hybrid simulation with a trained model serving stub fabrics\n\
-         compare  run truth and hybrid side by side; print the accuracy table\n\
-         compare A.json B.json  diff two run-ledger artifacts; exit 8 on drift\n\
-         run-scenario FILE  run a declarative TOML scenario (see scenarios/)\n\
-         audit FILE         = run-scenario FILE --audit: paired truth+hybrid\n\
-         \u{20}                  run; print the divergence table and gate on the\n\
-         \u{20}                  scenario's [audit] bounds\n\
-         \n\
-         AUDIT (see DESIGN.md \"Accuracy observatory\")\n\
-         --model PATH      trained model for the hybrid side (default: the\n\
-         \u{20}                scenario's [model] path, else capture and\n\
-         \u{20}                quick-train a small one first)\n\
-         --seed N          override the scenario's run.seed\n\
-         --horizon-ms N    override the scenario's run.horizon_ms\n\
-         --sample-every T  macro-regime timeline granularity in us (200)\n\
-         --ledger-out P    write the hybrid-side run ledger (with divergence\n\
-         \u{20}                block) to P and the truth-side ledger to\n\
-         \u{20}                P-minus-.json + .truth.json (run-scenario --audit\n\
-         \u{20}                spells it --metrics-out)\n\
-         --oracle-cache / --oracle-cache-cap N / --no-guard  override the\n\
-         \u{20}                scenario's [oracle]/[guard] settings\n\
-         \n\
-         COMPARE LEDGERS\n\
-         --tolerance F     relative drift tolerance for events/scalars (0.05)\n\
-         \n\
-         RUN-SCENARIO (see DESIGN.md \"Scenario subsystem\")\n\
-         --validate        load, validate, and compile only; print a summary\n\
-         --list-scenarios [DIR]  list scenario files under DIR (scenarios)\n\
-         --seed N          override the scenario's run.seed\n\
-         --horizon-ms N    override the scenario's run.horizon_ms\n\
-         --repeat N        override every traffic group's repeat count\n\
-         --model PATH      model artifact for hybrid runs; overrides the\n\
-         \u{20}                scenario's [model] path (a [model] section alone\n\
-         \u{20}                also routes the run through the hybrid drivers)\n\
-         --audit           paired truth+hybrid run gated on the scenario's\n\
-         \u{20}                [audit] bounds; exit 8 on divergence\n\
-         --pdes            run under PDES with the scenario's [topology.pdes]\n\
-         --partitions N    override the partition count (implies --pdes)\n\
-         --checkpoint-every-ms F  checkpoint interval; enables supervision and\n\
-         \u{20}                overrides the scenario's [recovery] interval\n\
-         --max-retries N   restores per degradation-ladder rung; enables\n\
-         \u{20}                supervision and overrides [recovery] (2)\n\
-         --profile         print the metrics report (recovery/*, fault/*)\n\
-         --metrics-out P   write a schema-v1 run-ledger JSON to P\n\
-         \n\
-         OPTIONS (defaults in parentheses)\n\
-         --clusters N      cluster count (4; train always uses 2)\n\
-         --horizon-ms N    simulated horizon (50)\n\
-         --load F          per-host offered load fraction (0.3)\n\
-         --seed N          experiment seed (42)\n\
-         --dctcp           DCTCP + ECN-marking switches instead of New Reno\n\
-         --model PATH      model file (hybrid/compare input, train output via --out)\n\
-         --out PATH        where train writes the model (model.json)\n\
-         --full-cluster N  the cluster kept at packet fidelity (0)\n\
-         --hidden N        LSTM width for train (32)\n\
-         --layers N        LSTM depth for train (2)\n\
-         --epochs N        training epochs (8)\n\
-         --gru             GRU trunk instead of LSTM\n\
-         --trace N         retain the first N raw events and print a sample\n\
-         --profile         collect metrics + span timings; print the report\n\
-         --metrics-out P   write a schema-v1 run-ledger JSON to P (implies\n\
-         \u{20}                collection; `elephant compare` diffs two of them)\n\
-         \n\
-         TIMELINES (run/hybrid; see DESIGN.md \"Observability\")\n\
-         --trace-out P     write a Chrome-trace JSON timeline to P (open in\n\
-         \u{20}                https://ui.perfetto.dev): per-flow spans, drop and\n\
-         \u{20}                oracle-verdict instants, sampler counter tracks, and\n\
-         \u{20}                per-partition compute/barrier slices under --pdes\n\
-         --sample-every T  sample queue depths, offered/realized load, macro\n\
-         \u{20}                state, and oracle drop rate every T us of sim time;\n\
-         \u{20}                writes <trace-out>.samples.csv (or samples.csv)\n\
-         --pdes N          run under conservative PDES: N rack partitions for\n\
-         \u{20}                `run`, one partition per cluster for `hybrid`\n\
-         --machines M      emulated machines for --pdes marshalling (1)\n\
-         --adaptive-epochs plan PDES epochs from observed event frontiers,\n\
-         \u{20}                jumping idle stretches (default)\n\
-         --fixed-epochs    step PDES epochs by a fixed lookahead increment\n\
-         \u{20}                (escape hatch / A-B baseline for the planner)\n\
-         \n\
-         ORACLE FAST PATH (hybrid/compare; see DESIGN.md \"Oracle fast path\")\n\
-         --oracle-cache         memoize verdicts for quantized feature keys\n\
-         --oracle-cache-cap N   cache capacity in verdicts (65536)\n\
-         \n\
-         GUARDRAILS (hybrid/compare; see DESIGN.md \"Robustness\")\n\
-         --no-guard             run the oracle unguarded (faults panic the run)\n\
-         --guard-ceiling-ms F   latency ceiling before clamping (100)\n\
-         --guard-trip-limit N   trips before permanent fallback (64)\n\
-         --guard-tolerance F    drop-rate drift band around training rate (0.10)\n\
-         --fault-oracle MODE    fault drill: replace the oracle with one that\n\
-         \u{20}                      emits nan|negative|huge latencies\n\
-         --fault-every N        poison one verdict in N during the drill (97)\n\
-         \n\
-         EXIT CODES\n\
-         0 success | 1 generic failure | 2 usage | 3 I/O error\n\
-         4 invalid model artifact | 5 simulation/pipeline fault\n\
-         6 scenario schema/validation error | 7 recovery ladder exhausted\n\
-         8 audit/compare divergence outside bounds"
+/// The subcommands, in help order; `as usize` indexes [`COMMANDS`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum Cmd {
+    #[default]
+    Run,
+    Train,
+    Hybrid,
+    Compare,
+    /// `compare A.json B.json`.
+    Ledgers,
+    Scenario,
+    Audit,
+}
+
+/// Each command's name, positional arguments, and what it does.
+#[rustfmt::skip]
+const COMMANDS: [(Cmd, &str, &str, &str); 7] = [
+    (Cmd::Run, "run", "", "full-fidelity packet simulation; prints summary statistics"),
+    (Cmd::Train, "train", "", "two-cluster ground-truth capture + model training; writes a model JSON"),
+    (Cmd::Hybrid, "hybrid", "", "hybrid simulation: one cluster at packet fidelity, a trained model serving the rest"),
+    (Cmd::Compare, "compare", "", "run truth and hybrid side by side; print a model's accuracy table"),
+    (Cmd::Ledgers, "compare", "A.json B.json ", "diff two run-ledger artifacts; exit 8 on drift"),
+    (Cmd::Scenario, "run-scenario", "FILE ", "run a declarative TOML scenario (see scenarios/ and DESIGN.md \"Scenario subsystem\")"),
+    (Cmd::Audit, "audit", "FILE ", "run-scenario FILE as an audit: paired truth+hybrid run, divergence table, gate on [audit] bounds"),
+];
+
+impl Cmd {
+    /// This command's bit in [`Flag::cmds`].
+    const fn bit(self) -> u8 {
+        1 << self as u8
+    }
+
+    fn name(self) -> &'static str {
+        COMMANDS[self as usize].1
+    }
+
+    /// `run-scenario` and `audit` start from a scenario file, every other
+    /// simulation from [`TEMPLATE`].
+    fn takes_file(self) -> bool {
+        matches!(self, Cmd::Scenario | Cmd::Audit)
+    }
+}
+
+/// The top of `elephant --help`, and what an unknown command gets.
+fn overview() -> String {
+    let mut out = format!(
+        "elephant — fast network simulation through approximation\n\n\
+         USAGE: elephant <command> [options]\n       \
+         elephant <command> {HELP}    one command's options and defaults\n\nCOMMANDS\n"
     );
+    for (_, name, positional, about) in COMMANDS {
+        out += &format!("  {:<22}{about}\n", format!("{name} {positional}"));
+    }
+    out + "\nEXIT CODES\n  \
+           0 success | 1 generic failure | 2 usage | 3 I/O error\n  \
+           4 invalid model artifact | 5 simulation/pipeline fault\n  \
+           6 scenario schema/validation error | 7 recovery ladder exhausted\n  \
+           8 audit/compare divergence outside bounds\n"
+}
+
+/// One command's help, generated from [`FLAGS`]: the synopsis, then every
+/// flag whose row lists the command, with the default it starts from —
+/// read from the decoded template for a scenario key, from the row for a
+/// request field — or, on a file command, the scenario key it overrides.
+fn section(cmd: Cmd) -> String {
+    let (_, name, positional, about) = COMMANDS[cmd as usize];
+    let mut out = format!("USAGE: elephant {name} {positional}[options]\n  {about}\n\nOPTIONS\n");
+    let defaults = match cmd.takes_file() {
+        true => toml::Table::default(),
+        false => {
+            let mut s = decode::from_table(&builtin(cmd)).expect("the template is valid");
+            s.guard.get_or_insert_with(Default::default);
+            toml::parse(&s.to_toml_string()).expect("emitted scenarios parse")
+        }
+    };
+    for f in FLAGS.iter().filter(|f| f.cmds & cmd.bit() != 0) {
+        let head = format!("{} {}", f.name, f.metavar(cmd));
+        let note = match f.to {
+            To::Field(_, default) if !default.is_empty() => format!(" ({default})"),
+            To::Key(key) if cmd.takes_file() => format!(" (overrides {key})"),
+            To::Switch(key, value) if cmd.takes_file() => format!(" (sets {key} = {value})"),
+            To::Key(key) => defaults.at(key).map_or(String::new(), |v| match &v.value {
+                TomlValue::Int(i) => format!(" ({i})"),
+                TomlValue::Float(x) => format!(" ({x})"),
+                other => format!(" ({other:?})"),
+            }),
+            _ => String::new(),
+        };
+        let help = f.help.replace('\n', &format!("\n{:26}", ""));
+        out += &format!("  {head:<24}{help}{note}\n");
+    }
+    out
+}
+
+/// A usage error: the message and the offending command's help on stderr,
+/// exit 2.
+fn bad_usage(cmd: Cmd, msg: impl std::fmt::Display) -> ! {
+    eprint!("elephant {}: {msg}\n\n{}", cmd.name(), section(cmd));
     exit(2)
 }
 
@@ -178,45 +190,23 @@ fn die(e: ElephantError) -> ! {
     exit(e.exit_code())
 }
 
+fn io_error(path: &str, source: std::io::Error) -> ElephantError {
+    ElephantError::Io {
+        path: path.to_string(),
+        source,
+    }
+}
+
+/// Exits 3 naming the file that could not be read or written.
+fn io_die(path: &str, e: std::io::Error) -> ! {
+    die(io_error(path, e))
+}
+
 /// Exits 3 on a failed output write.
 fn written(path: &str, result: std::io::Result<()>) {
     if let Err(e) = result {
         eprintln!("cannot write {path}: {e}");
         exit(3)
-    }
-}
-
-/// Cursor over one subcommand's arguments. A flag missing its value, or
-/// carrying one that does not parse, is a usage error (exit 2).
-struct Args<'a>(std::iter::Peekable<std::slice::Iter<'a, String>>);
-
-impl<'a> Args<'a> {
-    fn new(args: &'a [String]) -> Self {
-        Args(args.iter().peekable())
-    }
-
-    fn next(&mut self) -> Option<&'a str> {
-        self.0.next().map(String::as_str)
-    }
-
-    fn val(&mut self, flag: &str) -> String {
-        self.next().map(str::to_string).unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            exit(2)
-        })
-    }
-
-    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> T {
-        let s = self.val(flag);
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for {flag}: {s}");
-            exit(2)
-        })
-    }
-
-    /// The next token if it is not a flag (an optional positional value).
-    fn positional(&mut self) -> Option<String> {
-        self.0.next_if(|a| !a.starts_with('-')).cloned()
     }
 }
 
@@ -272,245 +262,322 @@ impl Sinks {
     }
 }
 
-/// The hand flags of `run`, `train`, `hybrid` and `compare`.
-#[derive(Debug)]
-struct Opts {
-    clusters: u16,
-    horizon: SimTime,
-    load: f64,
-    seed: u64,
-    dctcp: bool,
-    model: Option<String>,
-    out: String,
-    full_cluster: u16,
-    hidden: usize,
-    layers: usize,
-    epochs: usize,
-    gru: bool,
-    sample_every: Option<SimDuration>,
-    pdes: Option<usize>,
-    machines: usize,
-    epoch_mode: EpochMode,
-    sinks: Sinks,
-    oracle_cache: bool,
-    oracle_cache_cap: usize,
-    no_guard: bool,
-    guard_ceiling_ms: f64,
-    guard_trip_limit: u64,
-    guard_tolerance: f64,
-    fault_oracle: Option<OracleFaultMode>,
-    fault_every: u64,
+/// The document `run`, `hybrid`, `train` and `compare --model` start
+/// from: the paper's cluster shape under its Poisson web-search mix.
+/// Everything it leaves out is the scenario decoder's default.
+const TEMPLATE: &str = "schema = 1\n\
+    [scenario]\nname = \"flags\"\n\
+    [topology]\nclusters = 4\n\
+    [run]\nhorizon_ms = 50\nseed = 42\n\
+    [[traffic]]\nkind = \"poisson\"\nload = 0.3\n";
+
+/// [`TEMPLATE`] parsed, with what the command fixes about it: `hybrid`
+/// declares a `[model]` (which routes the run onto the hybrid engine and
+/// quick-trains a model when no artifact is given), `train` captures on
+/// two clusters.
+fn builtin(cmd: Cmd) -> toml::Table {
+    let mut doc = toml::parse(TEMPLATE).expect("the template parses");
+    let fixed = match cmd {
+        Cmd::Hybrid => ("model.train_fallback", "true"),
+        Cmd::Train => ("topology.clusters", "2"),
+        _ => return doc,
+    };
+    doc.set(fixed.0, fixed.1, 0)
+        .expect("the fixed value parses");
+    doc
 }
 
-impl Opts {
-    fn parse(args: &[String]) -> Opts {
-        let mut o = Opts {
-            clusters: 4,
-            horizon: SimTime::from_millis(50),
-            load: 0.3,
-            seed: 42,
-            dctcp: false,
-            model: None,
-            out: "model.json".into(),
-            full_cluster: 0,
-            hidden: 32,
-            layers: 2,
-            epochs: 8,
-            gru: false,
-            sample_every: None,
-            pdes: None,
-            machines: 1,
-            epoch_mode: EpochMode::Adaptive,
-            sinks: Sinks::default(),
-            oracle_cache: false,
-            oracle_cache_cap: 65_536,
-            no_guard: false,
-            guard_ceiling_ms: 100.0,
-            guard_trip_limit: 64,
-            guard_tolerance: 0.10,
-            fault_oracle: None,
-            fault_every: 97,
+/// Where a flag's value lands.
+#[derive(Clone, Copy)]
+enum To {
+    /// The scenario key the value is written to before decoding.
+    Key(&'static str),
+    /// A switch that writes a constant to a scenario key.
+    Switch(&'static str, &'static str),
+    /// `--pdes`: selects the PDES engine; where the command has no file
+    /// to read `[topology.pdes]` from it also takes the partition count.
+    Pdes,
+    /// A field of the [`Request`], through a setter that reports whether
+    /// the text parsed, and the text the field starts from (`""`: none).
+    Field(fn(&mut Request, &str) -> bool, &'static str),
+    /// Print the command's [`section`] and exit 0.
+    Help,
+}
+
+/// One command-line flag, declared once: the parser, the accept set of
+/// every command and the help text are all read from its row.
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the help; `""` for a switch, `[X]` for
+    /// an optional value.
+    metavar: &'static str,
+    /// Bit set of the commands that accept the flag ([`Cmd::bit`]).
+    cmds: u8,
+    to: To,
+    help: &'static str,
+}
+
+impl Flag {
+    fn metavar(&self, cmd: Cmd) -> &'static str {
+        match self.to {
+            To::Pdes if cmd.takes_file() => "",
+            _ => self.metavar,
+        }
+    }
+}
+
+fn set<T: std::str::FromStr>(slot: &mut T, text: &str) -> bool {
+    text.parse().map(|v| *slot = v).is_ok()
+}
+
+fn set_some<T: std::str::FromStr>(slot: &mut Option<T>, text: &str) -> bool {
+    text.parse().map(|v| *slot = Some(v)).is_ok()
+}
+
+const RUN: u8 = Cmd::Run.bit();
+const TRAIN: u8 = Cmd::Train.bit();
+const HYBRID: u8 = Cmd::Hybrid.bit();
+const COMPARE: u8 = Cmd::Compare.bit();
+const LEDGERS: u8 = Cmd::Ledgers.bit();
+const SCENARIO: u8 = Cmd::Scenario.bit();
+const AUDIT: u8 = Cmd::Audit.bit();
+/// The commands that start from [`TEMPLATE`], and those that simulate.
+const BUILTIN: u8 = RUN | TRAIN | HYBRID | COMPARE;
+const SIMULATE: u8 = BUILTIN | SCENARIO | AUDIT;
+/// The commands that serve an oracle the guard/cache/fault flags shape.
+const ORACLE: u8 = HYBRID | COMPARE;
+
+const HELP: &str = "--help";
+const LOAD: &str = "traffic.load";
+const PARTITIONS: &str = "topology.pdes.partitions";
+
+use To::{Field, Key, Switch};
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--clusters", metavar: "N", cmds: RUN | ORACLE, to: Key("topology.clusters"), help: "cluster count" },
+    Flag { name: "--horizon-ms", metavar: "F", cmds: SIMULATE, to: Key("run.horizon_ms"), help: "simulated horizon in ms" },
+    Flag { name: "--load", metavar: "F", cmds: BUILTIN, to: Key(LOAD), help: "per-host offered load fraction" },
+    Flag { name: "--seed", metavar: "N", cmds: SIMULATE, to: Key("run.seed"), help: "experiment seed" },
+    Flag { name: "--repeat", metavar: "N", cmds: SCENARIO | AUDIT, to: Field(|r, v| set_some(&mut r.over.repeat, v), ""), help: "override every traffic group's repeat count" },
+    Flag { name: "--dctcp", metavar: "", cmds: BUILTIN, to: Switch("run.dctcp", "true"), help: "DCTCP + ECN-marking switches instead of New Reno" },
+    Flag { name: "--model", metavar: "PATH", cmds: ORACLE | SCENARIO | AUDIT, to: Field(|r, v| set_some(&mut r.model_flag, v), ""), help: "trained model artifact; wins over the scenario's [model] path and alone makes\na scenario run hybrid. compare needs one; the rest capture and train a small\ndefault model when no artifact is bound" },
+    Flag { name: "--out", metavar: "PATH", cmds: TRAIN, to: Field(|r, v| set(&mut r.out, v), "model.json"), help: "where train writes the model" },
+    Flag { name: "--full-cluster", metavar: "N", cmds: ORACLE, to: Key("model.full_cluster"), help: "the cluster kept at packet fidelity" },
+    Flag { name: "--hidden", metavar: "N", cmds: TRAIN, to: Field(|r, v| set(&mut r.train.hidden, v), "32"), help: "RNN width" },
+    Flag { name: "--layers", metavar: "N", cmds: TRAIN, to: Field(|r, v| set(&mut r.train.layers, v), "2"), help: "RNN depth" },
+    Flag { name: "--epochs", metavar: "N", cmds: TRAIN, to: Field(|r, v| set(&mut r.train.epochs, v), "8"), help: "training epochs" },
+    Flag { name: "--gru", metavar: "", cmds: TRAIN, to: Field(|r, _| { r.train.rnn = RnnKind::Gru; true }, ""), help: "GRU trunk instead of LSTM" },
+    Flag { name: "--trace", metavar: "N", cmds: RUN | HYBRID, to: Field(|r, v| set_some(&mut r.sinks.trace, v), ""), help: "retain the first N raw events and print a sample" },
+    Flag { name: "--trace-out", metavar: "P", cmds: RUN | HYBRID, to: Field(|r, v| set_some(&mut r.sinks.trace_out, v), ""), help: "write a Chrome-trace JSON timeline to P (open in https://ui.perfetto.dev):\nper-flow spans, drop and oracle-verdict instants, sampler counter tracks,\nper-partition compute/barrier slices under PDES (DESIGN.md \"Observability\")" },
+    Flag { name: "--sample-every", metavar: "T", cmds: RUN | HYBRID | SCENARIO | AUDIT, to: Key("outputs.sample_every_us"), help: "sample queue depths, offered/realized load, macro state and oracle drop rate\nevery T us of sim time into --samples-out, else <trace-out>.samples.csv, else\nsamples.csv; an audit's regime timeline granularity" },
+    Flag { name: "--samples-out", metavar: "P", cmds: SCENARIO, to: Field(|r, v| set_some(&mut r.sinks.samples_out, v), ""), help: "where the sampler CSV goes" },
+    Flag { name: "--pdes", metavar: "N", cmds: RUN | HYBRID | SCENARIO, to: To::Pdes, help: "run under conservative PDES: N rack partitions for run, one partition per\ncluster for hybrid; run-scenario takes no N and reads [topology.pdes]" },
+    Flag { name: "--partitions", metavar: "N", cmds: SCENARIO, to: Key(PARTITIONS), help: "rack partition count; implies PDES" },
+    Flag { name: "--machines", metavar: "M", cmds: RUN | HYBRID, to: Key("topology.pdes.machines"), help: "emulated machines for PDES marshalling" },
+    Flag { name: "--adaptive-epochs", metavar: "", cmds: RUN | HYBRID | SCENARIO, to: Field(|r, _| { r.epoch_mode = EpochMode::Adaptive; true }, ""), help: "plan PDES epochs from observed event frontiers, jumping idle stretches" },
+    Flag { name: "--fixed-epochs", metavar: "", cmds: RUN | HYBRID | SCENARIO, to: Field(|r, _| { r.epoch_mode = EpochMode::Fixed; true }, ""), help: "step PDES epochs by a fixed lookahead increment instead (the A/B\nbaseline for the adaptive planner)" },
+    Flag { name: "--profile", metavar: "", cmds: SIMULATE & !AUDIT, to: Field(|r, _| { r.sinks.profile = true; true }, ""), help: "collect metrics + span timings; print the report" },
+    Flag { name: "--metrics-out", metavar: "P", cmds: SIMULATE & !AUDIT, to: Field(|r, v| set_some(&mut r.sinks.metrics_out, v), ""), help: "write a schema-v1 run-ledger JSON to P (implies collection);\n`elephant compare A.json B.json` diffs two of them" },
+    Flag { name: "--ledger-out", metavar: "P", cmds: AUDIT, to: Field(|r, v| set_some(&mut r.sinks.metrics_out, v), ""), help: "write the hybrid-side run ledger (with divergence block) to P and the\ntruth-side ledger to P-minus-.json + .truth.json" },
+    Flag { name: "--oracle-cache", metavar: "", cmds: ORACLE | AUDIT, to: Switch("oracle.cache", "true"), help: "memoize verdicts for quantized feature keys (DESIGN.md \"Oracle fast path\")" },
+    Flag { name: "--oracle-cache-cap", metavar: "N", cmds: ORACLE | AUDIT, to: Key("oracle.cache_cap"), help: "cache capacity in verdicts" },
+    Flag { name: "--no-guard", metavar: "", cmds: ORACLE | AUDIT, to: Switch("guard.enabled", "false"), help: "run the oracle unguarded: faults panic the run (DESIGN.md \"Robustness\")" },
+    Flag { name: "--guard-ceiling-ms", metavar: "F", cmds: ORACLE, to: Key("guard.ceiling_ms"), help: "latency ceiling before clamping" },
+    Flag { name: "--guard-trip-limit", metavar: "N", cmds: ORACLE, to: Key("guard.trip_limit"), help: "trips before permanent fallback" },
+    Flag { name: "--guard-tolerance", metavar: "F", cmds: ORACLE, to: Key("guard.tolerance"), help: "drop-rate drift band around the training rate" },
+    Flag { name: "--fault-oracle", metavar: "MODE", cmds: ORACLE, to: Field(|r, v| { r.fault_mode = match v { "nan" => Some(OracleFaultMode::Nan), "negative" => Some(OracleFaultMode::Negative), "huge" => Some(OracleFaultMode::Huge), _ => None }; r.fault_mode.is_some() }, ""), help: "fault drill: replace the oracle with one that emits nan|negative|huge latencies" },
+    Flag { name: "--fault-every", metavar: "N", cmds: ORACLE, to: Field(|r, v| set(&mut r.fault_every, v), "97"), help: "poison one verdict in N during the drill" },
+    Flag { name: "--checkpoint-every-ms", metavar: "F", cmds: SCENARIO, to: Key("recovery.checkpoint_every_ms"), help: "checkpoint interval; declares [recovery]: the run is supervised" },
+    Flag { name: "--max-retries", metavar: "N", cmds: SCENARIO, to: Key("recovery.max_retries"), help: "restores per degradation-ladder rung; declares [recovery] too" },
+    Flag { name: "--audit", metavar: "", cmds: SCENARIO, to: Field(|r, _| { r.audit = true; true }, ""), help: "paired truth+hybrid run gated on the scenario's [audit] bounds; exit 8\non divergence (DESIGN.md \"Accuracy observatory\")" },
+    Flag { name: "--validate", metavar: "", cmds: SCENARIO, to: Field(|r, _| { r.validate = true; true }, ""), help: "load, validate and compile only; print a summary" },
+    Flag { name: "--list-scenarios", metavar: "[DIR]", cmds: SCENARIO, to: Field(|r, v| set_some(&mut r.list_dir, v), "scenarios"), help: "list the scenario files under DIR instead of running one" },
+    Flag { name: "--tolerance", metavar: "F", cmds: LEDGERS, to: Field(|r, v| set(&mut r.tolerance, v), "0.05"), help: "relative drift tolerance for events and scalars" },
+    Flag { name: HELP, metavar: "", cmds: SIMULATE | LEDGERS, to: To::Help, help: "print this and exit" },
+];
+
+/// What the command line asked for, besides the scenario itself: the
+/// edits to apply to the scenario document and the fields [`FLAGS`] rows
+/// set directly.
+#[derive(Default)]
+struct Request {
+    cmd: Cmd,
+    /// Positional arguments: the scenario file, or the two ledgers.
+    files: Vec<String>,
+    /// Scenario-key edits in command-line order: (row of [`FLAGS`], key,
+    /// TOML text of the value).
+    edits: Vec<(usize, &'static str, String)>,
+    /// `--repeat`: the one override that is not a single scenario key.
+    over: CompileOverrides,
+    /// Pair the hybrid against ground truth and gate on `[audit]` bounds.
+    audit: bool,
+    validate: bool,
+    list_dir: Option<String>,
+    /// `--model PATH`; wins over the scenario's `[model] path`.
+    model_flag: Option<String>,
+    /// `--fault-oracle` drill: the mode, and poison one verdict in N.
+    fault_mode: Option<OracleFaultMode>,
+    fault_every: u64,
+    pdes: bool,
+    epoch_mode: EpochMode,
+    train: TrainingOptions,
+    out: String,
+    tolerance: f64,
+    sinks: Sinks,
+}
+
+impl Request {
+    /// Reads `args` against [`FLAGS`]. An unknown flag, one the command
+    /// does not read (a silently ignored knob is a misconfigured
+    /// experiment), a missing or malformed value, or the wrong number of
+    /// files is a usage error (exit 2).
+    fn parse(cmd: Cmd, args: &[String]) -> Request {
+        let mut req = Request {
+            cmd,
+            audit: cmd == Cmd::Audit,
+            ..Default::default()
         };
-        let mut args = Args::new(args);
-        while let Some(a) = args.next() {
-            match a {
-                "--clusters" => o.clusters = args.parsed(a),
-                "--horizon-ms" => o.horizon = SimTime::from_millis(args.parsed(a)),
-                "--load" => o.load = args.parsed(a),
-                "--seed" => o.seed = args.parsed(a),
-                "--dctcp" => o.dctcp = true,
-                "--model" => o.model = Some(args.val(a)),
-                "--out" => o.out = args.val(a),
-                "--full-cluster" => o.full_cluster = args.parsed(a),
-                "--hidden" => o.hidden = args.parsed(a),
-                "--layers" => o.layers = args.parsed(a),
-                "--epochs" => o.epochs = args.parsed(a),
-                "--gru" => o.gru = true,
-                "--trace" => o.sinks.trace = Some(args.parsed(a)),
-                "--trace-out" => o.sinks.trace_out = Some(args.val(a)),
-                "--sample-every" => o.sample_every = Some(SimDuration::from_micros(args.parsed(a))),
-                "--pdes" => o.pdes = Some(args.parsed(a)),
-                "--machines" => o.machines = args.parsed(a),
-                "--adaptive-epochs" => o.epoch_mode = EpochMode::Adaptive,
-                "--fixed-epochs" => o.epoch_mode = EpochMode::Fixed,
-                "--profile" => o.sinks.profile = true,
-                "--metrics-out" => o.sinks.metrics_out = Some(args.val(a)),
-                "--oracle-cache" => o.oracle_cache = true,
-                "--oracle-cache-cap" => o.oracle_cache_cap = args.parsed(a),
-                "--no-guard" => o.no_guard = true,
-                "--guard-ceiling-ms" => o.guard_ceiling_ms = args.parsed(a),
-                "--guard-trip-limit" => o.guard_trip_limit = args.parsed(a),
-                "--guard-tolerance" => o.guard_tolerance = args.parsed(a),
-                "--fault-oracle" => {
-                    o.fault_oracle = Some(match args.val(a).as_str() {
-                        "nan" => OracleFaultMode::Nan,
-                        "negative" => OracleFaultMode::Negative,
-                        "huge" => OracleFaultMode::Huge,
-                        other => {
-                            eprintln!("--fault-oracle must be nan|negative|huge, got {other}\n");
-                            usage()
-                        }
-                    })
-                }
-                "--fault-every" => o.fault_every = args.parsed(a),
-                other => {
-                    eprintln!("unknown option: {other}\n");
-                    usage()
+        for f in FLAGS {
+            if let To::Field(set, default) = f.to {
+                if !default.is_empty() && !f.metavar.starts_with('[') {
+                    assert!(set(&mut req, default), "{} starts from {default}", f.name);
                 }
             }
         }
-        o
-    }
-
-    fn params(&self, clusters: u16) -> ClosParams {
-        let mut p = ClosParams::paper_cluster(clusters);
-        if self.dctcp {
-            p.host_link = p.host_link.with_ecn(30_000);
-            p.fabric_link = p.fabric_link.with_ecn(30_000);
-            p.core_link = p.core_link.with_ecn(30_000);
+        let mut args = args.iter().map(String::as_str).peekable();
+        while let Some(a) = args.next() {
+            if !a.starts_with('-') {
+                req.files.push(a.to_string());
+                continue;
+            }
+            let Some(row) = FLAGS.iter().position(|f| f.name == a) else {
+                bad_usage(cmd, format!("unknown option: {a}"))
+            };
+            let f = &FLAGS[row];
+            if f.cmds & cmd.bit() == 0 {
+                bad_usage(cmd, format!("{a} does not apply to {}", cmd.name()))
+            }
+            let value = match (f.metavar(cmd), f.to) {
+                ("", _) => "",
+                // An optional value is the next token unless it is a flag.
+                (m, To::Field(_, default)) if m.starts_with('[') => {
+                    args.next_if(|v| !v.starts_with('-')).unwrap_or(default)
+                }
+                _ => args
+                    .next()
+                    .unwrap_or_else(|| bad_usage(cmd, format!("{a} needs a value"))),
+            };
+            let mut edit = |key, text: &str| req.edits.push((row, key, text.to_string()));
+            match f.to {
+                To::Help => {
+                    print!("{}", section(cmd));
+                    exit(0)
+                }
+                To::Key(key) => edit(key, value),
+                To::Switch(key, constant) => edit(key, constant),
+                To::Pdes if value.is_empty() => {}
+                To::Pdes => edit(PARTITIONS, value),
+                To::Field(set, _) => {
+                    if !set(&mut req, value) {
+                        bad_usage(cmd, format!("invalid value for {a}: {value}"))
+                    }
+                }
+            }
+            req.pdes |= matches!(f.to, To::Pdes | Key(PARTITIONS));
         }
-        p
+        let wanted = COMMANDS[cmd as usize].2.split_whitespace().count();
+        if req.list_dir.is_none() && req.files.len() != wanted {
+            bad_usage(
+                cmd,
+                format!("takes {wanted} file argument(s), got {}", req.files.len()),
+            )
+        }
+        req
     }
 
-    fn workload(&self, params: &ClosParams, seed: u64) -> Vec<FlowSpec> {
-        workload(params, self.horizon, self.load, seed)
+    /// The scenario file of `run-scenario` / `audit`.
+    fn file(&self) -> Option<&str> {
+        let file = self.files.first().filter(|_| self.cmd.takes_file());
+        file.map(String::as_str)
     }
 
-    /// The oracle-stack settings the guard/cache flags spell, in the
-    /// shape a scenario's `[model]`/`[guard]`/`[oracle]` sections compile
-    /// to. No artifact is bound here (`--model` rides on the request);
-    /// without one the quick-trained default model serves.
-    fn hybrid_spec(&self, declared: bool) -> HybridSpec {
-        HybridSpec {
-            model_path: None,
-            model_line: 0,
-            model_declared: declared,
-            train_fallback: true,
-            full_cluster: self.full_cluster,
-            cache: self.oracle_cache,
-            cache_cap: self.oracle_cache_cap,
-            guard: (!self.no_guard).then(|| GuardConfig {
-                latency_ceiling: SimDuration::from_secs_f64(self.guard_ceiling_ms / 1e3),
-                drop_rate_tolerance: self.guard_tolerance,
-                trip_limit: self.guard_trip_limit,
-                ..Default::default()
+    fn edits_of(&self, key: &'static str) -> impl Iterator<Item = &str> {
+        let of_key = self.edits.iter().filter(move |e| e.1 == key);
+        of_key.map(|e| e.2.as_str())
+    }
+
+    /// The run's scenario: the command's document — its file, or the
+    /// built-in template — with every flag edit written into it, through
+    /// the one decoder. A missing file exits 3.
+    fn scenario(&self) -> Scenario {
+        let mut doc = match self.file() {
+            None => builtin(self.cmd),
+            Some(path) => {
+                let src = std::fs::read_to_string(path).unwrap_or_else(|e| io_die(path, e));
+                toml::parse(&src).unwrap_or_else(|e| self.reject(e.line, e.msg))
+            }
+        };
+        for (row, key, text) in &self.edits {
+            // The row rides on the value as its "line", so a decoder
+            // rejection can name the flag (see `reject`).
+            doc.set(key, text, u32::MAX - *row as u32)
+                .unwrap_or_else(|e| self.reject(e.line, e.msg));
+        }
+        decode::from_table(&doc).unwrap_or_else(|e| self.reject(e.line, e.detail))
+    }
+
+    /// A scenario rejection. A value that arrived by flag (its `line` is
+    /// a row of [`FLAGS`], or the command has no file at all) is a usage
+    /// error naming the flag, exit 2; anything else names the file's
+    /// `path:line`, exit 6.
+    fn reject(&self, line: u32, detail: String) -> ! {
+        match (FLAGS.get((u32::MAX - line) as usize), self.file()) {
+            (Some(f), _) => bad_usage(self.cmd, format!("{}: {detail}", f.name)),
+            (None, None) => bad_usage(self.cmd, detail),
+            (None, Some(path)) => die(ElephantError::Scenario {
+                path: path.to_string(),
+                line,
+                detail,
             }),
         }
     }
 
-    fn fault(&self) -> Option<(OracleFaultMode, u64)> {
-        self.fault_oracle.map(|mode| (mode, self.fault_every))
-    }
-
-    /// Lowers `run` (`hybrid = false`) or `hybrid` flags to the in-memory
-    /// compiled scenario they describe, applying the scenario decoder's
-    /// range rules to the hybrid selection.
-    fn lower(self, hybrid: bool) -> Request {
-        if hybrid && self.clusters < 2 {
-            eprintln!(
-                "hybrid needs --clusters >= 2 (the oracle approximates every cluster \
-                 but the full-fidelity one)\n"
-            );
-            usage()
-        }
-        if hybrid && self.full_cluster >= self.clusters {
-            eprintln!(
-                "--full-cluster: cluster {} out of range (--clusters = {})\n",
-                self.full_cluster, self.clusters
-            );
-            usage()
-        }
-        let params = self.params(self.clusters);
-        let title = if hybrid { "hybrid" } else { "full-fidelity" };
-        let compiled = Compiled {
-            name: title.to_string(),
-            params,
-            flows: self.workload(&params, self.seed),
-            horizon: self.horizon,
-            seed: self.seed,
-            dctcp: self.dctcp,
-            partitions: self.pdes.unwrap_or(1),
-            machines: self.machines,
-            envelope_bytes: 64,
-            faults: None,
-            recovery: None,
-            sample_every: self.sample_every,
-            audit_bounds: None,
-            hybrid: self.hybrid_spec(hybrid),
-        };
-        Request {
-            command: if hybrid { "hybrid" } else { "run" },
-            title: format!("{title} run"),
-            origin: title.to_string(),
-            compiled,
-            hybrid,
-            audit: false,
-            model_flag: self.model.clone(),
-            train_load: self.load,
-            fault: self.fault(),
-            pdes: self.pdes.is_some(),
-            partitions_flag: false,
-            epoch_mode: self.epoch_mode,
-            sinks: self.sinks,
-        }
-    }
-}
-
-/// One simulation to run, however it was spelled: `run`/`hybrid` flags
-/// or a scenario file with its overrides already applied to `compiled`.
-struct Request {
-    /// Subcommand, naming the run report.
-    command: &'static str,
     /// What the header and the ledger call the run.
-    title: String,
-    /// The scenario file (for `file:line` model diagnostics).
-    origin: String,
-    compiled: Compiled,
-    /// Route through the hybrid engine: the scenario's full cluster at
-    /// packet fidelity, the learned oracle serving every other fabric.
-    hybrid: bool,
-    /// Pair the hybrid against ground truth and gate on `[audit]` bounds.
-    audit: bool,
-    /// `--model PATH`; wins over the scenario's `[model] path`.
-    model_flag: Option<String>,
-    /// Offered load of the quick default model's training capture.
-    train_load: f64,
-    /// `--fault-oracle` drill: (mode, poison one verdict in N).
-    fault: Option<(OracleFaultMode, u64)>,
-    pdes: bool,
-    /// `--partitions` was given (hybrid PDES ignores it, with a note).
-    partitions_flag: bool,
-    epoch_mode: EpochMode,
-    sinks: Sinks,
+    fn title(&self, c: &Compiled) -> String {
+        match (self.file(), self.cmd) {
+            (Some(path), _) => format!("scenario `{}` ({path})", c.name),
+            (None, Cmd::Hybrid) => "hybrid run".to_string(),
+            (None, _) => "full-fidelity run".to_string(),
+        }
+    }
+
+    /// Whether the run goes through the hybrid engine: a `[model]`
+    /// section (which `hybrid` always declares), `--model`, or an audit.
+    fn hybrid(&self, c: &Compiled) -> bool {
+        self.audit || self.model_flag.is_some() || c.hybrid.model_declared
+    }
+
+    fn fault(&self) -> Option<(OracleFaultMode, u64)> {
+        self.fault_mode.map(|mode| (mode, self.fault_every))
+    }
 }
 
-/// Runs `req` on the engine it selects and reports through [`finish`].
-fn dispatch(req: Request) {
-    let c = &req.compiled;
+/// Runs `c` on the engine `req` selects and reports through [`finish`].
+fn dispatch(req: &Request, c: &Compiled) {
+    let hybrid = req.hybrid(c);
+    if hybrid && c.params.clusters < 2 {
+        req.reject(
+            c.hybrid.model_line,
+            "hybrid simulation needs >= 2 clusters (the oracle approximates \
+             every cluster but the full-fidelity one)"
+                .into(),
+        )
+    }
     req.sinks.enable();
     println!(
         "{}: {} clusters, {} hosts, {} flows, horizon {}, seed {}{}",
-        req.title,
+        req.title(c),
         c.params.clusters,
         c.params.total_hosts(),
         c.flows.len(),
@@ -518,7 +585,7 @@ fn dispatch(req: Request) {
         c.seed,
         match req.pdes {
             // Hybrid PDES always partitions one cluster per partition.
-            true if req.hybrid => format!(", PDES x{}", c.params.clusters),
+            true if hybrid => format!(", PDES x{}", c.params.clusters),
             true => format!(", PDES x{}", c.partitions),
             false => String::new(),
         }
@@ -527,13 +594,12 @@ fn dispatch(req: Request) {
         println!("note: the scenario's [faults] plan applies only under --pdes");
     }
 
-    // A [model] section (or --model / --audit / `hybrid`) routes the run
-    // through the hybrid engine, guarded and cached per the compiled
+    // The hybrid engine is guarded and cached per the compiled
     // [guard]/[oracle] settings.
-    let model = req.hybrid.then(|| resolve_model(&req));
-    let elided = req.hybrid.then(|| c.hybrid_flows());
+    let model = hybrid.then(|| resolve_model(req, c));
+    let elided = hybrid.then(|| c.hybrid_flows());
     let flows = elided.as_deref().unwrap_or(&c.flows);
-    if req.hybrid {
+    if hybrid {
         println!(
             "  hybrid: cluster {} at packet fidelity ({} approximated), {} flows after elision",
             c.hybrid.full_cluster,
@@ -542,7 +608,7 @@ fn dispatch(req: Request) {
         );
     }
     if req.audit {
-        return audit(&req, model.expect("audits are hybrid"), flows);
+        return audit(req, c, model.expect("audits are hybrid"), flows);
     }
 
     let mut sampler = c.sample_every.map(|d| NetSampler::new(d, flows));
@@ -556,13 +622,13 @@ fn dispatch(req: Request) {
     if req.pdes && (req.sinks.trace.is_some() || req.sinks.trace_out.is_some()) {
         println!("note: --pdes runs record no raw event trace; the timeline still gets partition, flow, and sampler tracks");
     }
-    if req.pdes && req.hybrid {
-        if req.partitions_flag {
+    if req.pdes && hybrid {
+        if req.file().is_some() && req.edits_of(PARTITIONS).next().is_some() {
             println!(
                 "note: hybrid PDES partitions one cluster per partition; --partitions is ignored"
             );
         }
-        if c.hybrid.guard.is_some() || req.fault.is_some() {
+        if c.hybrid.guard.is_some() || req.fault_mode.is_some() {
             println!("note: --pdes runs the learned oracle unguarded (per-partition guard stats are not aggregated); guard settings and --fault-oracle are ignored");
         }
     }
@@ -571,7 +637,7 @@ fn dispatch(req: Request) {
     let mut caches = Vec::new();
     let mut oracles = |partition: Option<usize>| {
         let model = model.clone().expect("hybrid runs resolve a model");
-        let stack = build_stack(model, c.params, c.seed, &c.hybrid, req.fault, partition);
+        let stack = build_stack(model, c.params, c.seed, &c.hybrid, req.fault(), partition);
         guard = stack.guard;
         caches.extend(stack.cache);
         stack.oracle
@@ -589,7 +655,7 @@ fn dispatch(req: Request) {
     };
     let outcome = c
         .run(
-            req.hybrid.then_some(&mut oracles),
+            hybrid.then_some(&mut oracles),
             exec,
             c.recovery.as_ref(),
             observe,
@@ -602,19 +668,19 @@ fn dispatch(req: Request) {
         guard = None;
         caches.clear();
     }
-    finish(&req, &outcome, &guard, &caches, sampler.as_ref());
+    finish(req, c, &outcome, &guard, &caches, sampler.as_ref());
 }
 
 /// The one epilogue: summary, guard/cache report, fingerprint line,
 /// samples CSV, `--trace-out` timeline, `--profile` table, sealed ledger.
 fn finish(
     req: &Request,
+    c: &Compiled,
     out: &Outcome,
     guard: &Option<GuardStatsHandle>,
     caches: &[CacheStatsHandle],
     sampler: Option<&NetSampler>,
 ) {
-    let c = &req.compiled;
     print_outcome(out);
     if req.sinks.trace.is_some() {
         print_trace_sample(&out.nets[0]);
@@ -644,15 +710,13 @@ fn finish(
         (false, true) => "pdes",
         (false, false) => "sequential",
     };
-    let driver = match (req.hybrid, engine) {
+    let driver = match (req.hybrid(c), engine) {
         (false, engine) => engine.to_string(),
         (true, "sequential") => "hybrid".to_string(),
         (true, engine) => format!("hybrid-{engine}"),
     };
-    let report = RunReport::new(req.command, format!("{}, seed {}", req.title, c.seed));
-    let mut ledger = RunLedger::new(driver, report);
-    ledger.seed = c.seed;
-    ledger.fingerprint = fingerprint;
+    let what = format!("{}, seed {}", req.title(c), c.seed);
+    let mut ledger = stamp(&driver, req.cmd.name(), what, c.seed, fingerprint);
     ledger.mode = match req.pdes {
         true => format!("{:?}", req.epoch_mode).to_lowercase(),
         false => "sequential".to_string(),
@@ -664,6 +728,15 @@ fn finish(
             .extend(log.transitions.iter().map(|t| format!("{t:?}")));
     }
     emit_ledger(&req.sinks, ledger, &out.meta);
+}
+
+/// The ledger every command seals: `driver` names the point of the run
+/// matrix that executed, `command` and `what` the report inside it.
+fn stamp(driver: &str, command: &str, what: String, seed: u64, fingerprint: u64) -> RunLedger {
+    let mut ledger = RunLedger::new(driver, RunReport::new(command, what));
+    ledger.seed = seed;
+    ledger.fingerprint = fingerprint;
+    ledger
 }
 
 /// Fills `ledger`'s report from `meta` and the global registry/profiler,
@@ -700,13 +773,11 @@ fn save_ledger(path: &str, mut ledger: RunLedger) {
     written(path, ledger.save(std::path::Path::new(path)));
     println!("wrote {path} (schema-v{LEDGER_SCHEMA_VERSION} run ledger)");
 }
-
 /// The `--audit` leg of [`dispatch`]: ground truth and hybrid over the
 /// same elided flows and seed, the divergence table attributed by
 /// regime/layer/oracle, the ledger pair under `--metrics-out`, and the
 /// gate on the scenario's `[audit]` bounds (exit 8 on breach).
-fn audit(req: &Request, model: ClusterModel, flows: &[FlowSpec]) {
-    let c = &req.compiled;
+fn audit(req: &Request, c: &Compiled, model: ClusterModel, flows: &[FlowSpec]) {
     if c.recovery.is_some() {
         println!("note: --audit runs both sides unsupervised; the [recovery] ladder is ignored");
     }
@@ -745,11 +816,10 @@ fn audit(req: &Request, model: ClusterModel, flows: &[FlowSpec]) {
 
     if let Some(base) = &req.sinks.metrics_out {
         let side = |driver: &str, meta: &RunMeta, fingerprint: u64| {
-            let mut report = RunReport::new(driver, format!("{}, seed {}", req.title, c.seed));
+            let what = format!("{}, seed {}", req.title(c), c.seed);
+            let mut ledger = stamp(driver, driver, what, c.seed, fingerprint);
+            let report = &mut ledger.report;
             report.set_run(meta.wall.as_secs_f64(), meta.events, meta.sim_seconds);
-            let mut ledger = RunLedger::new(driver, report);
-            ledger.seed = c.seed;
-            ledger.fingerprint = fingerprint;
             ledger.mode = "paired".to_string();
             ledger
         };
@@ -818,35 +888,15 @@ fn build_stack(
 }
 
 fn read_model(path: &str) -> Result<ClusterModel, ElephantError> {
-    let json = std::fs::read_to_string(path).map_err(|source| ElephantError::Io {
-        path: path.to_string(),
-        source,
-    })?;
-    ClusterModel::load_json(&json)
+    ClusterModel::load_json(&std::fs::read_to_string(path).map_err(|e| io_error(path, e))?)
 }
-
 /// Resolves the model artifact for a hybrid run. Precedence: the
 /// `--model` flag (plain CLI semantics: exit 3/4 on failure), then the
 /// scenario's `[model] path` (scenario semantics: exit 6 naming the
 /// binding's `file:line`), then — when `train_fallback = true`, or under
 /// `--audit` with no binding at all — a quick-trained default model.
-fn resolve_model(req: &Request) -> ClusterModel {
-    let c = &req.compiled;
+fn resolve_model(req: &Request, c: &Compiled) -> ClusterModel {
     let spec = &c.hybrid;
-    let scenario_err = |detail: String| -> ! {
-        die(ElephantError::Scenario {
-            path: req.origin.clone(),
-            line: spec.model_line,
-            detail,
-        })
-    };
-    if c.params.clusters < 2 {
-        scenario_err(
-            "hybrid simulation needs >= 2 clusters (the oracle approximates \
-             every cluster but the full-fidelity one)"
-                .into(),
-        )
-    }
     if let Some(p) = &req.model_flag {
         return read_model(p).unwrap_or_else(|e| die(e));
     }
@@ -863,69 +913,62 @@ fn resolve_model(req: &Request) -> ClusterModel {
                 )
             }
             Err(ElephantError::Io { source, .. }) => {
-                scenario_err(format!("model artifact `{p}`: {source}"))
+                req.reject(spec.model_line, format!("model artifact `{p}`: {source}"))
             }
-            Err(e) => scenario_err(format!("model artifact `{p}`: {e}")),
+            Err(e) => req.reject(spec.model_line, format!("model artifact `{p}`: {e}")),
         },
         None if allow_fallback => {
             println!(
                 "no model artifact bound; capturing + training a small default model first ..."
             )
         }
-        None => scenario_err(
+        None => req.reject(
+            spec.model_line,
             "[model] names no `path` and `train_fallback` is false; \
              pass --model or bind an artifact"
                 .into(),
         ),
     }
-    quick_default_model(c.seed, req.train_load, c.dctcp)
+    quick_default_model(req, c)
 }
 
-/// Captures a short two-cluster ground truth and trains a deliberately
-/// small model — the fallback when no artifact is bound.
-fn quick_default_model(seed: u64, load: f64, dctcp: bool) -> ClusterModel {
-    let params = ClosParams::paper_cluster(2);
-    let horizon = SimTime::from_millis(30);
-    let flows = workload(&params, horizon, load, seed);
-    let (records, _) = capture_ground_truth(params, dctcp, &flows, horizon);
+/// The fallback when no artifact is bound: a deliberately small model
+/// trained on a short capture of `train`'s own document, at the run's
+/// seed, `--load` and TCP flavour.
+fn quick_default_model(req: &Request, c: &Compiled) -> ClusterModel {
+    let mut doc = builtin(Cmd::Train);
+    doc.set("run.horizon_ms", "30", 0).expect("a number");
+    for load in req.edits_of(LOAD) {
+        doc.set(LOAD, load, 0).expect("the run's document took it");
+    }
+    let s = decode::from_table(&doc).expect("the run's document passed the same rules");
+    let over = CompileOverrides {
+        seed: Some(c.seed),
+        ..Default::default()
+    };
+    let small = compile(&s, &over);
+    let (records, _) = capture_ground_truth(&small, c);
     let opts = TrainingOptions {
         hidden: 16,
         layers: 1,
         epochs: 4,
         ..Default::default()
     };
-    train_cluster_model(&records, &params, &opts).0
+    train_cluster_model(&records, &small.params, &opts).0
 }
 
-/// Ground truth with boundary capture around cluster 1: the training input.
+/// Ground truth of `c` with boundary capture around cluster 1 — the
+/// training input — under `tcp`'s TCP flavour.
 fn capture_ground_truth(
-    params: ClosParams,
-    dctcp: bool,
-    flows: &[FlowSpec],
-    horizon: SimTime,
+    c: &Compiled,
+    tcp: &Compiled,
 ) -> (Vec<elephant::net::BoundaryRecord>, RunMeta) {
-    let cfg = net_config(dctcp, RttScope::None);
-    let (net, meta) = run_ground_truth(params, cfg, Some(1), flows, horizon);
+    let cfg = NetConfig {
+        rtt_scope: RttScope::None,
+        ..tcp.net_config()
+    };
+    let (net, meta) = run_ground_truth(c.params, cfg, Some(1), &c.flows, c.horizon);
     (capture_records(net).unwrap_or_else(|e| die(e)), meta)
-}
-
-fn net_config(dctcp: bool, rtt_scope: RttScope) -> NetConfig {
-    NetConfig {
-        tcp: if dctcp {
-            TcpConfig::dctcp()
-        } else {
-            TcpConfig::default()
-        },
-        rtt_scope,
-        ..Default::default()
-    }
-}
-
-/// The paper's default Poisson web-search mix at `load`.
-fn workload(params: &ClosParams, horizon: SimTime, load: f64, seed: u64) -> Vec<FlowSpec> {
-    let mut wl = WorkloadConfig::paper_default(horizon, seed);
-    wl.load = load;
-    generate(params, &wl)
 }
 
 /// Post-run summary: the run line, network statistics (per-layer detail
@@ -1165,217 +1208,71 @@ fn write_timeline(path: &str, nets: &[Network], guard: &Option<GuardStatsHandle>
         }
     );
 }
-
-/// `run-scenario FILE` and its `audit FILE` spelling (`audit` = always
-/// `--audit`, `--ledger-out` for `--metrics-out`, plus flag overrides of
-/// the scenario's oracle settings): load, validate, compile, apply the
-/// flag overrides, and [`dispatch`]. Scenario errors exit with code 6
-/// and name the offending `file:line`; missing files exit 3.
-fn cmd_scenario(args: &[String], audit_cmd: bool) {
-    let cmd = if audit_cmd { "audit" } else { "run-scenario" };
-    let mut file: Option<String> = None;
-    let mut over = CompileOverrides::default();
-    let mut validate = false;
-    let mut list_dir: Option<String> = None;
-    let mut pdes = false;
-    let mut partitions: Option<usize> = None;
-    let mut epoch_mode = EpochMode::Adaptive;
-    let mut sample_every: Option<SimDuration> = None;
-    let mut checkpoint_every_ms: Option<f64> = None;
-    let mut max_retries: Option<u32> = None;
-    let mut model_flag: Option<String> = None;
-    let mut audit = audit_cmd;
-    let mut oracle_cache = false;
-    let mut oracle_cache_cap: Option<usize> = None;
-    let mut no_guard = false;
-    let mut sinks = Sinks::default();
-
-    let mut args = Args::new(args);
-    while let Some(a) = args.next() {
-        match a {
-            "--seed" => over.seed = Some(args.parsed(a)),
-            "--horizon-ms" => over.horizon_ms = Some(args.parsed(a)),
-            "--repeat" => over.repeat = Some(args.parsed(a)),
-            "--model" => model_flag = Some(args.val(a)),
-            "--sample-every" => sample_every = Some(SimDuration::from_micros(args.parsed(a))),
-            "--ledger-out" if audit_cmd => sinks.metrics_out = Some(args.val(a)),
-            "--oracle-cache" if audit_cmd => oracle_cache = true,
-            "--oracle-cache-cap" if audit_cmd => oracle_cache_cap = Some(args.parsed(a)),
-            "--no-guard" if audit_cmd => no_guard = true,
-            // Every flag below this arm is `run-scenario`'s alone.
-            other if audit_cmd && other.starts_with('-') => {
-                eprintln!("unknown audit option: {other}\n");
-                usage()
-            }
-            "--metrics-out" => sinks.metrics_out = Some(args.val(a)),
-            "--validate" => validate = true,
-            "--pdes" => pdes = true,
-            "--partitions" => {
-                partitions = Some(args.parsed(a));
-                pdes = true;
-            }
-            "--adaptive-epochs" => epoch_mode = EpochMode::Adaptive,
-            "--fixed-epochs" => epoch_mode = EpochMode::Fixed,
-            "--samples-out" => sinks.samples_out = Some(args.val(a)),
-            "--checkpoint-every-ms" => {
-                let ms: f64 = args.parsed(a);
-                if ms <= 0.0 {
-                    eprintln!("--checkpoint-every-ms must be > 0, got {ms}");
-                    exit(2)
-                }
-                checkpoint_every_ms = Some(ms);
-            }
-            "--max-retries" => {
-                let n: u32 = args.parsed(a);
-                if n == 0 {
-                    eprintln!("--max-retries must be >= 1");
-                    exit(2)
-                }
-                max_retries = Some(n);
-            }
-            "--profile" => sinks.profile = true,
-            "--audit" => audit = true,
-            // DIR is optional; the next token is a directory unless it
-            // looks like a flag.
-            "--list-scenarios" => {
-                list_dir = Some(args.positional().unwrap_or_else(|| "scenarios".into()))
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown run-scenario option: {other}\n");
-                usage()
-            }
-            path => {
-                if file.replace(path.to_string()).is_some() {
-                    eprintln!("{cmd} takes one scenario file\n");
-                    usage()
-                }
-            }
-        }
-    }
-
-    if let Some(dir) = list_dir {
-        let files = list_scenarios(std::path::Path::new(&dir)).unwrap_or_else(|e| {
-            die(ElephantError::Io {
-                path: dir.clone(),
-                source: e,
-            })
-        });
-        if files.is_empty() {
-            println!("no scenario files under {dir}/");
-        }
-        for f in files {
-            match load(&f.display().to_string()) {
-                Ok(s) => println!("{}  {} — {}", f.display(), s.name, s.description),
-                Err(e) => println!("{}  INVALID: {e}", f.display()),
-            }
-        }
-        return;
-    }
-
-    let Some(path) = file else {
-        eprintln!("{cmd} needs a scenario file\n");
-        usage()
-    };
-    let scenario = load(&path).unwrap_or_else(|e| die(e));
-    let mut compiled = compile(&scenario, &over);
-
-    // Flags override what the file says; the run reads only `compiled`.
-    if let Some(n) = partitions {
-        compiled.partitions = n;
-    }
-    compiled.sample_every = sample_every.or(compiled.sample_every);
-    compiled.hybrid.cache |= oracle_cache;
-    if let Some(cap) = oracle_cache_cap {
-        compiled.hybrid.cache_cap = cap;
-    }
-    if no_guard {
-        compiled.hybrid.guard = None;
-    }
-    // --checkpoint-every-ms / --max-retries enable supervision even
-    // without a [recovery] section and override its knobs when present.
-    if checkpoint_every_ms.is_some() || max_retries.is_some() {
-        let mut p: RecoveryPolicy = compiled.recovery.unwrap_or_default();
-        if let Some(ms) = checkpoint_every_ms {
-            p.checkpoint_every = SimDuration::from_secs_f64(ms / 1e3);
-        }
-        if let Some(n) = max_retries {
-            p.max_retries = n;
-        }
-        compiled.recovery = Some(p);
-    }
-
-    if validate {
+/// `run-scenario FILE --validate`: the document decoded and compiled
+/// with every flag edit applied, summarised instead of run.
+fn validated(req: &Request, c: &Compiled) {
+    println!(
+        "{}: ok — scenario `{}`: {} clusters, {} hosts, {} flows, horizon {}, \
+         {} PDES partitions",
+        req.file().expect("run-scenario takes a file"),
+        c.name,
+        c.params.clusters,
+        c.params.total_hosts(),
+        c.flows.len(),
+        c.horizon,
+        c.partitions,
+    );
+    let spec = &c.hybrid;
+    if spec.model_declared {
         println!(
-            "{path}: ok — scenario `{}`: {} clusters, {} hosts, {} flows, horizon {}, \
-             {} PDES partitions",
-            compiled.name,
-            compiled.params.clusters,
-            compiled.params.total_hosts(),
-            compiled.flows.len(),
-            compiled.horizon,
-            compiled.partitions,
+            "  [model]: {} — full cluster {}, cache {}, guard {}",
+            spec.model_path.as_deref().unwrap_or("(train_fallback)"),
+            spec.full_cluster,
+            if spec.cache { "on" } else { "off" },
+            if spec.guard.is_some() { "on" } else { "off" },
         );
-        let spec = &compiled.hybrid;
-        if spec.model_declared {
-            println!(
-                "  [model]: {} — full cluster {}, cache {}, guard {}",
-                spec.model_path.as_deref().unwrap_or("(train_fallback)"),
-                spec.full_cluster,
-                if spec.cache { "on" } else { "off" },
-                if spec.guard.is_some() { "on" } else { "off" },
-            );
-        }
-        return;
     }
-
-    dispatch(Request {
-        command: cmd,
-        title: format!("scenario `{}` ({path})", compiled.name),
-        origin: path,
-        hybrid: audit || model_flag.is_some() || compiled.hybrid.model_declared,
-        compiled,
-        audit,
-        model_flag,
-        train_load: 0.3,
-        fault: None,
-        pdes,
-        partitions_flag: partitions.is_some(),
-        epoch_mode,
-        sinks,
-    });
 }
 
-fn cmd_train(o: &Opts) {
-    o.sinks.enable();
-    let params = o.params(2);
-    let flows = o.workload(&params, o.seed);
+/// `run-scenario --list-scenarios [DIR]`.
+fn list(dir: &str) {
+    let files = list_scenarios(std::path::Path::new(dir)).unwrap_or_else(|e| io_die(dir, e));
+    if files.is_empty() {
+        println!("no scenario files under {dir}/");
+    }
+    for f in files {
+        match load(&f.display().to_string()) {
+            Ok(s) => println!("{}  {} — {}", f.display(), s.name, s.description),
+            Err(e) => println!("{}  INVALID: {e}", f.display()),
+        }
+    }
+}
+
+fn train(req: &Request, s: &Scenario) {
+    req.sinks.enable();
+    let c = compile(s, &req.over);
     println!(
-        "capturing ground truth: 2 clusters, {} flows, horizon {} ...",
-        flows.len(),
-        o.horizon
+        "capturing ground truth: {} clusters, {} flows, horizon {} ...",
+        c.params.clusters,
+        c.flows.len(),
+        c.horizon
     );
-    let (records, meta) = capture_ground_truth(params, o.dctcp, &flows, o.horizon);
+    let (records, meta) = capture_ground_truth(&c, &c);
     println!(
         "  {} events, {} boundary records",
         meta.events,
         records.len()
     );
 
-    let opts = TrainingOptions {
-        hidden: o.hidden,
-        layers: o.layers,
-        epochs: o.epochs,
-        rnn: if o.gru { RnnKind::Gru } else { RnnKind::Lstm },
-        ..Default::default()
-    };
+    let opts = &req.train;
     let shape = format!(
         "{}x{} {}",
-        o.layers,
-        o.hidden,
-        if o.gru { "GRU" } else { "LSTM" }
+        opts.layers,
+        opts.hidden,
+        format!("{:?}", opts.rnn).to_uppercase()
     );
-    println!("training {shape} for {} epochs ...", o.epochs);
-    let (model, report) = train_cluster_model(&records, &params, &opts);
+    println!("training {shape} for {} epochs ...", opts.epochs);
+    let (model, report) = train_cluster_model(&records, &c.params, opts);
     println!(
         "  up:   {} samples | drop accuracy {:.3} | latency rmse {:.3}",
         report.up.train_samples, report.up.eval.drop_accuracy, report.up.eval.latency_rmse
@@ -1384,48 +1281,52 @@ fn cmd_train(o: &Opts) {
         "  down: {} samples | drop accuracy {:.3} | latency rmse {:.3}",
         report.down.train_samples, report.down.eval.drop_accuracy, report.down.eval.latency_rmse
     );
-    std::fs::write(&o.out, model.to_file_json()).unwrap_or_else(|e| {
-        die(ElephantError::Io {
-            path: o.out.clone(),
-            source: e,
-        })
-    });
+    std::fs::write(&req.out, model.to_file_json()).unwrap_or_else(|e| io_die(&req.out, e));
     println!(
         "wrote {} (format v{}, checksum {:#018x})",
-        o.out,
+        req.out,
         elephant::core::MODEL_VERSION,
         model.weight_checksum()
     );
-    let scenario = format!("capture + {shape} training, seed {}", o.seed);
     // The captured net was consumed by training; no fingerprint.
-    let mut ledger = RunLedger::new("train", RunReport::new("train", scenario));
-    ledger.seed = o.seed;
-    emit_ledger(&o.sinks, ledger, &meta);
+    let what = format!("capture + {shape} training, seed {}", c.seed);
+    emit_ledger(&req.sinks, stamp("train", "train", what, c.seed, 0), &meta);
 }
 
-fn cmd_compare(o: &Opts) {
-    o.sinks.enable();
-    let path = o.model.as_deref().unwrap_or_else(|| {
-        eprintln!("--model PATH is required for this command");
-        exit(2)
-    });
+fn compare(req: &Request, s: &Scenario) {
+    req.sinks.enable();
+    let Some(path) = &req.model_flag else {
+        bad_usage(req.cmd, "--model PATH is required")
+    };
     let model = read_model(path).unwrap_or_else(|e| die(e));
-    let params = o.params(o.clusters);
-    let flows = o.workload(&params, o.seed.wrapping_add(1));
-    let cfg = net_config(o.dctcp, RttScope::Cluster(o.full_cluster));
+    // The table is scored on a workload the model was not trained on:
+    // the next seed's.
+    let seed = s.run.seed;
+    let c = compile(
+        s,
+        &CompileOverrides {
+            seed: Some(seed.wrapping_add(1)),
+            ..req.over
+        },
+    );
+    let full_cluster = c.hybrid.full_cluster;
+    let cfg = NetConfig {
+        rtt_scope: RttScope::Cluster(full_cluster),
+        ..c.net_config()
+    };
 
-    println!("ground truth ({} flows) ...", flows.len());
-    let (truth, tmeta) = run_ground_truth(params, cfg, None, &flows, o.horizon);
-    let elided = elephant::trace::filter_touching_cluster(&flows, o.full_cluster);
+    println!("ground truth ({} flows) ...", c.flows.len());
+    let (truth, tmeta) = run_ground_truth(c.params, cfg, None, &c.flows, c.horizon);
+    let elided = c.hybrid_flows();
     println!("hybrid ({} flows after elision) ...", elided.len());
-    let stack = build_stack(model, params, o.seed, &o.hybrid_spec(true), o.fault(), None);
+    let stack = build_stack(model, c.params, seed, &c.hybrid, req.fault(), None);
     let (hybrid, hmeta) = run_hybrid(
-        params,
-        o.full_cluster,
+        c.params,
+        full_cluster,
         stack.oracle,
         cfg,
         &elided,
-        o.horizon,
+        c.horizon,
     );
     report_guard(&stack.guard);
     report_cache(stack.cache.as_slice());
@@ -1449,42 +1350,21 @@ fn cmd_compare(o: &Opts) {
         tmeta.wall.as_secs_f64() / hmeta.wall.as_secs_f64().max(1e-9),
         tmeta.events as f64 / hmeta.events.max(1) as f64,
     );
-    let scenario = format!("truth vs hybrid, {} clusters, seed {}", o.clusters, o.seed);
-    let mut ledger = RunLedger::new("compare", RunReport::new("compare", scenario));
-    ledger.seed = o.seed;
-    ledger.fingerprint = run_fingerprint([&hybrid]);
-    emit_ledger(&o.sinks, ledger, &hmeta);
+    let what = format!(
+        "truth vs hybrid, {} clusters, seed {seed}",
+        c.params.clusters
+    );
+    let ledger = stamp("compare", "compare", what, seed, run_fingerprint([&hybrid]));
+    emit_ledger(&req.sinks, ledger, &hmeta);
 }
 
 /// `compare A.json B.json`: validate and diff two run-ledger artifacts.
 /// Exit 8 when they drift outside tolerance, 3 when either artifact is
 /// missing or fails schema/checksum validation.
-fn cmd_compare_ledgers(args: &[String]) {
-    let mut files: Vec<String> = Vec::new();
-    let mut tolerance = 0.05f64;
-    let mut args = Args::new(args);
-    while let Some(a) = args.next() {
-        match a {
-            "--tolerance" => tolerance = args.parsed(a),
-            other if other.starts_with('-') => {
-                eprintln!("unknown compare option: {other}\n");
-                usage()
-            }
-            path => files.push(path.to_string()),
-        }
-    }
-    if files.len() != 2 {
-        eprintln!("compare takes exactly two ledger files (or --model for the accuracy table)\n");
-        usage()
-    }
-    let load = |p: &String| {
-        RunLedger::load(std::path::Path::new(p)).unwrap_or_else(|e| {
-            die(ElephantError::Io {
-                path: p.clone(),
-                source: e,
-            })
-        })
-    };
+fn diff_ledgers(req: &Request) {
+    let (files, tolerance) = (&req.files, req.tolerance);
+    let load =
+        |p: &String| RunLedger::load(std::path::Path::new(p)).unwrap_or_else(|e| io_die(p, e));
     let a = load(&files[0]);
     let b = load(&files[1]);
     println!(

@@ -189,6 +189,189 @@ fn cli_rejects_bad_usage() {
         assert_eq!(out.status.code(), Some(2), "elephant {bad:?}: {stderr}");
         assert!(stderr.contains("USAGE"), "usage printed: {stderr}");
     }
+    // A flag's value meets the scenario decoder's rules, and a flag the
+    // command does not read is not silently dropped: exit 2, the first
+    // line of stderr naming the flag (the last flag of each row).
+    const INCAST: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/incast.toml");
+    for bad in [
+        &["run", "--clusters", "0"][..],
+        &["run", "--load", "0"],
+        &["run", "--load", "1"],
+        &["run", "--load", "-1"],
+        &["run", "--pdes", "0"],
+        &["run-scenario", INCAST, "--partitions", "0"],
+        &["run", "--pdes", "2", "--machines", "0"],
+        &["run-scenario", INCAST, "--sample-every", "0"],
+        &["hybrid", "--guard-ceiling-ms", "-1"],
+        &["run", "--clusters", "2", "--pdes", "99"],
+        &["run-scenario", INCAST, "--partitions", "999"],
+        &["hybrid", "--guard-trip-limit", "0"],
+        &["hybrid", "--guard-tolerance", "5"],
+        &["hybrid", "--oracle-cache", "--oracle-cache-cap", "0"],
+        &["run", "--horizon-ms", "0"],
+        &["run-scenario", INCAST, "--horizon-ms", "0"],
+        &["train", "--pdes", "2"],
+        &["run", "--model", "nope.json"],
+        &["run", "--full-cluster", "9"],
+        &["run", "--hidden", "8"],
+        &["hybrid", "--out", "x.json"],
+        &["train", "--clusters", "8"],
+    ] {
+        let out = elephant().args(bad).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "elephant {bad:?}: {stderr}");
+        let flag = bad.iter().rfind(|a| a.starts_with("--")).unwrap();
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(first.contains(flag), "{bad:?} names {flag}: {first}");
+        assert!(stderr.contains("USAGE"), "usage printed: {stderr}");
+    }
+}
+
+/// The positional arguments that select each of the seven subcommands.
+const COMMANDS: [&[&str]; 7] = [
+    &["run"],
+    &["train"],
+    &["hybrid"],
+    &["compare"],
+    &["compare", "A.json", "B.json"],
+    &["run-scenario", "FILE"],
+    &["audit", "FILE"],
+];
+
+/// `elephant <cmd> --help` is generated from the same table the parser
+/// reads: every flag a command's help lists is accepted by that command,
+/// and every flag only other commands list exits 2 — help, accept set
+/// and parser cannot drift. (`--help` ends a command line before anything
+/// runs, so acceptance is probed as `<cmd> --flag VALUE --help`.)
+#[test]
+fn cli_help_lists_exactly_the_flags_each_command_accepts() {
+    let top = elephant().arg("--help").output().unwrap();
+    assert_eq!(top.status.code(), Some(0), "top-level help succeeds");
+    assert!(String::from_utf8_lossy(&top.stdout).contains("USAGE"));
+
+    // (flag, placeholder of its value) per command, read off the help.
+    let listed: Vec<Vec<(String, String)>> = COMMANDS
+        .iter()
+        .map(|cmd| {
+            let out = elephant().args(*cmd).arg("--help").output().unwrap();
+            assert_eq!(out.status.code(), Some(0), "{cmd:?} --help succeeds");
+            assert!(out.stderr.is_empty(), "help goes to stdout");
+            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            assert!(stdout.contains("USAGE"), "{cmd:?}: {stdout}");
+            let flags = stdout.lines().filter(|l| l.starts_with("  --"));
+            flags
+                .map(|l| {
+                    let mut head = l[..l.len().min(26)].split_whitespace();
+                    let flag = head.next().unwrap().to_string();
+                    (flag, head.next().unwrap_or("").to_string())
+                })
+                .collect()
+        })
+        .collect();
+    let mut all: Vec<&(String, String)> = listed.iter().flatten().collect();
+    all.sort();
+    all.dedup_by_key(|(flag, _)| flag);
+    assert!(all.len() >= 40, "every flag is listed somewhere: {all:?}");
+
+    for (cmd, own) in COMMANDS.iter().zip(&listed) {
+        for (flag, _) in &all {
+            // The command's own placeholder: `--pdes` takes a count on
+            // `run` and none on `run-scenario`.
+            let own = own.iter().find(|(f, _)| f == flag);
+            let value = match own.map_or("", |(_, metavar)| metavar.as_str()) {
+                "" | "[DIR]" => None,
+                "F" => Some("0.5"),
+                "MODE" => Some("nan"),
+                "N" | "M" | "T" => Some("1"),
+                _ => Some("x"),
+            };
+            let mut probe = elephant();
+            probe.args(*cmd).arg(flag).args(value).arg("--help");
+            let out = probe.output().unwrap();
+            let want = if own.is_some() { 0 } else { 2 };
+            assert_eq!(
+                out.status.code(),
+                Some(want),
+                "{cmd:?} {flag}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+}
+
+/// A run is identified by its configuration, not by how it was spelled:
+/// `run` flags and the equivalent scenario file print the same
+/// fingerprint, and the same out-of-range value is rejected by the same
+/// rule whether it sits in the file or arrives as a flag.
+#[test]
+fn cli_flag_spelling_equals_file_spelling() {
+    let dir = std::env::temp_dir().join("elephant_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, dctcp: bool, pdes: &str| {
+        let file = dir.join(name);
+        let doc = format!(
+            "schema = 1\n[scenario]\nname = \"spelled\"\n[topology]\nclusters = 4\n{pdes}\
+             [run]\nhorizon_ms = 5\nseed = 42\ndctcp = {dctcp}\n\
+             [[traffic]]\nkind = \"poisson\"\nload = 0.3\n"
+        );
+        std::fs::write(&file, doc).unwrap();
+        file.to_str().unwrap().to_string()
+    };
+    let fingerprint = |args: &[&str]| {
+        let out = run_ok(args);
+        let line = out.lines().find(|l| l.contains("fingerprint: "));
+        line.unwrap_or_else(|| panic!("no fingerprint in:\n{out}"))
+            .trim()
+            .to_string()
+    };
+    let flags = ["run", "--clusters", "4", "--horizon-ms", "5"];
+    let plain = write("spelled.toml", false, "");
+    assert_eq!(
+        fingerprint(&flags),
+        fingerprint(&["run-scenario", &plain]),
+        "sequential"
+    );
+    let pdes = write(
+        "spelled_pdes.toml",
+        false,
+        "[topology.pdes]\npartitions = 2\n",
+    );
+    let by_flag = fingerprint(&[&flags[..], &["--pdes", "2"]].concat());
+    assert_eq!(by_flag, fingerprint(&["run-scenario", &pdes, "--pdes"]));
+    assert_eq!(
+        by_flag,
+        fingerprint(&["run-scenario", &plain, "--partitions", "2"])
+    );
+    let dctcp = write("spelled_dctcp.toml", true, "");
+    assert_eq!(
+        fingerprint(&[&flags[..], &["--dctcp"]].concat()),
+        fingerprint(&["run-scenario", &dctcp]),
+        "DCTCP"
+    );
+
+    // One rule, two exits: 6 with file:line for the file, 2 naming the
+    // flag for the flag.
+    let over = write(
+        "spelled_over.toml",
+        false,
+        "[topology.pdes]\npartitions = 99\n",
+    );
+    let rule = "99 partitions but the topology only has 8 racks";
+    for (args, code, names) in [
+        (&["run-scenario", over.as_str()][..], 6, "spelled_over.toml"),
+        (
+            &["run-scenario", &plain, "--partitions", "99"],
+            2,
+            "--partitions",
+        ),
+        (&["run", "--pdes", "99"], 2, "--pdes"),
+    ] {
+        let out = elephant().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(first.contains(rule) && first.contains(names), "{first}");
+    }
 }
 
 /// `audit FILE` is `run-scenario FILE --audit`: both spellings honor the
