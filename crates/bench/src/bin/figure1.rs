@@ -27,7 +27,8 @@
 //! `BENCH_figure1.json` (events/sec, per-partition barrier-wait share,
 //! profiler tree).
 
-use elephant_bench::{emit_report, fmt_f, partition_rows, print_table, run_pdes, Args};
+use elephant_bench::{emit_report, fmt_f, print_table, run_pdes, Args};
+use elephant_core::partition_rows;
 use elephant_net::{ClosParams, NetConfig, RttScope};
 use elephant_obs::RunReport;
 use elephant_trace::{generate, write_csv, LoadProfile, Locality, SizeDist, WorkloadConfig};

@@ -15,10 +15,9 @@
 //! the hybrid's lower coupling converts directly into parallel speedup.
 
 use elephant_bench::{
-    emit_report, fmt_f, fmt_secs, partition_rows, print_table, run_hybrid_pdes, run_pdes,
-    train_default_model, Args,
+    emit_report, fmt_f, fmt_secs, print_table, run_hybrid_pdes, run_pdes, train_default_model, Args,
 };
-use elephant_core::TrainingOptions;
+use elephant_core::{partition_rows, TrainingOptions};
 use elephant_net::ClosParams;
 use elephant_obs::RunReport;
 use elephant_trace::{filter_touching_cluster, generate, write_csv, WorkloadConfig};

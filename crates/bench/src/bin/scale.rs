@@ -48,6 +48,7 @@ fn main() {
     };
     let mut rows = Vec::new();
     let mut csv = Vec::new();
+    let mut fel_peak = 0u64;
     for &n in cluster_counts {
         let params = ClosParams::paper_cluster(n);
         let flows = generate(
@@ -66,6 +67,9 @@ fn main() {
         );
         let (hnet, hybrid_meta) = run_hybrid(params, 0, Box::new(oracle), cfg, &elided, horizon);
 
+        fel_peak = fel_peak
+            .max(full_meta.fel_peaks.bytes)
+            .max(hybrid_meta.fel_peaks.bytes);
         let speedup = full_meta.wall.as_secs_f64() / hybrid_meta.wall.as_secs_f64().max(1e-9);
         report.scalar(format!("speedup_n{n}"), speedup);
         report.scalar(
@@ -135,11 +139,10 @@ fn main() {
          columns: the hybrid never materializes remote-only connections."
     );
 
-    // FEL memory substrate: the kernel records a high-water mark of the
-    // event list's resident bytes into a global gauge. Surface it (and a
-    // per-host figure at the largest network) so scaling runs track queue
-    // memory alongside wall time.
-    let fel_peak = elephant_obs::gauge("des/kernel/fel_bytes_peak", "").get();
+    // FEL memory substrate: each run's meta carries the high-water mark
+    // of the event list's resident bytes. Surface the sweep's maximum (and
+    // a per-host figure at the largest network) so scaling runs track
+    // queue memory alongside wall time.
     let top_hosts =
         ClosParams::paper_cluster(*cluster_counts.last().expect("nonempty")).total_hosts() as f64;
     report.scalar("fel_bytes_peak", fel_peak as f64);

@@ -129,27 +129,6 @@ impl PdesOutcome {
     }
 }
 
-/// Converts a PDES report's per-partition breakdown into run-report rows.
-pub fn partition_rows(report: &PdesReport) -> Vec<elephant_obs::PartitionRow> {
-    report
-        .partitions
-        .iter()
-        .map(|p| {
-            elephant_obs::PartitionRow {
-                partition: p.partition,
-                events: p.events,
-                work_seconds: p.work_seconds,
-                barrier_wait_seconds: p.barrier_wait_seconds,
-                barrier_wait_share: 0.0,
-                marshal_seconds: p.marshal_seconds,
-                remote_events_sent: p.remote_events_sent,
-                remote_bytes_sent: p.remote_bytes_sent,
-            }
-            .finish()
-        })
-        .collect()
-}
-
 /// Prints a [`elephant_obs::RunReport`] and writes `BENCH_<name>.json`
 /// into `args.out` as a sealed schema-v1 [`elephant_core::RunLedger`] —
 /// the single artifact path every harness binary funnels through. The

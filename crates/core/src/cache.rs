@@ -176,6 +176,50 @@ impl CacheStats {
     }
 }
 
+/// The caches of one run, summed: one for a sequential run, one per
+/// partition under PDES.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CacheTotals {
+    /// Counters summed over the caches.
+    pub total: CacheStats,
+    /// How many caches were summed.
+    pub caches: usize,
+}
+
+impl CacheTotals {
+    /// Sums the current counters behind `handles`; `None` when there are
+    /// no caches.
+    pub fn of(handles: &[CacheStatsHandle]) -> Option<CacheTotals> {
+        let mut total = CacheStats::default();
+        for s in handles.iter().map(CacheStatsHandle::snapshot) {
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.evictions += s.evictions;
+            total.invalidations += s.invalidations;
+        }
+        (!handles.is_empty()).then_some(CacheTotals {
+            total,
+            caches: handles.len(),
+        })
+    }
+}
+
+impl std::fmt::Display for CacheTotals {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} lookups", self.total.lookups())?;
+        if self.caches > 1 {
+            write!(f, " across {} partitions", self.caches)?;
+        }
+        write!(
+            f,
+            ", {:.1}% hit rate ({} evictions, {} invalidations)",
+            self.total.hit_rate() * 100.0,
+            self.total.evictions,
+            self.total.invalidations
+        )
+    }
+}
+
 /// Cloneable, lock-free view of one oracle's cache counters (shared across
 /// that oracle's per-cluster caches). Obtain it with
 /// [`crate::learned::LearnedOracle::cache_stats_handle`] *before* boxing
@@ -198,19 +242,6 @@ impl CacheStatsHandle {
             evictions: self.0.evictions.load(Ordering::Relaxed),
             invalidations: self.0.invalidations.load(Ordering::Relaxed),
         }
-    }
-
-    /// Mirrors the snapshot into the global metrics registry under
-    /// `hybrid/cache/*` (no-op while observability is disabled).
-    pub fn publish_metrics(&self) {
-        if !elephant_obs::enabled() {
-            return;
-        }
-        let snap = self.snapshot();
-        elephant_obs::counter("hybrid/cache/hits", "").add(snap.hits);
-        elephant_obs::counter("hybrid/cache/misses", "").add(snap.misses);
-        elephant_obs::counter("hybrid/cache/evictions", "").add(snap.evictions);
-        elephant_obs::counter("hybrid/cache/invalidations", "").add(snap.invalidations);
     }
 }
 

@@ -19,21 +19,38 @@
 //! lowerings (step 2, training, lives in `train`). Every run reports
 //! wall-clock time, events executed, and simulated seconds, the
 //! currencies of Figures 1 and 5.
+//!
+//! A finished run is the only source of its numbers. The [`Outcome`] owns
+//! the final networks, the kernel report and the recovery log, and is
+//! read three ways, all here: [`Outcome::metric_rows`] (the ledger's
+//! metric rows), [`Outcome::partition_rows`] (its per-partition rows) and
+//! `Display` (the stdout summary). Nothing is mirrored into process-wide
+//! counters while the run executes, so two runs in one process — a
+//! capture before a hybrid, an abandoned attempt before a restore — can
+//! not leak into each other's artifacts.
 
+use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::cache::CacheTotals;
 use crate::error::ElephantError;
-use crate::supervise::{supervise_pdes, supervise_simulator, RecoveryLog, RecoveryPolicy};
+use crate::macro_model::MacroState;
+use crate::supervise::{
+    supervise_pdes, supervise_simulator, RecoveryEvent, RecoveryLog, RecoveryPolicy,
+};
 
 use elephant_des::{
-    EpochMode, FaultPlan, PartitionSim, PdesConfig, PdesError, PdesReport, PdesRunner, SimDuration,
-    SimTime, Simulator, StopReason,
+    EpochMode, FaultPlan, FelPeaks, PartitionSim, PdesConfig, PdesError, PdesReport, PdesRunner,
+    SimDuration, SimTime, Simulator, StopReason,
 };
 use elephant_net::{
-    run_sampled, schedule_flows, ClosParams, ClusterOracle, FlowSpec, NetConfig, NetEvent,
-    NetPartition, NetSampler, Network, RttScope, Topology, TraceLog,
+    run_sampled, schedule_flows, ClosParams, ClusterOracle, ConnStats, FlowSpec, GuardSnapshot,
+    NetConfig, NetEvent, NetPartition, NetSampler, Network, OracleStats, RttScope, Topology,
+    TraceLog,
 };
+use elephant_obs::{MetricRow, PartitionRow, RunReport};
 
 /// Performance facts about one run.
 #[derive(Clone, Copy, Debug)]
@@ -46,6 +63,10 @@ pub struct RunMeta {
     pub events: u64,
     /// Simulated horizon reached, in seconds.
     pub sim_seconds: f64,
+    /// The sequential kernel's FEL high-water marks (zero unless
+    /// observability was on; under PDES each partition's peak is in
+    /// [`elephant_des::PartitionStats::fel_bytes_peak`] instead).
+    pub fel_peaks: FelPeaks,
 }
 
 impl RunMeta {
@@ -269,6 +290,284 @@ impl Outcome {
     }
 }
 
+/// Converts a PDES report's per-partition breakdown into ledger rows.
+pub fn partition_rows(report: &PdesReport) -> Vec<PartitionRow> {
+    let row = |p: &elephant_des::PartitionStats| PartitionRow {
+        partition: p.partition,
+        events: p.events,
+        work_seconds: p.work_seconds,
+        barrier_wait_seconds: p.barrier_wait_seconds,
+        barrier_wait_share: 0.0,
+        marshal_seconds: p.marshal_seconds,
+        remote_events_sent: p.remote_events_sent,
+        remote_bytes_sent: p.remote_bytes_sent,
+    };
+    report.partitions.iter().map(|p| row(p).finish()).collect()
+}
+
+/// The counters of a hybrid run's oracle stack that live behind the
+/// handles its builder kept (`GuardStatsHandle`, `CacheStatsHandle`)
+/// rather than in the run's networks. Default: none, as in a
+/// full-fidelity run.
+///
+/// These are the one part of a run's numbers a checkpoint restore does not
+/// rewind: a restored network carries a clone of its oracle stack, and the
+/// clone counts onto the same handle. A supervised run that restored would
+/// report abandoned attempts here, so the CLI passes none for supervised
+/// runs, and `elephant compare` does not gate the rows made from them.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct OracleCounters {
+    /// The guard's counters, when the oracle ran guarded.
+    pub guard: Option<GuardSnapshot>,
+    /// The verdict caches' counters, summed, when there were caches.
+    pub cache: Option<CacheTotals>,
+}
+
+const TIERS: [&str; 4] = ["host", "tor", "agg", "core"];
+
+/// The counter rows of [`Outcome::metric_rows`] that are a function of the
+/// simulated outcome alone: any two runs that end in one fingerprint agree
+/// on them, whichever engine, partitioning, epoch planner or recovery path
+/// got them there, so `elephant compare` holds them to exact equality.
+/// Every other row also says how the run was executed. That includes
+/// `net/port/enqueued` — whether a packet waits or goes straight onto an
+/// idle wire turns on the order of same-instant events, which partitioning
+/// changes without changing when anything is sent — and the guard and
+/// cache rows, whose counters sit behind handles that every clone of the
+/// oracle stack shares (see [`OracleCounters`]).
+pub const OUTCOME_COUNTERS: [&str; 9] = [
+    "des/kernel/events_executed",
+    "net/port/drops",
+    "net/port/ecn_marks",
+    "net/tcp/rto_fired",
+    "net/tcp/fast_retransmits",
+    "net/tcp/retransmitted_segments",
+    "hybrid/oracle/elided_packets",
+    "hybrid/oracle/drops",
+    "hybrid/macro/occupancy",
+];
+
+impl Outcome {
+    /// The ledger's per-partition rows: the kernel report's when the run
+    /// finished under PDES, one zero-wait row covering the whole run
+    /// otherwise (so sequential and PDES artifacts share a shape).
+    pub fn partition_rows(&self) -> Vec<PartitionRow> {
+        match &self.report {
+            Some(report) => partition_rows(report),
+            None => vec![PartitionRow {
+                events: self.meta.events,
+                work_seconds: self.meta.wall.as_secs_f64(),
+                ..Default::default()
+            }
+            .finish()],
+        }
+    }
+
+    /// The ledger's metric rows, sorted by (name, label) — the one place a
+    /// run's statistics become [`MetricRow`]s. Everything is read from the
+    /// finished run: the nets' port, TCP and oracle counters (summed over
+    /// partitions), the kernel report, the recovery log — and `oracle`,
+    /// the one part of a run's statistics the nets do not hold.
+    pub fn metric_rows(&self, oracle: &OracleCounters) -> Vec<MetricRow> {
+        let (counter, gauge) = (MetricRow::counter, MetricRow::gauge);
+        let mut rows = Vec::new();
+        if self.report.is_none() {
+            let peaks = self.meta.fel_peaks;
+            rows.extend([
+                counter("des/kernel/events_executed", "", self.meta.events),
+                gauge("des/kernel/heap_depth_peak", "", peaks.depth as i64),
+                gauge("des/kernel/fel_bytes_peak", "", peaks.bytes as i64),
+            ]);
+        }
+
+        // Per tier: [enqueued, drops, ecn_marks].
+        let mut ports = [[0u64; 3]; 4];
+        let mut tcp = ConnStats::default();
+        let mut verdicts = OracleStats::default();
+        for net in &self.nets {
+            for (node, _, c) in net.port_counters() {
+                if let Some(tier) = net.topo().node(node).kind.layer() {
+                    ports[tier][0] += c.queued;
+                    ports[tier][1] += c.drops;
+                    ports[tier][2] += c.ecn_marks;
+                }
+            }
+            // Closed connections are already folded into the stats.
+            tcp.timeouts += net.stats.timeouts;
+            tcp.fast_retransmits += net.stats.fast_retransmits;
+            tcp.retransmissions += net.stats.retransmissions;
+            for c in net.open_conn_stats() {
+                tcp.timeouts += c.timeouts;
+                tcp.fast_retransmits += c.fast_retransmits;
+                tcp.retransmissions += c.retransmissions;
+            }
+            if let Some(o) = net.oracle_stats() {
+                verdicts.classified += o.classified;
+                verdicts.drops += o.drops;
+                for (sum, n) in verdicts.per_state.iter_mut().zip(o.per_state) {
+                    *sum += n;
+                }
+                verdicts.infer_seconds.merge(&o.infer_seconds);
+            }
+        }
+        for (tier, [enqueued, drops, ecn_marks]) in TIERS.iter().zip(ports) {
+            rows.extend([
+                counter("net/port/enqueued", tier, enqueued),
+                counter("net/port/drops", tier, drops),
+                counter("net/port/ecn_marks", tier, ecn_marks),
+            ]);
+        }
+        rows.extend([
+            counter("net/tcp/rto_fired", "", tcp.timeouts),
+            counter("net/tcp/fast_retransmits", "", tcp.fast_retransmits),
+            counter("net/tcp/retransmitted_segments", "", tcp.retransmissions),
+            counter("hybrid/oracle/elided_packets", "", verdicts.classified),
+            counter("hybrid/oracle/drops", "", verdicts.drops),
+            MetricRow::histogram("hybrid/oracle/infer_seconds", "", &verdicts.infer_seconds),
+        ]);
+        for (state, n) in MacroState::ALL.iter().zip(verdicts.per_state) {
+            let label = format!("{state:?}").to_lowercase();
+            rows.push(counter("hybrid/macro/occupancy", &label, n));
+        }
+        if let Some(g) = &oracle.guard {
+            rows.extend([
+                counter("hybrid/guard/verdicts", "", g.verdicts),
+                counter("hybrid/guard/trips", "non_finite", g.non_finite),
+                counter("hybrid/guard/trips", "negative", g.negative),
+                counter("hybrid/guard/trips", "ceiling", g.ceiling),
+                counter("hybrid/guard/trips", "drop_drift", g.drop_drift),
+                counter("hybrid/guard/fallback_verdicts", "", g.fallback_verdicts),
+                gauge("hybrid/guard/fallback_active", "", g.fallback_active.into()),
+            ]);
+        }
+        if let Some(c) = oracle.cache.map(|c| c.total) {
+            rows.extend([
+                counter("hybrid/cache/hits", "", c.hits),
+                counter("hybrid/cache/misses", "", c.misses),
+                counter("hybrid/cache/evictions", "", c.evictions),
+                counter("hybrid/cache/invalidations", "", c.invalidations),
+            ]);
+        }
+
+        if let Some(r) = &self.report {
+            let f = r.faults;
+            rows.extend([
+                counter("pdes/epoch/planned", "", r.epochs),
+                counter("pdes/epoch/jumped", "", r.epochs_jumped),
+                counter("pdes/remote/messages", "", r.remote_messages),
+                counter("pdes/marshal/messages", "", r.marshalled_messages),
+                counter("pdes/marshal/bytes", "", r.bytes_marshalled),
+                counter(
+                    "fault/zero_injected",
+                    "",
+                    (f.armed && f.total() == 0).into(),
+                ),
+            ]);
+            let kinds = ["dropped", "duplicated", "corrupted"];
+            for (kind, n) in kinds.iter().zip([f.dropped, f.duplicated, f.corrupted]) {
+                rows.push(counter(&format!("pdes/fault/{kind}"), "", n));
+                rows.push(counter(&format!("fault/{kind}"), "", n));
+            }
+            for p in &r.partitions {
+                let (label, peak) = (p.partition.to_string(), p.fel_bytes_peak as i64);
+                let (sent, bytes) = (p.remote_events_sent, p.remote_bytes_sent);
+                rows.extend([
+                    counter("pdes/partition/events", &label, p.events),
+                    counter("pdes/partition/remote_messages", &label, sent),
+                    counter("pdes/partition/remote_bytes", &label, bytes),
+                    gauge("pdes/partition/fel_bytes_peak", &label, peak),
+                ]);
+            }
+        }
+        if let Some(log) = &self.recovery {
+            rows.push(counter("recovery/checkpoints", "", log.checkpoints_taken));
+            let mut transitions = BTreeMap::<(&str, String), u64>::new();
+            for t in &log.transitions {
+                let key = match t {
+                    RecoveryEvent::Restored { cause, .. } => {
+                        ("recovery/restores", cause.to_string())
+                    }
+                    RecoveryEvent::Degraded { from, to, .. } => {
+                        let label = format!("{}->{}", from.label(), to.label());
+                        ("recovery/degradations", label)
+                    }
+                };
+                *transitions.entry(key).or_default() += 1;
+            }
+            for ((name, label), n) in &transitions {
+                rows.push(counter(name, label, *n));
+            }
+        }
+
+        // A zero says nothing a missing row does not.
+        rows.retain(|m| m.value != 0.0);
+        rows.sort_by(|a, b| (&a.name, &a.label).cmp(&(&b.name, &b.label)));
+        rows
+    }
+
+    /// Fills `report`'s throughput figures, partition rows and metric rows
+    /// from this run (see [`Outcome::metric_rows`] for `oracle`).
+    pub fn describe(&self, report: &mut RunReport, oracle: &OracleCounters) {
+        let m = &self.meta;
+        report.set_run(m.wall.as_secs_f64(), m.events, m.sim_seconds);
+        report.partitions = self.partition_rows();
+        report.metrics = self.metric_rows(oracle);
+    }
+}
+
+/// The post-run summary: the run line, network statistics (per-layer
+/// detail for a single network, totals across partitions), the kernel's
+/// per-partition wall-time breakdown (the timeline has the per-epoch
+/// view), injected faults, and the supervisor's log.
+impl fmt::Display for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "simulated {:.3}s{}{} in {:.2}s wall ({} events",
+            self.meta.sim_seconds,
+            self.recovery.as_ref().map_or("", |_| " supervised"),
+            self.report.as_ref().map_or("", |_| " under PDES"),
+            self.meta.wall.as_secs_f64(),
+            self.meta.events,
+        )?;
+        if let Some(r) = &self.report {
+            write!(
+                f,
+                ", {} epochs ({} jumped), {} partitions",
+                r.epochs,
+                r.epochs_jumped,
+                r.partitions.len()
+            )?;
+        }
+        write!(f, ")")?;
+        if let [net] = self.nets.as_slice() {
+            write!(f, "\n{}", net.stats)?;
+        } else {
+            let (flows, teleported) = (self.flows_completed(), self.oracle_deliveries());
+            write!(f, "\n  flows     : {flows} completed across partitions")?;
+            if teleported > 0 {
+                write!(f, "\n  oracle    : {teleported} packets teleported")?;
+            }
+        }
+        if let Some(r) = &self.report {
+            for p in &r.partitions {
+                write!(
+                    f,
+                    "\n  partition {:>2}: {:>9} events | work {:.3}s | barrier {:.3}s | marshal {:.3}s",
+                    p.partition, p.events, p.work_seconds, p.barrier_wait_seconds, p.marshal_seconds
+                )?;
+            }
+            if r.faults.total() > 0 {
+                write!(f, "\n  faults    : {}", r.faults)?;
+            }
+        }
+        if let Some(log) = &self.recovery {
+            write!(f, "\n  {}", log.summary())?;
+        }
+        Ok(())
+    }
+}
+
 /// Outcome of a run that finished under PDES: the merged kernel report,
 /// wall time, and the consumed partition networks.
 pub struct PdesRun {
@@ -396,6 +695,7 @@ fn run_sequential(plan: &mut RunPlan<'_>) -> Result<Outcome, ElephantError> {
         wall: start.elapsed(),
         events: sim.scheduler().executed_total(),
         sim_seconds: plan.horizon.as_secs_f64(),
+        fel_peaks: sim.fel_peaks(),
     };
     Ok(Outcome {
         nets: vec![sim.into_world()],
@@ -487,6 +787,7 @@ fn run_pdes(plan: &mut RunPlan<'_>, exec: PdesExec) -> Result<Outcome, ElephantE
         wall,
         events: report.events_executed,
         sim_seconds: plan.horizon.as_secs_f64(),
+        fel_peaks: FelPeaks::default(),
     };
     let nets = runner
         .into_partitions()
@@ -629,6 +930,7 @@ mod tests {
             wall: Duration::from_millis(500),
             events: 10,
             sim_seconds: 2.0,
+            fel_peaks: FelPeaks::default(),
         };
         assert!((m.sim_seconds_per_second() - 4.0).abs() < 1e-9);
     }

@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use elephant_des::SimTime;
+pub use elephant_net::OracleStats;
 use elephant_net::{
     ClosParams, ClusterOracle, Direction, OracleCtx, OracleVerdict, Packet, RawVerdict,
 };
@@ -181,17 +182,6 @@ pub enum DropPolicy {
     Threshold(f32),
 }
 
-/// Per-oracle counters for diagnostics and the evaluation harnesses.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OracleStats {
-    /// Verdicts issued.
-    pub classified: u64,
-    /// Drop verdicts.
-    pub drops: u64,
-    /// Verdicts issued in each macro state (by index).
-    pub per_state: [u64; 4],
-}
-
 #[derive(Clone)]
 struct ClusterRuntime {
     macro_model: MacroModel,
@@ -213,40 +203,17 @@ struct CacheCfg {
     stats: CacheStatsHandle,
 }
 
-/// Cached metrics-registry handles; resolved once per oracle so the
-/// per-verdict cost while disabled is a relaxed flag load.
-#[derive(Clone)]
-struct OracleMetrics {
-    elided: elephant_obs::Counter,
-    drops: elephant_obs::Counter,
-    per_state: [elephant_obs::Counter; 4],
-    infer: elephant_obs::HistogramHandle,
-}
-
-impl OracleMetrics {
-    fn new() -> Self {
-        OracleMetrics {
-            elided: elephant_obs::counter("hybrid/oracle/elided_packets", ""),
-            drops: elephant_obs::counter("hybrid/oracle/drops", ""),
-            per_state: std::array::from_fn(|i| {
-                elephant_obs::counter(
-                    "hybrid/macro/occupancy",
-                    format!("{:?}", MacroState::ALL[i]).to_lowercase(),
-                )
-            }),
-            infer: elephant_obs::histogram("hybrid/oracle/infer_seconds", ""),
-        }
-    }
-}
-
 /// A [`ClusterOracle`] that serves [`ClusterModel`] predictions.
 ///
 /// Cloning (for checkpoint/restore) deep-copies *everything that shapes
 /// verdicts*: the weights, the drop-sampling RNG position, and every
 /// cluster's macro regime, RNN states, feature extractors, and verdict
 /// cache — so a restored run issues bit-identical verdicts to an
-/// uninterrupted one. Metrics and cache-stats handles are shared with the
-/// original (monotonic observability, outside checkpoint scope).
+/// uninterrupted one — and its own [`OracleStats`], so a restored run's
+/// verdict counts are of the successful path only. The cache-stats handle
+/// is shared with the original (the caller's handle must stay live across
+/// restores), so the cache counters, unlike the verdict counts, include
+/// every attempt.
 #[derive(Clone)]
 pub struct LearnedOracle {
     model: ClusterModel,
@@ -255,7 +222,6 @@ pub struct LearnedOracle {
     rng: SmallRng,
     clusters: HashMap<u16, ClusterRuntime>,
     stats: OracleStats,
-    metrics: OracleMetrics,
     cache_cfg: Option<CacheCfg>,
 }
 
@@ -270,7 +236,6 @@ impl LearnedOracle {
             rng: SmallRng::seed_from_u64(seed),
             clusters: HashMap::new(),
             stats: OracleStats::default(),
-            metrics: OracleMetrics::new(),
             cache_cfg: None,
         }
     }
@@ -364,6 +329,10 @@ impl ClusterOracle for LearnedOracle {
         Some(self.macro_state(cluster).index() as u8)
     }
 
+    fn oracle_stats(&self) -> Option<&OracleStats> {
+        Some(&self.stats)
+    }
+
     fn clone_box(&self) -> Option<Box<dyn ClusterOracle + Send>> {
         Some(Box::new(self.clone()))
     }
@@ -376,20 +345,12 @@ impl ClusterOracle for LearnedOracle {
             rng,
             clusters,
             stats,
-            metrics,
             cache_cfg,
         } = self;
-        let observing = elephant_obs::enabled();
         stats.classified += 1;
-        if observing {
-            metrics.elided.inc();
-        }
         let rt = runtime(clusters, model, params, cache_cfg.as_ref(), ctx.cluster);
         let state = rt.macro_model.state();
         stats.per_state[state.index()] += 1;
-        if observing {
-            metrics.per_state[state.index()].inc();
-        }
 
         let (net, fx, net_state): (&MicroNet, _, _) = match ctx.direction {
             Direction::Up => (&model.up, &mut rt.up_fx, &mut rt.up_state),
@@ -421,7 +382,6 @@ impl ClusterOracle for LearnedOracle {
                 match verdict {
                     RawVerdict::Drop => {
                         stats.drops += 1;
-                        metrics.drops.inc();
                         rt.macro_model.observe(None, true);
                     }
                     RawVerdict::Deliver { latency_secs } => {
@@ -438,14 +398,11 @@ impl ClusterOracle for LearnedOracle {
             }
         }
 
-        let pred = if observing {
-            let t0 = std::time::Instant::now();
-            let pred = net.predict(&rt.feat_buf, net_state);
-            metrics.infer.record(t0.elapsed().as_secs_f64());
-            pred
-        } else {
-            net.predict(&rt.feat_buf, net_state)
-        };
+        let t0 = elephant_obs::enabled().then(std::time::Instant::now);
+        let pred = net.predict(&rt.feat_buf, net_state);
+        if let Some(t0) = t0 {
+            stats.infer_seconds.record(t0.elapsed().as_secs_f64());
+        }
 
         let drop = match *policy {
             DropPolicy::Sample => rng.gen::<f32>() < pred.drop_prob,
@@ -453,7 +410,6 @@ impl ClusterOracle for LearnedOracle {
         };
         let verdict = if drop {
             stats.drops += 1;
-            metrics.drops.inc();
             rt.macro_model.observe(None, true);
             RawVerdict::Drop
         } else {

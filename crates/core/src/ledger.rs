@@ -13,11 +13,14 @@
 //! recomputes and rejects tampered or truncated artifacts, so a ledger
 //! that loads is exactly the ledger a driver sealed.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 
 use elephant_obs::{DivergenceReport, RunReport};
 use serde::{Deserialize, Serialize};
+
+use crate::experiment::OUTCOME_COUNTERS;
 
 /// Current ledger schema version. Bump on any field change that a reader
 /// of the previous shape would misinterpret.
@@ -160,9 +163,23 @@ fn timing_dependent(key: &str) -> bool {
     key.contains("wall") || key.contains("per_second") || key.contains("seconds")
 }
 
+/// The counter rows of a report that any two runs of one simulated
+/// outcome agree on ([`OUTCOME_COUNTERS`]), by (name, label).
+fn gated_counters(report: &RunReport) -> BTreeMap<(&str, &str), u64> {
+    let rows = report.metrics.iter();
+    rows.filter(|m| m.kind == "counter" && OUTCOME_COUNTERS.contains(&m.name.as_str()))
+        .map(|m| ((m.name.as_str(), m.label.as_str()), m.count))
+        .collect()
+}
+
 /// Diffs two ledgers and returns every drift breach as a human-readable
 /// line; empty means the runs agree within `tolerance` (relative, applied
-/// to events and scalar results). Comparing a ledger with itself always
+/// to events and scalar results) and, for the same seed and driver, on
+/// every [`OUTCOME_COUNTERS`] row exactly (a missing row is a zero). The
+/// other rows — gauges, histograms, and counters of how the engine got
+/// there — differ between healthy runs of one simulation (`--pdes 2` vs
+/// `--pdes 4`, fixed vs adaptive epochs, recovered vs clean) and are
+/// skipped, like wall-clock scalars. Comparing a ledger with itself always
 /// returns no breaches.
 pub fn compare_ledgers(a: &RunLedger, b: &RunLedger, tolerance: f64) -> Vec<String> {
     let mut out = Vec::new();
@@ -190,6 +207,16 @@ pub fn compare_ledgers(a: &RunLedger, b: &RunLedger, tolerance: f64) -> Vec<Stri
                 "events drift {:.4} exceeds tolerance {:.4}: {} vs {}",
                 drift, tolerance, a.report.events, b.report.events
             ));
+        }
+    }
+    if a.seed == b.seed && a.driver == b.driver {
+        let (ca, cb) = (gated_counters(&a.report), gated_counters(&b.report));
+        let keys: BTreeSet<_> = ca.keys().chain(cb.keys()).collect();
+        for key @ (name, label) in keys {
+            let (va, vb) = (ca.get(key).unwrap_or(&0), cb.get(key).unwrap_or(&0));
+            if va != vb {
+                out.push(format!("counter `{name}[{label}]` differs: {va} vs {vb}"));
+            }
         }
     }
     for (key, &va) in &a.report.scalars {
@@ -314,6 +341,30 @@ mod tests {
             breaches.iter().any(|l| l.contains("drop_rate")),
             "{breaches:?}"
         );
+    }
+
+    #[test]
+    fn counter_rows_are_compared_exactly() {
+        use elephant_obs::MetricRow;
+        let rows = |drops: u64, epochs: u64| {
+            let mut l = sample_ledger();
+            l.report.metrics = vec![
+                MetricRow::counter("net/port/drops", "tor", drops),
+                MetricRow::counter("net/port/enqueued", "tor", epochs),
+                MetricRow::counter("pdes/epoch/planned", "", epochs),
+                MetricRow::gauge("des/kernel/fel_bytes_peak", "", epochs as i64),
+            ];
+            l
+        };
+        // Engine rows and gauges may differ; a simulated-outcome counter
+        // may not — not even by less than the tolerance, not even by
+        // being absent.
+        assert!(compare_ledgers(&rows(1_520, 10), &rows(1_520, 99), 0.05).is_empty());
+        let breaches = compare_ledgers(&rows(1_520, 10), &rows(1_519, 10), 0.05);
+        assert_eq!(breaches.len(), 1, "{breaches:?}");
+        assert!(breaches[0].contains("net/port/drops[tor]"), "{breaches:?}");
+        let breaches = compare_ledgers(&rows(1_520, 10), &sample_ledger(), 0.05);
+        assert!(breaches[0].contains("1520 vs 0"), "{breaches:?}");
     }
 
     #[test]

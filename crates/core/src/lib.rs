@@ -70,13 +70,14 @@ pub use accuracy::{
 };
 pub use audit::{run_audit, AuditHooks, AuditRun};
 pub use cache::{
-    CacheStats, CacheStatsHandle, FeatureQuantizer, QuantizerConfig, VerdictCache, VerdictKey,
-    DEFAULT_LEVELS, KEY_BYTES, NAN_BUCKET,
+    CacheStats, CacheStatsHandle, CacheTotals, FeatureQuantizer, QuantizerConfig, VerdictCache,
+    VerdictKey, DEFAULT_LEVELS, KEY_BYTES, NAN_BUCKET,
 };
 pub use error::ElephantError;
 pub use experiment::{
-    capture_records, execute, run_ground_truth, run_hybrid, single_oracle, Exec, Fidelity, Observe,
-    OracleFactory, Outcome, PdesExec, PdesRun, RunMeta, RunPlan,
+    capture_records, execute, partition_rows, run_ground_truth, run_hybrid, single_oracle, Exec,
+    Fidelity, Observe, OracleCounters, OracleFactory, Outcome, PdesExec, PdesRun, RunMeta, RunPlan,
+    OUTCOME_COUNTERS,
 };
 pub use features::{FeatureExtractor, LatencyCodec, FEATURE_DIM};
 pub use learned::{

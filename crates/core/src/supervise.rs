@@ -22,18 +22,25 @@
 //!    fault injection does not exist sequentially, so scripted stalls
 //!    (and drop/dup fault plans) cannot follow the run down this rung.
 //!
-//! Every transition is observable: a `recovery/*` counter and a
-//! [`elephant_obs::PID_RECOVERY`] timeline instant per checkpoint,
-//! restore, and degradation. The [`RecoveryLog`] records the same
-//! transitions as plain data, so tests can assert that identical failure
-//! sequences produce identical ladders.
+//! Every transition is observable: the [`RecoveryLog`] records each
+//! checkpoint, restore, and degradation as plain data — the ledger's
+//! `recovery/*` rows are read off it, and tests assert that identical
+//! failure sequences produce identical ladders — and each also leaves a
+//! [`elephant_obs::PID_RECOVERY`] timeline instant.
 //!
 //! Determinism: restoring a checkpoint rewinds *everything that shapes
 //! the simulation* (FEL, per-flow TCP state, fault-plan RNG position,
 //! epoch counters), so a run that failed and recovered produces the same
-//! fingerprint as one that never failed. Global observability (metrics
-//! registry, timeline) is deliberately outside checkpoint scope: counters
-//! are monotonic telemetry and keep the failed attempts' contributions.
+//! fingerprint as one that never failed. The counts the networks and the
+//! kernel report are fields of that rewound state, so those statistics,
+//! too, are of the successful path alone: a recovered run's `net/*`,
+//! `des/*`, `hybrid/oracle/*` and `hybrid/macro/*` ledger rows equal a
+//! clean run's. What was retried is the [`RecoveryLog`]'s to say. Two
+//! things do keep an abandoned attempt's contribution: the process-global
+//! timeline, and the guard's and verdict cache's counters, which sit
+//! behind handles every clone of the oracle stack shares (see
+//! [`crate::OracleCounters`]) — so the CLI reports neither for a
+//! supervised run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -162,9 +169,6 @@ impl RecoveryLog {
 
     fn note_checkpoint(&mut self, at: SimTime) {
         self.checkpoints_taken += 1;
-        if elephant_obs::enabled() {
-            elephant_obs::counter("recovery/checkpoints", "").inc();
-        }
         instant("checkpoint", at);
     }
 
@@ -172,9 +176,6 @@ impl RecoveryLog {
         self.restores += 1;
         self.transitions
             .push(RecoveryEvent::Restored { at, rung, cause });
-        if elephant_obs::enabled() {
-            elephant_obs::counter("recovery/restores", cause).inc();
-        }
         instant("restore", at);
     }
 
@@ -183,13 +184,6 @@ impl RecoveryLog {
         self.transitions
             .push(RecoveryEvent::Degraded { at, from, to });
         self.final_rung = to;
-        if elephant_obs::enabled() {
-            elephant_obs::counter(
-                "recovery/degradations",
-                format!("{}->{}", from.label(), to.label()),
-            )
-            .inc();
-        }
         instant("degrade", at);
     }
 

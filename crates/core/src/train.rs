@@ -13,6 +13,7 @@
 
 use elephant_net::{BoundaryRecord, ClosParams, Direction};
 use elephant_nn::{MicroNet, MicroNetConfig, RnnKind, Sample, TrainConfig, Trainer, WindowLoss};
+use elephant_obs::{LogHistogram, MetricRow};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -103,7 +104,7 @@ pub struct EvalMetrics {
 }
 
 /// Outcome of training one direction.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct DirectionReport {
     /// Final-epoch training loss.
     pub train_loss: WindowLoss,
@@ -111,10 +112,15 @@ pub struct DirectionReport {
     pub eval: EvalMetrics,
     /// Training samples used.
     pub train_samples: usize,
+    /// Every epoch's training loss, in order (`train_loss` is the last;
+    /// empty when the direction had too little traffic to train).
+    pub epochs: Vec<WindowLoss>,
+    /// Wall seconds the last epoch took.
+    pub last_epoch_seconds: f64,
 }
 
 /// Outcome of the full pipeline.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct TrainReport {
     /// Host → core model.
     pub up: DirectionReport,
@@ -122,6 +128,29 @@ pub struct TrainReport {
     pub down: DirectionReport,
     /// The calibrated macro thresholds baked into the model.
     pub macro_cfg: MacroConfig,
+}
+
+impl TrainReport {
+    /// The ledger's `train/epoch/*` rows: every epoch's loss under weight
+    /// `alpha`, the samples those epochs consumed, and the rate of the last
+    /// epoch trained (up before down).
+    pub fn metric_rows(&self, alpha: f32) -> Vec<MetricRow> {
+        let epochs = || [&self.up, &self.down].into_iter().flat_map(|d| &d.epochs);
+        let mut loss = LogHistogram::for_latency_seconds();
+        epochs().for_each(|e| loss.record(e.total(alpha)));
+        let samples: usize = epochs().map(|e| e.samples).sum();
+        let mut rows = vec![
+            MetricRow::histogram("train/epoch/loss", "", &loss),
+            MetricRow::counter("train/epoch/samples", "", samples as u64),
+        ];
+        // Down trains after up; an untrained direction took no time.
+        let timed = |d: &&DirectionReport| d.last_epoch_seconds > 0.0;
+        if let Some(d) = [&self.down, &self.up].into_iter().find(timed) {
+            let rate = (d.train_loss.samples as f64 / d.last_epoch_seconds) as i64;
+            rows.push(MetricRow::gauge("train/epoch/samples_per_sec", "", rate));
+        }
+        rows
+    }
 }
 
 /// Replays `records` (any order; sorted internally by fabric-entry time)
@@ -281,14 +310,7 @@ fn train_direction(
     if samples.len() < opts.window {
         // Not enough traffic in this direction to learn from; ship the
         // untrained (random) model and say so.
-        return (
-            model,
-            DirectionReport {
-                train_loss: WindowLoss::default(),
-                eval: EvalMetrics::default(),
-                train_samples: 0,
-            },
-        );
+        return (model, DirectionReport::default());
     }
     let split = ((samples.len() as f64) * (1.0 - opts.holdout)) as usize;
     let split = split.max(opts.window).min(samples.len());
@@ -300,21 +322,14 @@ fn train_direction(
         .map(|c| c.to_vec())
         .collect();
     let mut trainer = Trainer::new(model, opts.train);
-    let mut last = WindowLoss::default();
+    let mut epochs = Vec::with_capacity(opts.epochs);
+    let mut last_epoch_seconds = 0.0;
     let _train_span = elephant_obs::span("train");
-    let loss_hist = elephant_obs::histogram("train/epoch/loss", "");
-    let samples_counter = elephant_obs::counter("train/epoch/samples", "");
     for _ in 0..opts.epochs {
         let _epoch_span = elephant_obs::span("epoch");
         let t0 = std::time::Instant::now();
-        last = trainer.train_epoch(&windows);
-        loss_hist.record(last.total(opts.alpha));
-        samples_counter.add(last.samples as u64);
-        let secs = t0.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            elephant_obs::gauge("train/epoch/samples_per_sec", "")
-                .set((last.samples as f64 / secs) as i64);
-        }
+        epochs.push(trainer.train_epoch(&windows));
+        last_epoch_seconds = t0.elapsed().as_secs_f64();
     }
     drop(_train_span);
     let model = trainer.into_model();
@@ -323,9 +338,11 @@ fn train_direction(
     (
         model,
         DirectionReport {
-            train_loss: last,
+            train_loss: epochs.last().copied().unwrap_or_default(),
             eval,
             train_samples: train_slice.len(),
+            epochs,
+            last_epoch_seconds,
         },
     )
 }

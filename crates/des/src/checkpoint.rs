@@ -16,10 +16,12 @@
 //! Bit-equality holds by construction: the copies are `Clone`s of the exact
 //! in-memory state, the remote tie-break key is intrinsic to each message
 //! (so resumed epoch plans need not match the original's), and fault
-//! progress is part of the snapshot. The deliberate exception is *global
-//! observability* (metrics registry, timeline): counters are monotonic
-//! run-telemetry and are not rolled back by a restore, so a retried run's
-//! counters include the aborted attempt. Verdict caches ride along inside
+//! progress is part of the snapshot. The counts kept in the world and the
+//! scheduler are part of that state and rewind with it, so a retried run
+//! reports the successful path only; what sits outside the snapshot keeps
+//! an aborted attempt's contribution — the process-global *timeline*, and
+//! anything a world shares across its clones (the oracle guard's and
+//! verdict cache's counter handles). Verdict caches ride along inside
 //! the world when their oracle is cloneable; an uncloneable oracle must be
 //! rebuilt cold by the caller (documented at the driver layer).
 //!

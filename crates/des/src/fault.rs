@@ -49,11 +49,13 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// True if any fault is configured.
     pub fn is_active(&self) -> bool {
-        self.drop_prob > 0.0
-            || self.dup_prob > 0.0
-            || self.corrupt_prob > 0.0
-            || self.slow_partition.is_some()
-            || self.stall_partition.is_some()
+        self.probabilistic() || self.slow_partition.is_some() || self.stall_partition.is_some()
+    }
+
+    /// True if the plan rolls dice per message (drop, duplicate, corrupt),
+    /// as opposed to scripting a sick partition.
+    pub fn probabilistic(&self) -> bool {
+        self.drop_prob > 0.0 || self.dup_prob > 0.0 || self.corrupt_prob > 0.0
     }
 
     /// The deterministic fault stream for one partition.
@@ -74,12 +76,28 @@ pub struct FaultCounts {
     pub duplicated: u64,
     /// Cross-machine messages corrupted in flight by the fault plan.
     pub corrupted: u64,
+    /// Whether a [`FaultPlan::probabilistic`] plan was rolling at all, so
+    /// that "armed but injected nothing" can be told from "no plan".
+    pub armed: bool,
 }
 
 impl FaultCounts {
     /// Total faults injected.
     pub fn total(&self) -> u64 {
         self.dropped + self.duplicated + self.corrupted
+    }
+}
+
+impl std::fmt::Display for FaultCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} injected (dropped {}, duplicated {}, corrupted {})",
+            self.total(),
+            self.dropped,
+            self.duplicated,
+            self.corrupted
+        )
     }
 }
 

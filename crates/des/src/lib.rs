@@ -75,6 +75,6 @@ pub use rng::{splitmix64, RngFactory};
 pub use sched::{
     BinaryHeapFel, CalendarFel, EventKey, Fel, HeapScheduler, Scheduler, SeqHasher, SeqSet,
 };
-pub use sim::{Simulator, StopReason, World};
+pub use sim::{FelPeaks, Simulator, StopReason, World};
 pub use stats::{EmpiricalCdf, Ewma, LogHistogram, Summary, TimeWeighted};
 pub use time::{SimDuration, SimTime};

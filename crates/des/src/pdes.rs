@@ -479,6 +479,7 @@ impl PdesReport {
         self.faults.dropped += other.faults.dropped;
         self.faults.duplicated += other.faults.duplicated;
         self.faults.corrupted += other.faults.corrupted;
+        self.faults.armed |= other.faults.armed;
         if self.partitions.is_empty() {
             self.partitions = other.partitions.clone();
             return;
@@ -808,10 +809,10 @@ impl<W: PartitionWorld> PdesRunner<W> {
                 dropped: shared.fault_dropped.load(Ordering::Relaxed),
                 duplicated: shared.fault_duplicated.load(Ordering::Relaxed),
                 corrupted: shared.fault_corrupted.load(Ordering::Relaxed),
+                armed: config.faults.as_ref().is_some_and(FaultPlan::probabilistic),
             },
             partitions: shared.per_partition.into_inner(),
         };
-        publish_metrics(&report);
         match shared.failure.into_inner() {
             Some(Failure {
                 partition,
@@ -894,37 +895,6 @@ where
     }
 }
 
-/// Mirrors a finished run's statistics into the global metrics registry
-/// (no-op while observability is disabled).
-fn publish_metrics(report: &PdesReport) {
-    if !elephant_obs::enabled() {
-        return;
-    }
-    elephant_obs::counter("pdes/epoch/planned", "").add(report.epochs);
-    elephant_obs::counter("pdes/epoch/jumped", "").add(report.epochs_jumped);
-    elephant_obs::counter("pdes/remote/messages", "").add(report.remote_messages);
-    elephant_obs::counter("pdes/marshal/messages", "").add(report.marshalled_messages);
-    elephant_obs::counter("pdes/marshal/bytes", "").add(report.bytes_marshalled);
-    if report.faults.total() > 0 {
-        elephant_obs::counter("pdes/fault/dropped", "").add(report.faults.dropped);
-        elephant_obs::counter("pdes/fault/duplicated", "").add(report.faults.duplicated);
-        elephant_obs::counter("pdes/fault/corrupted", "").add(report.faults.corrupted);
-    }
-    for p in &report.partitions {
-        let label = p.partition.to_string();
-        elephant_obs::counter("pdes/partition/events", label.clone()).add(p.events);
-        elephant_obs::counter("pdes/partition/remote_messages", label.clone())
-            .add(p.remote_events_sent);
-        elephant_obs::counter("pdes/partition/remote_bytes", label.clone())
-            .add(p.remote_bytes_sent);
-        elephant_obs::gauge("pdes/partition/fel_bytes_peak", label)
-            .record_max(p.fel_bytes_peak as i64);
-        // Barrier wait is no longer mirrored as an end-of-run counter: the
-        // timeline records it per epoch (see `PartitionTimeline`), and the
-        // aggregate lives in `PartitionStats::barrier_wait_seconds`.
-    }
-}
-
 /// Per-partition timeline buffer: one wall-clock track per partition with
 /// per-epoch `work` / `barrier_wait` / `marshal` slices. Records accumulate
 /// locally (no lock traffic inside the epoch loop) and flush to the global
@@ -935,9 +905,9 @@ struct PartitionTimeline {
     buf: Vec<TraceRecord>,
     origin: Instant,
     tid: u64,
-    /// Records discarded past [`PARTITION_RECORD_CAP`]; surfaced at flush
-    /// time as the `pdes/timeline/dropped_records` counter plus a log line,
-    /// so a truncated trace is never mistaken for a complete one.
+    /// Records discarded past [`PARTITION_RECORD_CAP`]; added at flush time
+    /// to the timeline's own dropped count, plus a log line, so a
+    /// truncated trace is never mistaken for a complete one.
     dropped: u64,
 }
 
@@ -980,8 +950,7 @@ impl PartitionTimeline {
         );
         tl.record_batch(self.buf);
         if self.dropped > 0 {
-            elephant_obs::counter("pdes/timeline/dropped_records", stats.partition.to_string())
-                .add(self.dropped);
+            tl.add_dropped(self.dropped);
             eprintln!(
                 "pdes: partition {} timeline truncated — {} records dropped past \
                  the {PARTITION_RECORD_CAP}-record cap",
@@ -1468,7 +1437,7 @@ mod tests {
     use super::*;
 
     /// Serializes the tests that flip process-global observability state
-    /// (the timeline enable flag and the metrics registry).
+    /// (the timeline and its enable flag).
     static OBS_TESTS: StdMutex<()> = StdMutex::new(());
 
     /// A token that hops between partitions `hops` times, incrementing a
@@ -1786,7 +1755,7 @@ mod tests {
     #[test]
     fn timeline_cap_surfaces_dropped_records() {
         let _obs = OBS_TESTS.lock().unwrap();
-        elephant_obs::set_enabled(true);
+        elephant_obs::timeline().reset();
         elephant_obs::set_timeline_enabled(true);
         let mut tl = PartitionTimeline::new(Instant::now(), 7).expect("timeline enabled");
         for i in 0..(PARTITION_RECORD_CAP + 13) {
@@ -1799,9 +1768,8 @@ mod tests {
         };
         tl.flush(&stats);
         elephant_obs::set_timeline_enabled(false);
+        let dropped = elephant_obs::timeline().dropped();
         elephant_obs::timeline().reset();
-        let dropped = elephant_obs::counter("pdes/timeline/dropped_records", "7").get();
-        elephant_obs::set_enabled(false);
         assert_eq!(dropped, 13);
     }
 

@@ -5,8 +5,6 @@
 //! [`Scheduler`] and runs the classic DES loop: pop the earliest event,
 //! advance the clock, dispatch to the world, repeat.
 
-use elephant_obs::{Counter, Gauge};
-
 use crate::sched::Scheduler;
 use crate::time::SimTime;
 
@@ -35,77 +33,30 @@ pub enum StopReason {
     BudgetSpent,
 }
 
-/// Cached handles into the global metrics registry, plus local batch
-/// accumulators. The simulator is single-threaded, so per-event bookkeeping
-/// stays in plain integers; the shared atomics are only touched once per
-/// `METRICS_FLUSH_EVERY` events and at run-loop exits, keeping the hot-path
-/// cost to a relaxed flag load and two register ops.
-#[derive(Debug)]
-struct KernelMetrics {
-    events: Counter,
-    heap_depth: Gauge,
-    fel_bytes: Gauge,
-    batched_events: u64,
-    batched_depth: i64,
+/// High-water marks of the future event list. Sampled only while the
+/// `elephant_obs` switch is on — all zero otherwise — so they cost a run
+/// that did not ask for them one relaxed load per event.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FelPeaks {
+    /// Most events pending at the moment one popped (itself included).
+    pub depth: u64,
+    /// Most resident bytes of the FEL (see [`crate::Scheduler::fel_bytes`]),
+    /// read every 4,096 events and when a run loop returns.
+    pub bytes: u64,
 }
 
-const METRICS_FLUSH_EVERY: u64 = 4096;
-
-impl KernelMetrics {
-    fn new() -> Self {
-        KernelMetrics {
-            events: elephant_obs::counter("des/kernel/events_executed", ""),
-            heap_depth: elephant_obs::gauge("des/kernel/heap_depth_peak", ""),
-            fel_bytes: elephant_obs::gauge("des/kernel/fel_bytes_peak", ""),
-            batched_events: 0,
-            batched_depth: 0,
-        }
-    }
-
-    /// Notes one executed event and the queue depth at the moment it
-    /// popped. Returns `true` when the batch flushed to the registry —
-    /// the caller's cue to sample expensive gauges (FEL bytes) at the
-    /// same cadence.
-    #[inline]
-    fn note(&mut self, depth_at_pop: usize) -> bool {
-        if !elephant_obs::enabled() {
-            return false;
-        }
-        self.batched_events += 1;
-        self.batched_depth = self.batched_depth.max(depth_at_pop as i64);
-        if self.batched_events >= METRICS_FLUSH_EVERY {
-            self.flush();
-            return true;
-        }
-        false
-    }
-
-    /// Records a high-water mark of the FEL's resident bytes (the
-    /// `bytes/host` memory-accounting substrate; see
-    /// [`crate::Scheduler::fel_bytes`]).
-    fn record_fel_bytes(&mut self, bytes: usize) {
-        if elephant_obs::enabled() {
-            self.fel_bytes.record_max(bytes as i64);
-        }
-    }
-
-    /// Publishes the accumulated batch to the shared registry.
-    fn flush(&mut self) {
-        if self.batched_events > 0 {
-            self.events.add(self.batched_events);
-            self.heap_depth.record_max(self.batched_depth);
-            self.batched_events = 0;
-            self.batched_depth = 0;
-        }
-    }
-}
+/// `fel_bytes` walks the queue's bookkeeping, so it is read at this
+/// cadence rather than per event.
+const FEL_BYTES_EVERY: u64 = 4096;
 
 /// Drives a [`World`] through simulated time.
 #[derive(Debug)]
 pub struct Simulator<W: World> {
     world: W,
     sched: Scheduler<W::Event>,
-    metrics: KernelMetrics,
+    peaks: FelPeaks,
+    /// Events popped since `peaks.bytes` was last read.
+    since_bytes: u64,
 }
 
 impl<W: World> Simulator<W> {
@@ -114,7 +65,8 @@ impl<W: World> Simulator<W> {
         Simulator {
             world,
             sched: Scheduler::new(),
-            metrics: KernelMetrics::new(),
+            peaks: FelPeaks::default(),
+            since_bytes: 0,
         }
     }
 
@@ -144,25 +96,44 @@ impl<W: World> Simulator<W> {
         &self.sched
     }
 
+    /// The FEL high-water marks observed so far.
+    pub fn fel_peaks(&self) -> FelPeaks {
+        self.peaks
+    }
+
+    /// Updates [`FelPeaks`]: called with `popped` right after an event
+    /// left the queue, and without when a run loop returns.
+    #[inline]
+    fn sample_fel(&mut self, popped: bool) {
+        if !elephant_obs::enabled() {
+            return;
+        }
+        if popped {
+            let depth = self.sched.pending() as u64 + 1;
+            self.peaks.depth = self.peaks.depth.max(depth);
+            self.since_bytes += 1;
+            if self.since_bytes < FEL_BYTES_EVERY {
+                return;
+            }
+        }
+        self.since_bytes = 0;
+        self.peaks.bytes = self.peaks.bytes.max(self.sched.fel_bytes() as u64);
+    }
+
     /// Executes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.sched.pop() {
-            Some((_, ev)) => {
-                if self.metrics.note(self.sched.pending() + 1) {
-                    self.metrics.record_fel_bytes(self.sched.fel_bytes());
-                }
-                self.world.handle(ev, &mut self.sched);
-                true
-            }
-            None => false,
-        }
+        let Some((_, ev)) = self.sched.pop() else {
+            return false;
+        };
+        self.sample_fel(true);
+        self.world.handle(ev, &mut self.sched);
+        true
     }
 
     /// Runs until the event list drains.
     pub fn run(&mut self) -> StopReason {
         while self.step() {}
-        self.metrics.flush();
-        self.metrics.record_fel_bytes(self.sched.fel_bytes());
+        self.sample_fel(false);
         StopReason::Exhausted
     }
 
@@ -172,44 +143,37 @@ impl<W: World> Simulator<W> {
     /// strictly after it stays queued and the clock is left parked at
     /// `horizon` so a subsequent call can resume seamlessly.
     pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
-        loop {
+        let reason = loop {
             match self.sched.peek_time() {
-                None => {
-                    self.metrics.flush();
-                    self.metrics.record_fel_bytes(self.sched.fel_bytes());
-                    return StopReason::Exhausted;
-                }
+                None => break StopReason::Exhausted,
                 Some(t) if t > horizon => {
                     self.sched.advance_clock(horizon.max(self.sched.now()));
-                    self.metrics.flush();
-                    self.metrics.record_fel_bytes(self.sched.fel_bytes());
-                    return StopReason::HorizonReached;
+                    break StopReason::HorizonReached;
                 }
                 Some(_) => {
                     let (_, ev) = self.sched.pop().expect("peeked event vanished");
-                    if self.metrics.note(self.sched.pending() + 1) {
-                        self.metrics.record_fel_bytes(self.sched.fel_bytes());
-                    }
+                    self.sample_fel(true);
                     self.world.handle(ev, &mut self.sched);
                 }
             }
-        }
+        };
+        self.sample_fel(false);
+        reason
     }
 
     /// Runs until the event list drains or `budget` events have executed,
     /// whichever comes first. Useful for watchdogs around possibly-livelocked
     /// models.
     pub fn run_events(&mut self, budget: u64) -> StopReason {
+        let mut reason = StopReason::BudgetSpent;
         for _ in 0..budget {
             if !self.step() {
-                self.metrics.flush();
-                self.metrics.record_fel_bytes(self.sched.fel_bytes());
-                return StopReason::Exhausted;
+                reason = StopReason::Exhausted;
+                break;
             }
         }
-        self.metrics.flush();
-        self.metrics.record_fel_bytes(self.sched.fel_bytes());
-        StopReason::BudgetSpent
+        self.sample_fel(false);
+        reason
     }
 
     /// Consumes the simulator and returns the world, e.g. to extract final
@@ -227,9 +191,10 @@ where
     ///
     /// Call between `run_until` chunks (the engine is parked there);
     /// restoring the snapshot and running on is bit-identical to never
-    /// having stopped. Global observability (metrics registry, timeline)
-    /// is deliberately outside the snapshot: counters are monotonic
-    /// telemetry and keep the aborted attempt's contribution.
+    /// having stopped. Counts kept in the world or the scheduler rewind
+    /// with them; the timeline, the [`FelPeaks`] high-water marks and
+    /// whatever the world shares across its clones are outside the
+    /// snapshot.
     pub fn checkpoint(&self) -> crate::checkpoint::SimCheckpoint<W> {
         crate::checkpoint::SimCheckpoint {
             world: self.world.clone(),

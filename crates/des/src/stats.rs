@@ -1,8 +1,8 @@
 //! Measurement primitives used by every experiment in the workspace.
 //!
 //! The simulator-agnostic kernels — [`Summary`], [`LogHistogram`],
-//! [`EmpiricalCdf`] — live in `elephant-obs` (shared with the metrics
-//! registry) and are re-exported here so existing imports keep working.
+//! [`EmpiricalCdf`] — live in `elephant-obs` (shared with the run report)
+//! and are re-exported here so existing imports keep working.
 //! This module owns the accumulators that need simulation time:
 //! [`TimeWeighted`] signals and the [`Ewma`] smoother that pairs with them.
 

@@ -14,11 +14,10 @@
 //! [`crate::FixedLatencyOracle`]). Repeated violations flip the guard into
 //! permanent fallback: the primary is abandoned for the rest of the run.
 //!
-//! Trip counts and fallback state are observable two ways: live counters
-//! in the `elephant-obs` registry (`hybrid/guard/*`), and a lock-free
+//! Trip counts and fallback state are observable through a lock-free
 //! [`GuardStatsHandle`] that survives the oracle being boxed and moved
-//! into the network, so the CLI can report guardrail activity after the
-//! run completes.
+//! into the network, so the CLI can report guardrail activity (and seal
+//! the ledger's `hybrid/guard/*` rows) after the run completes.
 //!
 //! Determinism contract: while the guard never trips, a guarded run is
 //! bit-identical to an unguarded one — validation only reads the raw
@@ -30,7 +29,7 @@ use std::sync::{Arc, Mutex};
 
 use elephant_des::{SimDuration, SimTime};
 
-use crate::oracle::{ClusterOracle, OracleCtx, OracleVerdict, RawVerdict};
+use crate::oracle::{ClusterOracle, OracleCtx, OracleStats, OracleVerdict, RawVerdict};
 use crate::packet::Packet;
 
 /// What a [`GuardedOracle`] checks and when it gives up on the primary.
@@ -79,18 +78,6 @@ pub enum GuardViolation {
     DropRateDrift,
 }
 
-impl GuardViolation {
-    /// Stable label used for metrics and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            GuardViolation::NonFinite => "non_finite",
-            GuardViolation::Negative => "negative",
-            GuardViolation::CeilingExceeded => "ceiling",
-            GuardViolation::DropRateDrift => "drop_drift",
-        }
-    }
-}
-
 /// Retain at most this many timestamped trips (the first ones — the run
 /// is usually abandoned to the fallback long before the cap matters).
 const TRIP_LOG_CAP: usize = 1024;
@@ -136,6 +123,35 @@ impl GuardSnapshot {
     }
 }
 
+impl std::fmt::Display for GuardSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.trips() == 0 {
+            return write!(
+                f,
+                "{} verdicts, no trips (bit-identical to unguarded)",
+                self.verdicts
+            );
+        }
+        write!(
+            f,
+            "{} trips in {} verdicts (non-finite {}, negative {}, ceiling {}, \
+             drop-drift {}); {} fallback verdicts{}",
+            self.trips(),
+            self.verdicts,
+            self.non_finite,
+            self.negative,
+            self.ceiling,
+            self.drop_drift,
+            self.fallback_verdicts,
+            if self.fallback_active {
+                "; primary ABANDONED (trip limit)"
+            } else {
+                ""
+            }
+        )
+    }
+}
+
 /// Cloneable, lock-free view of a [`GuardedOracle`]'s counters. Obtain one
 /// with [`GuardedOracle::stats_handle`] *before* boxing the oracle into the
 /// network; it remains valid (and live) for the duration of the run.
@@ -164,23 +180,6 @@ impl GuardStatsHandle {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone()
-    }
-
-    /// Mirrors the snapshot into the global metrics registry under
-    /// `hybrid/guard/*` (no-op while observability is disabled).
-    pub fn publish_metrics(&self) {
-        if !elephant_obs::enabled() {
-            return;
-        }
-        let snap = self.snapshot();
-        elephant_obs::counter("hybrid/guard/verdicts", "").add(snap.verdicts);
-        elephant_obs::counter("hybrid/guard/trips", "non_finite").add(snap.non_finite);
-        elephant_obs::counter("hybrid/guard/trips", "negative").add(snap.negative);
-        elephant_obs::counter("hybrid/guard/trips", "ceiling").add(snap.ceiling);
-        elephant_obs::counter("hybrid/guard/trips", "drop_drift").add(snap.drop_drift);
-        elephant_obs::counter("hybrid/guard/fallback_verdicts", "").add(snap.fallback_verdicts);
-        elephant_obs::gauge("hybrid/guard/fallback_active", "")
-            .set(i64::from(snap.fallback_active));
     }
 }
 
@@ -240,18 +239,12 @@ impl GuardedOracle {
                 log.push((now, kind));
             }
         }
-        if elephant_obs::enabled() {
-            elephant_obs::counter("hybrid/guard/trip_events", kind.label()).inc();
-        }
         let total = self.stats.non_finite.load(Ordering::Relaxed)
             + self.stats.negative.load(Ordering::Relaxed)
             + self.stats.ceiling.load(Ordering::Relaxed)
             + self.stats.drop_drift.load(Ordering::Relaxed);
         if total >= self.cfg.trip_limit && !self.stats.fallback_active.load(Ordering::Relaxed) {
             self.stats.fallback_active.store(true, Ordering::Relaxed);
-            if elephant_obs::enabled() {
-                elephant_obs::gauge("hybrid/guard/fallback_active", "").set(1);
-            }
         }
     }
 
@@ -345,10 +338,16 @@ impl ClusterOracle for GuardedOracle {
         self.primary.macro_state_of(cluster)
     }
 
+    fn oracle_stats(&self) -> Option<&OracleStats> {
+        self.primary.oracle_stats()
+    }
+
     /// Snapshottable iff both wrapped oracles are. The clone *shares* the
-    /// `Arc`'d stats block with the original: guard counters are monotonic
-    /// observability (like the global metrics registry, deliberately outside
-    /// checkpoint scope), and a restored run keeps accumulating onto them.
+    /// `Arc`'d stats block with the original: the handle a caller took
+    /// before boxing the guard must stay live across restores, so a restored
+    /// run keeps accumulating onto the same counters — they are the one part
+    /// of a run's statistics that counts abandoned attempts too, which is
+    /// why supervised runs do not report them.
     /// The drop-rate window and permanent-fallback latch, which *do* shape
     /// verdicts, live in `cfg`/`window_*`/`fallback_active` and travel with
     /// the snapshot (the latch is inside the shared stats, so an abandoned

@@ -68,7 +68,8 @@ pub use network::{
     schedule_flows, FlowSpec, NetConfig, NetEvent, NetPartition, Network, TimerKind,
 };
 pub use oracle::{
-    ClusterOracle, FixedLatencyOracle, IdealOracle, OracleCtx, OracleVerdict, RawVerdict,
+    ClusterOracle, FixedLatencyOracle, IdealOracle, OracleCtx, OracleStats, OracleVerdict,
+    RawVerdict,
 };
 pub use packet::{Ecn, Packet, TcpFlags, TcpSegment, HEADER_BYTES, MIN_WIRE_BYTES};
 pub use port::{PortCounters, PortState, TxAction};

@@ -118,6 +118,50 @@ pub struct NetStats {
     pub fast_retransmits: u64,
 }
 
+/// The post-run summary block: flows, goodput, drops by tier, and — when
+/// there is anything to say — RTT quantiles, mean FCT and oracle
+/// deliveries, one indented line each.
+impl std::fmt::Display for NetStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let d = &self.drops;
+        write!(
+            f,
+            "  flows     : {}/{} completed\n  goodput   : {:.3} GB delivered\n  \
+             drops     : {} (host {}, tor {}, agg {}, core {}, oracle {})",
+            self.flows_completed,
+            self.flows_started,
+            self.delivered_bytes as f64 / 1e9,
+            d.total(),
+            d.host,
+            d.tor,
+            d.agg,
+            d.core,
+            d.oracle
+        )?;
+        if self.rtt_hist.count() > 0 {
+            write!(
+                f,
+                "\n  RTT       : p50 {:.1}us  p90 {:.1}us  p99 {:.1}us  ({} samples)",
+                self.rtt_hist.quantile(0.5) * 1e6,
+                self.rtt_hist.quantile(0.9) * 1e6,
+                self.rtt_hist.quantile(0.99) * 1e6,
+                self.rtt_hist.count()
+            )?;
+        }
+        if let Some(fct) = self.mean_fct() {
+            write!(f, "\n  mean FCT  : {fct}")?;
+        }
+        if self.oracle_deliveries > 0 {
+            write!(
+                f,
+                "\n  oracle    : {} packets teleported",
+                self.oracle_deliveries
+            )?;
+        }
+        Ok(())
+    }
+}
+
 impl NetStats {
     /// Fresh stats with the given RTT collection scope. `raw_rtt_limit`
     /// bounds the exact-sample buffer used for KS statistics (the

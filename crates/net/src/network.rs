@@ -26,10 +26,10 @@ use elephant_des::{
 
 use crate::capture::CaptureState;
 use crate::metrics::{FctRecord, NetStats, RttScope};
-use crate::oracle::{ClusterOracle, OracleCtx, OracleVerdict};
+use crate::oracle::{ClusterOracle, OracleCtx, OracleStats, OracleVerdict};
 use crate::packet::{Ecn, Packet};
 use crate::port::{PortCounters, PortState, TxAction};
-use crate::tcp::{TcpConfig, TcpConn, TcpOutput, TimerCmd};
+use crate::tcp::{ConnStats, TcpConfig, TcpConn, TcpOutput, TimerCmd};
 use crate::topology::Topology;
 use crate::trace_log::{TraceEntry, TraceKind, TraceLog};
 use crate::types::{Direction, FlowId, HostAddr, NodeId, NodeKind, PortId};
@@ -151,42 +151,6 @@ struct PartitionCtx {
     node_part: Arc<Vec<u32>>,
 }
 
-/// Cached metrics-registry handles, labeled by switch tier; resolved once
-/// at construction so the per-packet cost is a relaxed flag load.
-#[derive(Clone)]
-struct NetMetrics {
-    enqueued: [elephant_obs::Counter; 4],
-    drops: [elephant_obs::Counter; 4],
-    ecn_marks: [elephant_obs::Counter; 4],
-}
-
-const TIER_LABELS: [&str; 4] = ["host", "tor", "agg", "core"];
-
-impl NetMetrics {
-    fn new() -> Self {
-        NetMetrics {
-            enqueued: std::array::from_fn(|t| {
-                elephant_obs::counter("net/port/enqueued", TIER_LABELS[t])
-            }),
-            drops: std::array::from_fn(|t| elephant_obs::counter("net/port/drops", TIER_LABELS[t])),
-            ecn_marks: std::array::from_fn(|t| {
-                elephant_obs::counter("net/port/ecn_marks", TIER_LABELS[t])
-            }),
-        }
-    }
-
-    /// Tier index for a queueing node; boundaries have no queues.
-    fn tier(kind: &NodeKind) -> Option<usize> {
-        match kind {
-            NodeKind::Host { .. } => Some(0),
-            NodeKind::Tor { .. } => Some(1),
-            NodeKind::Agg { .. } => Some(2),
-            NodeKind::Core { .. } => Some(3),
-            NodeKind::Boundary { .. } => None,
-        }
-    }
-}
-
 /// The packet-level simulator state (see module docs).
 pub struct Network {
     topo: Arc<Topology>,
@@ -207,16 +171,17 @@ pub struct Network {
     partition: Option<PartitionCtx>,
     outbox: Vec<(PartitionId, SimTime, NetEvent)>,
     trace: Option<TraceLog>,
-    metrics: NetMetrics,
 }
 
 /// Cloning a network deep-copies every piece of simulation state — port
 /// queues, TCP connections, flow metadata, measurement state, capture and
 /// trace buffers, and (via [`ClusterOracle::clone_box`]) the installed
 /// oracle with its regime, RNN, and verdict-cache state. The topology and
-/// partition map stay shared (`Arc`, immutable), and the cached metrics
-/// handles keep pointing at the global registry (counters are monotonic
-/// telemetry, deliberately outside checkpoint scope).
+/// partition map stay shared (`Arc`, immutable). The network's own counters
+/// ([`NetStats`], the ports', the connections', the oracle's
+/// [`OracleStats`]) are part of that state, so a restored network counts
+/// the successful path only; a [`crate::GuardedOracle`]'s counters are
+/// not — its clone shares the original's [`crate::GuardStatsHandle`].
 ///
 /// # Panics
 /// Panics if an installed oracle does not support [`ClusterOracle::clone_box`]
@@ -244,7 +209,6 @@ impl Clone for Network {
             partition: self.partition.clone(),
             outbox: self.outbox.clone(),
             trace: self.trace.clone(),
-            metrics: self.metrics.clone(),
         }
     }
 }
@@ -283,7 +247,6 @@ impl Network {
             partition: None,
             outbox: Vec::new(),
             trace: None,
-            metrics: NetMetrics::new(),
             ports,
             hosts,
             flow_meta: HashMap::new(),
@@ -381,12 +344,8 @@ impl Network {
         }
         let mut acc = [(0.0f64, 0.0f64, 0u32); 4]; // (sum of means, peak, ports)
         for (i, node) in self.ports.iter().enumerate() {
-            let layer = match self.topo.node(NodeId(i as u32)).kind {
-                NodeKind::Host { .. } => 0,
-                NodeKind::Tor { .. } => 1,
-                NodeKind::Agg { .. } => 2,
-                NodeKind::Core { .. } => 3,
-                NodeKind::Boundary { .. } => continue,
+            let Some(layer) = self.topo.node(NodeId(i as u32)).kind.layer() else {
+                continue;
             };
             for p in node {
                 let d = p.depth().expect("tracking enabled");
@@ -406,12 +365,8 @@ impl Network {
     pub fn queue_bytes_by_layer(&self) -> [u64; 4] {
         let mut acc = [0u64; 4];
         for (i, node) in self.ports.iter().enumerate() {
-            let layer = match self.topo.node(NodeId(i as u32)).kind {
-                NodeKind::Host { .. } => 0,
-                NodeKind::Tor { .. } => 1,
-                NodeKind::Agg { .. } => 2,
-                NodeKind::Core { .. } => 3,
-                NodeKind::Boundary { .. } => continue,
+            let Some(layer) = self.topo.node(NodeId(i as u32)).kind.layer() else {
+                continue;
             };
             for p in node {
                 acc[layer] += p.queued_bytes();
@@ -425,6 +380,20 @@ impl Network {
     /// See [`ClusterOracle::macro_state_of`].
     pub fn oracle_macro_state(&self, cluster: u16) -> Option<u8> {
         self.oracle.as_ref().and_then(|o| o.macro_state_of(cluster))
+    }
+
+    /// The installed oracle's own counters (`None` without an oracle, or
+    /// when it keeps none). See [`ClusterOracle::oracle_stats`].
+    pub fn oracle_stats(&self) -> Option<&OracleStats> {
+        self.oracle.as_ref().and_then(|o| o.oracle_stats())
+    }
+
+    /// The TCP counters of every still-open connection. `stats` holds the
+    /// closed ones, so a run total is the two together (unless
+    /// [`Network::absorb_live_connections`] already folded them in).
+    pub fn open_conn_stats(&self) -> impl Iterator<Item = &ConnStats> {
+        let hosts = self.hosts.iter().flatten();
+        hosts.flat_map(|h| h.conns.values().map(|c| c.tcp.stats()))
     }
 
     /// Iterates every port's counters with its owning node and port id —
@@ -444,12 +413,8 @@ impl Network {
         let secs = horizon.as_secs_f64().max(1e-12);
         let mut acc = [(0.0f64, 0u32); 4];
         for (i, node) in self.ports.iter().enumerate() {
-            let layer = match self.topo.node(NodeId(i as u32)).kind {
-                NodeKind::Host { .. } => 0,
-                NodeKind::Tor { .. } => 1,
-                NodeKind::Agg { .. } => 2,
-                NodeKind::Core { .. } => 3,
-                NodeKind::Boundary { .. } => continue,
+            let Some(layer) = self.topo.node(NodeId(i as u32)).kind.layer() else {
+                continue;
             };
             for p in node {
                 let cap_bits = p.spec().link.rate_gbps * 1e9 * secs;
@@ -823,21 +788,10 @@ impl Network {
         sched: &mut Scheduler<NetEvent>,
     ) {
         let now = sched.now();
-        let was_marked = pkt.ecn == Ecn::CongestionExperienced;
         let (action, spec) = {
             let ps = &mut self.ports[node.idx()][port.idx()];
             (ps.offer(&mut pkt, now), *ps.spec())
         };
-        if elephant_obs::enabled() {
-            if let Some(tier) = NetMetrics::tier(&self.topo.node(node).kind) {
-                if action == TxAction::Queued {
-                    self.metrics.enqueued[tier].inc();
-                }
-                if !was_marked && pkt.ecn == Ecn::CongestionExperienced {
-                    self.metrics.ecn_marks[tier].inc();
-                }
-            }
-        }
         match action {
             TxAction::StartTx { serialize } => {
                 self.trace_event(now, TraceKind::TxStart, node, &pkt);
@@ -856,11 +810,7 @@ impl Network {
 
     fn record_drop(&mut self, node: NodeId, pkt: &Packet, now: SimTime) {
         self.trace_event(now, TraceKind::Drop, node, pkt);
-        let kind = self.topo.node(node).kind;
-        if let Some(tier) = NetMetrics::tier(&kind) {
-            self.metrics.drops[tier].inc();
-        }
-        match kind {
+        match self.topo.node(node).kind {
             NodeKind::Host { .. } => self.stats.drops.host += 1,
             NodeKind::Tor { .. } => self.stats.drops.tor += 1,
             NodeKind::Agg { .. } => self.stats.drops.agg += 1,

@@ -12,7 +12,7 @@
 //! the learned macro/micro oracle lives in `elephant-core`, which is the
 //! paper's actual contribution.
 
-use elephant_des::{SimDuration, SimTime};
+use elephant_des::{LogHistogram, SimDuration, SimTime};
 
 use crate::packet::Packet;
 use crate::topology::{FabricPath, Topology};
@@ -80,6 +80,33 @@ impl RawVerdict {
     }
 }
 
+/// What a regime-modelling oracle counted while serving verdicts — plain
+/// fields of the oracle, so they checkpoint and restore with it.
+#[derive(Clone, Debug)]
+pub struct OracleStats {
+    /// Verdicts issued.
+    pub classified: u64,
+    /// Drop verdicts.
+    pub drops: u64,
+    /// Verdicts issued in each macro state (by index).
+    pub per_state: [u64; 4],
+    /// Wall-clock seconds per model inference; recorded only while the
+    /// `elephant_obs` switch is on, because timing a verdict costs two
+    /// clock reads.
+    pub infer_seconds: LogHistogram,
+}
+
+impl Default for OracleStats {
+    fn default() -> Self {
+        OracleStats {
+            classified: 0,
+            drops: 0,
+            per_state: [0; 4],
+            infer_seconds: LogHistogram::for_latency_seconds(),
+        }
+    }
+}
+
 /// A model of an approximated cluster fabric.
 pub trait ClusterOracle {
     /// Judges one boundary crossing.
@@ -102,6 +129,12 @@ pub trait ClusterOracle {
     /// state here.
     fn macro_state_of(&self, cluster: u16) -> Option<u8> {
         let _ = cluster;
+        None
+    }
+
+    /// The oracle's own counters, read after a run. Oracles that keep none
+    /// inherit `None`; wrappers forward to the oracle they wrap.
+    fn oracle_stats(&self) -> Option<&OracleStats> {
         None
     }
 

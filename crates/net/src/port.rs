@@ -41,6 +41,8 @@ pub struct PortCounters {
     pub tx_packets: u64,
     /// Bytes that began transmission.
     pub tx_bytes: u64,
+    /// Packets that found the transmitter busy and joined the queue.
+    pub queued: u64,
     /// Packets dropped by the full queue.
     pub drops: u64,
     /// Packets marked Congestion Experienced on enqueue.
@@ -137,6 +139,7 @@ impl PortState {
             }
         }
         self.queued_bytes += size;
+        self.counters.queued += 1;
         self.counters.peak_queue_bytes = self.counters.peak_queue_bytes.max(self.queued_bytes);
         if let Some(d) = &mut self.depth {
             d.set(now, self.queued_bytes as f64);

@@ -29,29 +29,10 @@
 //! keeps the whole protocol unit-testable without a network.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use elephant_des::{SimDuration, SimTime};
 
 use crate::packet::{TcpFlags, TcpSegment};
-
-/// Workspace-global TCP loss counters (per-connection figures stay in
-/// [`ConnStats`]). Handles are lazy statics: the events they count are rare
-/// enough that even the first-use registry lookup is off the fast path.
-struct TcpMetrics {
-    timeouts: elephant_obs::Counter,
-    fast_retransmits: elephant_obs::Counter,
-    retransmits: elephant_obs::Counter,
-}
-
-fn tcp_metrics() -> &'static TcpMetrics {
-    static METRICS: OnceLock<TcpMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| TcpMetrics {
-        timeouts: elephant_obs::counter("net/tcp/rto_fired", ""),
-        fast_retransmits: elephant_obs::counter("net/tcp/fast_retransmits", ""),
-        retransmits: elephant_obs::counter("net/tcp/retransmitted_segments", ""),
-    })
-}
 
 /// How the connection reacts to ECN marks.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -655,7 +636,6 @@ impl TcpConn {
                 s.in_recovery = true;
                 s.cwnd = s.ssthresh + 3.0 * self.cfg.mss as f64;
                 self.stats.fast_retransmits += 1;
-                tcp_metrics().fast_retransmits.inc();
                 Self::retransmit_front(s, &self.cfg, &mut self.stats, now, out);
                 self.rearm_rto(now, out);
             }
@@ -668,7 +648,6 @@ impl TcpConn {
             return; // nothing outstanding; stale timer
         }
         self.stats.timeouts += 1;
-        tcp_metrics().timeouts.inc();
         let flight = s.snd_nxt.saturating_sub(s.snd_una) as f64;
         s.ssthresh = (flight / 2.0).max((2 * self.cfg.mss) as f64);
         s.cwnd = (self.cfg.min_cwnd_mss * self.cfg.mss) as f64;
@@ -712,7 +691,6 @@ impl TcpConn {
             );
             s.snd_nxt = total + 1;
             self.stats.retransmissions += 1;
-            tcp_metrics().retransmits.inc();
         } else {
             self.fill_window(now, out);
             // Everything sent by fill_window after a rewind is a
@@ -802,7 +780,6 @@ impl TcpConn {
         );
         stats.retransmissions += 1;
         stats.data_segments_sent += 1;
-        tcp_metrics().retransmits.inc();
     }
 
     fn rearm_rto(&mut self, now: SimTime, out: &mut TcpOutput) {

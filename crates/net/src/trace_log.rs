@@ -157,6 +157,40 @@ impl TraceLog {
     }
 }
 
+/// The head of the trace as a table: a count line, a header, and the
+/// first 20 retained entries.
+impl std::fmt::Display for TraceLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "first events of the raw trace ({} retained, {} observed{}):\n  \
+             {:>12}  {:<14} {:>6} {:>8} {:>8} {:>10}",
+            self.entries.len(),
+            self.observed,
+            if self.truncated() { ", truncated" } else { "" },
+            "time",
+            "kind",
+            "node",
+            "packet",
+            "flow",
+            "seq"
+        )?;
+        for e in self.entries.iter().take(20) {
+            write!(
+                f,
+                "\n  {:>12}  {:<14} {:>6} {:>8} {:>8} {:>10}",
+                e.time.to_string(),
+                e.kind.name(),
+                e.node.0,
+                e.packet,
+                e.flow.0,
+                e.seq
+            )?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

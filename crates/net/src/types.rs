@@ -137,6 +137,18 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
+    /// The queueing layer this node belongs to — 0 host NICs, 1 ToR,
+    /// 2 Agg, 3 Core — or `None` for a boundary, which has no queues.
+    pub fn layer(&self) -> Option<usize> {
+        match self {
+            NodeKind::Host { .. } => Some(0),
+            NodeKind::Tor { .. } => Some(1),
+            NodeKind::Agg { .. } => Some(2),
+            NodeKind::Core { .. } => Some(3),
+            NodeKind::Boundary { .. } => None,
+        }
+    }
+
     /// The cluster this node belongs to, if it belongs to one.
     pub fn cluster(&self) -> Option<u16> {
         match *self {

@@ -2,7 +2,7 @@
 //! histograms, and exact empirical CDFs.
 //!
 //! These types originated in `elephant-des::stats` and moved here so that
-//! every crate (net metrics, the hybrid engine, the metrics registry) shares
+//! every crate (net metrics, the hybrid engine, the run report) shares
 //! one histogram implementation. `elephant-des` re-exports them, so
 //! downstream code may keep importing from either crate.
 

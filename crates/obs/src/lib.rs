@@ -1,13 +1,14 @@
-//! Observability for the elephant workspace: a global low-overhead
-//! metrics registry, a hierarchical phase profiler, shared statistics
-//! kernels (histograms / CDFs / running summaries), and exportable run
-//! reports.
+//! Observability for the elephant workspace: a hierarchical phase
+//! profiler, a Chrome-trace timeline, shared statistics kernels
+//! (histograms / CDFs / running summaries), and the exportable run report
+//! with its metric-row shape.
 //!
 //! This crate is a dependency root (alongside `elephant-des`): every other
-//! crate may depend on it, and it depends only on the serde shims. Metric
-//! names follow the `subsystem/area/metric` convention documented in
-//! DESIGN.md — e.g. `des/kernel/events_executed`,
-//! `pdes/epoch/barrier_wait`, `net/port/drops`, `hybrid/oracle/infer`.
+//! crate may depend on it, and it depends only on the serde shims. There
+//! is no metrics registry: a run's counts are plain fields of its own
+//! state, and `elephant-core` turns a finished run into [`MetricRow`]s
+//! named `subsystem/area/metric` as documented in DESIGN.md — e.g.
+//! `des/kernel/events_executed`, `net/port/drops`, `pdes/epoch/planned`.
 
 pub mod diverge;
 pub mod hist;
@@ -21,10 +22,7 @@ pub use diverge::{
 };
 pub use hist::{EmpiricalCdf, LogHistogram, Summary};
 pub use profile::{profiler, render_tree, span, tree_from_rows, ProfileNode, Profiler, SpanGuard};
-pub use registry::{
-    counter, enabled, gauge, histogram, registry, set_enabled, Counter, Gauge, HistogramHandle,
-    Registry,
-};
+pub use registry::{enabled, set_enabled};
 pub use report::{MetricRow, PartitionRow, ProfileRow, RunReport};
 pub use timeline::{
     set_timeline_enabled, timeline, timeline_enabled, ArgValue, Timeline, TimelineWriter,

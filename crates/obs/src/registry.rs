@@ -1,28 +1,14 @@
-//! A global, cheap, thread-safe metrics registry.
+//! The global observability switch.
 //!
-//! Metrics are addressed by a static name (following the
-//! `subsystem/area/metric` convention) plus a free-form label (e.g. a
-//! partition index, a switch tier). Handles are cheap clones of shared
-//! atomics; the hot-path record operations check one relaxed global flag
-//! and are no-ops while observability is disabled (the default), so
-//! instrumented code costs a load+branch per site in normal runs.
-//!
-//! ```
-//! let events = elephant_obs::counter("des/kernel/events_executed", "");
-//! elephant_obs::set_enabled(true);
-//! events.inc();
-//! assert_eq!(events.get(), 1);
-//! elephant_obs::set_enabled(false);
-//! ```
+//! Counts are not collected here: every count a run reports is a plain
+//! field of the run's own state (`NetStats`, `PortCounters`, `PdesReport`,
+//! …) and the ledger's metric rows are derived from the finished run. The
+//! switch gates what does cost something to collect — the phase profiler's
+//! clock reads, the sequential kernel's FEL-peak sampler and the oracle's
+//! per-inference timer — and is off by default.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::hist::LogHistogram;
-use crate::report::MetricRow;
-
-/// Global observability switch shared by the registry and the profiler.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turns collection on or off globally (off by default).
@@ -34,317 +20,4 @@ pub fn set_enabled(on: bool) {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// A monotonically increasing counter handle.
-#[derive(Clone, Debug)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds 1 (no-op while disabled).
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n` (no-op while disabled).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed instantaneous-level handle.
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Sets the level (no-op while disabled).
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adjusts the level by `delta` (no-op while disabled).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if enabled() {
-            self.0.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `v` only if it exceeds the current level (high-watermark).
-    #[inline]
-    pub fn record_max(&self, v: i64) {
-        if enabled() {
-            self.0.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Current level.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A log-bucketed histogram handle (mutex-guarded; keep off per-event
-/// fast paths — record into it at batch boundaries where possible).
-#[derive(Clone, Debug)]
-pub struct HistogramHandle(Arc<Mutex<LogHistogram>>);
-
-impl HistogramHandle {
-    /// Records one observation (no-op while disabled). A poisoned lock —
-    /// another thread panicked mid-record — drops the sample and bumps
-    /// `obs/hist/poisoned` instead of propagating the panic: one crashed
-    /// worker must not take the whole metrics pipeline down with it.
-    #[inline]
-    pub fn record(&self, x: f64) {
-        if enabled() {
-            match self.0.lock() {
-                Ok(mut h) => h.record(x),
-                Err(_) => counter("obs/hist/poisoned", "").inc(),
-            }
-        }
-    }
-
-    /// A point-in-time copy of the underlying histogram. A poisoned lock
-    /// yields the histogram as the panicking thread left it (bucket counts
-    /// are updated atomically enough for reporting — each `record` is a
-    /// single-threaded mutation under the lock).
-    pub fn snapshot(&self) -> LogHistogram {
-        self.0
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone()
-    }
-}
-
-type Key = (&'static str, String);
-
-/// The process-wide metric store behind [`counter`]/[`gauge`]/[`histogram`].
-#[derive(Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<Key, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<Key, Arc<AtomicI64>>>,
-    histograms: Mutex<BTreeMap<Key, Arc<Mutex<LogHistogram>>>>,
-}
-
-impl Registry {
-    /// The counter registered under `(name, label)`, created on first use.
-    pub fn counter(&self, name: &'static str, label: impl Into<String>) -> Counter {
-        let mut map = self.counters.lock().expect("registry lock");
-        Counter(Arc::clone(map.entry((name, label.into())).or_default()))
-    }
-
-    /// The gauge registered under `(name, label)`, created on first use.
-    pub fn gauge(&self, name: &'static str, label: impl Into<String>) -> Gauge {
-        let mut map = self.gauges.lock().expect("registry lock");
-        Gauge(Arc::clone(map.entry((name, label.into())).or_default()))
-    }
-
-    /// The histogram registered under `(name, label)`, created on first use
-    /// with latency-in-seconds geometry (10 ns .. 100 s).
-    pub fn histogram(&self, name: &'static str, label: impl Into<String>) -> HistogramHandle {
-        let mut map = self.histograms.lock().expect("registry lock");
-        HistogramHandle(Arc::clone(map.entry((name, label.into())).or_insert_with(
-            || Arc::new(Mutex::new(LogHistogram::for_latency_seconds())),
-        )))
-    }
-
-    /// Zeroes every counter/gauge and empties every histogram, keeping
-    /// registrations (existing handles stay valid).
-    pub fn reset(&self) {
-        for c in self.counters.lock().expect("registry lock").values() {
-            c.store(0, Ordering::Relaxed);
-        }
-        for g in self.gauges.lock().expect("registry lock").values() {
-            g.store(0, Ordering::Relaxed);
-        }
-        for h in self.histograms.lock().expect("registry lock").values() {
-            *h.lock().unwrap_or_else(|p| p.into_inner()) = LogHistogram::for_latency_seconds();
-        }
-    }
-
-    /// All metrics as report rows, sorted by (name, label); empty metrics
-    /// (zero counters, empty histograms) are skipped.
-    pub fn snapshot(&self) -> Vec<MetricRow> {
-        let mut rows = Vec::new();
-        for ((name, label), c) in self.counters.lock().expect("registry lock").iter() {
-            let v = c.load(Ordering::Relaxed);
-            if v != 0 {
-                rows.push(MetricRow::counter(name, label, v));
-            }
-        }
-        for ((name, label), g) in self.gauges.lock().expect("registry lock").iter() {
-            let v = g.load(Ordering::Relaxed);
-            if v != 0 {
-                rows.push(MetricRow::gauge(name, label, v));
-            }
-        }
-        for ((name, label), h) in self.histograms.lock().expect("registry lock").iter() {
-            let h = h.lock().unwrap_or_else(|p| p.into_inner());
-            if h.count() != 0 {
-                rows.push(MetricRow::histogram(name, label, &h));
-            }
-        }
-        rows.sort_by(|a, b| (&a.name, &a.label).cmp(&(&b.name, &b.label)));
-        rows
-    }
-}
-
-/// The process-wide registry.
-pub fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
-}
-
-/// Shorthand for `registry().counter(..)`.
-pub fn counter(name: &'static str, label: impl Into<String>) -> Counter {
-    registry().counter(name, label)
-}
-
-/// Shorthand for `registry().gauge(..)`.
-pub fn gauge(name: &'static str, label: impl Into<String>) -> Gauge {
-    registry().gauge(name, label)
-}
-
-/// Shorthand for `registry().histogram(..)`.
-pub fn histogram(name: &'static str, label: impl Into<String>) -> HistogramHandle {
-    registry().histogram(name, label)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    use crate::testutil::EnableScope;
-
-    #[test]
-    fn disabled_metrics_record_nothing() {
-        let _off = EnableScope::with(false);
-        let reg = Registry::default();
-        let c = reg.counter("test/disabled/counter", "");
-        let h = reg.histogram("test/disabled/hist", "");
-        c.add(100);
-        h.record(1e-3);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.snapshot().count(), 0);
-        assert!(reg.snapshot().is_empty());
-    }
-
-    #[test]
-    fn same_key_shares_storage() {
-        let _on = EnableScope::new();
-        let reg = Registry::default();
-        let a = reg.counter("test/shared/counter", "x");
-        let b = reg.counter("test/shared/counter", "x");
-        let other = reg.counter("test/shared/counter", "y");
-        a.inc();
-        b.inc();
-        other.inc();
-        assert_eq!(a.get(), 2);
-        assert_eq!(other.get(), 1);
-    }
-
-    #[test]
-    fn gauge_tracks_levels_and_high_watermark() {
-        let _on = EnableScope::new();
-        let reg = Registry::default();
-        let g = reg.gauge("test/gauge/level", "");
-        g.set(5);
-        g.add(-2);
-        assert_eq!(g.get(), 3);
-        g.record_max(10);
-        g.record_max(7);
-        assert_eq!(g.get(), 10);
-    }
-
-    #[test]
-    fn snapshot_rows_are_sorted_and_typed() {
-        let _on = EnableScope::new();
-        let reg = Registry::default();
-        reg.counter("test/b", "").inc();
-        reg.counter("test/a", "1").add(3);
-        reg.histogram("test/c", "").record(1e-3);
-        let rows = reg.snapshot();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].name, "test/a");
-        assert_eq!(rows[1].name, "test/b");
-        assert_eq!(rows[2].kind, "histogram");
-        assert_eq!(rows[2].count, 1);
-        assert!(rows[2].p50 > 0.0);
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_handles() {
-        let _on = EnableScope::new();
-        let reg = Registry::default();
-        let c = reg.counter("test/reset/counter", "");
-        c.add(9);
-        reg.reset();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        assert_eq!(c.get(), 1);
-    }
-
-    #[test]
-    fn poisoned_histogram_degrades_instead_of_panicking() {
-        let _on = EnableScope::new();
-        let reg = Registry::default();
-        let h = reg.histogram("test/poisoned/hist", "");
-        h.record(1e-3);
-        // Poison the lock: a thread panics while holding it.
-        let h2 = h.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = h2.0.lock().expect("not yet poisoned");
-            panic!("poison the histogram lock");
-        })
-        .join();
-        let before = crate::registry::counter("obs/hist/poisoned", "").get();
-        // record: sample dropped, counter bumped, no panic.
-        h.record(2e-3);
-        let after = crate::registry::counter("obs/hist/poisoned", "").get();
-        assert_eq!(after, before + 1, "dropped sample counted");
-        // snapshot: recovers the pre-poison contents, no panic.
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 1, "poisoned record dropped, earlier kept");
-        // The registry-wide snapshot path tolerates the poisoned lock too.
-        let rows = reg.snapshot();
-        assert!(rows
-            .iter()
-            .any(|r| r.name == "test/poisoned/hist" && r.count == 1));
-        reg.reset();
-        assert_eq!(h.snapshot().count(), 0, "reset survives poisoning");
-    }
-
-    #[test]
-    fn concurrent_counting_is_exact() {
-        let _on = EnableScope::new();
-        let reg = Registry::default();
-        let threads = 8;
-        let per_thread = 10_000u64;
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let c = reg.counter("test/concurrent/counter", "");
-                s.spawn(move || {
-                    for _ in 0..per_thread {
-                        c.inc();
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            reg.counter("test/concurrent/counter", "").get(),
-            threads * per_thread
-        );
-    }
 }

@@ -1,17 +1,14 @@
 //! Exportable run reports: one serializable struct capturing a run's
-//! throughput figures, registry metrics, per-partition timing, and
-//! profiler breakdown, with human-table / JSON / JSON-lines / CSV
-//! renderers. Bench binaries emit these as `BENCH_<name>.json`.
+//! throughput figures, metric rows, per-partition timing, and profiler
+//! breakdown, with human-table / JSON renderers. Bench binaries emit
+//! these as `BENCH_<name>.json`.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use crate::hist::LogHistogram;
 use crate::profile::{profiler, render_tree, tree_from_rows};
-use crate::registry::registry;
 
 /// One exported metric (counter, gauge, or histogram summary).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -142,7 +139,7 @@ pub struct RunReport {
     pub scalars: BTreeMap<String, f64>,
     /// Per-partition breakdown (one zero-wait row for sequential runs).
     pub partitions: Vec<PartitionRow>,
-    /// Registry snapshot.
+    /// Metric rows derived from the finished run (filled by the driver).
     pub metrics: Vec<MetricRow>,
     /// Profiler snapshot.
     pub profile: Vec<ProfileRow>,
@@ -180,9 +177,8 @@ impl RunReport {
         self.scalars.insert(key.into(), finite(value));
     }
 
-    /// Captures the current global registry and profiler contents.
+    /// Captures the global profiler's contents.
     pub fn gather(&mut self) {
-        self.metrics = registry().snapshot();
         self.profile = profiler().snapshot();
     }
 
@@ -278,121 +274,6 @@ impl RunReport {
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes")
     }
-
-    /// JSON-lines: a `run` record, then one record per metric and profile
-    /// row — friendly to `grep`/`jq -c` pipelines over many runs.
-    pub fn to_jsonl(&self) -> String {
-        #[derive(Serialize)]
-        struct RunLine {
-            record: String,
-            name: String,
-            scenario: String,
-            wall_seconds: f64,
-            sim_seconds: f64,
-            events: u64,
-            events_per_second: f64,
-            sim_seconds_per_second: f64,
-        }
-        #[derive(Serialize)]
-        struct MetricLine {
-            record: String,
-            run: String,
-            name: String,
-            label: String,
-            kind: String,
-            value: f64,
-            mean: f64,
-            p50: f64,
-            p90: f64,
-            p99: f64,
-        }
-        #[derive(Serialize)]
-        struct ProfileLine {
-            record: String,
-            run: String,
-            path: String,
-            count: u64,
-            seconds: f64,
-        }
-        let mut out = String::new();
-        let run = RunLine {
-            record: "run".into(),
-            name: self.name.clone(),
-            scenario: self.scenario.clone(),
-            wall_seconds: self.wall_seconds,
-            sim_seconds: self.sim_seconds,
-            events: self.events,
-            events_per_second: self.events_per_second,
-            sim_seconds_per_second: self.sim_seconds_per_second,
-        };
-        out.push_str(&serde_json::to_string(&run).expect("run line"));
-        out.push('\n');
-        for m in &self.metrics {
-            let line = MetricLine {
-                record: "metric".into(),
-                run: self.name.clone(),
-                name: m.name.clone(),
-                label: m.label.clone(),
-                kind: m.kind.clone(),
-                value: m.value,
-                mean: m.mean,
-                p50: m.p50,
-                p90: m.p90,
-                p99: m.p99,
-            };
-            out.push_str(&serde_json::to_string(&line).expect("metric line"));
-            out.push('\n');
-        }
-        for p in &self.profile {
-            let line = ProfileLine {
-                record: "profile".into(),
-                run: self.name.clone(),
-                path: p.path.clone(),
-                count: p.count,
-                seconds: p.seconds,
-            };
-            out.push_str(&serde_json::to_string(&line).expect("profile line"));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// CSV over the metric rows (header + one line per metric).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("name,label,kind,value,count,mean,p50,p90,p99\n");
-        for m in &self.metrics {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{}\n",
-                csv_field(&m.name),
-                csv_field(&m.label),
-                csv_field(&m.kind),
-                m.value,
-                m.count,
-                m.mean,
-                m.p50,
-                m.p90,
-                m.p99
-            ));
-        }
-        out
-    }
-
-    /// Writes the pretty JSON to `path`.
-    ///
-    /// Note: runs that produce a durable artifact should wrap the report
-    /// in a checksummed `RunLedger` (elephant-core) instead of saving the
-    /// bare report — this raw form carries no schema version or seal.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json_pretty())
-    }
-}
-
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
 }
 
 #[cfg(test)]
@@ -465,42 +346,14 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_one_record_per_line() {
-        let text = sample_report().to_jsonl();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 1 + 2 + 2);
-        assert!(
-            lines[0].contains("\"record\": \"run\"") || lines[0].contains("\"record\":\"run\"")
-        );
-        for l in &lines {
-            assert!(l.starts_with('{') && l.ends_with('}'));
-        }
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let text = sample_report().to_csv();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("name,label,kind"));
-        assert!(lines[1].starts_with("net/port/drops,tor,counter,17"));
-    }
-
-    #[test]
-    fn gather_pulls_global_state() {
+    fn gather_pulls_the_profiler() {
         let _on = crate::testutil::EnableScope::new();
         crate::profiler().reset();
-        crate::registry().reset();
-        crate::counter("test/report/gathered", "").add(4);
         {
             let _s = crate::span("gather_span");
         }
         let mut r = RunReport::new("gather", "");
         r.gather();
-        assert!(r
-            .metrics
-            .iter()
-            .any(|m| m.name == "test/report/gathered" && m.count == 4));
         assert!(r.profile.iter().any(|p| p.path == "gather_span"));
     }
 }

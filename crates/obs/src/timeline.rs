@@ -1,7 +1,7 @@
 //! Causal timeline recorder with Chrome-trace/Perfetto export.
 //!
-//! The registry (`registry.rs`) answers "how much, in total"; this module
-//! answers "when". Subsystems record [`TraceRecord`]s — complete slices,
+//! A run's metric rows answer "how much, in total"; this module answers
+//! "when". Subsystems record [`TraceRecord`]s — complete slices,
 //! instant events, and counter samples — onto one process-wide
 //! [`Timeline`], and [`TimelineWriter`] serializes the result as a Chrome
 //! trace-event JSON file loadable in `chrome://tracing` or
@@ -18,7 +18,7 @@
 //!   timestamped in simulated microseconds.
 //!
 //! The recorder follows the workspace's zero-cost-when-disabled
-//! discipline: its enabled flag is independent of the metrics registry's
+//! discipline: its enabled flag is independent of the profiler's switch
 //! (so either can be exercised alone), record sites are expected to
 //! branch on [`timeline_enabled`] (a relaxed atomic load) before building
 //! a record, and hot loops batch locally and flush once via
@@ -256,9 +256,17 @@ impl Timeline {
         self.len() == 0
     }
 
-    /// Records rejected because the [`MAX_TIMELINE_RECORDS`] cap was hit.
+    /// Records rejected because the [`MAX_TIMELINE_RECORDS`] cap was hit,
+    /// plus those producers discarded at their own caps ([`Self::add_dropped`]).
     pub fn dropped(&self) -> u64 {
         self.lock().dropped
+    }
+
+    /// Counts `n` records a producer discarded before they reached the
+    /// timeline (a PDES partition's local buffer cap), so a truncated
+    /// trace is never mistaken for a complete one.
+    pub fn add_dropped(&self, n: u64) {
+        self.lock().dropped += n;
     }
 
     /// Clears all records, names, and the dropped count.

@@ -14,8 +14,8 @@
 //! * [`net`] — packet-level Clos simulator (switches, ECMP, TCP New
 //!   Reno / DCTCP) with the oracle seam and boundary capture;
 //! * [`nn`] — the LSTM/linear/SGD substrate the micro models run on;
-//! * [`obs`] — opt-in observability: metrics registry, phase profiler,
-//!   and exportable run reports;
+//! * [`obs`] — opt-in observability: phase profiler, timeline, and
+//!   exportable run reports;
 //! * [`trace`] — workload synthesis (DCTCP web-search sizes, Poisson
 //!   arrivals, locality mixes) and CSV export;
 //! * [`flow`] — max-min fair fluid simulation, the related-work baseline;

@@ -23,19 +23,27 @@
 //! values alike) or a field of the [`Request`]. `--help` and the parser
 //! are both read off that table. Every command prints a summary and is a
 //! pure function of its seed.
+//!
+//! What a run reports has one source, the finished `Outcome`: the stdout
+//! summary is its `Display`, and the `--profile` table and the sealed
+//! `--metrics-out` ledger are filled by `Outcome::describe` (metric rows,
+//! partition rows, run line) plus the phase profiler's tree. Nothing is
+//! counted in process-wide state, so the fallback capture before a hybrid
+//! run, or an attempt abandoned by the recovery ladder, never shows in
+//! the artifact of the run that follows it.
 
 use std::process::exit;
 
 use elephant::core::{
-    capture_records, compare_cdfs, compare_ledgers, guard_primary, oracle_stack, run_audit,
-    run_ground_truth, run_hybrid, train_cluster_model, AuditHooks, CacheStats, CacheStatsHandle,
-    ClusterModel, ElephantError, Exec, Observe, OracleStack, Outcome, RunLedger, RunMeta,
-    TrainingOptions, LEDGER_SCHEMA_VERSION,
+    compare_cdfs, compare_ledgers, execute, guard_primary, oracle_stack, run_audit,
+    run_ground_truth, single_oracle, train_cluster_model, AuditHooks, CacheStatsHandle,
+    CacheTotals, ClusterModel, ElephantError, Exec, Fidelity, Observe, OracleCounters, OracleStack,
+    Outcome, RunLedger, RunMeta, RunPlan, TrainingOptions, LEDGER_SCHEMA_VERSION,
 };
-use elephant::des::{EpochMode, FaultCounts, FaultPlan, SimDuration};
+use elephant::des::{EpochMode, SimDuration};
 use elephant::net::{
-    ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig, NetSampler,
-    Network, OracleFaultMode, RttScope, TraceLog, MAX_FLOW_TRACKS, SAMPLE_CSV_HEADER,
+    BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig,
+    NetSampler, Network, OracleFaultMode, RttScope, TraceLog, MAX_FLOW_TRACKS, SAMPLE_CSV_HEADER,
 };
 use elephant::nn::RnnKind;
 use elephant::obs::{RunReport, TimelineWriter, TraceRecord, PID_FLOWS};
@@ -662,9 +670,9 @@ fn dispatch(req: &Request, c: &Compiled) {
         )
         .unwrap_or_else(|e| die(e));
     if c.recovery.is_some() {
-        // The handles would outlive checkpoint restores (a restored net
-        // carries a deep-copied oracle stack), so supervised runs report
-        // recovery state instead of guard/cache stats.
+        // The handles count every attempt (a restored net carries a clone
+        // of its oracle stack, which counts onto the same handle), so
+        // supervised runs report recovery state, not guard/cache stats.
         guard = None;
         caches.clear();
     }
@@ -681,16 +689,22 @@ fn finish(
     caches: &[CacheStatsHandle],
     sampler: Option<&NetSampler>,
 ) {
-    print_outcome(out);
-    if req.sinks.trace.is_some() {
-        print_trace_sample(&out.nets[0]);
+    println!("\n{out}");
+    if let Some(trace) = out.nets[0].trace().filter(|_| req.sinks.trace.is_some()) {
+        println!("\n{trace}");
     }
-    report_fault_counts(
-        c.faults.as_ref().filter(|_| req.pdes),
-        out.report.as_ref().map(|r| r.faults),
-    );
-    report_guard(guard);
-    report_cache(caches);
+    // Scripted stalls/slowdowns show through the watchdog and the
+    // recovery ladder, not through injection counts; a probabilistic plan
+    // that fired nothing exercised no failure path at all.
+    let faults = out.report.as_ref().map(|r| r.faults).unwrap_or_default();
+    if faults.armed && faults.total() == 0 {
+        eprintln!(
+            "warning: the [faults] plan was active but injected zero faults; \
+             the run exercised no failure paths (extend the horizon, raise the \
+             probabilities, or add cross-machine traffic)"
+        );
+    }
+    let oracle = report_oracle(guard, caches);
     let fingerprint = run_fingerprint(&out.nets);
     println!("  fingerprint: {fingerprint:#018x}");
 
@@ -727,7 +741,23 @@ fn finish(
             .recovery
             .extend(log.transitions.iter().map(|t| format!("{t:?}")));
     }
-    emit_ledger(&req.sinks, ledger, &out.meta);
+    emit_ledger(&req.sinks, ledger, |r| out.describe(r, &oracle));
+}
+
+/// Prints the guard and verdict-cache lines of a hybrid run (one cache
+/// sequentially, the fleet total across PDES partitions) and returns the
+/// counters they were printed from, for the ledger's `hybrid/guard/*` and
+/// `hybrid/cache/*` rows.
+fn report_oracle(guard: &Option<GuardStatsHandle>, caches: &[CacheStatsHandle]) -> OracleCounters {
+    let guard = guard.as_ref().map(|h| h.snapshot());
+    if let Some(g) = &guard {
+        println!("  guardrail : {g}");
+    }
+    let cache = CacheTotals::of(caches);
+    if let Some(c) = &cache {
+        println!("  cache     : {c}");
+    }
+    OracleCounters { guard, cache }
 }
 
 /// The ledger every command seals: `driver` names the point of the run
@@ -739,23 +769,15 @@ fn stamp(driver: &str, command: &str, what: String, seed: u64, fingerprint: u64)
     ledger
 }
 
-/// Fills `ledger`'s report from `meta` and the global registry/profiler,
-/// prints it under `--profile`, and seals it under `--metrics-out`. Every
-/// report gets one zero-wait partition row so sequential and PDES
-/// artifacts share a schema.
-fn emit_ledger(sinks: &Sinks, mut ledger: RunLedger, meta: &RunMeta) {
+/// Has `describe` fill `ledger`'s report from the finished run
+/// ([`Outcome::describe`]), adds the profiler's tree, prints the report
+/// under `--profile`, and seals the ledger under `--metrics-out`.
+fn emit_ledger(sinks: &Sinks, mut ledger: RunLedger, describe: impl FnOnce(&mut RunReport)) {
     if !sinks.observing() {
         return;
     }
     let report = &mut ledger.report;
-    report.set_run(meta.wall.as_secs_f64(), meta.events, meta.sim_seconds);
-    report.partitions = vec![elephant::obs::PartitionRow {
-        partition: 0,
-        events: meta.events,
-        work_seconds: meta.wall.as_secs_f64(),
-        ..Default::default()
-    }
-    .finish()];
+    describe(report);
     report.gather();
     if sinks.profile {
         println!("\n{}", report.to_table());
@@ -947,236 +969,30 @@ fn quick_default_model(req: &Request, c: &Compiled) -> ClusterModel {
         ..Default::default()
     };
     let small = compile(&s, &over);
-    let (records, _) = capture_ground_truth(&small, c);
+    let capture = capture_ground_truth(&small, c);
     let opts = TrainingOptions {
         hidden: 16,
         layers: 1,
         epochs: 4,
         ..Default::default()
     };
-    train_cluster_model(&records, &small.params, &opts).0
+    train_cluster_model(captured(&capture), &small.params, &opts).0
 }
 
 /// Ground truth of `c` with boundary capture around cluster 1 — the
-/// training input — under `tcp`'s TCP flavour.
-fn capture_ground_truth(
-    c: &Compiled,
-    tcp: &Compiled,
-) -> (Vec<elephant::net::BoundaryRecord>, RunMeta) {
+/// training input, read back with [`captured`] — under `tcp`'s TCP flavour.
+fn capture_ground_truth(c: &Compiled, tcp: &Compiled) -> Outcome {
     let cfg = NetConfig {
         rtt_scope: RttScope::None,
         ..tcp.net_config()
     };
-    let (net, meta) = run_ground_truth(c.params, cfg, Some(1), &c.flows, c.horizon);
-    (capture_records(net).unwrap_or_else(|e| die(e)), meta)
+    let fidelity = Fidelity::Full { capture: Some(1) };
+    execute(RunPlan::new(c.params, cfg, &c.flows, c.horizon, fidelity)).unwrap_or_else(|e| die(e))
 }
 
-/// Post-run summary: the run line, network statistics (per-layer detail
-/// for a single network, totals across partitions), the kernel's
-/// per-partition wall-time breakdown (the timeline has the per-epoch
-/// view), and the supervisor's log.
-fn print_outcome(out: &Outcome) {
-    println!(
-        "\nsimulated {:.3}s{}{} in {:.2}s wall ({} events{})",
-        out.meta.sim_seconds,
-        if out.recovery.is_some() {
-            " supervised"
-        } else {
-            ""
-        },
-        if out.report.is_some() {
-            " under PDES"
-        } else {
-            ""
-        },
-        out.meta.wall.as_secs_f64(),
-        out.meta.events,
-        out.report.as_ref().map_or(String::new(), |r| format!(
-            ", {} epochs ({} jumped), {} partitions",
-            r.epochs,
-            r.epochs_jumped,
-            r.partitions.len()
-        )),
-    );
-    if let [net] = out.nets.as_slice() {
-        print_net_stats(net);
-    } else {
-        println!(
-            "  flows     : {} completed across partitions",
-            out.flows_completed()
-        );
-        if out.oracle_deliveries() > 0 {
-            println!(
-                "  oracle    : {} packets teleported",
-                out.oracle_deliveries()
-            );
-        }
-    }
-    if let Some(r) = &out.report {
-        for p in &r.partitions {
-            println!(
-                "  partition {:>2}: {:>9} events | work {:.3}s | barrier {:.3}s | marshal {:.3}s",
-                p.partition, p.events, p.work_seconds, p.barrier_wait_seconds, p.marshal_seconds
-            );
-        }
-        let f = &r.faults;
-        if f.total() > 0 {
-            println!(
-                "  faults    : {} injected (dropped {}, duplicated {}, corrupted {})",
-                f.total(),
-                f.dropped,
-                f.duplicated,
-                f.corrupted
-            );
-        }
-    }
-    if let Some(log) = &out.recovery {
-        println!("  {}", log.summary());
-    }
-}
-
-fn print_net_stats(net: &Network) {
-    let s = &net.stats;
-    println!(
-        "  flows     : {}/{} completed",
-        s.flows_completed, s.flows_started
-    );
-    println!(
-        "  goodput   : {:.3} GB delivered",
-        s.delivered_bytes as f64 / 1e9
-    );
-    println!(
-        "  drops     : {} (host {}, tor {}, agg {}, core {}, oracle {})",
-        s.drops.total(),
-        s.drops.host,
-        s.drops.tor,
-        s.drops.agg,
-        s.drops.core,
-        s.drops.oracle
-    );
-    if s.rtt_hist.count() > 0 {
-        println!(
-            "  RTT       : p50 {:.1}us  p90 {:.1}us  p99 {:.1}us  ({} samples)",
-            s.rtt_hist.quantile(0.5) * 1e6,
-            s.rtt_hist.quantile(0.9) * 1e6,
-            s.rtt_hist.quantile(0.99) * 1e6,
-            s.rtt_hist.count()
-        );
-    }
-    if let Some(fct) = s.mean_fct() {
-        println!("  mean FCT  : {fct}");
-    }
-    if s.oracle_deliveries > 0 {
-        println!("  oracle    : {} packets teleported", s.oracle_deliveries);
-    }
-}
-
-fn print_trace_sample(net: &Network) {
-    let Some(trace) = net.trace() else { return };
-    println!(
-        "\nfirst events of the raw trace ({} retained, {} observed{}):",
-        trace.entries().len(),
-        trace.observed(),
-        if trace.truncated() { ", truncated" } else { "" }
-    );
-    println!(
-        "  {:>12}  {:<14} {:>6} {:>8} {:>8} {:>10}",
-        "time", "kind", "node", "packet", "flow", "seq"
-    );
-    for e in trace.entries().iter().take(20) {
-        println!(
-            "  {:>12}  {:<14} {:>6} {:>8} {:>8} {:>10}",
-            format!("{}", e.time),
-            e.kind.name(),
-            e.node.0,
-            e.packet,
-            e.flow.0,
-            e.seq
-        );
-    }
-}
-
-/// Prints the post-run verdict-cache summary — one cache sequentially,
-/// the fleet total across PDES partitions — and mirrors it into the
-/// metrics registry (so `--metrics-out` reports carry `hybrid/cache/*`).
-fn report_cache(handles: &[CacheStatsHandle]) {
-    if handles.is_empty() {
-        return;
-    }
-    let mut total = CacheStats::default();
-    for h in handles {
-        h.publish_metrics();
-        let s = h.snapshot();
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.evictions += s.evictions;
-        total.invalidations += s.invalidations;
-    }
-    println!(
-        "  cache     : {} lookups{}, {:.1}% hit rate ({} evictions, {} invalidations)",
-        total.lookups(),
-        match handles.len() {
-            1 => String::new(),
-            n => format!(" across {n} partitions"),
-        },
-        total.hit_rate() * 100.0,
-        total.evictions,
-        total.invalidations
-    );
-}
-
-/// Prints the post-run guardrail summary and mirrors it into the metrics
-/// registry (so `--metrics-out` reports carry `hybrid/guard/*`).
-fn report_guard(handle: &Option<GuardStatsHandle>) {
-    let Some(h) = handle else { return };
-    h.publish_metrics();
-    let s = h.snapshot();
-    if s.trips() == 0 {
-        println!(
-            "  guardrail : {} verdicts, no trips (bit-identical to unguarded)",
-            s.verdicts
-        );
-    } else {
-        println!(
-            "  guardrail : {} trips in {} verdicts (non-finite {}, negative {}, \
-             ceiling {}, drop-drift {}); {} fallback verdicts{}",
-            s.trips(),
-            s.verdicts,
-            s.non_finite,
-            s.negative,
-            s.ceiling,
-            s.drop_drift,
-            s.fallback_verdicts,
-            if s.fallback_active {
-                "; primary ABANDONED (trip limit)"
-            } else {
-                ""
-            }
-        );
-    }
-}
-
-/// Mirrors `FaultCounts` into `fault/*` metrics and warns when a plan with
-/// probabilistic message faults fired none of them (horizon too short, or
-/// too little cross-machine traffic for the configured probabilities).
-/// Scripted stalls/slowdowns are excluded: they manifest through the
-/// watchdog and the recovery ladder, not through injection counts.
-fn report_fault_counts(plan: Option<&FaultPlan>, counts: Option<FaultCounts>) {
-    let Some(counts) = counts else { return };
-    elephant::obs::counter("fault/dropped", "").add(counts.dropped);
-    elephant::obs::counter("fault/duplicated", "").add(counts.duplicated);
-    elephant::obs::counter("fault/corrupted", "").add(counts.corrupted);
-    if let Some(p) = plan {
-        let probabilistic = p.drop_prob > 0.0 || p.dup_prob > 0.0 || p.corrupt_prob > 0.0;
-        if probabilistic && counts.total() == 0 {
-            eprintln!(
-                "warning: the [faults] plan was active but injected zero faults; \
-                 the run exercised no failure paths (extend the horizon, raise the \
-                 probabilities, or add cross-machine traffic)"
-            );
-            elephant::obs::counter("fault/zero_injected", "").inc();
-        }
-    }
+fn captured(capture: &Outcome) -> &[BoundaryRecord] {
+    let state = capture.nets[0].capture();
+    state.expect("the run captured cluster 1").records()
 }
 
 /// Writes the Chrome-trace timeline: flow tracks and drop/oracle instants
@@ -1257,10 +1073,11 @@ fn train(req: &Request, s: &Scenario) {
         c.flows.len(),
         c.horizon
     );
-    let (records, meta) = capture_ground_truth(&c, &c);
+    let capture = capture_ground_truth(&c, &c);
+    let records = captured(&capture);
     println!(
         "  {} events, {} boundary records",
-        meta.events,
+        capture.meta.events,
         records.len()
     );
 
@@ -1272,7 +1089,7 @@ fn train(req: &Request, s: &Scenario) {
         format!("{:?}", opts.rnn).to_uppercase()
     );
     println!("training {shape} for {} epochs ...", opts.epochs);
-    let (model, report) = train_cluster_model(&records, &c.params, opts);
+    let (model, report) = train_cluster_model(records, &c.params, opts);
     println!(
         "  up:   {} samples | drop accuracy {:.3} | latency rmse {:.3}",
         report.up.train_samples, report.up.eval.drop_accuracy, report.up.eval.latency_rmse
@@ -1288,9 +1105,13 @@ fn train(req: &Request, s: &Scenario) {
         elephant::core::MODEL_VERSION,
         model.weight_checksum()
     );
-    // The captured net was consumed by training; no fingerprint.
+    // The ledger describes the capture run plus the training on top of
+    // it; a model is not a network state, so no fingerprint.
     let what = format!("capture + {shape} training, seed {}", c.seed);
-    emit_ledger(&req.sinks, stamp("train", "train", what, c.seed, 0), &meta);
+    emit_ledger(&req.sinks, stamp("train", "train", what, c.seed, 0), |r| {
+        capture.describe(r, &OracleCounters::default());
+        r.metrics.extend(report.metric_rows(opts.alpha));
+    });
 }
 
 fn compare(req: &Request, s: &Scenario) {
@@ -1320,16 +1141,14 @@ fn compare(req: &Request, s: &Scenario) {
     let elided = c.hybrid_flows();
     println!("hybrid ({} flows after elision) ...", elided.len());
     let stack = build_stack(model, c.params, seed, &c.hybrid, req.fault(), None);
-    let (hybrid, hmeta) = run_hybrid(
-        c.params,
+    let fidelity = Fidelity::Hybrid {
         full_cluster,
-        stack.oracle,
-        cfg,
-        &elided,
-        c.horizon,
-    );
-    report_guard(&stack.guard);
-    report_cache(stack.cache.as_slice());
+        oracles: &mut single_oracle(stack.oracle),
+    };
+    let out = execute(RunPlan::new(c.params, cfg, &elided, c.horizon, fidelity))
+        .unwrap_or_else(|e| die(e));
+    let oracle = report_oracle(&stack.guard, stack.cache.as_slice());
+    let (hybrid, hmeta) = (&out.nets[0], &out.meta);
 
     let cmp = compare_cdfs(&truth.stats.rtt_cdf(), &hybrid.stats.rtt_cdf());
     println!("\n  quantile   truth       hybrid      error");
@@ -1354,8 +1173,9 @@ fn compare(req: &Request, s: &Scenario) {
         "truth vs hybrid, {} clusters, seed {seed}",
         c.params.clusters
     );
-    let ledger = stamp("compare", "compare", what, seed, run_fingerprint([&hybrid]));
-    emit_ledger(&req.sinks, ledger, &hmeta);
+    // The ledger names the hybrid run, so that is the run it counts.
+    let ledger = stamp("compare", "compare", what, seed, run_fingerprint([hybrid]));
+    emit_ledger(&req.sinks, ledger, |r| out.describe(r, &oracle));
 }
 
 /// `compare A.json B.json`: validate and diff two run-ledger artifacts.

@@ -437,6 +437,6 @@ fn cli_hybrid_without_model_trains_fallback() {
     let json = std::fs::read_to_string(report).expect("metrics report written");
     assert!(
         json.contains("events_per_second") && json.contains("\"metrics\""),
-        "report has run stats and a registry snapshot:\n{json}"
+        "report has run stats and metric rows:\n{json}"
     );
 }
