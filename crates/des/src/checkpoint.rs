@@ -4,8 +4,9 @@
 //! to be bit-identical to an uninterrupted one:
 //!
 //! * **Sequential** ([`SimCheckpoint`]): the world and the scheduler — FEL
-//!   contents, clock, sequence counters, tombstones. Taken between
-//!   [`crate::Simulator::run_until`] chunks, where the engine is parked.
+//!   contents (cancelled entries not yet reclaimed included), clock,
+//!   sequence counters. Taken between [`crate::Simulator::run_until`]
+//!   chunks, where the engine is parked.
 //! * **PDES** ([`PdesCheckpoint`]): every partition's world, FEL, and
 //!   cross-chunk progress — the `send-seq` tie-break counter, the fault-RNG
 //!   stream position, and the epoch count a scripted stall measures against.

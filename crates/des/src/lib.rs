@@ -72,9 +72,7 @@ pub use pdes::{
     PdesReport, PdesRunner, RemoteSink, Transportable, DEFAULT_STALL_EPOCHS,
 };
 pub use rng::{splitmix64, RngFactory};
-pub use sched::{
-    BinaryHeapFel, CalendarFel, EventKey, Fel, HeapScheduler, Scheduler, SeqHasher, SeqSet,
-};
+pub use sched::{BinaryHeapFel, CalendarFel, EventKey, Fel, HeapScheduler, Next, Scheduler};
 pub use sim::{FelPeaks, Simulator, StopReason, World};
 pub use stats::{EmpiricalCdf, Ewma, LogHistogram, Summary, TimeWeighted};
 pub use time::{SimDuration, SimTime};

@@ -76,7 +76,8 @@ use elephant_obs::{TraceRecord, PID_PDES};
 use parking_lot::Mutex;
 
 use crate::fault::{FaultCounts, FaultPlan, FaultRng};
-use crate::sched::Scheduler;
+use crate::sched::{Next, Scheduler};
+use crate::sim::FEL_BYTES_EVERY;
 use crate::time::{SimDuration, SimTime};
 
 /// Default watchdog bound: abort if the global minimum event time sits,
@@ -527,8 +528,9 @@ pub struct PartitionStats {
     /// Bytes this partition pushed through the marshalling path.
     pub remote_bytes_sent: u64,
     /// High-water mark of the partition scheduler's FEL resident bytes
-    /// (queue structure plus bookkeeping sets, sampled once per epoch) —
-    /// the per-partition share of the `bytes/host` memory budget.
+    /// (sampled every 4,096 executed events and when the partition thread
+    /// exits, as the sequential engine does) — the per-partition share of
+    /// the `bytes/host` memory budget.
     pub fel_bytes_peak: u64,
     /// Earliest event still pending when the partition thread exited —
     /// the key stall diagnostic: a stuck partition's clock freezes here.
@@ -1087,6 +1089,9 @@ fn partition_main<W: PartitionWorld>(
     // Per-epoch minimum posted delivery time per destination, reused.
     let mut out_mins: Vec<Option<SimTime>> = vec![None; n];
 
+    // Events executed since `stats.fel_bytes_peak` was last read.
+    let mut since_fel_bytes = 0u64;
+
     // Exchange buffer the receivers drain this epoch; senders post into
     // `1 - cur`. Flipped at the epoch-end barrier.
     let mut cur = 0usize;
@@ -1216,11 +1221,13 @@ fn partition_main<W: PartitionWorld>(
                 std::thread::sleep(dur);
             }
             drain_inbox(shared, cur, id, n, &mut part.sched);
-            while let Some(t) = part.sched.peek_time() {
-                if stalled || t >= bound || t > horizon {
-                    break;
-                }
-                let (t, ev) = part.sched.pop().expect("peeked event vanished");
+            // `t < bound && t <= horizon` as one inclusive limit; a stalled
+            // partition (or a zero bound) has none and executes nothing.
+            let limit = match bound.as_nanos().checked_sub(1) {
+                Some(last) if !stalled => Some(SimTime::from_nanos(last).min(horizon)),
+                _ => None,
+            };
+            while let Some(Next::Event((t, ev))) = limit.map(|l| part.sched.pop_until(l)) {
                 remote.now = t;
                 // Catch model panics at the handler boundary: record a
                 // structured failure and keep following the barrier protocol
@@ -1259,9 +1266,15 @@ fn partition_main<W: PartitionWorld>(
         if executed > 0 {
             shared.events.fetch_add(executed, Ordering::Relaxed);
         }
-        // Sample the FEL's resident bytes once per epoch: a read-only probe
-        // of container capacities, so it cannot perturb the simulation.
-        stats.fel_bytes_peak = stats.fel_bytes_peak.max(part.sched.fel_bytes() as u64);
+        // Sample the FEL's resident bytes at the sequential engine's
+        // cadence, not per epoch (it walks the bucket array): a read-only
+        // probe of container capacities, so it cannot perturb the
+        // simulation.
+        since_fel_bytes += executed;
+        if since_fel_bytes >= FEL_BYTES_EVERY {
+            since_fel_bytes = 0;
+            stats.fel_bytes_peak = stats.fel_bytes_peak.max(part.sched.fel_bytes() as u64);
+        }
 
         // Post phase: outbound remote events into the next buffer,
         // marshalling across machines. No locks: each (sender, dst) cell is
@@ -1367,6 +1380,7 @@ fn partition_main<W: PartitionWorld>(
     part.fault_rng_state = fault_rng.as_ref().map(FaultRng::state);
     part.epochs_run = my_epochs;
     stats.next_time = part.sched.peek_time();
+    stats.fel_bytes_peak = stats.fel_bytes_peak.max(part.sched.fel_bytes() as u64);
     if let Some(tl) = tl.take() {
         tl.flush(&stats);
     }

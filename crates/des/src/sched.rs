@@ -28,33 +28,41 @@
 //!   days of a desk calendar. Insert and pop are O(1) amortized versus the
 //!   binary heap's O(log n), which is what keeps per-event cost flat at
 //!   100k-host event densities (see the `pdes_scaling` density sweep).
-//!   Event payloads live in a slab (`Vec<Option<E>>` plus a free list), so
-//!   steady-state scheduling allocates nothing; buckets hold only the hot
-//!   `(time, seq, slot)` fields as struct-of-arrays, so the min-scan touches
-//!   dense `u64` arrays and never drags payload bytes through the cache.
+//!   Buckets hold only the hot `(time, seq, slot)` fields as
+//!   struct-of-arrays, so the min-scan touches dense `u64` arrays and never
+//!   drags payload bytes through the cache.
 //! * [`BinaryHeapFel`]: the classic binary-heap FEL this kernel used before
 //!   the calendar queue. Kept as the differential-testing reference (see
 //!   `crates/des/tests/proptests.rs`) and the "before" side of the
 //!   `pdes_scaling` event-density sweep.
 //!
-//! Both backends use lazy cancellation: cancelled keys go into a tombstone
-//! set owned by the [`Scheduler`] and entries are discarded when they reach
-//! the front of the queue (or, for the calendar queue, when a resize
-//! rehashes every entry anyway).
+//! Both backends keep payloads in a slab (slots reused through a free
+//! list, so steady-state scheduling allocates nothing), each slot stamped
+//! with the sequence number of the event it holds; an [`EventKey`] is that
+//! `(slot, stamp)` pair. Nothing on the schedule/pop/cancel path hashes:
+//! `cancel` is "stamp matches and payload present → drop the payload", and
+//! the queue entry left behind is recognised as dead by its empty slot when
+//! it surfaces as the minimum or when a rehash sweeps it out. The calendar
+//! queue also bounds that garbage (see [`CalendarFel`]).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 
 use crate::time::{SimDuration, SimTime};
 
 /// Opaque handle identifying a scheduled event, used for cancellation.
 ///
-/// Keys are unique for the lifetime of a [`Scheduler`]; they are never
-/// reused, so a stale key held after its event fired is harmless (cancelling
-/// it is a no-op).
+/// A key names the slab slot its event was stored in and carries the
+/// event's sequence number as a stamp. Sequence numbers are never reused,
+/// so keys are unique for the lifetime of a [`Scheduler`] even though slots
+/// are: cancelling a stale key held after its event fired is a no-op,
+/// whatever occupies the slot now (it carries another stamp).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventKey(u64);
+pub struct EventKey {
+    slot: u32,
+    stamp: u64,
+}
 
 /// Top bit of the sequence space: set for remote-lane (cross-partition)
 /// deliveries so they sort after all locally scheduled events at the same
@@ -76,74 +84,57 @@ fn remote_seq(sender: usize, send_seq: u64) -> u64 {
     REMOTE_LANE | ((sender as u64) << SEND_SEQ_BITS) | (send_seq & SEND_SEQ_MASK)
 }
 
-/// Hasher for the pending/tombstone sequence sets: the splitmix64
-/// finalizer (full avalanche in three multiplies) instead of SipHash.
-/// Sequence numbers are internal trusted values, never attacker-chosen, so
-/// DoS-resistant hashing buys nothing — and the set operations sit on the
-/// schedule/pop hot path of every event.
-#[derive(Clone, Default, Debug)]
-pub struct SeqHasher(u64);
-
-impl std::hash::Hasher for SeqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (FNV-1a); the sets only ever hash u64 keys.
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = crate::rng::splitmix64(x);
-    }
+/// The answer of [`Scheduler::pop_until`] and [`Fel::pop_until`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Next<T> {
+    /// The earliest live event was due by the limit and has been removed.
+    Event(T),
+    /// The earliest live event is due at this time, after the limit, and
+    /// stays queued.
+    Later(SimTime),
+    /// No live event remains.
+    Empty,
 }
-
-/// The sequence-key set used for pending-event and tombstone membership.
-pub type SeqSet = HashSet<u64, std::hash::BuildHasherDefault<SeqHasher>>;
 
 /// A pluggable future-event-list structure.
 ///
-/// A `Fel` stores `(time, seq, payload)` entries and yields them in strict
-/// `(time, seq)` order. Tombstoned sequences (lazy cancellation) are passed
-/// in by the owning [`Scheduler`]; an implementation discards a tombstoned
-/// entry whenever it surfaces as the minimum — and may purge tombstones
-/// opportunistically (e.g. while rehashing) — always removing the purged seq
-/// from the set so conservation holds.
+/// A `Fel` (empty by `Default`) stores `(time, seq, payload)` entries and
+/// yields the live ones in strict `(time, seq)` order. It also owns
+/// cancellation: `push` hands back the entry's key, `cancel` kills the
+/// entry if it is still the one its slot holds, and a dead entry is
+/// discarded, never yielded, when it surfaces as the minimum — or earlier
+/// (the calendar queue reclaims them whenever it rehashes).
 ///
 /// All implementations must produce **bit-identical pop order**: the
 /// scheduler's determinism contract does not depend on which backend is
 /// plugged in (proven by the differential proptest in
 /// `crates/des/tests/proptests.rs`).
-pub trait Fel<E> {
-    /// An empty list.
-    fn new() -> Self;
-
-    /// Entries currently stored, *including* interior tombstones that have
-    /// not been purged yet. Use [`Scheduler::pending`] for the exact live
+pub trait Fel<E>: Default {
+    /// Entries currently stored, *including* cancelled ones that have not
+    /// been reclaimed yet. Use [`Scheduler::pending`] for the exact live
     /// count.
     fn len(&self) -> usize;
 
-    /// True when no entries (live or tombstoned) remain.
+    /// True when no entries (live or dead) remain.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Inserts an entry. `tombs` is provided so implementations may purge
-    /// stale entries while restructuring (the calendar queue drops
-    /// tombstones during a resize rehash).
-    fn push(&mut self, time: SimTime, seq: u64, event: E, tombs: &mut SeqSet);
+    /// Inserts an entry and returns its key.
+    fn push(&mut self, time: SimTime, seq: u64, event: E) -> EventKey;
 
-    /// Removes and returns the minimum live `(time, seq)` entry, discarding
-    /// any tombstoned entries encountered at the front (and removing their
-    /// seqs from `tombs`).
-    fn pop_min(&mut self, tombs: &mut SeqSet) -> Option<(SimTime, u64, E)>;
+    /// Kills the entry `push` returned `key` for, dropping its payload.
+    /// `false`, and nothing touched, if it was already popped or cancelled.
+    fn cancel(&mut self, key: EventKey) -> bool;
 
-    /// Timestamp of the minimum live entry, discarding tombstoned entries
-    /// that surface at the front (as `pop_min` would).
-    fn peek_min_time(&mut self, tombs: &mut SeqSet) -> Option<SimTime>;
+    /// Removes and returns the minimum live `(time, seq)` entry if its time
+    /// is at or before `limit`, else says when it is due; dead entries met
+    /// at the front are reclaimed either way.
+    fn pop_until(&mut self, limit: SimTime) -> Next<(SimTime, E)>;
+
+    /// Timestamp of the minimum live entry, reclaiming dead entries that
+    /// surface at the front (as `pop_until` would).
+    fn peek_min_time(&mut self) -> Option<SimTime>;
 
     /// Estimated resident bytes of the structure (allocated capacity, not
     /// just live entries) — the substrate of the `bytes/host` memory
@@ -151,89 +142,133 @@ pub trait Fel<E> {
     fn approx_bytes(&self) -> usize;
 }
 
+/// Payload storage shared by both backends: `(stamp, payload)` slots plus
+/// a LIFO free list. A slot is *live* (payload present), *dead* (payload
+/// dropped by `cancel`; a queue entry still points at it, so it is not on
+/// the free list) or *free*.
 #[derive(Debug, Clone)]
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
+struct Slab<E> {
+    slots: Vec<(u64, Option<E>)>,
+    free: Vec<u32>,
 }
 
-// Ordering for the max-heap wrapped in `Reverse`: earliest (time, seq) pops
-// first. Only `time` and `seq` participate; the payload is irrelevant.
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl<E> Slab<E> {
+    const EMPTY: Self = Slab {
+        slots: Vec::new(),
+        free: Vec::new(),
+    };
+
+    fn alloc(&mut self, stamp: u64, event: E) -> EventKey {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let fresh = u32::try_from(self.slots.len());
+            self.slots.push((stamp, None));
+            fresh.expect("event slab exhausted (2^32 concurrent events)")
+        });
+        self.slots[slot as usize] = (stamp, Some(event));
+        EventKey { slot, stamp }
     }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    /// Live → dead, if the key's slot still holds the event it was made for.
+    #[inline]
+    fn cancel(&mut self, key: EventKey) -> bool {
+        match self.slots.get_mut(key.slot as usize) {
+            Some((stamp, event)) if *stamp == key.stamp => event.take().is_some(),
+            _ => false,
+        }
     }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+
+    /// True if the event of a slot some queue entry points at was cancelled.
+    #[inline]
+    fn is_dead(&self, slot: u32) -> bool {
+        self.slots[slot as usize].1.is_none()
+    }
+
+    /// Frees the slot of an entry that just left the queue, returning its
+    /// payload (`None` if the entry was dead).
+    #[inline]
+    fn release(&mut self, slot: u32) -> Option<E> {
+        self.free.push(slot);
+        self.slots[slot as usize].1.take()
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<(u64, Option<E>)>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
     }
 }
 
-/// The classic binary-heap FEL: O(log n) push/pop, payloads stored inline
-/// in the heap entries.
+/// The classic binary-heap FEL: O(log n) push/pop over `(time, seq, slot)`
+/// entries.
 ///
 /// This is the structure the kernel used before the calendar queue; it is
 /// kept as the reference implementation for differential testing and as the
-/// "before" side of the `pdes_scaling` event-density sweep.
+/// "before" side of the `pdes_scaling` event-density sweep. Cancelled
+/// entries wait in the heap until they reach the top.
 #[derive(Debug, Clone)]
 pub struct BinaryHeapFel<E> {
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    slab: Slab<E>,
 }
 
 impl<E> Default for BinaryHeapFel<E> {
     fn default() -> Self {
-        <Self as Fel<E>>::new()
+        BinaryHeapFel {
+            heap: BinaryHeap::new(),
+            slab: Slab::EMPTY,
+        }
+    }
+}
+
+impl<E> BinaryHeapFel<E> {
+    /// The minimum live entry, left in place; dead entries above it are
+    /// reclaimed.
+    fn front(&mut self) -> Option<(u64, u64, u32)> {
+        while let Some(&Reverse(head)) = self.heap.peek() {
+            if !self.slab.is_dead(head.2) {
+                return Some(head);
+            }
+            self.heap.pop();
+            self.slab.release(head.2);
+        }
+        None
     }
 }
 
 impl<E> Fel<E> for BinaryHeapFel<E> {
-    fn new() -> Self {
-        BinaryHeapFel {
-            heap: BinaryHeap::new(),
-        }
-    }
-
     fn len(&self) -> usize {
         self.heap.len()
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, event: E, _tombs: &mut SeqSet) {
-        self.heap.push(Reverse(Scheduled { time, seq, event }));
+    fn push(&mut self, time: SimTime, seq: u64, event: E) -> EventKey {
+        let key = self.slab.alloc(seq, event);
+        self.heap.push(Reverse((time.as_nanos(), seq, key.slot)));
+        key
     }
 
-    fn pop_min(&mut self, tombs: &mut SeqSet) -> Option<(SimTime, u64, E)> {
-        loop {
-            let Reverse(s) = self.heap.pop()?;
-            if tombs.remove(&s.seq) {
-                continue; // tombstoned
-            }
-            return Some((s.time, s.seq, s.event));
-        }
+    fn cancel(&mut self, key: EventKey) -> bool {
+        self.slab.cancel(key)
     }
 
-    fn peek_min_time(&mut self, tombs: &mut SeqSet) -> Option<SimTime> {
-        while let Some(Reverse(s)) = self.heap.peek() {
-            if tombs.contains(&s.seq) {
-                let Reverse(s) = self.heap.pop().expect("peeked entry vanished");
-                tombs.remove(&s.seq);
-            } else {
-                return Some(s.time);
-            }
+    fn pop_until(&mut self, limit: SimTime) -> Next<(SimTime, E)> {
+        let Some((time, _seq, slot)) = self.front() else {
+            return Next::Empty;
+        };
+        if time > limit.as_nanos() {
+            return Next::Later(SimTime::from_nanos(time));
         }
-        None
+        self.heap.pop();
+        let event = self.slab.release(slot).expect("front entry is live");
+        Next::Event((SimTime::from_nanos(time), event))
+    }
+
+    fn peek_min_time(&mut self) -> Option<SimTime> {
+        self.front().map(|(time, _, _)| SimTime::from_nanos(time))
     }
 
     fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.heap.capacity() * std::mem::size_of::<Reverse<Scheduled<E>>>()
+            + self.heap.capacity() * std::mem::size_of::<Reverse<(u64, u64, u32)>>()
+            + self.slab.capacity_bytes()
     }
 }
 
@@ -243,6 +278,10 @@ const MIN_BUCKETS: usize = 16;
 const TARGET_OCCUPANCY: usize = 4;
 /// Grow when average occupancy exceeds this.
 const GROW_OCCUPANCY: usize = 8;
+/// Dead entries tolerated regardless of the live population, so a
+/// near-empty queue does not rehash on every cancel. Above it, dead entries
+/// may not outnumber live ones.
+const DEAD_FLOOR: usize = 64;
 /// Head-sample size used to estimate inter-event spacing for the bucket
 /// width (Brown's calendar-queue heuristic).
 const WIDTH_SAMPLE: usize = 64;
@@ -278,23 +317,14 @@ impl Bucket {
         self.slots.swap_remove(i)
     }
 
-    /// Index of the minimum `(time, seq)` entry with `time < top`, i.e. the
-    /// entry belonging to the calendar year currently being scanned.
-    fn min_eligible(&self, top: u64) -> Option<usize> {
+    /// Index of the minimum `(time, seq)` entry with `time <= last`: with
+    /// `last` the final instant of the window being scanned, the entry
+    /// belonging to the current calendar year; with `u64::MAX`, the
+    /// bucket's minimum regardless of year.
+    fn min_upto(&self, last: u64) -> Option<usize> {
         let mut best: Option<usize> = None;
         for (i, (&t, &s)) in self.times.iter().zip(&self.seqs).enumerate() {
-            if t < top && best.is_none_or(|b| (t, s) < (self.times[b], self.seqs[b])) {
-                best = Some(i);
-            }
-        }
-        best
-    }
-
-    /// Index of the minimum `(time, seq)` entry regardless of year.
-    fn min_any(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, (&t, &s)) in self.times.iter().zip(&self.seqs).enumerate() {
-            if best.is_none_or(|b| (t, s) < (self.times[b], self.seqs[b])) {
+            if t <= last && best.is_none_or(|b| (t, s) < (self.times[b], self.seqs[b])) {
                 best = Some(i);
             }
         }
@@ -318,26 +348,29 @@ impl Bucket {
 /// seq)` entry within the current year is the global minimum, so pop order
 /// is exactly the total order the binary heap produced.
 ///
-/// * **Slab payloads** — event payloads live in `slab` (`Vec<Option<E>>`
-///   with a free list); buckets store a `u32` slot index next to the hot
-///   `(time, seq)` fields. Steady-state churn allocates nothing and never
-///   moves payload bytes through the min-scan.
+/// * **Slab payloads** — buckets store a `u32` slot index next to the hot
+///   `(time, seq)` fields; payloads never move through the min-scan.
 /// * **Resize policy** — when average occupancy leaves the
 ///   [`TARGET_OCCUPANCY`]-centred band, every entry is rehashed into a new
 ///   power-of-two bucket array sized for occupancy ~4, with the width
 ///   re-sampled from the [`WIDTH_SAMPLE`] soonest entries (twice their mean
 ///   spacing). A streak of [`DIRECT_STREAK_REHASH`] direct full searches —
 ///   the symptom of a stale width — forces the same rehash.
-/// * **Tombstones** — cancelled entries are dropped when they surface as
-///   the scan minimum, and wholesale during resize rehashes.
+/// * **Bounded garbage** — a cancelled entry keeps its bucket entry and its
+///   emptied slot until it surfaces as the scan minimum or a rehash sweeps
+///   it out, and a rehash is forced once dead entries outnumber live ones
+///   (beyond [`DEAD_FLOOR`]): `len()` never exceeds twice the live count
+///   plus the floor, so slab and buckets are sized by what is pending, not
+///   by what was ever cancelled. Compaction is the resize rehash on
+///   purpose: a population that lost half its entries — far-future timers,
+///   typically — no longer has the head spacing its width was sampled from,
+///   and a long steady phase may get no other re-sample.
 /// * **Snapshots** — `Clone` deep-copies the slab, buckets, and scan
 ///   cursor, so a checkpointed scheduler resumes bit-identically.
 #[derive(Debug, Clone)]
 pub struct CalendarFel<E> {
-    /// Payload slab; `None` slots are free and listed in `free`.
-    slab: Vec<Option<E>>,
-    /// Free slab slots, reused LIFO.
-    free: Vec<u32>,
+    /// Event payloads, indexed by the `slots` lane of the buckets.
+    slab: Slab<E>,
     /// The calendar proper. `buckets.len()` is always a power of two.
     buckets: Vec<Bucket>,
     /// `buckets.len() - 1`, for cheap modulo.
@@ -345,24 +378,20 @@ pub struct CalendarFel<E> {
     /// Bucket width in nanoseconds. Always a power of two so the hot
     /// bucket/window math is shifts and masks, never a 64-bit division.
     width: u64,
-    /// Entries across all buckets, including unpurged tombstones.
+    /// Entries across all buckets, dead ones included.
     len: usize,
+    /// Of `len`, entries whose event was cancelled.
+    dead: usize,
     /// Bucket the next scan resumes from.
     scan_bucket: usize,
     /// Exclusive upper time bound of `scan_bucket`'s window in the year
     /// being scanned.
     scan_top: u64,
-    /// Scanning is guaranteed not to have passed this time: every live
-    /// entry has `time >= scan_floor`. A push below it rewinds the cursor.
+    /// Scanning is guaranteed not to have passed this time: every entry has
+    /// `time >= scan_floor`. A push below it rewinds the cursor.
     scan_floor: u64,
     /// Consecutive pops that needed a direct full search.
     direct_streak: u32,
-}
-
-impl<E> Default for CalendarFel<E> {
-    fn default() -> Self {
-        <Self as Fel<E>>::new()
-    }
 }
 
 impl<E> CalendarFel<E> {
@@ -381,40 +410,6 @@ impl<E> CalendarFel<E> {
     #[inline]
     fn top_of(&self, time: u64) -> u64 {
         (time & !(self.width - 1)).saturating_add(self.width)
-    }
-
-    fn alloc_slot(&mut self, event: E) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(event);
-                slot
-            }
-            None => {
-                assert!(
-                    self.slab.len() < u32::MAX as usize,
-                    "calendar-queue slab exhausted (2^32 concurrent events)"
-                );
-                self.slab.push(Some(event));
-                (self.slab.len() - 1) as u32
-            }
-        }
-    }
-
-    #[inline]
-    fn release_slot(&mut self, slot: u32) -> E {
-        let event = self.slab[slot as usize]
-            .take()
-            .expect("calendar-queue slot already free");
-        self.free.push(slot);
-        event
-    }
-
-    /// Power-of-two bucket count targeting [`TARGET_OCCUPANCY`] entries per
-    /// bucket.
-    fn target_buckets(len: usize) -> usize {
-        (len / TARGET_OCCUPANCY)
-            .next_power_of_two()
-            .max(MIN_BUCKETS)
     }
 
     /// Estimates a bucket width from the spacing of the `WIDTH_SAMPLE`
@@ -437,34 +432,28 @@ impl<E> CalendarFel<E> {
         Some(w.next_power_of_two())
     }
 
-    /// Rebuilds the bucket array at the size/width appropriate for the
-    /// current population, dropping tombstones for good along the way, and
-    /// rewinds the scan cursor to the earliest live entry.
-    fn rehash(&mut self, tombs: &mut SeqSet) {
-        let mut entries: Vec<(u64, u64, u32)> = Vec::with_capacity(self.len);
+    /// Rebuilds the bucket array at the size/width appropriate for the live
+    /// population, reclaiming every dead entry along the way, and rewinds
+    /// the scan cursor to the earliest live entry.
+    fn rehash(&mut self) {
+        let mut entries: Vec<(u64, u64, u32)> = Vec::with_capacity(self.len - self.dead);
         for bucket in &mut self.buckets {
-            for i in 0..bucket.times.len() {
-                entries.push((bucket.times[i], bucket.seqs[i], bucket.slots[i]));
+            let keys = bucket.times.drain(..).zip(bucket.seqs.drain(..));
+            for ((time, seq), slot) in keys.zip(bucket.slots.drain(..)) {
+                if self.slab.is_dead(slot) {
+                    self.slab.release(slot);
+                } else {
+                    entries.push((time, seq, slot));
+                }
             }
-            bucket.times.clear();
-            bucket.seqs.clear();
-            bucket.slots.clear();
         }
-        // Every entry is in hand: purge tombstones wholesale.
-        entries.retain(|&(_, seq, slot)| {
-            if tombs.remove(&seq) {
-                self.slab[slot as usize] = None;
-                self.free.push(slot);
-                false
-            } else {
-                true
-            }
-        });
         self.len = entries.len();
+        self.dead = 0;
         if let Some(w) = Self::sampled_width(&mut entries) {
             self.width = w;
         }
-        let target = Self::target_buckets(self.len);
+        let target = (self.len / TARGET_OCCUPANCY).next_power_of_two();
+        let target = target.max(MIN_BUCKETS);
         if target != self.buckets.len() {
             self.buckets = vec![Bucket::default(); target];
             self.mask = target - 1;
@@ -485,18 +474,24 @@ impl<E> CalendarFel<E> {
         self.direct_streak = 0;
     }
 
-    fn maybe_resize(&mut self, tombs: &mut SeqSet) {
+    /// Rehashes when occupancy has left its band or the garbage bound is
+    /// broken. Called after every change to `len` or `dead`.
+    #[inline]
+    fn maybe_resize(&mut self) {
         let n = self.buckets.len();
-        if self.len > n * GROW_OCCUPANCY || (n > MIN_BUCKETS && self.len < n / 2) {
-            self.rehash(tombs);
+        if self.len > n * GROW_OCCUPANCY
+            || (n > MIN_BUCKETS && self.len < n / 2)
+            || (self.dead > DEAD_FLOOR && self.dead * 2 > self.len)
+        {
+            self.rehash();
         }
     }
 
     /// Positions the scan cursor on the minimum live entry and returns its
-    /// `(bucket, index)`. Tombstoned entries that surface as the minimum
-    /// are purged and the search continues. Returns `None` when the queue
+    /// `(bucket, index)`. Dead entries that surface as the minimum are
+    /// reclaimed and the search continues. Returns `None` when the queue
     /// holds no entries at all.
-    fn locate(&mut self, tombs: &mut SeqSet) -> Option<(usize, usize)> {
+    fn locate(&mut self) -> Option<(usize, usize)> {
         loop {
             if self.len == 0 {
                 return None;
@@ -509,7 +504,7 @@ impl<E> CalendarFel<E> {
             let mut top = self.scan_top;
             let mut hit: Option<(usize, usize)> = None;
             for _ in 0..self.buckets.len() {
-                if let Some(i) = self.buckets[b].min_eligible(top) {
+                if let Some(i) = self.buckets[b].min_upto(top - 1) {
                     hit = Some((b, i));
                     break;
                 }
@@ -527,45 +522,41 @@ impl<E> CalendarFel<E> {
                     // A whole year of buckets held nothing eligible: the
                     // next event is over a year ahead. Find it directly and
                     // jump the cursor there.
-                    let mut best: Option<(u64, u64, usize, usize)> = None;
-                    for (bi, bucket) in self.buckets.iter().enumerate() {
-                        if let Some(i) = bucket.min_any() {
-                            let cand = (bucket.times[i], bucket.seqs[i], bi, i);
-                            if best.is_none_or(|x| (cand.0, cand.1) < (x.0, x.1)) {
-                                best = Some(cand);
-                            }
-                        }
-                    }
-                    let (t, _seq, bi, i) = best.expect("len > 0 but no entry found");
+                    let (t, _seq, bi, i) = (self.buckets.iter().enumerate())
+                        .filter_map(|(bi, bucket)| {
+                            let i = bucket.min_upto(u64::MAX)?;
+                            Some((bucket.times[i], bucket.seqs[i], bi, i))
+                        })
+                        .min()
+                        .expect("len > 0 but no entry found");
                     self.scan_bucket = bi;
                     self.scan_top = self.top_of(t);
                     self.direct_streak += 1;
                     (bi, i)
                 }
             };
-            let time = self.buckets[b].times[i];
-            let seq = self.buckets[b].seqs[i];
-            // The located entry is the global minimum (live or tombstoned),
-            // so every remaining entry is at or above its time: raise the
-            // floor *before* the tombstone check. Raising it only on live
-            // hits would leave a purge-advanced cursor with a stale floor —
-            // a later push between floor and cursor would not rewind and
-            // the scan would miss it.
-            self.scan_floor = time;
-            if tombs.remove(&seq) {
+            // The located entry is the global minimum (live or dead), so
+            // every remaining entry is at or above its time: raise the
+            // floor *before* the liveness check. Raising it only on live
+            // hits would leave a cursor that advanced over reclaimed
+            // entries with a stale floor — a later push between floor and
+            // cursor would not rewind and the scan would miss it.
+            self.scan_floor = self.buckets[b].times[i];
+            if self.slab.is_dead(self.buckets[b].slots[i]) {
                 let slot = self.buckets[b].swap_remove(i);
-                self.release_slot(slot);
+                self.slab.release(slot);
                 self.len -= 1;
-                // Purges shrink the population too: without this check a
-                // heavily-cancelled queue would drain to empty while the
+                self.dead -= 1;
+                // Reclaiming shrinks the population too: without this check
+                // a heavily-cancelled queue would drain to empty while the
                 // bucket array stayed at its high-water size.
-                self.maybe_resize(tombs);
+                self.maybe_resize();
                 continue;
             }
             if self.direct_streak >= DIRECT_STREAK_REHASH {
                 // The width no longer matches the event spacing (every pop
                 // is falling through to a full search): re-sample it.
-                self.rehash(tombs);
+                self.rehash();
                 continue;
             }
             return Some((b, i));
@@ -573,31 +564,33 @@ impl<E> CalendarFel<E> {
     }
 }
 
-impl<E> Fel<E> for CalendarFel<E> {
-    fn new() -> Self {
+impl<E> Default for CalendarFel<E> {
+    fn default() -> Self {
         CalendarFel {
-            slab: Vec::new(),
-            free: Vec::new(),
+            slab: Slab::EMPTY,
             buckets: vec![Bucket::default(); MIN_BUCKETS],
             mask: MIN_BUCKETS - 1,
             width: Self::INITIAL_WIDTH,
             len: 0,
+            dead: 0,
             scan_bucket: 0,
             scan_top: Self::INITIAL_WIDTH,
             scan_floor: 0,
             direct_streak: 0,
         }
     }
+}
 
+impl<E> Fel<E> for CalendarFel<E> {
     fn len(&self) -> usize {
         self.len
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, event: E, tombs: &mut SeqSet) {
+    fn push(&mut self, time: SimTime, seq: u64, event: E) -> EventKey {
         let t = time.as_nanos();
-        let slot = self.alloc_slot(event);
+        let key = self.slab.alloc(seq, event);
         let b = self.bucket_of(t);
-        self.buckets[b].push(t, seq, slot);
+        self.buckets[b].push(t, seq, key.slot);
         self.len += 1;
         if t < self.scan_floor {
             // The cursor had advanced past this instant (e.g. a peek jumped
@@ -607,29 +600,42 @@ impl<E> Fel<E> for CalendarFel<E> {
             self.scan_bucket = b;
             self.scan_top = self.top_of(t);
         }
-        self.maybe_resize(tombs);
+        self.maybe_resize();
+        key
     }
 
-    fn pop_min(&mut self, tombs: &mut SeqSet) -> Option<(SimTime, u64, E)> {
-        let (b, i) = self.locate(tombs)?;
-        let time = self.buckets[b].times[i];
-        let seq = self.buckets[b].seqs[i];
+    fn cancel(&mut self, key: EventKey) -> bool {
+        let hit = self.slab.cancel(key);
+        if hit {
+            self.dead += 1;
+            self.maybe_resize();
+        }
+        hit
+    }
+
+    fn pop_until(&mut self, limit: SimTime) -> Next<(SimTime, E)> {
+        let Some((b, i)) = self.locate() else {
+            return Next::Empty;
+        };
+        let time = SimTime::from_nanos(self.buckets[b].times[i]);
+        if time > limit {
+            return Next::Later(time);
+        }
         let slot = self.buckets[b].swap_remove(i);
-        let event = self.release_slot(slot);
+        let event = self.slab.release(slot).expect("located entry is live");
         self.len -= 1;
-        self.maybe_resize(tombs);
-        Some((SimTime::from_nanos(time), seq, event))
+        self.maybe_resize();
+        Next::Event((time, event))
     }
 
-    fn peek_min_time(&mut self, tombs: &mut SeqSet) -> Option<SimTime> {
-        self.locate(tombs)
+    fn peek_min_time(&mut self) -> Option<SimTime> {
+        self.locate()
             .map(|(b, i)| SimTime::from_nanos(self.buckets[b].times[i]))
     }
 
     fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.slab.capacity() * std::mem::size_of::<Option<E>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
+            + self.slab.capacity_bytes()
             + self.buckets.capacity() * std::mem::size_of::<Bucket>()
             + self
                 .buckets
@@ -647,21 +653,18 @@ impl<E> Fel<E> for CalendarFel<E> {
 /// differential-testing reference (`HeapScheduler` alias). Both yield the
 /// identical `(time, seq)` total order.
 ///
-/// Cancellation uses lazy deletion: cancelled keys go into a tombstone set
-/// and the entry is discarded when it surfaces at the front of the queue
-/// (the calendar queue additionally purges tombstones while resizing). This
-/// keeps `cancel` O(1).
+/// The scheduler keeps only the clock, the sequence counter and three
+/// lifetime totals; which events are pending or cancelled is the FEL's
+/// slab to know (module docs), so `cancel` is O(1) and hashes nothing.
 /// Cloning a scheduler (possible whenever the event type is `Clone`) deep-
-/// copies the queue, clock, and tombstone sets, so a clone is an independent
-/// resumable snapshot — the substrate of [`crate::checkpoint`].
+/// copies the queue — cancelled-but-unreclaimed entries included — and the
+/// clock, so a clone is an independent resumable snapshot — the substrate
+/// of [`crate::checkpoint`].
 #[derive(Debug, Clone)]
 pub struct Scheduler<E, F: Fel<E> = CalendarFel<E>> {
     now: SimTime,
     fel: F,
     next_seq: u64,
-    /// Seqs scheduled but neither fired nor cancelled yet.
-    pending_keys: SeqSet,
-    cancelled: SeqSet,
     scheduled_total: u64,
     executed_total: u64,
     cancelled_total: u64,
@@ -683,10 +686,8 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
     pub fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            fel: F::new(),
+            fel: F::default(),
             next_seq: 0,
-            pending_keys: SeqSet::default(),
-            cancelled: SeqSet::default(),
             scheduled_total: 0,
             executed_total: 0,
             cancelled_total: 0,
@@ -715,17 +716,15 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
             "attempted to schedule an event in the past ({at} < now {})",
             self.now
         );
-        let seq = self.next_seq;
+        let stamp = self.next_seq;
         assert!(
-            seq < REMOTE_LANE,
+            stamp < REMOTE_LANE,
             "local sequence space exhausted: seq would enter the remote lane \
              and corrupt tie-break order"
         );
         self.next_seq += 1;
         self.scheduled_total += 1;
-        self.pending_keys.insert(seq);
-        self.fel.push(at, seq, event, &mut self.cancelled);
-        EventKey(seq)
+        self.fel.push(at, stamp, event)
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -762,10 +761,8 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
             (sender as u64) <= MAX_SENDER,
             "sender partition id {sender} exceeds remote-lane capacity"
         );
-        let seq = remote_seq(sender, send_seq);
         self.scheduled_total += 1;
-        self.pending_keys.insert(seq);
-        self.fel.push(at, seq, event, &mut self.cancelled);
+        self.fel.push(at, remote_seq(sender, send_seq), event);
     }
 
     /// Inserts a batch of remote deliveries, all from the same `sender`.
@@ -786,39 +783,49 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
     /// Cancels a previously scheduled event. Returns `true` if the event was
     /// still pending, `false` if it already fired or was already cancelled.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        if !self.pending_keys.remove(&key.0) {
-            return false; // already fired, already cancelled, or never issued
-        }
-        self.cancelled.insert(key.0);
-        self.cancelled_total += 1;
-        true
+        let hit = self.fel.cancel(key);
+        self.cancelled_total += u64::from(hit);
+        hit
     }
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.fel.peek_min_time(&mut self.cancelled)
+        self.fel.peek_min_time()
+    }
+
+    /// Removes and returns the earliest pending event if it is due at or
+    /// before `limit`, advancing the clock to its timestamp; otherwise says
+    /// when the next one is due or that none is left. One queue search
+    /// either way, where `peek_time` then `pop` makes two: the engines' run
+    /// loops are built on this call.
+    pub fn pop_until(&mut self, limit: SimTime) -> Next<(SimTime, E)> {
+        let next = self.fel.pop_until(limit);
+        if let Next::Event((time, _)) = &next {
+            debug_assert!(*time >= self.now, "FEL yielded an event from the past");
+            self.now = *time;
+            self.executed_total += 1;
+        }
+        next
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (time, seq, event) = self.fel.pop_min(&mut self.cancelled)?;
-        debug_assert!(time >= self.now, "FEL yielded an event from the past");
-        self.pending_keys.remove(&seq);
-        self.now = time;
-        self.executed_total += 1;
-        Some((time, event))
+        match self.pop_until(SimTime::MAX) {
+            Next::Event(popped) => Some(popped),
+            _ => None,
+        }
     }
 
-    /// Number of events currently pending. Exact: tombstoned (cancelled but
-    /// not yet purged) entries are not counted.
+    /// Number of events currently pending. Exact: cancelled entries still
+    /// held by the queue are not counted.
     pub fn pending(&self) -> usize {
-        self.pending_keys.len()
+        (self.scheduled_total - self.executed_total - self.cancelled_total) as usize
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending_keys.is_empty()
+        self.pending() == 0
     }
 
     /// Total events ever scheduled.
@@ -826,7 +833,7 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
         self.scheduled_total
     }
 
-    /// Total events executed (popped and not tombstoned).
+    /// Total events executed (popped, never a cancelled one).
     pub fn executed_total(&self) -> u64 {
         self.executed_total
     }
@@ -836,19 +843,15 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
         self.cancelled_total
     }
 
-    /// Estimated resident bytes of the FEL and its bookkeeping (allocated
-    /// capacity, not just live entries): the queue structure itself plus
-    /// the pending-key and tombstone sets. The per-slot constant for the
-    /// hash sets approximates hashbrown's 8-byte key + control byte at its
-    /// steady-state load factor.
+    /// Estimated resident bytes of the FEL (allocated capacity, not just
+    /// live entries). The calendar queue walks its bucket array to add them
+    /// up, so read it at a cadence, not per event.
     ///
     /// The estimate is computed from container capacities, so for a fixed
     /// operation sequence it is deterministic across hosts — which is what
     /// lets the `pdes_scaling` bytes/host gate use a committed baseline.
     pub fn fel_bytes(&self) -> usize {
-        const HASH_SLOT_BYTES: usize = 10;
         self.fel.approx_bytes()
-            + (self.pending_keys.capacity() + self.cancelled.capacity()) * HASH_SLOT_BYTES
     }
 
     /// Forces the clock forward to `t` without executing anything.
@@ -864,13 +867,6 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
             );
         }
         self.now = t;
-    }
-
-    /// Test-only override of the local sequence counter, for exercising the
-    /// sequence-space exhaustion check.
-    #[cfg(test)]
-    fn set_next_seq_for_test(&mut self, seq: u64) {
-        self.next_seq = seq;
     }
 }
 
@@ -930,7 +926,39 @@ mod tests {
     #[test]
     fn cancel_unknown_key_is_noop() {
         let mut s: Scheduler<&str> = Scheduler::new();
-        assert!(!s.cancel(EventKey(42)));
+        assert!(!s.cancel(EventKey {
+            slot: 42,
+            stamp: 42
+        }));
+    }
+
+    /// A key outlives its event; the slot does not. Once the event fired and
+    /// a new one moved into the slot, the old key must not reach it.
+    #[test]
+    fn stale_key_cannot_cancel_the_slots_new_tenant() {
+        let mut s: Scheduler<&str> = Scheduler::new();
+        let stale = s.schedule_at(SimTime::from_nanos(10), "fired");
+        s.pop();
+        let tenant = s.schedule_at(SimTime::from_nanos(20), "tenant");
+        assert_eq!(stale.slot, tenant.slot, "the free list reuses the slot");
+        assert!(!s.cancel(stale));
+        assert_eq!(s.cancelled_total(), 0);
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(20), "tenant")));
+    }
+
+    #[test]
+    fn pop_until_pops_only_what_is_due() {
+        let mut s: Scheduler<&str> = Scheduler::new();
+        assert_eq!(s.pop_until(SimTime::MAX), Next::Empty);
+        let dead = s.schedule_at(SimTime::from_nanos(5), "dead");
+        s.schedule_at(SimTime::from_nanos(10), "a");
+        s.cancel(dead);
+        let at = SimTime::from_nanos(10);
+        assert_eq!(s.pop_until(SimTime::from_nanos(9)), Next::Later(at));
+        assert_eq!(s.now(), SimTime::ZERO, "a refused pop leaves the clock");
+        assert_eq!(s.pop_until(at), Next::Event((at, "a")), "inclusive limit");
+        assert_eq!((s.now(), s.executed_total()), (at, 1));
+        assert_eq!(s.pop_until(SimTime::MAX), Next::Empty);
     }
 
     #[test]
@@ -970,7 +998,7 @@ mod tests {
     #[test]
     fn local_sequence_space_exhaustion_panics() {
         let mut s: Scheduler<()> = Scheduler::new();
-        s.set_next_seq_for_test(REMOTE_LANE);
+        s.next_seq = REMOTE_LANE;
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.schedule_at(SimTime::from_nanos(1), ());
         }));
@@ -1146,6 +1174,96 @@ mod tests {
             s.fel_bytes() <= grown,
             "drained queue must not keep growing"
         );
+    }
+
+    /// The `full_rpc8` shape. Cancelled entries used to be reclaimed only
+    /// when simulated time reached them or live + dead together outgrew 8x a
+    /// bucket array sized for an earlier peak, so far-future timer
+    /// tombstones piled up to several entries per live event while the
+    /// population grew and to many more once it drained. Now the queue
+    /// never holds more than twice what is pending (plus the floor), after
+    /// every single operation, and the events that do fire are exactly
+    /// those of the same workload with the cancelled ones never scheduled.
+    #[test]
+    fn cancelled_entries_never_outnumber_pending_ones() {
+        const FAR: SimDuration = SimDuration::from_millis(200);
+        const TIMER: u64 = u64::MAX;
+        fn check(s: &Scheduler<u64>, live: usize) {
+            assert_eq!(s.pending(), live, "pending() must be exact");
+            let held = s.fel.len();
+            assert!(
+                held <= 2 * live + DEAD_FLOOR,
+                "{held} entries held for {live} pending events"
+            );
+        }
+        let mut s: Scheduler<u64> = Scheduler::new();
+        let mut clean: Scheduler<u64> = Scheduler::new();
+        let mut arm = |s: &mut Scheduler<u64>, delay: SimDuration, v: u64| {
+            s.schedule_in(delay, v);
+            clean.schedule_at(s.now() + delay, v);
+        };
+        let mut st = 5u64;
+        // 20,000 far events (values below 20,000) and a 1,000-event hold.
+        for v in 0..20_000u64 {
+            let jitter = SimDuration::from_nanos(mix(&mut st) % 1_000_000);
+            arm(&mut s, FAR + jitter, v);
+        }
+        for v in 20_000..21_000u64 {
+            arm(&mut s, SimDuration::from_nanos(mix(&mut st) % 100_000), v);
+        }
+        let mut live = 21_000usize;
+        check(&s, live);
+
+        // Phase 1: the hold cycles; every step also arms a far timer and
+        // cancels it again.
+        let mut popped = Vec::new();
+        for _ in 0..60_000 {
+            let (t, v) = s.pop().expect("the hold keeps the queue full");
+            popped.push((t, v));
+            arm(
+                &mut s,
+                SimDuration::from_nanos(1 + mix(&mut st) % 100_000),
+                v,
+            );
+            let doomed = s.schedule_in(FAR, TIMER);
+            check(&s, live + 1);
+            assert!(s.cancel(doomed));
+            check(&s, live);
+        }
+
+        // Phase 2: 1,000 far timers are cancelled and re-armed round-robin
+        // while the hold slows down and the far population drains to 2,000.
+        let mut timers: Vec<EventKey> = (0..1_000).map(|_| s.schedule_in(FAR, TIMER)).collect();
+        live += timers.len();
+        let (mut far_left, mut step) = (20_000, 0usize);
+        while far_left > 2_000 {
+            let (t, v) = s.pop().expect("far events remain");
+            popped.push((t, v));
+            if v < 20_000 {
+                far_left -= 1;
+                live -= 1;
+            } else {
+                arm(
+                    &mut s,
+                    SimDuration::from_nanos(1 + mix(&mut st) % 2_000_000),
+                    v,
+                );
+            }
+            check(&s, live);
+            let j = step % timers.len();
+            step += 1;
+            assert!(s.cancel(timers[j]));
+            check(&s, live - 1);
+            timers[j] = s.schedule_in(FAR, TIMER);
+            check(&s, live);
+        }
+        for k in timers {
+            assert!(s.cancel(k));
+        }
+        popped.extend(std::iter::from_fn(|| s.pop()));
+        let reference: Vec<_> = std::iter::from_fn(|| clean.pop()).collect();
+        assert_eq!(popped, reference);
+        assert_eq!(s.pending(), 0);
     }
 
     /// Checkpoint/restore: a deep clone of a populated calendar queue

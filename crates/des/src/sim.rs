@@ -5,7 +5,7 @@
 //! [`Scheduler`] and runs the classic DES loop: pop the earliest event,
 //! advance the clock, dispatch to the world, repeat.
 
-use crate::sched::Scheduler;
+use crate::sched::{Next, Scheduler};
 use crate::time::SimTime;
 
 /// A simulation model: the state of every simulated component plus the
@@ -45,9 +45,10 @@ pub struct FelPeaks {
     pub bytes: u64,
 }
 
-/// `fel_bytes` walks the queue's bookkeeping, so it is read at this
-/// cadence rather than per event.
-const FEL_BYTES_EVERY: u64 = 4096;
+/// `fel_bytes` walks the queue's bucket array, so both engines read it
+/// once per this many executed events (and when a run returns) rather than
+/// per event or per epoch.
+pub(crate) const FEL_BYTES_EVERY: u64 = 4096;
 
 /// Drives a [`World`] through simulated time.
 #[derive(Debug)]
@@ -144,14 +145,13 @@ impl<W: World> Simulator<W> {
     /// `horizon` so a subsequent call can resume seamlessly.
     pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
         let reason = loop {
-            match self.sched.peek_time() {
-                None => break StopReason::Exhausted,
-                Some(t) if t > horizon => {
+            match self.sched.pop_until(horizon) {
+                Next::Empty => break StopReason::Exhausted,
+                Next::Later(_) => {
                     self.sched.advance_clock(horizon.max(self.sched.now()));
                     break StopReason::HorizonReached;
                 }
-                Some(_) => {
-                    let (_, ev) = self.sched.pop().expect("peeked event vanished");
+                Next::Event((_, ev)) => {
                     self.sample_fel(true);
                     self.world.handle(ev, &mut self.sched);
                 }
@@ -262,6 +262,37 @@ mod tests {
         let r = sim.run_until(SimTime::from_nanos(50));
         assert_eq!(r, StopReason::HorizonReached);
         assert_eq!(sim.world().fired_at.len(), 6);
+    }
+
+    /// Parked at a horizon that falls between events (the next one is
+    /// strictly later): nothing is lost or repeated, a second call to the
+    /// same horizon executes nothing, and the chunked run equals an
+    /// uninterrupted one.
+    #[test]
+    fn run_until_parked_before_a_later_event_resumes_exactly() {
+        let mut sim = countdown(100);
+        assert_eq!(
+            sim.run_until(SimTime::from_nanos(35)),
+            StopReason::HorizonReached
+        );
+        assert_eq!(sim.world().fired_at.len(), 4);
+        assert_eq!(sim.now(), SimTime::from_nanos(35));
+        assert_eq!(sim.scheduler().pending(), 1);
+        assert_eq!(
+            sim.run_until(SimTime::from_nanos(35)),
+            StopReason::HorizonReached
+        );
+        assert_eq!(sim.world().fired_at.len(), 4);
+        assert_eq!(
+            sim.scheduler_mut().peek_time(),
+            Some(SimTime::from_nanos(40))
+        );
+        sim.run_until(SimTime::from_nanos(60));
+        let mut whole = countdown(100);
+        whole.run_until(SimTime::from_nanos(60));
+        assert_eq!(sim.world().fired_at, whole.world().fired_at);
+        assert_eq!(sim.world().fired_at.len(), 7);
+        assert_eq!(sim.now(), whole.now());
     }
 
     #[test]

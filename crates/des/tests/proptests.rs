@@ -35,10 +35,15 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 enum FelOp {
     Schedule(u64),
     ScheduleNow,
-    Remote { sender: usize, offset: u64 },
+    Remote {
+        sender: usize,
+        offset: u64,
+    },
     CancelNth(usize),
     Peek,
     Pop,
+    /// `pop_until(now + offset)`: the call both engines' run loops use.
+    PopUntil(u64),
 }
 
 fn arb_fel_ops() -> impl Strategy<Value = Vec<FelOp>> {
@@ -57,9 +62,42 @@ fn arb_fel_ops() -> impl Strategy<Value = Vec<FelOp>> {
             (0usize..96).prop_map(FelOp::CancelNth),
             Just(FelOp::Peek),
             Just(FelOp::Pop),
+            (0u64..50_000).prop_map(FelOp::PopUntil),
         ],
         1..300,
     )
+}
+
+/// The `full_rpc8` shape: a block of far-future entries (pre-scheduled flow
+/// starts), then a dense near-term hold whose timers are cancelled and
+/// re-armed at the far distance — so dead entries pile up a long way ahead
+/// of the scan cursor and outnumber the live ones, which is what triggers
+/// the calendar queue's compaction.
+fn arb_bimodal_ops() -> impl Strategy<Value = Vec<FelOp>> {
+    let far = 200_000_000u64..201_000_000;
+    let cancel = || (0usize..400).prop_map(FelOp::CancelNth);
+    let hold = prop_oneof![
+        (0u64..2_000).prop_map(FelOp::Schedule),
+        far.clone().prop_map(FelOp::Schedule),
+        cancel(),
+        cancel(),
+        cancel(),
+        Just(FelOp::Pop),
+        (0u64..2_000).prop_map(FelOp::PopUntil),
+    ];
+    (
+        proptest::collection::vec(far.prop_map(FelOp::Schedule), 120..200),
+        proptest::collection::vec(hold, 400..800),
+    )
+        .prop_map(|(mut ops, hold)| {
+            ops.extend(hold);
+            ops
+        })
+}
+
+/// Both generators, for the properties that must hold on either shape.
+fn arb_any_fel_ops() -> impl Strategy<Value = Vec<FelOp>> {
+    prop_oneof![arb_fel_ops(), arb_bimodal_ops()]
 }
 
 proptest! {
@@ -142,12 +180,12 @@ proptest! {
     /// Differential test of the calendar-queue FEL against the legacy
     /// binary heap: identical op sequences — local schedules at mixed
     /// offsets (including zero-offset `schedule_now` bursts), remote-lane
-    /// deliveries from several senders, cancellations, pops, and peeks —
-    /// must produce bit-identical pop streams, peeks, pending counts, and
-    /// lifetime counters. This is the drop-in proof that swapping the FEL
-    /// backend cannot change a simulation.
+    /// deliveries from several senders, cancellations, pops, bounded pops,
+    /// and peeks — must produce bit-identical pop streams, peeks, pending
+    /// counts, and lifetime counters. This is the drop-in proof that
+    /// swapping the FEL backend cannot change a simulation.
     #[test]
-    fn calendar_queue_matches_binary_heap(ops in arb_fel_ops()) {
+    fn calendar_queue_matches_binary_heap(ops in arb_any_fel_ops()) {
         let mut cal: Scheduler<u64> = Scheduler::new();
         let mut heap: HeapScheduler<u64> = Scheduler::new();
         let mut keys = Vec::new(); // parallel (cal_key, heap_key)
@@ -187,6 +225,10 @@ proptest! {
                 FelOp::Pop => {
                     prop_assert_eq!(cal.pop(), heap.pop());
                 }
+                FelOp::PopUntil(offset) => {
+                    let limit = cal.now() + SimDuration::from_nanos(offset);
+                    prop_assert_eq!(cal.pop_until(limit), heap.pop_until(limit));
+                }
             }
             prop_assert_eq!(cal.pending(), heap.pending());
         }
@@ -208,7 +250,7 @@ proptest! {
     /// original from any mid-workload state the ops reached, and the
     /// original is unaffected by draining the clone first.
     #[test]
-    fn calendar_queue_checkpoint_round_trips(ops in arb_fel_ops()) {
+    fn calendar_queue_checkpoint_round_trips(ops in arb_any_fel_ops()) {
         let mut s: Scheduler<u64> = Scheduler::new();
         let mut keys = Vec::new();
         let mut send_seqs = [0u64; 4];
@@ -241,6 +283,9 @@ proptest! {
                 }
                 FelOp::Pop => {
                     s.pop();
+                }
+                FelOp::PopUntil(offset) => {
+                    s.pop_until(s.now() + SimDuration::from_nanos(offset));
                 }
             }
         }
