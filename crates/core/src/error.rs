@@ -18,7 +18,8 @@ pub enum ElephantError {
         /// The underlying OS error.
         source: std::io::Error,
     },
-    /// Model JSON did not parse at all (truncated, mangled, not JSON).
+    /// Model JSON did not parse as a versioned artifact (truncated,
+    /// mangled, not JSON, or a bare model without its header).
     ModelParse {
         /// Parser diagnostic.
         detail: String,

@@ -30,8 +30,11 @@ use crate::macro_model::{MacroConfig, MacroModel, MacroState};
 
 /// Magic string identifying a versioned elephant model artifact.
 pub const MODEL_MAGIC: &str = "ELEPHANT-MODEL";
-/// Model artifact format version this build writes and reads.
-pub const MODEL_VERSION: u32 = 1;
+/// Model artifact format version this build writes and reads. Version 2
+/// stores each weight matrix in row panels (`elephant_nn::Matrix`); a
+/// version-1 file holds the same numbers row-major, so reading it as
+/// version 2 would serve a scrambled model that still passes the checksum.
+pub const MODEL_VERSION: u32 = 2;
 
 /// Training-time statistics embedded in the model, used at deployment to
 /// derive guardrail tolerance bands (e.g. the expected drop rate for
@@ -115,17 +118,6 @@ impl ModelFile {
 }
 
 impl ClusterModel {
-    /// Serializes the bare model to JSON (no header; used inside
-    /// fingerprints and legacy paths).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("model serializes")
-    }
-
-    /// Deserializes a bare (headerless) model from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
     /// Serializes to the versioned, checksummed on-disk format.
     pub fn to_file_json(&self) -> String {
         let file = ModelFile {
@@ -137,21 +129,16 @@ impl ClusterModel {
         serde_json::to_string(&file).expect("model file serializes")
     }
 
-    /// Loads a model from JSON, accepting both the versioned format (with
-    /// full header validation) and legacy bare-model JSON (weight
-    /// finiteness is still checked). All failure modes are typed.
+    /// Loads a model from the versioned on-disk format, validating the
+    /// header and the weights. All failure modes are typed; a bare model
+    /// without the header is refused ([`ElephantError::ModelParse`]), since
+    /// nothing in it says how its weights are laid out.
     pub fn load_json(s: &str) -> Result<Self, ElephantError> {
-        match serde_json::from_str::<ModelFile>(s) {
-            Ok(file) => file.into_model(),
-            Err(_) => {
-                let model: ClusterModel =
-                    serde_json::from_str(s).map_err(|e| ElephantError::ModelParse {
-                        detail: e.to_string(),
-                    })?;
-                model.validate_weights()?;
-                Ok(model)
-            }
-        }
+        serde_json::from_str::<ModelFile>(s)
+            .map_err(|e| ElephantError::ModelParse {
+                detail: e.to_string(),
+            })?
+            .into_model()
     }
 
     /// Combined checksum over both directional micro models' weights.
@@ -571,7 +558,7 @@ mod tests {
     #[test]
     fn model_json_round_trip() {
         let m = tiny_model();
-        let back = ClusterModel::from_json(&m.to_json()).unwrap();
+        let back = ClusterModel::load_json(&m.to_file_json()).unwrap();
         let x = vec![0.1f32; FEATURE_DIM];
         let a = m.up.predict(&x, &mut m.up.init_state());
         let b = back.up.predict(&x, &mut back.up.init_state());
@@ -585,9 +572,39 @@ mod tests {
         let json = m.to_file_json();
         let back = ClusterModel::load_json(&json).expect("valid file loads");
         assert_eq!(back.weight_checksum(), m.weight_checksum());
-        // Legacy bare-model JSON still loads.
-        let legacy = ClusterModel::load_json(&m.to_json()).expect("legacy loads");
-        assert_eq!(legacy.weight_checksum(), m.weight_checksum());
+        // A bare model carries no version, so its weight layout is
+        // unknowable: refused, with a typed error naming the header.
+        let bare = serde_json::to_string(&m).unwrap();
+        let err = ClusterModel::load_json(&bare).unwrap_err();
+        assert!(
+            matches!(&err, ElephantError::ModelParse { detail } if detail.contains("magic")),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 4);
+    }
+
+    #[test]
+    fn version_1_envelope_is_refused() {
+        // Same shape, row-major weights: it would parse and pass its own
+        // checksum, so only the version stands between it and serving.
+        let m = tiny_model();
+        let file = ModelFile {
+            magic: MODEL_MAGIC.to_string(),
+            version: 1,
+            checksum: m.weight_checksum(),
+            model: m,
+        };
+        let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ElephantError::ModelVersion {
+                    found: 1,
+                    expected: 2
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

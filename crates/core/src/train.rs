@@ -478,8 +478,7 @@ mod tests {
             report.up.eval.latency_rmse
         );
         // The returned bundle serializes.
-        let json = model.to_json();
-        assert!(ClusterModel::from_json(&json).is_ok());
+        assert!(ClusterModel::load_json(&model.to_file_json()).is_ok());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::matrix::{sigmoid, Matrix};
+use crate::matrix::Matrix;
 
 /// One GRU layer's parameters.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -115,12 +115,9 @@ impl GruCell {
         a.extend_from_slice(x);
         a.extend_from_slice(h);
         let mut zr = vec![0.0f32; 2 * hd];
-        self.w_zr.matvec(&a, &mut zr);
-        for (v, &b) in zr.iter_mut().zip(self.b_zr.iter()) {
-            *v += b;
-        }
-        let z: Vec<f32> = zr[..hd].iter().map(|&v| sigmoid(v)).collect();
-        let r: Vec<f32> = zr[hd..].iter().map(|&v| sigmoid(v)).collect();
+        self.w_zr.gate_matvec(&a, &self.b_zr, 0..0, &mut zr);
+        let r = zr.split_off(hd);
+        let z = zr;
 
         let mut a_n = Vec::with_capacity(self.input + hd);
         a_n.extend_from_slice(x);
@@ -128,10 +125,7 @@ impl GruCell {
             a_n.push(r[k] * h[k]);
         }
         let mut n = vec![0.0f32; hd];
-        self.w_n.matvec(&a_n, &mut n);
-        for (v, &b) in n.iter_mut().zip(self.b_n.iter()) {
-            *v = (*v + b).tanh();
-        }
+        self.w_n.gate_matvec(&a_n, &self.b_n, 0..hd, &mut n);
 
         let mut h_new = vec![0.0f32; hd];
         for k in 0..hd {
@@ -395,9 +389,7 @@ mod tests {
         let mut out = vec![0.0; 6];
         for (t, x) in xs.iter().enumerate() {
             gru.step_infer(x, &mut state, &mut out);
-            for (a, b) in out.iter().zip(tops[t].iter()) {
-                assert!((a - b).abs() < 1e-6, "step {t}: {a} vs {b}");
-            }
+            assert_eq!(out, tops[t], "step {t} diverged");
         }
     }
 

@@ -8,8 +8,11 @@
 //!
 //! Contents:
 //!
-//! * [`Matrix`] and vector kernels — the only linear algebra the models
-//!   need (matvec, transposed matvec, rank-1 accumulation);
+//! * [`Matrix`] and its kernels — the only linear algebra the models need
+//!   (matvec, the fused gate kernel, transposed matvec, rank-1
+//!   accumulation), over weights stored in row panels;
+//! * [`sigmoid`] and [`tanh`] — the gate activations, shared by training
+//!   and serving;
 //! * [`Linear`] and [`Lstm`] layers with exact backpropagation (BPTT for
 //!   the LSTM), finite-difference-checked in the test suite;
 //! * [`MicroNet`] — the paper's §4.2 architecture: shared LSTM trunk, one
@@ -38,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+mod activation;
 mod gru;
 mod linear;
 mod lstm;
@@ -46,10 +50,11 @@ mod model;
 mod rnn;
 mod sgd;
 
+pub use activation::{sigmoid, sigmoid_inplace, tanh, tanh_inplace};
 pub use gru::{Gru, GruCell, GruCellGrad, GruSeqCache, GruState};
 pub use linear::{Linear, LinearGrad};
 pub use lstm::{CellState, Lstm, LstmCell, LstmCellGrad, LstmSeqCache, LstmState};
-pub use matrix::{add_assign, dot, sigmoid, sigmoid_inplace, tanh_inplace, Matrix};
+pub use matrix::Matrix;
 pub use model::{
     MicroNet, MicroNetConfig, MicroNetGrads, MicroNetState, Prediction, Sample, TrainConfig,
     Trainer, WindowLoss,

@@ -16,7 +16,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::matrix::{sigmoid, Matrix};
+use crate::activation::tanh_inplace;
+use crate::matrix::Matrix;
 
 /// One LSTM layer's parameters: fused gate weights `W` of shape
 /// `4H × (I+H)` (gate order i, f, g, o) and bias `4H`.
@@ -120,27 +121,16 @@ impl LstmCell {
         a.extend_from_slice(&state.h);
 
         let mut z = vec![0.0f32; 4 * hdim];
-        self.w.matvec(&a, &mut z);
-        for (zv, &bv) in z.iter_mut().zip(self.b.iter()) {
-            *zv += bv;
-        }
-
-        let mut i = vec![0.0f32; hdim];
-        let mut f = vec![0.0f32; hdim];
-        let mut g = vec![0.0f32; hdim];
-        let mut o = vec![0.0f32; hdim];
-        for k in 0..hdim {
-            i[k] = sigmoid(z[k]);
-            f[k] = sigmoid(z[hdim + k]);
-            g[k] = z[2 * hdim + k].tanh();
-            o[k] = sigmoid(z[3 * hdim + k]);
-        }
+        self.w.gate_matvec(&a, &self.b, 2 * hdim..3 * hdim, &mut z);
+        let [i, f, g, o] = [0, 1, 2, 3].map(|n| z[n * hdim..(n + 1) * hdim].to_vec());
 
         let c_prev = state.c.clone();
-        let mut tanh_c = vec![0.0f32; hdim];
         for k in 0..hdim {
             state.c[k] = f[k] * c_prev[k] + i[k] * g[k];
-            tanh_c[k] = state.c[k].tanh();
+        }
+        let mut tanh_c = state.c.clone();
+        tanh_inplace(&mut tanh_c);
+        for k in 0..hdim {
             state.h[k] = o[k] * tanh_c[k];
         }
 
@@ -275,16 +265,18 @@ impl Lstm {
             a.extend_from_slice(x_buf);
             a.extend_from_slice(&st.h);
             z.resize(4 * hdim, 0.0);
-            // Fused matvec + bias + gate activation: one pass over the
-            // weights, bit-identical to the training-path `step`.
+            // The training-path `step`'s kernel and activations, so the
+            // two compute the same bits.
             cell.w.gate_matvec(a, &cell.b, 2 * hdim..3 * hdim, z);
             for k in 0..hdim {
-                let i = z[k];
-                let f = z[hdim + k];
-                let g = z[2 * hdim + k];
-                let o = z[3 * hdim + k];
+                let (i, f, g) = (z[k], z[hdim + k], z[2 * hdim + k]);
                 st.c[k] = f * st.c[k] + i * g;
-                st.h[k] = o * st.c[k].tanh();
+            }
+            // h = o ⊙ tanh(c), the tanh as one pass over the slice.
+            st.h.copy_from_slice(&st.c);
+            tanh_inplace(&mut st.h);
+            for (h, &o) in st.h.iter_mut().zip(&z[3 * hdim..]) {
+                *h *= o;
             }
             x_buf.clear();
             x_buf.extend_from_slice(&st.h);

@@ -1,15 +1,55 @@
-//! Dense row-major matrices and the vector kernels the LSTM needs.
+//! Dense matrices stored in row panels, and the kernels the models need.
 //!
 //! The paper's models are tiny (two LSTM layers, ≤128 hidden units), so we
 //! implement the handful of BLAS-1/2 kernels ourselves rather than pull in
 //! a linear-algebra stack: matrix–vector products forward and transposed,
-//! rank-1 gradient accumulation, and elementwise activations. The matvec
-//! inner loop is written to auto-vectorize.
+//! the fused gate kernel, and rank-1 gradient accumulation.
+//!
+//! **Layout.** Storage is cut into panels of `PANEL` (8) consecutive rows (the
+//! last panel may be shorter), and inside a panel the columns are
+//! interleaved: column `c` of the panel's rows is one contiguous run. The
+//! forward kernel broadcasts `x[c]` and updates a whole panel with one
+//! vertical vector operation, instead of reducing each row horizontally.
+//!
+//! **Summation order.** Each row's dot product is still summed exactly as a
+//! row-major kernel with eight accumulators sums it: lane `c mod 8` collects
+//! columns `c < cols − cols mod 8`, the lanes are added in order, then the
+//! `cols mod 8` tail columns one by one, then the bias. So the layout changes
+//! no bit of any result; the tests check every kernel against a row-major
+//! reference.
+
+use std::ops::Range;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// A dense `rows × cols` matrix of `f32`, row-major.
+use crate::activation::{sigmoid_inplace, tanh_inplace};
+
+/// Rows per storage panel.
+const PANEL: usize = 8;
+/// Accumulator lanes of a dot product: column `c` adds into lane `c % LANES`.
+const LANES: usize = 8;
+
+/// Calls `kernel::<H>(args)` with `H` the panel's height as a constant, so
+/// each kernel is compiled for full panels and for every shorter last one.
+macro_rules! by_height {
+    ($height:expr, $kernel:ident($($arg:expr),*)) => {
+        match $height {
+            PANEL => $kernel::<PANEL>($($arg),*),
+            1 => $kernel::<1>($($arg),*),
+            2 => $kernel::<2>($($arg),*),
+            3 => $kernel::<3>($($arg),*),
+            4 => $kernel::<4>($($arg),*),
+            5 => $kernel::<5>($($arg),*),
+            6 => $kernel::<6>($($arg),*),
+            7 => $kernel::<7>($($arg),*),
+            _ => unreachable!("panels hold at most {PANEL} rows"),
+        }
+    };
+}
+
+/// A dense `rows × cols` matrix of `f32`, stored in row panels (see the
+/// module docs).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
@@ -28,24 +68,22 @@ impl Matrix {
     }
 
     /// Xavier/Glorot-uniform initialization: `U(-b, b)` with
-    /// `b = sqrt(6 / (fan_in + fan_out))`.
+    /// `b = sqrt(6 / (fan_in + fan_out))`, drawn in row-major order so a
+    /// seed gives the same weight at every `(r, c)` whatever the layout.
     pub fn xavier(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
         let bound = (6.0 / (rows + cols) as f64).sqrt() as f32;
-        let data = (0..rows * cols)
-            .map(|_| rng.gen_range(-bound..bound))
-            .collect();
-        Matrix { rows, cols, data }
+        Self::from_fn(rows, cols, |_, _| rng.gen_range(-bound..bound))
     }
 
-    /// Builds from an explicit closure (used by tests).
+    /// Builds from a closure, called in row-major order.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut m = Matrix::zeros(rows, cols);
         for r in 0..rows {
             for c in 0..cols {
-                data.push(f(r, c));
+                m.set(r, c, f(r, c));
             }
         }
-        Matrix { rows, cols, data }
+        m
     }
 
     /// Row count.
@@ -60,133 +98,104 @@ impl Matrix {
         self.cols
     }
 
+    /// Storage index of element `(r, c)`.
+    #[inline]
+    fn index(&self, r: usize, c: usize) -> usize {
+        assert!(r < self.rows && c < self.cols, "({r}, {c}) out of bounds");
+        let top = r - r % PANEL;
+        let height = PANEL.min(self.rows - top);
+        top * self.cols + c * height + r % PANEL
+    }
+
+    /// Storage of the panel whose first row is `top` and which holds
+    /// `height` rows.
+    #[inline]
+    fn panel(&self, top: usize, height: usize) -> Range<usize> {
+        top * self.cols..(top + height) * self.cols
+    }
+
     /// Element access.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
-        self.data[r * self.cols + c]
+        self.data[self.index(r, c)]
     }
 
     /// Element mutation.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        self.data[r * self.cols + c] = v;
+        let i = self.index(r, c);
+        self.data[i] = v;
     }
 
-    /// One row as a slice.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[f32] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Raw storage (for the optimizer).
+    /// Flat storage, in panel order (for consumers that treat every weight
+    /// alike: the optimizer, clipping, checksums).
     pub fn data(&self) -> &[f32] {
         &self.data
     }
 
-    /// Raw mutable storage (for the optimizer).
+    /// Flat mutable storage, in panel order.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
     /// `y = A·x` (y allocated by caller, length `rows`).
-    ///
-    /// The inner product runs eight independent accumulators so the
-    /// compiler can vectorize despite strict floating-point ordering —
-    /// this kernel dominates oracle inference cost.
     pub fn matvec(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output mismatch");
-        for (r, yr) in y.iter_mut().enumerate() {
-            let row = self.row(r);
-            let mut acc = [0.0f32; 8];
-            let mut rc = row.chunks_exact(8);
-            let mut xc = x.chunks_exact(8);
-            for (rw, xw) in (&mut rc).zip(&mut xc) {
-                for k in 0..8 {
-                    acc[k] += rw[k] * xw[k];
-                }
-            }
-            let mut tail = 0.0f32;
-            for (a, b) in rc.remainder().iter().zip(xc.remainder()) {
-                tail += a * b;
-            }
-            *yr = acc.iter().sum::<f32>() + tail;
-        }
+        self.forward(x, None, y);
     }
 
-    /// Fused `y[r] = act(A.row(r)·x + b[r])`: matvec, bias add, and gate
-    /// activation in one pass over the weights. Rows inside `tanh_rows`
-    /// get `tanh`, every other row the logistic sigmoid — exactly the
+    /// Fused `y = act(A·x + b)`: the matvec with the bias folded in, then
+    /// one activation pass per gate slice. Rows inside `tanh_rows` get
+    /// `tanh`, every other row the logistic sigmoid — exactly the
     /// activation layout of fused recurrent gate blocks (LSTM: i, f, o
     /// sigmoid with g = rows `2H..3H` tanh; GRU reset/update: all sigmoid
     /// via an empty range; GRU candidate: all tanh).
     ///
-    /// The accumulation order matches [`Matrix::matvec`] followed by a
-    /// bias add, so switching a model to this kernel is bit-identical —
-    /// the win is one traversal of `y` instead of three (matvec write,
-    /// bias pass, activation pass) on the per-packet inference hot path.
-    pub fn gate_matvec(
-        &self,
-        x: &[f32],
-        bias: &[f32],
-        tanh_rows: std::ops::Range<usize>,
-        y: &mut [f32],
-    ) {
+    /// This is the one forward kernel of the recurrent layers, shared by
+    /// training and inference, which is why both compute the same bits.
+    pub fn gate_matvec(&self, x: &[f32], bias: &[f32], tanh_rows: Range<usize>, y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "gate_matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "gate_matvec output mismatch");
         assert_eq!(bias.len(), self.rows, "gate_matvec bias mismatch");
-        for (r, yr) in y.iter_mut().enumerate() {
-            let row = self.row(r);
-            let mut acc = [0.0f32; 8];
-            let mut rc = row.chunks_exact(8);
-            let mut xc = x.chunks_exact(8);
-            for (rw, xw) in (&mut rc).zip(&mut xc) {
-                for k in 0..8 {
-                    acc[k] += rw[k] * xw[k];
-                }
-            }
-            let mut tail = 0.0f32;
-            for (a, b) in rc.remainder().iter().zip(xc.remainder()) {
-                tail += a * b;
-            }
-            let z = acc.iter().sum::<f32>() + tail + bias[r];
-            *yr = if tanh_rows.contains(&r) {
-                z.tanh()
-            } else {
-                sigmoid(z)
-            };
+        self.forward(x, Some(bias), y);
+        let (head, rest) = y.split_at_mut(tanh_rows.start);
+        let (tanh_part, tail) = rest.split_at_mut(tanh_rows.len());
+        sigmoid_inplace(head);
+        tanh_inplace(tanh_part);
+        sigmoid_inplace(tail);
+    }
+
+    /// `y = A·x (+ b)`, one panel at a time.
+    fn forward(&self, x: &[f32], bias: Option<&[f32]>, y: &mut [f32]) {
+        for (p, yp) in y.chunks_mut(PANEL).enumerate() {
+            let top = p * PANEL;
+            let w = &self.data[self.panel(top, yp.len())];
+            let b = bias.map(|b| &b[top..top + yp.len()]);
+            by_height!(yp.len(), panel_dot(w, x, b, yp));
         }
     }
 
     /// `y += Aᵀ·x` (x length `rows`, y length `cols`). Used to propagate
-    /// gradients back through a layer.
+    /// gradients back through a layer. Each `y[c]` accumulates the rows in
+    /// order, skipping rows whose `x` is zero.
     pub fn matvec_t_add(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
         assert_eq!(y.len(), self.cols, "matvec_t output mismatch");
-        for (r, &xr) in x.iter().enumerate() {
-            if xr == 0.0 {
-                continue;
-            }
-            let row = self.row(r);
-            for (yc, &a) in y.iter_mut().zip(row.iter()) {
-                *yc += xr * a;
-            }
+        for (p, xp) in x.chunks(PANEL).enumerate() {
+            let w = &self.data[self.panel(p * PANEL, xp.len())];
+            by_height!(xp.len(), panel_t_add(w, xp, y));
         }
     }
 
     /// Rank-1 update `A += u·vᵀ` (u length `rows`, v length `cols`). Used
-    /// to accumulate weight gradients.
+    /// to accumulate weight gradients; rows whose `u` is zero are skipped.
     pub fn rank1_add(&mut self, u: &[f32], v: &[f32]) {
         assert_eq!(u.len(), self.rows);
         assert_eq!(v.len(), self.cols);
-        for (r, &ur) in u.iter().enumerate() {
-            if ur == 0.0 {
-                continue;
-            }
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (a, &b) in row.iter_mut().zip(v.iter()) {
-                *a += ur * b;
-            }
+        for (p, up) in u.chunks(PANEL).enumerate() {
+            let range = self.panel(p * PANEL, up.len());
+            by_height!(up.len(), panel_rank1(&mut self.data[range], up, v));
         }
     }
 
@@ -201,46 +210,129 @@ impl Matrix {
     }
 }
 
-/// Numerically safe logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
+/// `y = W·x (+ b)` for one panel of `H` rows, column-interleaved in `w`, in
+/// the row-major summation order the module docs describe: every step is
+/// one vertical operation across the `H` rows.
+#[inline(always)]
+fn panel_dot<const H: usize>(w: &[f32], x: &[f32], bias: Option<&[f32]>, y: &mut [f32]) {
+    let split = x.len() - x.len() % LANES;
+    let (w_main, w_tail) = w.split_at(split * H);
+    let mut acc = [[0.0f32; H]; LANES];
+    for (wc, xc) in w_main.chunks_exact(LANES * H).zip(x.chunks_exact(LANES)) {
+        for (lane, (wk, &xk)) in acc.iter_mut().zip(wc.chunks_exact(H).zip(xc)) {
+            for (a, &wv) in lane.iter_mut().zip(wk) {
+                *a += wv * xk;
+            }
+        }
+    }
+    let mut tail = [0.0f32; H];
+    for (wk, &xk) in w_tail.chunks_exact(H).zip(&x[split..]) {
+        for (t, &wv) in tail.iter_mut().zip(wk) {
+            *t += wv * xk;
+        }
+    }
+    // `acc.iter().sum()` folds from -0.0, the identity of `+`, so starting
+    // from lane 0 is the same sum.
+    let mut sum = acc[0];
+    for lane in &acc[1..] {
+        for (s, &a) in sum.iter_mut().zip(lane) {
+            *s += a;
+        }
+    }
+    for ((yv, &s), &t) in y.iter_mut().zip(&sum).zip(&tail) {
+        *yv = s + t;
+    }
+    if let Some(b) = bias {
+        for (yv, &bv) in y.iter_mut().zip(b) {
+            *yv += bv;
+        }
     }
 }
 
-/// Elementwise sigmoid over a slice.
-pub fn sigmoid_inplace(xs: &mut [f32]) {
-    xs.iter_mut().for_each(|x| *x = sigmoid(*x));
-}
-
-/// Elementwise tanh over a slice.
-pub fn tanh_inplace(xs: &mut [f32]) {
-    xs.iter_mut().for_each(|x| *x = x.tanh());
-}
-
-/// `y += x` elementwise.
-pub fn add_assign(y: &mut [f32], x: &[f32]) {
-    assert_eq!(y.len(), x.len());
-    for (a, &b) in y.iter_mut().zip(x.iter()) {
-        *a += b;
+/// `y += Wᵀ·x` for one panel of `H` rows: row by row, so every column adds
+/// the rows in order; each row is a stride-`H` walk over the columns,
+/// skipped when its `x` is zero.
+#[inline(always)]
+fn panel_t_add<const H: usize>(w: &[f32], x: &[f32], y: &mut [f32]) {
+    for (i, &xr) in x.iter().enumerate() {
+        if xr != 0.0 {
+            for (yc, wc) in y.iter_mut().zip(w.chunks_exact(H)) {
+                *yc += xr * wc[i];
+            }
+        }
     }
 }
 
-/// Dot product.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
+/// `W += u·vᵀ` for one panel of `H` rows, row by row like
+/// [`panel_t_add`], rows whose `u` is zero skipped.
+#[inline(always)]
+fn panel_rank1<const H: usize>(w: &mut [f32], u: &[f32], v: &[f32]) {
+    for (i, &ur) in u.iter().enumerate() {
+        if ur != 0.0 {
+            for (wc, &vc) in w.chunks_exact_mut(H).zip(v) {
+                wc[i] += ur * vc;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::{sigmoid, tanh};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    const ROWS: [usize; 6] = [1, 3, 4, 5, 12, 128];
+    const COLS: [usize; 6] = [1, 7, 8, 9, 46, 64];
+
+    /// A matrix with a spread of magnitudes and signs, so any change in
+    /// summation order shows in the low bits.
+    fn sample(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        Matrix::from_fn(rows, cols, |_, _| {
+            rng.gen_range(-1.0f32..1.0) * 10f32.powi(rng.gen_range(-3..3))
+        })
+    }
+
+    fn vector(n: usize, seed: u64) -> Vec<f32> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                // Every fifth entry is zero: the transposed and rank-1
+                // kernels skip those rows.
+                if i % 5 == 2 {
+                    0.0
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                }
+            })
+            .collect()
+    }
+
+    /// The row-major reference: eight lane accumulators, lane sum, tail,
+    /// bias — the order the panel kernel must keep.
+    fn reference_matvec(a: &Matrix, x: &[f32], bias: Option<&[f32]>) -> Vec<f32> {
+        (0..a.rows())
+            .map(|r| {
+                let row: Vec<f32> = (0..a.cols()).map(|c| a.get(r, c)).collect();
+                let mut acc = [0.0f32; 8];
+                let mut rc = row.chunks_exact(8);
+                let mut xc = x.chunks_exact(8);
+                for (rw, xw) in (&mut rc).zip(&mut xc) {
+                    for k in 0..8 {
+                        acc[k] += rw[k] * xw[k];
+                    }
+                }
+                let mut tail = 0.0f32;
+                for (a, b) in rc.remainder().iter().zip(xc.remainder()) {
+                    tail += a * b;
+                }
+                let y = acc.iter().sum::<f32>() + tail;
+                bias.map_or(y, |b| y + b[r])
+            })
+            .collect()
+    }
 
     #[test]
     fn matvec_known_values() {
@@ -249,6 +341,90 @@ mod tests {
         let mut y = vec![0.0; 3];
         a.matvec(&[1.0, -1.0], &mut y);
         assert_eq!(y, vec![-1.0, -1.0, -1.0]);
+    }
+
+    #[test]
+    fn get_set_from_fn_keep_row_column_meaning() {
+        for rows in ROWS {
+            for cols in COLS {
+                let mut a = Matrix::from_fn(rows, cols, |r, c| (r * 1000 + c) as f32);
+                assert_eq!(a.data().len(), rows * cols);
+                for r in 0..rows {
+                    for c in 0..cols {
+                        assert_eq!(a.get(r, c), (r * 1000 + c) as f32);
+                    }
+                }
+                a.set(rows - 1, cols - 1, -1.0);
+                assert_eq!(a.get(rows - 1, cols - 1), -1.0);
+                let mut seen = a.data().to_vec();
+                seen.sort_by(f32::total_cmp);
+                seen.dedup();
+                assert_eq!(seen.len(), rows * cols, "every cell has its own slot");
+            }
+        }
+    }
+
+    #[test]
+    fn panel_kernels_match_row_major_reference_bit_for_bit() {
+        for rows in ROWS {
+            for cols in COLS {
+                let seed = (rows * 100 + cols) as u64;
+                let a = sample(rows, cols, seed);
+                let x = vector(cols, seed + 1);
+                let bias = vector(rows, seed + 2);
+
+                let mut y = vec![0.0f32; rows];
+                a.matvec(&x, &mut y);
+                assert_eq!(y, reference_matvec(&a, &x, None), "matvec {rows}x{cols}");
+
+                // Gate kernel: reference pre-activation, then per-row
+                // activation with tanh on a middle band of rows.
+                let band = rows / 4..rows / 2;
+                let want: Vec<f32> = reference_matvec(&a, &x, Some(&bias))
+                    .into_iter()
+                    .enumerate()
+                    .map(|(r, z)| {
+                        if band.contains(&r) {
+                            tanh(z)
+                        } else {
+                            sigmoid(z)
+                        }
+                    })
+                    .collect();
+                a.gate_matvec(&x, &bias, band, &mut y);
+                assert_eq!(y, want, "gate_matvec {rows}x{cols}");
+
+                // Transposed product: rows in order into each column,
+                // zero rows skipped.
+                let u = vector(rows, seed + 3);
+                let start = vector(cols, seed + 4);
+                let mut want = start.clone();
+                for (r, &ur) in u.iter().enumerate() {
+                    if ur != 0.0 {
+                        for (c, w) in want.iter_mut().enumerate() {
+                            *w += ur * a.get(r, c);
+                        }
+                    }
+                }
+                let mut got = start;
+                a.matvec_t_add(&u, &mut got);
+                assert_eq!(got, want, "matvec_t_add {rows}x{cols}");
+
+                // Rank-1 update, elementwise.
+                let mut b = a.clone();
+                b.rank1_add(&u, &x);
+                for (r, &ur) in u.iter().enumerate() {
+                    for (c, &xc) in x.iter().enumerate() {
+                        let want = if ur != 0.0 {
+                            a.get(r, c) + ur * xc
+                        } else {
+                            a.get(r, c)
+                        };
+                        assert_eq!(b.get(r, c).to_bits(), want.to_bits(), "rank1 ({r},{c})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -266,7 +442,7 @@ mod tests {
         }
         for (r, v) in want.iter_mut().enumerate() {
             *v = if (4..8).contains(&r) {
-                v.tanh()
+                tanh(*v)
             } else {
                 sigmoid(*v)
             };
@@ -290,8 +466,10 @@ mod tests {
     fn rank1_matches_manual() {
         let mut a = Matrix::zeros(2, 3);
         a.rank1_add(&[1.0, 2.0], &[10.0, 20.0, 30.0]);
-        assert_eq!(a.row(0), &[10.0, 20.0, 30.0]);
-        assert_eq!(a.row(1), &[20.0, 40.0, 60.0]);
+        let rows: Vec<Vec<f32>> = (0..2)
+            .map(|r| (0..3).map(|c| a.get(r, c)).collect())
+            .collect();
+        assert_eq!(rows, vec![vec![10.0, 20.0, 30.0], vec![20.0, 40.0, 60.0]]);
     }
 
     #[test]
@@ -306,20 +484,32 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_stable_at_extremes() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
-        assert!(sigmoid(100.0) > 0.999_999);
-        assert!(sigmoid(-100.0) < 1e-6);
-        assert!(sigmoid(-1000.0).is_finite());
-        assert!(sigmoid(1000.0).is_finite());
+    fn xavier_draws_in_row_major_order() {
+        // What the row-major layout drew for each (r, c): one draw per
+        // cell, rows outer.
+        for (rows, cols) in [(5, 7), (12, 9), (128, 46)] {
+            let mut rng = SmallRng::seed_from_u64(rows as u64);
+            let a = Matrix::xavier(rows, cols, &mut rng);
+            let bound = (6.0 / (rows + cols) as f64).sqrt() as f32;
+            let mut rng = SmallRng::seed_from_u64(rows as u64);
+            let draws: Vec<f32> = (0..rows * cols)
+                .map(|_| rng.gen_range(-bound..bound))
+                .collect();
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(a.get(r, c), draws[r * cols + c], "({r}, {c})");
+                }
+            }
+        }
     }
 
     #[test]
     fn serde_round_trip() {
-        let a = Matrix::from_fn(2, 2, |r, c| (r + c) as f32);
+        let a = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f32);
         let json = serde_json::to_string(&a).unwrap();
         let b: Matrix = serde_json::from_str(&json).unwrap();
         assert_eq!(a, b);
+        assert_eq!(b.get(4, 2), 14.0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::activation::sigmoid;
 use crate::linear::{Linear, LinearGrad};
-use crate::matrix::sigmoid;
 use crate::rnn::{Rnn, RnnGrads, RnnKind, RnnState};
 use crate::sgd::{clip_global_norm, Sgd};
 

@@ -53,7 +53,7 @@ fn pipeline(seed: u64) -> Fingerprint {
         ..Default::default()
     };
     let (model, _) = train_cluster_model(&records, &params, &opts);
-    let json = model.to_json();
+    let json = model.to_file_json();
 
     let elided = filter_touching_cluster(&flows, 0);
     let oracle = LearnedOracle::new(model, params, DropPolicy::Sample, seed ^ 0xABCD);

@@ -87,9 +87,9 @@ fn workflow_produces_usable_model_and_faithful_hybrid() {
     );
 
     // Model serialization round-trips.
-    let json = model.to_json();
-    let restored = elephant::core::ClusterModel::from_json(&json).expect("valid json");
-    assert_eq!(restored.to_json(), json);
+    let json = model.to_file_json();
+    let restored = elephant::core::ClusterModel::load_json(&json).expect("valid artifact");
+    assert_eq!(restored.to_file_json(), json);
 
     // ---- Stage 3: hybrid deployment at 4 clusters ----
     let big = ClosParams::paper_cluster(4);

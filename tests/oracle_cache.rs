@@ -86,53 +86,84 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-/// Full hybrid runs, cache-off vs cache-on: the oracle drop rate must
-/// agree within 1% absolute and the end-to-end RTT distributions must be
-/// close in KS distance.
+/// The workload seeds the closed-loop comparison is judged over: fixed,
+/// and the first five, not ones picked because they pass.
+const GATE_SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
+
+/// Median of a handful of per-seed statistics.
+fn median(xs: &[f64]) -> f64 {
+    let mut xs = xs.to_vec();
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// Full hybrid runs, cache-off vs cache-on: the oracle drop rates must
+/// agree and the end-to-end RTT distributions must be close in KS
+/// distance, as medians over [`GATE_SEEDS`]. A single seed is a tripwire on
+/// one workload draw: the gate used to be seed 17 alone (KS < 0.35), and at
+/// the parent of PR 21 seeds 7 and 9 read 0.44 and 0.53 with the same code.
+///
+/// Bounds, from the parent's seeds 1–12: drop-rate difference median
+/// < 0.01 (worst seed 0.0088, median 0.0033) and RTT KS median < 0.25
+/// (median 0.113, upper quartile 0.18). On these five seeds the medians
+/// read 0.0029 / 0.113 at the parent and 0.0016 / 0.129 with the rational
+/// activations.
 #[test]
 fn cached_hybrid_matches_uncached_statistics() {
-    let (model, params, flows) = trained_model(17);
-    let elided = filter_touching_cluster(&flows, 0);
+    let mut drop_diff = Vec::new();
+    let mut ks = Vec::new();
+    for seed in GATE_SEEDS {
+        let (model, params, flows) = trained_model(seed);
+        let elided = filter_touching_cluster(&flows, 0);
 
-    let run = |oracle: Box<dyn ClusterOracle + Send>| {
-        let (net, _) = run_hybrid(params, 0, oracle, hybrid_cfg(), &elided, HORIZON);
-        let verdicts = net.stats.oracle_deliveries + net.stats.drops.oracle;
-        let drop_rate = net.stats.drops.oracle as f64 / verdicts.max(1) as f64;
-        (drop_rate, net.stats.raw_rtt().to_vec(), verdicts)
-    };
+        let run = |oracle: Box<dyn ClusterOracle + Send>| {
+            let (net, _) = run_hybrid(params, 0, oracle, hybrid_cfg(), &elided, HORIZON);
+            let verdicts = net.stats.oracle_deliveries + net.stats.drops.oracle;
+            let drop_rate = net.stats.drops.oracle as f64 / verdicts.max(1) as f64;
+            (drop_rate, net.stats.raw_rtt().to_vec(), verdicts)
+        };
 
-    let (dr_off, rtt_off, v_off) = run(Box::new(LearnedOracle::new(
-        model.clone(),
-        params,
-        DropPolicy::Sample,
-        0xFACE,
-    )));
-    let cached = LearnedOracle::with_cache(model, params, DropPolicy::Sample, 0xFACE, CACHE_CAP);
-    let stats = cached.cache_stats_handle().expect("cache enabled");
-    let (dr_on, rtt_on, v_on) = run(Box::new(cached));
+        let (dr_off, rtt_off, v_off) = run(Box::new(LearnedOracle::new(
+            model.clone(),
+            params,
+            DropPolicy::Sample,
+            0xFACE,
+        )));
+        let cached =
+            LearnedOracle::with_cache(model, params, DropPolicy::Sample, 0xFACE, CACHE_CAP);
+        let stats = cached.cache_stats_handle().expect("cache enabled");
+        let (dr_on, rtt_on, v_on) = run(Box::new(cached));
 
-    assert!(v_off > 1_000 && v_on > 1_000, "oracles were exercised");
-    let snap = stats.snapshot();
+        assert!(
+            v_off > 1_000 && v_on > 1_000,
+            "seed {seed}: oracles were exercised"
+        );
+        let snap = stats.snapshot();
+        assert!(
+            snap.hit_rate() > 0.25,
+            "seed {seed}: cache must actually serve verdicts (hit rate {:.3})",
+            snap.hit_rate()
+        );
+        drop_diff.push((dr_on - dr_off).abs());
+        ks.push(ks_distance(&rtt_off, &rtt_on));
+    }
     assert!(
-        snap.hit_rate() > 0.25,
-        "cache must actually serve verdicts (hit rate {:.3})",
-        snap.hit_rate()
+        median(&drop_diff) < 0.01,
+        "oracle drop rate diverged: per-seed |on - off| {drop_diff:.4?}"
     );
-    assert!(
-        (dr_on - dr_off).abs() < 0.01,
-        "oracle drop rate diverged: off {dr_off:.4} vs on {dr_on:.4}"
-    );
-    // The bound is loose by design: a cache hit skips the RNG draw and
+    // The KS bound is loose by design: a cache hit skips the RNG draw and
     // serves the bucket-representative latency, and the closed TCP loop
     // amplifies those per-verdict differences into different drop/retransmit
     // schedules. The tight distributional bounds live in the open-loop test
     // below; here KS only has to rule out gross divergence.
-    let ks = ks_distance(&rtt_off, &rtt_on);
     assert!(
-        ks < 0.35,
-        "RTT distributions diverged: KS {ks:.3} (off n={}, on n={})",
-        rtt_off.len(),
-        rtt_on.len()
+        median(&ks) < 0.25,
+        "RTT distributions diverged: per-seed KS {ks:.3?}"
     );
 }
 
