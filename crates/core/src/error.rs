@@ -50,6 +50,14 @@ pub enum ElephantError {
         /// Number of non-finite parameters found.
         count: usize,
     },
+    /// The weights do not have the shapes the model's architecture implies
+    /// (a matrix storing more or fewer values than `rows × cols`, layers
+    /// that do not chain, a head of the wrong width), so the first verdict
+    /// would index out of range.
+    ModelShape {
+        /// Which part, and what it holds against what it needs.
+        detail: String,
+    },
     /// A capture was requested from a network that was not configured to
     /// record one.
     CaptureMissing,
@@ -92,7 +100,8 @@ impl ElephantError {
             | ElephantError::ModelMagic { .. }
             | ElephantError::ModelVersion { .. }
             | ElephantError::ModelChecksum { .. }
-            | ElephantError::ModelNonFinite { .. } => 4,
+            | ElephantError::ModelNonFinite { .. }
+            | ElephantError::ModelShape { .. } => 4,
             ElephantError::CaptureMissing
             | ElephantError::StreamMisaligned { .. }
             | ElephantError::Pdes(_) => 5,
@@ -127,6 +136,9 @@ impl fmt::Display for ElephantError {
                 f,
                 "model contains {count} non-finite weight(s); refusing to load"
             ),
+            ElephantError::ModelShape { detail } => {
+                write!(f, "model weights do not fit its architecture: {detail}")
+            }
             ElephantError::CaptureMissing => {
                 write!(
                     f,
@@ -177,6 +189,10 @@ mod tests {
                 expected: 1
             }
             .exit_code(),
+            4
+        );
+        assert_eq!(
+            ElephantError::ModelShape { detail: "".into() }.exit_code(),
             4
         );
         assert_eq!(ElephantError::CaptureMissing.exit_code(), 5);

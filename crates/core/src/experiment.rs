@@ -47,8 +47,7 @@ use elephant_des::{
 };
 use elephant_net::{
     run_sampled, schedule_flows, ClosParams, ClusterOracle, ConnStats, FlowSpec, GuardSnapshot,
-    NetConfig, NetEvent, NetPartition, NetSampler, Network, OracleStats, RttScope, Topology,
-    TraceLog,
+    NetConfig, NetPartition, NetSampler, Network, OracleStats, RttScope, Topology, TraceLog,
 };
 use elephant_obs::{MetricRow, PartitionRow, RunReport};
 
@@ -804,7 +803,7 @@ fn run_pdes(plan: &mut RunPlan<'_>, exec: PdesExec) -> Result<Outcome, ElephantE
 
 /// Builds the logical processes of a PDES run — rack partitions at full
 /// fidelity, one per cluster (each with its own oracle replica) for a
-/// hybrid — and seeds each partition's scheduler with the flows it owns.
+/// hybrid — and has each partition stream the flows it owns.
 /// Returns the partitions plus the min-cut lookahead.
 fn build_partitions(
     plan: &mut RunPlan<'_>,
@@ -829,11 +828,15 @@ fn build_partitions(
             PartitionSim::new(NetPartition { net })
         })
         .collect();
-    for f in plan.flows {
-        let owner = map[topo.host_node(f.src).idx()] as usize;
-        parts[owner]
-            .scheduler_mut()
-            .schedule_at(f.start, NetEvent::FlowStart(*f));
+    // Each partition streams the flows its hosts open, ranked by their
+    // index in the whole list so tie order does not depend on the cut.
+    let mut owned: Vec<Vec<(u64, FlowSpec)>> = vec![Vec::new(); partitions];
+    for (rank, f) in (0..).zip(plan.flows) {
+        owned[map[topo.host_node(f.src).idx()] as usize].push((rank, *f));
+    }
+    for (part, flows) in parts.iter_mut().zip(owned) {
+        let (world, sched) = part.parts_mut();
+        world.net.stream_flows(flows, sched);
     }
     (parts, lookahead)
 }

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheStats, CacheStatsHandle, FeatureQuantizer, QuantizerConfig, VerdictCache};
 use crate::error::ElephantError;
-use crate::features::{FeatureExtractor, LatencyCodec};
+use crate::features::{FeatureExtractor, LatencyCodec, FEATURE_DIM};
 use crate::macro_model::{MacroConfig, MacroModel, MacroState};
 
 /// Magic string identifying a versioned elephant model artifact.
@@ -79,8 +79,8 @@ pub struct ClusterModel {
 
 /// On-disk envelope for a [`ClusterModel`]: versioned, checksummed header
 /// plus the model itself. [`ClusterModel::to_file_json`] writes one;
-/// [`ClusterModel::load_json`] validates magic, version, checksum, and
-/// weight finiteness before handing the model out.
+/// [`ClusterModel::load_json`] validates magic, version, checksum, weight
+/// shapes and weight finiteness before handing the model out.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ModelFile {
     /// Must equal [`MODEL_MAGIC`].
@@ -112,6 +112,7 @@ impl ModelFile {
                 actual,
             });
         }
+        self.model.validate_shapes()?;
         self.model.validate_weights()?;
         Ok(self.model)
     }
@@ -130,7 +131,8 @@ impl ClusterModel {
     }
 
     /// Loads a model from the versioned on-disk format, validating the
-    /// header and the weights. All failure modes are typed; a bare model
+    /// header and the weights (shapes, then finiteness), so a model that
+    /// loads can serve a verdict. All failure modes are typed; a bare model
     /// without the header is refused ([`ElephantError::ModelParse`]), since
     /// nothing in it says how its weights are laid out.
     pub fn load_json(s: &str) -> Result<Self, ElephantError> {
@@ -147,6 +149,26 @@ impl ClusterModel {
             .weight_checksum()
             .wrapping_mul(0x0000_0100_0000_01b3)
             ^ self.down.weight_checksum()
+    }
+
+    /// Fails if either micro model's weights do not fit its architecture,
+    /// or it reads another feature width than the oracle builds
+    /// ([`FEATURE_DIM`]).
+    fn validate_shapes(&self) -> Result<(), ElephantError> {
+        for (direction, net) in [("up", &self.up), ("down", &self.down)] {
+            let detail = match net.check_shapes() {
+                Err(detail) => detail,
+                Ok(()) if net.cfg.input != FEATURE_DIM => format!(
+                    "reads {} features, the oracle builds {FEATURE_DIM}",
+                    net.cfg.input
+                ),
+                Ok(()) => continue,
+            };
+            return Err(ElephantError::ModelShape {
+                detail: format!("{direction} model: {detail}"),
+            });
+        }
+        Ok(())
     }
 
     /// Fails if either micro model carries NaN or infinite weights.
@@ -426,7 +448,6 @@ impl ClusterOracle for LearnedOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::FEATURE_DIM;
     use elephant_des::SimDuration;
     use elephant_net::{Ecn, FlowId, HostAddr, TcpFlags, TcpSegment, Topology};
     use elephant_nn::MicroNetConfig;
@@ -667,6 +688,75 @@ mod tests {
         let err = ClusterModel::load_json(&m.to_file_json()).unwrap_err();
         assert!(
             matches!(err, ElephantError::ModelNonFinite { count } if count == 1),
+            "{err}"
+        );
+    }
+
+    /// Re-seals an edited artifact the way anyone can: recompute the
+    /// checksum with the public `weight_checksum()`.
+    fn resealed(json: &str) -> String {
+        let mut file: ModelFile = serde_json::from_str(json).expect("edited file still parses");
+        file.checksum = file.model.weight_checksum();
+        serde_json::to_string(&file).unwrap()
+    }
+
+    /// One value deleted from the first weight array, checksum recomputed:
+    /// the file parses and passes its checksum, and used to load and then
+    /// panic at the first verdict (a 703-value slice read as 32 × 22).
+    #[test]
+    fn a_weight_array_short_of_its_shape_is_refused() {
+        let json = tiny_model().to_file_json();
+        let at = json.find("\"data\":[").expect("a weight array") + "\"data\":[".len();
+        let comma = at + json[at..].find(',').expect("more than one weight");
+        let edited = resealed(&format!("{}{}", &json[..at], &json[comma + 1..]));
+        let err = ClusterModel::load_json(&edited).unwrap_err();
+        assert!(
+            matches!(&err, ElephantError::ModelShape { detail }
+                if detail.contains("up model: layer 0 gates: 703 weights")),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 4);
+    }
+
+    /// Layers that do not chain: the second layer of a 2-layer trunk reads
+    /// five inputs where the layer below produces eight.
+    #[test]
+    fn a_layer_of_the_wrong_width_is_refused() {
+        let mut rng = SmallRng::seed_from_u64(2);
+        let cfg = MicroNetConfig {
+            layers: 2,
+            ..tiny_model().up.cfg
+        };
+        let mut m = tiny_model();
+        m.down = MicroNet::new(cfg, &mut rng);
+        assert!(ClusterModel::load_json(&m.to_file_json()).is_ok());
+        let elephant_nn::Rnn::Lstm(trunk) = &mut m.down.rnn else {
+            unreachable!("tiny models are LSTMs")
+        };
+        trunk.cells[1] = elephant_nn::LstmCell::new(5, 8, &mut rng);
+        let err = ClusterModel::load_json(&m.to_file_json()).unwrap_err();
+        assert!(
+            matches!(&err, ElephantError::ModelShape { detail }
+                if detail.contains("down model: layer 1 maps 5 → 8 units")),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 4);
+    }
+
+    /// A model for another feature vector would trip the first step's
+    /// width assertion.
+    #[test]
+    fn a_model_for_another_feature_width_is_refused() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut m = tiny_model();
+        let cfg = MicroNetConfig {
+            input: FEATURE_DIM + 1,
+            ..m.up.cfg
+        };
+        m.up = MicroNet::new(cfg, &mut rng);
+        let err = ClusterModel::load_json(&m.to_file_json()).unwrap_err();
+        assert!(
+            matches!(&err, ElephantError::ModelShape { detail } if detail.contains("features")),
             "{err}"
         );
     }

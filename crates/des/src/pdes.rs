@@ -233,6 +233,12 @@ impl<W: PartitionWorld> PartitionSim<W> {
         &mut self.world
     }
 
+    /// The world and the scheduler at once, for a world that seeds its own
+    /// initial events.
+    pub fn parts_mut(&mut self) -> (&mut W, &mut Scheduler<W::Event>) {
+        (&mut self.world, &mut self.sched)
+    }
+
     /// Consumes the partition, returning its world (post-run statistics).
     pub fn into_world(self) -> W {
         self.world

@@ -9,14 +9,24 @@
 //! events posted for the same instant therefore fire in posting order, which
 //! makes single-threaded runs bit-reproducible.
 //!
-//! The PDES engine inserts cross-partition deliveries through a second
-//! *remote lane* of the sequence space ([`Scheduler::schedule_remote`]): the
-//! top bit marks a remote event and the remaining bits encode the sender
-//! partition and the sender's own send counter. At equal timestamps remote
-//! events therefore sort after every local event and among themselves by
-//! `(sender, send-seq)` — an intrinsic key that does not depend on which
-//! epoch (or which chunked `run_until` call) happened to deliver them, so
-//! tie order is identical across epoch plans, partition counts held fixed.
+//! The sequence space has three lanes, so two more kinds of event carry a
+//! key of their own instead of their posting order:
+//!
+//! * **Arrivals** ([`Scheduler::schedule_arrival`]) take the bottom band,
+//!   `[0, ARRIVAL_BAND)`: the sequence number *is* the caller's rank, and
+//!   local numbering starts above the band. At equal timestamps arrivals
+//!   sort before every local event and among themselves by rank — the order
+//!   they would have had had all of them been scheduled, in rank order,
+//!   before anything else. That is what lets a model stream its inputs (a
+//!   network's flow starts) one queued event at a time instead of
+//!   pre-scheduling all of them.
+//! * **Remote deliveries** ([`Scheduler::schedule_remote`]): the top bit
+//!   marks a cross-partition event and the remaining bits encode the sender
+//!   partition and the sender's own send counter. At equal timestamps remote
+//!   events therefore sort after every local event and among themselves by
+//!   `(sender, send-seq)` — an intrinsic key that does not depend on which
+//!   epoch (or which chunked `run_until` call) happened to deliver them, so
+//!   tie order is identical across epoch plans, partition counts held fixed.
 //!
 //! ## FEL backends
 //!
@@ -48,6 +58,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
+use std::num::NonZeroU32;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -60,10 +71,24 @@ use crate::time::{SimDuration, SimTime};
 /// whatever occupies the slot now (it carries another stamp).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventKey {
-    slot: u32,
+    /// The slot plus one: the niche makes `Option<EventKey>` — the shape a
+    /// model keeps its cancellable timers in — 16 bytes, not 24.
+    slot: NonZeroU32,
     stamp: u64,
 }
 
+impl EventKey {
+    #[inline]
+    fn slot(self) -> u32 {
+        self.slot.get() - 1
+    }
+}
+
+/// Sequence numbers below this are arrival ranks
+/// ([`Scheduler::schedule_arrival`]); local numbering starts here, so at
+/// one instant every arrival sorts before every local event. 2^40 ranks
+/// (10^12 arrivals) leave the local lane all but its bottom 2^40 numbers.
+const ARRIVAL_BAND: u64 = 1 << 40;
 /// Top bit of the sequence space: set for remote-lane (cross-partition)
 /// deliveries so they sort after all locally scheduled events at the same
 /// instant.
@@ -165,13 +190,17 @@ impl<E> Slab<E> {
             fresh.expect("event slab exhausted (2^32 concurrent events)")
         });
         self.slots[slot as usize] = (stamp, Some(event));
-        EventKey { slot, stamp }
+        let slot = NonZeroU32::new(slot.wrapping_add(1));
+        EventKey {
+            slot: slot.expect("event slab exhausted (2^32 concurrent events)"),
+            stamp,
+        }
     }
 
     /// Live → dead, if the key's slot still holds the event it was made for.
     #[inline]
     fn cancel(&mut self, key: EventKey) -> bool {
-        match self.slots.get_mut(key.slot as usize) {
+        match self.slots.get_mut(key.slot() as usize) {
             Some((stamp, event)) if *stamp == key.stamp => event.take().is_some(),
             _ => false,
         }
@@ -241,7 +270,7 @@ impl<E> Fel<E> for BinaryHeapFel<E> {
 
     fn push(&mut self, time: SimTime, seq: u64, event: E) -> EventKey {
         let key = self.slab.alloc(seq, event);
-        self.heap.push(Reverse((time.as_nanos(), seq, key.slot)));
+        self.heap.push(Reverse((time.as_nanos(), seq, key.slot())));
         key
     }
 
@@ -590,7 +619,7 @@ impl<E> Fel<E> for CalendarFel<E> {
         let t = time.as_nanos();
         let key = self.slab.alloc(seq, event);
         let b = self.bucket_of(t);
-        self.buckets[b].push(t, seq, key.slot);
+        self.buckets[b].push(t, seq, key.slot());
         self.len += 1;
         if t < self.scan_floor {
             // The cursor had advanced past this instant (e.g. a peek jumped
@@ -687,7 +716,7 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
         Scheduler {
             now: SimTime::ZERO,
             fel: F::default(),
-            next_seq: 0,
+            next_seq: ARRIVAL_BAND,
             scheduled_total: 0,
             executed_total: 0,
             cancelled_total: 0,
@@ -738,6 +767,34 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
     #[inline]
     pub fn schedule_now(&mut self, event: E) -> EventKey {
         self.schedule_at(self.now, event)
+    }
+
+    /// Schedules `event` to fire at `at` on the arrival lane, keyed by
+    /// `rank` instead of by posting order.
+    ///
+    /// At one instant arrivals fire before every local and remote event and
+    /// among themselves by rank, wherever they were posted from — exactly
+    /// as if every arrival had been scheduled, in rank order, before any
+    /// other event. So a model can keep one arrival queued and post the next
+    /// from its handler without moving a single tie. Ranks must be unique
+    /// among the arrivals pending at once.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past or `rank` is outside the arrival band
+    /// (`rank >= 2^40`). Both checks are always on: a rank in the local lane
+    /// would corrupt tie-break order silently.
+    pub fn schedule_arrival(&mut self, at: SimTime, rank: u64, event: E) -> EventKey {
+        assert!(
+            at >= self.now,
+            "attempted to schedule an arrival in the past ({at} < now {})",
+            self.now
+        );
+        assert!(
+            rank < ARRIVAL_BAND,
+            "arrival rank {rank} is outside the arrival band (< {ARRIVAL_BAND})"
+        );
+        self.scheduled_total += 1;
+        self.fel.push(at, rank, event)
     }
 
     /// Schedules a cross-partition delivery on the remote lane.
@@ -927,9 +984,16 @@ mod tests {
     fn cancel_unknown_key_is_noop() {
         let mut s: Scheduler<&str> = Scheduler::new();
         assert!(!s.cancel(EventKey {
-            slot: 42,
+            slot: NonZeroU32::new(42).unwrap(),
             stamp: 42
         }));
+    }
+
+    /// Models keep their cancellable timers as `Option<EventKey>` (two per
+    /// TCP connection), so the key's niche is worth its keep.
+    #[test]
+    fn an_optional_key_costs_no_tag() {
+        assert_eq!(std::mem::size_of::<Option<EventKey>>(), 16);
     }
 
     /// A key outlives its event; the slot does not. Once the event fired and
@@ -1037,6 +1101,54 @@ mod tests {
         s.schedule_at(t, "local1");
         let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["local0", "local1", "r1.0", "r1.1", "r2.0"]);
+    }
+
+    /// The streaming contract: an arrival posted at the current instant by
+    /// a handler still fires before local events posted for that instant
+    /// long before it, and arrivals among themselves fire by rank, not by
+    /// posting order.
+    #[test]
+    fn arrivals_sort_before_earlier_locals_and_by_rank() {
+        let t = SimTime::from_nanos(50);
+        let mut s: Scheduler<&str> = Scheduler::new();
+        s.schedule_at(t, "local0");
+        s.schedule_arrival(t, 7, "arrival7");
+        s.schedule_at(t, "local1");
+        s.schedule_arrival(t, 3, "arrival3");
+        s.schedule_arrival(SimTime::from_nanos(10), 9, "early");
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(10), "early")));
+        assert_eq!(s.pop(), Some((t, "arrival3")));
+        // Posted from "inside" the instant, after both locals.
+        s.schedule_arrival(t, 5, "arrival5");
+        let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["arrival5", "arrival7", "local0", "local1"]);
+        assert_eq!((s.scheduled_total(), s.executed_total()), (6, 6));
+    }
+
+    #[test]
+    fn remote_lane_still_sorts_after_arrivals_and_locals() {
+        let t = SimTime::from_nanos(7);
+        let mut s: Scheduler<&str> = Scheduler::new();
+        s.schedule_remote(t, 0, 0, "remote");
+        s.schedule_at(t, "local");
+        s.schedule_arrival(t, 0, "arrival");
+        let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["arrival", "local", "remote"]);
+    }
+
+    /// A rank that reached the local lane would tie-break against local
+    /// events by accident; the check holds in release builds too.
+    #[test]
+    fn arrival_rank_outside_the_band_panics() {
+        let mut s: Scheduler<u64> = Scheduler::new();
+        s.schedule_arrival(SimTime::ZERO, ARRIVAL_BAND - 1, 0);
+        for rank in [ARRIVAL_BAND, REMOTE_LANE, u64::MAX] {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.schedule_arrival(SimTime::ZERO, rank, 1);
+            }));
+            assert!(r.is_err(), "rank {rank} must be refused");
+        }
+        assert_eq!(s.pending(), 1);
     }
 
     #[test]

@@ -97,6 +97,12 @@ impl<W: World> Simulator<W> {
         &self.sched
     }
 
+    /// The model and the scheduler at once, for a world that seeds its own
+    /// initial events.
+    pub fn parts_mut(&mut self) -> (&mut W, &mut Scheduler<W::Event>) {
+        (&mut self.world, &mut self.sched)
+    }
+
     /// The FEL high-water marks observed so far.
     pub fn fel_peaks(&self) -> FelPeaks {
         self.peaks

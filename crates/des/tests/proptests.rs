@@ -28,7 +28,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// The differential-test alphabet: everything the `Scheduler` API can do to
-/// the FEL, including the remote lane and zero-offset bursts. Offsets mix
+/// the FEL, including both keyed lanes and zero-offset bursts. Offsets mix
 /// sub-bucket, multi-bucket, and multi-year magnitudes so the calendar
 /// queue's year scan, direct-search jump, and resize paths all trigger.
 #[derive(Clone, Debug)]
@@ -39,6 +39,8 @@ enum FelOp {
         sender: usize,
         offset: u64,
     },
+    /// An arrival-lane push; ranks are issued unique and out of time order.
+    Arrival(u64),
     CancelNth(usize),
     Peek,
     Pop,
@@ -53,12 +55,14 @@ fn arb_fel_ops() -> impl Strategy<Value = Vec<FelOp>> {
         0u64..50_000_000, // many years ahead: direct-search jumps
     ];
     let remote_offset = prop_oneof![0u64..100, 0u64..50_000, 0u64..50_000_000];
+    let arrival_offset = prop_oneof![0u64..100, 0u64..50_000, 0u64..50_000_000];
     proptest::collection::vec(
         prop_oneof![
             offset.prop_map(FelOp::Schedule),
             Just(FelOp::ScheduleNow),
             (0usize..4, remote_offset)
                 .prop_map(|(sender, offset)| FelOp::Remote { sender, offset }),
+            arrival_offset.prop_map(FelOp::Arrival),
             (0usize..96).prop_map(FelOp::CancelNth),
             Just(FelOp::Peek),
             Just(FelOp::Pop),
@@ -68,16 +72,17 @@ fn arb_fel_ops() -> impl Strategy<Value = Vec<FelOp>> {
     )
 }
 
-/// The `full_rpc8` shape: a block of far-future entries (pre-scheduled flow
-/// starts), then a dense near-term hold whose timers are cancelled and
-/// re-armed at the far distance — so dead entries pile up a long way ahead
-/// of the scan cursor and outnumber the live ones, which is what triggers
-/// the calendar queue's compaction.
+/// The `full_rpc8` shape: a block of far-future entries, then a dense
+/// near-term hold (local events and arrivals) whose timers are cancelled
+/// and re-armed at the far distance — so dead entries pile up a long way
+/// ahead of the scan cursor and outnumber the live ones, which is what
+/// triggers the calendar queue's compaction.
 fn arb_bimodal_ops() -> impl Strategy<Value = Vec<FelOp>> {
     let far = 200_000_000u64..201_000_000;
     let cancel = || (0usize..400).prop_map(FelOp::CancelNth);
     let hold = prop_oneof![
         (0u64..2_000).prop_map(FelOp::Schedule),
+        (0u64..2_000).prop_map(FelOp::Arrival),
         far.clone().prop_map(FelOp::Schedule),
         cancel(),
         cancel(),
@@ -93,6 +98,13 @@ fn arb_bimodal_ops() -> impl Strategy<Value = Vec<FelOp>> {
             ops.extend(hold);
             ops
         })
+}
+
+/// The rank of the `n`-th arrival of a case: unique (an odd multiplier is
+/// a bijection modulo 2^16, and no case issues that many), and scrambled
+/// against the order the arrivals are issued and their times.
+fn rank(n: u64) -> u64 {
+    n.wrapping_mul(0x9E37) % (1 << 16)
 }
 
 /// Both generators, for the properties that must hold on either shape.
@@ -179,9 +191,10 @@ proptest! {
 
     /// Differential test of the calendar-queue FEL against the legacy
     /// binary heap: identical op sequences — local schedules at mixed
-    /// offsets (including zero-offset `schedule_now` bursts), remote-lane
-    /// deliveries from several senders, cancellations, pops, bounded pops,
-    /// and peeks — must produce bit-identical pop streams, peeks, pending
+    /// offsets (including zero-offset `schedule_now` bursts), arrival-lane
+    /// pushes with scrambled ranks, remote-lane deliveries from several
+    /// senders, cancellations, pops, bounded pops, and peeks — must produce
+    /// bit-identical pop streams, peeks, pending
     /// counts, and lifetime counters. This is the drop-in proof that
     /// swapping the FEL backend cannot change a simulation.
     #[test]
@@ -190,6 +203,7 @@ proptest! {
         let mut heap: HeapScheduler<u64> = Scheduler::new();
         let mut keys = Vec::new(); // parallel (cal_key, heap_key)
         let mut send_seqs = [0u64; 4]; // per-sender remote counters
+        let mut arrivals = 0u64;
         let mut payload = 0u64;
 
         for op in ops {
@@ -200,6 +214,15 @@ proptest! {
                     keys.push((
                         cal.schedule_at(t, payload),
                         heap.schedule_at(t, payload),
+                    ));
+                }
+                FelOp::Arrival(offset) => {
+                    payload += 1;
+                    arrivals += 1;
+                    let t = cal.now() + SimDuration::from_nanos(offset);
+                    keys.push((
+                        cal.schedule_arrival(t, rank(arrivals), payload),
+                        heap.schedule_arrival(t, rank(arrivals), payload),
                     ));
                 }
                 FelOp::ScheduleNow => {
@@ -254,6 +277,7 @@ proptest! {
         let mut s: Scheduler<u64> = Scheduler::new();
         let mut keys = Vec::new();
         let mut send_seqs = [0u64; 4];
+        let mut arrivals = 0u64;
         let mut payload = 0u64;
         for op in ops {
             match op {
@@ -261,6 +285,12 @@ proptest! {
                     payload += 1;
                     let t = s.now() + SimDuration::from_nanos(offset);
                     keys.push(s.schedule_at(t, payload));
+                }
+                FelOp::Arrival(offset) => {
+                    payload += 1;
+                    arrivals += 1;
+                    let t = s.now() + SimDuration::from_nanos(offset);
+                    keys.push(s.schedule_arrival(t, rank(arrivals), payload));
                 }
                 FelOp::ScheduleNow => {
                     payload += 1;

@@ -127,6 +127,10 @@ struct Conn {
     tcp: TcpConn,
     peer: HostAddr,
     opener: bool,
+    /// Application bytes the opener sends (zero on the passive side).
+    bytes: u64,
+    /// When the connection opened: the flow's start on the opener's side.
+    started: SimTime,
     rto_key: Option<EventKey>,
     delack_key: Option<EventKey>,
 }
@@ -137,12 +141,16 @@ struct HostState {
     conns: HashMap<FlowId, Conn>,
 }
 
+/// The run's flows, handed to the scheduler one `FlowStart` at a time (see
+/// [`Network::stream_flows`]).
 #[derive(Clone)]
-struct FlowMeta {
-    src: HostAddr,
-    dst: HostAddr,
-    bytes: u64,
-    started: SimTime,
+struct FlowStream {
+    /// `(rank, spec)` sorted by `(spec.start, rank)`. Immutable once set,
+    /// so every clone of the network shares it.
+    flows: Arc<[(u64, FlowSpec)]>,
+    /// Index in `flows` of the one queued `FlowStart`; `flows.len()` once
+    /// the last flow has started.
+    next: usize,
 }
 
 #[derive(Clone)]
@@ -157,15 +165,16 @@ pub struct Network {
     cfg: NetConfig,
     ports: Vec<Vec<PortState>>,
     hosts: Vec<Option<HostState>>,
-    flow_meta: HashMap<FlowId, FlowMeta>,
+    stream: FlowStream,
     /// Measurement state, public for read-out after a run.
     pub stats: NetStats,
     capture: Option<CaptureState>,
     oracle: Option<Box<dyn ClusterOracle + Send>>,
     /// Last scheduled oracle delivery per destination, for the paper's
     /// conflict rule: "the one processed first is given priority, with the
-    /// conflicting packet sent at the next possible time" (§4.2).
-    boundary_gate: HashMap<NodeId, SimTime>,
+    /// conflicting packet sent at the next possible time" (§4.2). Indexed
+    /// by `NodeId`; node ids are dense.
+    boundary_gate: Vec<Option<SimTime>>,
     next_pkt_id: u64,
     scratch: TcpOutput,
     partition: Option<PartitionCtx>,
@@ -174,10 +183,13 @@ pub struct Network {
 }
 
 /// Cloning a network deep-copies every piece of simulation state — port
-/// queues, TCP connections, flow metadata, measurement state, capture and
-/// trace buffers, and (via [`ClusterOracle::clone_box`]) the installed
-/// oracle with its regime, RNN, and verdict-cache state. The topology and
-/// partition map stay shared (`Arc`, immutable). The network's own counters
+/// queues, TCP connections, the flow stream's cursor, measurement state,
+/// capture and trace buffers, and (via [`ClusterOracle::clone_box`]) the
+/// installed oracle with its regime, RNN, and verdict-cache state. The
+/// topology, the partition map and the streamed flow list stay shared
+/// (`Arc`, immutable), so a checkpoint copies no future flow, and a
+/// restored network resumes the stream exactly where the snapshot's
+/// scheduler holds its one queued `FlowStart`. The network's own counters
 /// ([`NetStats`], the ports', the connections', the oracle's
 /// [`OracleStats`]) are part of that state, so a restored network counts
 /// the successful path only; a [`crate::GuardedOracle`]'s counters are
@@ -199,7 +211,7 @@ impl Clone for Network {
             cfg: self.cfg,
             ports: self.ports.clone(),
             hosts: self.hosts.clone(),
-            flow_meta: self.flow_meta.clone(),
+            stream: self.stream.clone(),
             stats: self.stats.clone(),
             capture: self.capture.clone(),
             oracle,
@@ -241,7 +253,7 @@ impl Network {
             stats: NetStats::new(cfg.rtt_scope, cfg.raw_rtt_limit),
             capture,
             oracle: None,
-            boundary_gate: HashMap::new(),
+            boundary_gate: vec![None; topo.len()],
             next_pkt_id: 0,
             scratch: TcpOutput::default(),
             partition: None,
@@ -249,7 +261,10 @@ impl Network {
             trace: None,
             ports,
             hosts,
-            flow_meta: HashMap::new(),
+            stream: FlowStream {
+                flows: Arc::new([]),
+                next: 0,
+            },
             topo,
             cfg,
         }
@@ -302,6 +317,43 @@ impl Network {
             "partition map must cover every node"
         );
         self.partition = Some(PartitionCtx { my, node_part });
+    }
+
+    /// Hands the network the flows it opens, as `(rank, spec)` pairs —
+    /// rank = the flow's index in the run's flow list — and queues the
+    /// first of them in `sched`. The rest wait here, sorted by `(start,
+    /// rank)`: each streamed `FlowStart` queues its successor on the
+    /// scheduler's arrival lane ([`Scheduler::schedule_arrival`]), so one
+    /// flow start is pending at a time, yet every flow starts exactly where
+    /// it would have had all of them been scheduled up front in rank order.
+    /// Under PDES each partition streams the flows it owns with their
+    /// ranks in the whole list, which keeps that order whatever the cut.
+    ///
+    /// # Panics
+    /// Panics if the network already streams a flow list.
+    pub fn stream_flows(
+        &mut self,
+        flows: impl IntoIterator<Item = (u64, FlowSpec)>,
+        sched: &mut Scheduler<NetEvent>,
+    ) {
+        assert!(
+            self.stream.flows.is_empty(),
+            "a network streams one flow list"
+        );
+        let mut flows: Vec<(u64, FlowSpec)> = flows.into_iter().collect();
+        flows.sort_unstable_by_key(|&(rank, spec)| (spec.start, rank));
+        self.stream = FlowStream {
+            flows: flows.into(),
+            next: 0,
+        };
+        self.queue_next_flow(sched);
+    }
+
+    /// Queues the stream's next `FlowStart`, if any is left.
+    fn queue_next_flow(&self, sched: &mut Scheduler<NetEvent>) {
+        if let Some(&(rank, spec)) = self.stream.flows.get(self.stream.next) {
+            sched.schedule_arrival(spec.start, rank, NetEvent::FlowStart(spec));
+        }
     }
 
     /// The topology.
@@ -458,16 +510,15 @@ impl Network {
     fn flow_start(&mut self, spec: FlowSpec, sched: &mut Scheduler<NetEvent>) {
         assert!(!spec.id.is_reverse(), "flow specs use canonical ids");
         let now = sched.now();
+        // The queued stream entry fires before any same-instant FlowStart
+        // scheduled by hand, so the first start matching it is the stream's
+        // own; a hand-scheduled start never advances the stream.
+        let queued = self.stream.flows.get(self.stream.next);
+        if queued.is_some_and(|&(_, queued)| queued == spec && spec.start == now) {
+            self.stream.next += 1;
+            self.queue_next_flow(sched);
+        }
         self.stats.flows_started += 1;
-        self.flow_meta.insert(
-            spec.id,
-            FlowMeta {
-                src: spec.src,
-                dst: spec.dst,
-                bytes: spec.bytes,
-                started: now,
-            },
-        );
         let node = self.topo.host_node(spec.src);
         let host = self.hosts[node.idx()]
             .as_mut()
@@ -478,6 +529,8 @@ impl Network {
                 tcp: TcpConn::sender(self.cfg.tcp, spec.bytes),
                 peer: spec.dst,
                 opener: true,
+                bytes: spec.bytes,
+                started: now,
                 rto_key: None,
                 delack_key: None,
             },
@@ -542,6 +595,8 @@ impl Network {
                     tcp: TcpConn::receiver(self.cfg.tcp),
                     peer: pkt.src,
                     opener: false,
+                    bytes: 0,
+                    started: now,
                     rto_key: None,
                     delack_key: None,
                 });
@@ -599,12 +654,13 @@ impl Network {
                     Direction::Up => self.topo.params().core_link.rate_gbps,
                 };
                 let gap = SimDuration::from_bytes_at_gbps(pkt.wire_bytes() as u64, rate);
-                if let Some(&last) = self.boundary_gate.get(&dest) {
+                let gate = &mut self.boundary_gate[dest.idx()];
+                if let Some(last) = *gate {
                     if at <= last {
                         at = last + gap;
                     }
                 }
-                self.boundary_gate.insert(dest, at);
+                *gate = Some(at);
                 self.stats.oracle_deliveries += 1;
                 self.trace_event(now, TraceKind::OracleDeliver, boundary, &pkt);
                 self.deliver(dest, at, pkt, sched);
@@ -700,17 +756,17 @@ impl Network {
         }
         self.stats.delivered_bytes += out.accepted_bytes;
         if out.completed {
-            let meta = self
-                .flow_meta
-                .get(&flow)
-                .expect("completed flow has metadata");
+            // Only the sending side completes, and it opened the
+            // connection, so its `Conn` knows the flow (still open here).
+            let host = self.hosts[node.idx()].as_ref().expect("host node");
+            let conn = &host.conns[&flow];
             self.stats.flows_completed += 1;
             self.stats.fct.push(FctRecord {
                 flow,
-                src: meta.src,
-                dst: meta.dst,
-                bytes: meta.bytes,
-                started: meta.started,
+                src: addr,
+                dst: peer,
+                bytes: conn.bytes,
+                started: conn.started,
                 completed: now,
             });
         }
@@ -848,12 +904,11 @@ impl World for Network {
     }
 }
 
-/// Schedules every flow in `flows` onto a sequential simulator.
+/// Streams every flow in `flows` into a sequential simulator, each ranked
+/// by its index in the slice (see [`Network::stream_flows`]).
 pub fn schedule_flows(sim: &mut Simulator<Network>, flows: &[FlowSpec]) {
-    for &spec in flows {
-        sim.scheduler_mut()
-            .schedule_at(spec.start, NetEvent::FlowStart(spec));
-    }
+    let (net, sched) = sim.parts_mut();
+    net.stream_flows((0..).zip(flows.iter().copied()), sched);
 }
 
 // ----------------------------------------------------------------------
@@ -1364,6 +1419,163 @@ mod tests {
             )
         };
         assert_eq!(run(), run(), "bit-identical replay");
+    }
+
+    /// Every flow scheduled up front, one `schedule_at` per flow — the way
+    /// callers outside the crate that drive `Network` themselves do it.
+    fn sim_hand_scheduled(topo: Topology, flows: &[FlowSpec]) -> Simulator<Network> {
+        let mut sim = Simulator::new(Network::new(Arc::new(topo), NetConfig::default()));
+        for &spec in flows {
+            sim.scheduler_mut()
+                .schedule_at(spec.start, NetEvent::FlowStart(spec));
+        }
+        sim
+    }
+
+    type FctRow = (u64, HostAddr, HostAddr, u64, u64, u64);
+
+    /// What two runs are compared on: events executed, the stat totals,
+    /// and every FCT record in completion order. The totals include the
+    /// packets that waited in a port queue, which same-instant event order
+    /// decides (a packet offered just before its port's `PortFree` queues,
+    /// just after it goes straight onto the wire).
+    fn outcome(sim: &Simulator<Network>) -> (u64, [u64; 5], Vec<FctRow>) {
+        let st = &sim.world().stats;
+        let totals = [
+            st.flows_started,
+            st.flows_completed,
+            st.delivered_bytes,
+            st.drops.total(),
+            sim.world().port_counters().map(|(_, _, c)| c.queued).sum(),
+        ];
+        let fct = (st.fct.iter())
+            .map(|r| {
+                let (t0, t1) = (r.started.as_nanos(), r.completed.as_nanos());
+                (r.flow.0, r.src, r.dst, r.bytes, t0, t1)
+            })
+            .collect();
+        (sim.scheduler().executed_total(), totals, fct)
+    }
+
+    fn streamed_equals_hand_scheduled(flows: &[FlowSpec], horizon: SimTime) {
+        let topo = || Topology::clos(ClosParams::paper_cluster(2));
+        let mut streamed = sim_with_flows(topo(), NetConfig::default(), flows);
+        let mut by_hand = sim_hand_scheduled(topo(), flows);
+        streamed.run_until(horizon);
+        by_hand.run_until(horizon);
+        let (a, b) = (outcome(&streamed), outcome(&by_hand));
+        assert!(a.1[1] > 0, "some flows complete");
+        assert_eq!(a, b, "streaming must not move a single event");
+    }
+
+    #[test]
+    fn streamed_flows_equal_hand_scheduled_out_of_start_order() {
+        // Starts on a coarse grid (many ties), listed in no start order.
+        let mut st = 3u64;
+        let mut next = || {
+            st = elephant_des::splitmix64(st);
+            st
+        };
+        let host = |r: u64| HostAddr::new((r % 2) as u16, (r / 2 % 2) as u16, (r / 4 % 4) as u16);
+        let flows: Vec<FlowSpec> = (0..120u64)
+            .map(|i| {
+                let (src, dst) = (next() % 16, next() % 16);
+                let dst = if dst == src { (dst + 1) % 16 } else { dst };
+                let start_us = (next() % 40) * 50;
+                flow(
+                    i + 1,
+                    host(src),
+                    host(dst),
+                    2_000 + next() % 60_000,
+                    start_us,
+                )
+            })
+            .collect();
+        assert!(flows.windows(2).any(|w| w[0].start > w[1].start));
+        streamed_equals_hand_scheduled(&flows, SimTime::from_millis(5));
+    }
+
+    /// Where the arrival lane decides: the flow listed last (highest rank)
+    /// starts at the very instant the first flow's SYN clears its NIC — a
+    /// local event posted long before. Scheduled up front, that start fired
+    /// first and its SYN queued behind the busy port; streamed, it must too.
+    #[test]
+    fn a_late_listed_start_precedes_a_same_instant_local_event() {
+        let (a, b, c) = (
+            HostAddr::new(0, 0, 0),
+            HostAddr::new(1, 0, 0),
+            HostAddr::new(1, 1, 0),
+        );
+        let first = flow(1, a, b, 20_000, 0);
+        let params = ClosParams::paper_cluster(2);
+        let mut probe = sim_with_flows(Topology::clos(params), NetConfig::default(), &[first]);
+        probe.world_mut().enable_trace(16);
+        probe.run_until(SimTime::from_micros(20));
+        let entries = probe.world().trace().expect("enabled").entries();
+        let tor = entries.iter().find(|e| e.kind == TraceKind::Arrive);
+        let freed = tor.expect("the SYN reached the ToR").time - params.host_link.prop_delay;
+        let mut flows = vec![first];
+        flows.extend((2..40).map(|i| flow(i, b, a, 5_000, 2_000 + i)));
+        flows.push(FlowSpec {
+            start: freed,
+            ..flow(99, a, c, 20_000, 0)
+        });
+        streamed_equals_hand_scheduled(&flows, SimTime::from_millis(10));
+    }
+
+    #[test]
+    fn streamed_flows_equal_hand_scheduled_at_one_instant() {
+        // Two incast waves: fifteen senders start at the same instant.
+        let dst = HostAddr::new(0, 0, 0);
+        let mut flows = vec![];
+        for wave in 0..2u64 {
+            for h in 1..16u64 {
+                let src = HostAddr::new((h / 8) as u16, (h / 4 % 2) as u16, (h % 4) as u16);
+                flows.push(flow(wave * 100 + h, src, dst, 40_000, wave * 1_000));
+            }
+        }
+        streamed_equals_hand_scheduled(&flows, SimTime::from_millis(6));
+    }
+
+    #[test]
+    fn one_flow_start_is_pending_whatever_the_flow_count() {
+        let flows: Vec<FlowSpec> = (0..10_000u64)
+            .map(|i| {
+                let (src, dst) = (HostAddr::new(0, 0, 0), HostAddr::new(1, 0, 0));
+                flow(i + 1, src, dst, 1_000, (i * 7_919) % 1_000_000)
+            })
+            .collect();
+        let topo = Topology::clos(ClosParams::paper_cluster(2));
+        let sim = sim_with_flows(topo, NetConfig::default(), &flows);
+        assert_eq!(sim.scheduler().pending(), 1);
+        assert_eq!(sim.scheduler().scheduled_total(), 1);
+    }
+
+    /// A `FlowStart` scheduled by hand opens its flow and leaves the stream
+    /// alone — before, at and between the instants of streamed starts.
+    #[test]
+    fn a_hand_scheduled_flow_start_does_not_advance_the_stream() {
+        let (a, b) = (HostAddr::new(0, 0, 0), HostAddr::new(1, 0, 0));
+        let streamed = [flow(1, a, b, 5_000, 10), flow(2, b, a, 5_000, 20)];
+        let topo = Topology::clos(ClosParams::paper_cluster(2));
+        let mut sim = sim_with_flows(topo, NetConfig::default(), &streamed);
+        let sched = sim.scheduler_mut();
+        for (id, us) in [(7, 5), (8, 10), (9, 15)] {
+            let spec = flow(id, a, HostAddr::new(1, 1, 0), 5_000, us);
+            sched.schedule_at(spec.start, NetEvent::FlowStart(spec));
+        }
+        let cursor = |sim: &Simulator<Network>| sim.world().stream.next;
+
+        sim.run_until(SimTime::from_micros(5));
+        assert_eq!((cursor(&sim), sim.world().stats.flows_started), (0, 1));
+        sim.run_until(SimTime::from_micros(10));
+        assert_eq!((cursor(&sim), sim.world().stats.flows_started), (1, 3));
+        sim.run_until(SimTime::from_micros(15));
+        assert_eq!((cursor(&sim), sim.world().stats.flows_started), (1, 4));
+        sim.run_until(SimTime::from_micros(20));
+        assert_eq!((cursor(&sim), sim.world().stats.flows_started), (2, 5));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.world().stats.flows_completed, 5);
     }
 
     #[test]

@@ -98,6 +98,12 @@ impl Matrix {
         self.cols
     }
 
+    /// True when the storage holds exactly `rows × cols` values: always
+    /// for a matrix built here, not necessarily for a deserialized one.
+    pub(crate) fn is_well_formed(&self) -> bool {
+        self.rows.checked_mul(self.cols) == Some(self.data.len())
+    }
+
     /// Storage index of element `(r, c)`.
     #[inline]
     fn index(&self, r: usize, c: usize) -> usize {

@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::activation::sigmoid;
 use crate::linear::{Linear, LinearGrad};
+use crate::matrix::Matrix;
 use crate::rnn::{Rnn, RnnGrads, RnnKind, RnnState};
 use crate::sgd::{clip_global_norm, Sgd};
 
@@ -312,6 +313,94 @@ impl MicroNet {
         h
     }
 
+    /// Checks that every parameter has the shape the architecture implies:
+    /// `cfg.layers` recurrent layers of `cfg.rnn` kind and `cfg.hidden`
+    /// units, the bottom one reading `cfg.input` features and each other
+    /// one the layer below, gate blocks and biases sized for their layer,
+    /// both heads reading the top hidden state, and every matrix storing
+    /// `rows × cols` weights. A deserialized model can break any of these
+    /// and would then panic at its first step; `Err` names the first part
+    /// that does.
+    pub fn check_shapes(&self) -> Result<(), String> {
+        let MicroNetConfig {
+            input,
+            hidden,
+            layers,
+            rnn,
+            ..
+        } = self.cfg;
+        // (part, weights, bias, rows, cols) the architecture implies.
+        let mut parts: Vec<(String, &Matrix, &[f32], usize, usize)> = Vec::new();
+        let mut below = input;
+        // Checks layer `l`'s declared (input, hidden) widths and returns
+        // the width of its gate blocks' input, `[x; h]`.
+        let mut layer = |l: usize, io: (usize, usize)| {
+            let want = (below, hidden);
+            below = hidden;
+            if io != want {
+                return Err(format!(
+                    "layer {l} maps {} → {} units, the architecture needs {} → {}",
+                    io.0, io.1, want.0, want.1
+                ));
+            }
+            Ok(want.0 + hidden)
+        };
+        let cells = match &self.rnn {
+            Rnn::Lstm(m) => {
+                for (l, cell) in m.cells.iter().enumerate() {
+                    let cols = layer(l, (cell.input(), cell.hidden()))?;
+                    parts.push((
+                        format!("layer {l} gates"),
+                        &cell.w,
+                        &cell.b,
+                        4 * hidden,
+                        cols,
+                    ));
+                }
+                m.cells.len()
+            }
+            Rnn::Gru(m) => {
+                for (l, cell) in m.cells.iter().enumerate() {
+                    let cols = layer(l, (cell.input(), cell.hidden()))?;
+                    let zr = format!("layer {l} update/reset gates");
+                    parts.push((zr, &cell.w_zr, &cell.b_zr, 2 * hidden, cols));
+                    let n = format!("layer {l} candidate");
+                    parts.push((n, &cell.w_n, &cell.b_n, hidden, cols));
+                }
+                m.cells.len()
+            }
+        };
+        if self.rnn.kind() != rnn || cells != layers || cells == 0 {
+            return Err(format!(
+                "the config declares {layers} {rnn:?} layers, the trunk holds {cells} {:?}",
+                self.rnn.kind()
+            ));
+        }
+        for (name, head) in [("latency", &self.latency_head), ("drop", &self.drop_head)] {
+            parts.push((format!("{name} head"), &head.w, &head.b, 1, hidden));
+        }
+        for (part, w, b, rows, cols) in parts {
+            if !w.is_well_formed() {
+                return Err(format!(
+                    "{part}: {} weights stored for a {} × {} matrix",
+                    w.data().len(),
+                    w.rows(),
+                    w.cols()
+                ));
+            }
+            if (w.rows(), w.cols(), b.len()) != (rows, cols, rows) {
+                return Err(format!(
+                    "{part}: {} × {} weights and {} biases, the architecture needs \
+                     {rows} × {cols} and {rows}",
+                    w.rows(),
+                    w.cols(),
+                    b.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Number of non-finite (NaN or infinite) parameters in the network.
     pub fn non_finite_params(&self) -> usize {
         self.param_views()
@@ -450,6 +539,46 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn built_models_have_the_shapes_they_declare() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        for rnn in [RnnKind::Lstm, RnnKind::Gru] {
+            for (input, hidden, layers) in [(14, 8, 1), (3, 5, 2), (14, 32, 3)] {
+                let cfg = MicroNetConfig {
+                    input,
+                    hidden,
+                    layers,
+                    alpha: 0.5,
+                    rnn,
+                };
+                assert_eq!(MicroNet::new(cfg, &mut rng).check_shapes(), Ok(()));
+            }
+        }
+    }
+
+    #[test]
+    fn shape_faults_are_named() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let cfg = MicroNetConfig::compact(6);
+        let net = MicroNet::new(cfg, &mut rng);
+        let fault = |edit: &dyn Fn(&mut MicroNet)| {
+            let mut m = net.clone();
+            edit(&mut m);
+            m.check_shapes().unwrap_err()
+        };
+        let err = fault(&|m| m.drop_head = Linear::new(7, 1, &mut SmallRng::seed_from_u64(0)));
+        assert!(err.starts_with("drop head: 1 × 7 weights"), "{err}");
+        let err = fault(&|m| m.cfg.layers = 3);
+        assert!(err.contains("declares 3 Lstm layers"), "{err}");
+        let err = fault(&|m| m.cfg.rnn = RnnKind::Gru);
+        assert!(err.contains("holds 2 Lstm"), "{err}");
+        let err = fault(&|m| m.latency_head.b.push(0.0));
+        assert!(
+            err.contains("latency head: 1 × 32 weights and 2 biases"),
+            "{err}"
+        );
+    }
 
     /// A learnable synthetic task: drop iff feature[0] > 0; latency =
     /// 0.8·feature[1] + 0.1.
