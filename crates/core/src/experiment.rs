@@ -364,9 +364,10 @@ impl Outcome {
 
     /// The ledger's metric rows, sorted by (name, label) — the one place a
     /// run's statistics become [`MetricRow`]s. Everything is read from the
-    /// finished run: the nets' port, TCP and oracle counters (summed over
-    /// partitions), the kernel report, the recovery log — and `oracle`,
-    /// the one part of a run's statistics the nets do not hold.
+    /// finished run: the nets' port, TCP and oracle counters and their
+    /// connection tables' peaks (summed over partitions), the kernel
+    /// report, the recovery log — and `oracle`, the one part of a run's
+    /// statistics the nets do not hold.
     pub fn metric_rows(&self, oracle: &OracleCounters) -> Vec<MetricRow> {
         let (counter, gauge) = (MetricRow::counter, MetricRow::gauge);
         let mut rows = Vec::new();
@@ -382,6 +383,7 @@ impl Outcome {
         // Per tier: [enqueued, drops, ecn_marks].
         let mut ports = [[0u64; 3]; 4];
         let mut tcp = ConnStats::default();
+        let mut conns_peak = 0;
         let mut verdicts = OracleStats::default();
         for net in &self.nets {
             for (node, _, c) in net.port_counters() {
@@ -400,6 +402,7 @@ impl Outcome {
                 tcp.fast_retransmits += c.fast_retransmits;
                 tcp.retransmissions += c.retransmissions;
             }
+            conns_peak += net.conns_peak();
             if let Some(o) = net.oracle_stats() {
                 verdicts.classified += o.classified;
                 verdicts.drops += o.drops;
@@ -420,6 +423,7 @@ impl Outcome {
             counter("net/tcp/rto_fired", "", tcp.timeouts),
             counter("net/tcp/fast_retransmits", "", tcp.fast_retransmits),
             counter("net/tcp/retransmitted_segments", "", tcp.retransmissions),
+            gauge("net/tcp/conns_peak", "", conns_peak as i64),
             counter("hybrid/oracle/elided_packets", "", verdicts.classified),
             counter("hybrid/oracle/drops", "", verdicts.drops),
             MetricRow::histogram("hybrid/oracle/infer_seconds", "", &verdicts.infer_seconds),

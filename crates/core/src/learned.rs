@@ -11,8 +11,6 @@
 //! Figure 3 sketches ("we can then reuse the trained cluster model in
 //! large-scale simulations").
 
-use std::collections::HashMap;
-
 use elephant_des::SimTime;
 pub use elephant_net::OracleStats;
 use elephant_net::{
@@ -229,7 +227,9 @@ pub struct LearnedOracle {
     params: ClosParams,
     policy: DropPolicy,
     rng: SmallRng,
-    clusters: HashMap<u16, ClusterRuntime>,
+    /// Indexed by cluster id; a cluster's runtime is built at its first
+    /// verdict.
+    clusters: Vec<Option<ClusterRuntime>>,
     stats: OracleStats,
     cache_cfg: Option<CacheCfg>,
 }
@@ -243,7 +243,7 @@ impl LearnedOracle {
             params,
             policy,
             rng: SmallRng::seed_from_u64(seed),
-            clusters: HashMap::new(),
+            clusters: (0..params.clusters).map(|_| None).collect(),
             stats: OracleStats::default(),
             cache_cfg: None,
         }
@@ -295,22 +295,23 @@ impl LearnedOracle {
     /// cluster has seen no traffic yet).
     pub fn macro_state(&self, cluster: u16) -> MacroState {
         self.clusters
-            .get(&cluster)
+            .get(cluster as usize)
+            .and_then(Option::as_ref)
             .map(|c| c.macro_model.state())
             .unwrap_or(MacroState::Minimal)
     }
 }
 
 /// Fetches (or lazily creates) the runtime for `cluster`. A free function
-/// so the caller keeps disjoint borrows of the model and the runtime map.
+/// so the caller keeps disjoint borrows of the model and the runtimes.
 fn runtime<'a>(
-    clusters: &'a mut HashMap<u16, ClusterRuntime>,
+    clusters: &'a mut [Option<ClusterRuntime>],
     model: &ClusterModel,
     params: &ClosParams,
     cache_cfg: Option<&CacheCfg>,
     cluster: u16,
 ) -> &'a mut ClusterRuntime {
-    clusters.entry(cluster).or_insert_with(|| ClusterRuntime {
+    clusters[cluster as usize].get_or_insert_with(|| ClusterRuntime {
         macro_model: MacroModel::new(model.macro_cfg),
         up_fx: FeatureExtractor::new(params),
         down_fx: FeatureExtractor::new(params),
@@ -573,7 +574,8 @@ mod tests {
             oracle.classify(&ctx, &p, SimTime::from_micros(i));
         }
         assert_eq!(oracle.macro_state(2), MacroState::Minimal);
-        assert_eq!(oracle.clusters.len(), 1, "cluster 2 never materialized");
+        let built = oracle.clusters.iter().flatten().count();
+        assert_eq!(built, 1, "cluster 2 never materialized");
     }
 
     #[test]

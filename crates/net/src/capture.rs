@@ -21,8 +21,6 @@
 //! oracle sits, so a model trained on these records predicts precisely the
 //! quantity the oracle must produce.
 
-use std::collections::HashMap;
-
 use elephant_des::{SimDuration, SimTime};
 
 use crate::packet::Packet;
@@ -63,11 +61,16 @@ struct Pending {
     path: FabricPath,
 }
 
+/// Traversals in flight, by packet id. Capture runs only while recording
+/// training data, never in a measured or hybrid run.
+#[allow(clippy::disallowed_types)]
+type PendingMap = std::collections::HashMap<u64, Pending>;
+
 /// Collects [`BoundaryRecord`]s for one cluster during a full-fidelity run.
 #[derive(Clone, Debug)]
 pub struct CaptureState {
     cluster: u16,
-    pending: HashMap<u64, Pending>,
+    pending: PendingMap,
     records: Vec<BoundaryRecord>,
 }
 
@@ -76,7 +79,7 @@ impl CaptureState {
     pub fn new(cluster: u16) -> Self {
         CaptureState {
             cluster,
-            pending: HashMap::new(),
+            pending: PendingMap::new(),
             records: Vec::new(),
         }
     }

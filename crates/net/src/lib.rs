@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 mod capture;
+mod conn_table;
 mod guard;
 mod metrics;
 mod network;
@@ -53,6 +54,7 @@ mod oracle;
 mod packet;
 mod port;
 mod sampler;
+mod seq_buf;
 mod tcp;
 mod topology;
 mod trace_log;

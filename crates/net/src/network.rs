@@ -15,7 +15,6 @@
 //!    engine; cross-partition packet deliveries travel through
 //!    [`elephant_des::RemoteSink`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -25,6 +24,7 @@ use elephant_des::{
 };
 
 use crate::capture::CaptureState;
+use crate::conn_table::ConnTable;
 use crate::metrics::{FctRecord, NetStats, RttScope};
 use crate::oracle::{ClusterOracle, OracleCtx, OracleStats, OracleVerdict};
 use crate::packet::{Ecn, Packet};
@@ -77,12 +77,14 @@ pub enum NetEvent {
         /// The port.
         port: PortId,
     },
-    /// A TCP timer fired at a host.
+    /// A TCP timer fired. It names its connection by where that lives in
+    /// the network's connection table, so firing costs no lookup.
     Timer {
-        /// The host.
-        node: NodeId,
-        /// Canonical flow id of the connection.
-        flow: FlowId,
+        /// The connection's slot.
+        slot: u32,
+        /// The slot's generation when the timer was set: a timer left over
+        /// from a slot's earlier occupant is not delivered to a later one.
+        generation: u32,
         /// Which timer.
         kind: TimerKind,
     },
@@ -122,23 +124,21 @@ impl Default for NetConfig {
     }
 }
 
+/// One TCP endpoint as its network hosts it. Which end it is, and its
+/// flow, are its key in the connection table (see [`ConnTable`]).
 #[derive(Clone)]
 struct Conn {
     tcp: TcpConn,
+    /// The host it runs on, as a node and as an address.
+    node: NodeId,
+    addr: HostAddr,
     peer: HostAddr,
-    opener: bool,
     /// Application bytes the opener sends (zero on the passive side).
     bytes: u64,
     /// When the connection opened: the flow's start on the opener's side.
     started: SimTime,
     rto_key: Option<EventKey>,
     delack_key: Option<EventKey>,
-}
-
-#[derive(Clone)]
-struct HostState {
-    addr: HostAddr,
-    conns: HashMap<FlowId, Conn>,
 }
 
 /// The run's flows, handed to the scheduler one `FlowStart` at a time (see
@@ -164,7 +164,8 @@ pub struct Network {
     topo: Arc<Topology>,
     cfg: NetConfig,
     ports: Vec<Vec<PortState>>,
-    hosts: Vec<Option<HostState>>,
+    /// Every TCP endpoint on every host.
+    conns: ConnTable<Conn>,
     stream: FlowStream,
     /// Measurement state, public for read-out after a run.
     pub stats: NetStats,
@@ -210,7 +211,7 @@ impl Clone for Network {
             topo: Arc::clone(&self.topo),
             cfg: self.cfg,
             ports: self.ports.clone(),
-            hosts: self.hosts.clone(),
+            conns: self.conns.clone(),
             stream: self.stream.clone(),
             stats: self.stats.clone(),
             capture: self.capture.clone(),
@@ -228,23 +229,13 @@ impl Clone for Network {
 impl Network {
     /// Builds runtime state over `topo`.
     pub fn new(topo: Arc<Topology>, cfg: NetConfig) -> Self {
-        let mut ports = Vec::with_capacity(topo.len());
-        let mut hosts = Vec::with_capacity(topo.len());
-        for node in topo.nodes() {
-            ports.push(
-                node.ports
-                    .iter()
+        let ports = (topo.nodes().iter())
+            .map(|node| {
+                (node.ports.iter())
                     .map(|p| PortState::with_tracking(*p, cfg.track_queues))
-                    .collect(),
-            );
-            hosts.push(match node.kind {
-                NodeKind::Host { addr } => Some(HostState {
-                    addr,
-                    conns: HashMap::new(),
-                }),
-                _ => None,
-            });
-        }
+                    .collect()
+            })
+            .collect();
         let capture = cfg.capture_cluster.map(|c| {
             assert!(!topo.is_stub(c), "cannot capture a stub cluster's fabric");
             CaptureState::new(c)
@@ -260,7 +251,7 @@ impl Network {
             outbox: Vec::new(),
             trace: None,
             ports,
-            hosts,
+            conns: ConnTable::new(),
             stream: FlowStream {
                 flows: Arc::new([]),
                 next: 0,
@@ -380,10 +371,8 @@ impl Network {
     /// `stats` and drops those connections. Call once, after the run, so
     /// retransmission totals include flows cut off by the horizon.
     pub fn absorb_live_connections(&mut self) {
-        for host in self.hosts.iter_mut().flatten() {
-            for (_, conn) in host.conns.drain() {
-                self.stats.absorb_conn(conn.tcp.stats());
-            }
+        for conn in self.conns.drain() {
+            self.stats.absorb_conn(conn.tcp.stats());
         }
     }
 
@@ -444,8 +433,14 @@ impl Network {
     /// closed ones, so a run total is the two together (unless
     /// [`Network::absorb_live_connections`] already folded them in).
     pub fn open_conn_stats(&self) -> impl Iterator<Item = &ConnStats> {
-        let hosts = self.hosts.iter().flatten();
-        hosts.flat_map(|h| h.conns.values().map(|c| c.tcp.stats()))
+        self.conns.iter().map(|c| c.tcp.stats())
+    }
+
+    /// The most TCP endpoints this network held open at once — the
+    /// connection table's high-water mark, which a checkpoint carries and
+    /// a restore rewinds like any other state.
+    pub fn conns_peak(&self) -> usize {
+        self.conns.peak()
     }
 
     /// Iterates every port's counters with its owning node and port id —
@@ -503,7 +498,11 @@ impl Network {
                 _ => self.switch_arrive(node, pkt, sched),
             },
             NetEvent::PortFree { node, port } => self.port_free(node, port, sched),
-            NetEvent::Timer { node, flow, kind } => self.timer_fired(node, flow, kind, sched),
+            NetEvent::Timer {
+                slot,
+                generation,
+                kind,
+            } => self.timer_fired(slot, generation, kind, sched),
         }
     }
 
@@ -519,26 +518,19 @@ impl Network {
             self.queue_next_flow(sched);
         }
         self.stats.flows_started += 1;
-        let node = self.topo.host_node(spec.src);
-        let host = self.hosts[node.idx()]
-            .as_mut()
-            .expect("flow source is a host");
-        let prev = host.conns.insert(
-            spec.id,
-            Conn {
-                tcp: TcpConn::sender(self.cfg.tcp, spec.bytes),
-                peer: spec.dst,
-                opener: true,
-                bytes: spec.bytes,
-                started: now,
-                rto_key: None,
-                delack_key: None,
-            },
-        );
-        assert!(prev.is_none(), "duplicate flow id {:?}", spec.id);
-        self.with_conn(node, spec.id, sched, |conn, now, out| {
-            conn.tcp.open(now, out)
-        });
+        let conn = Conn {
+            tcp: TcpConn::sender(&self.cfg.tcp, spec.bytes),
+            node: self.topo.host_node(spec.src),
+            addr: spec.src,
+            peer: spec.dst,
+            bytes: spec.bytes,
+            started: now,
+            rto_key: None,
+            delack_key: None,
+        };
+        // The opener receives the acceptor's packets: the reversed id.
+        let slot = self.conns.open(spec.id.reverse(), conn);
+        self.with_conn(slot, sched, |tcp, _, now, out| tcp.open(now, out));
     }
 
     fn switch_arrive(&mut self, node: NodeId, pkt: Packet, sched: &mut Scheduler<NetEvent>) {
@@ -587,26 +579,26 @@ impl Network {
         if pkt.seg.payload_len > 0 {
             self.stats.delivered_packets += 1;
         }
-        let canonical = pkt.flow.canonical();
-        let host = self.hosts[node.idx()].as_mut().expect("host node");
-        if let std::collections::hash_map::Entry::Vacant(e) = host.conns.entry(canonical) {
-            if pkt.seg.flags.syn && !pkt.seg.flags.ack {
-                e.insert(Conn {
-                    tcp: TcpConn::receiver(self.cfg.tcp),
+        let slot = match self.conns.find(pkt.flow) {
+            Ok(slot) => slot,
+            Err(vacancy) if pkt.seg.flags.syn && !pkt.seg.flags.ack => {
+                let conn = Conn {
+                    tcp: TcpConn::receiver(),
+                    node,
+                    addr,
                     peer: pkt.src,
-                    opener: false,
                     bytes: 0,
                     started: now,
                     rto_key: None,
                     delack_key: None,
-                });
-            } else {
-                return; // stray segment for a closed/unknown connection
+                };
+                self.conns.insert(vacancy, pkt.flow, conn)
             }
-        }
+            Err(_) => return, // stray segment for a closed/unknown connection
+        };
         let ce = pkt.ecn == Ecn::CongestionExperienced;
-        self.with_conn(node, canonical, sched, |conn, now, out| {
-            conn.tcp.on_segment(&pkt.seg, ce, now, out)
+        self.with_conn(slot, sched, |tcp, cfg, now, out| {
+            tcp.on_segment(cfg, &pkt.seg, ce, now, out)
         });
     }
 
@@ -688,27 +680,22 @@ impl Network {
 
     fn timer_fired(
         &mut self,
-        node: NodeId,
-        flow: FlowId,
+        slot: u32,
+        generation: u32,
         kind: TimerKind,
         sched: &mut Scheduler<NetEvent>,
     ) {
+        let Some(conn) = self.conns.live_mut(slot, generation) else {
+            return; // the connection it was set for has closed
+        };
         // The fired key is spent; clear it so Set stores a fresh one.
-        if let Some(host) = self.hosts[node.idx()].as_mut() {
-            if let Some(conn) = host.conns.get_mut(&flow) {
-                match kind {
-                    TimerKind::Rto => conn.rto_key = None,
-                    TimerKind::DelAck => conn.delack_key = None,
-                }
-            } else {
-                return; // connection already closed
-            }
-        } else {
-            return;
+        match kind {
+            TimerKind::Rto => conn.rto_key = None,
+            TimerKind::DelAck => conn.delack_key = None,
         }
-        self.with_conn(node, flow, sched, |conn, now, out| match kind {
-            TimerKind::Rto => conn.tcp.on_rto(now, out),
-            TimerKind::DelAck => conn.tcp.on_delack(now, out),
+        self.with_conn(slot, sched, |tcp, cfg, now, out| match kind {
+            TimerKind::Rto => tcp.on_rto(cfg, now, out),
+            TimerKind::DelAck => tcp.on_delack(cfg, now, out),
         });
     }
 
@@ -716,39 +703,43 @@ impl Network {
     // Plumbing
     // ------------------------------------------------------------------
 
-    /// Runs `f` against a connection's TCP machine, then turns the
-    /// resulting [`TcpOutput`] into packets, timers, and statistics.
+    /// Runs `f` against the TCP machine of the connection in `slot`, then
+    /// turns the resulting [`TcpOutput`] into packets, timers, and
+    /// statistics.
     fn with_conn(
         &mut self,
-        node: NodeId,
-        flow: FlowId,
+        slot: u32,
         sched: &mut Scheduler<NetEvent>,
-        f: impl FnOnce(&mut Conn, SimTime, &mut TcpOutput),
+        f: impl FnOnce(&mut TcpConn, &TcpConfig, SimTime, &mut TcpOutput),
     ) {
         let now = sched.now();
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
 
-        let (addr, peer, opener, ecn_capable, closed) = {
-            let host = self.hosts[node.idx()].as_mut().expect("host node");
-            let addr = host.addr;
-            let conn = host.conns.get_mut(&flow).expect("live connection");
-            f(conn, now, &mut out);
-
-            // Timer commands need the scheduler, which we cannot borrow
-            // here; stash the info and apply below.
-            (
-                addr,
-                conn.peer,
-                conn.opener,
-                conn.tcp.ecn_capable(),
-                out.closed,
-            )
-        };
+        let (key, generation, conn) = self.conns.get_mut(slot);
+        f(&mut conn.tcp, &self.cfg.tcp, now, &mut out);
 
         // Timers.
-        self.apply_timer(node, flow, TimerKind::Rto, out.rto, sched);
-        self.apply_timer(node, flow, TimerKind::DelAck, out.delack, sched);
+        let timer = |kind| NetEvent::Timer {
+            slot,
+            generation,
+            kind,
+        };
+        apply_timer(&mut conn.rto_key, out.rto, timer(TimerKind::Rto), sched);
+        apply_timer(
+            &mut conn.delack_key,
+            out.delack,
+            timer(TimerKind::DelAck),
+            sched,
+        );
+        let Conn {
+            node,
+            addr,
+            peer,
+            bytes,
+            started,
+            ..
+        } = *conn;
 
         // Measurements.
         for &s in &out.rtt_samples {
@@ -757,22 +748,25 @@ impl Network {
         self.stats.delivered_bytes += out.accepted_bytes;
         if out.completed {
             // Only the sending side completes, and it opened the
-            // connection, so its `Conn` knows the flow (still open here).
-            let host = self.hosts[node.idx()].as_ref().expect("host node");
-            let conn = &host.conns[&flow];
+            // connection, so its `Conn` knows the flow's size and start.
             self.stats.flows_completed += 1;
             self.stats.fct.push(FctRecord {
-                flow,
+                flow: key.canonical(),
                 src: addr,
                 dst: peer,
-                bytes: conn.bytes,
-                started: conn.started,
+                bytes,
+                started,
                 completed: now,
             });
         }
 
-        // Packets.
-        let dir_flow = if opener { flow } else { flow.reverse() };
+        // Packets, under the id the peer receives them by.
+        let dir_flow = if key.is_reverse() {
+            key.canonical()
+        } else {
+            key.reverse()
+        };
+        let ecn_capable = self.cfg.tcp.ecn_capable();
         for seg in out.segments.drain(..) {
             let ecn = if ecn_capable && seg.payload_len > 0 {
                 Ecn::Capable
@@ -792,47 +786,18 @@ impl Network {
             self.send_out(node, PortId(0), pkt, sched);
         }
 
-        if closed {
-            let host = self.hosts[node.idx()].as_mut().expect("host node");
-            if let Some(conn) = host.conns.remove(&flow) {
-                self.stats.absorb_conn(conn.tcp.stats());
-                if let Some(k) = conn.rto_key {
-                    sched.cancel(k);
-                }
-                if let Some(k) = conn.delack_key {
-                    sched.cancel(k);
-                }
+        if out.closed {
+            let conn = self.conns.close(slot);
+            self.stats.absorb_conn(conn.tcp.stats());
+            if let Some(k) = conn.rto_key {
+                sched.cancel(k);
+            }
+            if let Some(k) = conn.delack_key {
+                sched.cancel(k);
             }
         }
 
         self.scratch = out;
-    }
-
-    fn apply_timer(
-        &mut self,
-        node: NodeId,
-        flow: FlowId,
-        kind: TimerKind,
-        cmd: TimerCmd,
-        sched: &mut Scheduler<NetEvent>,
-    ) {
-        if cmd == TimerCmd::Keep {
-            return;
-        }
-        let host = self.hosts[node.idx()].as_mut().expect("host node");
-        let Some(conn) = host.conns.get_mut(&flow) else {
-            return;
-        };
-        let slot = match kind {
-            TimerKind::Rto => &mut conn.rto_key,
-            TimerKind::DelAck => &mut conn.delack_key,
-        };
-        if let Some(old) = slot.take() {
-            sched.cancel(old);
-        }
-        if let TimerCmd::Set(at) = cmd {
-            *slot = Some(sched.schedule_at(at, NetEvent::Timer { node, flow, kind }));
-        }
     }
 
     /// Offers a packet to an output port and schedules the consequences.
@@ -890,6 +855,25 @@ impl Network {
             }
         }
         sched.schedule_at(at, NetEvent::Arrive { node, pkt });
+    }
+}
+
+/// Carries out a timer command on the key of the timer it is for: `fire`
+/// is the event a `Set` schedules.
+fn apply_timer(
+    key: &mut Option<EventKey>,
+    cmd: TimerCmd,
+    fire: NetEvent,
+    sched: &mut Scheduler<NetEvent>,
+) {
+    if cmd == TimerCmd::Keep {
+        return;
+    }
+    if let Some(old) = key.take() {
+        sched.cancel(old);
+    }
+    if let TimerCmd::Set(at) = cmd {
+        *key = Some(sched.schedule_at(at, fire));
     }
 }
 
@@ -961,10 +945,14 @@ impl Transportable for NetEvent {
                 buf.put_u32(node.0);
                 buf.put_u16(port.0);
             }
-            NetEvent::Timer { node, flow, kind } => {
+            NetEvent::Timer {
+                slot,
+                generation,
+                kind,
+            } => {
                 buf.put_u8(3);
-                buf.put_u32(node.0);
-                buf.put_u64(flow.0);
+                buf.put_u32(*slot);
+                buf.put_u32(*generation);
                 buf.put_u8(matches!(kind, TimerKind::DelAck) as u8);
             }
         }
@@ -1009,17 +997,20 @@ impl Transportable for NetEvent {
                 })
             }
             3 => {
-                if buf.remaining() < 13 {
+                if buf.remaining() < 9 {
                     return None;
                 }
-                let node = NodeId(buf.get_u32());
-                let flow = FlowId(buf.get_u64());
+                let (slot, generation) = (buf.get_u32(), buf.get_u32());
                 let kind = if buf.get_u8() == 1 {
                     TimerKind::DelAck
                 } else {
                     TimerKind::Rto
                 };
-                Some(NetEvent::Timer { node, flow, kind })
+                Some(NetEvent::Timer {
+                    slot,
+                    generation,
+                    kind,
+                })
             }
             _ => None,
         }
@@ -1551,6 +1542,76 @@ mod tests {
         assert_eq!(sim.scheduler().scheduled_total(), 1);
     }
 
+    /// Flows that never overlap hold one endpoint open at each end, however
+    /// many there are: a closing connection's slot is reused, not left
+    /// behind, so the table is sized by the traffic in flight.
+    #[test]
+    fn back_to_back_flows_reuse_a_handful_of_slots() {
+        let (a, b) = (HostAddr::new(0, 0, 0), HostAddr::new(1, 0, 0));
+        let flows: Vec<FlowSpec> = (0..10_000u64)
+            .map(|i| flow(i + 1, a, b, 1_000, i * 1_000))
+            .collect();
+        let topo = Topology::clos(ClosParams::paper_cluster(2));
+        let mut sim = sim_with_flows(topo, NetConfig::default(), &flows);
+        sim.run_until(SimTime::from_secs(11));
+        let net = sim.world();
+        assert_eq!(net.stats.flows_completed, 10_000);
+        assert_eq!(net.conns.len(), 0, "every connection closed");
+        assert_eq!(net.conns_peak(), 2, "one opener and one acceptor");
+    }
+
+    /// A timer set for a connection that has closed since is not delivered
+    /// to the connection that took over its slot: the stale event fires,
+    /// and the run ends exactly as it would have without it.
+    #[test]
+    fn a_stale_timer_never_reaches_its_slots_next_occupant() {
+        let (a, b, c) = (
+            HostAddr::new(0, 0, 0),
+            HostAddr::new(1, 0, 0),
+            HostAddr::new(1, 1, 0),
+        );
+        let flows = [flow(1, a, b, 1_000, 0), flow(2, a, c, 200_000, 2_000)];
+        let run = |stale: bool| {
+            let topo = Topology::clos(ClosParams::paper_cluster(2));
+            let mut sim = sim_with_flows(topo, NetConfig::default(), &flows);
+            // The first flow's opener has sent its SYN and armed its RTO.
+            sim.run_until(SimTime::from_micros(1));
+            let conns = &mut sim.world_mut().conns;
+            let slot = conns.find(FlowId(1).reverse()).expect("first opener");
+            let (_, generation, conn) = conns.get_mut(slot);
+            assert!(conn.rto_key.is_some());
+            // The first flow is over at both ends; the second flow's
+            // opener has taken the first opener's slot.
+            sim.run_until(SimTime::from_micros(1_000));
+            assert_eq!(sim.world().conns.len(), 0);
+            sim.run_until(SimTime::from_micros(2_010));
+            let conns = &mut sim.world_mut().conns;
+            assert_eq!(conns.find(FlowId(2).reverse()).ok(), Some(slot));
+            assert_eq!(conns.get_mut(slot).1, generation + 1);
+            if stale {
+                let kind = TimerKind::Rto;
+                let ev = NetEvent::Timer {
+                    slot,
+                    generation,
+                    kind,
+                };
+                let at = SimTime::from_micros(2_040);
+                sim.scheduler_mut().schedule_at(at, ev);
+            }
+            sim.run_until(SimTime::from_secs(1));
+            assert_eq!(sim.world().stats.timeouts, 0);
+            outcome(&sim)
+        };
+        let (clean, stale) = (run(false), run(true));
+        assert_eq!(stale.0, clean.0 + 1, "the stale timer fired");
+        assert_eq!(stale.1[1], 2, "both flows completed");
+        assert_eq!(
+            (stale.1, stale.2),
+            (clean.1, clean.2),
+            "and changed nothing"
+        );
+    }
+
     /// A `FlowStart` scheduled by hand opens its flow and leaves the stream
     /// alone — before, at and between the instants of streamed starts.
     #[test]
@@ -1593,13 +1654,13 @@ mod tests {
                 port: PortId(3),
             },
             NetEvent::Timer {
-                node: NodeId(5),
-                flow: FlowId(88),
+                slot: 5,
+                generation: 88,
                 kind: TimerKind::DelAck,
             },
             NetEvent::Timer {
-                node: NodeId(5),
-                flow: FlowId(89),
+                slot: 6,
+                generation: 89,
                 kind: TimerKind::Rto,
             },
         ];

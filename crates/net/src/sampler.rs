@@ -288,6 +288,7 @@ pub fn export_flow_timeline_multi(nets: &[&Network], max_tracks: usize) {
     let mut fct: Vec<&crate::FctRecord> = nets.iter().flat_map(|n| n.stats.fct.iter()).collect();
     fct.sort_unstable_by_key(|r| (std::cmp::Reverse(r.bytes), r.started, r.flow.0));
     let mut batch = Vec::new();
+    #[allow(clippy::disallowed_types)] // once per exported flow, after the run
     let mut track_of = std::collections::HashMap::new();
     for (i, rec) in fct.iter().take(max_tracks).enumerate() {
         let tid = i as u64 + 1;

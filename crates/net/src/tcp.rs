@@ -24,15 +24,15 @@
 //! * No SACK and no limited transmit — New Reno as its name demands.
 //!
 //! The state machine is synchronous and side-effect free: every entry point
-//! takes `now` and a [`TcpOutput`] scratch buffer, and the host layer turns
-//! the resulting segments and timer commands into simulator events. This
-//! keeps the whole protocol unit-testable without a network.
-
-use std::collections::BTreeMap;
+//! takes the [`TcpConfig`] (one per network, not one per connection),
+//! `now` and a [`TcpOutput`] scratch buffer, and the host layer turns the
+//! resulting segments and timer commands into simulator events. This keeps
+//! the whole protocol unit-testable without a network.
 
 use elephant_des::{SimDuration, SimTime};
 
 use crate::packet::{TcpFlags, TcpSegment};
+use crate::seq_buf::SeqBuf;
 
 /// How the connection reacts to ECN marks.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -103,6 +103,11 @@ impl TcpConfig {
             delayed_ack: false,
             ..Default::default()
         }
+    }
+
+    /// Whether outgoing data packets should be ECN-capable.
+    pub fn ecn_capable(&self) -> bool {
+        !matches!(self.ecn, EcnMode::Off)
     }
 }
 
@@ -202,7 +207,7 @@ struct Sender {
     dupacks: u32,
     in_recovery: bool,
     recover: u64,
-    inflight: BTreeMap<u64, SegMeta>,
+    inflight: SeqBuf<SegMeta>,
     srtt: Option<f64>,
     rttvar: f64,
     rto: SimDuration,
@@ -223,8 +228,9 @@ struct Sender {
 #[derive(Clone, Debug)]
 struct Receiver {
     rcv_nxt: u64,
-    /// Out-of-order ranges `[start, end)`, non-overlapping, gap-separated.
-    ooo: BTreeMap<u64, u64>,
+    /// Out-of-order ranges `[start, end)` by start; a range arriving again
+    /// at the same start keeps the larger end.
+    ooo: SeqBuf<u64>,
     /// Segments received since the last ACK was sent.
     unacked_segments: u32,
     delack_armed: bool,
@@ -237,26 +243,48 @@ struct Receiver {
     fin_seq: Option<u64>,
 }
 
-/// One endpoint of a TCP connection.
+/// Which end of its (one-directional) flow an endpoint is.
+#[derive(Clone, Debug)]
+enum Role {
+    Sender(Sender),
+    Receiver(Receiver),
+}
+
+impl Role {
+    fn sender(&mut self) -> &mut Sender {
+        match self {
+            Role::Sender(s) => s,
+            Role::Receiver(_) => unreachable!("sender state on a receiver"),
+        }
+    }
+
+    fn receiver(&mut self) -> &mut Receiver {
+        match self {
+            Role::Receiver(r) => r,
+            Role::Sender(_) => unreachable!("receiver state on a sender"),
+        }
+    }
+}
+
+/// One endpoint of a TCP connection. Every entry point takes the
+/// [`TcpConfig`] the endpoint runs under; pass the same one for the
+/// connection's whole life.
 #[derive(Clone, Debug)]
 pub struct TcpConn {
-    cfg: TcpConfig,
     state: State,
-    sender: Option<Sender>,
-    receiver: Option<Receiver>,
+    role: Role,
     stats: ConnStats,
 }
 
 impl TcpConn {
     /// Creates the active side, which will transmit `bytes` of application
     /// data after the handshake. Call [`TcpConn::open`] to emit the SYN.
-    pub fn sender(cfg: TcpConfig, bytes: u64) -> Self {
+    pub fn sender(cfg: &TcpConfig, bytes: u64) -> Self {
         assert!(bytes > 0, "zero-byte flows are not meaningful");
         assert!(cfg.mss > 0 && cfg.min_cwnd_mss >= 1 && cfg.init_cwnd_mss >= cfg.min_cwnd_mss);
         TcpConn {
-            cfg,
             state: State::SynSent,
-            sender: Some(Sender {
+            role: Role::Sender(Sender {
                 total: bytes,
                 snd_una: 0,
                 snd_nxt: 0,
@@ -265,7 +293,7 @@ impl TcpConn {
                 dupacks: 0,
                 in_recovery: false,
                 recover: 0,
-                inflight: BTreeMap::new(),
+                inflight: SeqBuf::new(),
                 srtt: None,
                 rttvar: 0.0,
                 rto: cfg.rto_initial,
@@ -279,20 +307,17 @@ impl TcpConn {
                 dctcp_acked_bytes: 0,
                 dctcp_window_end: 0,
             }),
-            receiver: None,
             stats: ConnStats::default(),
         }
     }
 
     /// Creates the passive side in response to a SYN.
-    pub fn receiver(cfg: TcpConfig) -> Self {
+    pub fn receiver() -> Self {
         TcpConn {
-            cfg,
             state: State::SynReceived,
-            sender: None,
-            receiver: Some(Receiver {
+            role: Role::Receiver(Receiver {
                 rcv_nxt: 0,
-                ooo: BTreeMap::new(),
+                ooo: SeqBuf::new(),
                 unacked_segments: 0,
                 delack_armed: false,
                 ece_latched: false,
@@ -314,27 +339,20 @@ impl TcpConn {
         self.state == State::Closed
     }
 
-    /// The configured MSS (host layer needs it for packet sizing).
-    pub fn mss(&self) -> u32 {
-        self.cfg.mss
-    }
-
     /// Current congestion window in bytes (diagnostics; senders only).
     pub fn cwnd(&self) -> Option<f64> {
-        self.sender.as_ref().map(|s| s.cwnd)
+        match &self.role {
+            Role::Sender(s) => Some(s.cwnd),
+            Role::Receiver(_) => None,
+        }
     }
 
     /// Current smoothed RTT estimate (senders only, after one sample).
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.sender
-            .as_ref()
-            .and_then(|s| s.srtt)
-            .map(|ns| SimDuration::from_nanos(ns as u64))
-    }
-
-    /// Whether outgoing data packets should be ECN-capable.
-    pub fn ecn_capable(&self) -> bool {
-        !matches!(self.cfg.ecn, EcnMode::Off)
+        match &self.role {
+            Role::Sender(s) => s.srtt.map(|ns| SimDuration::from_nanos(ns as u64)),
+            Role::Receiver(_) => None,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -348,7 +366,7 @@ impl TcpConn {
             State::SynSent,
             "open() on a non-fresh connection"
         );
-        let s = self.sender.as_ref().expect("sender state");
+        let s = self.role.sender();
         out.segments.push(TcpSegment {
             seq: 0,
             ack: 0,
@@ -368,6 +386,7 @@ impl TcpConn {
     /// header carried Congestion Experienced.
     pub fn on_segment(
         &mut self,
+        cfg: &TcpConfig,
         seg: &TcpSegment,
         ce_marked: bool,
         now: SimTime,
@@ -377,28 +396,27 @@ impl TcpConn {
             // TIME_WAIT behaviour: a closed receiver still re-ACKs a
             // retransmitted FIN (its final ACK may have been lost), or
             // the sender would retry forever.
-            if let Some(r) = &self.receiver {
+            if let Role::Receiver(r) = &self.role {
                 if seg.flags.fin && r.fin_received {
-                    out.segments.push(Self::make_ack(r, &self.cfg));
+                    out.segments.push(Self::make_ack(r, cfg));
                 }
             }
             return;
         }
-        if self.sender.is_some() {
-            self.sender_on_segment(seg, now, out);
-        } else {
-            self.receiver_on_segment(seg, ce_marked, now, out);
+        match self.role {
+            Role::Sender(_) => self.sender_on_segment(cfg, seg, now, out),
+            Role::Receiver(_) => self.receiver_on_segment(cfg, seg, ce_marked, now, out),
         }
     }
 
     /// The retransmission timer fired.
-    pub fn on_rto(&mut self, now: SimTime, out: &mut TcpOutput) {
+    pub fn on_rto(&mut self, cfg: &TcpConfig, now: SimTime, out: &mut TcpOutput) {
         match self.state {
             State::SynSent => {
                 // Retransmit the SYN with backoff.
-                let s = self.sender.as_mut().expect("sender state");
+                let s = self.role.sender();
                 s.backoff += 1;
-                s.rto = (s.rto * 2).min(self.cfg.rto_max);
+                s.rto = (s.rto * 2).min(cfg.rto_max);
                 out.segments.push(TcpSegment {
                     seq: 0,
                     ack: 0,
@@ -409,8 +427,8 @@ impl TcpConn {
                 });
                 out.rto = TimerCmd::Set(now + s.rto);
             }
-            State::Established | State::FinWait if self.sender.is_some() => {
-                self.sender_on_rto(now, out);
+            State::Established | State::FinWait if matches!(self.role, Role::Sender(_)) => {
+                self.sender_on_rto(cfg, now, out);
             }
             _ => {
                 // Receivers have no RTO; spurious fires after close ignored.
@@ -419,16 +437,16 @@ impl TcpConn {
     }
 
     /// The delayed-ACK timer fired (receivers only).
-    pub fn on_delack(&mut self, now: SimTime, out: &mut TcpOutput) {
+    pub fn on_delack(&mut self, cfg: &TcpConfig, now: SimTime, out: &mut TcpOutput) {
         let _ = now;
         if self.state == State::Closed {
             return;
         }
-        if let Some(r) = self.receiver.as_mut() {
+        if let Role::Receiver(r) = &mut self.role {
             if r.delack_armed {
                 r.delack_armed = false;
                 r.unacked_segments = 0;
-                let seg = Self::make_ack(r, &self.cfg);
+                let seg = Self::make_ack(r, cfg);
                 out.segments.push(seg);
             }
         }
@@ -438,7 +456,13 @@ impl TcpConn {
     // Sender internals
     // ------------------------------------------------------------------
 
-    fn sender_on_segment(&mut self, seg: &TcpSegment, now: SimTime, out: &mut TcpOutput) {
+    fn sender_on_segment(
+        &mut self,
+        cfg: &TcpConfig,
+        seg: &TcpSegment,
+        now: SimTime,
+        out: &mut TcpOutput,
+    ) {
         if !seg.flags.ack {
             return; // senders only consume ACKs
         }
@@ -447,7 +471,7 @@ impl TcpConn {
                 return; // stray ACK before handshake completes
             }
             self.state = State::Established;
-            let s = self.sender.as_mut().expect("sender state");
+            let s = self.role.sender();
             // The SYN round trip is a valid RTT sample only if we never
             // backed off (Karn); backoff implies ambiguity.
             if s.backoff == 0 {
@@ -457,14 +481,14 @@ impl TcpConn {
                 // will provide one within one RTT anyway.
             }
             s.dctcp_window_end = 0;
-            self.fill_window(now, out);
+            self.fill_window(cfg, now, out);
             self.rearm_rto(now, out);
             return;
         }
 
         // --- Established / FinWait ---
         let ece = seg.ece;
-        let s = self.sender.as_mut().expect("sender state");
+        let s = self.role.sender();
         let fin_end = s.total + 1; // FIN occupies sequence number `total`
 
         if seg.ack > s.snd_una {
@@ -473,22 +497,17 @@ impl TcpConn {
 
             // RTT sampling: use the oldest in-flight segment if it was
             // never retransmitted (Karn's rule), then drop acked metadata.
-            if let Some((&seq0, meta)) = s.inflight.iter().next() {
+            if let Some((seq0, meta)) = s.inflight.first() {
                 if seq0 == s.snd_una && !meta.retransmitted && seg.ack >= seq0 + meta.len as u64 {
                     let sample = now.saturating_since(meta.sent_at);
                     out.rtt_samples.push(sample);
-                    Self::update_rtt(s, &self.cfg, sample);
+                    Self::update_rtt(s, cfg, sample);
                     s.backoff = 0;
                 }
             }
             let acked_upto = seg.ack;
-            while let Some((&seq0, &meta)) = s.inflight.iter().next() {
-                if seq0 + meta.len as u64 <= acked_upto {
-                    s.inflight.remove(&seq0);
-                } else {
-                    break;
-                }
-            }
+            s.inflight
+                .pop_while(|seq0, meta| seq0 + meta.len as u64 <= acked_upto);
 
             s.snd_una = seg.ack;
             // After a go-back-N rewind the receiver may acknowledge data it
@@ -504,15 +523,15 @@ impl TcpConn {
                     Some(srtt) => {
                         let rto_ns = srtt + (4.0 * s.rttvar).max(1.0);
                         SimDuration::from_nanos(rto_ns as u64)
-                            .max(self.cfg.rto_min)
-                            .min(self.cfg.rto_max)
+                            .max(cfg.rto_min)
+                            .min(cfg.rto_max)
                     }
-                    None => self.cfg.rto_initial,
+                    None => cfg.rto_initial,
                 };
             }
 
             // DCTCP accounting happens on every new ACK.
-            if let EcnMode::Dctcp { g } = self.cfg.ecn {
+            if let EcnMode::Dctcp { g } = cfg.ecn {
                 s.dctcp_acked_bytes += newly_acked;
                 if ece {
                     s.dctcp_ce_bytes += newly_acked;
@@ -524,7 +543,7 @@ impl TcpConn {
                         s.dctcp_alpha = (1.0 - g) * s.dctcp_alpha + g * f;
                         if s.dctcp_ce_bytes > 0 {
                             s.cwnd *= 1.0 - s.dctcp_alpha / 2.0;
-                            s.cwnd = s.cwnd.max((self.cfg.min_cwnd_mss * self.cfg.mss) as f64);
+                            s.cwnd = s.cwnd.max((cfg.min_cwnd_mss * cfg.mss) as f64);
                             s.cwr_pending = true;
                             // CWR semantics: no growth until this window
                             // of data is acknowledged.
@@ -535,13 +554,11 @@ impl TcpConn {
                     s.dctcp_acked_bytes = 0;
                     s.dctcp_window_end = s.snd_nxt;
                 }
-            } else if self.cfg.ecn == EcnMode::Classic && ece && s.snd_una > s.ecn_recover {
+            } else if cfg.ecn == EcnMode::Classic && ece && s.snd_una > s.ecn_recover {
                 // RFC 3168: at most one reduction per window of data.
                 let flight = s.snd_nxt.saturating_sub(s.snd_una) as f64;
-                s.ssthresh = (flight / 2.0).max((2 * self.cfg.mss) as f64);
-                s.cwnd = s
-                    .ssthresh
-                    .max((self.cfg.min_cwnd_mss * self.cfg.mss) as f64);
+                s.ssthresh = (flight / 2.0).max((2 * cfg.mss) as f64);
+                s.cwnd = s.ssthresh.max((cfg.min_cwnd_mss * cfg.mss) as f64);
                 s.ecn_recover = s.snd_nxt;
                 s.cwr_pending = true;
             }
@@ -550,26 +567,23 @@ impl TcpConn {
                 if s.snd_una >= s.recover {
                     // Full acknowledgement: leave recovery, deflate.
                     s.in_recovery = false;
-                    s.cwnd = s
-                        .ssthresh
-                        .max((self.cfg.min_cwnd_mss * self.cfg.mss) as f64);
+                    s.cwnd = s.ssthresh.max((cfg.min_cwnd_mss * cfg.mss) as f64);
                 } else {
                     // New Reno partial ACK: retransmit the next hole,
                     // deflate by the amount acked, stay in recovery.
-                    s.cwnd = (s.cwnd - newly_acked as f64 + self.cfg.mss as f64)
-                        .max(self.cfg.mss as f64);
-                    Self::retransmit_front(s, &self.cfg, &mut self.stats, now, out);
+                    s.cwnd = (s.cwnd - newly_acked as f64 + cfg.mss as f64).max(cfg.mss as f64);
+                    Self::retransmit_front(s, cfg, &mut self.stats, now, out);
                 }
             } else {
                 // Normal growth — suppressed while in an ECN/CWR response
                 // window (both Classic and DCTCP set `ecn_recover`).
-                let in_cwr = self.cfg.ecn != EcnMode::Off && s.snd_una <= s.ecn_recover;
+                let in_cwr = cfg.ecn != EcnMode::Off && s.snd_una <= s.ecn_recover;
                 if !in_cwr {
                     if s.cwnd < s.ssthresh {
-                        s.cwnd += (newly_acked.min(self.cfg.mss as u64)) as f64;
+                        s.cwnd += (newly_acked.min(cfg.mss as u64)) as f64;
                     // slow start, ABC L=1
                     } else {
-                        s.cwnd += (self.cfg.mss as f64) * (self.cfg.mss as f64) / s.cwnd;
+                        s.cwnd += (cfg.mss as f64) * (cfg.mss as f64) / s.cwnd;
                     }
                 }
             }
@@ -614,7 +628,7 @@ impl TcpConn {
                 return;
             }
 
-            self.fill_window(now, out);
+            self.fill_window(cfg, now, out);
             self.rearm_rto(now, out);
         } else if seg.ack == s.snd_una
             && seg.payload_len == 0
@@ -626,35 +640,35 @@ impl TcpConn {
             s.dupacks += 1;
             if s.in_recovery {
                 // Window inflation keeps the pipe full during recovery.
-                s.cwnd += self.cfg.mss as f64;
-                self.fill_window(now, out);
+                s.cwnd += cfg.mss as f64;
+                self.fill_window(cfg, now, out);
             } else if s.dupacks == 3 {
                 // Fast retransmit (RFC 6582).
                 let flight = s.snd_nxt.saturating_sub(s.snd_una) as f64;
-                s.ssthresh = (flight / 2.0).max((2 * self.cfg.mss) as f64);
+                s.ssthresh = (flight / 2.0).max((2 * cfg.mss) as f64);
                 s.recover = s.snd_nxt;
                 s.in_recovery = true;
-                s.cwnd = s.ssthresh + 3.0 * self.cfg.mss as f64;
+                s.cwnd = s.ssthresh + 3.0 * cfg.mss as f64;
                 self.stats.fast_retransmits += 1;
-                Self::retransmit_front(s, &self.cfg, &mut self.stats, now, out);
+                Self::retransmit_front(s, cfg, &mut self.stats, now, out);
                 self.rearm_rto(now, out);
             }
         }
     }
 
-    fn sender_on_rto(&mut self, now: SimTime, out: &mut TcpOutput) {
-        let s = self.sender.as_mut().expect("sender state");
+    fn sender_on_rto(&mut self, cfg: &TcpConfig, now: SimTime, out: &mut TcpOutput) {
+        let s = self.role.sender();
         if s.snd_una >= s.snd_nxt {
             return; // nothing outstanding; stale timer
         }
         self.stats.timeouts += 1;
         let flight = s.snd_nxt.saturating_sub(s.snd_una) as f64;
-        s.ssthresh = (flight / 2.0).max((2 * self.cfg.mss) as f64);
-        s.cwnd = (self.cfg.min_cwnd_mss * self.cfg.mss) as f64;
+        s.ssthresh = (flight / 2.0).max((2 * cfg.mss) as f64);
+        s.cwnd = (cfg.min_cwnd_mss * cfg.mss) as f64;
         s.in_recovery = false;
         s.dupacks = 0;
         s.backoff += 1;
-        s.rto = (s.rto * 2).min(self.cfg.rto_max);
+        s.rto = (s.rto * 2).min(cfg.rto_max);
         // Go-back-N: rewind and stream everything out again under the tiny
         // window. The receiver's reassembly buffer discards duplicates.
         s.snd_nxt = s.snd_una;
@@ -692,11 +706,11 @@ impl TcpConn {
             s.snd_nxt = total + 1;
             self.stats.retransmissions += 1;
         } else {
-            self.fill_window(now, out);
+            self.fill_window(cfg, now, out);
             // Everything sent by fill_window after a rewind is a
             // retransmission for Karn purposes.
-            let s = self.sender.as_mut().expect("sender state");
-            for (_, meta) in s.inflight.iter_mut() {
+            let s = self.role.sender();
+            for meta in s.inflight.values_mut() {
                 meta.retransmitted = true;
             }
         }
@@ -704,12 +718,12 @@ impl TcpConn {
     }
 
     /// Sends as much new data as the window allows.
-    fn fill_window(&mut self, now: SimTime, out: &mut TcpOutput) {
-        let s = self.sender.as_mut().expect("sender state");
-        let window = s.cwnd.min(self.cfg.rwnd_bytes as f64) as u64;
+    fn fill_window(&mut self, cfg: &TcpConfig, now: SimTime, out: &mut TcpOutput) {
+        let s = self.role.sender();
+        let window = s.cwnd.min(cfg.rwnd_bytes as f64) as u64;
         while s.snd_nxt < s.total {
             let in_flight = s.snd_nxt - s.snd_una;
-            let len = (self.cfg.mss as u64).min(s.total - s.snd_nxt);
+            let len = (cfg.mss as u64).min(s.total - s.snd_nxt);
             if in_flight + len > window {
                 break;
             }
@@ -783,7 +797,7 @@ impl TcpConn {
     }
 
     fn rearm_rto(&mut self, now: SimTime, out: &mut TcpOutput) {
-        let s = self.sender.as_ref().expect("sender state");
+        let s = self.role.sender();
         if s.snd_nxt > s.snd_una {
             out.rto = TimerCmd::Set(now + s.rto);
         } else {
@@ -815,12 +829,13 @@ impl TcpConn {
 
     fn receiver_on_segment(
         &mut self,
+        cfg: &TcpConfig,
         seg: &TcpSegment,
         ce_marked: bool,
         _now: SimTime,
         out: &mut TcpOutput,
     ) {
-        let r = self.receiver.as_mut().expect("receiver state");
+        let r = self.role.receiver();
 
         if seg.flags.syn {
             // (Re)send the SYN-ACK; duplicate SYNs mean ours was lost.
@@ -839,7 +854,7 @@ impl TcpConn {
         }
 
         // ECN bookkeeping.
-        match self.cfg.ecn {
+        match cfg.ecn {
             EcnMode::Classic => {
                 if ce_marked {
                     r.ece_latched = true;
@@ -872,17 +887,17 @@ impl TcpConn {
                 // In-order (possibly overlapping) delivery.
                 r.rcv_nxt = end;
                 // Pull any now-contiguous out-of-order ranges.
-                while let Some((&s0, &e0)) = r.ooo.iter().next() {
-                    if s0 <= r.rcv_nxt {
-                        r.ooo.remove(&s0);
-                        r.rcv_nxt = r.rcv_nxt.max(e0);
-                    } else {
-                        break;
+                let rcv_nxt = &mut r.rcv_nxt;
+                r.ooo.pop_while(|s0, e0| {
+                    let contiguous = s0 <= *rcv_nxt;
+                    if contiguous {
+                        *rcv_nxt = (*rcv_nxt).max(e0);
                     }
-                }
+                    contiguous
+                });
             } else {
                 // Out of order: stash and demand the hole immediately.
-                let e = r.ooo.entry(start).or_insert(end);
+                let e = r.ooo.entry(start, end);
                 *e = (*e).max(end);
                 force_immediate_ack = true;
             }
@@ -904,7 +919,7 @@ impl TcpConn {
         let fin_consumed = r.fin_seq.is_some_and(|f| r.rcv_nxt > f);
         if fin_consumed {
             // FIN consumed: final ACK then close.
-            let mut ack = Self::make_ack(r, &self.cfg);
+            let mut ack = Self::make_ack(r, cfg);
             ack.ack = r.rcv_nxt;
             out.segments.push(ack);
             out.delack = TimerCmd::Cancel;
@@ -915,18 +930,18 @@ impl TcpConn {
 
         r.unacked_segments += 1;
         let must_ack_now = force_immediate_ack
-            || !self.cfg.delayed_ack
+            || !cfg.delayed_ack
             || r.unacked_segments >= 2
-            || matches!(self.cfg.ecn, EcnMode::Dctcp { .. });
+            || matches!(cfg.ecn, EcnMode::Dctcp { .. });
         if must_ack_now {
             r.unacked_segments = 0;
             r.delack_armed = false;
-            let seg = Self::make_ack(r, &self.cfg);
+            let seg = Self::make_ack(r, cfg);
             out.segments.push(seg);
             out.delack = TimerCmd::Cancel;
         } else if !r.delack_armed {
             r.delack_armed = true;
-            out.delack = TimerCmd::Set(_now + self.cfg.delack_timeout);
+            out.delack = TimerCmd::Set(_now + cfg.delack_timeout);
         }
     }
 
@@ -959,6 +974,7 @@ mod tests {
     /// one-way delay and a caller-supplied drop predicate. No queues: this
     /// exercises the protocol machine, not the network.
     struct Harness {
+        cfg: TcpConfig,
         snd: TcpConn,
         rcv: TcpConn,
         delay: SimDuration,
@@ -977,8 +993,9 @@ mod tests {
     impl Harness {
         fn new(cfg: TcpConfig, bytes: u64) -> Self {
             Harness {
-                snd: TcpConn::sender(cfg, bytes),
-                rcv: TcpConn::receiver(cfg),
+                cfg,
+                snd: TcpConn::sender(&cfg, bytes),
+                rcv: TcpConn::receiver(),
                 delay: SimDuration::from_micros(50),
                 now: SimTime::ZERO,
                 wire: vec![],
@@ -1057,33 +1074,34 @@ mod tests {
                 }
                 self.now = t;
                 out.clear();
+                let cfg = &self.cfg;
                 match kind {
                     0 => {
                         let (_, to_sender, seg) = self.wire.remove(idx);
                         if to_sender {
-                            self.snd.on_segment(&seg, false, self.now, &mut out);
+                            self.snd.on_segment(cfg, &seg, false, self.now, &mut out);
                             self.apply(true, &mut out);
                         } else {
                             if seg.payload_len > 0 {
                                 self.delivered += seg.payload_len as u64;
                             }
-                            self.rcv.on_segment(&seg, false, self.now, &mut out);
+                            self.rcv.on_segment(cfg, &seg, false, self.now, &mut out);
                             self.apply(false, &mut out);
                         }
                     }
                     1 => {
                         self.rto_snd = None;
-                        self.snd.on_rto(self.now, &mut out);
+                        self.snd.on_rto(cfg, self.now, &mut out);
                         self.apply(true, &mut out);
                     }
                     2 => {
                         self.rto_rcv = None;
-                        self.rcv.on_rto(self.now, &mut out);
+                        self.rcv.on_rto(cfg, self.now, &mut out);
                         self.apply(false, &mut out);
                     }
                     3 => {
                         self.delack_rcv = None;
-                        self.rcv.on_delack(self.now, &mut out);
+                        self.rcv.on_delack(cfg, self.now, &mut out);
                         self.apply(false, &mut out);
                     }
                     _ => unreachable!(),
@@ -1329,12 +1347,13 @@ mod tests {
         // Feed the sender a synthetic stream of marked ACKs directly and
         // watch alpha rise and cwnd fall.
         let cfg = TcpConfig::dctcp();
-        let mut c = TcpConn::sender(cfg, 10_000_000);
+        let mut c = TcpConn::sender(&cfg, 10_000_000);
         let mut out = TcpOutput::default();
         c.open(SimTime::ZERO, &mut out);
         out.clear();
         // Handshake.
         c.on_segment(
+            &cfg,
             &TcpSegment {
                 seq: 0,
                 ack: 0,
@@ -1359,6 +1378,7 @@ mod tests {
             .unwrap();
         out.clear();
         c.on_segment(
+            &cfg,
             &TcpSegment {
                 seq: 0,
                 ack: acked,
@@ -1424,11 +1444,12 @@ mod tests {
             delayed_ack: false,
             ..Default::default()
         };
-        let mut rcv = TcpConn::receiver(cfg);
+        let mut rcv = TcpConn::receiver();
         let mut out = TcpOutput::default();
         let t = SimTime::from_micros(1);
         // Data then FIN, in order.
         rcv.on_segment(
+            &cfg,
             &TcpSegment {
                 seq: 0,
                 ack: 0,
@@ -1443,6 +1464,7 @@ mod tests {
         );
         out.clear();
         rcv.on_segment(
+            &cfg,
             &TcpSegment {
                 seq: 1000,
                 ack: 0,
@@ -1464,6 +1486,7 @@ mod tests {
         // The FIN arrives again: the closed receiver re-ACKs it.
         out.clear();
         rcv.on_segment(
+            &cfg,
             &TcpSegment {
                 seq: 1000,
                 ack: 0,
@@ -1495,6 +1518,7 @@ mod tests {
         // re-delivering a final ACK.
         let mut out = TcpOutput::default();
         h.snd.on_segment(
+            &h.cfg,
             &TcpSegment {
                 seq: 0,
                 ack: 30_001,

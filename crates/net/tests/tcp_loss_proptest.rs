@@ -26,8 +26,8 @@ fn run_lossy(bytes: u64, drop_rate: f64, seed: u64) -> Outcome {
         delayed_ack: seed.is_multiple_of(2),
         ..Default::default()
     };
-    let mut snd = TcpConn::sender(cfg, bytes);
-    let mut rcv = TcpConn::receiver(cfg);
+    let mut snd = TcpConn::sender(&cfg, bytes);
+    let mut rcv = TcpConn::receiver();
     let mut rng = SmallRng::seed_from_u64(seed);
     let delay = SimDuration::from_micros(30);
 
@@ -118,7 +118,7 @@ fn run_lossy(bytes: u64, drop_rate: f64, seed: u64) -> Outcome {
             0 => {
                 let (_, to_sender, seg) = wire.remove(idx);
                 if to_sender {
-                    snd.on_segment(&seg, false, now, &mut out);
+                    snd.on_segment(&cfg, &seg, false, now, &mut out);
                     apply(
                         true,
                         &mut out,
@@ -130,7 +130,7 @@ fn run_lossy(bytes: u64, drop_rate: f64, seed: u64) -> Outcome {
                         &mut outcome,
                     );
                 } else {
-                    rcv.on_segment(&seg, false, now, &mut out);
+                    rcv.on_segment(&cfg, &seg, false, now, &mut out);
                     apply(
                         false,
                         &mut out,
@@ -145,7 +145,7 @@ fn run_lossy(bytes: u64, drop_rate: f64, seed: u64) -> Outcome {
             }
             1 => {
                 rto_snd = None;
-                snd.on_rto(now, &mut out);
+                snd.on_rto(&cfg, now, &mut out);
                 apply(
                     true,
                     &mut out,
@@ -159,7 +159,7 @@ fn run_lossy(bytes: u64, drop_rate: f64, seed: u64) -> Outcome {
             }
             _ => {
                 delack = None;
-                rcv.on_delack(now, &mut out);
+                rcv.on_delack(&cfg, now, &mut out);
                 apply(
                     false,
                     &mut out,

@@ -21,8 +21,9 @@ fn network(c: &Compiled) -> Network {
     Network::new(Arc::new(Topology::clos(c.params)), c.net_config())
 }
 
-/// Fingerprint, events executed and the FCT list in completion order.
-fn outcome(sim: &Simulator<Network>) -> (u64, u64, Vec<(u64, u64, u64)>) {
+/// Fingerprint, events executed, the connection table's peak and the FCT
+/// list in completion order.
+fn outcome(sim: &Simulator<Network>) -> (u64, u64, usize, Vec<(u64, u64, u64)>) {
     let net = sim.world();
     let fct = (net.stats.fct.iter())
         .map(|r| (r.flow.0, r.started.as_nanos(), r.completed.as_nanos()))
@@ -30,6 +31,7 @@ fn outcome(sim: &Simulator<Network>) -> (u64, u64, Vec<(u64, u64, u64)>) {
     (
         run_fingerprint([net]),
         sim.scheduler().executed_total(),
+        net.conns_peak(),
         fct,
     )
 }
@@ -48,7 +50,7 @@ fn incast_streamed_equals_hand_scheduled() {
     streamed.run_until(c.horizon);
     by_hand.run_until(c.horizon);
     let want = outcome(&by_hand);
-    assert!(!want.2.is_empty(), "incast flows complete");
+    assert!(!want.3.is_empty(), "incast flows complete");
     assert_eq!(outcome(&streamed), want);
 }
 

@@ -35,6 +35,13 @@ fn counter(ledger: &RunLedger, name: &str, label: &str) -> u64 {
         .map_or(0, |m| m.count)
 }
 
+/// The connection tables' high-water mark the ledger sealed.
+fn conns_peak(ledger: &RunLedger) -> f64 {
+    let mut rows = ledger.report.metrics.iter();
+    let row = rows.find(|m| m.name == "net/tcp/conns_peak" && m.kind == "gauge");
+    row.expect("a conns_peak row").value
+}
+
 /// The counter rows under `prefix`, as comparable tuples.
 fn counters_under(ledger: &RunLedger, prefix: &str) -> Vec<(String, String, u64)> {
     let rows = ledger.report.metrics.iter();
@@ -108,6 +115,7 @@ fn recovered_ledger_equals_clean_ledger() {
         counters_under(&clean, "des/kernel/events_executed")
     );
     assert_eq!(counter(&recovered, "recovery/restores", "stalled"), 2);
+    assert_eq!(conns_peak(&recovered), conns_peak(&clean));
     let breaches = compare_ledgers(&recovered, &clean, 0.05);
     assert!(breaches.is_empty(), "{breaches:?}");
 }
@@ -167,6 +175,7 @@ fn recovered_hybrid_ledger_equals_clean_ledger() {
             "{prefix}"
         );
     }
+    assert_eq!(conns_peak(&recovered), conns_peak(&clean));
     for ledger in [&recovered, &clean] {
         assert!(counters_under(ledger, "hybrid/guard/").is_empty());
         assert!(counters_under(ledger, "hybrid/cache/").is_empty());
@@ -262,7 +271,7 @@ fn keys(rows: &[MetricRow]) -> BTreeSet<(&str, &str, &str)> {
 
 /// Every row of `run --clusters 2 --horizon-ms 5` (seed 42), with the
 /// counter values the pre-refactor registry sealed for it.
-const SEQUENTIAL: [(Key, u64); 11] = [
+const SEQUENTIAL: [(Key, u64); 12] = [
     (("des/kernel/events_executed", "", "counter"), 109_742),
     (("des/kernel/fel_bytes_peak", "", "gauge"), 0),
     (("des/kernel/heap_depth_peak", "", "gauge"), 0),
@@ -272,18 +281,20 @@ const SEQUENTIAL: [(Key, u64); 11] = [
     (("net/port/enqueued", "core", "counter"), 2_423),
     (("net/port/enqueued", "host", "counter"), 6_590),
     (("net/port/enqueued", "tor", "counter"), 12_623),
+    (("net/tcp/conns_peak", "", "gauge"), 0),
     (("net/tcp/fast_retransmits", "", "counter"), 7),
     (("net/tcp/retransmitted_segments", "", "counter"), 134),
 ];
 
 /// The same run under `--pdes 2`.
-const PDES2: [(Key, u64); 17] = [
+const PDES2: [(Key, u64); 18] = [
     (("net/port/drops", "agg", "counter"), 118),
     (("net/port/drops", "host", "counter"), 205),
     (("net/port/enqueued", "agg", "counter"), 5_516),
     (("net/port/enqueued", "core", "counter"), 326),
     (("net/port/enqueued", "host", "counter"), 6_590),
     (("net/port/enqueued", "tor", "counter"), 9_940),
+    (("net/tcp/conns_peak", "", "gauge"), 0),
     (("net/tcp/fast_retransmits", "", "counter"), 7),
     (("net/tcp/retransmitted_segments", "", "counter"), 134),
     (("pdes/epoch/jumped", "", "counter"), 3_206),
@@ -300,7 +311,7 @@ const PDES2: [(Key, u64); 17] = [
 /// What a guarded, cached hybrid run may seal, and (`true`) what it always
 /// does: regime occupancy and the drop rows depend on the model's verdicts,
 /// ECN marks on the congestion control.
-const HYBRID: [(Key, bool); 36] = [
+const HYBRID: [(Key, bool); 37] = [
     (("des/kernel/events_executed", "", "counter"), true),
     (("des/kernel/fel_bytes_peak", "", "gauge"), true),
     (("des/kernel/heap_depth_peak", "", "gauge"), true),
@@ -334,6 +345,7 @@ const HYBRID: [(Key, bool); 36] = [
     (("net/port/enqueued", "core", "counter"), true),
     (("net/port/enqueued", "host", "counter"), true),
     (("net/port/enqueued", "tor", "counter"), true),
+    (("net/tcp/conns_peak", "", "gauge"), true),
     (("net/tcp/fast_retransmits", "", "counter"), false),
     (("net/tcp/retransmitted_segments", "", "counter"), false),
     (("net/tcp/rto_fired", "", "counter"), false),
