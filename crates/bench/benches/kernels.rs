@@ -89,7 +89,6 @@ fn bench_nn(c: &mut Criterion) {
             hidden: h,
             layers: l,
             alpha: 0.5,
-            rnn: elephant_nn::RnnKind::Lstm,
         };
         let model = MicroNet::new(cfg, &mut rng);
         let x = vec![0.3f32; FEATURE_DIM];

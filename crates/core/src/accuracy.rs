@@ -192,7 +192,7 @@ mod tests {
     use super::*;
     use elephant_des::{SimDuration, SimTime};
     use elephant_net::{ClosParams, Direction, FabricPath, FlowId, HostAddr};
-    use elephant_nn::{MicroNet, MicroNetConfig, RnnKind};
+    use elephant_nn::{MicroNet, MicroNetConfig};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -202,7 +202,6 @@ mod tests {
             hidden: 4,
             layers: 1,
             alpha: 0.5,
-            rnn: RnnKind::Lstm,
         };
         MicroNet::new(cfg, &mut SmallRng::seed_from_u64(seed))
     }

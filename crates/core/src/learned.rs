@@ -28,11 +28,13 @@ use crate::macro_model::{MacroConfig, MacroModel, MacroState};
 
 /// Magic string identifying a versioned elephant model artifact.
 pub const MODEL_MAGIC: &str = "ELEPHANT-MODEL";
-/// Model artifact format version this build writes and reads. Version 2
-/// stores each weight matrix in row panels (`elephant_nn::Matrix`); a
-/// version-1 file holds the same numbers row-major, so reading it as
-/// version 2 would serve a scrambled model that still passes the checksum.
-pub const MODEL_VERSION: u32 = 2;
+/// Model artifact format version this build writes and reads. Version 3
+/// stores each micro model's trunk as a bare LSTM (`"lstm": {"cells": …}`);
+/// version 2 wrapped it in an `rnn` field tagged with the trunk's kind
+/// (`"rnn": {"Lstm": …}`), and version 1 held the weights row-major rather
+/// than in the row panels of `elephant_nn::Matrix` — read as today's layout
+/// it would serve a scrambled model that still passes the checksum.
+pub const MODEL_VERSION: u32 = 3;
 
 /// Training-time statistics embedded in the model, used at deployment to
 /// derive guardrail tolerance bands (e.g. the expected drop rate for
@@ -91,18 +93,33 @@ pub struct ModelFile {
     pub model: ClusterModel,
 }
 
+/// The fields of a [`ModelFile`] that say how to read the rest of it.
+#[derive(Deserialize)]
+struct ModelHeader {
+    magic: String,
+    version: u32,
+}
+
+/// Refuses a header of another magic or format version.
+fn check_header(magic: &str, version: u32) -> Result<(), ElephantError> {
+    if magic != MODEL_MAGIC {
+        return Err(ElephantError::ModelMagic {
+            found: magic.to_string(),
+        });
+    }
+    if version != MODEL_VERSION {
+        return Err(ElephantError::ModelVersion {
+            found: version,
+            expected: MODEL_VERSION,
+        });
+    }
+    Ok(())
+}
+
 impl ModelFile {
     /// Validates the header and payload, yielding the model.
     pub fn into_model(self) -> Result<ClusterModel, ElephantError> {
-        if self.magic != MODEL_MAGIC {
-            return Err(ElephantError::ModelMagic { found: self.magic });
-        }
-        if self.version != MODEL_VERSION {
-            return Err(ElephantError::ModelVersion {
-                found: self.version,
-                expected: MODEL_VERSION,
-            });
-        }
+        check_header(&self.magic, self.version)?;
         let actual = self.model.weight_checksum();
         if actual != self.checksum {
             return Err(ElephantError::ModelChecksum {
@@ -133,12 +150,24 @@ impl ClusterModel {
     /// loads can serve a verdict. All failure modes are typed; a bare model
     /// without the header is refused ([`ElephantError::ModelParse`]), since
     /// nothing in it says how its weights are laid out.
+    ///
+    /// The header's verdict comes first: a file of another magic or format
+    /// version is refused as such ([`ElephantError::ModelVersion`]) even
+    /// when its payload does not parse as this version's model. Only a
+    /// file that fails to parse is read a second time, for its header, so
+    /// loading a good artifact still parses it once.
     pub fn load_json(s: &str) -> Result<Self, ElephantError> {
-        serde_json::from_str::<ModelFile>(s)
-            .map_err(|e| ElephantError::ModelParse {
-                detail: e.to_string(),
-            })?
-            .into_model()
+        match serde_json::from_str::<ModelFile>(s) {
+            Ok(file) => file.into_model(),
+            Err(e) => {
+                if let Ok(header) = serde_json::from_str::<ModelHeader>(s) {
+                    check_header(&header.magic, header.version)?;
+                }
+                Err(ElephantError::ModelParse {
+                    detail: e.to_string(),
+                })
+            }
+        }
     }
 
     /// Combined checksum over both directional micro models' weights.
@@ -460,7 +489,6 @@ mod tests {
             hidden: 8,
             layers: 1,
             alpha: 0.5,
-            rnn: elephant_nn::RnnKind::Lstm,
         };
         ClusterModel {
             up: MicroNet::new(cfg, &mut rng),
@@ -589,6 +617,15 @@ mod tests {
         assert_eq!(a.latency, b.latency);
     }
 
+    /// The weights a fresh served-size model starts from, bit for bit: pins
+    /// the initialisation draw order and the parameter order across commits.
+    #[test]
+    fn fresh_compact_model_weights_are_pinned() {
+        let cfg = MicroNetConfig::compact(FEATURE_DIM);
+        let m = MicroNet::new(cfg, &mut SmallRng::seed_from_u64(0xE1E));
+        assert_eq!(m.weight_checksum(), 1_026_617_590_211_359_552);
+    }
+
     #[test]
     fn versioned_file_round_trips_and_validates() {
         let m = tiny_model();
@@ -606,28 +643,47 @@ mod tests {
         assert_eq!(err.exit_code(), 4);
     }
 
+    /// A micro model as format version 2 wrote it: the trunk tagged with
+    /// its kind inside an `rnn` field, here the gated recurrent unit that
+    /// version could also build (1 input, 1 hidden unit, 1 layer).
+    const V2_MICRO_NET: &str = r#"{"cfg":{"input":1,"hidden":1,"layers":1,"alpha":0.5,"rnn":"Gru"},
+        "rnn":{"Gru":{"cells":[{"w_zr":{"rows":2,"cols":2,"data":[0.1,0.2,0.3,0.4]},"b_zr":[0.0,0.0],
+            "w_n":{"rows":1,"cols":2,"data":[0.5,0.6]},"b_n":[0.0],"input":1,"hidden":1}]}},
+        "latency_head":{"w":{"rows":1,"cols":1,"data":[0.3]},"b":[0.0]},
+        "drop_head":{"w":{"rows":1,"cols":1,"data":[-0.3]},"b":[0.0]}}"#;
+
     #[test]
-    fn version_1_envelope_is_refused() {
-        // Same shape, row-major weights: it would parse and pass its own
-        // checksum, so only the version stands between it and serving.
+    fn older_format_versions_are_refused() {
+        // Version 1: today's shape, row-major weights. It parses and passes
+        // its own checksum, so only the version stands between it and
+        // serving.
         let m = tiny_model();
-        let file = ModelFile {
+        let v1 = serde_json::to_string(&ModelFile {
             magic: MODEL_MAGIC.to_string(),
             version: 1,
             checksum: m.weight_checksum(),
             model: m,
-        };
-        let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ElephantError::ModelVersion {
-                    found: 1,
-                    expected: 2
-                }
-            ),
-            "{err}"
+        })
+        .unwrap();
+        // Version 2: its payload does not parse as today's model, so only a
+        // header read before the payload names the version.
+        let v2 = format!(
+            r#"{{"magic":"ELEPHANT-MODEL","version":2,"checksum":1,"model":{{
+                "up":{V2_MICRO_NET},"down":{V2_MICRO_NET},
+                "macro_cfg":{{"latency_low":5e-5,"drop_high":0.02,"fast_alpha":0.3,
+                    "slow_alpha":0.02,"drop_window":64}},
+                "codec":{{"lo":1e-6,"hi":1.0}},"meta":{{}}}}}}"#
         );
+        let payload = serde_json::from_str::<ModelFile>(&v2).unwrap_err();
+        assert!(payload.to_string().contains("`lstm`"), "{payload}");
+        for (version, json) in [(1, v1), (2, v2)] {
+            let err = ClusterModel::load_json(&json).unwrap_err();
+            assert!(
+                matches!(err, ElephantError::ModelVersion { found, expected: 3 } if found == version),
+                "v{version}: {err}"
+            );
+            assert_eq!(err.exit_code(), 4);
+        }
     }
 
     #[test]
@@ -732,10 +788,7 @@ mod tests {
         let mut m = tiny_model();
         m.down = MicroNet::new(cfg, &mut rng);
         assert!(ClusterModel::load_json(&m.to_file_json()).is_ok());
-        let elephant_nn::Rnn::Lstm(trunk) = &mut m.down.rnn else {
-            unreachable!("tiny models are LSTMs")
-        };
-        trunk.cells[1] = elephant_nn::LstmCell::new(5, 8, &mut rng);
+        m.down.lstm.cells[1] = elephant_nn::LstmCell::new(5, 8, &mut rng);
         let err = ClusterModel::load_json(&m.to_file_json()).unwrap_err();
         assert!(
             matches!(&err, ElephantError::ModelShape { detail }

@@ -12,7 +12,7 @@
 //! leaks into the past).
 
 use elephant_net::{BoundaryRecord, ClosParams, Direction};
-use elephant_nn::{MicroNet, MicroNetConfig, RnnKind, Sample, TrainConfig, Trainer, WindowLoss};
+use elephant_nn::{MicroNet, MicroNetConfig, Sample, TrainConfig, Trainer, WindowLoss};
 use elephant_obs::{LogHistogram, MetricRow};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -30,8 +30,6 @@ pub struct TrainingOptions {
     pub layers: usize,
     /// Loss balance α (paper: 0 < α ≤ 1).
     pub alpha: f32,
-    /// Recurrent architecture of the micro-model trunk (§7 variants).
-    pub rnn: RnnKind,
     /// Optimizer settings (paper defaults: lr 1e-4, momentum 0.9, batch 64).
     pub train: TrainConfig,
     /// Passes over the training windows.
@@ -54,7 +52,6 @@ impl Default for TrainingOptions {
             hidden: 32,
             layers: 2,
             alpha: 0.5,
-            rnn: RnnKind::Lstm,
             train: TrainConfig {
                 lr: 0.05,
                 momentum: 0.9,
@@ -78,7 +75,6 @@ impl TrainingOptions {
             hidden: 128,
             layers: 2,
             alpha: 0.5,
-            rnn: RnnKind::Lstm,
             train: TrainConfig::default(),
             epochs: 20,
             window: 64,
@@ -278,7 +274,6 @@ pub fn train_cluster_model(
         hidden: opts.hidden,
         layers: opts.layers,
         alpha: opts.alpha,
-        rnn: opts.rnn,
     };
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let (up_model, up_report) = train_direction(&up_samples, net_cfg, opts, &mut rng);
@@ -479,6 +474,9 @@ mod tests {
         );
         // The returned bundle serializes.
         assert!(ClusterModel::load_json(&model.to_file_json()).is_ok());
+        // The trained weights, bit for bit: pins the init draw order, the
+        // parameter order and the training arithmetic across commits.
+        assert_eq!(model.weight_checksum(), 11_181_054_216_849_093_564);
     }
 
     #[test]

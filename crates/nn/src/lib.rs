@@ -42,16 +42,13 @@
 #![warn(missing_docs)]
 
 mod activation;
-mod gru;
 mod linear;
 mod lstm;
 mod matrix;
 mod model;
-mod rnn;
 mod sgd;
 
 pub use activation::{sigmoid, sigmoid_inplace, tanh, tanh_inplace};
-pub use gru::{Gru, GruCell, GruCellGrad, GruSeqCache, GruState};
 pub use linear::{Linear, LinearGrad};
 pub use lstm::{CellState, Lstm, LstmCell, LstmCellGrad, LstmSeqCache, LstmState};
 pub use matrix::Matrix;
@@ -59,5 +56,4 @@ pub use model::{
     MicroNet, MicroNetConfig, MicroNetGrads, MicroNetState, Prediction, Sample, TrainConfig,
     Trainer, WindowLoss,
 };
-pub use rnn::{Rnn, RnnGrads, RnnKind, RnnSeqCache, RnnState};
 pub use sgd::{clip_global_norm, Sgd};

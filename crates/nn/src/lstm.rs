@@ -121,7 +121,7 @@ impl LstmCell {
         a.extend_from_slice(&state.h);
 
         let mut z = vec![0.0f32; 4 * hdim];
-        self.w.gate_matvec(&a, &self.b, 2 * hdim..3 * hdim, &mut z);
+        self.w.gate_matvec(&a, &self.b, &mut z);
         let [i, f, g, o] = [0, 1, 2, 3].map(|n| z[n * hdim..(n + 1) * hdim].to_vec());
 
         let c_prev = state.c.clone();
@@ -229,16 +229,6 @@ impl Lstm {
         Lstm { cells }
     }
 
-    /// Input width of the bottom layer.
-    pub fn input(&self) -> usize {
-        self.cells[0].input()
-    }
-
-    /// Hidden width of the top layer.
-    pub fn hidden(&self) -> usize {
-        self.cells.last().expect("non-empty").hidden()
-    }
-
     /// Zeroed state for all layers.
     pub fn init_state(&self) -> LstmState {
         LstmState {
@@ -267,7 +257,7 @@ impl Lstm {
             z.resize(4 * hdim, 0.0);
             // The training-path `step`'s kernel and activations, so the
             // two compute the same bits.
-            cell.w.gate_matvec(a, &cell.b, 2 * hdim..3 * hdim, z);
+            cell.w.gate_matvec(a, &cell.b, z);
             for k in 0..hdim {
                 let (i, f, g) = (z[k], z[hdim + k], z[2 * hdim + k]);
                 st.c[k] = f * st.c[k] + i * g;

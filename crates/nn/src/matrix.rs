@@ -151,25 +151,25 @@ impl Matrix {
         self.forward(x, None, y);
     }
 
-    /// Fused `y = act(A·x + b)`: the matvec with the bias folded in, then
-    /// one activation pass per gate slice. Rows inside `tanh_rows` get
-    /// `tanh`, every other row the logistic sigmoid — exactly the
-    /// activation layout of fused recurrent gate blocks (LSTM: i, f, o
-    /// sigmoid with g = rows `2H..3H` tanh; GRU reset/update: all sigmoid
-    /// via an empty range; GRU candidate: all tanh).
+    /// Fused LSTM gates `y = act(A·x + b)` over `4H` rows in gate order
+    /// i, f, g, o: the matvec with the bias folded in, then one activation
+    /// pass per gate slice — `tanh` on the g block, rows `2H..3H`, the
+    /// logistic sigmoid on every other row. `H` is `rows / 4`.
     ///
-    /// This is the one forward kernel of the recurrent layers, shared by
-    /// training and inference, which is why both compute the same bits.
-    pub fn gate_matvec(&self, x: &[f32], bias: &[f32], tanh_rows: Range<usize>, y: &mut [f32]) {
+    /// This is the one forward kernel of the LSTM, shared by training and
+    /// inference, which is why both compute the same bits.
+    pub fn gate_matvec(&self, x: &[f32], bias: &[f32], y: &mut [f32]) {
+        assert_eq!(self.rows % 4, 0, "gate_matvec needs four gate blocks");
         assert_eq!(x.len(), self.cols, "gate_matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "gate_matvec output mismatch");
         assert_eq!(bias.len(), self.rows, "gate_matvec bias mismatch");
         self.forward(x, Some(bias), y);
-        let (head, rest) = y.split_at_mut(tanh_rows.start);
-        let (tanh_part, tail) = rest.split_at_mut(tanh_rows.len());
-        sigmoid_inplace(head);
-        tanh_inplace(tanh_part);
-        sigmoid_inplace(tail);
+        let h = self.rows / 4;
+        let (i_f, g_o) = y.split_at_mut(2 * h);
+        let (g, o) = g_o.split_at_mut(h);
+        sigmoid_inplace(i_f);
+        tanh_inplace(g);
+        sigmoid_inplace(o);
     }
 
     /// `y = A·x (+ b)`, one panel at a time.
@@ -383,22 +383,25 @@ mod tests {
                 a.matvec(&x, &mut y);
                 assert_eq!(y, reference_matvec(&a, &x, None), "matvec {rows}x{cols}");
 
-                // Gate kernel: reference pre-activation, then per-row
-                // activation with tanh on a middle band of rows.
-                let band = rows / 4..rows / 2;
-                let want: Vec<f32> = reference_matvec(&a, &x, Some(&bias))
-                    .into_iter()
-                    .enumerate()
-                    .map(|(r, z)| {
-                        if band.contains(&r) {
-                            tanh(z)
-                        } else {
-                            sigmoid(z)
-                        }
-                    })
-                    .collect();
-                a.gate_matvec(&x, &bias, band, &mut y);
-                assert_eq!(y, want, "gate_matvec {rows}x{cols}");
+                // Gate kernel (four gate blocks only): reference
+                // pre-activation, then per-row activation with tanh on the
+                // third block.
+                if rows % 4 == 0 {
+                    let band = rows / 2..3 * rows / 4;
+                    let want: Vec<f32> = reference_matvec(&a, &x, Some(&bias))
+                        .into_iter()
+                        .enumerate()
+                        .map(|(r, z)| {
+                            if band.contains(&r) {
+                                tanh(z)
+                            } else {
+                                sigmoid(z)
+                            }
+                        })
+                        .collect();
+                    a.gate_matvec(&x, &bias, &mut y);
+                    assert_eq!(y, want, "gate_matvec {rows}x{cols}");
+                }
 
                 // Transposed product: rows in order into each column,
                 // zero rows skipped.
@@ -446,8 +449,9 @@ mod tests {
         for (v, &b) in want.iter_mut().zip(bias.iter()) {
             *v += b;
         }
+        // H = 3: tanh on the g block, rows 6..9.
         for (r, v) in want.iter_mut().enumerate() {
-            *v = if (4..8).contains(&r) {
+            *v = if (6..9).contains(&r) {
                 tanh(*v)
             } else {
                 sigmoid(*v)
@@ -455,8 +459,15 @@ mod tests {
         }
 
         let mut got = vec![0.0f32; 12];
-        a.gate_matvec(&x, &bias, 4..8, &mut got);
+        a.gate_matvec(&x, &bias, &mut got);
         assert_eq!(got, want, "fused kernel must be bit-identical");
+    }
+
+    #[test]
+    #[should_panic(expected = "four gate blocks")]
+    fn gate_matvec_refuses_rows_that_are_not_four_blocks() {
+        let a = Matrix::zeros(10, 3);
+        a.gate_matvec(&[0.0; 3], &[0.0; 10], &mut [0.0; 10]);
     }
 
     #[test]

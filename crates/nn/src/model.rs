@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::activation::sigmoid;
 use crate::linear::{Linear, LinearGrad};
+use crate::lstm::{Lstm, LstmCellGrad, LstmState};
 use crate::matrix::Matrix;
-use crate::rnn::{Rnn, RnnGrads, RnnKind, RnnState};
 use crate::sgd::{clip_global_norm, Sgd};
 
 /// Architecture and loss hyper-parameters.
@@ -31,9 +31,6 @@ pub struct MicroNetConfig {
     /// Loss balance α in `(0, 1]`: "the contribution of drops in
     /// determining future behavior is more significant than latency".
     pub alpha: f32,
-    /// Recurrent architecture of the trunk (§7 explores variants).
-    #[serde(default)]
-    pub rnn: RnnKind,
 }
 
 impl MicroNetConfig {
@@ -44,7 +41,6 @@ impl MicroNetConfig {
             hidden: 128,
             layers: 2,
             alpha: 0.5,
-            rnn: RnnKind::Lstm,
         }
     }
 
@@ -57,7 +53,6 @@ impl MicroNetConfig {
             hidden: 32,
             layers: 2,
             alpha: 0.5,
-            rnn: RnnKind::Lstm,
         }
     }
 }
@@ -88,7 +83,7 @@ pub struct MicroNet {
     /// Architecture.
     pub cfg: MicroNetConfig,
     /// Shared recurrent trunk.
-    pub rnn: Rnn,
+    pub lstm: Lstm,
     /// Latency regression head.
     pub latency_head: Linear,
     /// Drop classification head (logit; sigmoid applied at use).
@@ -98,13 +93,13 @@ pub struct MicroNet {
 /// Persistent inference state (one per model instance per cluster).
 #[derive(Clone, Debug)]
 pub struct MicroNetState {
-    rnn: RnnState,
+    lstm: LstmState,
     top: Vec<f32>,
 }
 
 /// Gradient buffers for a [`MicroNet`].
 pub struct MicroNetGrads {
-    rnn: RnnGrads,
+    lstm: Vec<LstmCellGrad>,
     latency: LinearGrad,
     drop: LinearGrad,
 }
@@ -112,7 +107,7 @@ pub struct MicroNetGrads {
 impl MicroNetGrads {
     /// Clears all buffers.
     pub fn zero(&mut self) {
-        self.rnn.zero();
+        self.lstm.iter_mut().for_each(LstmCellGrad::zero);
         self.latency.zero();
         self.drop.zero();
     }
@@ -160,11 +155,11 @@ impl WindowLoss {
 impl MicroNet {
     /// Fresh Xavier-initialized model.
     pub fn new(cfg: MicroNetConfig, rng: &mut impl Rng) -> Self {
-        let rnn = Rnn::new(cfg.rnn, cfg.input, cfg.hidden, cfg.layers, rng);
+        let lstm = Lstm::new(cfg.input, cfg.hidden, cfg.layers, rng);
         MicroNet {
             latency_head: Linear::new(cfg.hidden, 1, rng),
             drop_head: Linear::new(cfg.hidden, 1, rng),
-            rnn,
+            lstm,
             cfg,
         }
     }
@@ -172,7 +167,7 @@ impl MicroNet {
     /// Zeroed inference state.
     pub fn init_state(&self) -> MicroNetState {
         MicroNetState {
-            rnn: self.rnn.init_state(),
+            lstm: self.lstm.init_state(),
             top: vec![0.0; self.cfg.hidden],
         }
     }
@@ -180,7 +175,7 @@ impl MicroNet {
     /// Matching zeroed gradient buffers.
     pub fn grad_buffers(&self) -> MicroNetGrads {
         MicroNetGrads {
-            rnn: self.rnn.grad_buffers(),
+            lstm: self.lstm.grad_buffers(),
             latency: self.latency_head.grad_buffer(),
             drop: self.drop_head.grad_buffer(),
         }
@@ -190,8 +185,8 @@ impl MicroNet {
     /// "prediction only involves a few matrix multiplications and
     /// non-linear transformations" (§4.2).
     pub fn predict(&self, features: &[f32], state: &mut MicroNetState) -> Prediction {
-        self.rnn
-            .step_infer(features, &mut state.rnn, &mut state.top);
+        self.lstm
+            .step_infer(features, &mut state.lstm, &mut state.top);
         let mut lat = [0.0f32];
         let mut logit = [0.0f32];
         self.latency_head.forward(&state.top, &mut lat);
@@ -216,7 +211,7 @@ impl MicroNet {
     fn window_pass(&self, samples: &[Sample], grads: Option<&mut MicroNetGrads>) -> WindowLoss {
         assert!(!samples.is_empty(), "empty training window");
         let xs: Vec<Vec<f32>> = samples.iter().map(|s| s.features.clone()).collect();
-        let (tops, cache) = self.rnn.forward_seq(&xs);
+        let (tops, cache) = self.lstm.forward_seq(&xs);
 
         let n = samples.len() as f32;
         let mut loss = WindowLoss {
@@ -271,14 +266,18 @@ impl MicroNet {
         }
 
         if let Some(g) = head_grads {
-            self.rnn.backward_seq(&cache, &dh_top, &mut g.rnn);
+            self.lstm.backward_seq(&cache, &dh_top, &mut g.lstm);
         }
         loss
     }
 
     /// Flat views of every parameter, in a stable order.
     pub fn param_slices(&mut self) -> Vec<&mut [f32]> {
-        let mut v = self.rnn.param_slices();
+        let mut v: Vec<&mut [f32]> = Vec::new();
+        for cell in &mut self.lstm.cells {
+            v.push(cell.w.data_mut());
+            v.push(cell.b.as_mut_slice());
+        }
         v.push(self.latency_head.w.data_mut());
         v.push(self.latency_head.b.as_mut_slice());
         v.push(self.drop_head.w.data_mut());
@@ -289,7 +288,11 @@ impl MicroNet {
     /// Read-only flat views of every parameter, ordered to match
     /// [`MicroNet::param_slices`].
     pub fn param_views(&self) -> Vec<&[f32]> {
-        let mut v = self.rnn.param_views();
+        let mut v: Vec<&[f32]> = Vec::new();
+        for cell in &self.lstm.cells {
+            v.push(cell.w.data());
+            v.push(cell.b.as_slice());
+        }
         v.push(self.latency_head.w.data());
         v.push(self.latency_head.b.as_slice());
         v.push(self.drop_head.w.data());
@@ -314,66 +317,45 @@ impl MicroNet {
     }
 
     /// Checks that every parameter has the shape the architecture implies:
-    /// `cfg.layers` recurrent layers of `cfg.rnn` kind and `cfg.hidden`
-    /// units, the bottom one reading `cfg.input` features and each other
-    /// one the layer below, gate blocks and biases sized for their layer,
-    /// both heads reading the top hidden state, and every matrix storing
-    /// `rows × cols` weights. A deserialized model can break any of these
-    /// and would then panic at its first step; `Err` names the first part
-    /// that does.
+    /// `cfg.layers` LSTM layers of `cfg.hidden` units, the bottom one
+    /// reading `cfg.input` features and each other one the layer below,
+    /// gate blocks and biases sized for their layer, both heads reading the
+    /// top hidden state, and every matrix storing `rows × cols` weights. A
+    /// deserialized model can break any of these and would then panic at
+    /// its first step; `Err` names the first part that does.
     pub fn check_shapes(&self) -> Result<(), String> {
         let MicroNetConfig {
             input,
             hidden,
             layers,
-            rnn,
             ..
         } = self.cfg;
         // (part, weights, bias, rows, cols) the architecture implies.
         let mut parts: Vec<(String, &Matrix, &[f32], usize, usize)> = Vec::new();
         let mut below = input;
-        // Checks layer `l`'s declared (input, hidden) widths and returns
-        // the width of its gate blocks' input, `[x; h]`.
-        let mut layer = |l: usize, io: (usize, usize)| {
-            let want = (below, hidden);
-            below = hidden;
+        for (l, cell) in self.lstm.cells.iter().enumerate() {
+            let (io, want) = ((cell.input(), cell.hidden()), (below, hidden));
             if io != want {
                 return Err(format!(
                     "layer {l} maps {} → {} units, the architecture needs {} → {}",
                     io.0, io.1, want.0, want.1
                 ));
             }
-            Ok(want.0 + hidden)
-        };
-        let cells = match &self.rnn {
-            Rnn::Lstm(m) => {
-                for (l, cell) in m.cells.iter().enumerate() {
-                    let cols = layer(l, (cell.input(), cell.hidden()))?;
-                    parts.push((
-                        format!("layer {l} gates"),
-                        &cell.w,
-                        &cell.b,
-                        4 * hidden,
-                        cols,
-                    ));
-                }
-                m.cells.len()
-            }
-            Rnn::Gru(m) => {
-                for (l, cell) in m.cells.iter().enumerate() {
-                    let cols = layer(l, (cell.input(), cell.hidden()))?;
-                    let zr = format!("layer {l} update/reset gates");
-                    parts.push((zr, &cell.w_zr, &cell.b_zr, 2 * hidden, cols));
-                    let n = format!("layer {l} candidate");
-                    parts.push((n, &cell.w_n, &cell.b_n, hidden, cols));
-                }
-                m.cells.len()
-            }
-        };
-        if self.rnn.kind() != rnn || cells != layers || cells == 0 {
+            // The gate blocks read `[x; h]`.
+            let cols = below + hidden;
+            parts.push((
+                format!("layer {l} gates"),
+                &cell.w,
+                &cell.b,
+                4 * hidden,
+                cols,
+            ));
+            below = hidden;
+        }
+        let cells = self.lstm.cells.len();
+        if cells != layers || cells == 0 {
             return Err(format!(
-                "the config declares {layers} {rnn:?} layers, the trunk holds {cells} {:?}",
-                self.rnn.kind()
+                "the config declares {layers} layers, the trunk holds {cells}"
             ));
         }
         for (name, head) in [("latency", &self.latency_head), ("drop", &self.drop_head)] {
@@ -424,7 +406,11 @@ impl MicroNetGrads {
     /// Flat views of every gradient, ordered to match
     /// [`MicroNet::param_slices`].
     pub fn grad_slices(&mut self) -> Vec<&mut [f32]> {
-        let mut v = self.rnn.grad_slices();
+        let mut v: Vec<&mut [f32]> = Vec::new();
+        for cell in &mut self.lstm {
+            v.push(cell.w.data_mut());
+            v.push(cell.b.as_mut_slice());
+        }
         v.push(self.latency.w.data_mut());
         v.push(self.latency.b.as_mut_slice());
         v.push(self.drop.w.data_mut());
@@ -543,18 +529,35 @@ mod tests {
     #[test]
     fn built_models_have_the_shapes_they_declare() {
         let mut rng = SmallRng::seed_from_u64(4);
-        for rnn in [RnnKind::Lstm, RnnKind::Gru] {
-            for (input, hidden, layers) in [(14, 8, 1), (3, 5, 2), (14, 32, 3)] {
-                let cfg = MicroNetConfig {
-                    input,
-                    hidden,
-                    layers,
-                    alpha: 0.5,
-                    rnn,
-                };
-                assert_eq!(MicroNet::new(cfg, &mut rng).check_shapes(), Ok(()));
-            }
+        for (input, hidden, layers) in [(14, 8, 1), (3, 5, 2), (14, 32, 3)] {
+            let cfg = MicroNetConfig {
+                input,
+                hidden,
+                layers,
+                alpha: 0.5,
+            };
+            assert_eq!(MicroNet::new(cfg, &mut rng).check_shapes(), Ok(()));
         }
+    }
+
+    #[test]
+    fn param_and_grad_views_line_up() {
+        let mut rng = SmallRng::seed_from_u64(21);
+        let cfg = MicroNetConfig {
+            input: 3,
+            hidden: 5,
+            layers: 2,
+            alpha: 0.5,
+        };
+        let mut net = MicroNet::new(cfg, &mut rng);
+        let mut grads = net.grad_buffers();
+        let views: Vec<usize> = net.param_views().iter().map(|s| s.len()).collect();
+        let params: Vec<usize> = net.param_slices().iter().map(|s| s.len()).collect();
+        let grad: Vec<usize> = grads.grad_slices().iter().map(|s| s.len()).collect();
+        assert_eq!(params, views);
+        assert_eq!(params, grad);
+        // Two layers of (gates, bias), then two heads of (weights, bias).
+        assert_eq!(params, [4 * 5 * 8, 4 * 5, 4 * 5 * 10, 4 * 5, 5, 1, 5, 1]);
     }
 
     #[test]
@@ -570,9 +573,10 @@ mod tests {
         let err = fault(&|m| m.drop_head = Linear::new(7, 1, &mut SmallRng::seed_from_u64(0)));
         assert!(err.starts_with("drop head: 1 × 7 weights"), "{err}");
         let err = fault(&|m| m.cfg.layers = 3);
-        assert!(err.contains("declares 3 Lstm layers"), "{err}");
-        let err = fault(&|m| m.cfg.rnn = RnnKind::Gru);
-        assert!(err.contains("holds 2 Lstm"), "{err}");
+        assert!(
+            err.contains("declares 3 layers, the trunk holds 2"),
+            "{err}"
+        );
         let err = fault(&|m| m.latency_head.b.push(0.0));
         assert!(
             err.contains("latency head: 1 × 32 weights and 2 biases"),
@@ -608,7 +612,6 @@ mod tests {
             hidden: 16,
             layers: 2,
             alpha: 0.5,
-            rnn: RnnKind::Lstm,
         };
         let mut rng = SmallRng::seed_from_u64(11);
         let model = MicroNet::new(cfg, &mut rng);
@@ -664,7 +667,6 @@ mod tests {
             hidden: 8,
             layers: 1,
             alpha: 1.0,
-            rnn: RnnKind::Lstm,
         };
         let mut rng = SmallRng::seed_from_u64(3);
         let model = MicroNet::new(cfg, &mut rng);
@@ -728,7 +730,6 @@ mod tests {
             hidden: 4,
             layers: 1,
             alpha: 0.5,
-            rnn: RnnKind::Lstm,
         };
         let mut rng = SmallRng::seed_from_u64(31);
         let model = MicroNet::new(cfg, &mut rng);
@@ -769,7 +770,6 @@ mod tests {
                 hidden: 4,
                 layers: 1,
                 alpha,
-                rnn: RnnKind::Lstm,
             };
             let mut rng = SmallRng::seed_from_u64(9);
             let model = MicroNet::new(cfg, &mut rng);

@@ -5,8 +5,7 @@
 //! verdicts per run. This test installs a counting wrapper around the
 //! system allocator and asserts that, after a short warmup (during which
 //! the serde-skipped scratch buffers size themselves), steady-state
-//! inference performs exactly zero allocations — for the LSTM trunk, the
-//! GRU trunk, and the raw `step_infer` kernels underneath.
+//! inference performs exactly zero allocations.
 //!
 //! Everything runs inside one `#[test]` so the global counter never races
 //! with a concurrently scheduled test.
@@ -14,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use elephant_nn::{MicroNet, MicroNetConfig, RnnKind};
+use elephant_nn::{MicroNet, MicroNetConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -50,18 +49,6 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-fn net(rnn: RnnKind, seed: u64) -> MicroNet {
-    let cfg = MicroNetConfig {
-        input: 14,
-        hidden: 32,
-        layers: 2,
-        alpha: 0.5,
-        rnn,
-    };
-    let mut rng = SmallRng::seed_from_u64(seed);
-    MicroNet::new(cfg, &mut rng)
-}
-
 fn feature(i: usize, d: usize) -> f32 {
     (((i * 31 + d * 7) % 97) as f32 / 97.0).clamp(0.0, 1.0)
 }
@@ -84,24 +71,25 @@ fn predict_allocs(net: &MicroNet, state: &mut elephant_nn::MicroNetState, steps:
 
 #[test]
 fn steady_state_inference_is_allocation_free() {
-    for (kind, name) in [(RnnKind::Lstm, "lstm"), (RnnKind::Gru, "gru")] {
-        let net = net(kind, 42);
-        let mut state = net.init_state();
-        // Warmup: scratch buffers grow to their steady-state sizes.
-        let warmup = predict_allocs(&net, &mut state, 8);
-        // Steady state: the fast path must not touch the heap at all. The
-        // counter is process-global, so the libtest harness thread can
-        // sporadically contribute a few counts; take the minimum over
-        // several rounds — a hot path that truly allocates (even once per
-        // thousands of calls) can never produce a zero round.
-        let steady = (0..5)
-            .map(|_| predict_allocs(&net, &mut state, 10_000))
-            .min()
-            .unwrap();
-        assert_eq!(
-            steady, 0,
-            "{name}: {steady} allocations in the best of five 10k-prediction \
-             rounds (warmup cost {warmup})"
-        );
-    }
+    let net = MicroNet::new(
+        MicroNetConfig::compact(14),
+        &mut SmallRng::seed_from_u64(42),
+    );
+    let mut state = net.init_state();
+    // Warmup: scratch buffers grow to their steady-state sizes.
+    let warmup = predict_allocs(&net, &mut state, 8);
+    // Steady state: the fast path must not touch the heap at all. The
+    // counter is process-global, so the libtest harness thread can
+    // sporadically contribute a few counts; take the minimum over several
+    // rounds — a hot path that truly allocates (even once per thousands of
+    // calls) can never produce a zero round.
+    let steady = (0..5)
+        .map(|_| predict_allocs(&net, &mut state, 10_000))
+        .min()
+        .unwrap();
+    assert_eq!(
+        steady, 0,
+        "{steady} allocations in the best of five 10k-prediction rounds \
+         (warmup cost {warmup})"
+    );
 }

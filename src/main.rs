@@ -45,7 +45,6 @@ use elephant::net::{
     BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig,
     NetSampler, Network, OracleFaultMode, RttScope, TraceLog, MAX_FLOW_TRACKS, SAMPLE_CSV_HEADER,
 };
-use elephant::nn::RnnKind;
 use elephant::obs::{RunReport, TimelineWriter, TraceRecord, PID_FLOWS};
 use elephant::scenario::toml::{self, TomlValue};
 use elephant::scenario::{
@@ -372,10 +371,9 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--model", metavar: "PATH", cmds: ORACLE | SCENARIO | AUDIT, to: Field(|r, v| set_some(&mut r.model_flag, v), ""), help: "trained model artifact; wins over the scenario's [model] path and alone makes\na scenario run hybrid. compare needs one; the rest capture and train a small\ndefault model when no artifact is bound" },
     Flag { name: "--out", metavar: "PATH", cmds: TRAIN, to: Field(|r, v| set(&mut r.out, v), "model.json"), help: "where train writes the model" },
     Flag { name: "--full-cluster", metavar: "N", cmds: ORACLE, to: Key("model.full_cluster"), help: "the cluster kept at packet fidelity" },
-    Flag { name: "--hidden", metavar: "N", cmds: TRAIN, to: Field(|r, v| set(&mut r.train.hidden, v), "32"), help: "RNN width" },
-    Flag { name: "--layers", metavar: "N", cmds: TRAIN, to: Field(|r, v| set(&mut r.train.layers, v), "2"), help: "RNN depth" },
+    Flag { name: "--hidden", metavar: "N", cmds: TRAIN, to: Field(|r, v| set(&mut r.train.hidden, v), "32"), help: "LSTM width" },
+    Flag { name: "--layers", metavar: "N", cmds: TRAIN, to: Field(|r, v| set(&mut r.train.layers, v), "2"), help: "LSTM depth" },
     Flag { name: "--epochs", metavar: "N", cmds: TRAIN, to: Field(|r, v| set(&mut r.train.epochs, v), "8"), help: "training epochs" },
-    Flag { name: "--gru", metavar: "", cmds: TRAIN, to: Field(|r, _| { r.train.rnn = RnnKind::Gru; true }, ""), help: "GRU trunk instead of LSTM" },
     Flag { name: "--trace", metavar: "N", cmds: RUN | HYBRID, to: Field(|r, v| set_some(&mut r.sinks.trace, v), ""), help: "retain the first N raw events and print a sample" },
     Flag { name: "--trace-out", metavar: "P", cmds: RUN | HYBRID, to: Field(|r, v| set_some(&mut r.sinks.trace_out, v), ""), help: "write a Chrome-trace JSON timeline to P (open in https://ui.perfetto.dev):\nper-flow spans, drop and oracle-verdict instants, sampler counter tracks,\nper-partition compute/barrier slices under PDES (DESIGN.md \"Observability\")" },
     Flag { name: "--sample-every", metavar: "T", cmds: RUN | HYBRID | SCENARIO | AUDIT, to: Key("outputs.sample_every_us"), help: "sample queue depths, offered/realized load, macro state and oracle drop rate\nevery T us of sim time into --samples-out, else <trace-out>.samples.csv, else\nsamples.csv; an audit's regime timeline granularity" },
@@ -1082,12 +1080,7 @@ fn train(req: &Request, s: &Scenario) {
     );
 
     let opts = &req.train;
-    let shape = format!(
-        "{}x{} {}",
-        opts.layers,
-        opts.hidden,
-        format!("{:?}", opts.rnn).to_uppercase()
-    );
+    let shape = format!("{}x{} LSTM", opts.layers, opts.hidden);
     println!("training {shape} for {} epochs ...", opts.epochs);
     let (model, report) = train_cluster_model(records, &c.params, opts);
     println!(

@@ -144,34 +144,6 @@ fn cli_trace_out_writes_perfetto_timeline() {
 }
 
 #[test]
-fn cli_gru_training_works() {
-    let dir = std::env::temp_dir().join("elephant_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let model = dir.join("gru.json");
-    let model = model.to_str().unwrap();
-    let out = run_ok(&[
-        "train",
-        "--horizon-ms",
-        "6",
-        "--epochs",
-        "1",
-        "--hidden",
-        "8",
-        "--layers",
-        "1",
-        "--gru",
-        "--out",
-        model,
-    ]);
-    assert!(out.contains("GRU"), "GRU trunk announced:\n{out}");
-    let json = std::fs::read_to_string(model).unwrap();
-    assert!(
-        json.contains("Gru"),
-        "serialized model records the trunk kind"
-    );
-}
-
-#[test]
 fn cli_rejects_bad_usage() {
     let out = elephant().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
@@ -216,6 +188,7 @@ fn cli_rejects_bad_usage() {
         &["run", "--hidden", "8"],
         &["hybrid", "--out", "x.json"],
         &["train", "--clusters", "8"],
+        &["train", "--gru"],
     ] {
         let out = elephant().args(bad).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -271,7 +244,7 @@ fn cli_help_lists_exactly_the_flags_each_command_accepts() {
     let mut all: Vec<&(String, String)> = listed.iter().flatten().collect();
     all.sort();
     all.dedup_by_key(|(flag, _)| flag);
-    assert!(all.len() >= 40, "every flag is listed somewhere: {all:?}");
+    assert!(all.len() >= 39, "every flag is listed somewhere: {all:?}");
 
     for (cmd, own) in COMMANDS.iter().zip(&listed) {
         for (flag, _) in &all {

@@ -16,7 +16,7 @@ use elephant::net::{
     BoundaryRecord, ClosParams, ClusterOracle, Direction, Ecn, FlowId, HostAddr, NetConfig,
     OracleCtx, Packet, RawVerdict, RttScope, TcpFlags, TcpSegment, Topology,
 };
-use elephant::nn::{MicroNet, MicroNetConfig, RnnKind};
+use elephant::nn::{MicroNet, MicroNetConfig};
 use elephant::trace::{filter_touching_cluster, generate, WorkloadConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -184,7 +184,6 @@ fn untrained_model(seed: u64) -> ClusterModel {
         hidden: 16,
         layers: 1,
         alpha: 0.5,
-        rnn: RnnKind::Lstm,
     };
     let mut rng = SmallRng::seed_from_u64(seed);
     ClusterModel {

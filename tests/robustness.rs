@@ -16,7 +16,7 @@ use elephant::net::{
     BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FixedLatencyOracle, GuardConfig,
     GuardedOracle, NetConfig, OracleFaultMode, RttScope,
 };
-use elephant::nn::{MicroNet, MicroNetConfig, RnnKind};
+use elephant::nn::{MicroNet, MicroNetConfig};
 use elephant::trace::{filter_touching_cluster, generate, WorkloadConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -31,7 +31,6 @@ fn tiny_model() -> ClusterModel {
         hidden: 4,
         layers: 1,
         alpha: 0.5,
-        rnn: RnnKind::Lstm,
     };
     ClusterModel {
         up: MicroNet::new(cfg, &mut SmallRng::seed_from_u64(11)),

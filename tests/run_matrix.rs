@@ -11,7 +11,7 @@ use elephant::core::{
 };
 use elephant::des::{EpochMode, SimDuration};
 use elephant::net::{GuardConfig, NetSampler, TraceLog};
-use elephant::nn::{MicroNet, MicroNetConfig, RnnKind};
+use elephant::nn::{MicroNet, MicroNetConfig};
 use elephant::scenario::{compile, load, run_fingerprint, CompileOverrides};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -24,7 +24,6 @@ fn untrained_model() -> ClusterModel {
         hidden: 8,
         layers: 1,
         alpha: 0.5,
-        rnn: RnnKind::Lstm,
     };
     let mut rng = SmallRng::seed_from_u64(5);
     ClusterModel {
