@@ -9,11 +9,12 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use elephant_core::{FeatureExtractor, LatencyCodec, MacroState, FEATURE_DIM};
-use elephant_des::{splitmix64, EmpiricalCdf, Scheduler, SimDuration, SimTime, Simulator};
+use elephant_des::{splitmix64, Scheduler, SimDuration, SimTime, Simulator};
 use elephant_net::{
     schedule_flows, ClosParams, Direction, FlowId, HostAddr, NetConfig, Network, RttScope, Topology,
 };
 use elephant_nn::{Matrix, MicroNet, MicroNetConfig};
+use elephant_obs::EmpiricalCdf;
 use elephant_trace::{generate, SizeDist, WorkloadConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -29,6 +29,7 @@
 
 use elephant_bench::{emit_report, fmt_f, print_table, run_pdes, Args};
 use elephant_core::partition_rows;
+use elephant_des::EpochMode::Adaptive;
 use elephant_net::{ClosParams, NetConfig, RttScope};
 use elephant_obs::RunReport;
 use elephant_trace::{generate, write_csv, LoadProfile, Locality, SizeDist, WorkloadConfig};
@@ -110,8 +111,8 @@ fn main() {
             // LPs scale with the module graph, as OMNeT++'s partitioning
             // does; more machines spread the same LPs wider.
             let partitions = ((n as usize / 4).max(2) * m).min(n as usize);
-            let out = run_pdes(params, &flows, horizon, partitions, m, ENVELOPE);
-            let rate = out.sim_seconds_per_second(horizon);
+            let out = run_pdes(params, &flows, horizon, partitions, m, ENVELOPE, Adaptive);
+            let rate = horizon.as_secs_f64() / out.wall.as_secs_f64().max(1e-12);
             report.scalar(format!("pdes_sim_s_per_s_n{n}_m{m}"), rate);
             pdes_rates.push((m, rate, out));
         }

@@ -1,9 +1,10 @@
 //! # elephant-bench — evaluation harnesses
 //!
-//! One binary per figure of the paper's evaluation (see DESIGN.md's
-//! per-experiment index) plus ablations and baselines. This library holds
-//! what they share: argument parsing, table printing, the PDES run
-//! wrapper, and the default train-once-reuse-everywhere model pipeline.
+//! One binary per figure of the paper's evaluation that is not yet a
+//! scenario sweep (see DESIGN.md's per-experiment index), plus ablations
+//! and baselines. This library holds what they share: argument parsing,
+//! table printing, the PDES run wrapper, and the default
+//! train-once-reuse-everywhere model pipeline.
 //!
 //! Every harness prints a human-readable table and writes CSVs under
 //! `--out` (default `results/`), so figures can be re-plotted offline.
@@ -15,9 +16,9 @@ use std::time::Duration;
 
 use elephant_core::{
     execute, run_ground_truth, train_cluster_model, ClusterModel, Exec, Fidelity, PdesExec,
-    RunPlan, TrainReport, TrainingOptions,
+    PdesRun, RunPlan, TrainReport, TrainingOptions,
 };
-use elephant_des::{EpochMode, PdesReport, SimTime};
+use elephant_des::{EpochMode, SimTime};
 use elephant_net::{ClosParams, FlowSpec, NetConfig, RttScope};
 use elephant_trace::{generate, WorkloadConfig};
 
@@ -113,22 +114,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Outcome of a PDES run plus its wall time.
-#[derive(Clone, Debug)]
-pub struct PdesOutcome {
-    /// Kernel statistics.
-    pub report: PdesReport,
-    /// Wall-clock duration.
-    pub wall: Duration,
-}
-
-impl PdesOutcome {
-    /// Simulated seconds per wall second (Figure 1's y-axis).
-    pub fn sim_seconds_per_second(&self, horizon: SimTime) -> f64 {
-        horizon.as_secs_f64() / self.wall.as_secs_f64().max(1e-12)
-    }
-}
-
 /// Prints a [`elephant_obs::RunReport`] and writes `BENCH_<name>.json`
 /// into `args.out` as a sealed schema-v1 [`elephant_core::RunLedger`] —
 /// the single artifact path every harness binary funnels through. The
@@ -155,9 +140,9 @@ pub fn emit_report(report: &elephant_obs::RunReport, args: &Args) {
 /// Runs the packet simulator under conservative PDES: `partitions`
 /// rack-partitioned logical processes dealt round-robin over `machines`
 /// emulated machines (cross-machine messages marshalled with
-/// `envelope_bytes` of MPI-style envelope). Thin wrapper over
-/// [`elephant_core::execute`] keeping the harnesses' historic
-/// panic-on-error contract.
+/// `envelope_bytes` of MPI-style envelope), epochs planned by `mode`.
+/// Thin wrapper over [`elephant_core::execute`] keeping the harnesses'
+/// historic panic-on-error contract.
 pub fn run_pdes(
     params: ClosParams,
     flows: &[FlowSpec],
@@ -165,30 +150,8 @@ pub fn run_pdes(
     partitions: usize,
     machines: usize,
     envelope_bytes: usize,
-) -> PdesOutcome {
-    run_pdes_mode(
-        params,
-        flows,
-        horizon,
-        partitions,
-        machines,
-        envelope_bytes,
-        EpochMode::Adaptive,
-    )
-}
-
-/// [`run_pdes`] with an explicit epoch-planning mode, for harnesses that
-/// A/B the adaptive planner against fixed-increment stepping.
-#[allow(clippy::too_many_arguments)] // an experiment spec, not an API surface
-pub fn run_pdes_mode(
-    params: ClosParams,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    partitions: usize,
-    machines: usize,
-    envelope_bytes: usize,
     mode: EpochMode,
-) -> PdesOutcome {
+) -> PdesRun {
     let mut plan = RunPlan::new(
         params,
         NetConfig::default(),
@@ -203,68 +166,12 @@ pub fn run_pdes_mode(
         mode,
         faults: None,
     });
-    let run = execute(plan).unwrap_or_else(|e| panic!("{e}"));
-    PdesOutcome {
-        report: run.report.expect("PDES runs carry a kernel report"),
-        wall: run.meta.wall,
-    }
+    execute(plan)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_pdes_run()
 }
 
-/// Runs the *hybrid* simulator under PDES, partitioned by cluster: the
-/// full cluster plus the core layer is one logical process, every stub
-/// cluster (its hosts, TCP stacks, and oracle) another — the paper's
-/// §6.2 observation that approximation removes the fabric interdependence
-/// that made PDES unprofitable. Each partition owns its own
-/// [`elephant_core::LearnedOracle`] instance around the shared weights.
-///
-/// Returns the outcome plus the summed oracle deliveries. On a single-core
-/// host this measures coordination overhead only; with real cores the
-/// partitions execute concurrently.
-#[allow(clippy::too_many_arguments)] // an experiment spec, not an API surface
-pub fn run_hybrid_pdes(
-    params: ClosParams,
-    full_cluster: u16,
-    model: &elephant_core::ClusterModel,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    machines: usize,
-    envelope_bytes: usize,
-    seed: u64,
-) -> (PdesOutcome, u64) {
-    use elephant_core::{DropPolicy, LearnedOracle};
-    let mut oracles = |p: Option<usize>| -> Box<dyn elephant_net::ClusterOracle + Send> {
-        let salt = p.expect("PDES builds one oracle per partition") as u64;
-        Box::new(LearnedOracle::new(
-            model.clone(),
-            params,
-            DropPolicy::Sample,
-            seed.wrapping_add(salt),
-        ))
-    };
-    let fidelity = Fidelity::Hybrid {
-        full_cluster,
-        oracles: &mut oracles,
-    };
-    let mut plan = RunPlan::new(params, NetConfig::default(), flows, horizon, fidelity);
-    plan.exec = Exec::Pdes(PdesExec {
-        partitions: 0, // hybrid runs partition by cluster
-        machines,
-        envelope_bytes,
-        mode: EpochMode::Adaptive,
-        faults: None,
-    });
-    let run = execute(plan).unwrap_or_else(|e| panic!("{e}"));
-    let oracle_total = run.oracle_deliveries();
-    (
-        PdesOutcome {
-            report: run.report.expect("PDES runs carry a kernel report"),
-            wall: run.meta.wall,
-        },
-        oracle_total,
-    )
-}
-
-/// The standard "train once" step used by Figures 4–5 and the ablations:
+/// The standard "train once" step used by Figure 4 and the ablations:
 /// a two-cluster ground-truth run with capture around cluster 1, then the
 /// §3 training pipeline. Returns the records too, so ablations can retrain
 /// from the same capture.

@@ -7,9 +7,9 @@
 //! quantifies what Figure 4 eyeballs: the Kolmogorov–Smirnov distance and
 //! a table of per-quantile relative errors.
 
-use elephant_des::EmpiricalCdf;
 use elephant_net::BoundaryRecord;
 use elephant_nn::MicroNet;
+use elephant_obs::EmpiricalCdf;
 
 use crate::error::ElephantError;
 use crate::features::LatencyCodec;

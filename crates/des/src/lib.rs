@@ -74,5 +74,5 @@ pub use pdes::{
 pub use rng::{splitmix64, RngFactory};
 pub use sched::{BinaryHeapFel, CalendarFel, EventKey, Fel, HeapScheduler, Next, Scheduler};
 pub use sim::{FelPeaks, Simulator, StopReason, World};
-pub use stats::{EmpiricalCdf, Ewma, LogHistogram, Summary, TimeWeighted};
+pub use stats::{Ewma, TimeWeighted};
 pub use time::{SimDuration, SimTime};

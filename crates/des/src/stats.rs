@@ -1,12 +1,7 @@
-//! Measurement primitives used by every experiment in the workspace.
-//!
-//! The simulator-agnostic kernels — [`Summary`], [`LogHistogram`],
-//! [`EmpiricalCdf`] — live in `elephant-obs` (shared with the run report)
-//! and are re-exported here so existing imports keep working.
-//! This module owns the accumulators that need simulation time:
-//! [`TimeWeighted`] signals and the [`Ewma`] smoother that pairs with them.
-
-pub use elephant_obs::{EmpiricalCdf, LogHistogram, Summary};
+//! Measurement primitives that need simulation time: [`TimeWeighted`]
+//! signals and the [`Ewma`] smoother that pairs with them. The
+//! simulator-agnostic kernels (`Summary`, `LogHistogram`, `EmpiricalCdf`)
+//! live in `elephant-obs`, shared with the run report.
 
 use crate::time::SimTime;
 
@@ -157,18 +152,5 @@ mod tests {
         w.add(t(10), -1.0);
         assert_eq!(w.current(), 1.0);
         assert_eq!(w.peak(), 2.0);
-    }
-
-    #[test]
-    fn moved_stats_types_remain_reachable() {
-        // The histogram/CDF/summary kernels live in elephant-obs now; this
-        // guards the re-export path downstream code depends on.
-        let mut s = Summary::new();
-        s.record(1.0);
-        assert_eq!(s.count(), 1);
-        let mut h = LogHistogram::for_latency_seconds();
-        h.record(1e-3);
-        assert_eq!(h.count(), 1);
-        assert_eq!(EmpiricalCdf::from_samples(&[1.0]).len(), 1);
     }
 }

@@ -4,7 +4,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use elephant_des::{EmpiricalCdf, HeapScheduler, Scheduler, SimDuration, SimTime, Summary};
+use elephant_des::{HeapScheduler, Scheduler, SimDuration, SimTime};
+use elephant_obs::{EmpiricalCdf, Summary};
 use proptest::prelude::*;
 
 /// A random scheduler workload: interleaved schedules (with arbitrary

@@ -5,7 +5,8 @@
 //! drop counts — and *performance* metrics — events executed per simulated
 //! second, which come from the DES kernel's counters rather than from here.
 
-use elephant_des::{EmpiricalCdf, LogHistogram, SimDuration, SimTime, Summary};
+use elephant_des::{SimDuration, SimTime};
+use elephant_obs::{EmpiricalCdf, LogHistogram, Summary};
 
 use crate::types::{FlowId, HostAddr};
 

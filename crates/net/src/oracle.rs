@@ -12,7 +12,8 @@
 //! the learned macro/micro oracle lives in `elephant-core`, which is the
 //! paper's actual contribution.
 
-use elephant_des::{LogHistogram, SimDuration, SimTime};
+use elephant_des::{SimDuration, SimTime};
+use elephant_obs::LogHistogram;
 
 use crate::packet::Packet;
 use crate::topology::{FabricPath, Topology};

@@ -103,8 +103,7 @@ pub struct HybridSpec {
     /// `[model] train_fallback`: capture + train a small default model
     /// when no artifact is available.
     pub train_fallback: bool,
-    /// The cluster kept at packet fidelity: `[model] full_cluster` when
-    /// set, else `[oracle] full_cluster`.
+    /// The cluster kept at packet fidelity: `[model] full_cluster`, else 0.
     pub full_cluster: u16,
     /// `[oracle] cache`: memoize verdicts for quantized feature keys.
     pub cache: bool,
@@ -170,11 +169,7 @@ pub fn compile(s: &Scenario, overrides: &CompileOverrides) -> Compiled {
         model_line: s.model.as_ref().map_or(0, |m| m.path_line),
         model_declared: s.model.is_some(),
         train_fallback: s.model.as_ref().is_some_and(|m| m.train_fallback),
-        full_cluster: s
-            .model
-            .as_ref()
-            .and_then(|m| m.full_cluster)
-            .unwrap_or(s.oracle.full_cluster),
+        full_cluster: s.model.as_ref().and_then(|m| m.full_cluster).unwrap_or(0),
         cache: s.oracle.cache,
         cache_cap: s.oracle.cache_cap,
         guard,
@@ -579,6 +574,13 @@ pub fn run_fingerprint<'a>(nets: impl IntoIterator<Item = &'a Network>) -> u64 {
         h.write(started);
         h.write(done);
     }
+    h.finish()
+}
+
+/// Folds fingerprints, in order, into one: a sweep's, over its cells.
+pub fn fold_fingerprints(fingerprints: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = Fnv::new();
+    fingerprints.into_iter().for_each(|f| h.write(f));
     h.finish()
 }
 

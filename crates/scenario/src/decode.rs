@@ -10,7 +10,7 @@
 use crate::schema::{
     AuditSpec, FaultSpec, GuardSpec, HostSelector, LinkSpecToml, LocalitySpec, ModelSpec,
     OracleSpec, OutputSpec, PdesSpec, ProfileSpec, RecoverySpec, RegimeWindow, RunSpec, Scenario,
-    SizeSpec, TopologySpec, TrafficGroup, TrafficKind, SCHEMA_VERSION,
+    SizeSpec, SweepAxis, TopologySpec, TrafficGroup, TrafficKind, SCHEMA_VERSION,
 };
 use crate::toml::{self, Spanned, Table, TomlValue};
 use crate::ScenarioError;
@@ -158,7 +158,7 @@ pub fn from_table(root: &Table) -> Result<Scenario, ScenarioError> {
         "scenario file",
         &[
             "schema", "scenario", "topology", "run", "traffic", "regime", "faults", "guard",
-            "recovery", "audit", "model", "oracle", "outputs",
+            "recovery", "audit", "model", "oracle", "outputs", "sweep",
         ],
     )?;
 
@@ -235,11 +235,15 @@ pub fn from_table(root: &Table) -> Result<Scenario, ScenarioError> {
     };
     let oracle = match root.get("oracle") {
         None => OracleSpec::default(),
-        Some(s) => decode_oracle(table_of(s, "oracle")?, &topology)?,
+        Some(s) => decode_oracle(table_of(s, "oracle")?)?,
     };
     let outputs = match root.get("outputs") {
         None => OutputSpec::default(),
         Some(s) => decode_outputs(table_of(s, "outputs")?)?,
+    };
+    let sweep = match root.get("sweep") {
+        None => Vec::new(),
+        Some(s) => decode_sweep(array_of(s, "sweep")?)?,
     };
 
     Ok(Scenario {
@@ -256,6 +260,7 @@ pub fn from_table(root: &Table) -> Result<Scenario, ScenarioError> {
         model,
         oracle,
         outputs,
+        sweep,
     })
 }
 
@@ -1122,8 +1127,14 @@ fn decode_model(t: &Table, topo: &TopologySpec) -> Result<ModelSpec, ScenarioErr
     Ok(spec)
 }
 
-fn decode_oracle(t: &Table, topo: &TopologySpec) -> Result<OracleSpec, ScenarioError> {
-    reject_unknown(t, "[oracle]", &["cache", "cache_cap", "full_cluster"])?;
+fn decode_oracle(t: &Table) -> Result<OracleSpec, ScenarioError> {
+    if let Some(s) = t.get("full_cluster") {
+        return Err(err(
+            s.line,
+            "[oracle] full_cluster: the cluster kept at packet fidelity is [model] full_cluster",
+        ));
+    }
+    reject_unknown(t, "[oracle]", &["cache", "cache_cap"])?;
     let mut spec = OracleSpec::default();
     if let Some(s) = t.get("cache") {
         spec.cache = bool_of(s, "oracle.cache")?;
@@ -1134,19 +1145,6 @@ fn decode_oracle(t: &Table, topo: &TopologySpec) -> Result<OracleSpec, ScenarioE
             return Err(err(s.line, "oracle.cache_cap: must be >= 1"));
         }
         spec.cache_cap = v;
-    }
-    if let Some(s) = t.get("full_cluster") {
-        let v = u16_of(s, "oracle.full_cluster")?;
-        if v >= topo.clusters {
-            return Err(err(
-                s.line,
-                format!(
-                    "oracle.full_cluster: cluster {v} out of range (topology.clusters = {})",
-                    topo.clusters
-                ),
-            ));
-        }
-        spec.full_cluster = v;
     }
     Ok(spec)
 }
@@ -1162,4 +1160,109 @@ fn decode_outputs(t: &Table) -> Result<OutputSpec, ScenarioError> {
         spec.sample_every_us = Some(v);
     }
     Ok(spec)
+}
+
+fn decode_sweep(items: &[Spanned]) -> Result<Vec<SweepAxis>, ScenarioError> {
+    let mut axes = Vec::with_capacity(items.len());
+    for (idx, item) in items.iter().enumerate() {
+        let what = format!("[[sweep]] axis {idx}");
+        let t = table_of(item, &what)?;
+        reject_unknown(t, &what, &["keys", "values"])?;
+        let mut keys = Vec::new();
+        for k in array_of(req(t, "keys", &what)?, &format!("{what}.keys"))? {
+            let key = str_of(k, &format!("{what}.keys"))?;
+            if key == "model" || key.starts_with("model.") {
+                return Err(err(
+                    t.line,
+                    format!(
+                        "{what}: `{key}` cannot be swept: a sweep resolves its model once, \
+                         from the base document"
+                    ),
+                ));
+            }
+            keys.push(key.to_string());
+        }
+        let items = array_of(req(t, "values", &what)?, &format!("{what}.values"))?;
+        if keys.is_empty() || items.is_empty() {
+            return Err(err(
+                t.line,
+                format!("{what}: `keys` and `values` must be non-empty"),
+            ));
+        }
+        // Linked keys take one value each from an array, or all the same
+        // scalar.
+        let mut values = Vec::with_capacity(items.len());
+        for v in items {
+            values.push(match &v.value {
+                TomlValue::Array(tuple) if keys.len() > 1 => {
+                    let (n, k) = (tuple.len(), keys.len());
+                    if n != k {
+                        return Err(err(t.line, format!("{what}: {n} items for {k} keys")));
+                    }
+                    tuple.iter().map(|x| x.value.to_string()).collect()
+                }
+                scalar => vec![scalar.to_string(); keys.len()],
+            });
+        }
+        axes.push(SweepAxis {
+            keys,
+            values,
+            line: t.line,
+        });
+    }
+    Ok(axes)
+}
+
+/// One cell of a `[[sweep]]`: the edits that make it, and the scenario
+/// they make.
+#[derive(Clone, Debug)]
+pub struct SweepCell {
+    /// `(key, TOML text)` per swept key, first axis first.
+    pub edits: Vec<(String, String)>,
+    /// The document with the edits written in, decoded.
+    pub scenario: Scenario,
+}
+
+/// Expands a document's `[[sweep]]` axes into their product, the first
+/// axis outermost. A cell is the document, less its axes, with one
+/// [`Table::set`] per swept key — the edit a flag makes — decoded by
+/// [`from_table`]; a rejection names the cell, at its axis's line. A
+/// document without axes is one cell.
+pub fn sweep_cells(doc: &Table) -> Result<Vec<SweepCell>, ScenarioError> {
+    let axes = from_table(doc)?.sweep;
+    let mut base = doc.clone();
+    base.entries.retain(|(k, _)| k != "sweep");
+    let cells: usize = axes.iter().map(|a| a.values.len()).product();
+    (0..cells)
+        .map(|n| {
+            // `n` in mixed radix, the last axis the fastest digit.
+            let (mut rest, mut set) = (n, Vec::new());
+            for a in axes.iter().rev() {
+                let value = &a.values[rest % a.values.len()];
+                rest /= a.values.len();
+                let edits = a
+                    .keys
+                    .iter()
+                    .zip(value)
+                    .map(|(k, v)| (k.clone(), v.clone(), a.line));
+                set.splice(0..0, edits);
+            }
+            let label: Vec<String> = set.iter().map(|(k, v, _)| format!("{k} = {v}")).collect();
+            let in_cell = |line, detail| {
+                err(
+                    line,
+                    format!("[[sweep]] cell {n} ({}): {detail}", label.join(", ")),
+                )
+            };
+            let mut cell = base.clone();
+            for (key, text, line) in &set {
+                cell.set(key, text, *line)
+                    .map_err(|e| in_cell(e.line, e.msg))?;
+            }
+            Ok(SweepCell {
+                scenario: from_table(&cell).map_err(|e| in_cell(e.line, e.detail))?,
+                edits: set.into_iter().map(|(k, v, _)| (k, v)).collect(),
+            })
+        })
+        .collect()
 }

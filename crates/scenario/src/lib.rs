@@ -14,6 +14,8 @@
 //!       └─ Table::set     (the CLI only: each flag value is written into
 //!       │                 the tree, so the decoder judges it like the file's)
 //!       └─ decode         validated [`Scenario`] (typed errors w/ lines)
+//!       │                 (sweep_cells: one per `[[sweep]]` cell, each
+//!       │                 cell the document plus its axes' Table::set edits)
 //!           └─ compile    [`Compiled`]: ClosParams + flows + FaultPlan
 //!               └─ Compiled::run ─► elephant_core::execute
 //! ```
@@ -32,11 +34,14 @@ pub mod toml;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub use compile::{compile, ms_to_time, run_fingerprint, CompileOverrides, Compiled, HybridSpec};
+pub use compile::{
+    compile, fold_fingerprints, ms_to_time, run_fingerprint, CompileOverrides, Compiled, HybridSpec,
+};
+pub use decode::{sweep_cells, SweepCell};
 pub use schema::{
     AuditSpec, FaultSpec, GuardSpec, HostSelector, LinkSpecToml, LocalitySpec, ModelSpec,
     OracleSpec, OutputSpec, PdesSpec, ProfileSpec, RecoverySpec, RegimeWindow, RunSpec, Scenario,
-    SizeSpec, TopologySpec, TrafficGroup, TrafficKind, SCHEMA_VERSION,
+    SizeSpec, SweepAxis, TopologySpec, TrafficGroup, TrafficKind, SCHEMA_VERSION,
 };
 
 use elephant_core::ElephantError;
@@ -59,18 +64,6 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-impl ScenarioError {
-    /// Attaches the file path, producing the pipeline-level error the CLI
-    /// maps to its scenario exit code.
-    pub fn into_elephant(self, path: &str) -> ElephantError {
-        ElephantError::Scenario {
-            path: path.to_string(),
-            line: self.line,
-            detail: self.detail,
-        }
-    }
-}
-
 impl Scenario {
     /// Decodes and validates a scenario from TOML text.
     pub fn from_toml_str(src: &str) -> Result<Scenario, ScenarioError> {
@@ -86,7 +79,11 @@ pub fn load(path: &str) -> Result<Scenario, ElephantError> {
         path: path.to_string(),
         source: e,
     })?;
-    Scenario::from_toml_str(&src).map_err(|e| e.into_elephant(path))
+    Scenario::from_toml_str(&src).map_err(|e| ElephantError::Scenario {
+        path: path.to_string(),
+        line: e.line,
+        detail: e.detail,
+    })
 }
 
 /// Lists the `.toml` files under `dir`, sorted by name.
@@ -218,7 +215,6 @@ train_fallback = true
 [oracle]
 cache = true
 cache_cap = 1024
-full_cluster = 1
 
 [outputs]
 sample_every_us = 100
@@ -457,8 +453,8 @@ sample_every_us = 100
         fn guard_and_oracle_ranges() {
             let doc = format!("{}\n[guard]\ntolerance = 1.5\n", base());
             expect_err(&doc, "tolerance: must be in [0, 1]");
-            let doc = format!("{}\n[oracle]\nfull_cluster = 4\n", base());
-            expect_err(&doc, "full_cluster: cluster 4 out of range");
+            let doc = format!("{}\n[oracle]\nfull_cluster = 0\n", base());
+            expect_err(&doc, "is [model] full_cluster");
         }
 
         #[test]
@@ -508,11 +504,11 @@ sample_every_us = 100
             let g = c.hybrid.guard.expect("guard defaults on");
             assert_eq!(g.latency_ceiling.as_nanos(), 100_000_000);
 
-            // [model] full_cluster overrides [oracle] full_cluster; the
-            // model path line points into the document.
+            // [model] picks the full cluster; the model path line points
+            // into the document.
             let doc = format!(
                 "{}\n[model]\npath = \"m.json\"\nfull_cluster = 1\n\
-                 [oracle]\nfull_cluster = 0\ncache = true\ncache_cap = 9\n",
+                 [oracle]\ncache = true\ncache_cap = 9\n",
                 base().replace("clusters = 1", "clusters = 2")
             );
             let s = Scenario::from_toml_str(&doc).expect("valid scenario");
@@ -520,7 +516,7 @@ sample_every_us = 100
             assert!(c.hybrid.model_declared);
             assert_eq!(c.hybrid.model_path.as_deref(), Some("m.json"));
             assert!(c.hybrid.model_line > 0);
-            assert_eq!(c.hybrid.full_cluster, 1, "[model] wins over [oracle]");
+            assert_eq!(c.hybrid.full_cluster, 1);
             assert!(c.hybrid.cache);
             assert_eq!(c.hybrid.cache_cap, 9);
         }

@@ -46,6 +46,29 @@ pub struct Scenario {
     pub oracle: OracleSpec,
     /// Sampler / artifact outputs.
     pub outputs: OutputSpec,
+    /// `[[sweep]]` axes: a document with any is a grid of runs, one per
+    /// cell of the axes' product (see [`crate::decode::sweep_cells`]).
+    pub sweep: Vec<SweepAxis>,
+}
+
+/// One `[[sweep]]` axis: scenario keys that move together, and the values
+/// they take — one cell per value.
+#[derive(Clone, Debug)]
+pub struct SweepAxis {
+    /// Dotted scenario key paths (`topology.clusters`), as a flag's key.
+    pub keys: Vec<String>,
+    /// Per value, the TOML text each key is set to, in `keys` order.
+    pub values: Vec<Vec<String>>,
+    /// Source line of the `[[sweep]]` header (0 when built
+    /// programmatically): a rejected cell names it.
+    pub line: u32,
+}
+
+// Like `ModelSpec::path_line`, `line` is provenance, not meaning.
+impl PartialEq for SweepAxis {
+    fn eq(&self, other: &Self) -> bool {
+        self.keys == other.keys && self.values == other.values
+    }
 }
 
 /// Clos topology description plus PDES partitioning defaults.
@@ -74,23 +97,6 @@ pub struct TopologySpec {
 }
 
 impl TopologySpec {
-    /// The paper's Figure-5 cluster shape, scenario-spec form.
-    pub fn paper_cluster(clusters: u16) -> Self {
-        let p = ClosParams::paper_cluster(clusters);
-        TopologySpec {
-            clusters,
-            racks_per_cluster: p.racks_per_cluster,
-            hosts_per_rack: p.hosts_per_rack,
-            aggs_per_cluster: p.aggs_per_cluster,
-            cores_per_group: p.cores_per_group,
-            host_link: LinkSpecToml::from_link(&p.host_link),
-            fabric_link: LinkSpecToml::from_link(&p.fabric_link),
-            core_link: LinkSpecToml::from_link(&p.core_link),
-            ecmp_seed: p.ecmp_seed,
-            pdes: PdesSpec::default(),
-        }
-    }
-
     /// Lowers to the engine's [`ClosParams`]. `dctcp` enables ECN marking
     /// on every layer at the workspace's standard 30 kB threshold when the
     /// links don't already carry their own thresholds.
@@ -113,11 +119,6 @@ impl TopologySpec {
             core_link: lower(&self.core_link),
             ecmp_seed: self.ecmp_seed,
         }
-    }
-
-    /// Total server count.
-    pub fn total_hosts(&self) -> u32 {
-        self.clusters as u32 * self.racks_per_cluster as u32 * self.hosts_per_rack as u32
     }
 
     /// True if `(cluster, rack, host)` addresses a real server.
@@ -527,8 +528,6 @@ pub struct OracleSpec {
     pub cache: bool,
     /// Cache capacity in verdicts.
     pub cache_cap: usize,
-    /// The cluster kept at packet fidelity.
-    pub full_cluster: u16,
 }
 
 impl Default for OracleSpec {
@@ -536,7 +535,6 @@ impl Default for OracleSpec {
         OracleSpec {
             cache: false,
             cache_cap: 65_536,
-            full_cluster: 0,
         }
     }
 }
@@ -545,9 +543,9 @@ impl Default for OracleSpec {
 ///
 /// A scenario with this section runs on the hybrid driver: `path` names a
 /// versioned model artifact (the CLI's `--model` flag overrides it),
-/// `full_cluster` overrides `[oracle] full_cluster` when present, and
-/// `train_fallback` mirrors the `hybrid` subcommand's behavior of
-/// capturing + training a small default model when no artifact exists.
+/// `full_cluster` picks the cluster kept at packet fidelity (0 when
+/// unset), and `train_fallback` mirrors the `hybrid` subcommand's behavior
+/// of capturing + training a small default model when no artifact exists.
 #[derive(Clone, Debug, Default)]
 pub struct ModelSpec {
     /// Path to the versioned model artifact (JSON), relative to the
@@ -557,8 +555,7 @@ pub struct ModelSpec {
     /// Source line of the `path` key (0 when built programmatically) —
     /// lets artifact-load failures report `file:line` scenario context.
     pub path_line: u32,
-    /// The cluster kept at packet fidelity; overrides
-    /// `[oracle] full_cluster` when set.
+    /// The cluster kept at packet fidelity (cluster 0 when unset).
     pub full_cluster: Option<u16>,
     /// Capture + train a small default model when `path` is absent or
     /// names a missing file (mirrors the `hybrid` subcommand).
@@ -807,11 +804,27 @@ impl Scenario {
         out.push_str("\n[oracle]\n");
         out.push_str(&format!("cache = {}\n", o.cache));
         out.push_str(&format!("cache_cap = {}\n", o.cache_cap));
-        out.push_str(&format!("full_cluster = {}\n", o.full_cluster));
 
         if let Some(us) = self.outputs.sample_every_us {
             out.push_str("\n[outputs]\n");
             out.push_str(&format!("sample_every_us = {us}\n"));
+        }
+
+        for a in &self.sweep {
+            let keys: Vec<String> = a.keys.iter().map(|k| format!("{k:?}")).collect();
+            // A linked axis writes every value as its per-key tuple, so a
+            // value that is itself an array re-reads as one.
+            let values: Vec<String> = a
+                .values
+                .iter()
+                .map(|v| match v.len() {
+                    1 => v[0].clone(),
+                    _ => format!("[{}]", v.join(", ")),
+                })
+                .collect();
+            out.push_str("\n[[sweep]]\n");
+            out.push_str(&format!("keys = [{}]\n", keys.join(", ")));
+            out.push_str(&format!("values = [{}]\n", values.join(", ")));
         }
         out
     }

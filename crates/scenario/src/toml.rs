@@ -45,6 +45,31 @@ impl TomlValue {
     }
 }
 
+/// The value as TOML text that parses back to it: what [`Table::set`]
+/// takes, and what the emitter writes for a `[[sweep]]` value.
+impl fmt::Display for TomlValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let joined = |items: Vec<String>| items.join(", ");
+        match self {
+            TomlValue::Str(s) => write!(f, "{s:?}"),
+            TomlValue::Int(i) => write!(f, "{i}"),
+            TomlValue::Float(x) => write!(f, "{x:?}"),
+            TomlValue::Bool(b) => write!(f, "{b}"),
+            TomlValue::Array(items) => {
+                write!(
+                    f,
+                    "[{}]",
+                    joined(items.iter().map(|s| s.value.to_string()).collect())
+                )
+            }
+            TomlValue::Table(t) => {
+                let entries = t.entries.iter().map(|(k, s)| format!("{k} = {}", s.value));
+                write!(f, "{{ {} }}", joined(entries.collect()))
+            }
+        }
+    }
+}
+
 /// A value plus the 1-based line it started on.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Spanned {

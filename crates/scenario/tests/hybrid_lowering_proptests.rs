@@ -4,6 +4,8 @@
 //! TOML values *exactly* — no silent clamping, no default substitution.
 //! Floats are emitted with `{:?}` (shortest round-tripping form), so
 //! text → f64 → lowering must reproduce the generated value bit-for-bit.
+//! The documents carry a `[[sweep]]` axis too, so the emitter round trip
+//! covers it.
 
 use elephant_des::SimDuration;
 use elephant_scenario::{compile, CompileOverrides, Scenario};
@@ -18,9 +20,10 @@ fn doc(
     trip_limit: u64,
     cache: bool,
     cache_cap: usize,
-    oracle_cluster: u16,
     model_cluster: Option<u16>,
     train_fallback: bool,
+    sweep: &[u16],
+    linked: bool,
 ) -> String {
     let mut s = format!(
         "schema = 1\n\
@@ -50,8 +53,24 @@ fn doc(
     s.push_str(&format!(
         "[oracle]\n\
          cache = {cache}\n\
-         cache_cap = {cache_cap}\n\
-         full_cluster = {oracle_cluster}\n"
+         cache_cap = {cache_cap}\n"
+    ));
+    // One axis over the cache capacity: alone, or linked with the trip
+    // limit through per-key tuples.
+    let values: Vec<String> = sweep
+        .iter()
+        .map(|&v| match linked {
+            true => format!("[{v}, {}]", v + 1),
+            false => v.to_string(),
+        })
+        .collect();
+    let keys = match linked {
+        true => "\"oracle.cache_cap\", \"guard.trip_limit\"",
+        false => "\"oracle.cache_cap\"",
+    };
+    s.push_str(&format!(
+        "[[sweep]]\nkeys = [{keys}]\nvalues = [{}]\n",
+        values.join(", ")
     ));
     s
 }
@@ -60,8 +79,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Every generated `[guard]`/`[oracle]`/`[model]` value survives
-    /// decode + compile unchanged, and the declared `[model] full_cluster`
-    /// wins over `[oracle] full_cluster` exactly when present.
+    /// decode + compile unchanged, the full cluster is the declared
+    /// `[model] full_cluster` or 0, and the `[[sweep]]` axis survives the
+    /// emitter.
     #[test]
     fn lowered_hybrid_settings_round_trip_exactly(
         clusters in 2u16..6,
@@ -71,12 +91,12 @@ proptest! {
         trip_limit in 1u64..10_000,
         cache in any::<bool>(),
         cache_cap in 1usize..1_000_000,
-        oracle_pick in 0u16..8,
         model_pick in 0u16..8,
         with_model_cluster in any::<bool>(),
         train_fallback in any::<bool>(),
+        sweep in proptest::collection::vec(1u16..1000, 1..4),
+        linked in any::<bool>(),
     ) {
-        let oracle_cluster = oracle_pick % clusters;
         let model_cluster = with_model_cluster.then_some(model_pick % clusters);
         let text = doc(
             clusters,
@@ -86,9 +106,10 @@ proptest! {
             trip_limit,
             cache,
             cache_cap,
-            oracle_cluster,
             model_cluster,
             train_fallback,
+            &sweep,
+            linked,
         );
         let s = Scenario::from_toml_str(&text)
             .unwrap_or_else(|e| panic!("generated scenario must parse: {e}\n---\n{text}"));
@@ -99,7 +120,9 @@ proptest! {
         prop_assert_eq!(h.model_path.as_deref(), Some("m.json"));
         prop_assert!(h.model_line > 0, "path line recorded");
         prop_assert_eq!(h.train_fallback, train_fallback);
-        prop_assert_eq!(h.full_cluster, model_cluster.unwrap_or(oracle_cluster));
+        prop_assert_eq!(h.full_cluster, model_cluster.unwrap_or(0));
+        prop_assert_eq!(s.sweep.len(), 1);
+        prop_assert_eq!(s.sweep[0].values.len(), sweep.len());
         prop_assert_eq!(h.cache, cache);
         prop_assert_eq!(h.cache_cap, cache_cap);
 

@@ -10,7 +10,7 @@
 //! cargo run --release --example pdes_leaf_spine
 //! ```
 
-use elephant::des::SimTime;
+use elephant::des::{EpochMode, SimTime};
 use elephant::net::{ClosParams, NetConfig, RttScope};
 use elephant::trace::{generate, LoadProfile, Locality, SizeDist, WorkloadConfig};
 use elephant_bench::run_pdes;
@@ -49,12 +49,14 @@ fn main() {
 
     for machines in [1usize, 2, 4] {
         let partitions = 2 * machines;
-        let out = run_pdes(params, &flows, horizon, partitions, machines, 64);
+        let mode = EpochMode::Adaptive;
+        let out = run_pdes(params, &flows, horizon, partitions, machines, 64, mode);
+        let wall = out.wall.as_secs_f64();
         println!(
             "{machines} machine(s): {:>9} events  {:>8.3}s wall  {:.4} sim-s/s  ({} epochs, {} msgs marshalled)",
             out.report.events_executed,
-            out.wall.as_secs_f64(),
-            out.sim_seconds_per_second(horizon),
+            wall,
+            horizon.as_secs_f64() / wall.max(1e-12),
             out.report.epochs,
             out.report.marshalled_messages,
         );

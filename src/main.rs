@@ -32,13 +32,15 @@
 //! run, or an attempt abandoned by the recovery ladder, never shows in
 //! the artifact of the run that follows it.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::exit;
 
 use elephant::core::{
     compare_cdfs, compare_ledgers, execute, guard_primary, oracle_stack, run_audit,
     run_ground_truth, single_oracle, train_cluster_model, AuditHooks, CacheStatsHandle,
-    CacheTotals, ClusterModel, ElephantError, Exec, Fidelity, Observe, OracleCounters, OracleStack,
-    Outcome, RunLedger, RunMeta, RunPlan, TrainingOptions, LEDGER_SCHEMA_VERSION,
+    CacheTotals, ClusterModel, ElephantError, Exec, Fidelity, Observe, OracleCounters,
+    OracleFactory, OracleStack, Outcome, RunLedger, RunMeta, RunPlan, TrainingOptions,
+    LEDGER_SCHEMA_VERSION,
 };
 use elephant::des::{EpochMode, SimDuration};
 use elephant::net::{
@@ -48,8 +50,8 @@ use elephant::net::{
 use elephant::obs::{RunReport, TimelineWriter, TraceRecord, PID_FLOWS};
 use elephant::scenario::toml::{self, TomlValue};
 use elephant::scenario::{
-    compile, decode, list_scenarios, load, run_fingerprint, CompileOverrides, Compiled, HybridSpec,
-    Scenario,
+    compile, decode, fold_fingerprints, list_scenarios, load, run_fingerprint, sweep_cells,
+    CompileOverrides, Compiled, HybridSpec, Scenario,
 };
 use elephant::trace::write_csv;
 
@@ -81,10 +83,16 @@ fn main() {
     if let Some(dir) = &req.list_dir {
         return list(dir);
     }
-    let scenario = req.scenario();
+    // The run's scenario: the document through the one decoder.
+    let doc = req.document();
+    let scenario = decode::from_table(&doc).unwrap_or_else(|e| req.reject(e.line, e.detail));
     match cmd {
         Cmd::Train => train(&req, &scenario),
         Cmd::Compare => compare(&req, &scenario),
+        _ if !scenario.sweep.is_empty() => sweep(&req, &doc, &scenario),
+        _ if req.sinks.csv.is_some() => {
+            bad_usage(cmd, "--csv needs a scenario with [[sweep]] axes")
+        }
         _ if req.validate => validated(&req, &compile(&scenario, &req.over)),
         _ => dispatch(&req, &compile(&scenario, &req.over)),
     }
@@ -225,6 +233,7 @@ struct Sinks {
     samples_out: Option<String>,
     trace: Option<usize>,
     trace_out: Option<String>,
+    csv: Option<String>,
 }
 
 impl Sinks {
@@ -384,8 +393,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--adaptive-epochs", metavar: "", cmds: RUN | HYBRID | SCENARIO, to: Field(|r, _| { r.epoch_mode = EpochMode::Adaptive; true }, ""), help: "plan PDES epochs from observed event frontiers, jumping idle stretches" },
     Flag { name: "--fixed-epochs", metavar: "", cmds: RUN | HYBRID | SCENARIO, to: Field(|r, _| { r.epoch_mode = EpochMode::Fixed; true }, ""), help: "step PDES epochs by a fixed lookahead increment instead (the A/B\nbaseline for the adaptive planner)" },
     Flag { name: "--profile", metavar: "", cmds: SIMULATE & !AUDIT, to: Field(|r, _| { r.sinks.profile = true; true }, ""), help: "collect metrics + span timings; print the report" },
-    Flag { name: "--metrics-out", metavar: "P", cmds: SIMULATE & !AUDIT, to: Field(|r, v| set_some(&mut r.sinks.metrics_out, v), ""), help: "write a schema-v1 run-ledger JSON to P (implies collection);\n`elephant compare A.json B.json` diffs two of them" },
-    Flag { name: "--ledger-out", metavar: "P", cmds: AUDIT, to: Field(|r, v| set_some(&mut r.sinks.metrics_out, v), ""), help: "write the hybrid-side run ledger (with divergence block) to P and the\ntruth-side ledger to P-minus-.json + .truth.json" },
+    Flag { name: "--metrics-out", metavar: "P", cmds: SIMULATE, to: Field(|r, v| set_some(&mut r.sinks.metrics_out, v), ""), help: "write a schema-v1 run-ledger JSON to P (implies collection); an audit writes\nthe hybrid side (with divergence block) to P, the truth side to\nP-minus-.json + .truth.json. `elephant compare A.json B.json` diffs two" },
     Flag { name: "--oracle-cache", metavar: "", cmds: ORACLE | AUDIT, to: Switch("oracle.cache", "true"), help: "memoize verdicts for quantized feature keys (DESIGN.md \"Oracle fast path\")" },
     Flag { name: "--oracle-cache-cap", metavar: "N", cmds: ORACLE | AUDIT, to: Key("oracle.cache_cap"), help: "cache capacity in verdicts" },
     Flag { name: "--no-guard", metavar: "", cmds: ORACLE | AUDIT, to: Switch("guard.enabled", "false"), help: "run the oracle unguarded: faults panic the run (DESIGN.md \"Robustness\")" },
@@ -398,6 +406,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--max-retries", metavar: "N", cmds: SCENARIO, to: Key("recovery.max_retries"), help: "restores per degradation-ladder rung; declares [recovery] too" },
     Flag { name: "--audit", metavar: "", cmds: SCENARIO, to: Field(|r, _| { r.audit = true; true }, ""), help: "paired truth+hybrid run gated on the scenario's [audit] bounds; exit 8\non divergence (DESIGN.md \"Accuracy observatory\")" },
     Flag { name: "--validate", metavar: "", cmds: SCENARIO, to: Field(|r, _| { r.validate = true; true }, ""), help: "load, validate and compile only; print a summary" },
+    Flag { name: "--csv", metavar: "P", cmds: SCENARIO, to: Field(|r, v| set_some(&mut r.sinks.csv, v), ""), help: "write a [[sweep]]'s results to P: one row per cell and fidelity" },
     Flag { name: "--list-scenarios", metavar: "[DIR]", cmds: SCENARIO, to: Field(|r, v| set_some(&mut r.list_dir, v), "scenarios"), help: "list the scenario files under DIR instead of running one" },
     Flag { name: "--tolerance", metavar: "F", cmds: LEDGERS, to: Field(|r, v| set(&mut r.tolerance, v), "0.05"), help: "relative drift tolerance for events and scalars" },
     Flag { name: HELP, metavar: "", cmds: SIMULATE | LEDGERS, to: To::Help, help: "print this and exit" },
@@ -513,10 +522,9 @@ impl Request {
         of_key.map(|e| e.2.as_str())
     }
 
-    /// The run's scenario: the command's document — its file, or the
-    /// built-in template — with every flag edit written into it, through
-    /// the one decoder. A missing file exits 3.
-    fn scenario(&self) -> Scenario {
+    /// The command's document — its file, or the built-in template — with
+    /// every flag edit written into it. A missing file exits 3.
+    fn document(&self) -> toml::Table {
         let mut doc = match self.file() {
             None => builtin(self.cmd),
             Some(path) => {
@@ -530,7 +538,7 @@ impl Request {
             doc.set(key, text, u32::MAX - *row as u32)
                 .unwrap_or_else(|e| self.reject(e.line, e.msg));
         }
-        decode::from_table(&doc).unwrap_or_else(|e| self.reject(e.line, e.detail))
+        doc
     }
 
     /// A scenario rejection. A value that arrived by flag (its `line` is
@@ -572,13 +580,8 @@ impl Request {
 /// Runs `c` on the engine `req` selects and reports through [`finish`].
 fn dispatch(req: &Request, c: &Compiled) {
     let hybrid = req.hybrid(c);
-    if hybrid && c.params.clusters < 2 {
-        req.reject(
-            c.hybrid.model_line,
-            "hybrid simulation needs >= 2 clusters (the oracle approximates \
-             every cluster but the full-fidelity one)"
-                .into(),
-        )
+    if hybrid {
+        needs_two_clusters(req, c);
     }
     req.sinks.enable();
     println!(
@@ -639,10 +642,50 @@ fn dispatch(req: &Request, c: &Compiled) {
         }
     }
 
+    let observe = Observe {
+        trace: match req.pdes {
+            true => None,
+            false => req.sinks.build_trace(flows),
+        },
+        sampler: sampler.as_mut(),
+    };
+    let (outcome, mut guard, mut caches) = simulate(req, c, model.as_ref(), observe);
+    if c.recovery.is_some() {
+        // The handles count every attempt (a restored net carries a clone
+        // of its oracle stack, which counts onto the same handle), so
+        // supervised runs report recovery state, not guard/cache stats.
+        guard = None;
+        caches.clear();
+    }
+    finish(req, c, &outcome, &guard, &caches, sampler.as_ref());
+}
+
+/// A hybrid approximates every cluster but the full-fidelity one.
+fn needs_two_clusters(req: &Request, c: &Compiled) {
+    if c.params.clusters < 2 {
+        req.reject(
+            c.hybrid.model_line,
+            "hybrid simulation needs >= 2 clusters (the oracle approximates \
+             every cluster but the full-fidelity one)"
+                .into(),
+        )
+    }
+}
+
+/// One run of `c` on the engine `req` selects: with a model, the hybrid
+/// served by its oracle stack (one per PDES partition), else full
+/// fidelity. Returns the outcome and the handles onto the stacks' guard
+/// and caches.
+fn simulate(
+    req: &Request,
+    c: &Compiled,
+    model: Option<&ClusterModel>,
+    observe: Observe<'_>,
+) -> (Outcome, Option<GuardStatsHandle>, Vec<CacheStatsHandle>) {
     let mut guard = None;
     let mut caches = Vec::new();
     let mut oracles = |partition: Option<usize>| {
-        let model = model.clone().expect("hybrid runs resolve a model");
+        let model = model.expect("hybrid runs have a model").clone();
         let stack = build_stack(model, c.params, c.seed, &c.hybrid, req.fault(), partition);
         guard = stack.guard;
         caches.extend(stack.cache);
@@ -652,29 +695,126 @@ fn dispatch(req: &Request, c: &Compiled) {
         true => c.pdes(None, req.epoch_mode),
         false => Exec::Sequential,
     };
-    let observe = Observe {
-        trace: match req.pdes {
-            true => None,
-            false => req.sinks.build_trace(flows),
-        },
-        sampler: sampler.as_mut(),
-    };
-    let outcome = c
-        .run(
-            hybrid.then_some(&mut oracles),
-            exec,
-            c.recovery.as_ref(),
-            observe,
-        )
-        .unwrap_or_else(|e| die(e));
-    if c.recovery.is_some() {
-        // The handles count every attempt (a restored net carries a clone
-        // of its oracle stack, which counts onto the same handle), so
-        // supervised runs report recovery state, not guard/cache stats.
-        guard = None;
-        caches.clear();
+    let oracles = model.is_some().then_some(&mut oracles as OracleFactory<'_>);
+    let outcome = c.run(oracles, exec, c.recovery.as_ref(), observe);
+    (outcome.unwrap_or_else(|e| die(e)), guard, caches)
+}
+
+/// A sweep run's CSV row: the axis values and the run's own columns, its
+/// metric rows by column name, and a hybrid run's speedup over the cell's
+/// full run.
+type SweepRow = (Vec<String>, BTreeMap<String, f64>, Option<f64>);
+
+/// `run-scenario` on a document with `[[sweep]]` axes: each cell runs at
+/// full fidelity and, when the document is hybrid, then as the hybrid,
+/// through [`simulate`] like any run, with one model resolved from the
+/// base document. Prints a line per cell and the fold of the runs'
+/// fingerprints; `--csv P` writes a row per (cell, fidelity).
+fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
+    // What names one run's artifact, or one paired run: a sweep has no
+    // one run to give it to. `--sample-every`, `--checkpoint-every-ms` and
+    // `--max-retries` write the sections.
+    let one_run = [
+        (req.sinks.metrics_out.is_some(), "--metrics-out"),
+        (req.sinks.samples_out.is_some(), "--samples-out"),
+        (req.sinks.profile, "--profile"),
+        (req.audit, "an audit"),
+        (s.outputs.sample_every_us.is_some(), "an [outputs] section"),
+        (s.recovery.is_some(), "a [recovery] section"),
+    ];
+    if let Some((_, what)) = one_run.iter().find(|(given, _)| *given) {
+        bad_usage(req.cmd, format!("{what} names one run, not a sweep"))
     }
-    finish(req, c, &outcome, &guard, &caches, sampler.as_ref());
+    // An axis sets its keys in every cell, over any flag edit.
+    let swept = |key: &str| s.sweep.iter().any(|a| a.keys.iter().any(|k| k == key));
+    if let Some((row, key, _)) = req.edits.iter().find(|e| swept(e.1)) {
+        let flag = FLAGS[*row].name;
+        bad_usage(req.cmd, format!("{flag}: `{key}` is a [[sweep]] axis"))
+    }
+    let cells = sweep_cells(doc).unwrap_or_else(|e| req.reject(e.line, e.detail));
+    let label = |edits: &[(String, String)]| {
+        let set: Vec<String> = edits.iter().map(|(k, v)| format!("{k} = {v}")).collect();
+        set.join(", ")
+    };
+    let cells: Vec<_> = cells
+        .into_iter()
+        .map(|cell| (cell.edits, compile(&cell.scenario, &req.over)))
+        .collect();
+    if req.validate {
+        for (n, (edits, c)) in cells.iter().enumerate() {
+            println!("[[sweep]] cell {n} ({})", label(edits));
+            validated(req, c);
+        }
+        return;
+    }
+    let base = compile(s, &req.over);
+    let hybrid = req.hybrid(&base);
+    let model = hybrid.then(|| resolve_model(req, &base));
+
+    let mut rows: Vec<SweepRow> = Vec::new();
+    let mut fingerprints = Vec::new();
+    for (n, (edits, c)) in cells.iter().enumerate() {
+        let mut line = format!("  cell {n} ({}):", label(edits));
+        let mut full_wall = None;
+        for model in [None].into_iter().chain(model.as_ref().map(Some)) {
+            if model.is_some() {
+                needs_two_clusters(req, c);
+            }
+            let (out, guard, caches) = simulate(req, c, model, Observe::default());
+            let wall = out.meta.wall.as_secs_f64();
+            let speedup = full_wall.map(|full: f64| full / wall.max(1e-9));
+            full_wall.get_or_insert(wall);
+            let fingerprint = run_fingerprint(&out.nets);
+            fingerprints.push(fingerprint);
+            let fidelity = model.map_or("full", |_| "hybrid");
+            let flows = model.map_or(c.flows.len(), |_| c.hybrid_flows().len());
+            let (events, sim_s) = (out.meta.events, out.meta.sim_seconds);
+            let mut fixed: Vec<String> = edits.iter().map(|(_, v)| csv_field(v)).collect();
+            fixed.push(format!(
+                "{fidelity},{flows},{events},{wall},{sim_s},{fingerprint:#018x}"
+            ));
+            let metrics = out.metric_rows(&oracle_counters(&guard, &caches));
+            let metrics = metrics.into_iter().map(|m| match m.label.is_empty() {
+                true => (m.name, m.value),
+                false => (format!("{}[{}]", m.name, m.label), m.value),
+            });
+            rows.push((fixed, metrics.collect(), speedup));
+            line += &format!(" {fidelity} {events} events {wall:.2}s");
+            if let Some(x) = speedup {
+                line += &format!(" ({x:.2}x)");
+            }
+        }
+        println!("{line}");
+    }
+    println!("  fingerprint: {:#018x}", fold_fingerprints(fingerprints));
+
+    let Some(path) = &req.sinks.csv else { return };
+    let metrics: BTreeSet<String> = rows.iter().flat_map(|r| r.1.keys().cloned()).collect();
+    let mut header: Vec<&str> = cells[0].0.iter().map(|(k, _)| k.as_str()).collect();
+    header.push("fidelity,flows,events,wall_s,sim_s,fingerprint");
+    header.extend(metrics.iter().map(String::as_str));
+    header.extend(hybrid.then_some("speedup_vs_full"));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut text = format!("# elephant {}\n{}\n", args.join(" "), header.join(","));
+    let count = rows.len();
+    for (mut row, values, speedup) in rows {
+        let value = |m| values.get(m).map_or(String::new(), f64::to_string);
+        row.extend(metrics.iter().map(value));
+        if hybrid {
+            row.push(speedup.map_or(String::new(), |x| x.to_string()));
+        }
+        text += &(row.join(",") + "\n");
+    }
+    written(path, std::fs::write(path, text));
+    println!("wrote {path} ({count} rows)");
+}
+
+/// A CSV field: quoted when it holds a comma or a quote.
+fn csv_field(text: &str) -> String {
+    match text.contains([',', '"']) {
+        true => format!("\"{}\"", text.replace('"', "\"\"")),
+        false => text.to_string(),
+    }
 }
 
 /// The one epilogue: summary, guard/cache report, fingerprint line,
@@ -747,14 +887,23 @@ fn finish(
 /// counters they were printed from, for the ledger's `hybrid/guard/*` and
 /// `hybrid/cache/*` rows.
 fn report_oracle(guard: &Option<GuardStatsHandle>, caches: &[CacheStatsHandle]) -> OracleCounters {
-    let guard = guard.as_ref().map(|h| h.snapshot());
-    if let Some(g) = &guard {
+    let counters = oracle_counters(guard, caches);
+    if let Some(g) = &counters.guard {
         println!("  guardrail : {g}");
     }
-    let cache = CacheTotals::of(caches);
-    if let Some(c) = &cache {
+    if let Some(c) = &counters.cache {
         println!("  cache     : {c}");
     }
+    counters
+}
+
+/// What a run's oracle stack counted, read off its live handles.
+fn oracle_counters(
+    guard: &Option<GuardStatsHandle>,
+    caches: &[CacheStatsHandle],
+) -> OracleCounters {
+    let guard = guard.as_ref().map(|h| h.snapshot());
+    let cache = CacheTotals::of(caches);
     OracleCounters { guard, cache }
 }
 
@@ -786,7 +935,7 @@ fn emit_ledger(sinks: &Sinks, mut ledger: RunLedger, describe: impl FnOnce(&mut 
 }
 
 /// Seals and writes a schema-v1 [`RunLedger`] — the one artifact shape
-/// every command's `--metrics-out`/`--ledger-out` emits, and the input
+/// every command's `--metrics-out` emits, and the input
 /// `elephant compare A.json B.json` diffs.
 fn save_ledger(path: &str, mut ledger: RunLedger) {
     ledger.scenario = ledger.report.scenario.clone();
@@ -1114,12 +1263,11 @@ fn compare(req: &Request, s: &Scenario) {
     };
     let model = read_model(path).unwrap_or_else(|e| die(e));
     // The table is scored on a workload the model was not trained on:
-    // the next seed's.
-    let seed = s.run.seed;
+    // the next seed's, which seeds the oracle and the ledger too.
     let c = compile(
         s,
         &CompileOverrides {
-            seed: Some(seed.wrapping_add(1)),
+            seed: Some(s.run.seed.wrapping_add(1)),
             ..req.over
         },
     );
@@ -1133,7 +1281,7 @@ fn compare(req: &Request, s: &Scenario) {
     let (truth, tmeta) = run_ground_truth(c.params, cfg, None, &c.flows, c.horizon);
     let elided = c.hybrid_flows();
     println!("hybrid ({} flows after elision) ...", elided.len());
-    let stack = build_stack(model, c.params, seed, &c.hybrid, req.fault(), None);
+    let stack = build_stack(model, c.params, c.seed, &c.hybrid, req.fault(), None);
     let fidelity = Fidelity::Hybrid {
         full_cluster,
         oracles: &mut single_oracle(stack.oracle),
@@ -1163,11 +1311,17 @@ fn compare(req: &Request, s: &Scenario) {
         tmeta.events as f64 / hmeta.events.max(1) as f64,
     );
     let what = format!(
-        "truth vs hybrid, {} clusters, seed {seed}",
-        c.params.clusters
+        "truth vs hybrid, {} clusters, seed {}",
+        c.params.clusters, c.seed
     );
     // The ledger names the hybrid run, so that is the run it counts.
-    let ledger = stamp("compare", "compare", what, seed, run_fingerprint([hybrid]));
+    let ledger = stamp(
+        "compare",
+        "compare",
+        what,
+        c.seed,
+        run_fingerprint([hybrid]),
+    );
     emit_ledger(&req.sinks, ledger, |r| out.describe(r, &oracle));
 }
 

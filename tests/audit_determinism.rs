@@ -261,7 +261,7 @@ fn every_driver_emits_a_loadable_ledger() {
             scenario,
             "--horizon-ms",
             "6",
-            "--ledger-out",
+            "--metrics-out",
             audit_s,
         ])
         .output()

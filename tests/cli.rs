@@ -386,6 +386,119 @@ fn cli_audit_spellings_agree() {
     assert_eq!(direct, flagged, "the two audit spellings disagree");
 }
 
+/// `compare --model` scores the next seed's workload, and seeds the oracle
+/// and its ledger from that seed too: the hybrid it seals is the one
+/// `hybrid` runs at that seed.
+#[test]
+fn cli_compare_runs_the_hybrid_of_the_next_seed() {
+    let dir = std::env::temp_dir().join("elephant_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("compare_model.json");
+    let model = model.to_str().unwrap();
+    let tiny = [
+        "--horizon-ms",
+        "8",
+        "--epochs",
+        "1",
+        "--hidden",
+        "8",
+        "--layers",
+        "1",
+    ];
+    run_ok(&[&["train"][..], &tiny, &["--out", model]].concat());
+    let ledger = dir.join("compare_seed6.json");
+    let shape = ["--model", model, "--clusters", "2", "--horizon-ms", "5"];
+    let extra = ["--seed", "6", "--metrics-out", ledger.to_str().unwrap()];
+    run_ok(&[&["compare"][..], &shape, &extra].concat());
+    let sealed = elephant::core::RunLedger::load(&ledger).expect("ledger validates");
+    assert_eq!(sealed.seed, 7);
+    let out = run_ok(&[&["hybrid"][..], &shape, &["--seed", "7"]].concat());
+    assert!(
+        out.contains(&format!("fingerprint: {:#018x}", sealed.fingerprint)),
+        "compare sealed {:#018x}, hybrid --seed 7 printed:\n{out}",
+        sealed.fingerprint
+    );
+}
+
+const FIGURE5: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/scenarios/figures/figure5.toml"
+);
+
+/// A `[[sweep]]` file writes one CSV row per cell and fidelity, headed by
+/// the command that made it; a flag naming one run's artifact or editing
+/// a swept key is a usage error on a sweep, and so is `--csv` on a file
+/// without one.
+#[test]
+fn cli_sweep_writes_a_row_per_cell_and_fidelity() {
+    let dir = std::env::temp_dir().join("elephant_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("figure5.csv");
+    let csv = csv.to_str().unwrap();
+    let out = run_ok(&["run-scenario", FIGURE5, "--horizon-ms", "2", "--csv", csv]);
+    assert!(out.contains("fingerprint: "), "{out}");
+    let text = std::fs::read_to_string(csv).expect("CSV written");
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(
+        lines[0].starts_with("# elephant run-scenario "),
+        "{}",
+        lines[0]
+    );
+    let head = "topology.clusters,fidelity,flows,events,wall_s,sim_s,fingerprint,";
+    assert!(lines[1].starts_with(head), "{}", lines[1]);
+    assert!(lines[1].ends_with(",speedup_vs_full"), "{}", lines[1]);
+    let fidelity: Vec<&str> = lines[2..]
+        .iter()
+        .map(|l| l.split(',').nth(1).unwrap())
+        .collect();
+    assert_eq!(fidelity, ["full", "hybrid"].repeat(4), "2 x 4 cells");
+
+    const INCAST: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/incast.toml");
+    const HYBRID_PDES: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/figures/hybrid_pdes.toml"
+    );
+    let ledger = dir.join("sweep.json");
+    // The model is resolved once, from the base document: an axis over
+    // it is a file error at the axis's line.
+    let model_axis = dir.join("model_axis.toml");
+    let text = std::fs::read_to_string(FIGURE5).unwrap()
+        + "[[sweep]]\nkeys = [\"model.path\"]\nvalues = [\"a.json\", \"b.json\"]\n";
+    std::fs::write(&model_axis, text).unwrap();
+    for (bad, names, code) in [
+        (
+            &["run-scenario", model_axis.to_str().unwrap()][..],
+            "`model.path` cannot be swept",
+            6,
+        ),
+        // A flag edit of a swept key would be overwritten in every cell.
+        (
+            &["run-scenario", HYBRID_PDES, "--partitions", "4"][..],
+            "--partitions",
+            2,
+        ),
+        (
+            &[
+                "run-scenario",
+                FIGURE5,
+                "--metrics-out",
+                ledger.to_str().unwrap(),
+            ][..],
+            "--metrics-out",
+            2,
+        ),
+        (&["run-scenario", INCAST, "--csv", csv], "--csv", 2),
+    ] {
+        let out = elephant().args(bad).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "elephant {bad:?}: {stderr}");
+        assert!(
+            stderr.lines().next().unwrap_or("").contains(names),
+            "{stderr}"
+        );
+    }
+}
+
 /// `hybrid` without `--model` falls back to capturing and training a small
 /// model on the spot, so `--profile`/`--metrics-out` work standalone.
 #[test]

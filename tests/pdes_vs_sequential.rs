@@ -8,11 +8,13 @@
 //! drain-to-quiescence run, delivered byte counts match exactly, and event
 //! counts agree to within tie-ordering noise.
 
-use elephant::core::{execute, Exec, Fidelity, PdesExec, PdesRun, RunPlan};
+use elephant::core::{execute, oracle_stack, Exec, Fidelity, PdesExec, PdesRun, RunPlan};
 use elephant::des::{EpochMode, SimTime};
 use elephant::net::{ClosParams, NetConfig, RttScope};
 use elephant::trace::{generate, LoadProfile, Locality, SizeDist, WorkloadConfig};
-use elephant_bench::{run_hybrid_pdes, run_pdes, train_default_model};
+use elephant_bench::{run_pdes, train_default_model};
+
+const ADAPTIVE: EpochMode = EpochMode::Adaptive;
 
 #[test]
 fn pdes_matches_sequential_outcomes() {
@@ -45,7 +47,7 @@ fn pdes_matches_sequential_outcomes() {
     assert_eq!(net.stats.delivered_bytes, total_bytes);
 
     for (partitions, machines) in [(2usize, 1usize), (4, 2), (4, 4)] {
-        let out = run_pdes(params, &flows, horizon, partitions, machines, 64);
+        let out = run_pdes(params, &flows, horizon, partitions, machines, 64, ADAPTIVE);
         // Delivered bytes & completions live inside the partitions'
         // networks, which run_pdes does not return; event-count agreement
         // plus the lookahead assertions inside the engine are the
@@ -78,14 +80,19 @@ fn pdes_event_totals_are_reproducible() {
     };
     let flows = generate(&params, &wl);
     let horizon = SimTime::from_secs(10);
-    let a = run_pdes(params, &flows, horizon, 4, 2, 64);
-    let b = run_pdes(params, &flows, horizon, 4, 2, 64);
+    let a = run_pdes(params, &flows, horizon, 4, 2, 64, ADAPTIVE);
+    let b = run_pdes(params, &flows, horizon, 4, 2, 64, ADAPTIVE);
     assert_eq!(a.report.remote_messages, b.report.remote_messages);
     // Event totals can differ only through same-instant mailbox ordering;
     // for this workload they should be stable.
     let rel = (a.report.events_executed as f64 - b.report.events_executed as f64).abs()
         / a.report.events_executed as f64;
-    assert!(rel < 0.01, "repeat runs diverged: {a:?} vs {b:?}");
+    assert!(
+        rel < 0.01,
+        "repeat runs diverged: {:?} vs {:?}",
+        a.report,
+        b.report
+    );
 }
 
 /// Everything a PDES run computes, per partition, to full precision.
@@ -204,7 +211,7 @@ fn adaptive_and_fixed_epochs_compute_identical_simulations() {
 #[test]
 fn hybrid_pdes_smoke() {
     // The hybrid simulator under conservative PDES: cluster-wise
-    // partitions, per-partition oracle instances around shared weights.
+    // partitions, each with its own oracle stack around shared weights.
     // Verifies the lookahead discipline holds (the engine asserts it) and
     // that boundary traffic actually flows across partitions.
     let horizon = SimTime::from_millis(10);
@@ -222,7 +229,23 @@ fn hybrid_pdes_smoke() {
         0,
     );
     assert!(!flows.is_empty());
-    let (out, oracle_pkts) = run_hybrid_pdes(params, 0, &model, &flows, horizon, 2, 64, 9);
+    let mut oracles =
+        |p: Option<usize>| oracle_stack(model.clone(), params, 9, p, None, None).oracle;
+    let fidelity = Fidelity::Hybrid {
+        full_cluster: 0,
+        oracles: &mut oracles,
+    };
+    let mut plan = RunPlan::new(params, NetConfig::default(), &flows, horizon, fidelity);
+    plan.exec = Exec::Pdes(PdesExec {
+        partitions: 0, // hybrid runs partition by cluster
+        machines: 2,
+        envelope_bytes: 64,
+        mode: ADAPTIVE,
+        faults: None,
+    });
+    let run = execute(plan).unwrap_or_else(|e| panic!("{e}"));
+    let oracle_pkts = run.oracle_deliveries();
+    let out = run.into_pdes_run();
     assert!(
         out.report.events_executed > 10_000,
         "events {}",

@@ -10,12 +10,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use elephant::core::{FeatureQuantizer, ModelMeta, QuantizerConfig, FEATURE_DIM, NAN_BUCKET};
-use elephant::des::{EmpiricalCdf, SimTime, Simulator};
+use elephant::des::{SimTime, Simulator};
 use elephant::flow::max_min_allocation;
 use elephant::net::{
     schedule_flows, ClosParams, Direction, FlowId, FlowSpec, HostAddr, NetConfig, Network,
     NodeKind, RttScope, Topology,
 };
+use elephant::obs::EmpiricalCdf;
 use elephant::trace::SizeDist;
 use proptest::prelude::*;
 

@@ -357,6 +357,7 @@ fn cli_rejects_bad_model_sections() {
         ("[model]\npaths = \"m.json\"\n", "unknown key `paths`"),
         ("[model]\npath = 7\n", "model.path"),
         ("[model]\nfull_cluster = 9\n", "out of range"),
+        ("[oracle]\nfull_cluster = 1\n", "[model] full_cluster"),
     ]
     .iter()
     .enumerate()
