@@ -278,13 +278,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 char (input is a &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text =
-                        std::str::from_utf8(rest).map_err(|_| Error::custom("invalid utf-8"))?;
-                    let c = text.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` at once. Both
+                    // are ASCII, so the run ends on a character boundary of
+                    // the input, which came in as a `&str`.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| Error::custom("invalid utf-8"))?;
+                    s.push_str(run);
                 }
             }
         }
@@ -384,6 +387,42 @@ mod tests {
     fn unicode_escapes() {
         let s: String = from_str(r#""A😀""#).unwrap();
         assert_eq!(s, "A😀");
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes() {
+        let s: String = from_str(r#""aπ\"b\\né""#).unwrap();
+        assert_eq!(s, "aπ\"b\\né");
+        let s: String = from_str(r#""π\u00e9\nλ""#).unwrap();
+        assert_eq!(s, "πé\nλ");
+        let s: String = from_str(r#""""#).unwrap();
+        assert_eq!(s, "");
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        for text in [r#""abc"#, r#""aπ"#, r#""a\""#, r#"{"k"#, r#"["x\\"#] {
+            let err = from_str::<Value>(text).unwrap_err();
+            assert!(
+                err.to_string().contains("unterminated string"),
+                "{text}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn key_at_the_start_of_a_large_document() {
+        let values = vec![0.125f64; 200_000];
+        let text = format!(r#"{{"kéy":{}}}"#, to_string(&values).unwrap());
+        assert!(text.len() >= 1 << 20, "{} bytes", text.len());
+        match parse_value(&text).unwrap() {
+            Value::Map(entries) => {
+                assert_eq!(entries.len(), 1);
+                assert_eq!(entries[0].0, "kéy");
+                assert!(matches!(&entries[0].1, Value::Seq(v) if v.len() == values.len()));
+            }
+            other => panic!("not a map: {other:?}"),
+        }
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! slice ([`sigmoid_inplace`], [`tanh_inplace`]); and libm's answer is the
 //! host C library's (glibc picks `expf` by CPU feature at load time), while
 //! IEEE `+ − × ÷` with no fused multiply-add give the same bits everywhere.
+//! That includes both builds of the model's entry points: everything here
+//! is `#[inline(always)]`, so the AVX2 clone of `MicroNet::predict` runs the
+//! f64 fit four lanes at a time where the portable build runs two, with the
+//! same bits (see the `matrix` module docs; the tests compare the builds).
 //!
 //! NaN in is NaN out — the guard's non-finite check depends on it — which
 //! is why the clamp is a select on two comparisons, never `max`/`min`
@@ -46,7 +50,7 @@ fn rational(x: f64) -> f64 {
 }
 
 /// Hyperbolic tangent (see the module docs for the approximation).
-#[inline]
+#[inline(always)]
 pub fn tanh(x: f32) -> f32 {
     let x = f64::from(x);
     // Computed unconditionally and then selected, so a loop over a slice
@@ -58,7 +62,7 @@ pub fn tanh(x: f32) -> f32 {
 }
 
 /// Logistic sigmoid, `½ + ½·tanh(x/2)` (see the module docs).
-#[inline]
+#[inline(always)]
 pub fn sigmoid(x: f32) -> f32 {
     let h = 0.5 * f64::from(x);
     let s = 0.5 + 0.5 * rational(h);
@@ -67,11 +71,13 @@ pub fn sigmoid(x: f32) -> f32 {
 }
 
 /// Elementwise sigmoid over a slice.
+#[inline(always)]
 pub fn sigmoid_inplace(xs: &mut [f32]) {
     xs.iter_mut().for_each(|x| *x = sigmoid(*x));
 }
 
 /// Elementwise tanh over a slice.
+#[inline(always)]
 pub fn tanh_inplace(xs: &mut [f32]) {
     xs.iter_mut().for_each(|x| *x = tanh(*x));
 }
@@ -167,6 +173,55 @@ mod tests {
         for (i, &x) in xs.iter().enumerate() {
             assert_eq!(s[i].to_bits(), sigmoid(x).to_bits());
             assert_eq!(t[i].to_bits(), tanh(x).to_bits());
+        }
+    }
+
+    /// Both slice passes over `xs`.
+    #[inline(always)]
+    fn slice_outputs(xs: &[f32]) -> Vec<f32> {
+        let (mut s, mut t) = (xs.to_vec(), xs.to_vec());
+        sigmoid_inplace(&mut s);
+        tanh_inplace(&mut t);
+        s.extend(t);
+        s
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn slice_outputs_avx2(xs: &[f32]) -> Vec<f32> {
+        slice_outputs(xs)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_build_gives_the_portable_bits() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("skipped: this CPU has no AVX2");
+            return;
+        }
+        // The grid, the specials, and the floats either side of the clamp
+        // (`tanh` clamps at `CLAMP`, `sigmoid` at `2·CLAMP`).
+        let mut xs: Vec<f32> = grid().collect();
+        xs.extend([
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+        ]);
+        for edge in [CLAMP as f32, (2.0 * CLAMP) as f32] {
+            for bits in edge.to_bits() - 4..=edge.to_bits() + 4 {
+                let x = f32::from_bits(bits);
+                xs.extend([x, -x]);
+            }
+        }
+        let narrow = slice_outputs(&xs);
+        // SAFETY: the CPU has AVX2, checked at the top.
+        let wide = unsafe { slice_outputs_avx2(&xs) };
+        for (i, (w, n)) in wide.iter().zip(&narrow).enumerate() {
+            // A NaN stays a NaN; its payload is not part of the contract.
+            let same = w.to_bits() == n.to_bits() || (w.is_nan() && n.is_nan());
+            assert!(same, "input {}: {w} vs {n}", xs[i % xs.len()]);
         }
     }
 

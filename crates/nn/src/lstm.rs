@@ -113,6 +113,7 @@ impl LstmCell {
     }
 
     /// Advances `state` by one step; optionally captures the activations.
+    #[inline(always)]
     fn step(&self, x: &[f32], state: &mut CellState, capture: bool) -> Option<StepCache> {
         assert_eq!(x.len(), self.input, "LSTM input width mismatch");
         let hdim = self.hidden;
@@ -148,6 +149,7 @@ impl LstmCell {
     /// One BPTT step. `dh`/`dc` are gradients flowing in from above and
     /// from the future; outputs are written to `dx` (input gradient,
     /// added), and the returned `(dh_prev, dc_prev)`.
+    #[inline(always)]
     fn backward_step(
         &self,
         cache: &StepCache,
@@ -245,6 +247,7 @@ impl Lstm {
     /// Advances the persistent state one step; writes the top layer's
     /// hidden vector into `out`. Allocation-free: this is the per-packet
     /// hot path of the deployed oracle.
+    #[inline(always)]
     pub fn step_infer(&self, x: &[f32], state: &mut LstmState, out: &mut [f32]) {
         let InferScratch { a, z, x: x_buf } = &mut state.scratch;
         x_buf.clear();
@@ -258,14 +261,16 @@ impl Lstm {
             // The training-path `step`'s kernel and activations, so the
             // two compute the same bits.
             cell.w.gate_matvec(a, &cell.b, z);
-            for k in 0..hdim {
-                let (i, f, g) = (z[k], z[hdim + k], z[2 * hdim + k]);
-                st.c[k] = f * st.c[k] + i * g;
+            let (i, rest) = z.split_at(hdim);
+            let (f, rest) = rest.split_at(hdim);
+            let (g, o) = rest.split_at(hdim);
+            for (((c, &i), &f), &g) in st.c.iter_mut().zip(i).zip(f).zip(g) {
+                *c = f * *c + i * g;
             }
             // h = o ⊙ tanh(c), the tanh as one pass over the slice.
             st.h.copy_from_slice(&st.c);
             tanh_inplace(&mut st.h);
-            for (h, &o) in st.h.iter_mut().zip(&z[3 * hdim..]) {
+            for (h, &o) in st.h.iter_mut().zip(o) {
                 *h *= o;
             }
             x_buf.clear();
@@ -276,6 +281,7 @@ impl Lstm {
 
     /// Runs a training window from a zero state, returning the top hidden
     /// vector at each step and the cache for [`Lstm::backward_seq`].
+    #[inline(always)]
     pub fn forward_seq(&self, xs: &[Vec<f32>]) -> (Vec<Vec<f32>>, LstmSeqCache) {
         let mut state = self.init_state();
         let mut tops = Vec::with_capacity(xs.len());
@@ -298,6 +304,7 @@ impl Lstm {
     /// Full BPTT over a cached window. `dh_top[t]` is the loss gradient on
     /// the top hidden vector at step `t`; gradients accumulate into
     /// `grads` (one per layer).
+    #[inline(always)]
     pub fn backward_seq(
         &self,
         cache: &LstmSeqCache,

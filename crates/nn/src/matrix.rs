@@ -17,6 +17,17 @@
 //! `cols mod 8` tail columns one by one, then the bias. So the layout changes
 //! no bit of any result; the tests check every kernel against a row-major
 //! reference.
+//!
+//! **Instruction set.** Every kernel is `#[inline(always)]`: it has no
+//! build of its own but is compiled into each caller, and so into both
+//! builds of the model's entry points (`MicroNet::predict` and the training
+//! window pass): the portable one, and on an x86-64 CPU with AVX2 a
+//! `#[target_feature(enable = "avx2")]` clone, where a full panel is one
+//! 256-bit register. The source and the operation order are shared and only
+//! IEEE `+ − × ÷` are used — no `mul_add`, no `fma` target feature, and the
+//! compiler neither reassociates nor fuses float arithmetic on its own — so
+//! both builds compute the same bits; the tests compare them kernel by
+//! kernel.
 
 use std::ops::Range;
 
@@ -145,6 +156,7 @@ impl Matrix {
     }
 
     /// `y = A·x` (y allocated by caller, length `rows`).
+    #[inline(always)]
     pub fn matvec(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output mismatch");
@@ -158,6 +170,7 @@ impl Matrix {
     ///
     /// This is the one forward kernel of the LSTM, shared by training and
     /// inference, which is why both compute the same bits.
+    #[inline(always)]
     pub fn gate_matvec(&self, x: &[f32], bias: &[f32], y: &mut [f32]) {
         assert_eq!(self.rows % 4, 0, "gate_matvec needs four gate blocks");
         assert_eq!(x.len(), self.cols, "gate_matvec dimension mismatch");
@@ -173,6 +186,7 @@ impl Matrix {
     }
 
     /// `y = A·x (+ b)`, one panel at a time.
+    #[inline(always)]
     fn forward(&self, x: &[f32], bias: Option<&[f32]>, y: &mut [f32]) {
         for (p, yp) in y.chunks_mut(PANEL).enumerate() {
             let top = p * PANEL;
@@ -185,6 +199,7 @@ impl Matrix {
     /// `y += Aᵀ·x` (x length `rows`, y length `cols`). Used to propagate
     /// gradients back through a layer. Each `y[c]` accumulates the rows in
     /// order, skipping rows whose `x` is zero.
+    #[inline(always)]
     pub fn matvec_t_add(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
         assert_eq!(y.len(), self.cols, "matvec_t output mismatch");
@@ -196,6 +211,7 @@ impl Matrix {
 
     /// Rank-1 update `A += u·vᵀ` (u length `rows`, v length `cols`). Used
     /// to accumulate weight gradients; rows whose `u` is zero are skipped.
+    #[inline(always)]
     pub fn rank1_add(&mut self, u: &[f32], v: &[f32]) {
         assert_eq!(u.len(), self.rows);
         assert_eq!(v.len(), self.cols);
@@ -223,19 +239,30 @@ impl Matrix {
 fn panel_dot<const H: usize>(w: &[f32], x: &[f32], bias: Option<&[f32]>, y: &mut [f32]) {
     let split = x.len() - x.len() % LANES;
     let (w_main, w_tail) = w.split_at(split * H);
+    let (x_main, x_tail) = x.split_at(split);
+    // Fixed-size views: `LANES` columns of `H` rows at a time, then one
+    // column at a time.
+    let w_main = w_main.as_chunks::<H>().0.as_chunks::<LANES>().0;
+    let x_main = x_main.as_chunks::<LANES>().0;
+    let w_tail = w_tail.as_chunks::<H>().0;
     let mut acc = [[0.0f32; H]; LANES];
-    for (wc, xc) in w_main.chunks_exact(LANES * H).zip(x.chunks_exact(LANES)) {
-        for (lane, (wk, &xk)) in acc.iter_mut().zip(wc.chunks_exact(H).zip(xc)) {
-            for (a, &wv) in lane.iter_mut().zip(wk) {
-                *a += wv * xk;
-            }
-        }
+    for (wc, xc) in w_main.iter().zip(x_main) {
+        // Lane by lane, written out: as a loop it stays rolled once this is
+        // inlined deep in a caller's loops (the AVX2 clone of
+        // `MicroNet::predict`), and the accumulators go to the stack.
+        let [a0, a1, a2, a3, a4, a5, a6, a7] = &mut acc;
+        axpy(a0, &wc[0], xc[0]);
+        axpy(a1, &wc[1], xc[1]);
+        axpy(a2, &wc[2], xc[2]);
+        axpy(a3, &wc[3], xc[3]);
+        axpy(a4, &wc[4], xc[4]);
+        axpy(a5, &wc[5], xc[5]);
+        axpy(a6, &wc[6], xc[6]);
+        axpy(a7, &wc[7], xc[7]);
     }
     let mut tail = [0.0f32; H];
-    for (wk, &xk) in w_tail.chunks_exact(H).zip(&x[split..]) {
-        for (t, &wv) in tail.iter_mut().zip(wk) {
-            *t += wv * xk;
-        }
+    for (wk, &xk) in w_tail.iter().zip(x_tail) {
+        axpy(&mut tail, wk, xk);
     }
     // `acc.iter().sum()` folds from -0.0, the identity of `+`, so starting
     // from lane 0 is the same sum.
@@ -252,6 +279,14 @@ fn panel_dot<const H: usize>(w: &[f32], x: &[f32], bias: Option<&[f32]>, y: &mut
         for (yv, &bv) in y.iter_mut().zip(b) {
             *yv += bv;
         }
+    }
+}
+
+/// `a += w·x` down one column of a panel: one vertical operation.
+#[inline(always)]
+fn axpy<const H: usize>(a: &mut [f32; H], w: &[f32; H], x: f32) {
+    for (a, &w) in a.iter_mut().zip(w) {
+        *a += w * x;
     }
 }
 
@@ -432,6 +467,62 @@ mod tests {
                         assert_eq!(b.get(r, c).to_bits(), want.to_bits(), "rank1 ({r},{c})");
                     }
                 }
+            }
+        }
+    }
+
+    /// Every kernel's output on one input set, in one vector, so the
+    /// portable build and the AVX2 build of the same source can be compared.
+    #[inline(always)]
+    fn kernel_outputs(a: &Matrix, x: &[f32], bias: &[f32], u: &[f32], start: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; a.rows()];
+        a.matvec(x, &mut out);
+        if a.rows().is_multiple_of(4) {
+            let mut y = vec![0.0f32; a.rows()];
+            a.gate_matvec(x, bias, &mut y);
+            out.extend(y);
+        }
+        let mut t = start.to_vec();
+        a.matvec_t_add(u, &mut t);
+        out.extend(t);
+        let mut b = a.clone();
+        b.rank1_add(u, x);
+        out.extend_from_slice(b.data());
+        out
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn kernel_outputs_avx2(
+        a: &Matrix,
+        x: &[f32],
+        bias: &[f32],
+        u: &[f32],
+        start: &[f32],
+    ) -> Vec<f32> {
+        kernel_outputs(a, x, bias, u, start)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_build_of_every_kernel_gives_the_portable_bits() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("skipped: this CPU has no AVX2");
+            return;
+        }
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        for rows in ROWS {
+            for cols in COLS {
+                let seed = (rows * 100 + cols) as u64;
+                let a = sample(rows, cols, seed);
+                let x = vector(cols, seed + 1);
+                let bias = vector(rows, seed + 2);
+                let u = vector(rows, seed + 3);
+                let start = vector(cols, seed + 4);
+                let narrow = kernel_outputs(&a, &x, &bias, &u, &start);
+                // SAFETY: the CPU has AVX2, checked at the top.
+                let wide = unsafe { kernel_outputs_avx2(&a, &x, &bias, &u, &start) };
+                assert_eq!(bits(wide), bits(narrow), "{rows}x{cols}");
             }
         }
     }

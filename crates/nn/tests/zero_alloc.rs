@@ -5,7 +5,9 @@
 //! verdicts per run. This test installs a counting wrapper around the
 //! system allocator and asserts that, after a short warmup (during which
 //! the serde-skipped scratch buffers size themselves), steady-state
-//! inference performs exactly zero allocations.
+//! inference performs exactly zero allocations. It calls the public,
+//! runtime-dispatched `predict`, so on a CPU with AVX2 it counts the AVX2
+//! clone the oracle serves from.
 //!
 //! Everything runs inside one `#[test]` so the global counter never races
 //! with a concurrently scheduled test.
