@@ -54,7 +54,6 @@ impl Linear {
     /// Backward pass: given upstream `dy` and the input `x` that produced
     /// it, accumulates parameter gradients into `grad` and adds the input
     /// gradient into `dx`.
-    #[inline(always)]
     pub fn backward(&self, x: &[f32], dy: &[f32], grad: &mut LinearGrad, dx: &mut [f32]) {
         grad.w.rank1_add(dy, x);
         for (gb, &d) in grad.b.iter_mut().zip(dy.iter()) {

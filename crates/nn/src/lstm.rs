@@ -113,7 +113,6 @@ impl LstmCell {
     }
 
     /// Advances `state` by one step; optionally captures the activations.
-    #[inline(always)]
     fn step(&self, x: &[f32], state: &mut CellState, capture: bool) -> Option<StepCache> {
         assert_eq!(x.len(), self.input, "LSTM input width mismatch");
         let hdim = self.hidden;
@@ -149,7 +148,6 @@ impl LstmCell {
     /// One BPTT step. `dh`/`dc` are gradients flowing in from above and
     /// from the future; outputs are written to `dx` (input gradient,
     /// added), and the returned `(dh_prev, dc_prev)`.
-    #[inline(always)]
     fn backward_step(
         &self,
         cache: &StepCache,
@@ -281,7 +279,6 @@ impl Lstm {
 
     /// Runs a training window from a zero state, returning the top hidden
     /// vector at each step and the cache for [`Lstm::backward_seq`].
-    #[inline(always)]
     pub fn forward_seq(&self, xs: &[Vec<f32>]) -> (Vec<Vec<f32>>, LstmSeqCache) {
         let mut state = self.init_state();
         let mut tops = Vec::with_capacity(xs.len());
@@ -304,7 +301,6 @@ impl Lstm {
     /// Full BPTT over a cached window. `dh_top[t]` is the loss gradient on
     /// the top hidden vector at step `t`; gradients accumulate into
     /// `grads` (one per layer).
-    #[inline(always)]
     pub fn backward_seq(
         &self,
         cache: &LstmSeqCache,

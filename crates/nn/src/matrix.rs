@@ -18,16 +18,16 @@
 //! no bit of any result; the tests check every kernel against a row-major
 //! reference.
 //!
-//! **Instruction set.** Every kernel is `#[inline(always)]`: it has no
-//! build of its own but is compiled into each caller, and so into both
-//! builds of the model's entry points (`MicroNet::predict` and the training
-//! window pass): the portable one, and on an x86-64 CPU with AVX2 a
+//! **Instruction set.** The forward kernels (`matvec`, `gate_matvec`) are
+//! `#[inline(always)]`: they have no build of their own but are compiled
+//! into each caller, and so into both builds of `MicroNet::predict`: the
+//! portable one, and on an x86-64 CPU with AVX2 a
 //! `#[target_feature(enable = "avx2")]` clone, where a full panel is one
 //! 256-bit register. The source and the operation order are shared and only
 //! IEEE `+ − × ÷` are used — no `mul_add`, no `fma` target feature, and the
 //! compiler neither reassociates nor fuses float arithmetic on its own — so
 //! both builds compute the same bits; the tests compare them kernel by
-//! kernel.
+//! kernel. Training runs the portable build only.
 
 use std::ops::Range;
 
@@ -199,7 +199,6 @@ impl Matrix {
     /// `y += Aᵀ·x` (x length `rows`, y length `cols`). Used to propagate
     /// gradients back through a layer. Each `y[c]` accumulates the rows in
     /// order, skipping rows whose `x` is zero.
-    #[inline(always)]
     pub fn matvec_t_add(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
         assert_eq!(y.len(), self.cols, "matvec_t output mismatch");
@@ -211,7 +210,6 @@ impl Matrix {
 
     /// Rank-1 update `A += u·vᵀ` (u length `rows`, v length `cols`). Used
     /// to accumulate weight gradients; rows whose `u` is zero are skipped.
-    #[inline(always)]
     pub fn rank1_add(&mut self, u: &[f32], v: &[f32]) {
         assert_eq!(u.len(), self.rows);
         assert_eq!(v.len(), self.cols);
@@ -471,10 +469,11 @@ mod tests {
         }
     }
 
-    /// Every kernel's output on one input set, in one vector, so the
-    /// portable build and the AVX2 build of the same source can be compared.
+    /// The forward kernels' output on one input set, in one vector, so
+    /// the portable build and the AVX2 build of the same source can be
+    /// compared.
     #[inline(always)]
-    fn kernel_outputs(a: &Matrix, x: &[f32], bias: &[f32], u: &[f32], start: &[f32]) -> Vec<f32> {
+    fn forward_outputs(a: &Matrix, x: &[f32], bias: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; a.rows()];
         a.matvec(x, &mut out);
         if a.rows().is_multiple_of(4) {
@@ -482,30 +481,18 @@ mod tests {
             a.gate_matvec(x, bias, &mut y);
             out.extend(y);
         }
-        let mut t = start.to_vec();
-        a.matvec_t_add(u, &mut t);
-        out.extend(t);
-        let mut b = a.clone();
-        b.rank1_add(u, x);
-        out.extend_from_slice(b.data());
         out
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn kernel_outputs_avx2(
-        a: &Matrix,
-        x: &[f32],
-        bias: &[f32],
-        u: &[f32],
-        start: &[f32],
-    ) -> Vec<f32> {
-        kernel_outputs(a, x, bias, u, start)
+    fn forward_outputs_avx2(a: &Matrix, x: &[f32], bias: &[f32]) -> Vec<f32> {
+        forward_outputs(a, x, bias)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx2_build_of_every_kernel_gives_the_portable_bits() {
+    fn avx2_build_of_the_forward_kernels_gives_the_portable_bits() {
         if !std::arch::is_x86_feature_detected!("avx2") {
             eprintln!("skipped: this CPU has no AVX2");
             return;
@@ -517,11 +504,9 @@ mod tests {
                 let a = sample(rows, cols, seed);
                 let x = vector(cols, seed + 1);
                 let bias = vector(rows, seed + 2);
-                let u = vector(rows, seed + 3);
-                let start = vector(cols, seed + 4);
-                let narrow = kernel_outputs(&a, &x, &bias, &u, &start);
+                let narrow = forward_outputs(&a, &x, &bias);
                 // SAFETY: the CPU has AVX2, checked at the top.
-                let wide = unsafe { kernel_outputs_avx2(&a, &x, &bias, &u, &start) };
+                let wide = unsafe { forward_outputs_avx2(&a, &x, &bias) };
                 assert_eq!(bits(wide), bits(narrow), "{rows}x{cols}");
             }
         }
