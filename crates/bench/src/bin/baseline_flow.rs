@@ -151,7 +151,7 @@ fn run_scenario(
 
     // Flow level.
     let t0 = Instant::now();
-    let fluid = elephant_flow::simulate(topo, flows, horizon);
+    let fluid = elephant_bench::fluid::simulate(topo, flows, horizon);
     let wall = t0.elapsed();
     report.scalar(format!("{name}_fluid_wall_s"), wall.as_secs_f64());
     report.scalar(format!("{name}_fluid_mean_fct_s"), fluid.mean_fct_secs());

@@ -27,9 +27,9 @@
 //! `BENCH_figure1.json` (events/sec, per-partition barrier-wait share,
 //! profiler tree).
 
-use elephant_bench::{emit_report, fmt_f, print_table, run_pdes, Args};
-use elephant_core::partition_rows;
-use elephant_des::EpochMode::Adaptive;
+use elephant_bench::{emit_report, fmt_f, print_table, Args};
+use elephant_core::{execute, partition_rows, Exec, Fidelity, PdesExec, RunPlan};
+use elephant_des::EpochMode;
 use elephant_net::{ClosParams, NetConfig, RttScope};
 use elephant_obs::RunReport;
 use elephant_trace::{generate, write_csv, LoadProfile, Locality, SizeDist, WorkloadConfig};
@@ -110,8 +110,18 @@ fn main() {
         for &m in &machines {
             // LPs scale with the module graph, as OMNeT++'s partitioning
             // does; more machines spread the same LPs wider.
-            let partitions = ((n as usize / 4).max(2) * m).min(n as usize);
-            let out = run_pdes(params, &flows, horizon, partitions, m, ENVELOPE, Adaptive);
+            let fidelity = Fidelity::Full { capture: None };
+            let mut plan = RunPlan::new(params, NetConfig::default(), &flows, horizon, fidelity);
+            plan.exec = Exec::Pdes(PdesExec {
+                partitions: ((n as usize / 4).max(2) * m).min(n as usize),
+                machines: m,
+                envelope_bytes: ENVELOPE,
+                mode: EpochMode::Adaptive,
+                faults: None,
+            });
+            let out = execute(plan)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .into_pdes_run();
             let rate = horizon.as_secs_f64() / out.wall.as_secs_f64().max(1e-12);
             report.scalar(format!("pdes_sim_s_per_s_n{n}_m{m}"), rate);
             pdes_rates.push((m, rate, out));

@@ -3,23 +3,24 @@
 //! One binary per figure of the paper's evaluation that is not yet a
 //! scenario sweep (see DESIGN.md's per-experiment index), plus ablations
 //! and baselines. This library holds what they share: argument parsing,
-//! table printing, the PDES run wrapper, and the default
-//! train-once-reuse-everywhere model pipeline.
+//! table printing, the default train-once-reuse-everywhere model
+//! pipeline, and the [`fluid`] engine `baseline_flow` compares against.
 //!
 //! Every harness prints a human-readable table and writes CSVs under
 //! `--out` (default `results/`), so figures can be re-plotted offline.
 
 #![warn(missing_docs)]
 
+pub mod fluid;
+
 use std::path::PathBuf;
 use std::time::Duration;
 
 use elephant_core::{
-    execute, run_ground_truth, train_cluster_model, ClusterModel, Exec, Fidelity, PdesExec,
-    PdesRun, RunPlan, TrainReport, TrainingOptions,
+    run_ground_truth, train_cluster_model, ClusterModel, TrainReport, TrainingOptions,
 };
-use elephant_des::{EpochMode, SimTime};
-use elephant_net::{ClosParams, FlowSpec, NetConfig, RttScope};
+use elephant_des::SimTime;
+use elephant_net::{ClosParams, NetConfig, RttScope};
 use elephant_trace::{generate, WorkloadConfig};
 
 /// Common command-line switches shared by every harness binary.
@@ -135,40 +136,6 @@ pub fn emit_report(report: &elephant_obs::RunReport, args: &Args) {
         ),
         Err(e) => eprintln!("failed to write bench ledger: {e}"),
     }
-}
-
-/// Runs the packet simulator under conservative PDES: `partitions`
-/// rack-partitioned logical processes dealt round-robin over `machines`
-/// emulated machines (cross-machine messages marshalled with
-/// `envelope_bytes` of MPI-style envelope), epochs planned by `mode`.
-/// Thin wrapper over [`elephant_core::execute`] keeping the harnesses'
-/// historic panic-on-error contract.
-pub fn run_pdes(
-    params: ClosParams,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    partitions: usize,
-    machines: usize,
-    envelope_bytes: usize,
-    mode: EpochMode,
-) -> PdesRun {
-    let mut plan = RunPlan::new(
-        params,
-        NetConfig::default(),
-        flows,
-        horizon,
-        Fidelity::Full { capture: None },
-    );
-    plan.exec = Exec::Pdes(PdesExec {
-        partitions,
-        machines,
-        envelope_bytes,
-        mode,
-        faults: None,
-    });
-    execute(plan)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .into_pdes_run()
 }
 
 /// The standard "train once" step used by Figure 4 and the ablations:

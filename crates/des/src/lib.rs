@@ -72,7 +72,7 @@ pub use pdes::{
     PdesReport, PdesRunner, RemoteSink, Transportable, DEFAULT_STALL_EPOCHS,
 };
 pub use rng::{splitmix64, RngFactory};
-pub use sched::{BinaryHeapFel, CalendarFel, EventKey, Fel, HeapScheduler, Next, Scheduler};
+pub use sched::{BinaryHeapFel, CalendarFel, EventKey, Fel, Next, Scheduler};
 pub use sim::{FelPeaks, Simulator, StopReason, World};
 pub use stats::{Ewma, TimeWeighted};
 pub use time::{SimDuration, SimTime};

@@ -34,7 +34,7 @@
 //! * **Fixed**: the textbook fixed-increment escape hatch. Epoch `k+1` ends
 //!   exactly `L` after epoch `k`, never skipping idle simulated time. This
 //!   is the behaviour the adaptive planner is measured against (see the
-//!   `pdes_scaling` bench) and a safety fallback (`--fixed-epochs`).
+//!   `pdes_scaling` bench) and the supervisor's degrade rung.
 //!
 //! Both modes execute events in an identical order: cross-partition
 //! deliveries carry an intrinsic `(time, sender, send-seq)` key into the
@@ -101,7 +101,8 @@ pub enum EpochMode {
     Adaptive,
     /// Fixed-increment stepping: every epoch ends exactly `L` after the
     /// previous one, grinding through idle stretches one barrier at a time.
-    /// Escape hatch for A/B-ing the adaptive planner (`--fixed-epochs`).
+    /// The reference the adaptive planner is tested against, and the
+    /// supervisor's degrade rung.
     Fixed,
 }
 

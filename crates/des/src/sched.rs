@@ -679,8 +679,8 @@ impl<E> Fel<E> for CalendarFel<E> {
 ///
 /// The queue structure is pluggable ([`Fel`]); the default is the
 /// [`CalendarFel`] calendar queue, with [`BinaryHeapFel`] available as the
-/// differential-testing reference (`HeapScheduler` alias). Both yield the
-/// identical `(time, seq)` total order.
+/// differential-testing reference (`Scheduler<E, BinaryHeapFel<E>>`). Both
+/// yield the identical `(time, seq)` total order.
 ///
 /// The scheduler keeps only the clock, the sequence counter and three
 /// lifetime totals; which events are pending or cancelled is the FEL's
@@ -699,10 +699,6 @@ pub struct Scheduler<E, F: Fel<E> = CalendarFel<E>> {
     cancelled_total: u64,
     _event: PhantomData<E>,
 }
-
-/// A scheduler running on the legacy binary-heap FEL, for differential
-/// testing and before/after benchmarking against the calendar queue.
-pub type HeapScheduler<E> = Scheduler<E, BinaryHeapFel<E>>;
 
 impl<E, F: Fel<E>> Default for Scheduler<E, F> {
     fn default() -> Self {

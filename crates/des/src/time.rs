@@ -166,12 +166,6 @@ impl SimDuration {
     pub fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
-
-    /// Scales this span by a non-negative float, rounding to nearest.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        assert!(k.is_finite() && k >= 0.0, "invalid scale: {k}");
-        SimDuration((self.0 as f64 * k).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {

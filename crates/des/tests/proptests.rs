@@ -4,7 +4,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use elephant_des::{HeapScheduler, Scheduler, SimDuration, SimTime};
+use elephant_des::{BinaryHeapFel, Scheduler, SimDuration, SimTime};
 use elephant_obs::{EmpiricalCdf, Summary};
 use proptest::prelude::*;
 
@@ -201,7 +201,7 @@ proptest! {
     #[test]
     fn calendar_queue_matches_binary_heap(ops in arb_any_fel_ops()) {
         let mut cal: Scheduler<u64> = Scheduler::new();
-        let mut heap: HeapScheduler<u64> = Scheduler::new();
+        let mut heap: Scheduler<u64, BinaryHeapFel<u64>> = Scheduler::new();
         let mut keys = Vec::new(); // parallel (cal_key, heap_key)
         let mut send_seqs = [0u64; 4]; // per-sender remote counters
         let mut arrivals = 0u64;

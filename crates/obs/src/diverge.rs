@@ -87,17 +87,6 @@ pub struct DriftRow {
     pub approx: f64,
 }
 
-impl DriftRow {
-    /// Absolute difference, 0 when the truth side is absent (NaN).
-    pub fn abs_error(&self) -> f64 {
-        if self.truth.is_nan() {
-            0.0
-        } else {
-            (self.approx - self.truth).abs()
-        }
-    }
-}
-
 /// A compact, serializable histogram summary (quantiles + mean + count)
 /// for embedding in ledgers without shipping raw bucket arrays.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]

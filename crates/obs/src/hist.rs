@@ -63,11 +63,6 @@ impl Summary {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation, or +inf if empty.
     pub fn min(&self) -> f64 {
         self.min

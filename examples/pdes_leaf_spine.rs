@@ -10,10 +10,10 @@
 //! cargo run --release --example pdes_leaf_spine
 //! ```
 
+use elephant::core::{execute, run_ground_truth, Exec, Fidelity, PdesExec, RunPlan};
 use elephant::des::{EpochMode, SimTime};
 use elephant::net::{ClosParams, NetConfig, RttScope};
 use elephant::trace::{generate, LoadProfile, Locality, SizeDist, WorkloadConfig};
-use elephant_bench::run_pdes;
 
 fn main() {
     let n = 8u16; // ToRs and spines
@@ -39,7 +39,7 @@ fn main() {
         rtt_scope: RttScope::None,
         ..Default::default()
     };
-    let (_, meta) = elephant::core::run_ground_truth(params, cfg, None, &flows, horizon);
+    let (_, meta) = run_ground_truth(params, cfg, None, &flows, horizon);
     println!(
         "sequential : {:>9} events  {:>8.3}s wall  {:.4} sim-s/s",
         meta.events,
@@ -48,9 +48,16 @@ fn main() {
     );
 
     for machines in [1usize, 2, 4] {
-        let partitions = 2 * machines;
-        let mode = EpochMode::Adaptive;
-        let out = run_pdes(params, &flows, horizon, partitions, machines, 64, mode);
+        let fidelity = Fidelity::Full { capture: None };
+        let mut plan = RunPlan::new(params, NetConfig::default(), &flows, horizon, fidelity);
+        plan.exec = Exec::Pdes(PdesExec {
+            partitions: 2 * machines,
+            machines,
+            envelope_bytes: 64,
+            mode: EpochMode::Adaptive,
+            faults: None,
+        });
+        let out = execute(plan).expect("PDES run").into_pdes_run();
         let wall = out.wall.as_secs_f64();
         println!(
             "{machines} machine(s): {:>9} events  {:>8.3}s wall  {:.4} sim-s/s  ({} epochs, {} msgs marshalled)",

@@ -18,7 +18,6 @@
 //!   exportable run reports;
 //! * [`trace`] — workload synthesis (DCTCP web-search sizes, Poisson
 //!   arrivals, locality mixes) and CSV export;
-//! * [`flow`] — max-min fair fluid simulation, the related-work baseline;
 //! * [`core`] — the paper's contribution: macro model, features, learned
 //!   oracles, the train-and-approximate pipeline, accuracy metrics;
 //! * [`scenario`] — declarative TOML scenarios: schema, validating
@@ -31,7 +30,6 @@
 
 pub use elephant_core as core;
 pub use elephant_des as des;
-pub use elephant_flow as flow;
 pub use elephant_net as net;
 pub use elephant_nn as nn;
 pub use elephant_obs as obs;

@@ -390,8 +390,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--pdes", metavar: "N", cmds: RUN | HYBRID | SCENARIO, to: To::Pdes, help: "run under conservative PDES: N rack partitions for run, one partition per\ncluster for hybrid; run-scenario takes no N and reads [topology.pdes]" },
     Flag { name: "--partitions", metavar: "N", cmds: SCENARIO, to: Key(PARTITIONS), help: "rack partition count; implies PDES" },
     Flag { name: "--machines", metavar: "M", cmds: RUN | HYBRID, to: Key("topology.pdes.machines"), help: "emulated machines for PDES marshalling" },
-    Flag { name: "--adaptive-epochs", metavar: "", cmds: RUN | HYBRID | SCENARIO, to: Field(|r, _| { r.epoch_mode = EpochMode::Adaptive; true }, ""), help: "plan PDES epochs from observed event frontiers, jumping idle stretches" },
-    Flag { name: "--fixed-epochs", metavar: "", cmds: RUN | HYBRID | SCENARIO, to: Field(|r, _| { r.epoch_mode = EpochMode::Fixed; true }, ""), help: "step PDES epochs by a fixed lookahead increment instead (the A/B\nbaseline for the adaptive planner)" },
     Flag { name: "--profile", metavar: "", cmds: SIMULATE & !AUDIT, to: Field(|r, _| { r.sinks.profile = true; true }, ""), help: "collect metrics + span timings; print the report" },
     Flag { name: "--metrics-out", metavar: "P", cmds: SIMULATE, to: Field(|r, v| set_some(&mut r.sinks.metrics_out, v), ""), help: "write a schema-v1 run-ledger JSON to P (implies collection); an audit writes\nthe hybrid side (with divergence block) to P, the truth side to\nP-minus-.json + .truth.json. `elephant compare A.json B.json` diffs two" },
     Flag { name: "--oracle-cache", metavar: "", cmds: ORACLE | AUDIT, to: Switch("oracle.cache", "true"), help: "memoize verdicts for quantized feature keys (DESIGN.md \"Oracle fast path\")" },
@@ -408,7 +406,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--validate", metavar: "", cmds: SCENARIO, to: Field(|r, _| { r.validate = true; true }, ""), help: "load, validate and compile only; print a summary" },
     Flag { name: "--csv", metavar: "P", cmds: SCENARIO, to: Field(|r, v| set_some(&mut r.sinks.csv, v), ""), help: "write a [[sweep]]'s results to P: one row per cell and fidelity" },
     Flag { name: "--list-scenarios", metavar: "[DIR]", cmds: SCENARIO, to: Field(|r, v| set_some(&mut r.list_dir, v), "scenarios"), help: "list the scenario files under DIR instead of running one" },
-    Flag { name: "--tolerance", metavar: "F", cmds: LEDGERS, to: Field(|r, v| set(&mut r.tolerance, v), "0.05"), help: "relative drift tolerance for events and scalars" },
+    Flag { name: "--tolerance", metavar: "F", cmds: LEDGERS, to: Field(|r, v| set(&mut r.tolerance, v) && r.tolerance.is_finite() && r.tolerance >= 0.0, "0.05"), help: "relative drift tolerance for events and scalars (finite, >= 0)" },
     Flag { name: HELP, metavar: "", cmds: SIMULATE | LEDGERS, to: To::Help, help: "print this and exit" },
 ];
 
@@ -435,7 +433,6 @@ struct Request {
     fault_mode: Option<OracleFaultMode>,
     fault_every: u64,
     pdes: bool,
-    epoch_mode: EpochMode,
     train: TrainingOptions,
     out: String,
     tolerance: f64,
@@ -692,7 +689,7 @@ fn simulate(
         stack.oracle
     };
     let exec = match req.pdes {
-        true => c.pdes(None, req.epoch_mode),
+        true => c.pdes(None, EpochMode::Adaptive),
         false => Exec::Sequential,
     };
     let oracles = model.is_some().then_some(&mut oracles as OracleFactory<'_>);
@@ -870,9 +867,10 @@ fn finish(
     let what = format!("{}, seed {}", req.title(c), c.seed);
     let mut ledger = stamp(&driver, req.cmd.name(), what, c.seed, fingerprint);
     ledger.mode = match req.pdes {
-        true => format!("{:?}", req.epoch_mode).to_lowercase(),
-        false => "sequential".to_string(),
-    };
+        true => "adaptive",
+        false => "sequential",
+    }
+    .to_string();
     if let Some(log) = &out.recovery {
         ledger.recovery = vec![log.summary()];
         ledger

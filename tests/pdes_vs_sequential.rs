@@ -8,13 +8,40 @@
 //! drain-to-quiescence run, delivered byte counts match exactly, and event
 //! counts agree to within tie-ordering noise.
 
-use elephant::core::{execute, oracle_stack, Exec, Fidelity, PdesExec, PdesRun, RunPlan};
+use elephant::core::{
+    capture_records, execute, oracle_stack, run_ground_truth, train_cluster_model, Exec, Fidelity,
+    PdesExec, PdesRun, RunPlan, TrainingOptions,
+};
 use elephant::des::{EpochMode, SimTime};
-use elephant::net::{ClosParams, NetConfig, RttScope};
+use elephant::net::{ClosParams, FlowSpec, NetConfig, RttScope};
 use elephant::trace::{generate, LoadProfile, Locality, SizeDist, WorkloadConfig};
-use elephant_bench::{run_pdes, train_default_model};
 
 const ADAPTIVE: EpochMode = EpochMode::Adaptive;
+
+/// The full-fidelity packet simulator under conservative PDES:
+/// `partitions` rack partitions dealt over `machines` emulated machines,
+/// 64-byte envelopes, epochs planned by `mode`.
+fn run_pdes(
+    params: ClosParams,
+    flows: &[FlowSpec],
+    horizon: SimTime,
+    partitions: usize,
+    machines: usize,
+    mode: EpochMode,
+) -> PdesRun {
+    let fidelity = Fidelity::Full { capture: None };
+    let mut plan = RunPlan::new(params, NetConfig::default(), flows, horizon, fidelity);
+    plan.exec = Exec::Pdes(PdesExec {
+        partitions,
+        machines,
+        envelope_bytes: 64,
+        mode,
+        faults: None,
+    });
+    execute(plan)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_pdes_run()
+}
 
 #[test]
 fn pdes_matches_sequential_outcomes() {
@@ -38,7 +65,7 @@ fn pdes_matches_sequential_outcomes() {
         rtt_scope: RttScope::None,
         ..Default::default()
     };
-    let (net, meta) = elephant::core::run_ground_truth(params, cfg, None, &flows, horizon);
+    let (net, meta) = run_ground_truth(params, cfg, None, &flows, horizon);
     assert_eq!(
         net.stats.flows_completed as usize,
         flows.len(),
@@ -47,7 +74,7 @@ fn pdes_matches_sequential_outcomes() {
     assert_eq!(net.stats.delivered_bytes, total_bytes);
 
     for (partitions, machines) in [(2usize, 1usize), (4, 2), (4, 4)] {
-        let out = run_pdes(params, &flows, horizon, partitions, machines, 64, ADAPTIVE);
+        let out = run_pdes(params, &flows, horizon, partitions, machines, ADAPTIVE);
         // Delivered bytes & completions live inside the partitions'
         // networks, which run_pdes does not return; event-count agreement
         // plus the lookahead assertions inside the engine are the
@@ -80,8 +107,8 @@ fn pdes_event_totals_are_reproducible() {
     };
     let flows = generate(&params, &wl);
     let horizon = SimTime::from_secs(10);
-    let a = run_pdes(params, &flows, horizon, 4, 2, 64, ADAPTIVE);
-    let b = run_pdes(params, &flows, horizon, 4, 2, 64, ADAPTIVE);
+    let a = run_pdes(params, &flows, horizon, 4, 2, ADAPTIVE);
+    let b = run_pdes(params, &flows, horizon, 4, 2, ADAPTIVE);
     assert_eq!(a.report.remote_messages, b.report.remote_messages);
     // Event totals can differ only through same-instant mailbox ordering;
     // for this workload they should be stable.
@@ -162,22 +189,8 @@ fn adaptive_and_fixed_epochs_compute_identical_simulations() {
     }
     let horizon = SimTime::from_millis(24);
 
-    let run = |mode: EpochMode| -> PdesRun {
-        let fidelity = Fidelity::Full { capture: None };
-        let mut plan = RunPlan::new(params, NetConfig::default(), &flows, horizon, fidelity);
-        plan.exec = Exec::Pdes(PdesExec {
-            partitions: 4,
-            machines: 2,
-            envelope_bytes: 64,
-            mode,
-            faults: None,
-        });
-        execute(plan)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .into_pdes_run()
-    };
-    let adaptive = run(EpochMode::Adaptive);
-    let fixed = run(EpochMode::Fixed);
+    let adaptive = run_pdes(params, &flows, horizon, 4, 2, EpochMode::Adaptive);
+    let fixed = run_pdes(params, &flows, horizon, 4, 2, EpochMode::Fixed);
 
     assert_eq!(
         fingerprints(&adaptive),
@@ -214,15 +227,26 @@ fn hybrid_pdes_smoke() {
     // partitions, each with its own oracle stack around shared weights.
     // Verifies the lookahead discipline holds (the engine asserts it) and
     // that boundary traffic actually flows across partitions.
-    let horizon = SimTime::from_millis(10);
-    let (model, _, _) = train_default_model(
-        SimTime::from_millis(15),
-        3,
-        &elephant::core::TrainingOptions {
-            epochs: 2,
-            ..Default::default()
-        },
+    // Train on a two-cluster ground-truth run captured around cluster 1.
+    let train_horizon = SimTime::from_millis(15);
+    let train_params = ClosParams::paper_cluster(2);
+    let train_flows = generate(
+        &train_params,
+        &WorkloadConfig::paper_default(train_horizon, 3),
     );
+    let cfg = NetConfig {
+        rtt_scope: RttScope::None,
+        ..Default::default()
+    };
+    let (net, _) = run_ground_truth(train_params, cfg, Some(1), &train_flows, train_horizon);
+    let records = capture_records(net).expect("capture enabled");
+    let opts = TrainingOptions {
+        epochs: 2,
+        ..Default::default()
+    };
+    let (model, _) = train_cluster_model(&records, &train_params, &opts);
+
+    let horizon = SimTime::from_millis(10);
     let params = ClosParams::paper_cluster(4);
     let flows = elephant::trace::filter_touching_cluster(
         &generate(&params, &WorkloadConfig::paper_default(horizon, 4)),

@@ -2,19 +2,16 @@
 //!
 //! Each property targets an invariant called out in DESIGN.md: routing
 //! validity on arbitrary Clos shapes, TCP liveness under arbitrary loss
-//! patterns, max-min feasibility and fairness on arbitrary flow/link
-//! graphs, KS-distance metric axioms, size-distribution monotonicity, and
+//! patterns, KS-distance metric axioms, size-distribution monotonicity, and
 //! workload well-formedness.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use elephant::core::{FeatureQuantizer, ModelMeta, QuantizerConfig, FEATURE_DIM, NAN_BUCKET};
 use elephant::des::{SimTime, Simulator};
-use elephant::flow::max_min_allocation;
 use elephant::net::{
-    schedule_flows, ClosParams, Direction, FlowId, FlowSpec, HostAddr, NetConfig, Network,
-    NodeKind, RttScope, Topology,
+    schedule_flows, ClosParams, Direction, FlowId, FlowSpec, NetConfig, Network, NodeKind,
+    RttScope, Topology,
 };
 use elephant::obs::EmpiricalCdf;
 use elephant::trace::SizeDist;
@@ -71,57 +68,6 @@ proptest! {
                     prop_assert_eq!(back.peer_port.idx(), pi);
                 }
             }
-        }
-    }
-
-    /// Max-min allocations are feasible (no link oversubscribed) and
-    /// water-filling fair (every flow is bottlenecked: some link it
-    /// crosses is saturated and it has a maximal rate there).
-    #[test]
-    fn max_min_is_feasible_and_fair(
-        n_links in 1usize..6,
-        flows in proptest::collection::vec(proptest::collection::vec(0usize..6, 1..4), 1..8),
-        caps in proptest::collection::vec(1.0e6f64..1.0e9, 6),
-    ) {
-        // Clamp link indices into range and dedup within a flow.
-        let paths: Vec<Vec<usize>> = flows
-            .iter()
-            .map(|p| {
-                let mut q: Vec<usize> = p.iter().map(|&l| l % n_links).collect();
-                q.sort_unstable();
-                q.dedup();
-                q
-            })
-            .collect();
-        let caps = &caps[..n_links];
-        let rates = max_min_allocation(&paths, caps);
-        prop_assert_eq!(rates.len(), paths.len());
-
-        // Feasibility with a small numerical margin.
-        let mut load = vec![0.0f64; n_links];
-        for (p, &r) in paths.iter().zip(&rates) {
-            prop_assert!(r > 0.0);
-            for &l in p {
-                load[l] += r;
-            }
-        }
-        for l in 0..n_links {
-            prop_assert!(load[l] <= caps[l] * 1.0001 + 1.0, "link {l} oversubscribed");
-        }
-
-        // Max-min property: each flow crosses a saturated link on which
-        // no other flow gets a higher rate.
-        for (p, &r) in paths.iter().zip(&rates) {
-            let bottlenecked = p.iter().any(|&l| {
-                let saturated = load[l] >= caps[l] * 0.999 - 1.0;
-                let maximal = paths
-                    .iter()
-                    .zip(&rates)
-                    .filter(|(q, _)| q.contains(&l))
-                    .all(|(_, &r2)| r2 <= r * 1.0001 + 1.0);
-                saturated && maximal
-            });
-            prop_assert!(bottlenecked, "flow with rate {r} has no bottleneck");
         }
     }
 
@@ -269,43 +215,4 @@ proptest! {
             q1.key(&features, dir, state_idx)
         );
     }
-}
-
-/// Fluid vs packet agreement on an uncontended transfer: both engines
-/// should report FCTs within a factor of two (the fluid one is an ideal
-/// lower bound; TCP adds handshake and slow-start).
-#[test]
-fn fluid_lower_bounds_packet_fct() {
-    let params = ClosParams::paper_cluster(2);
-    let topo = Topology::clos(params);
-    let flows = [FlowSpec {
-        id: FlowId(1),
-        src: HostAddr::new(0, 0, 0),
-        dst: HostAddr::new(1, 0, 0),
-        bytes: 2_000_000,
-        start: SimTime::ZERO,
-    }];
-    let fluid = elephant::flow::simulate(&topo, &flows, SimTime::from_secs(5));
-    let cfg = NetConfig {
-        rtt_scope: RttScope::None,
-        ..Default::default()
-    };
-    let (net, _) =
-        elephant::core::run_ground_truth(params, cfg, None, &flows, SimTime::from_secs(5));
-    let fluid_fct = fluid.fct[0].fct().as_secs_f64();
-    let packet_fct: HashMap<u64, f64> = net
-        .stats
-        .fct
-        .iter()
-        .map(|r| (r.flow.0, r.fct().as_secs_f64()))
-        .collect();
-    let p = packet_fct[&1];
-    assert!(
-        p >= fluid_fct * 0.95,
-        "fluid {fluid_fct} lower-bounds packet {p}"
-    );
-    assert!(
-        p <= fluid_fct * 2.0,
-        "packet {p} within 2x of fluid {fluid_fct}"
-    );
 }
