@@ -21,8 +21,9 @@
 //!    inference, so a cached-but-malformed prediction still trips the
 //!    guard on every serve.
 //!
-//! The LRU index is a slab of doubly-linked slots — no per-entry
-//! allocation after the slab reaches the capacity bound.
+//! The LRU index is a slab of doubly-linked slots holding exactly the
+//! live entries, beside a map that grows with use: a cache costs what it
+//! holds, and a flush costs what it drops.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -257,8 +258,9 @@ struct Slot {
 }
 
 /// Bounded LRU memo from [`VerdictKey`] to the [`RawVerdict`] last served
-/// for that bucket. Recency links live in a slab, so steady-state
-/// operation performs no per-entry allocation once the slab is full.
+/// for that bucket. Recency links live in a slab of exactly the live
+/// entries; at `cap` an insert reuses the LRU tail's slot, so memory
+/// follows the most entries held at once, never `cap`.
 ///
 /// Cloning (for checkpoint/restore) deep-copies the map and slab, so a
 /// restored run replays the same hit/miss sequence as an uninterrupted
@@ -269,7 +271,6 @@ pub struct VerdictCache {
     cap: usize,
     map: HashMap<VerdictKey, u32>,
     slots: Vec<Slot>,
-    free: Vec<u32>,
     head: u32,
     tail: u32,
     stats: CacheStatsHandle,
@@ -282,9 +283,8 @@ impl VerdictCache {
         let cap = cap.max(1).min(NIL as usize - 1);
         VerdictCache {
             cap,
-            map: HashMap::with_capacity(cap.min(1 << 16)),
+            map: HashMap::new(),
             slots: Vec::new(),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             stats,
@@ -368,8 +368,8 @@ impl VerdictCache {
             }
             return false;
         }
-        let mut evicted = false;
-        let idx = if self.map.len() >= self.cap {
+        let evicted = self.map.len() >= self.cap;
+        let idx = if evicted {
             // Reuse the LRU slot in place.
             let idx = self.tail;
             debug_assert_ne!(idx, NIL);
@@ -380,12 +380,6 @@ impl VerdictCache {
             s.key = key;
             s.verdict = verdict;
             self.stats.0.evictions.fetch_add(1, Ordering::Relaxed);
-            evicted = true;
-            idx
-        } else if let Some(idx) = self.free.pop() {
-            let s = &mut self.slots[idx as usize];
-            s.key = key;
-            s.verdict = verdict;
             idx
         } else {
             let idx = self.slots.len() as u32;
@@ -402,13 +396,14 @@ impl VerdictCache {
         evicted
     }
 
-    /// Flushes every entry (macro-state transition). The slab is retained,
-    /// so refilling allocates nothing.
+    /// Flushes every entry (macro-state transition). Removes the live keys
+    /// one by one (`HashMap::clear` would wipe the whole table) and keeps
+    /// both allocations, so refilling allocates nothing.
     pub fn invalidate(&mut self) {
         self.stats.0.invalidations.fetch_add(1, Ordering::Relaxed);
-        self.map.clear();
-        self.free.clear();
-        self.free.extend((0..self.slots.len() as u32).rev());
+        for s in self.slots.drain(..) {
+            self.map.remove(&s.key);
+        }
         self.head = NIL;
         self.tail = NIL;
     }
@@ -417,6 +412,7 @@ impl VerdictCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn q(levels: u8) -> FeatureQuantizer {
         FeatureQuantizer::new(QuantizerConfig { levels })
@@ -424,6 +420,37 @@ mod tests {
 
     fn deliver(s: f64) -> RawVerdict {
         RawVerdict::Deliver { latency_secs: s }
+    }
+
+    /// Panics unless the slab holds exactly the live entries, the recency
+    /// chain from `head` visits every slot once and ends at `tail`, and
+    /// every map index names a slot holding its key.
+    fn check_invariants(c: &VerdictCache) {
+        assert_eq!(c.slots.len(), c.map.len(), "slab holds the live entries");
+        assert!(c.map.len() <= c.cap);
+        let mut seen = vec![false; c.slots.len()];
+        let (mut prev, mut at) = (NIL, c.head);
+        while at != NIL {
+            assert!(
+                !std::mem::replace(&mut seen[at as usize], true),
+                "slot {at} twice"
+            );
+            assert_eq!(c.slots[at as usize].prev, prev, "back link of {at}");
+            prev = at;
+            at = c.slots[at as usize].next;
+        }
+        assert_eq!(prev, c.tail, "chain ends at the tail");
+        assert!(seen.iter().all(|&v| v), "chain misses a slot");
+        for (key, &idx) in &c.map {
+            assert_eq!(c.slots[idx as usize].key, *key, "map index {idx}");
+        }
+    }
+
+    /// The `i`-th of 16 distinct keys (one per first-feature bucket).
+    fn key(i: usize) -> VerdictKey {
+        let mut f = [0.0f32; FEATURE_DIM];
+        f[0] = i as f32 / 16.0;
+        q(16).key(&f, Direction::Up, 0)
     }
 
     #[test]
@@ -467,13 +494,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let h = CacheStatsHandle::new();
-        let fq = q(16);
         let mut c = VerdictCache::new(2, h.clone());
-        let key = |i: usize| {
-            let mut f = [0.0f32; FEATURE_DIM];
-            f[0] = i as f32 / 16.0;
-            fq.key(&f, Direction::Up, 0)
-        };
         c.insert(key(1), deliver(1.0));
         c.insert(key(2), deliver(2.0));
         // Touch 1 so 2 becomes LRU.
@@ -491,13 +512,7 @@ mod tests {
     #[test]
     fn invalidate_flushes_and_reuses_slab() {
         let h = CacheStatsHandle::new();
-        let fq = q(16);
         let mut c = VerdictCache::new(8, h.clone());
-        let key = |i: usize| {
-            let mut f = [0.0f32; FEATURE_DIM];
-            f[0] = i as f32 / 16.0;
-            fq.key(&f, Direction::Up, 0)
-        };
         for i in 0..4 {
             c.insert(key(i), deliver(i as f64));
         }
@@ -511,6 +526,100 @@ mod tests {
         assert_eq!(c.len(), 4);
         assert_eq!(c.get(&key(3)), Some(deliver(3.0)));
         assert_eq!(h.snapshot().invalidations, 1);
+    }
+
+    #[test]
+    fn memory_follows_entries_not_capacity() {
+        let mut c = VerdictCache::new(1 << 16, CacheStatsHandle::new());
+        for i in 0..3 {
+            c.insert(key(i), deliver(i as f64));
+        }
+        let (map_cap, slot_cap) = (c.map.capacity(), c.slots.capacity());
+        assert!(map_cap < 64, "map sized {map_cap} for 3 entries");
+        assert!(slot_cap < 64, "slab sized {slot_cap} for 3 entries");
+        c.invalidate();
+        assert!(c.is_empty());
+        for i in 0..3 {
+            c.insert(key(i), deliver(i as f64));
+        }
+        assert!(c.map.capacity() <= map_cap, "refill grew the map");
+        assert!(c.slots.capacity() <= slot_cap, "refill grew the slab");
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Get(usize),
+        Insert(usize, u8),
+        Invalidate,
+    }
+
+    /// Keys the differential test draws from: a few more than the
+    /// largest capacity, so every capacity sees evictions.
+    const KEYS: usize = 12;
+
+    /// Gets and inserts in equal measure; one op in 20 is a flush, so the
+    /// cache mostly runs full between flushes.
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            (0u8..20, 0..KEYS, any::<u8>()).prop_map(|(op, k, v)| match op {
+                0 => Op::Invalidate,
+                1..=9 => Op::Get(k),
+                _ => Op::Insert(k, v),
+            }),
+            1..200,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `VerdictCache` against a naive LRU: a `Vec` of `(key, verdict)`
+        /// in recency order, most recent first.
+        #[test]
+        fn matches_a_reference_lru(cap in 1usize..9, ops in arb_ops()) {
+            let h = CacheStatsHandle::new();
+            let mut c = VerdictCache::new(cap, h.clone());
+            let mut model: Vec<(usize, RawVerdict)> = Vec::new();
+            let mut want = CacheStats::default();
+            for op in ops {
+                match op {
+                    Op::Get(k) => {
+                        let hit = model.iter().position(|&(mk, _)| mk == k).map(|at| {
+                            let e = model.remove(at);
+                            model.insert(0, e);
+                            e.1
+                        });
+                        if hit.is_some() {
+                            want.hits += 1;
+                        } else {
+                            want.misses += 1;
+                        }
+                        prop_assert_eq!(c.get(&key(k)), hit, "get {}", k);
+                    }
+                    Op::Insert(k, v) => {
+                        let v = deliver(v as f64);
+                        let evicts = match model.iter().position(|&(mk, _)| mk == k) {
+                            Some(at) => {
+                                model.remove(at);
+                                false
+                            }
+                            None => model.len() >= cap && model.pop().is_some(),
+                        };
+                        model.insert(0, (k, v));
+                        want.evictions += evicts as u64;
+                        prop_assert_eq!(c.insert(key(k), v), evicts, "insert {}", k);
+                    }
+                    Op::Invalidate => {
+                        model.clear();
+                        want.invalidations += 1;
+                        c.invalidate();
+                    }
+                }
+                check_invariants(&c);
+                prop_assert_eq!(c.len(), model.len());
+                prop_assert_eq!(h.snapshot(), want);
+            }
+        }
     }
 
     #[test]

@@ -245,8 +245,10 @@ struct CacheCfg {
 /// verdicts*: the weights, the drop-sampling RNG position, and every
 /// cluster's macro regime, RNN states, feature extractors, and verdict
 /// cache — so a restored run issues bit-identical verdicts to an
-/// uninterrupted one — and its own [`OracleStats`], so a restored run's
-/// verdict counts are of the successful path only. The cache-stats handle
+/// uninterrupted one. A verdict cache copies its live entries, not its
+/// capacity bound, so a snapshot costs what the caches hold. The clone
+/// also gets its own [`OracleStats`], so a restored run's verdict counts
+/// are of the successful path only. The cache-stats handle
 /// is shared with the original (the caller's handle must stay live across
 /// restores), so the cache counters, unlike the verdict counts, include
 /// every attempt.

@@ -772,21 +772,6 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
         self.fel.push(at, remote_seq(sender, send_seq), event);
     }
 
-    /// Inserts a batch of remote deliveries, all from the same `sender`.
-    ///
-    /// Tie-break stability comes from the intrinsic `(sender, send_seq)` key,
-    /// not from insertion order, so callers may hand over per-sender batches
-    /// in any sender order and still get identical pop order.
-    pub fn schedule_remote_batch(
-        &mut self,
-        sender: usize,
-        batch: impl IntoIterator<Item = (SimTime, u64, E)>,
-    ) {
-        for (at, send_seq, event) in batch {
-            self.schedule_remote(at, sender, send_seq, event);
-        }
-    }
-
     /// Cancels a previously scheduled event. Returns `true` if the event was
     /// still pending, `false` if it already fired or was already cancelled.
     pub fn cancel(&mut self, key: EventKey) -> bool {
@@ -1120,20 +1105,6 @@ mod tests {
             f.into_iter().map(|(_, v)| v).collect::<Vec<_>>(),
             vec![10, 20, 21, 30]
         );
-    }
-
-    #[test]
-    fn remote_batch_matches_singles() {
-        let t = SimTime::from_nanos(9);
-        let mut batched: Scheduler<u32> = Scheduler::new();
-        batched.schedule_remote_batch(4, vec![(t, 0, 1u32), (t, 1, 2), (t, 2, 3)]);
-        let mut singles: Scheduler<u32> = Scheduler::new();
-        for (seq, v) in [(2u64, 3u32), (0, 1), (1, 2)] {
-            singles.schedule_remote(t, 4, seq, v);
-        }
-        let a: Vec<_> = std::iter::from_fn(|| batched.pop()).collect();
-        let b: Vec<_> = std::iter::from_fn(|| singles.pop()).collect();
-        assert_eq!(a, b);
     }
 
     #[test]
