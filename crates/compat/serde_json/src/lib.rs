@@ -107,6 +107,21 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Length of the run at the start of `bytes` that holds no `"` and no `\`.
+/// Whole blocks are tested without an early exit, which the compiler turns
+/// into a few vector instructions a block; the block that ends the run is
+/// then searched byte by byte.
+fn plain_run(bytes: &[u8]) -> usize {
+    const BLOCK: usize = 32;
+    let stop = |b: &u8| matches!(b, b'"' | b'\\');
+    let clean_blocks = bytes
+        .chunks_exact(BLOCK)
+        .take_while(|block| block.iter().fold(0, |hits, b| hits | stop(b) as u8) == 0)
+        .count();
+    let rest = &bytes[BLOCK * clean_blocks..];
+    BLOCK * clean_blocks + rest.iter().position(stop).unwrap_or(rest.len())
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -282,9 +297,7 @@ impl<'a> Parser<'a> {
                     // are ASCII, so the run ends on a character boundary of
                     // the input, which came in as a `&str`.
                     let start = self.pos;
-                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                        self.pos += 1;
-                    }
+                    self.pos += plain_run(&self.bytes[start..]);
                     let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| Error::custom("invalid utf-8"))?;
                     s.push_str(run);
@@ -406,6 +419,26 @@ mod tests {
             assert!(
                 err.to_string().contains("unterminated string"),
                 "{text}: {err}"
+            );
+        }
+    }
+
+    /// Runs are scanned a block at a time: a quote or backslash at any
+    /// offset, in or across blocks, still ends its run, and a long string
+    /// without its closing quote is still unterminated.
+    #[test]
+    fn escapes_at_every_offset_of_a_long_string() {
+        for at in 0..100 {
+            for special in ["\"", "\\", "é"] {
+                let text = format!("{}{special}{}", "x".repeat(at), "y".repeat(100 - at));
+                let back: String = from_str(&to_string(&text).unwrap()).unwrap();
+                assert_eq!(back, text, "{special} at {at}");
+            }
+            let open = format!("\"{}", "z".repeat(at));
+            let err = from_str::<String>(&open).unwrap_err();
+            assert!(
+                err.to_string().contains("unterminated string"),
+                "{at}: {err}"
             );
         }
     }

@@ -16,7 +16,7 @@ pub use elephant_net::OracleStats;
 use elephant_net::{
     ClosParams, ClusterOracle, Direction, OracleCtx, OracleVerdict, Packet, RawVerdict,
 };
-use elephant_nn::{MicroNet, MicroNetState};
+use elephant_nn::{MicroNet, MicroNetConfig, MicroNetState};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -28,13 +28,17 @@ use crate::macro_model::{MacroConfig, MacroModel, MacroState};
 
 /// Magic string identifying a versioned elephant model artifact.
 pub const MODEL_MAGIC: &str = "ELEPHANT-MODEL";
-/// Model artifact format version this build writes and reads. Version 3
-/// stores each micro model's trunk as a bare LSTM (`"lstm": {"cells": …}`);
-/// version 2 wrapped it in an `rnn` field tagged with the trunk's kind
-/// (`"rnn": {"Lstm": …}`), and version 1 held the weights row-major rather
-/// than in the row panels of `elephant_nn::Matrix` — read as today's layout
-/// it would serve a scrambled model that still passes the checksum.
-pub const MODEL_VERSION: u32 = 3;
+/// Model artifact format version this build writes and reads. Version 4
+/// carries every weight in one `"weights"` string, the lowercase hex of its
+/// little-endian `f32` bytes, beside a header of configs; versions 1–3
+/// wrote each weight as a JSON decimal inside a serialized model tree.
+/// Version 3 stored each micro model's trunk as a bare LSTM (`"lstm":
+/// {"cells": …}`); version 2 wrapped it in an `rnn` field tagged with the
+/// trunk's kind (`"rnn": {"Lstm": …}`), and version 1 held the weights
+/// row-major rather than in the row panels of `elephant_nn::Matrix` — read
+/// as today's layout it would serve a scrambled model that still passes
+/// the checksum.
+pub const MODEL_VERSION: u32 = 4;
 
 /// Training-time statistics embedded in the model, used at deployment to
 /// derive guardrail tolerance bands (e.g. the expected drop rate for
@@ -60,8 +64,9 @@ pub struct ModelMeta {
     pub quantizer: QuantizerConfig,
 }
 
-/// Everything learned from one training run, serializable as JSON.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Everything learned from one training run, saved and loaded as a
+/// [`ModelFile`].
+#[derive(Clone, Debug)]
 pub struct ClusterModel {
     /// Micro model for host → core traversals (the paper's "leaving").
     pub up: MicroNet,
@@ -71,26 +76,39 @@ pub struct ClusterModel {
     pub macro_cfg: MacroConfig,
     /// Latency target codec.
     pub codec: LatencyCodec,
-    /// Training-time stats for deployment guardrails (absent in legacy
-    /// artifacts; defaults to zeros, which disables derived bands).
-    #[serde(default)]
+    /// Training-time stats for deployment guardrails (zeros disable the
+    /// derived bands).
     pub meta: ModelMeta,
 }
 
-/// On-disk envelope for a [`ClusterModel`]: versioned, checksummed header
-/// plus the model itself. [`ClusterModel::to_file_json`] writes one;
-/// [`ClusterModel::load_json`] validates magic, version, checksum, weight
-/// shapes and weight finiteness before handing the model out.
+/// The on-disk form of a [`ClusterModel`], format version 4: a JSON header
+/// (magic, version, checksum, both micro models' architectures and the
+/// small calibrated parts) and one hex string holding every weight.
+/// [`ClusterModel::to_file_json`] writes one; [`ClusterModel::load_json`]
+/// validates magic, version, configs, payload length, checksum and weight
+/// finiteness before handing the model out.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ModelFile {
     /// Must equal [`MODEL_MAGIC`].
     pub magic: String,
     /// Must equal [`MODEL_VERSION`].
     pub version: u32,
-    /// FNV-1a over both micro models' weight bits, in parameter order.
+    /// [`ClusterModel::weight_checksum`] of the weights in the payload.
     pub checksum: u64,
-    /// The payload.
-    pub model: ClusterModel,
+    /// Architecture of the up micro model.
+    pub up: MicroNetConfig,
+    /// Architecture of the down micro model.
+    pub down: MicroNetConfig,
+    /// Calibrated macro-classifier thresholds.
+    pub macro_cfg: MacroConfig,
+    /// Latency target codec.
+    pub codec: LatencyCodec,
+    /// Training-time stats.
+    pub meta: ModelMeta,
+    /// Every parameter as little-endian `f32` bytes in lowercase hex, eight
+    /// digits a weight: the up model, then the down model, each in
+    /// [`MicroNet::param_views`] order (`Matrix` panel order).
+    pub weights: String,
 }
 
 /// The fields of a [`ModelFile`] that say how to read the rest of it.
@@ -116,45 +134,165 @@ fn check_header(magic: &str, version: u32) -> Result<(), ElephantError> {
     Ok(())
 }
 
+/// Lowercase hex digits by value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The value of each byte as a lowercase hex digit, `0xff` for a byte that
+/// is not one.
+const HEX_VALUES: [u8; 256] = {
+    let mut values = [0xff; 256];
+    let mut v = 0;
+    while v < 16 {
+        values[HEX_DIGITS[v] as usize] = v as u8;
+        v += 1;
+    }
+    values
+};
+
+/// Whether the payload may hold `b`: a lowercase hex digit.
+fn is_hex_digit(b: u8) -> bool {
+    HEX_VALUES[b as usize] != 0xff
+}
+
+/// The weight spelled by eight hex digits (four little-endian bytes, high
+/// nibble first), or `None` if one of them is not a lowercase hex digit.
+fn weight_from_hex(digits: &[u8]) -> Option<f32> {
+    let mut bytes = [0u8; 4];
+    for (byte, pair) in bytes.iter_mut().zip(digits.chunks_exact(2)) {
+        let (hi, lo) = (HEX_VALUES[pair[0] as usize], HEX_VALUES[pair[1] as usize]);
+        if (hi | lo) > 0xf {
+            return None;
+        }
+        *byte = hi << 4 | lo;
+    }
+    Some(f32::from_le_bytes(bytes))
+}
+
 impl ModelFile {
-    /// Validates the header and payload, yielding the model.
+    /// Validates the header and payload, yielding the model. The configs
+    /// are checked first and fix the payload's length, so a file is refused
+    /// before anything is allocated for weights it does not hold; the
+    /// weights then decode straight into zeroed nets.
     pub fn into_model(self) -> Result<ClusterModel, ElephantError> {
         check_header(&self.magic, self.version)?;
-        let actual = self.model.weight_checksum();
+        self.check_configs()?;
+        let hex = self.weights.as_bytes();
+        let need = self
+            .up
+            .param_count()
+            .zip(self.down.param_count())
+            .and_then(|(up, down)| up.checked_add(down)?.checked_mul(8));
+        if need != Some(hex.len()) {
+            let need = need.map_or("more than fit in memory".to_string(), |n| n.to_string());
+            return Err(ElephantError::ModelShape {
+                detail: format!(
+                    "the weight payload holds {} hex digits, the configs need {need}",
+                    hex.len()
+                ),
+            });
+        }
+        let mut model = ClusterModel {
+            up: MicroNet::zeros(self.up),
+            down: MicroNet::zeros(self.down),
+            macro_cfg: self.macro_cfg,
+            codec: self.codec,
+            meta: self.meta,
+        };
+        let mut digits = hex.chunks_exact(8);
+        for net in [&mut model.up, &mut model.down] {
+            for (w, chunk) in net.param_slices().into_iter().flatten().zip(&mut digits) {
+                *w = weight_from_hex(chunk).ok_or_else(|| {
+                    let at = hex.iter().position(|&b| !is_hex_digit(b));
+                    ElephantError::ModelParse {
+                        detail: format!(
+                            "the weight payload holds a byte that is not a lowercase hex \
+                             digit at offset {}",
+                            at.unwrap_or_default()
+                        ),
+                    }
+                })?;
+            }
+        }
+        let actual = model.weight_checksum();
         if actual != self.checksum {
             return Err(ElephantError::ModelChecksum {
                 expected: self.checksum,
                 actual,
             });
         }
-        self.model.validate_shapes()?;
-        self.model.validate_weights()?;
-        Ok(self.model)
+        model.validate_weights()?;
+        Ok(model)
+    }
+
+    /// Fails if either micro model's config declares no layers or no hidden
+    /// units, or reads another feature width than the oracle builds
+    /// ([`FEATURE_DIM`]). Every layer then holds weights, so the payload's
+    /// length bounds the layer count and the work of shaping the nets.
+    fn check_configs(&self) -> Result<(), ElephantError> {
+        for (direction, cfg) in [("up", &self.up), ("down", &self.down)] {
+            let detail = if cfg.layers == 0 {
+                "the config declares 0 layers".to_string()
+            } else if cfg.hidden == 0 {
+                "the config declares 0 hidden units".to_string()
+            } else if cfg.input != FEATURE_DIM {
+                format!(
+                    "reads {} features, the oracle builds {FEATURE_DIM}",
+                    cfg.input
+                )
+            } else {
+                continue;
+            };
+            return Err(ElephantError::ModelShape {
+                detail: format!("{direction} model: {detail}"),
+            });
+        }
+        Ok(())
     }
 }
 
 impl ClusterModel {
-    /// Serializes to the versioned, checksummed on-disk format.
-    pub fn to_file_json(&self) -> String {
-        let file = ModelFile {
+    /// The on-disk form of this model, sealed with its weight checksum.
+    pub fn to_file(&self) -> ModelFile {
+        let mut hex = Vec::new();
+        for net in [&self.up, &self.down] {
+            for w in net.param_views().into_iter().flatten() {
+                for byte in w.to_le_bytes() {
+                    hex.extend([
+                        HEX_DIGITS[(byte >> 4) as usize],
+                        HEX_DIGITS[(byte & 0xf) as usize],
+                    ]);
+                }
+            }
+        }
+        ModelFile {
             magic: MODEL_MAGIC.to_string(),
             version: MODEL_VERSION,
             checksum: self.weight_checksum(),
-            model: self.clone(),
-        };
-        serde_json::to_string(&file).expect("model file serializes")
+            up: self.up.cfg,
+            down: self.down.cfg,
+            macro_cfg: self.macro_cfg,
+            codec: self.codec,
+            meta: self.meta,
+            weights: String::from_utf8(hex).expect("hex digits are ASCII"),
+        }
+    }
+
+    /// Serializes to the versioned, checksummed on-disk format.
+    pub fn to_file_json(&self) -> String {
+        serde_json::to_string(&self.to_file()).expect("model file serializes")
     }
 
     /// Loads a model from the versioned on-disk format, validating the
-    /// header and the weights (shapes, then finiteness), so a model that
-    /// loads can serve a verdict. All failure modes are typed; a bare model
-    /// without the header is refused ([`ElephantError::ModelParse`]), since
-    /// nothing in it says how its weights are laid out.
+    /// header and the weights (configs, payload length, checksum, then
+    /// finiteness), so a model that loads can serve a verdict. All failure
+    /// modes are typed; a file without the header is refused
+    /// ([`ElephantError::ModelParse`]), since nothing in it says how its
+    /// weights are laid out.
     ///
     /// The header's verdict comes first: a file of another magic or format
     /// version is refused as such ([`ElephantError::ModelVersion`]) even
-    /// when its payload does not parse as this version's model. Only a
-    /// file that fails to parse is read a second time, for its header, so
+    /// when the rest does not parse as this version's file. Only a file
+    /// that fails to parse is read a second time, for its header, so
     /// loading a good artifact still parses it once.
     pub fn load_json(s: &str) -> Result<Self, ElephantError> {
         match serde_json::from_str::<ModelFile>(s) {
@@ -178,28 +316,8 @@ impl ClusterModel {
             ^ self.down.weight_checksum()
     }
 
-    /// Fails if either micro model's weights do not fit its architecture,
-    /// or it reads another feature width than the oracle builds
-    /// ([`FEATURE_DIM`]).
-    fn validate_shapes(&self) -> Result<(), ElephantError> {
-        for (direction, net) in [("up", &self.up), ("down", &self.down)] {
-            let detail = match net.check_shapes() {
-                Err(detail) => detail,
-                Ok(()) if net.cfg.input != FEATURE_DIM => format!(
-                    "reads {} features, the oracle builds {FEATURE_DIM}",
-                    net.cfg.input
-                ),
-                Ok(()) => continue,
-            };
-            return Err(ElephantError::ModelShape {
-                detail: format!("{direction} model: {detail}"),
-            });
-        }
-        Ok(())
-    }
-
     /// Fails if either micro model carries NaN or infinite weights.
-    pub fn validate_weights(&self) -> Result<(), ElephantError> {
+    fn validate_weights(&self) -> Result<(), ElephantError> {
         let count = self.up.non_finite_params() + self.down.non_finite_params();
         if count > 0 {
             return Err(ElephantError::ModelNonFinite { count });
@@ -482,7 +600,7 @@ mod tests {
     use super::*;
     use elephant_des::SimDuration;
     use elephant_net::{Ecn, FlowId, HostAddr, TcpFlags, TcpSegment, Topology};
-    use elephant_nn::MicroNetConfig;
+    use proptest::prelude::*;
 
     fn tiny_model() -> ClusterModel {
         let mut rng = SmallRng::seed_from_u64(1);
@@ -608,15 +726,60 @@ mod tests {
         assert_eq!(built, 1, "cluster 2 never materialized");
     }
 
+    /// Bits of every parameter of both micro models, in payload order.
+    fn weight_bits(m: &ClusterModel) -> Vec<u32> {
+        [&m.up, &m.down]
+            .into_iter()
+            .flat_map(|net| net.param_views().into_iter().flatten().map(|w| w.to_bits()))
+            .collect()
+    }
+
+    /// Re-seals an edited file the way anyone can: take the checksum the
+    /// reader computed over the payload.
+    fn resealed(mut file: ModelFile) -> String {
+        if let Err(ElephantError::ModelChecksum { actual, .. }) = file.clone().into_model() {
+            file.checksum = actual;
+        }
+        serde_json::to_string(&file).unwrap()
+    }
+
+    /// The served architecture and a tiny one: after `to_file_json` →
+    /// `load_json` every parameter has the same bits, the checksum is the
+    /// same, and 1,000 verdicts in a row (both directions, state carried)
+    /// are bit-identical.
     #[test]
-    fn model_json_round_trip() {
-        let m = tiny_model();
-        let back = ClusterModel::load_json(&m.to_file_json()).unwrap();
-        let x = vec![0.1f32; FEATURE_DIM];
-        let a = m.up.predict(&x, &mut m.up.init_state());
-        let b = back.up.predict(&x, &mut back.up.init_state());
-        assert_eq!(a.drop_prob, b.drop_prob);
-        assert_eq!(a.latency, b.latency);
+    fn v4_round_trip_is_the_same_model() {
+        let mut rng = SmallRng::seed_from_u64(0xE1E);
+        let compact = MicroNetConfig::compact(FEATURE_DIM);
+        let served = ClusterModel {
+            up: MicroNet::new(compact, &mut rng),
+            down: MicroNet::new(compact, &mut rng),
+            ..tiny_model()
+        };
+        for m in [tiny_model(), served] {
+            let back = ClusterModel::load_json(&m.to_file_json()).expect("a written file loads");
+            assert_eq!(weight_bits(&back), weight_bits(&m));
+            assert_eq!(back.weight_checksum(), m.weight_checksum());
+            let (mut a_up, mut a_down) = (m.up.init_state(), m.down.init_state());
+            let (mut b_up, mut b_down) = (back.up.init_state(), back.down.init_state());
+            let mut rng = SmallRng::seed_from_u64(5);
+            for step in 0..1_000 {
+                let x: Vec<f32> = (0..FEATURE_DIM).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                let (a, b) = if step % 2 == 0 {
+                    (m.up.predict(&x, &mut a_up), back.up.predict(&x, &mut b_up))
+                } else {
+                    (
+                        m.down.predict(&x, &mut a_down),
+                        back.down.predict(&x, &mut b_down),
+                    )
+                };
+                assert_eq!(
+                    (a.drop_prob.to_bits(), a.latency.to_bits()),
+                    (b.drop_prob.to_bits(), b.latency.to_bits()),
+                    "step {step}"
+                );
+            }
+        }
     }
 
     /// The weights a fresh served-size model starts from, bit for bit: pins
@@ -628,15 +791,66 @@ mod tests {
         assert_eq!(m.weight_checksum(), 1_026_617_590_211_359_552);
     }
 
+    /// The payload layout itself: the first weight's little-endian bytes
+    /// open it, and it holds eight digits per parameter.
     #[test]
-    fn versioned_file_round_trips_and_validates() {
+    fn payload_is_little_endian_hex_in_param_order() {
         let m = tiny_model();
-        let json = m.to_file_json();
-        let back = ClusterModel::load_json(&json).expect("valid file loads");
-        assert_eq!(back.weight_checksum(), m.weight_checksum());
-        // A bare model carries no version, so its weight layout is
-        // unknowable: refused, with a typed error naming the header.
-        let bare = serde_json::to_string(&m).unwrap();
+        let file = m.to_file();
+        let first = m.up.param_views()[0][0].to_bits().to_le_bytes();
+        let expect: String = first.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(&file.weights[..8], expect);
+        assert_eq!(file.weights.len(), 8 * weight_bits(&m).len());
+        assert!(m.to_file_json().contains(r#""version":4"#));
+    }
+
+    /// The table decoder against `u8::from_str_radix`: random
+    /// weights, and every byte value in every digit position (accepted iff
+    /// it is a lowercase hex digit).
+    #[test]
+    fn hex_weights_decode_like_a_reference() {
+        let reference = |d: [u8; 8]| {
+            let byte = |k: usize| {
+                u8::from_str_radix(std::str::from_utf8(&d[2 * k..2 * k + 2]).unwrap(), 16).unwrap()
+            };
+            u32::from_le_bytes([byte(0), byte(1), byte(2), byte(3)])
+        };
+        let mut rng = SmallRng::seed_from_u64(6);
+        for _ in 0..10_000 {
+            let bits: u32 = rng.gen();
+            let hex: String = bits
+                .to_le_bytes()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            let digits: [u8; 8] = hex.as_bytes().try_into().unwrap();
+            assert_eq!(weight_from_hex(&digits).map(f32::to_bits), Some(bits));
+            assert_eq!(reference(digits), bits);
+        }
+        for at in 0..8 {
+            for b in 0..=u8::MAX {
+                let mut digits = *b"0a1b2c9f";
+                digits[at] = b;
+                let want = is_hex_digit(b).then(|| reference(digits));
+                assert_eq!(
+                    weight_from_hex(&digits).map(f32::to_bits),
+                    want,
+                    "{b:#04x} at {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_file_without_its_header_is_refused() {
+        // A document without magic and version carries no format, so its
+        // weight layout is unknowable: refused, with a typed error naming
+        // the header.
+        let mut doc: serde::Value = serde_json::from_str(&tiny_model().to_file_json()).unwrap();
+        if let serde::Value::Map(entries) = &mut doc {
+            entries.retain(|(k, _)| !matches!(k.as_str(), "magic" | "version" | "checksum"));
+        }
+        let bare = serde_json::to_string(&doc).unwrap();
         let err = ClusterModel::load_json(&bare).unwrap_err();
         assert!(
             matches!(&err, ElephantError::ModelParse { detail } if detail.contains("magic")),
@@ -645,43 +859,49 @@ mod tests {
         assert_eq!(err.exit_code(), 4);
     }
 
+    /// A micro model as format versions 1 and 3 wrote it (1 input, 1 hidden
+    /// unit, 1 layer): every weight a JSON decimal in the model tree.
+    const V3_MICRO_NET: &str = r#"{"cfg":{"input":1,"hidden":1,"layers":1,"alpha":0.5},
+        "lstm":{"cells":[{"w":{"rows":4,"cols":2,"data":[0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8]},
+            "b":[0.0,1.0,0.0,0.0],"input":1,"hidden":1}]},
+        "latency_head":{"w":{"rows":1,"cols":1,"data":[0.3]},"b":[0.0]},
+        "drop_head":{"w":{"rows":1,"cols":1,"data":[-0.3]},"b":[0.0]}}"#;
+
     /// A micro model as format version 2 wrote it: the trunk tagged with
     /// its kind inside an `rnn` field, here the gated recurrent unit that
-    /// version could also build (1 input, 1 hidden unit, 1 layer).
+    /// version could also build.
     const V2_MICRO_NET: &str = r#"{"cfg":{"input":1,"hidden":1,"layers":1,"alpha":0.5,"rnn":"Gru"},
         "rnn":{"Gru":{"cells":[{"w_zr":{"rows":2,"cols":2,"data":[0.1,0.2,0.3,0.4]},"b_zr":[0.0,0.0],
             "w_n":{"rows":1,"cols":2,"data":[0.5,0.6]},"b_n":[0.0],"input":1,"hidden":1}]}},
         "latency_head":{"w":{"rows":1,"cols":1,"data":[0.3]},"b":[0.0]},
         "drop_head":{"w":{"rows":1,"cols":1,"data":[-0.3]},"b":[0.0]}}"#;
 
-    #[test]
-    fn older_format_versions_are_refused() {
-        // Version 1: today's shape, row-major weights. It parses and passes
-        // its own checksum, so only the version stands between it and
-        // serving.
-        let m = tiny_model();
-        let v1 = serde_json::to_string(&ModelFile {
-            magic: MODEL_MAGIC.to_string(),
-            version: 1,
-            checksum: m.weight_checksum(),
-            model: m,
-        })
-        .unwrap();
-        // Version 2: its payload does not parse as today's model, so only a
-        // header read before the payload names the version.
-        let v2 = format!(
-            r#"{{"magic":"ELEPHANT-MODEL","version":2,"checksum":1,"model":{{
-                "up":{V2_MICRO_NET},"down":{V2_MICRO_NET},
+    /// An envelope of an older version around `net` as both micro models.
+    fn older_file(version: u32, net: &str) -> String {
+        format!(
+            r#"{{"magic":"ELEPHANT-MODEL","version":{version},"checksum":1,"model":{{
+                "up":{net},"down":{net},
                 "macro_cfg":{{"latency_low":5e-5,"drop_high":0.02,"fast_alpha":0.3,
                     "slow_alpha":0.02,"drop_window":64}},
                 "codec":{{"lo":1e-6,"hi":1.0}},"meta":{{}}}}}}"#
-        );
-        let payload = serde_json::from_str::<ModelFile>(&v2).unwrap_err();
-        assert!(payload.to_string().contains("`lstm`"), "{payload}");
-        for (version, json) in [(1, v1), (2, v2)] {
+        )
+    }
+
+    #[test]
+    fn older_format_versions_are_refused() {
+        // None of them parses as a version 4 file (no configs, no payload),
+        // so only the header read after the failed parse names the version.
+        // Version 1 has version 3's shape with row-major weights.
+        for (version, net) in [(1, V3_MICRO_NET), (2, V2_MICRO_NET), (3, V3_MICRO_NET)] {
+            let json = older_file(version, net);
+            let payload = serde_json::from_str::<ModelFile>(&json).unwrap_err();
+            assert!(
+                payload.to_string().contains("`up`"),
+                "v{version}: {payload}"
+            );
             let err = ClusterModel::load_json(&json).unwrap_err();
             assert!(
-                matches!(err, ElephantError::ModelVersion { found, expected: 3 } if found == version),
+                matches!(err, ElephantError::ModelVersion { found, expected: 4 } if found == version),
                 "v{version}: {err}"
             );
             assert_eq!(err.exit_code(), 4);
@@ -691,21 +911,13 @@ mod tests {
     #[test]
     fn wrong_magic_and_version_are_typed_errors() {
         let m = tiny_model();
-        let file = ModelFile {
-            magic: "NOT-A-MODEL".to_string(),
-            version: MODEL_VERSION,
-            checksum: m.weight_checksum(),
-            model: m.clone(),
-        };
+        let mut file = m.to_file();
+        file.magic = "NOT-A-MODEL".to_string();
         let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
         assert!(matches!(err, ElephantError::ModelMagic { .. }), "{err}");
 
-        let file = ModelFile {
-            magic: MODEL_MAGIC.to_string(),
-            version: MODEL_VERSION + 7,
-            checksum: m.weight_checksum(),
-            model: m,
-        };
+        let mut file = m.to_file();
+        file.version = MODEL_VERSION + 7;
         let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
         assert!(
             matches!(err, ElephantError::ModelVersion { found, .. } if found == MODEL_VERSION + 7)
@@ -715,71 +927,138 @@ mod tests {
     #[test]
     fn checksum_mismatch_is_detected() {
         let m = tiny_model();
-        let file = ModelFile {
-            magic: MODEL_MAGIC.to_string(),
-            version: MODEL_VERSION,
-            checksum: m.weight_checksum() ^ 1,
-            model: m,
-        };
+        let mut file = m.to_file();
+        file.checksum ^= 1;
         let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
         assert!(matches!(err, ElephantError::ModelChecksum { .. }), "{err}");
-    }
 
-    #[test]
-    fn nan_weights_refuse_to_load() {
-        let mut m = tiny_model();
-        m.up.param_slices()[0][0] = f32::NAN;
-        // At the envelope layer (checksum covers the NaN bits, so it
-        // matches) the finiteness validator is what rejects the model.
-        let file = ModelFile {
-            magic: MODEL_MAGIC.to_string(),
-            version: MODEL_VERSION,
-            checksum: m.weight_checksum(),
-            model: m.clone(),
-        };
-        let err = file.into_model().unwrap_err();
+        // One flipped payload bit: the low bit of the 100th weight's first
+        // byte (`0` ↔ `1`, … `e` ↔ `f`), still lowercase hex.
+        let mut file = m.to_file();
+        let at = 8 * 100 + 1;
+        let digit = HEX_DIGITS
+            .iter()
+            .position(|&d| d == file.weights.as_bytes()[at])
+            .unwrap()
+            ^ 1;
+        file.weights
+            .replace_range(at..at + 1, &(HEX_DIGITS[digit] as char).to_string());
+        let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
         assert!(
-            matches!(err, ElephantError::ModelNonFinite { count } if count == 1),
-            "{err}"
-        );
-        // Through JSON the NaN serializes as `null` and parses back as
-        // NaN (the writer/reader are symmetric about non-finite floats),
-        // so the same finiteness validator is what refuses the artifact.
-        let err = ClusterModel::load_json(&m.to_file_json()).unwrap_err();
-        assert!(
-            matches!(err, ElephantError::ModelNonFinite { count } if count == 1),
-            "{err}"
-        );
-    }
-
-    /// Re-seals an edited artifact the way anyone can: recompute the
-    /// checksum with the public `weight_checksum()`.
-    fn resealed(json: &str) -> String {
-        let mut file: ModelFile = serde_json::from_str(json).expect("edited file still parses");
-        file.checksum = file.model.weight_checksum();
-        serde_json::to_string(&file).unwrap()
-    }
-
-    /// One value deleted from the first weight array, checksum recomputed:
-    /// the file parses and passes its checksum, and used to load and then
-    /// panic at the first verdict (a 703-value slice read as 32 × 22).
-    #[test]
-    fn a_weight_array_short_of_its_shape_is_refused() {
-        let json = tiny_model().to_file_json();
-        let at = json.find("\"data\":[").expect("a weight array") + "\"data\":[".len();
-        let comma = at + json[at..].find(',').expect("more than one weight");
-        let edited = resealed(&format!("{}{}", &json[..at], &json[comma + 1..]));
-        let err = ClusterModel::load_json(&edited).unwrap_err();
-        assert!(
-            matches!(&err, ElephantError::ModelShape { detail }
-                if detail.contains("up model: layer 0 gates: 703 weights")),
+            matches!(err, ElephantError::ModelChecksum { expected, .. }
+                if expected == m.weight_checksum()),
             "{err}"
         );
         assert_eq!(err.exit_code(), 4);
     }
 
+    #[test]
+    fn nan_weights_refuse_to_load() {
+        // Written by the writer, which seals the NaN bits into the checksum:
+        // the finiteness validator is what refuses the model.
+        let mut m = tiny_model();
+        m.up.param_slices()[0][0] = f32::NAN;
+        let err = ClusterModel::load_json(&m.to_file_json()).unwrap_err();
+        assert!(
+            matches!(err, ElephantError::ModelNonFinite { count } if count == 1),
+            "{err}"
+        );
+        // Edited into the payload by hand (a quiet NaN, little-endian) and
+        // re-sealed: the same.
+        let mut file = tiny_model().to_file();
+        file.weights.replace_range(8 * 3..8 * 4, "0000c07f");
+        let err = ClusterModel::load_json(&resealed(file)).unwrap_err();
+        assert!(
+            matches!(err, ElephantError::ModelNonFinite { count } if count == 1),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 4);
+    }
+
+    /// A payload one weight short, or with half a byte cut off, fails
+    /// before any weight is read: the configs fix its length.
+    #[test]
+    fn a_payload_short_of_its_configs_is_refused() {
+        let mut file = tiny_model().to_file();
+        let full = file.weights.len();
+        file.weights.truncate(full - 8);
+        let err = ClusterModel::load_json(&resealed(file.clone())).unwrap_err();
+        assert!(
+            matches!(&err, ElephantError::ModelShape { detail }
+                if detail.contains(&format!("holds {} hex digits, the configs need {full}", full - 8))),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 4);
+        file.weights.truncate(full - 9);
+        let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, ElephantError::ModelShape { detail } if detail.contains("holds 12055 hex")),
+            "{err}"
+        );
+    }
+
+    /// A config that asks for more weights than a `usize` counts is refused
+    /// by arithmetic, before anything is allocated for it.
+    #[test]
+    fn a_config_past_memory_is_refused_without_allocating() {
+        let mut file = tiny_model().to_file();
+        file.up.hidden = usize::MAX / 4;
+        let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, ElephantError::ModelShape { detail } if detail.contains("more than fit")),
+            "{err}"
+        );
+    }
+
+    /// A config of no hidden units has no trunk weights however many layers
+    /// it declares, so a payload of its two head biases plus the down model
+    /// matches it in length: the config itself is refused, before a layer is
+    /// counted or built. A layer count past memory is refused by arithmetic.
+    #[test]
+    fn a_config_of_no_width_and_endless_layers_is_refused() {
+        let mut file = tiny_model().to_file();
+        let up_digits = 8 * file.up.param_count().unwrap();
+        file.up.hidden = 0;
+        file.up.layers = 1_000_000_000_000;
+        file.weights = format!("{}{}", "0".repeat(16), &file.weights[up_digits..]);
+        let err = ClusterModel::load_json(&resealed(file.clone())).unwrap_err();
+        assert!(
+            matches!(&err, ElephantError::ModelShape { detail }
+                if detail == "up model: the config declares 0 hidden units"),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 4);
+        file.up.hidden = 1;
+        file.up.layers = 1 << 62;
+        let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, ElephantError::ModelShape { detail } if detail.contains("more than fit")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_byte_that_is_not_lowercase_hex_is_a_parse_error() {
+        for bad in ["g", "A", "-", " ", "é"] {
+            let mut file = tiny_model().to_file();
+            // Keep the length even: swap two digits for the bad one and
+            // a filler of its remaining width.
+            let filler = "0".repeat(2 - bad.len().min(2));
+            file.weights
+                .replace_range(40..42, &format!("{bad}{filler}"));
+            let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
+            assert!(
+                matches!(&err, ElephantError::ModelParse { detail }
+                    if detail.contains("not a lowercase hex digit at offset 40")),
+                "{bad:?}: {err}"
+            );
+        }
+    }
+
     /// Layers that do not chain: the second layer of a 2-layer trunk reads
-    /// five inputs where the layer below produces eight.
+    /// five inputs where the layer below produces eight. The writer writes
+    /// the weights it holds; the reader, shaping nets by the configs, finds
+    /// the payload short.
     #[test]
     fn a_layer_of_the_wrong_width_is_refused() {
         let mut rng = SmallRng::seed_from_u64(2);
@@ -793,11 +1072,26 @@ mod tests {
         m.down.lstm.cells[1] = elephant_nn::LstmCell::new(5, 8, &mut rng);
         let err = ClusterModel::load_json(&m.to_file_json()).unwrap_err();
         assert!(
-            matches!(&err, ElephantError::ModelShape { detail }
-                if detail.contains("down model: layer 1 maps 5 → 8 units")),
+            matches!(&err, ElephantError::ModelShape { detail } if detail.contains("configs need")),
             "{err}"
         );
         assert_eq!(err.exit_code(), 4);
+    }
+
+    /// A config of no layers has a payload (the two heads) but no trunk.
+    #[test]
+    fn a_config_of_no_layers_is_refused() {
+        let mut m = tiny_model();
+        m.up = MicroNet::zeros(MicroNetConfig {
+            layers: 0,
+            ..m.up.cfg
+        });
+        let err = ClusterModel::load_json(&m.to_file_json()).unwrap_err();
+        assert!(
+            matches!(&err, ElephantError::ModelShape { detail }
+                if detail.contains("up model: the config declares 0 layers")),
+            "{err}"
+        );
     }
 
     /// A model for another feature vector would trip the first step's
@@ -824,5 +1118,62 @@ mod tests {
         let json = m.to_file_json();
         let err = ClusterModel::load_json(&json[..json.len() / 2]).unwrap_err();
         assert!(matches!(err, ElephantError::ModelParse { .. }), "{err}");
+    }
+
+    /// How the reader's fuzz cases damage a file.
+    #[derive(Clone, Copy, Debug)]
+    enum Damage {
+        /// Cut the file at a byte.
+        Truncate,
+        /// Overwrite a byte with a printable ASCII one.
+        Overwrite(u8),
+        /// Overwrite a payload digit with a byte that is not one.
+        NotHex(u8),
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The reader never panics. A cut file and a payload byte that is
+        /// not a digit are always refused; an overwritten byte anywhere is
+        /// refused or, outside the payload, may happen to leave a valid
+        /// file (a digit of a calibrated float, say). Every refusal is a
+        /// model error (exit code 4).
+        #[test]
+        fn the_reader_never_panics(
+            damage in (0u8..3, 0x20u8..0x7f).prop_map(|(kind, byte)| match kind {
+                0 => Damage::Truncate,
+                1 => Damage::Overwrite(byte),
+                _ => Damage::NotHex(byte),
+            }),
+            at in any::<usize>(),
+        ) {
+            let json = tiny_model().to_file_json();
+            let payload_start = json.find(r#""weights":""#).unwrap() + r#""weights":""#.len();
+            let payload_len = json.len() - payload_start - 2; // `"}` closes it
+            let mut bytes = json.clone().into_bytes();
+            let must_fail = match damage {
+                Damage::Truncate => {
+                    bytes.truncate(at % json.len());
+                    true
+                }
+                Damage::Overwrite(b) => {
+                    let i = at % json.len();
+                    let changed = bytes[i] != b;
+                    bytes[i] = b;
+                    changed && (payload_start..payload_start + payload_len).contains(&i)
+                }
+                Damage::NotHex(b) => {
+                    prop_assume!(!is_hex_digit(b));
+                    bytes[payload_start + at % payload_len] = b;
+                    true
+                }
+            };
+            let text = String::from_utf8(bytes).expect("ASCII edits keep UTF-8");
+            match ClusterModel::load_json(&text) {
+                Err(err) => prop_assert_eq!(err.exit_code(), 4),
+                Ok(_) => prop_assert!(!must_fail, "{:?} at {} loaded", damage, at),
+            }
+        }
     }
 }

@@ -131,10 +131,16 @@ impl SimDuration {
     /// The time it takes to serialize `bytes` onto a link of `gbps`
     /// gigabits per second, rounded **up** so that no transmission is ever
     /// modeled as free.
+    ///
+    /// The rounding is done in integers: `f64::ceil` is a library call on
+    /// baseline x86-64, which has no rounding instruction, and this runs
+    /// once per packet per hop. The result is `ns.ceil() as u64`, saturating
+    /// at `u64::MAX` the same way.
     pub fn from_bytes_at_gbps(bytes: u64, gbps: f64) -> Self {
         assert!(gbps > 0.0, "link rate must be positive");
         let ns = (bytes as f64 * 8.0) / gbps; // bits / (bits per ns)
-        SimDuration(ns.ceil() as u64)
+        let whole = ns as u64;
+        SimDuration(whole.saturating_add(((whole as f64) < ns) as u64))
     }
 
     /// Raw nanosecond count.
@@ -350,6 +356,30 @@ mod tests {
         );
         // Zero bytes genuinely takes zero time.
         assert_eq!(SimDuration::from_bytes_at_gbps(0, 10.0), SimDuration::ZERO);
+    }
+
+    /// The integer round-up against `f64::ceil`: every wire size up to a
+    /// jumbo frame at the link rates in use, and byte counts where `f64`
+    /// stops holding every integer (2^53) or the result leaves `u64` (2^64).
+    #[test]
+    fn serialization_time_equals_f64_ceil() {
+        let ceil = |bytes: u64, gbps: f64| ((bytes as f64 * 8.0) / gbps).ceil() as u64;
+        let rates = [1.0, 2.5, 10.0, 12.5, 25.0, 40.0, 100.0, 400.0];
+        let near = |x: u64| x.saturating_sub(9)..=x.saturating_add(9);
+        let big = near(1 << 50)
+            .chain(near(1 << 53))
+            .chain(near(1 << 61))
+            .chain(near(u64::MAX / 8))
+            .chain(near(u64::MAX));
+        for bytes in (0..=9_100).chain(big) {
+            for gbps in rates {
+                assert_eq!(
+                    SimDuration::from_bytes_at_gbps(bytes, gbps).as_nanos(),
+                    ceil(bytes, gbps),
+                    "{bytes} bytes at {gbps} Gb/s"
+                );
+            }
+        }
     }
 
     #[test]

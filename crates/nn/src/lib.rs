@@ -20,7 +20,9 @@
 //!   `L = L_drop + α·L_latency` with latency error masked on drops;
 //! * [`Sgd`] with momentum and global-norm clipping, defaulting to the
 //!   paper's published hyper-parameters (lr 1e-4, momentum 0.9, batch 64);
-//! * JSON (de)serialization of trained models via `serde`.
+//! * [`MicroNet::zeros`] and [`MicroNetConfig::param_count`], with which
+//!   a reader shapes a model from its config before filling in the weights
+//!   (the weights themselves have no serialized form here).
 //!
 //! ```
 //! use elephant_nn::{MicroNet, MicroNetConfig, Sample, TrainConfig, Trainer};

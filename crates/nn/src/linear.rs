@@ -1,12 +1,11 @@
 //! Fully connected layers with gradient accumulation.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::matrix::Matrix;
 
 /// `y = W·x + b`, plus the machinery to backpropagate through it.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Linear {
     /// Weights, `out × in`.
     pub w: Matrix,
@@ -28,6 +27,14 @@ impl Linear {
     pub fn new(input: usize, output: usize, rng: &mut impl Rng) -> Self {
         Linear {
             w: Matrix::xavier(output, input, rng),
+            b: vec![0.0; output],
+        }
+    }
+
+    /// All-zero layer, for weights that are filled in afterwards.
+    pub fn zeros(input: usize, output: usize) -> Self {
+        Linear {
+            w: Matrix::zeros(output, input),
             b: vec![0.0; output],
         }
     }

@@ -14,14 +14,13 @@
 //!   accumulating gradients for the optimizer.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::tanh_inplace;
 use crate::matrix::Matrix;
 
 /// One LSTM layer's parameters: fused gate weights `W` of shape
 /// `4H × (I+H)` (gate order i, f, g, o) and bias `4H`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LstmCell {
     /// Fused gate weights.
     pub w: Matrix,
@@ -49,7 +48,7 @@ impl LstmCellGrad {
 }
 
 /// Hidden and cell state of one layer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CellState {
     /// Hidden state `h`.
     pub h: Vec<f32>,
@@ -81,6 +80,16 @@ impl LstmCell {
         LstmCell {
             w: Matrix::xavier(4 * hidden, input + hidden, rng),
             b,
+            input,
+            hidden,
+        }
+    }
+
+    /// All-zero cell, for weights that are filled in afterwards.
+    pub fn zeros(input: usize, hidden: usize) -> Self {
+        LstmCell {
+            w: Matrix::zeros(4 * hidden, input + hidden),
+            b: vec![0.0; 4 * hidden],
             input,
             hidden,
         }
@@ -186,19 +195,18 @@ impl LstmCell {
 }
 
 /// A stack of LSTM layers.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Lstm {
     /// The layers, bottom first.
     pub cells: Vec<LstmCell>,
 }
 
 /// Persistent state for a stacked LSTM.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LstmState {
     /// Per-layer state, bottom first.
     pub layers: Vec<CellState>,
     /// Reused inference buffers (not part of the logical state).
-    #[serde(skip)]
     scratch: InferScratch,
 }
 
@@ -226,6 +234,15 @@ impl Lstm {
         for _ in 1..layers {
             cells.push(LstmCell::new(hidden, hidden, rng));
         }
+        Lstm { cells }
+    }
+
+    /// All-zero stack of `layers` cells (none for `layers == 0`), shaped as
+    /// [`Lstm::new`] shapes them.
+    pub fn zeros(input: usize, hidden: usize, layers: usize) -> Self {
+        let cells = (0..layers)
+            .map(|l| LstmCell::zeros(if l == 0 { input } else { hidden }, hidden))
+            .collect();
         Lstm { cells }
     }
 
@@ -446,16 +463,6 @@ mod tests {
         let cell = LstmCell::new(2, 3, &mut rng);
         assert_eq!(&cell.b[3..6], &[1.0, 1.0, 1.0]);
         assert_eq!(&cell.b[0..3], &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let lstm = Lstm::new(3, 4, 2, &mut rng);
-        let json = serde_json::to_string(&lstm).unwrap();
-        let back: Lstm = serde_json::from_str(&json).unwrap();
-        let xs = seq(3, 3);
-        assert_eq!(loss(&lstm, &xs), loss(&back, &xs));
     }
 
     #[test]

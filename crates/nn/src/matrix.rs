@@ -32,7 +32,6 @@
 use std::ops::Range;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::{sigmoid_inplace, tanh_inplace};
 
@@ -61,7 +60,7 @@ macro_rules! by_height {
 
 /// A dense `rows × cols` matrix of `f32`, stored in row panels (see the
 /// module docs).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -107,12 +106,6 @@ impl Matrix {
     #[inline]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// True when the storage holds exactly `rows × cols` values: always
-    /// for a matrix built here, not necessarily for a deserialized one.
-    pub(crate) fn is_well_formed(&self) -> bool {
-        self.rows.checked_mul(self.cols) == Some(self.data.len())
     }
 
     /// Storage index of element `(r, c)`.
@@ -594,15 +587,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let a = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f32);
-        let json = serde_json::to_string(&a).unwrap();
-        let b: Matrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(b.get(4, 2), 14.0);
     }
 
     #[test]

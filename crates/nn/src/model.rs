@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 use crate::activation::sigmoid;
 use crate::linear::{Linear, LinearGrad};
 use crate::lstm::{Lstm, LstmCellGrad, LstmState};
-use crate::matrix::Matrix;
 use crate::sgd::{clip_global_norm, Sgd};
 
 /// Architecture and loss hyper-parameters.
@@ -55,10 +54,33 @@ impl MicroNetConfig {
             alpha: 0.5,
         }
     }
+
+    /// Number of parameters a [`MicroNet`] of this architecture holds, or
+    /// `None` if the count does not fit in a `usize`. Computed without
+    /// building the net, so a reader can check a payload against a config
+    /// before allocating for it.
+    pub fn param_count(&self) -> Option<usize> {
+        let MicroNetConfig {
+            input,
+            hidden,
+            layers,
+            ..
+        } = *self;
+        // Each layer: gates `4H × (below + H)` plus a `4H` bias; the bottom
+        // one reads the input, the `layers - 1` above it the layer below.
+        let gates = 4usize.checked_mul(hidden)?;
+        let layer = |below: usize| gates.checked_mul(below.checked_add(hidden)?.checked_add(1)?);
+        let trunk = match layers {
+            0 => 0,
+            _ => layer(input)?.checked_add(layer(hidden)?.checked_mul(layers - 1)?)?,
+        };
+        // Two heads of `1 × H` weights and one bias.
+        trunk.checked_add(hidden.checked_add(1)?.checked_mul(2)?)
+    }
 }
 
 /// One training example: features plus ground truth from boundary capture.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Sample {
     /// Normalized feature vector.
     pub features: Vec<f32>,
@@ -78,7 +100,7 @@ pub struct Prediction {
 }
 
 /// The micro model (see module docs).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MicroNet {
     /// Architecture.
     pub cfg: MicroNetConfig,
@@ -160,6 +182,18 @@ impl MicroNet {
             latency_head: Linear::new(cfg.hidden, 1, rng),
             drop_head: Linear::new(cfg.hidden, 1, rng),
             lstm,
+            cfg,
+        }
+    }
+
+    /// All-zero model of architecture `cfg`, whose weights a reader fills
+    /// through [`MicroNet::param_slices`]. Builds `cfg.layers` cells even
+    /// when that is none, so a reader checks the config first.
+    pub fn zeros(cfg: MicroNetConfig) -> Self {
+        MicroNet {
+            lstm: Lstm::zeros(cfg.input, cfg.hidden, cfg.layers),
+            latency_head: Linear::zeros(cfg.hidden, 1),
+            drop_head: Linear::zeros(cfg.hidden, 1),
             cfg,
         }
     }
@@ -345,89 +379,12 @@ impl MicroNet {
         h
     }
 
-    /// Checks that every parameter has the shape the architecture implies:
-    /// `cfg.layers` LSTM layers of `cfg.hidden` units, the bottom one
-    /// reading `cfg.input` features and each other one the layer below,
-    /// gate blocks and biases sized for their layer, both heads reading the
-    /// top hidden state, and every matrix storing `rows × cols` weights. A
-    /// deserialized model can break any of these and would then panic at
-    /// its first step; `Err` names the first part that does.
-    pub fn check_shapes(&self) -> Result<(), String> {
-        let MicroNetConfig {
-            input,
-            hidden,
-            layers,
-            ..
-        } = self.cfg;
-        // (part, weights, bias, rows, cols) the architecture implies.
-        let mut parts: Vec<(String, &Matrix, &[f32], usize, usize)> = Vec::new();
-        let mut below = input;
-        for (l, cell) in self.lstm.cells.iter().enumerate() {
-            let (io, want) = ((cell.input(), cell.hidden()), (below, hidden));
-            if io != want {
-                return Err(format!(
-                    "layer {l} maps {} → {} units, the architecture needs {} → {}",
-                    io.0, io.1, want.0, want.1
-                ));
-            }
-            // The gate blocks read `[x; h]`.
-            let cols = below + hidden;
-            parts.push((
-                format!("layer {l} gates"),
-                &cell.w,
-                &cell.b,
-                4 * hidden,
-                cols,
-            ));
-            below = hidden;
-        }
-        let cells = self.lstm.cells.len();
-        if cells != layers || cells == 0 {
-            return Err(format!(
-                "the config declares {layers} layers, the trunk holds {cells}"
-            ));
-        }
-        for (name, head) in [("latency", &self.latency_head), ("drop", &self.drop_head)] {
-            parts.push((format!("{name} head"), &head.w, &head.b, 1, hidden));
-        }
-        for (part, w, b, rows, cols) in parts {
-            if !w.is_well_formed() {
-                return Err(format!(
-                    "{part}: {} weights stored for a {} × {} matrix",
-                    w.data().len(),
-                    w.rows(),
-                    w.cols()
-                ));
-            }
-            if (w.rows(), w.cols(), b.len()) != (rows, cols, rows) {
-                return Err(format!(
-                    "{part}: {} × {} weights and {} biases, the architecture needs \
-                     {rows} × {cols} and {rows}",
-                    w.rows(),
-                    w.cols(),
-                    b.len()
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// Number of non-finite (NaN or infinite) parameters in the network.
     pub fn non_finite_params(&self) -> usize {
         self.param_views()
             .iter()
             .map(|s| s.iter().filter(|w| !w.is_finite()).count())
             .sum()
-    }
-
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("model serializes")
-    }
-
-    /// Deserializes from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
     }
 }
 
@@ -449,7 +406,7 @@ impl MicroNetGrads {
 }
 
 /// Training-loop hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TrainConfig {
     /// Learning rate (paper: 1e-4).
     pub lr: f32,
@@ -558,6 +515,8 @@ mod tests {
     #[test]
     fn built_models_have_the_shapes_they_declare() {
         let mut rng = SmallRng::seed_from_u64(4);
+        let sizes =
+            |net: &MicroNet| -> Vec<usize> { net.param_views().iter().map(|s| s.len()).collect() };
         for (input, hidden, layers) in [(14, 8, 1), (3, 5, 2), (14, 32, 3)] {
             let cfg = MicroNetConfig {
                 input,
@@ -565,8 +524,33 @@ mod tests {
                 layers,
                 alpha: 0.5,
             };
-            assert_eq!(MicroNet::new(cfg, &mut rng).check_shapes(), Ok(()));
+            let (net, zeros) = (MicroNet::new(cfg, &mut rng), MicroNet::zeros(cfg));
+            assert_eq!(sizes(&zeros), sizes(&net));
+            assert_eq!(cfg.param_count(), Some(sizes(&net).iter().sum()));
+            assert!(zeros
+                .param_views()
+                .iter()
+                .all(|s| s.iter().all(|&w| w == 0.0)));
         }
+        // No layers: only the two heads.
+        let none = MicroNetConfig {
+            layers: 0,
+            ..MicroNetConfig::compact(3)
+        };
+        assert_eq!(none.param_count(), Some(2 * 33));
+        assert_eq!(sizes(&MicroNet::zeros(none)), [32, 1, 32, 1]);
+        // A count past `usize` is `None`, not a wrapped small number.
+        let huge = MicroNetConfig {
+            hidden: usize::MAX / 4,
+            ..MicroNetConfig::compact(3)
+        };
+        assert_eq!(huge.param_count(), None);
+        // So is one past it by layer count, counted without a loop.
+        let deep = MicroNetConfig {
+            layers: usize::MAX,
+            ..MicroNetConfig::compact(3)
+        };
+        assert_eq!(deep.param_count(), None);
     }
 
     #[test]
@@ -587,30 +571,6 @@ mod tests {
         assert_eq!(params, grad);
         // Two layers of (gates, bias), then two heads of (weights, bias).
         assert_eq!(params, [4 * 5 * 8, 4 * 5, 4 * 5 * 10, 4 * 5, 5, 1, 5, 1]);
-    }
-
-    #[test]
-    fn shape_faults_are_named() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let cfg = MicroNetConfig::compact(6);
-        let net = MicroNet::new(cfg, &mut rng);
-        let fault = |edit: &dyn Fn(&mut MicroNet)| {
-            let mut m = net.clone();
-            edit(&mut m);
-            m.check_shapes().unwrap_err()
-        };
-        let err = fault(&|m| m.drop_head = Linear::new(7, 1, &mut SmallRng::seed_from_u64(0)));
-        assert!(err.starts_with("drop head: 1 × 7 weights"), "{err}");
-        let err = fault(&|m| m.cfg.layers = 3);
-        assert!(
-            err.contains("declares 3 layers, the trunk holds 2"),
-            "{err}"
-        );
-        let err = fault(&|m| m.latency_head.b.push(0.0));
-        assert!(
-            err.contains("latency head: 1 × 32 weights and 2 biases"),
-            "{err}"
-        );
     }
 
     /// A learnable synthetic task: drop iff feature[0] > 0; latency =
@@ -754,19 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_predictions() {
-        let cfg = MicroNetConfig::compact(5);
-        let mut rng = SmallRng::seed_from_u64(4);
-        let model = MicroNet::new(cfg, &mut rng);
-        let back = MicroNet::from_json(&model.to_json()).unwrap();
-        let x = vec![0.2; 5];
-        let p1 = model.predict(&x, &mut model.init_state());
-        let p2 = back.predict(&x, &mut back.init_state());
-        assert_eq!(p1.drop_prob, p2.drop_prob);
-        assert_eq!(p1.latency, p2.latency);
-    }
-
-    #[test]
     fn window_loss_merge_weights_by_count() {
         let a = WindowLoss {
             drop_loss: 1.0,
@@ -799,7 +746,7 @@ mod tests {
         };
         let mut rng = SmallRng::seed_from_u64(31);
         let model = MicroNet::new(cfg, &mut rng);
-        let before = model.to_json();
+        let before = model.weight_checksum();
         // Batch of 64 but only one window accumulated: without flush the
         // weights would not move.
         let mut trainer = Trainer::new(
@@ -824,7 +771,7 @@ mod tests {
         ];
         trainer.train_window(&window);
         trainer.flush();
-        let after = trainer.into_model().to_json();
+        let after = trainer.into_model().weight_checksum();
         assert_ne!(before, after, "flush applied the pending gradient");
     }
 

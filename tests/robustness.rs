@@ -8,8 +8,7 @@
 
 use elephant::core::{
     run_ground_truth, run_hybrid, train_cluster_model, ClusterModel, DropPolicy, ElephantError,
-    LatencyCodec, LearnedOracle, MacroConfig, ModelFile, ModelMeta, TrainingOptions, MODEL_MAGIC,
-    MODEL_VERSION,
+    LatencyCodec, LearnedOracle, MacroConfig, ModelFile, ModelMeta, TrainingOptions, MODEL_VERSION,
 };
 use elephant::des::{SimDuration, SimTime};
 use elephant::net::{
@@ -41,33 +40,35 @@ fn tiny_model() -> ClusterModel {
     }
 }
 
+/// Re-seals an edited file the way anyone can: take the checksum the
+/// reader computed over the payload.
+fn resealed(mut file: ModelFile) -> String {
+    if let Err(ElephantError::ModelChecksum { actual, .. }) = file.clone().into_model() {
+        file.checksum = actual;
+    }
+    serde_json::to_string(&file).unwrap()
+}
+
 #[test]
 fn corrupted_model_artifacts_fail_with_typed_errors() {
     let m = tiny_model();
+    let load = |file: &ModelFile| ClusterModel::load_json(&serde_json::to_string(file).unwrap());
 
     // Healthy round trip.
     let ok = ClusterModel::load_json(&m.to_file_json()).expect("clean artifact loads");
     assert_eq!(ok.weight_checksum(), m.weight_checksum());
 
     // Wrong magic: not our file at all.
-    let file = ModelFile {
-        magic: "PACHYDERM".into(),
-        version: MODEL_VERSION,
-        checksum: m.weight_checksum(),
-        model: m.clone(),
-    };
-    let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
+    let mut file = m.to_file();
+    file.magic = "PACHYDERM".into();
+    let err = load(&file).unwrap_err();
     assert!(matches!(err, ElephantError::ModelMagic { .. }), "{err}");
     assert_eq!(err.exit_code(), 4);
 
     // Future format version.
-    let file = ModelFile {
-        magic: MODEL_MAGIC.into(),
-        version: MODEL_VERSION + 1,
-        checksum: m.weight_checksum(),
-        model: m.clone(),
-    };
-    let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
+    let mut file = m.to_file();
+    file.version = MODEL_VERSION + 1;
+    let err = load(&file).unwrap_err();
     assert!(
         matches!(err, ElephantError::ModelVersion { found, expected }
             if found == MODEL_VERSION + 1 && expected == MODEL_VERSION),
@@ -78,29 +79,51 @@ fn corrupted_model_artifacts_fail_with_typed_errors() {
     let mut bits = m.clone();
     bits.up.param_slices()[0][0] += 1.0;
     let file = ModelFile {
-        magic: MODEL_MAGIC.into(),
-        version: MODEL_VERSION,
         checksum: m.weight_checksum(), // header from the *uncorrupted* weights
-        model: bits,
+        ..bits.to_file()
     };
-    let err = ClusterModel::load_json(&serde_json::to_string(&file).unwrap()).unwrap_err();
+    let err = load(&file).unwrap_err();
     assert!(matches!(err, ElephantError::ModelChecksum { .. }), "{err}");
 
     // NaN weights: rejected by the finiteness validator even when the
-    // checksum (computed over the NaN bits) matches.
-    let mut poisoned = m.clone();
-    poisoned.up.param_slices()[0][0] = f32::NAN;
-    let file = ModelFile {
-        magic: MODEL_MAGIC.into(),
-        version: MODEL_VERSION,
-        checksum: poisoned.weight_checksum(),
-        model: poisoned,
-    };
-    let err = file.into_model().unwrap_err();
+    // checksum (computed over the NaN bits) matches — a quiet NaN's
+    // little-endian bytes written over the first weight, then re-sealed.
+    let mut poisoned = m.to_file();
+    poisoned.weights.replace_range(0..8, "0000c07f");
+    let err = ClusterModel::load_json(&resealed(poisoned)).unwrap_err();
     assert!(
         matches!(err, ElephantError::ModelNonFinite { count } if count == 1),
         "{err}"
     );
+
+    // A payload one weight short of what the configs need: refused before
+    // any weight is read.
+    let mut short = m.to_file();
+    short.weights.truncate(short.weights.len() - 8);
+    let err = ClusterModel::load_json(&resealed(short)).unwrap_err();
+    assert!(matches!(err, ElephantError::ModelShape { .. }), "{err}");
+
+    // A payload byte that is not a hex digit.
+    let mut garbled = m.to_file();
+    garbled.weights.replace_range(16..17, "x");
+    let err = load(&garbled).unwrap_err();
+    assert!(matches!(err, ElephantError::ModelParse { .. }), "{err}");
+
+    // A version 3 artifact (weights as JSON decimals in a model tree) is
+    // refused by its version, not read by a second reader.
+    let v3 = r#"{"magic":"ELEPHANT-MODEL","version":3,"checksum":1,"model":{}}"#;
+    let err = ClusterModel::load_json(v3).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ElephantError::ModelVersion {
+                found: 3,
+                expected: 4
+            }
+        ),
+        "{err}"
+    );
+    assert_eq!(err.exit_code(), 4);
 
     // Truncated file: a parse error, not a panic.
     let json = m.to_file_json();
