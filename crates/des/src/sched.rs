@@ -52,9 +52,17 @@
 //! the queue entry left behind is recognised as dead by its empty slot when
 //! it surfaces as the minimum or when a rehash sweeps it out. The calendar
 //! queue also bounds that garbage (see [`CalendarFel`]).
+//!
+//! In front of its calendar, [`CalendarFel`] keeps a few *delay lanes*: one
+//! FIFO per recurring scheduling delay (a link's serialization time, or
+//! serialization plus propagation), which a local event scheduled that far
+//! ahead joins at the back. A lane is sorted for free — the clock never runs
+//! backwards and local sequence numbers ascend in posting order — so most of
+//! a network's events never touch a bucket. A lane event's key names its lane
+//! and carries its sequence number.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::marker::PhantomData;
 use std::num::NonZeroU32;
 
@@ -62,23 +70,46 @@ use crate::time::{SimDuration, SimTime};
 
 /// Opaque handle identifying a scheduled event, used for cancellation.
 ///
-/// A key names the slab slot its event was stored in and carries the
-/// event's sequence number as a stamp. Sequence numbers are never reused,
-/// so keys are unique for the lifetime of a [`Scheduler`] even though slots
-/// are: cancelling a stale key held after its event fired is a no-op,
-/// whatever occupies the slot now (it carries another stamp).
+/// A key names the slab slot its event was stored in — or the delay lane
+/// holding it — and carries the event's sequence number as a stamp.
+/// Sequence numbers are never reused, so keys are unique for the lifetime of
+/// a [`Scheduler`] even though slots and lanes are: cancelling a stale key
+/// held after its event fired is a no-op, whatever occupies the slot or lane
+/// now (it carries another stamp).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventKey {
-    /// The slot plus one: the niche makes `Option<EventKey>` — the shape a
-    /// model keeps its cancellable timers in — 16 bytes, not 24.
+    /// The slot plus one, or [`FIRST_LANE_KEY`] plus the lane: the niche
+    /// makes `Option<EventKey>` — the shape a model keeps its cancellable
+    /// timers in — 16 bytes, not 24.
     slot: NonZeroU32,
     stamp: u64,
 }
+
+/// The top [`LANES`] values of a key's slot field name delay lanes; slab
+/// slots stay below them.
+const FIRST_LANE_KEY: u32 = u32::MAX - (LANES as u32 - 1);
 
 impl EventKey {
     #[inline]
     fn slot(self) -> u32 {
         self.slot.get() - 1
+    }
+
+    /// The key of the event with sequence number `seq` in lane `lane`.
+    #[inline]
+    fn in_lane(lane: usize, seq: u64) -> Self {
+        let slot = NonZeroU32::new(FIRST_LANE_KEY + lane as u32);
+        EventKey {
+            slot: slot.expect("lane keys sit at the top of the slot space"),
+            stamp: seq,
+        }
+    }
+
+    /// The lane this key's event was pushed to, if it went to a lane.
+    #[inline]
+    fn lane(self) -> Option<usize> {
+        let lane = self.slot.get().checked_sub(FIRST_LANE_KEY)?;
+        Some(lane as usize)
     }
 }
 
@@ -144,7 +175,13 @@ pub trait Fel<E>: Default {
     }
 
     /// Inserts an entry and returns its key.
-    fn push(&mut self, time: SimTime, seq: u64, event: E) -> EventKey;
+    ///
+    /// `delay` is how far ahead of the clock a local-lane event was
+    /// scheduled, and `None` for arrival- and remote-lane events. Across the
+    /// pushes that carry a delay, `seq` ascends and `time - delay` (the
+    /// clock) never falls — what [`Scheduler`] guarantees — so two entries
+    /// pushed with the same delay are pushed in `(time, seq)` order.
+    fn push(&mut self, time: SimTime, seq: u64, delay: Option<SimDuration>, event: E) -> EventKey;
 
     /// Kills the entry `push` returned `key` for, dropping its payload.
     /// `false`, and nothing touched, if it was already popped or cancelled.
@@ -188,8 +225,10 @@ impl<E> Slab<E> {
 
     fn alloc(&mut self, stamp: u64, event: E) -> EventKey {
         let slot = self.free.pop().unwrap_or_else(|| {
-            let fresh = u32::try_from(self.slots.len());
+            let fresh = u32::try_from(self.slots.len()).ok();
             self.slots.push((stamp, None));
+            // A slot's key must stay below the lane keys.
+            let fresh = fresh.filter(|&slot| slot < FIRST_LANE_KEY - 1);
             fresh.expect("event slab exhausted (2^32 concurrent events)")
         });
         self.slots[slot as usize] = (stamp, Some(event));
@@ -271,7 +310,7 @@ impl<E> Fel<E> for BinaryHeapFel<E> {
         self.heap.len()
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, event: E) -> EventKey {
+    fn push(&mut self, time: SimTime, seq: u64, _: Option<SimDuration>, event: E) -> EventKey {
         let key = self.slab.alloc(seq, event);
         self.heap.push(Reverse((time.as_nanos(), seq, key.slot())));
         key
@@ -322,8 +361,69 @@ const WIDTH_SAMPLE: usize = 64;
 /// rehashes with a freshly sampled width.
 const DIRECT_STREAK_REHASH: u32 = 8;
 
+/// Delay lanes in front of the calendar. A pop from a lane compares all
+/// their heads, so there are few: four delays carry 96 % of a web-search
+/// run's pushes.
+const LANES: usize = 8;
+/// Local events scheduled this far ahead (64 µs) or further stay in the
+/// calendar. Below it a network schedules serialization and propagation;
+/// at and above it sit the TCP timers, which `cancel` hits.
+const LANE_MAX_DELAY: u64 = 64_000;
+/// Slots of the direct-mapped table that gives a delay a lane on its second
+/// sighting. A power of two.
+const ADMIT_SLOTS: usize = 64;
+/// An admission slot or lane holding no delay (lane delays are below
+/// [`LANE_MAX_DELAY`]).
+const NO_DELAY: u64 = u64::MAX;
+/// The head of an empty lane, and the bound of an empty calendar. No entry
+/// has it: local sequence numbers stay below the remote lane.
+const NO_HEAD: u128 = u128::MAX;
+
+/// `(time, seq)` as one integer with the same order.
+#[inline]
+fn order_key(time: u64, seq: u64) -> u128 {
+    (u128::from(time) << 64) | u128::from(seq)
+}
+
+/// The time half of an [`order_key`].
+#[inline]
+fn time_of(key: u128) -> u64 {
+    (key >> 64) as u64
+}
+
+/// The least of `heads`, and its lane. A fold over a local, not over the
+/// cached field, so that it compiles to conditional moves: which lane's
+/// head is least changes from pop to pop, and a branch per lane would
+/// mispredict.
+#[inline]
+fn least_of(heads: &[u128; LANES]) -> (usize, u128) {
+    let mut least = (0, heads[0]);
+    for (lane, &head) in heads.iter().enumerate().skip(1) {
+        if head < least.1 {
+            least = (lane, head);
+        }
+    }
+    least
+}
+
+/// A delay-lane entry; the payload sits inline and is `None` once
+/// cancelled.
+#[derive(Debug, Clone)]
+struct LaneEntry<E> {
+    time: u64,
+    seq: u64,
+    event: Option<E>,
+}
+
+/// Where [`CalendarFel::front`] found the minimum live entry.
+enum Front {
+    Lane(usize),
+    /// A bucket and its last entry.
+    Bucket(usize, Entry),
+}
+
 /// A calendar-queue FEL (Brown 1988): O(1) amortized push/pop with
-/// slab-allocated payloads.
+/// slab-allocated payloads, behind a few delay lanes.
 ///
 /// Time is divided into buckets of `width` nanoseconds; bucket `b` holds
 /// every pending event whose timestamp falls in a window congruent to `b`
@@ -340,19 +440,32 @@ const DIRECT_STREAK_REHASH: u32 = 8;
 ///   [`TARGET_OCCUPANCY`]-centred band, every entry is rehashed into a new
 ///   power-of-two bucket array sized for occupancy ~4 (each bucket sorted
 ///   once), with the width re-sampled from the [`WIDTH_SAMPLE`] soonest
-///   entries (twice their mean spacing). A streak of
+///   entries (twice their mean spacing, outlying gaps left out). A streak of
 ///   [`DIRECT_STREAK_REHASH`] direct full searches — the symptom of a stale
 ///   width — forces the same rehash.
+/// * **Delay lanes** — a local event scheduled `d` ns ahead, `d` below
+///   [`LANE_MAX_DELAY`], joins the back of the FIFO lane holding `d`, and
+///   never touches a bucket: the lane is in `(time, seq)` order because the
+///   clock never falls and local sequence numbers ascend in posting order.
+///   A delay gets one of the [`LANES`] lanes the second time the
+///   direct-mapped admission table sees it, and only an empty lane is
+///   reassigned (the least recently pushed one), so a stream of one-off
+///   delays cannot evict a recurring one. A pop takes the least of the
+///   cached lane heads and searches the calendar only when a cached lower
+///   bound on its minimum does not exceed them. A lane key's `cancel` is a
+///   binary search on the sequence number, which ascends along the lane.
 /// * **Bounded garbage** — a cancelled entry keeps its bucket entry and its
-///   emptied slot until it surfaces as the scan minimum or a rehash sweeps
-///   it out, and a rehash is forced once dead entries outnumber live ones
-///   (beyond [`DEAD_FLOOR`]): `len()` never exceeds twice the live count
-///   plus the floor, so slab and buckets are sized by what is pending, not
-///   by what was ever cancelled. Compaction is the resize rehash on
-///   purpose: a population that lost half its entries — far-future timers,
-///   typically — no longer has the head spacing its width was sampled from,
-///   and a long steady phase may get no other re-sample.
-/// * **Snapshots** — `Clone` deep-copies the slab, buckets, and scan
+///   emptied slot (or its lane entry, payload dropped) until it surfaces as
+///   the minimum or a rehash sweeps it out, and a rehash is forced once dead
+///   entries outnumber live ones (beyond [`DEAD_FLOOR`]), lanes and
+///   calendar counted together: `len()` never exceeds twice the live count
+///   plus the floor, so slab, buckets and lanes are sized by what is
+///   pending, not by what was ever cancelled. Compaction is the resize
+///   rehash on purpose: a population that lost half its entries —
+///   far-future timers, typically — no longer has the head spacing its
+///   width was sampled from, and a long steady phase may get no other
+///   re-sample.
+/// * **Snapshots** — `Clone` deep-copies the slab, buckets, lanes and scan
 ///   cursor, so a checkpointed scheduler resumes bit-identically.
 #[derive(Debug, Clone)]
 pub struct CalendarFel<E> {
@@ -375,6 +488,28 @@ pub struct CalendarFel<E> {
     scan_floor: u64,
     /// Consecutive pops that needed a direct full search.
     direct_streak: u32,
+    /// A lower bound on every bucket entry's [`order_key`]: exact after a
+    /// search, lowered by a push, and still a bound after a pop (of the
+    /// minimum) or a cancel. [`NO_HEAD`] when the buckets are known empty.
+    cal_bound: u128,
+    /// The delay lanes, each ascending in `(time, seq)` with a live front.
+    lanes: [VecDeque<LaneEntry<E>>; LANES],
+    /// The delay each lane holds ([`NO_DELAY`] before its first).
+    lane_delays: [u64; LANES],
+    /// Each lane's front [`order_key`], [`NO_HEAD`] when it is empty.
+    heads: [u128; LANES],
+    /// The least of `heads`, and its lane: a pop reads these instead of
+    /// comparing every head.
+    least: (usize, u128),
+    /// The sequence number each lane last took, which ranks empty lanes
+    /// for reassignment.
+    last_push: [u64; LANES],
+    /// Entries across all lanes, dead ones included.
+    lane_len: usize,
+    /// Of `lane_len`, entries whose event was cancelled.
+    lane_dead: usize,
+    /// Delays seen once, each in its hash's slot.
+    admit: [u64; ADMIT_SLOTS],
 }
 
 impl<E> CalendarFel<E> {
@@ -398,25 +533,44 @@ impl<E> CalendarFel<E> {
     /// Estimates a bucket width from the spacing of the `WIDTH_SAMPLE`
     /// soonest entries: twice their mean gap, rounded up to a power of two
     /// (the hot-path math requires it; being up to 2x wide just packs a
-    /// couple more entries per bucket). Returns `None` (keep the current
-    /// width) with fewer than two entries.
+    /// couple more entries per bucket). Gaps over twice the plain mean are
+    /// left out of that mean, as in Brown's heuristic: one jump from the
+    /// near-term events to a band of timers would otherwise set a width
+    /// that piles the whole band into a few buckets. Returns `None` (keep
+    /// the current width) with fewer than two entries.
     fn sampled_width(entries: &mut [Entry]) -> Option<u64> {
         if entries.len() < 2 {
             return None;
         }
         let k = entries.len().min(WIDTH_SAMPLE);
         entries.select_nth_unstable(k - 1);
-        let lo = entries[..k].iter().map(|e| e.0).min().expect("k >= 2");
-        let mean_gap = (entries[k - 1].0 - lo) / (k as u64 - 1);
+        let soonest = &mut entries[..k];
+        soonest.sort_unstable();
+        let mean_gap = (soonest[k - 1].0 - soonest[0].0) / (k as u64 - 1);
+        // At least one gap is at most the mean, so `n >= 1`.
+        let (sum, n) = soonest
+            .windows(2)
+            .map(|p| p[1].0 - p[0].0)
+            .filter(|&gap| gap <= 2 * mean_gap)
+            .fold((0u64, 0u64), |(sum, n), gap| (sum + gap, n + 1));
+        let mean_gap = sum / n;
         // Cap below the top bit so next_power_of_two cannot wrap to zero.
         let w = mean_gap.saturating_mul(2).clamp(1, 1 << 62);
         Some(w.next_power_of_two())
     }
 
     /// Rebuilds the bucket array at the size/width appropriate for the live
-    /// population, reclaiming every dead entry along the way, and rewinds
-    /// the scan cursor to the earliest live entry.
+    /// population, reclaiming every dead entry along the way (the lanes'
+    /// too), and rewinds the scan cursor to the earliest live entry. Lane
+    /// fronts are live, so the cached lane heads stay exact.
     fn rehash(&mut self) {
+        if self.lane_dead > 0 {
+            for lane in &mut self.lanes {
+                lane.retain(|e| e.event.is_some());
+            }
+            self.lane_len -= self.lane_dead;
+            self.lane_dead = 0;
+        }
         let mut entries: Vec<Entry> = Vec::with_capacity(self.len - self.dead);
         for entry in self.buckets.iter_mut().flat_map(|b| b.drain(..)) {
             if self.slab.is_dead(entry.2) {
@@ -432,10 +586,11 @@ impl<E> CalendarFel<E> {
         }
         let target = (self.len / TARGET_OCCUPANCY).next_power_of_two();
         let target = target.max(MIN_BUCKETS);
-        if target != self.buckets.len() {
-            self.buckets = vec![Vec::new(); target];
-            self.mask = target - 1;
-        }
+        // Fresh buckets: a bucket keeps its capacity until the next rebuild,
+        // so a band of timers sweeping round the ring would otherwise leave
+        // every bucket as large as the band.
+        self.buckets = vec![Vec::new(); target];
+        self.mask = target - 1;
         for &entry in &entries {
             let b = self.bucket_of(entry.0);
             self.buckets[b].push(entry);
@@ -452,21 +607,23 @@ impl<E> CalendarFel<E> {
     }
 
     /// Rehashes when occupancy has left its band or the garbage bound is
-    /// broken. Called after every change to `len` or `dead`.
+    /// broken. Called after every change to a length or dead count.
     #[inline]
     fn maybe_resize(&mut self) {
         let n = self.buckets.len();
+        let dead = self.dead + self.lane_dead;
         if self.len > n * GROW_OCCUPANCY
             || (n > MIN_BUCKETS && self.len < n / 2)
-            || (self.dead > DEAD_FLOOR && self.dead * 2 > self.len)
+            || (dead > DEAD_FLOOR && dead * 2 > self.len + self.lane_len)
         {
             self.rehash();
         }
     }
 
-    /// Positions the scan cursor on the minimum live entry and returns it
-    /// with its bucket (it is that bucket's last entry), reclaiming dead
-    /// entries that surface first. `None` when no entries are left at all.
+    /// Positions the scan cursor on the minimum live bucket entry and
+    /// returns it with its bucket (it is that bucket's last entry),
+    /// reclaiming dead entries that surface first. `None` when no bucket
+    /// entries are left at all.
     fn locate(&mut self) -> Option<(usize, Entry)> {
         loop {
             if self.len == 0 {
@@ -525,9 +682,89 @@ impl<E> CalendarFel<E> {
         }
     }
 
+    /// The lane that takes a local event scheduled `delay` ns ahead, if
+    /// any: the lane holding `delay`, or on the delay's second sighting the
+    /// least recently pushed empty lane. `None` sends it to the calendar.
+    #[inline]
+    fn lane_for(&mut self, delay: u64) -> Option<usize> {
+        if delay >= LANE_MAX_DELAY {
+            return None;
+        }
+        if let Some(lane) = self.lane_delays.iter().position(|&d| d == delay) {
+            return Some(lane);
+        }
+        self.admit(delay)
+    }
+
+    /// [`Self::lane_for`] for a delay no lane holds. Kept out of line: the
+    /// calendar's push path stays as short as it was without lanes.
+    #[inline(never)]
+    fn admit(&mut self, delay: u64) -> Option<usize> {
+        let slot = delay.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - ADMIT_SLOTS.ilog2());
+        if std::mem::replace(&mut self.admit[slot as usize], delay) != delay {
+            return None;
+        }
+        // A lane with entries is never reassigned: the new delay's first
+        // push could fall below its tail.
+        let lane = (0..LANES)
+            .filter(|&lane| self.lanes[lane].is_empty())
+            .min_by_key(|&lane| self.last_push[lane])?;
+        self.lane_delays[lane] = delay;
+        Some(lane)
+    }
+
+    /// Drops the dead entries at the front of `lane` and re-caches its head
+    /// (which only rises), and the least head if it was this lane's.
+    #[inline]
+    fn trim(&mut self, lane: usize) {
+        let entries = &mut self.lanes[lane];
+        while entries.front().is_some_and(|e| e.event.is_none()) {
+            entries.pop_front();
+            self.lane_len -= 1;
+            self.lane_dead -= 1;
+        }
+        self.heads[lane] = entries
+            .front()
+            .map_or(NO_HEAD, |e| order_key(e.time, e.seq));
+        if self.least.0 == lane {
+            self.least = least_of(&self.heads);
+        }
+    }
+
+    /// Pops the front of `lane`, the minimum live entry.
+    #[inline]
+    fn pop_lane(&mut self, lane: usize) -> Option<E> {
+        let entry = self.lanes[lane].pop_front().expect("a lane with a head");
+        self.lane_len -= 1;
+        self.trim(lane);
+        entry.event
+    }
+
+    /// The time of the minimum live entry and where it is, reclaiming dead
+    /// bucket entries that surface first. The buckets are searched only when
+    /// their bound does not clear every lane head.
+    #[inline]
+    fn front(&mut self) -> Option<(u64, Front)> {
+        let (lane, head) = self.least;
+        if head < self.cal_bound {
+            return Some((time_of(head), Front::Lane(lane)));
+        }
+        // A rehash inside `locate` leaves the lane heads as they are.
+        let Some((b, entry)) = self.locate() else {
+            self.cal_bound = NO_HEAD;
+            return (head != NO_HEAD).then_some((time_of(head), Front::Lane(lane)));
+        };
+        self.cal_bound = order_key(entry.0, entry.1);
+        if self.cal_bound < head {
+            Some((entry.0, Front::Bucket(b, entry)))
+        } else {
+            Some((time_of(head), Front::Lane(lane)))
+        }
+    }
+
     /// Asserts that bucket `b` is strictly descending and holds only
-    /// entries of its own windows at or above the floor; returns how many
-    /// of them are dead.
+    /// entries of its own windows at or above the floor and the bound;
+    /// returns how many of them are dead.
     #[cfg(test)]
     fn check_bucket(&self, b: usize) -> usize {
         let bucket = &self.buckets[b];
@@ -536,20 +773,64 @@ impl<E> CalendarFel<E> {
             assert!((hi.0, hi.1) > (lo.0, lo.1), "bucket {b} out of order");
         }
         let mut dead = 0;
-        for &(time, _, slot) in bucket {
+        for &(time, seq, slot) in bucket {
             assert_eq!(self.bucket_of(time), b, "entry at {time} misfiled");
             assert!(time >= self.scan_floor, "entry below the scan floor");
+            assert!(
+                order_key(time, seq) >= self.cal_bound,
+                "entry below the bound"
+            );
             dead += usize::from(self.slab.is_dead(slot));
         }
         dead
     }
 
-    /// [`Self::check_bucket`] on every bucket, and `len`/`dead` add up.
+    /// Asserts that every lane is strictly ascending with a live front its
+    /// cached head names, holds local-lane events only, and is the only
+    /// non-empty lane of its delay, and that the cached least head is the
+    /// least; returns how many lane entries are dead.
+    #[cfg(test)]
+    fn check_lanes(&self) -> usize {
+        assert_eq!(self.heads[self.least.0], self.least.1, "least head drifted");
+        let mut dead = 0;
+        for (lane, entries) in self.lanes.iter().enumerate() {
+            let keys: Vec<_> = entries.iter().map(|e| order_key(e.time, e.seq)).collect();
+            assert!(
+                keys.windows(2).all(|p| p[0] < p[1]),
+                "lane {lane} out of order"
+            );
+            assert_eq!(self.heads[lane], keys.first().copied().unwrap_or(NO_HEAD));
+            assert!(
+                entries.front().is_none_or(|e| e.event.is_some()),
+                "dead front"
+            );
+            for e in entries {
+                assert!(
+                    (ARRIVAL_BAND..REMOTE_LANE).contains(&e.seq),
+                    "non-local in lane"
+                );
+            }
+            assert!(self.least.1 <= self.heads[lane], "a head below the least");
+            let twins = (0..LANES).filter(|&l| self.lane_delays[l] == self.lane_delays[lane]);
+            assert!(
+                entries.is_empty() || twins.count() == 1,
+                "delay in two lanes"
+            );
+            dead += entries.iter().filter(|e| e.event.is_none()).count();
+        }
+        dead
+    }
+
+    /// [`Self::check_bucket`] on every bucket and [`Self::check_lanes`], and
+    /// the lengths and dead counts add up.
     #[cfg(test)]
     fn check_invariants(&self) {
         let held = self.buckets.iter().map(Vec::len).sum();
         let dead = (0..self.buckets.len()).map(|b| self.check_bucket(b)).sum();
         assert_eq!((self.len, self.dead), (held, dead), "(len, dead) drifted");
+        let lane_held = self.lanes.iter().map(VecDeque::len).sum();
+        let lane_dead = self.check_lanes();
+        assert_eq!((self.lane_len, self.lane_dead), (lane_held, lane_dead));
     }
 }
 
@@ -564,17 +845,48 @@ impl<E> Default for CalendarFel<E> {
             dead: 0,
             scan_floor: 0,
             direct_streak: 0,
+            cal_bound: NO_HEAD,
+            lanes: std::array::from_fn(|_| VecDeque::new()),
+            lane_delays: [NO_DELAY; LANES],
+            heads: [NO_HEAD; LANES],
+            least: (0, NO_HEAD),
+            last_push: [0; LANES],
+            lane_len: 0,
+            lane_dead: 0,
+            admit: [NO_DELAY; ADMIT_SLOTS],
         }
     }
 }
 
 impl<E> Fel<E> for CalendarFel<E> {
     fn len(&self) -> usize {
-        self.len
+        self.len + self.lane_len
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, event: E) -> EventKey {
+    fn push(&mut self, time: SimTime, seq: u64, delay: Option<SimDuration>, event: E) -> EventKey {
         let t = time.as_nanos();
+        if let Some(lane) = delay.and_then(|d| self.lane_for(d.as_nanos())) {
+            let entries = &mut self.lanes[lane];
+            debug_assert!(
+                entries.back().is_none_or(|e| (e.time, e.seq) < (t, seq)),
+                "lane push below its tail"
+            );
+            if entries.is_empty() {
+                let head = order_key(t, seq);
+                self.heads[lane] = head;
+                if head < self.least.1 {
+                    self.least = (lane, head);
+                }
+            }
+            entries.push_back(LaneEntry {
+                time: t,
+                seq,
+                event: Some(event),
+            });
+            self.last_push[lane] = seq;
+            self.lane_len += 1;
+            return EventKey::in_lane(lane, seq);
+        }
         let key = self.slab.alloc(seq, event);
         let b = self.bucket_of(t);
         let entry = (t, seq, key.slot());
@@ -586,45 +898,69 @@ impl<E> Fel<E> for CalendarFel<E> {
         // The cursor may have advanced past this instant (e.g. a peek
         // jumped a sparse stretch): rewind it so the scan cannot miss it.
         self.scan_floor = self.scan_floor.min(t);
+        self.cal_bound = self.cal_bound.min(order_key(t, seq));
         self.maybe_resize();
         key
     }
 
     fn cancel(&mut self, key: EventKey) -> bool {
-        let hit = self.slab.cancel(key);
-        if hit {
-            self.dead += 1;
-            self.maybe_resize();
+        let Some(lane) = key.lane() else {
+            let hit = self.slab.cancel(key);
+            if hit {
+                self.dead += 1;
+                self.maybe_resize();
+            }
+            return hit;
+        };
+        // Sequence numbers ascend along a lane. A key from before the lane
+        // was reassigned finds no entry: its number was never reissued.
+        let entries = &mut self.lanes[lane];
+        let Ok(at) = entries.binary_search_by_key(&key.stamp, |e| e.seq) else {
+            return false;
+        };
+        if entries[at].event.take().is_none() {
+            return false;
         }
-        hit
+        self.lane_dead += 1;
+        if at == 0 {
+            self.trim(lane);
+        }
+        self.maybe_resize();
+        true
     }
 
     fn pop_until(&mut self, limit: SimTime) -> Next<(SimTime, E)> {
-        let Some((b, (time, _, slot))) = self.locate() else {
+        let Some((time, front)) = self.front() else {
             return Next::Empty;
         };
         let time = SimTime::from_nanos(time);
         if time > limit {
             return Next::Later(time);
         }
-        self.buckets[b].pop();
-        let event = self.slab.release(slot).expect("located entry is live");
-        self.len -= 1;
+        let event = match front {
+            Front::Lane(lane) => self.pop_lane(lane),
+            Front::Bucket(b, (_, _, slot)) => {
+                self.buckets[b].pop();
+                self.len -= 1;
+                self.slab.release(slot)
+            }
+        };
         self.maybe_resize();
-        Next::Event((time, event))
+        Next::Event((time, event.expect("the front entry is live")))
     }
 
     fn peek_min_time(&mut self) -> Option<SimTime> {
-        self.locate()
-            .map(|(_, (time, _, _))| SimTime::from_nanos(time))
+        self.front().map(|(time, _)| SimTime::from_nanos(time))
     }
 
     fn approx_bytes(&self) -> usize {
         let entries: usize = self.buckets.iter().map(Vec::capacity).sum();
+        let lane_entries: usize = self.lanes.iter().map(VecDeque::capacity).sum();
         std::mem::size_of::<Self>()
             + self.slab.capacity_bytes()
             + self.buckets.capacity() * std::mem::size_of::<Vec<Entry>>()
             + entries * std::mem::size_of::<Entry>()
+            + lane_entries * std::mem::size_of::<LaneEntry<E>>()
     }
 }
 
@@ -703,7 +1039,7 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
         );
         self.next_seq += 1;
         self.scheduled_total += 1;
-        self.fel.push(at, stamp, event)
+        self.fel.push(at, stamp, Some(at - self.now), event)
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -744,7 +1080,7 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
             "arrival rank {rank} is outside the arrival band (< {ARRIVAL_BAND})"
         );
         self.scheduled_total += 1;
-        self.fel.push(at, rank, event)
+        self.fel.push(at, rank, None, event)
     }
 
     /// Schedules a cross-partition delivery on the remote lane.
@@ -769,7 +1105,7 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
             "sender partition id {sender} exceeds remote-lane capacity"
         );
         self.scheduled_total += 1;
-        self.fel.push(at, remote_seq(sender, send_seq), event);
+        self.fel.push(at, remote_seq(sender, send_seq), None, event);
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event was
@@ -938,11 +1274,13 @@ mod tests {
         let mut s: Scheduler<&str> = Scheduler::new();
         let stale = s.schedule_at(SimTime::from_nanos(10), "fired");
         s.pop();
-        let tenant = s.schedule_at(SimTime::from_nanos(20), "tenant");
+        // Another delay than the first event's, so that both go to the
+        // calendar (a delay's second sighting would give it a lane).
+        let tenant = s.schedule_at(SimTime::from_nanos(25), "tenant");
         assert_eq!(stale.slot, tenant.slot, "the free list reuses the slot");
         assert!(!s.cancel(stale));
         assert_eq!(s.cancelled_total(), 0);
-        assert_eq!(s.pop(), Some((SimTime::from_nanos(20), "tenant")));
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(25), "tenant")));
     }
 
     #[test]
@@ -1220,10 +1558,11 @@ mod tests {
     /// when simulated time reached them or live + dead together outgrew 8x a
     /// bucket array sized for an earlier peak, so far-future timer
     /// tombstones piled up to several entries per live event while the
-    /// population grew and to many more once it drained. Now the queue
-    /// never holds more than twice what is pending (plus the floor), after
-    /// every single operation, and the events that do fire are exactly
-    /// those of the same workload with the cancelled ones never scheduled.
+    /// population grew and to many more once it drained. Now the queue —
+    /// buckets and delay lanes together — never holds more than twice what
+    /// is pending (plus the floor), after every single operation, and the
+    /// events that do fire are exactly those of the same workload with the
+    /// cancelled ones never scheduled.
     #[test]
     fn cancelled_entries_never_outnumber_pending_ones() {
         const FAR: SimDuration = SimDuration::from_millis(200);
@@ -1274,21 +1613,28 @@ mod tests {
         }
         let mut live = 21_000usize;
 
-        // Phase 1: the hold cycles; every step also arms a far timer and
-        // cancels it again.
+        // Phase 1: the hold cycles, half of it at recurring short delays
+        // that fill the delay lanes; every step also arms a far timer and a
+        // lane-held one behind the lane's live events, and cancels both.
         let mut popped = Vec::new();
-        for _ in 0..60_000 {
+        for step in 0..60_000 {
             let (t, v) = s.pop().expect("the hold keeps the queue full");
             check(&s, live - 1, Some(t));
             popped.push((t, v));
-            let at = arm(
-                &mut s,
-                SimDuration::from_nanos(1 + mix(&mut st) % 100_000),
-                v,
-            );
+            let delay = if v % 2 == 0 {
+                [52, 1052, 1200, 2200][v as usize / 2 % 4]
+            } else {
+                1 + mix(&mut st) % 100_000
+            };
+            let at = arm(&mut s, SimDuration::from_nanos(delay), v);
             check(&s, live, at);
             let doomed = s.schedule_in(FAR, TIMER);
             check(&s, live + 1, Some(s.now() + FAR));
+            assert!(s.cancel(doomed));
+            check(&s, live, None);
+            let doomed = s.schedule_in(SimDuration::from_nanos(1200), TIMER);
+            assert!(step < 8 || doomed.lane().is_some(), "1,200 ns has a lane");
+            check(&s, live + 1, None);
             assert!(s.cancel(doomed));
             check(&s, live, None);
         }
@@ -1427,5 +1773,144 @@ mod tests {
         assert_eq!(snapshot.pop(), None);
         assert_eq!(s.executed_total(), snapshot.executed_total());
         assert_eq!(s.pending(), 0);
+    }
+
+    // ---- delay lanes ----
+
+    /// A calendar scheduler and a binary-heap one fed the same pushes;
+    /// every pop is checked against the heap's.
+    struct Twin {
+        cal: Scheduler<u64>,
+        heap: Scheduler<u64, BinaryHeapFel<u64>>,
+    }
+
+    impl Twin {
+        fn new() -> Self {
+            Twin {
+                cal: Scheduler::new(),
+                heap: Scheduler::new(),
+            }
+        }
+
+        /// Schedules `v` `delay` ns ahead on both; returns the calendar's key.
+        fn push(&mut self, delay: u64, v: u64) -> EventKey {
+            let delay = SimDuration::from_nanos(delay);
+            self.heap.schedule_in(delay, v);
+            self.cal.schedule_in(delay, v)
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let popped = self.cal.pop();
+            assert_eq!(popped, self.heap.pop(), "the heap's (time, seq) order");
+            popped
+        }
+
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
+            self.cal.fel.check_invariants();
+        }
+    }
+
+    /// A delay's first push goes to the calendar, its second takes a lane,
+    /// and calendar and lane entries at one instant fire in posting order.
+    /// Delays of 64 µs and more, arrivals and remote deliveries never take
+    /// a lane.
+    #[test]
+    fn a_delay_seen_once_goes_to_the_calendar() {
+        let mut t = Twin::new();
+        let first = t.push(1200, 0);
+        let once = t.push(777, 1);
+        let second = t.push(1200, 2);
+        assert_eq!((first.lane(), once.lane()), (None, None));
+        assert!(second.lane().is_some(), "the second sighting takes a lane");
+        assert_eq!(t.push(1200, 3).lane(), second.lane());
+        for v in 4..7 {
+            assert_eq!(t.push(LANE_MAX_DELAY, v).lane(), None);
+        }
+        let at = SimTime::from_nanos(1200);
+        for rank in 0..3 {
+            assert_eq!(t.cal.schedule_arrival(at, rank, 7).lane(), None);
+            t.heap.schedule_arrival(at, rank, 7);
+        }
+        t.cal.fel.check_invariants();
+        t.drain();
+    }
+
+    /// The hybrid's shape: a stream of oracle latencies that never repeat
+    /// is never admitted, so the recurring delay keeps its lane even while
+    /// the lane is empty between its events.
+    #[test]
+    fn a_recurring_delay_keeps_its_lane_among_one_off_delays() {
+        const RECURRING: u64 = 1052;
+        let mut t = Twin::new();
+        t.push(RECURRING, 0);
+        let lane = t.push(RECURRING, 1).lane().expect("second sighting");
+        for v in 2..20_000 {
+            assert_eq!(t.push(3_000 + v, v).lane(), None, "a one-off delay");
+            assert_eq!(t.push(RECURRING, v).lane(), Some(lane));
+            t.pop();
+            t.pop();
+            if v % 997 == 0 {
+                t.cal.fel.check_invariants();
+            }
+        }
+        t.drain();
+    }
+
+    /// Eight recurring delays hold the eight lanes; a ninth, seen twice,
+    /// waits in the calendar until a lane empties, and then takes that one.
+    #[test]
+    fn only_an_empty_lane_is_reassigned() {
+        let mut t = Twin::new();
+        let mut lanes = Vec::new();
+        for d in (1..=LANES as u64).map(|i| i * 100) {
+            t.push(d, d);
+            lanes.push(t.push(d, d).lane().expect("second sighting"));
+            t.push(d, d);
+        }
+        let mut distinct = lanes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), LANES);
+        const NINTH: u64 = 5_000;
+        assert_eq!(t.push(NINTH, 1).lane(), None);
+        assert_eq!(t.push(NINTH, 2).lane(), None, "no lane is empty");
+        t.cal.fel.check_invariants();
+        // The 100 ns events fire first; their lane is then empty.
+        for _ in 0..3 {
+            assert_eq!(t.pop().map(|(at, _)| at), Some(SimTime::from_nanos(100)));
+        }
+        assert_eq!(t.push(NINTH, 3).lane(), Some(lanes[0]));
+        // 100 ns lost its lane, and the others are still busy.
+        assert_eq!(t.push(100, 4).lane(), None);
+        assert_eq!(t.push(200, 5).lane(), Some(lanes[1]));
+        t.cal.fel.check_invariants();
+        t.drain();
+    }
+
+    /// A lane key outlives its lane's delay: once the events fired and the
+    /// lane went to another delay, the old key finds none of the new
+    /// events, whose sequence numbers are all new.
+    #[test]
+    fn a_key_from_a_reassigned_lane_cancels_nothing() {
+        let mut t = Twin::new();
+        // Seven long delays keep seven lanes busy.
+        for d in (1..LANES as u64).map(|i| 5_000 * i) {
+            t.push(d, d);
+            t.push(d, d);
+        }
+        t.push(300, 0);
+        let stale = t.push(300, 1);
+        let lane = stale.lane().expect("second sighting");
+        let fired: Vec<_> = (0..2).map(|_| t.pop().map(|(_, v)| v)).collect();
+        assert_eq!(fired, [Some(0), Some(1)]);
+        t.push(700, 2);
+        for v in 3..6 {
+            assert_eq!(t.push(700, v).lane(), Some(lane), "the emptied lane");
+        }
+        assert!(!t.cal.cancel(stale));
+        assert_eq!(t.cal.cancelled_total(), 0);
+        t.cal.fel.check_invariants();
+        t.drain();
     }
 }

@@ -4,9 +4,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use elephant_des::{BinaryHeapFel, Scheduler, SimDuration, SimTime};
+use elephant_des::{BinaryHeapFel, Fel, Scheduler, SimDuration, SimTime};
 use elephant_obs::{EmpiricalCdf, Summary};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// A random scheduler workload: interleaved schedules (with arbitrary
 /// future offsets) and cancellations.
@@ -43,6 +44,9 @@ enum FelOp {
     /// An arrival-lane push; ranks are issued unique and out of time order.
     Arrival(u64),
     CancelNth(usize),
+    /// Cancels the `n`-th most recently issued key: the events most likely
+    /// still pending, and in a delay lane when they were local.
+    CancelRecent(usize),
     Peek,
     Pop,
     /// `pop_until(now + offset)`: the call both engines' run loops use.
@@ -101,6 +105,128 @@ fn arb_bimodal_ops() -> impl Strategy<Value = Vec<FelOp>> {
         })
 }
 
+/// The delays a network repeats (serialization, and serialization plus
+/// propagation, in ns): local events scheduled this far ahead go to the
+/// calendar queue's delay lanes.
+const LANE_DELAYS: [u64; 5] = [0, 52, 1052, 1200, 2200];
+/// Recurring delays beyond those, so that more delays recur than there are
+/// lanes and emptied lanes get reassigned.
+const MORE_DELAYS: [u64; 6] = [96, 432, 698, 1096, 1432, 1698];
+
+fn lane_delay() -> impl Strategy<Value = u64> {
+    (0usize..LANE_DELAYS.len()).prop_map(|i| LANE_DELAYS[i])
+}
+
+/// The delay lanes' shape: local offsets drawn mostly from a few recurring
+/// delays, so that many events share a lane, mixed with one-off short
+/// delays, timers past the lanes' bound, arrivals and remote deliveries at
+/// the same instants, cancels aimed at recent (lane-held) keys, peeks,
+/// and about as many pops as pushes, so that lanes drain and are handed
+/// to other delays.
+fn arb_lane_ops() -> impl Strategy<Value = Vec<FelOp>> {
+    let more = (0usize..MORE_DELAYS.len()).prop_map(|i| MORE_DELAYS[i]);
+    proptest::collection::vec(
+        prop_oneof![
+            lane_delay().prop_map(FelOp::Schedule),
+            lane_delay().prop_map(FelOp::Schedule),
+            lane_delay().prop_map(FelOp::Schedule),
+            more.prop_map(FelOp::Schedule),
+            (0u64..3_000).prop_map(FelOp::Schedule),
+            (60_000u64..200_000).prop_map(FelOp::Schedule),
+            Just(FelOp::ScheduleNow),
+            lane_delay().prop_map(FelOp::Arrival),
+            (0usize..4, lane_delay()).prop_map(|(sender, offset)| FelOp::Remote { sender, offset }),
+            (0usize..8).prop_map(FelOp::CancelRecent),
+            (0usize..8).prop_map(FelOp::CancelRecent),
+            (0usize..96).prop_map(FelOp::CancelNth),
+            Just(FelOp::Peek),
+            Just(FelOp::Pop),
+            Just(FelOp::Pop),
+            Just(FelOp::Pop),
+            Just(FelOp::Pop),
+            (0u64..2_500).prop_map(FelOp::PopUntil),
+            (0u64..2_500).prop_map(FelOp::PopUntil),
+        ],
+        1..400,
+    )
+}
+
+/// The key `CancelRecent(n)` aims at, if any was issued.
+fn recent<K: Copy>(keys: &[K], n: usize) -> Option<K> {
+    keys.len().checked_sub(1 + n).map(|i| keys[i])
+}
+
+type HeapScheduler = Scheduler<u64, BinaryHeapFel<u64>>;
+
+/// Applies `ops` to a calendar-queue scheduler and a binary-heap one,
+/// checking after every op that both answered alike: pops, bounded pops,
+/// peeks, cancels and pending counts.
+fn run_both(ops: Vec<FelOp>) -> Result<(Scheduler<u64>, HeapScheduler), TestCaseError> {
+    let mut cal: Scheduler<u64> = Scheduler::new();
+    let mut heap: HeapScheduler = Scheduler::new();
+    let mut keys = Vec::new(); // parallel (cal_key, heap_key)
+    let mut send_seqs = [0u64; 4]; // per-sender remote counters
+    let mut arrivals = 0u64;
+    let mut payload = 0u64;
+    for op in ops {
+        match op {
+            FelOp::Schedule(offset) => {
+                payload += 1;
+                let t = cal.now() + SimDuration::from_nanos(offset);
+                keys.push((cal.schedule_at(t, payload), heap.schedule_at(t, payload)));
+            }
+            FelOp::Arrival(offset) => {
+                payload += 1;
+                arrivals += 1;
+                let t = cal.now() + SimDuration::from_nanos(offset);
+                keys.push((
+                    cal.schedule_arrival(t, rank(arrivals), payload),
+                    heap.schedule_arrival(t, rank(arrivals), payload),
+                ));
+            }
+            FelOp::ScheduleNow => {
+                payload += 1;
+                keys.push((cal.schedule_now(payload), heap.schedule_now(payload)));
+            }
+            FelOp::Remote { sender, offset } => {
+                payload += 1;
+                let t = cal.now() + SimDuration::from_nanos(offset);
+                let seq = send_seqs[sender];
+                send_seqs[sender] += 1;
+                cal.schedule_remote(t, sender, seq, payload);
+                heap.schedule_remote(t, sender, seq, payload);
+            }
+            FelOp::CancelNth(n) => {
+                if let Some(&(ck, hk)) = keys.get(n % keys.len().max(1)) {
+                    prop_assert_eq!(cal.cancel(ck), heap.cancel(hk));
+                }
+            }
+            FelOp::CancelRecent(n) => {
+                if let Some((ck, hk)) = recent(&keys, n) {
+                    prop_assert_eq!(cal.cancel(ck), heap.cancel(hk));
+                }
+            }
+            FelOp::Peek => {
+                prop_assert_eq!(cal.peek_time(), heap.peek_time());
+            }
+            FelOp::Pop => {
+                prop_assert_eq!(cal.pop(), heap.pop());
+            }
+            FelOp::PopUntil(offset) => {
+                let limit = cal.now() + SimDuration::from_nanos(offset);
+                prop_assert_eq!(cal.pop_until(limit), heap.pop_until(limit));
+            }
+        }
+        prop_assert_eq!(cal.pending(), heap.pending());
+    }
+    Ok((cal, heap))
+}
+
+/// Pops every remaining event.
+fn drain<F: Fel<u64>>(s: &mut Scheduler<u64, F>) -> Vec<(SimTime, u64)> {
+    std::iter::from_fn(|| s.pop()).collect()
+}
+
 /// The rank of the `n`-th arrival of a case: unique (an odd multiplier is
 /// a bijection modulo 2^16, and no case issues that many), and scrambled
 /// against the order the arrivals are issued and their times.
@@ -108,9 +234,9 @@ fn rank(n: u64) -> u64 {
     n.wrapping_mul(0x9E37) % (1 << 16)
 }
 
-/// Both generators, for the properties that must hold on either shape.
+/// Every generator, for the properties that must hold on any shape.
 fn arb_any_fel_ops() -> impl Strategy<Value = Vec<FelOp>> {
-    prop_oneof![arb_fel_ops(), arb_bimodal_ops()]
+    prop_oneof![arb_fel_ops(), arb_bimodal_ops(), arb_lane_ops()]
 }
 
 proptest! {
@@ -192,78 +318,17 @@ proptest! {
 
     /// Differential test of the calendar-queue FEL against the legacy
     /// binary heap: identical op sequences — local schedules at mixed
-    /// offsets (including zero-offset `schedule_now` bursts), arrival-lane
-    /// pushes with scrambled ranks, remote-lane deliveries from several
-    /// senders, cancellations, pops, bounded pops, and peeks — must produce
-    /// bit-identical pop streams, peeks, pending
-    /// counts, and lifetime counters. This is the drop-in proof that
-    /// swapping the FEL backend cannot change a simulation.
+    /// offsets (including zero-offset `schedule_now` bursts and recurring
+    /// delays that fill the delay lanes), arrival-lane pushes with
+    /// scrambled ranks, remote-lane deliveries from several senders,
+    /// cancellations, pops, bounded pops, and peeks — must produce
+    /// bit-identical pop streams, peeks, pending counts, and lifetime
+    /// counters. This is the drop-in proof that swapping the FEL backend
+    /// cannot change a simulation.
     #[test]
     fn calendar_queue_matches_binary_heap(ops in arb_any_fel_ops()) {
-        let mut cal: Scheduler<u64> = Scheduler::new();
-        let mut heap: Scheduler<u64, BinaryHeapFel<u64>> = Scheduler::new();
-        let mut keys = Vec::new(); // parallel (cal_key, heap_key)
-        let mut send_seqs = [0u64; 4]; // per-sender remote counters
-        let mut arrivals = 0u64;
-        let mut payload = 0u64;
-
-        for op in ops {
-            match op {
-                FelOp::Schedule(offset) => {
-                    payload += 1;
-                    let t = cal.now() + SimDuration::from_nanos(offset);
-                    keys.push((
-                        cal.schedule_at(t, payload),
-                        heap.schedule_at(t, payload),
-                    ));
-                }
-                FelOp::Arrival(offset) => {
-                    payload += 1;
-                    arrivals += 1;
-                    let t = cal.now() + SimDuration::from_nanos(offset);
-                    keys.push((
-                        cal.schedule_arrival(t, rank(arrivals), payload),
-                        heap.schedule_arrival(t, rank(arrivals), payload),
-                    ));
-                }
-                FelOp::ScheduleNow => {
-                    payload += 1;
-                    keys.push((cal.schedule_now(payload), heap.schedule_now(payload)));
-                }
-                FelOp::Remote { sender, offset } => {
-                    payload += 1;
-                    let t = cal.now() + SimDuration::from_nanos(offset);
-                    let seq = send_seqs[sender];
-                    send_seqs[sender] += 1;
-                    cal.schedule_remote(t, sender, seq, payload);
-                    heap.schedule_remote(t, sender, seq, payload);
-                }
-                FelOp::CancelNth(n) => {
-                    if let Some(&(ck, hk)) = keys.get(n % keys.len().max(1)) {
-                        prop_assert_eq!(cal.cancel(ck), heap.cancel(hk));
-                    }
-                }
-                FelOp::Peek => {
-                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                }
-                FelOp::Pop => {
-                    prop_assert_eq!(cal.pop(), heap.pop());
-                }
-                FelOp::PopUntil(offset) => {
-                    let limit = cal.now() + SimDuration::from_nanos(offset);
-                    prop_assert_eq!(cal.pop_until(limit), heap.pop_until(limit));
-                }
-            }
-            prop_assert_eq!(cal.pending(), heap.pending());
-        }
-        // Drain both and compare the tails plus every lifetime counter.
-        loop {
-            let (c, h) = (cal.pop(), heap.pop());
-            prop_assert_eq!(c, h);
-            if c.is_none() {
-                break;
-            }
-        }
+        let (mut cal, mut heap) = run_both(ops)?;
+        prop_assert_eq!(drain(&mut cal), drain(&mut heap));
         prop_assert_eq!(cal.scheduled_total(), heap.scheduled_total());
         prop_assert_eq!(cal.executed_total(), heap.executed_total());
         prop_assert_eq!(cal.cancelled_total(), heap.cancelled_total());
@@ -271,59 +336,16 @@ proptest! {
     }
 
     /// A cloned (checkpointed) calendar queue drains identically to the
-    /// original from any mid-workload state the ops reached, and the
-    /// original is unaffected by draining the clone first.
+    /// original — and to the binary heap — from any mid-workload state the
+    /// ops reached, and the original is unaffected by draining the clone
+    /// first.
     #[test]
     fn calendar_queue_checkpoint_round_trips(ops in arb_any_fel_ops()) {
-        let mut s: Scheduler<u64> = Scheduler::new();
-        let mut keys = Vec::new();
-        let mut send_seqs = [0u64; 4];
-        let mut arrivals = 0u64;
-        let mut payload = 0u64;
-        for op in ops {
-            match op {
-                FelOp::Schedule(offset) => {
-                    payload += 1;
-                    let t = s.now() + SimDuration::from_nanos(offset);
-                    keys.push(s.schedule_at(t, payload));
-                }
-                FelOp::Arrival(offset) => {
-                    payload += 1;
-                    arrivals += 1;
-                    let t = s.now() + SimDuration::from_nanos(offset);
-                    keys.push(s.schedule_arrival(t, rank(arrivals), payload));
-                }
-                FelOp::ScheduleNow => {
-                    payload += 1;
-                    keys.push(s.schedule_now(payload));
-                }
-                FelOp::Remote { sender, offset } => {
-                    payload += 1;
-                    let t = s.now() + SimDuration::from_nanos(offset);
-                    let seq = send_seqs[sender];
-                    send_seqs[sender] += 1;
-                    s.schedule_remote(t, sender, seq, payload);
-                }
-                FelOp::CancelNth(n) => {
-                    if let Some(&k) = keys.get(n % keys.len().max(1)) {
-                        s.cancel(k);
-                    }
-                }
-                FelOp::Peek => {
-                    s.peek_time();
-                }
-                FelOp::Pop => {
-                    s.pop();
-                }
-                FelOp::PopUntil(offset) => {
-                    s.pop_until(s.now() + SimDuration::from_nanos(offset));
-                }
-            }
-        }
+        let (mut s, mut heap) = run_both(ops)?;
         let mut snapshot = s.clone();
-        let from_snapshot: Vec<_> = std::iter::from_fn(|| snapshot.pop()).collect();
-        let from_original: Vec<_> = std::iter::from_fn(|| s.pop()).collect();
-        prop_assert_eq!(from_snapshot, from_original);
+        let from_snapshot = drain(&mut snapshot);
+        prop_assert_eq!(&from_snapshot, &drain(&mut s));
+        prop_assert_eq!(from_snapshot, drain(&mut heap));
         prop_assert_eq!(snapshot.executed_total(), s.executed_total());
     }
 
