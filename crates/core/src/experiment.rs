@@ -931,6 +931,50 @@ mod tests {
         );
     }
 
+    /// The lockstep reference and the threaded driver run the same epochs:
+    /// on a 4-partition / 2-machine full-fidelity run and on a per-cluster
+    /// hybrid, every partition ends with the same network statistics (all
+    /// that `run_fingerprint` hashes, and more) and the same event count.
+    #[test]
+    fn threaded_and_lockstep_drivers_agree() {
+        let horizon = SimTime::from_millis(4);
+        let agree = |mut plan: RunPlan<'_>, partitions: usize| {
+            let [threaded, lockstep] = [false, true].map(|lockstep| {
+                let (parts, lookahead) = build_partitions(&mut plan, partitions);
+                let config = PdesConfig::round_robin(parts.len(), 2, lookahead, 64);
+                let mut runner = PdesRunner::new(parts, config);
+                let report = match lockstep {
+                    false => runner.run_until(horizon),
+                    true => runner.run_until_lockstep(horizon),
+                };
+                let events = report.expect("healthy run").partitions.into_iter();
+                let nets = runner.into_partitions().into_iter();
+                let stats = nets.map(|p| format!("{:?}", p.into_world().net.stats));
+                events.map(|p| p.events).zip(stats).collect::<Vec<_>>()
+            });
+            assert!(threaded.iter().all(|p| p.0 > 0), "every partition works");
+            assert_eq!(threaded, lockstep, "threaded and lockstep runs differ");
+        };
+        let (full, hybrid) = (ClosParams::paper_cluster(2), ClosParams::paper_cluster(4));
+        let flows = generate(&full, &WorkloadConfig::paper_default(horizon, 5));
+        let fidelity = Fidelity::Full { capture: None };
+        agree(
+            RunPlan::new(full, NetConfig::default(), &flows, horizon, fidelity),
+            4,
+        );
+        let flows = generate(&hybrid, &WorkloadConfig::paper_default(horizon, 5));
+        let flows = filter_touching_cluster(&flows, 0);
+        let mut oracles = |_: Option<usize>| Box::new(IdealOracle) as Box<dyn ClusterOracle + Send>;
+        let fidelity = Fidelity::Hybrid {
+            full_cluster: 0,
+            oracles: &mut oracles,
+        };
+        agree(
+            RunPlan::new(hybrid, NetConfig::default(), &flows, horizon, fidelity),
+            0,
+        );
+    }
+
     #[test]
     fn meta_math() {
         let m = RunMeta {

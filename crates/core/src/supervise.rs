@@ -217,14 +217,6 @@ fn cause_label(e: &PdesError) -> &'static str {
     }
 }
 
-fn failure_time(e: &PdesError) -> SimTime {
-    match e {
-        PdesError::Stalled { at, .. }
-        | PdesError::Corrupt { at, .. }
-        | PdesError::Panicked { at, .. } => *at,
-    }
-}
-
 /// Drives `runner` to `horizon` in checkpoint-interval chunks, restoring
 /// and walking the ladder (retry → adaptive→fixed) on engine faults.
 /// Returns the merged report of the successful path — failed attempts
@@ -269,7 +261,7 @@ pub(crate) fn supervise_pdes(
                 checkpoint = None;
             }
             Err(e) => {
-                let at = failure_time(&e);
+                let (at, _) = e.origin();
                 if retries < policy.max_retries {
                     retries += 1;
                     runner.restore(snapshot);

@@ -102,6 +102,7 @@ impl std::fmt::Display for FaultCounts {
 }
 
 /// A tiny splitmix64-based uniform stream, private to one partition.
+#[derive(Clone)]
 pub(crate) struct FaultRng {
     state: u64,
 }
@@ -109,17 +110,6 @@ pub(crate) struct FaultRng {
 impl FaultRng {
     fn new(seed: u64) -> Self {
         FaultRng { state: seed }
-    }
-
-    /// The raw stream position, persisted across `run_until` chunks and
-    /// checkpoints so a resumed run rolls the identical fault sequence.
-    pub(crate) fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuilds the stream at a previously captured position.
-    pub(crate) fn from_state(state: u64) -> Self {
-        FaultRng { state }
     }
 
     fn next_u64(&mut self) -> u64 {

@@ -10,11 +10,11 @@
 //! Synchronization is barrier-synchronous ("synchronous conservative"), with
 //! two epoch modes (see [`EpochMode`]):
 //!
-//! * **Adaptive** (the default): each epoch, a designated planner thread
-//!   computes every partition's *execution bound* from the published
-//!   frontier — the earliest pending event of each partition, including
-//!   mail still in flight through the exchange. Partition `r` may execute
-//!   every event strictly below
+//! * **Adaptive** (the default): each epoch, the planner computes every
+//!   partition's *execution bound* from the published frontier — the
+//!   earliest pending event of each partition, including mail still in
+//!   flight through the exchange. Partition `r` may execute every event
+//!   strictly below
 //!
 //!   ```text
 //!   bound(r) = min( min over q != r of next(q) + L,  next(r) + 2L )
@@ -43,16 +43,36 @@
 //! message. A run is therefore bit-identical across epoch modes, chunked
 //! `run_until` boundaries, and repeat runs.
 //!
+//! ## One protocol, two drivers
+//!
+//! ```text
+//! frontier = each partition's earliest pending event, no mail in flight
+//! while let Some(bounds) = planner.plan(frontier) {  // watchdog, failures
+//!     for each partition r:               // one thread each, or in order
+//!         frontier[r] = run_epoch(r, bounds[r], inbox(r))  // drain, execute, post
+//!     move the posted mail into the exchange for the next epoch
+//! }
+//! deliver the mail still in flight
+//! ```
+//!
+//! [`PdesRunner::run_until`] runs a thread per partition (thread 0 also
+//! plans) with a barrier between the phases; all of the engine's `unsafe` is
+//! in its module, `threaded`. [`PdesRunner::run_until_lockstep`] runs the
+//! same plans on the calling thread: the reference the threaded driver is
+//! tested against. `run_epoch` publishes a panic in its body (a handler, the
+//! model's codec) as the partition's failure, like an undecodable message,
+//! and the next plan ends the run with the failure of earliest `(time,
+//! partition)`, whatever the thread timing.
+//!
 //! ## The exchange
 //!
-//! Cross-partition messages move through double-buffered per-(sender,
-//! receiver) outboxes. During an epoch each sender appends only to its own
-//! `(sender, dst)` cells of the *next* buffer while receivers drain their
-//! column of the *current* buffer — disjoint cells, so the epoch loop takes
-//! no locks at all. The epoch barrier both swaps the buffers and publishes
-//! the writes (its atomics establish the happens-before edges). The barrier
-//! itself ([`EpochBarrier`]) spins briefly before parking: epochs are often
-//! shorter than a park/unpark round trip.
+//! Cross-partition messages move by pointer through per-(sender, receiver)
+//! cells that receivers drain the next epoch. The threaded exchange is
+//! double-buffered: senders fill their row of one buffer while receivers
+//! drain their column of the other — disjoint cells, no locks. The barrier
+//! swaps the buffers and publishes the writes (its atomics establish the
+//! happens-before edges); it spins briefly before parking, as epochs are
+//! often shorter than a park/unpark round trip.
 //!
 //! ## Emulating multi-machine deployments
 //!
@@ -66,14 +86,11 @@
 //! distinctive Figure-1 behaviour — more machines means more per-message
 //! overhead — without requiring actual remote hosts.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use elephant_obs::{TraceRecord, PID_PDES};
-use parking_lot::Mutex;
 
 use crate::fault::{FaultCounts, FaultPlan, FaultRng};
 use crate::sched::{Next, Scheduler};
@@ -141,6 +158,8 @@ pub trait PartitionWorld: Send {
 pub struct RemoteSink<E> {
     /// The owning partition; remote self-sends are rejected.
     me: PartitionId,
+    /// The run's partition count; sends past it are rejected.
+    partitions: usize,
     lookahead: SimDuration,
     /// Timestamp of the event currently being handled; the lookahead floor.
     now: SimTime,
@@ -148,9 +167,10 @@ pub struct RemoteSink<E> {
 }
 
 impl<E> RemoteSink<E> {
-    fn new(me: PartitionId, lookahead: SimDuration) -> Self {
+    fn new(me: PartitionId, partitions: usize, lookahead: SimDuration) -> Self {
         RemoteSink {
             me,
+            partitions,
             lookahead,
             now: SimTime::ZERO,
             out: Vec::new(),
@@ -167,11 +187,19 @@ impl<E> RemoteSink<E> {
     ///   per-partition bounds assume a partition can only influence itself
     ///   through at least two cross-partition hops, so self-routed events
     ///   must use the local scheduler.
+    /// - If `partition` is not a partition of the run.
+    ///
+    /// Inside a run each of these ends it with [`PdesError::Panicked`].
     pub fn send(&mut self, partition: PartitionId, at: SimTime, event: E) {
         assert!(
             partition != self.me,
             "partition {} may not remote-send to itself; use the local scheduler",
             self.me
+        );
+        assert!(
+            partition < self.partitions,
+            "remote event to unknown partition {partition} (the run has {})",
+            self.partitions
         );
         assert!(
             at >= self.now.saturating_add(self.lookahead),
@@ -192,10 +220,10 @@ pub struct PartitionSim<W: PartitionWorld> {
     /// posted, across `run_until` chunks — the `send-seq` half of the remote
     /// tie-break key, so chunk boundaries cannot collide or reorder keys.
     send_seq: u64,
-    /// Fault-RNG stream position, persisted across `run_until` chunks and
+    /// Fault-RNG stream, persisted across `run_until` chunks and
     /// checkpoints so a chunked or resumed run rolls the identical fault
     /// sequence as an uninterrupted one. `None` until a faulted run starts.
-    fault_rng_state: Option<u64>,
+    fault_rng: Option<FaultRng>,
     /// Epochs this partition has executed across all chunks — the counter a
     /// scripted [`FaultPlan::stall_partition`] fault measures against, so a
     /// restored run re-stalls (or not) exactly where the original did.
@@ -209,7 +237,7 @@ impl<W: PartitionWorld> PartitionSim<W> {
             world,
             sched: Scheduler::new(),
             send_seq: 0,
-            fault_rng_state: None,
+            fault_rng: None,
             epochs_run: 0,
         }
     }
@@ -258,7 +286,7 @@ where
             world: self.world.clone(),
             sched: self.sched.clone(),
             send_seq: self.send_seq,
-            fault_rng_state: self.fault_rng_state,
+            fault_rng: self.fault_rng.clone(),
             epochs_run: self.epochs_run,
         }
     }
@@ -337,10 +365,10 @@ impl PdesConfig {
 
 /// Structured failure from a PDES run, replacing hangs and worker panics.
 ///
-/// Both variants carry the partial [`PdesReport`] assembled at abort time,
+/// Each variant carries the partial [`PdesReport`] assembled at abort time,
 /// so callers can inspect per-partition diagnostics (each partition's event
 /// count and frozen [`PartitionStats::next_time`]) even for a failed run.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum PdesError {
     /// A partition stopped advancing: the global minimum pending event time
     /// sat at `at` for `epochs` consecutive epochs. Without the watchdog
@@ -365,14 +393,13 @@ pub enum PdesError {
         /// Partial statistics gathered up to the abort.
         report: Box<PdesReport>,
     },
-    /// A partition's event handler panicked. The panic is caught at the
-    /// handler boundary and folded into the normal abort protocol, so one
-    /// panicking worker produces this single structured error instead of a
-    /// cascade of poisoned-barrier panics across every other thread.
+    /// A partition panicked in an event handler or in the model's
+    /// [`Transportable`] codec. The panic is caught around the epoch, so it
+    /// ends the run with this one error instead of a hung barrier.
     Panicked {
-        /// The partition whose handler panicked.
+        /// The partition that panicked.
         partition: PartitionId,
-        /// Timestamp of the event being handled when the panic unwound.
+        /// Timestamp of the last event the partition handled.
         at: SimTime,
         /// The panic payload, when it was a string.
         message: String,
@@ -389,6 +416,15 @@ impl PdesError {
             | PdesError::Corrupt { report, .. }
             | PdesError::Panicked { report, .. } => report,
         }
+    }
+
+    /// When and where the run failed. Of the failures published in one
+    /// epoch, the run reports the one with the least `(at, partition)`.
+    pub fn origin(&self) -> (SimTime, PartitionId) {
+        let (PdesError::Stalled { at, partition, .. }
+        | PdesError::Corrupt { at, partition, .. }
+        | PdesError::Panicked { at, partition, .. }) = self;
+        (*at, *partition)
     }
 }
 
@@ -426,24 +462,8 @@ impl std::fmt::Display for PdesError {
 
 impl std::error::Error for PdesError {}
 
-/// Which failure a worker thread observed; folded into [`PdesError`] with
-/// the final report once all threads have drained.
-#[derive(Clone, Debug)]
-enum FailureCause {
-    Stalled { epochs: u64 },
-    Corrupt,
-    Panicked { message: String },
-}
-
-#[derive(Clone, Debug)]
-struct Failure {
-    partition: PartitionId,
-    at: SimTime,
-    cause: FailureCause,
-}
-
 /// Aggregate statistics from a PDES run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PdesReport {
     /// Number of epoch barriers executed.
     pub epochs: u64,
@@ -515,10 +535,10 @@ impl PdesReport {
 
 /// Per-partition wall-time and traffic breakdown from a PDES run.
 ///
-/// Wall times are measured with monotonic clocks inside the partition
-/// thread; they never feed back into simulated time, so collecting them
+/// Wall times are measured with monotonic clocks inside the partition's
+/// epoch; they never feed back into simulated time, so collecting them
 /// does not perturb determinism.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PartitionStats {
     /// Partition index.
     pub partition: usize,
@@ -526,7 +546,7 @@ pub struct PartitionStats {
     pub events: u64,
     /// Wall time spent executing local events.
     pub work_seconds: f64,
-    /// Wall time spent parked on epoch barriers.
+    /// Wall time spent parked on epoch barriers (zero in a lockstep run).
     pub barrier_wait_seconds: f64,
     /// Wall time spent marshalling cross-machine events.
     pub marshal_seconds: f64,
@@ -535,12 +555,12 @@ pub struct PartitionStats {
     /// Bytes this partition pushed through the marshalling path.
     pub remote_bytes_sent: u64,
     /// High-water mark of the partition scheduler's FEL resident bytes
-    /// (sampled every 4,096 executed events and when the partition thread
-    /// exits, as the sequential engine does) — the per-partition share of
-    /// the `bytes/host` memory budget.
+    /// (sampled every 4,096 executed events and when the run ends, as the
+    /// sequential engine does) — the per-partition share of the
+    /// `bytes/host` memory budget.
     pub fel_bytes_peak: u64,
-    /// Earliest event still pending when the partition thread exited —
-    /// the key stall diagnostic: a stuck partition's clock freezes here.
+    /// Earliest event still pending when the run ended — the key stall
+    /// diagnostic: a stuck partition's clock freezes here.
     pub next_time: Option<SimTime>,
 }
 
@@ -548,180 +568,6 @@ pub struct PartitionStats {
 pub struct PdesRunner<W: PartitionWorld> {
     partitions: Vec<PartitionSim<W>>,
     config: PdesConfig,
-}
-
-/// Epoch decision computed by the planner (thread 0) between barriers.
-struct EpochPlan {
-    /// Per-partition execution bound: partition `r` executes local events
-    /// strictly below `bounds[r]` this epoch.
-    bounds: Vec<SimTime>,
-    terminate: bool,
-}
-
-/// A partition's frontier snapshot, read by the planner.
-struct Publish {
-    /// Earliest pending local event after the partition's last work phase.
-    peek: Option<SimTime>,
-    /// Per-destination minimum delivery time among messages the partition
-    /// posted into the exchange buffer receivers will drain next epoch.
-    out_min: Vec<Option<SimTime>>,
-}
-
-/// Cache-line-padded slot whose cross-thread access is serialized by the
-/// epoch-barrier protocol rather than a lock: each cell is written by
-/// exactly one thread in one barrier phase and read only in a different
-/// phase, with a barrier (which establishes happens-before) in between.
-#[repr(align(64))]
-struct PhaseCell<T>(UnsafeCell<T>);
-
-// SAFETY: access is phase-exclusive per the barrier protocol documented on
-// each call site; the barrier's atomics provide the happens-before edges.
-unsafe impl<T: Send> Sync for PhaseCell<T> {}
-
-impl<T> PhaseCell<T> {
-    fn new(v: T) -> Self {
-        PhaseCell(UnsafeCell::new(v))
-    }
-
-    /// # Safety
-    /// The caller must be the cell's unique accessor in the current barrier
-    /// phase.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self) -> &mut T {
-        &mut *self.0.get()
-    }
-
-    /// # Safety
-    /// No thread may mutate the cell in the current barrier phase.
-    unsafe fn get_ref(&self) -> &T {
-        &*self.0.get()
-    }
-}
-
-/// Sense-reversing barrier tuned for the epoch loop: arrivals spin briefly
-/// (epochs are often shorter than a park/unpark round trip) and then park
-/// on a condvar. The generation counter is the sense; its release/acquire
-/// pair also publishes every pre-barrier write to every post-barrier reader,
-/// which is what makes the lock-free [`PhaseCell`] exchange sound.
-struct EpochBarrier {
-    n: usize,
-    /// Spin iterations before parking; zero when the host has fewer cores
-    /// than partitions, where spinning only steals the straggler's
-    /// timeslice.
-    spin: u32,
-    arrived: AtomicUsize,
-    generation: AtomicU64,
-    lock: StdMutex<()>,
-    cvar: Condvar,
-}
-
-impl EpochBarrier {
-    fn new(n: usize) -> Self {
-        let spin = match std::thread::available_parallelism() {
-            Ok(cores) if cores.get() >= n => 4096,
-            _ => 0,
-        };
-        EpochBarrier {
-            n,
-            spin,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicU64::new(0),
-            lock: StdMutex::new(()),
-            cvar: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            // Last arriver: reset the count for the next round (published by
-            // the generation bump below), bump the generation under the lock
-            // (so a peer between its generation check and its park cannot
-            // miss the change), and wake everyone parked.
-            self.arrived.store(0, Ordering::Relaxed);
-            {
-                // The guarded state is `()`: poisoning (a peer panicked while
-                // holding the lock) carries no broken invariant, so recover
-                // instead of cascading secondary panics through every thread
-                // parked here. The original panic is surfaced exactly once,
-                // as a structured error, by the abort protocol.
-                let _g = self
-                    .lock
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                self.generation.fetch_add(1, Ordering::Release);
-            }
-            self.cvar.notify_all();
-            return;
-        }
-        for _ in 0..self.spin {
-            if self.generation.load(Ordering::Acquire) != gen {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        let mut guard = self
-            .lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while self.generation.load(Ordering::Acquire) == gen {
-            guard = self
-                .cvar
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-}
-
-/// One exchange cell: messages from one sender to one receiver, each
-/// carrying its delivery time and the sender's send-seq tie-break key.
-type Outbox<E> = Vec<(SimTime, u64, E)>;
-
-struct Shared<E> {
-    barrier: EpochBarrier,
-    /// One frontier snapshot per partition: written by its owner at the end
-    /// of its work phase, read by the planner between barriers.
-    publish: Vec<PhaseCell<Publish>>,
-    /// Written by the planner between the epoch-end and plan barriers; read
-    /// by everyone after the plan barrier.
-    plan: PhaseCell<EpochPlan>,
-    /// Double-buffered exchange: `outboxes[b][sender * n + dst]`. During an
-    /// epoch, senders append to their own row of buffer `1 - cur` while
-    /// receivers drain their column of buffer `cur` — disjoint cells, no
-    /// locks. The epoch barrier swaps the buffers.
-    outboxes: [Vec<PhaseCell<Outbox<E>>>; 2],
-    /// Per-partition breakdowns, written once by each thread as it exits.
-    per_partition: Mutex<Vec<PartitionStats>>,
-    epochs: AtomicU64,
-    epochs_jumped: AtomicU64,
-    events: AtomicU64,
-    remote_msgs: AtomicU64,
-    marshalled_msgs: AtomicU64,
-    marshalled_bytes: AtomicU64,
-    fault_dropped: AtomicU64,
-    fault_duplicated: AtomicU64,
-    fault_corrupted: AtomicU64,
-    poisoned: AtomicBool,
-    /// Set by any thread that observes a failure; the planner converts it
-    /// into a terminating epoch plan at the next planning phase, so every
-    /// thread exits through the normal barrier sequence instead of
-    /// deadlocking.
-    abort: AtomicBool,
-    /// First failure observed (kept; later ones are dropped).
-    failure: Mutex<Option<Failure>>,
-    /// Wall-clock origin for timeline slices: all partition tracks share
-    /// one zero so their epochs line up in the trace viewer.
-    started: Instant,
-}
-
-impl<E> Shared<E> {
-    fn record_failure(&self, failure: Failure) {
-        let mut slot = self.failure.lock();
-        if slot.is_none() {
-            *slot = Some(failure);
-        }
-        self.abort.store(true, Ordering::SeqCst);
-    }
 }
 
 impl<W: PartitionWorld> PdesRunner<W> {
@@ -745,115 +591,71 @@ impl<W: PartitionWorld> PdesRunner<W> {
         PdesRunner { partitions, config }
     }
 
-    /// Runs all partitions until every event with time ≤ `horizon` has been
-    /// executed (or the model drains). Returns aggregate statistics, or a
-    /// structured [`PdesError`] if the stall watchdog fired or a marshalled
-    /// message failed to decode — in both cases the error carries the
-    /// partial report for per-partition diagnostics.
+    /// Runs all partitions, one OS thread each, until every event with time
+    /// ≤ `horizon` has been executed (or the model drains). Returns aggregate
+    /// statistics, or a structured [`PdesError`] if the stall watchdog fired,
+    /// a marshalled message failed to decode or a partition panicked — the
+    /// error carries the partial report for per-partition diagnostics.
     pub fn run_until(&mut self, horizon: SimTime) -> Result<PdesReport, PdesError> {
-        let n = self.partitions.len();
-        let shared: Shared<W::Event> = Shared {
-            barrier: EpochBarrier::new(n),
-            publish: (0..n)
-                .map(|_| {
-                    PhaseCell::new(Publish {
-                        peek: None,
-                        out_min: vec![None; n],
-                    })
-                })
-                .collect(),
-            plan: PhaseCell::new(EpochPlan {
-                bounds: vec![SimTime::ZERO; n],
-                terminate: false,
-            }),
-            outboxes: [
-                (0..n * n).map(|_| PhaseCell::new(Vec::new())).collect(),
-                (0..n * n).map(|_| PhaseCell::new(Vec::new())).collect(),
-            ],
-            per_partition: Mutex::new(
-                (0..n)
-                    .map(|partition| PartitionStats {
-                        partition,
-                        ..Default::default()
-                    })
-                    .collect(),
-            ),
-            epochs: AtomicU64::new(0),
-            epochs_jumped: AtomicU64::new(0),
-            events: AtomicU64::new(0),
-            remote_msgs: AtomicU64::new(0),
-            marshalled_msgs: AtomicU64::new(0),
-            marshalled_bytes: AtomicU64::new(0),
-            fault_dropped: AtomicU64::new(0),
-            fault_duplicated: AtomicU64::new(0),
-            fault_corrupted: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-            abort: AtomicBool::new(false),
-            failure: Mutex::new(None),
-            started: Instant::now(),
-        };
-        let config = &self.config;
+        let (planner, runs) = self.start(horizon);
+        let (planner, rows) = threaded::run(planner, runs);
+        planner.finish(rows, &self.config)
+    }
 
-        std::thread::scope(|scope| {
-            for (id, part) in self.partitions.iter_mut().enumerate() {
-                let shared = &shared;
-                scope.spawn(move || {
-                    partition_main(id, part, shared, config, horizon);
-                });
+    /// [`Self::run_until`] with every partition on the calling thread, in
+    /// partition order: the same plans and exchange with no threads, barrier
+    /// or `unsafe`. The result equals `run_until`'s but for wall-clock
+    /// seconds (`barrier_wait_seconds` is zero): the reference the threaded
+    /// driver is tested against, as [`crate::BinaryHeapFel`] is for the
+    /// calendar queue, and the run's work without synchronisation.
+    pub fn run_until_lockstep(&mut self, horizon: SimTime) -> Result<PdesReport, PdesError> {
+        let (mut planner, mut runs) = self.start(horizon);
+        let n = runs.len();
+        // Exchange cell `sender * n + receiver`: one epoch's mail.
+        let mut mail: Vec<Outbox<W::Event>> = (0..n * n).map(|_| Vec::new()).collect();
+        let mut frontier: Vec<Publish> = (0..n).map(|_| Publish::default()).collect();
+        runs.iter_mut()
+            .zip(&mut frontier)
+            .for_each(|(r, p)| r.publish(None, p));
+        while let Some(bounds) = planner.plan(&frontier) {
+            for (id, run) in runs.iter_mut().enumerate() {
+                let inbox = mail.iter_mut().skip(id).step_by(n);
+                run.run_epoch(bounds[id], inbox, &mut frontier[id]);
+            }
+            for (id, run) in runs.iter_mut().enumerate() {
+                let cells = run.out.iter_mut().zip(&mut mail[id * n..]);
+                cells.for_each(|(posted, cell)| std::mem::swap(posted, cell));
+            }
+        }
+        for (id, run) in runs.iter_mut().enumerate() {
+            deliver(&mut run.part.sched, mail.iter_mut().skip(id).step_by(n));
+        }
+        let rows = runs.into_iter().map(PartitionRun::finish).collect();
+        planner.finish(rows, &self.config)
+    }
+
+    /// The planner and the per-partition state of one `run_until` call.
+    fn start(&mut self, horizon: SimTime) -> (Planner, Vec<PartitionRun<'_, W>>) {
+        let (started, config, n) = (Instant::now(), &self.config, self.partitions.len());
+        let runs = (0..).zip(&mut self.partitions).map(|(id, part)| {
+            // The fault stream resumes where the partition left it, so chunked
+            // and restored runs roll the sequence an uninterrupted run would.
+            if part.fault_rng.is_none() {
+                part.fault_rng = config.faults.as_ref().map(|f| f.rng_for(id));
+            }
+            PartitionRun {
+                id,
+                part,
+                config,
+                horizon,
+                remote: RemoteSink::new(id, n, config.lookahead),
+                out: (0..n).map(|_| Vec::new()).collect(),
+                since_fel_bytes: 0,
+                row: Row::default(),
+                tl: PartitionTimeline::new(started, id),
             }
         });
-
-        assert!(
-            !shared.poisoned.load(Ordering::SeqCst),
-            "a PDES partition thread panicked"
-        );
-        let report = PdesReport {
-            epochs: shared.epochs.load(Ordering::Relaxed),
-            epochs_jumped: shared.epochs_jumped.load(Ordering::Relaxed),
-            events_executed: shared.events.load(Ordering::Relaxed),
-            remote_messages: shared.remote_msgs.load(Ordering::Relaxed),
-            marshalled_messages: shared.marshalled_msgs.load(Ordering::Relaxed),
-            bytes_marshalled: shared.marshalled_bytes.load(Ordering::Relaxed),
-            faults: FaultCounts {
-                dropped: shared.fault_dropped.load(Ordering::Relaxed),
-                duplicated: shared.fault_duplicated.load(Ordering::Relaxed),
-                corrupted: shared.fault_corrupted.load(Ordering::Relaxed),
-                armed: config.faults.as_ref().is_some_and(FaultPlan::probabilistic),
-            },
-            partitions: shared.per_partition.into_inner(),
-        };
-        match shared.failure.into_inner() {
-            Some(Failure {
-                partition,
-                at,
-                cause: FailureCause::Stalled { epochs },
-            }) => Err(PdesError::Stalled {
-                partition,
-                at,
-                epochs,
-                report: Box::new(report),
-            }),
-            Some(Failure {
-                partition,
-                at,
-                cause: FailureCause::Corrupt,
-            }) => Err(PdesError::Corrupt {
-                partition,
-                at,
-                report: Box::new(report),
-            }),
-            Some(Failure {
-                partition,
-                at,
-                cause: FailureCause::Panicked { message },
-            }) => Err(PdesError::Panicked {
-                partition,
-                at,
-                message,
-                report: Box::new(report),
-            }),
-            None => Ok(report),
-        }
+        (Planner::new(config, horizon), runs.collect())
     }
 
     /// Consumes the runner, returning the partitions for inspection.
@@ -904,11 +706,629 @@ where
     }
 }
 
+/// A partition's frontier after an epoch: what the planner reads.
+#[derive(Debug, Default)]
+struct Publish {
+    /// Earliest pending local event.
+    peek: Option<SimTime>,
+    /// Per-receiver minimum delivery time of the mail posted this epoch.
+    out_min: Vec<Option<SimTime>>,
+    /// Why the partition cannot go on; its report is filled in at the end.
+    failure: Option<PdesError>,
+}
+
+/// The planner's decision for one epoch: partition `r` executes local
+/// events strictly below `bounds[r]`, or `None`: the run is over.
+type EpochPlan<'a> = Option<&'a [SimTime]>;
+
+/// Turns each epoch's published frontier into the next epoch's plan, and
+/// decides when the run ends. One per `run_until` call.
+#[derive(Default)]
+struct Planner {
+    lookahead: SimDuration,
+    mode: EpochMode,
+    horizon: SimTime,
+    stall_epochs: u64,
+    /// Earliest executable time per partition (peek or mail in flight).
+    next_exec: Vec<Option<SimTime>>,
+    // Watchdog: stagnation counts only while the frozen global minimum is
+    // already covered by the previous epoch (`watch_cover`), so fixed-mode
+    // epochs still grinding toward a distant event are exempt.
+    watch_last: Option<SimTime>,
+    watch_stagnant: u64,
+    watch_cover: Option<SimTime>,
+    /// Fixed-mode frontier: the next epoch ends here, advancing by exactly L.
+    fixed_next: Option<SimTime>,
+    /// The last plan's bounds, reused from epoch to epoch.
+    bounds: Vec<SimTime>,
+    epochs: u64,
+    epochs_jumped: u64,
+    /// The failure that ended the run.
+    failure: Option<PdesError>,
+}
+
+impl Planner {
+    fn new(config: &PdesConfig, horizon: SimTime) -> Self {
+        Planner {
+            lookahead: config.lookahead,
+            mode: config.epoch_mode,
+            horizon,
+            stall_epochs: config.stall_epochs,
+            next_exec: vec![None; config.machine_of.len()],
+            ..Planner::default()
+        }
+    }
+
+    /// The next epoch's plan from every partition's frontier, in partition
+    /// order. Terminates on a published failure (the earliest by
+    /// [`PdesError::origin`]), on a stall the watchdog finds, and once no
+    /// event at or before the horizon is pending.
+    fn plan(&mut self, frontier: &[Publish]) -> EpochPlan<'_> {
+        let failed = frontier.iter().filter_map(|p| p.failure.as_ref());
+        if let Some(first) = failed.min_by_key(|f| f.origin()) {
+            self.failure = Some(first.clone());
+            return None;
+        }
+        for (q, slot) in self.next_exec.iter_mut().enumerate() {
+            let in_flight = frontier.iter().filter_map(|p| p.out_min[q]);
+            *slot = in_flight.chain(frontier[q].peek).min();
+        }
+        let start = self.next_exec.iter().flatten().min().copied();
+        let start = start.filter(|&s| s <= self.horizon)?;
+
+        // Stall watchdog: if the covered minimum sits still for
+        // `stall_epochs` consecutive epochs, name the partition holding it.
+        if self.watch_last != Some(start) {
+            self.watch_last = Some(start);
+            self.watch_stagnant = 0;
+        } else if start < self.watch_cover.unwrap_or(SimTime::ZERO) {
+            self.watch_stagnant += 1;
+            if self.stall_epochs > 0 && self.watch_stagnant >= self.stall_epochs {
+                let stuck = self.next_exec.iter().position(|t| *t == Some(start));
+                self.failure = Some(PdesError::Stalled {
+                    partition: stuck.unwrap_or_default(),
+                    at: start,
+                    epochs: self.watch_stagnant,
+                    report: Box::default(),
+                });
+                return None;
+            }
+        }
+
+        let (l, n, next_exec) = (self.lookahead, self.next_exec.len(), &self.next_exec);
+        self.bounds.clear();
+        match self.mode {
+            EpochMode::Adaptive => {
+                if self.watch_cover.is_some_and(|c| start > c) {
+                    self.epochs_jumped += 1;
+                }
+                self.watch_cover = Some(start.saturating_add(l));
+                self.bounds.extend((0..n).map(|r| {
+                    let mut bound = SimTime::MAX;
+                    for (q, t) in next_exec.iter().enumerate() {
+                        let Some(t) = *t else { continue };
+                        if q != r {
+                            bound = bound.min(t.saturating_add(l));
+                        } else if n > 1 {
+                            // Self-influence needs >= 2 hops (remote
+                            // self-sends are rejected).
+                            bound = bound.min(t.saturating_add(l).saturating_add(l));
+                        }
+                    }
+                    bound
+                }));
+            }
+            EpochMode::Fixed => {
+                let end = self.fixed_next.unwrap_or_else(|| start.saturating_add(l));
+                self.fixed_next = Some(end.saturating_add(l));
+                self.watch_cover = Some(end);
+                self.bounds.resize(n, end);
+            }
+        }
+        self.epochs += 1;
+        Some(&self.bounds)
+    }
+
+    /// The run's report, summed from the partitions' rows, or the failure
+    /// that ended the run carrying it.
+    fn finish(self, rows: Vec<Row>, config: &PdesConfig) -> Result<PdesReport, PdesError> {
+        let mut report = PdesReport {
+            epochs: self.epochs,
+            epochs_jumped: self.epochs_jumped,
+            ..PdesReport::default()
+        };
+        report.faults.armed = config.faults.as_ref().is_some_and(FaultPlan::probabilistic);
+        for row in rows {
+            report.events_executed += row.stats.events;
+            report.remote_messages += row.stats.remote_events_sent;
+            report.marshalled_messages += row.marshalled;
+            report.bytes_marshalled += row.stats.remote_bytes_sent;
+            report.faults.dropped += row.faults.dropped;
+            report.faults.duplicated += row.faults.duplicated;
+            report.faults.corrupted += row.faults.corrupted;
+            report.partitions.push(row.stats);
+        }
+        match self.failure {
+            None => Ok(report),
+            Some(mut failure) => {
+                let (PdesError::Stalled { report: slot, .. }
+                | PdesError::Corrupt { report: slot, .. }
+                | PdesError::Panicked { report: slot, .. }) = &mut failure;
+                **slot = report;
+                Err(failure)
+            }
+        }
+    }
+}
+
+/// One exchange cell: messages from one sender to one receiver, each
+/// carrying its delivery time and the sender's send-seq tie-break key.
+type Outbox<E> = Vec<(SimTime, u64, E)>;
+
+/// One partition's own counts for a `run_until` call; the report sums them.
+#[derive(Default)]
+struct Row {
+    stats: PartitionStats,
+    faults: FaultCounts,
+    /// Cross-machine message copies marshalled ([`PdesReport::marshalled_messages`]).
+    marshalled: u64,
+}
+
+/// One partition's side of a `run_until` call: the partition, the mail it
+/// posts, its scripted faults and the counts it reports.
+struct PartitionRun<'a, W: PartitionWorld> {
+    id: PartitionId,
+    part: &'a mut PartitionSim<W>,
+    config: &'a PdesConfig,
+    horizon: SimTime,
+    remote: RemoteSink<W::Event>,
+    /// The mail posted this epoch, per receiver; the driver moves it on.
+    out: Vec<Outbox<W::Event>>,
+    /// Events executed since `row.stats.fel_bytes_peak` was last read.
+    since_fel_bytes: u64,
+    row: Row,
+    tl: Option<PartitionTimeline>,
+}
+
+impl<W: PartitionWorld> PartitionRun<'_, W> {
+    /// One epoch of this partition: deliver the inbox (one outbox per
+    /// sender), execute the events below `bound` and not past the horizon,
+    /// post the mail sent, and publish the frontier. A panic in that body is
+    /// published as the partition's failure; the world may then hold broken
+    /// invariants, so it must be discarded or restored, not resumed.
+    fn run_epoch<'m>(
+        &mut self,
+        bound: SimTime,
+        inbox: impl Iterator<Item = &'m mut Outbox<W::Event>>,
+        publish: &mut Publish,
+    ) where
+        W::Event: 'm,
+    {
+        self.part.epochs_run += 1;
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            self.execute(bound, inbox);
+            self.post(publish);
+        }));
+        if let Err(payload) = caught {
+            publish.failure = Some(PdesError::Panicked {
+                partition: self.id,
+                at: self.remote.now,
+                message: panic_message(payload.as_ref()),
+                report: Box::default(),
+            });
+        }
+    }
+
+    /// The work phase: inbound mail into the FEL, then the events due.
+    fn execute<'m>(&mut self, bound: SimTime, inbox: impl Iterator<Item = &'m mut Outbox<W::Event>>)
+    where
+        W::Event: 'm,
+    {
+        let _s = elephant_obs::span("work");
+        let t0 = Instant::now();
+        let epoch = self.part.epochs_run;
+        let faults = self.config.faults.as_ref();
+        if let Some((_, dur)) = faults
+            .and_then(|f| f.slow_partition)
+            .filter(|s| s.0 == self.id)
+        {
+            // Injected slowdown: wall-clock only; the partition still
+            // advances simulated time, so the watchdog must stay quiet.
+            std::thread::sleep(dur);
+        }
+        let part = &mut *self.part;
+        deliver(&mut part.sched, inbox);
+        // `t < bound && t <= horizon` as one inclusive limit; a stalled
+        // partition (or a zero bound) has none and executes nothing.
+        let stalled = faults
+            .and_then(|f| f.stall_partition)
+            .is_some_and(|(p, k)| p == self.id && epoch > k);
+        let limit = match bound.as_nanos().checked_sub(1) {
+            Some(last) if !stalled => Some(SimTime::from_nanos(last).min(self.horizon)),
+            _ => None,
+        };
+        let stats = &mut self.row.stats;
+        let before = stats.events;
+        while let Some(Next::Event((t, ev))) = limit.map(|l| part.sched.pop_until(l)) {
+            self.remote.now = t;
+            part.world.handle(ev, &mut part.sched, &mut self.remote);
+            stats.events += 1;
+        }
+        let executed = stats.events - before;
+        stats.work_seconds += t0.elapsed().as_secs_f64();
+        if let Some(tl) = self.tl.as_mut() {
+            let ts = t0.duration_since(tl.origin).as_secs_f64() * 1e6;
+            let dur = t0.elapsed().as_secs_f64() * 1e6;
+            tl.push(
+                TraceRecord::complete(PID_PDES, tl.tid, "work", ts, dur)
+                    .arg("epoch", epoch)
+                    .arg("events", executed)
+                    .arg("bound_sim_us", bound.as_nanos() as f64 / 1e3),
+            );
+        }
+        // Sample the FEL's resident bytes at the sequential engine's
+        // cadence, not per epoch (it walks the bucket array): a read-only
+        // probe of container capacities, so it cannot perturb the
+        // simulation.
+        self.since_fel_bytes += executed;
+        if self.since_fel_bytes >= FEL_BYTES_EVERY {
+            self.since_fel_bytes = 0;
+            stats.fel_bytes_peak = stats.fel_bytes_peak.max(part.sched.fel_bytes() as u64);
+        }
+    }
+
+    /// The post phase: the epoch's remote events into the per-receiver
+    /// outboxes, marshalled (and rolling the message-level faults) across
+    /// machines; then the frontier.
+    fn post(&mut self, publish: &mut Publish) {
+        let mut failure = None;
+        if !self.remote.out.is_empty() {
+            let _s = elephant_obs::span("marshal");
+            let t0 = Instant::now();
+            let config = self.config;
+            let mine = config.machine_of[self.id];
+            let seq = &mut self.part.send_seq;
+            let stats = &mut self.row.stats;
+            stats.remote_events_sent += self.remote.out.len() as u64;
+            for (dst, at, ev) in self.remote.out.drain(..) {
+                let outbox = &mut self.out[dst];
+                if config.machine_of[dst] == mine {
+                    outbox.push((at, *seq, ev));
+                    *seq += 1;
+                    continue;
+                }
+                // Cross-machine: roll the message-level faults (sender-side,
+                // in execution order, so the sequence is deterministic and
+                // plan-independent), then push the event through the
+                // marshalled transport.
+                let mut copies = 1usize;
+                let mut corrupt = false;
+                if let (Some(f), Some(rng)) = (&config.faults, self.part.fault_rng.as_mut()) {
+                    if rng.roll(f.drop_prob) {
+                        self.row.faults.dropped += 1;
+                        continue;
+                    }
+                    if rng.roll(f.dup_prob) {
+                        copies = 2;
+                        self.row.faults.duplicated += 1;
+                    }
+                    if rng.roll(f.corrupt_prob) {
+                        corrupt = true;
+                        self.row.faults.corrupted += 1;
+                    }
+                }
+                let (evs, nbytes) = marshal_round_trip(ev, config.envelope_bytes, copies, corrupt);
+                self.row.marshalled += copies as u64;
+                stats.remote_bytes_sent += nbytes;
+                if evs.len() < copies && failure.is_none() {
+                    // The far side could not decode the message.
+                    failure = Some(PdesError::Corrupt {
+                        partition: self.id,
+                        at,
+                        report: Box::default(),
+                    });
+                }
+                for ev in evs {
+                    outbox.push((at, *seq, ev));
+                    *seq += 1;
+                }
+            }
+            stats.marshal_seconds += t0.elapsed().as_secs_f64();
+            if let Some(tl) = self.tl.as_mut() {
+                tl.slice("marshal", t0, self.part.epochs_run);
+            }
+        }
+        self.publish(failure, publish);
+    }
+
+    /// The frontier: the earliest pending event and the mail posted but
+    /// not yet moved into the exchange.
+    fn publish(&mut self, failure: Option<PdesError>, into: &mut Publish) {
+        into.peek = self.part.sched.peek_time();
+        into.out_min.clear();
+        let out_min = self.out.iter().map(|o| o.iter().map(|m| m.0).min());
+        into.out_min.extend(out_min);
+        into.failure = failure;
+    }
+
+    /// Closes the partition's row once the run is over.
+    fn finish(mut self) -> Row {
+        let stats = &mut self.row.stats;
+        stats.partition = self.id;
+        stats.next_time = self.part.sched.peek_time();
+        stats.fel_bytes_peak = stats.fel_bytes_peak.max(self.part.sched.fel_bytes() as u64);
+        if let Some(tl) = self.tl.take() {
+            tl.flush(stats);
+        }
+        self.row
+    }
+}
+
+/// Drains one receiver's inbox — one outbox per sender, in sender order —
+/// into its future event list, via the scheduler's remote lane so ties
+/// resolve by `(time, sender, send-seq)`.
+fn deliver<'m, E: 'm>(sched: &mut Scheduler<E>, inbox: impl Iterator<Item = &'m mut Outbox<E>>) {
+    for (sender, outbox) in inbox.enumerate() {
+        for (at, send_seq, ev) in outbox.drain(..) {
+            sched.schedule_remote(at, sender, send_seq, ev);
+        }
+    }
+}
+
+/// The parallel driver: one scoped thread per partition, thread 0 also
+/// planning, and the double-buffered exchange. All of the engine's `unsafe`
+/// is here.
+mod threaded {
+    use std::cell::UnsafeCell;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex};
+    use std::time::Instant;
+
+    use super::{deliver, Outbox, PartitionRun, PartitionWorld, Planner, Publish, Row, SimTime};
+
+    /// Cache-line-padded slot whose cross-thread access is serialized by
+    /// the epoch-barrier protocol rather than a lock: each cell is written
+    /// by exactly one thread in one barrier phase and read only in a
+    /// different phase, with a barrier (which establishes happens-before)
+    /// in between.
+    #[repr(align(64))]
+    struct PhaseCell<T>(UnsafeCell<T>);
+
+    // SAFETY: access is phase-exclusive per the barrier protocol documented
+    // on each call site; the barrier's atomics provide the happens-before
+    // edges, and `T: Send` lets the value move between the threads that
+    // take turns with it.
+    unsafe impl<T: Send> Sync for PhaseCell<T> {}
+
+    impl<T> PhaseCell<T> {
+        fn new(v: T) -> Self {
+            PhaseCell(UnsafeCell::new(v))
+        }
+
+        /// # Safety
+        /// The caller must be the cell's unique accessor in the current
+        /// barrier phase.
+        #[allow(clippy::mut_from_ref)]
+        unsafe fn get_mut(&self) -> &mut T {
+            &mut *self.0.get()
+        }
+
+        /// # Safety
+        /// No thread may mutate the cell in the current barrier phase.
+        unsafe fn get_ref(&self) -> &T {
+            &*self.0.get()
+        }
+    }
+
+    /// Sense-reversing barrier tuned for the epoch loop: arrivals spin
+    /// briefly (epochs are often shorter than a park/unpark round trip) and
+    /// then park on a condvar. The generation counter is the sense; its
+    /// release/acquire pair also publishes every pre-barrier write to every
+    /// post-barrier reader, which is what makes the lock-free [`PhaseCell`]
+    /// exchange sound.
+    struct EpochBarrier {
+        n: usize,
+        /// Spin iterations before parking; zero when the host has fewer
+        /// cores than partitions, where spinning only steals the
+        /// straggler's timeslice.
+        spin: u32,
+        arrived: AtomicUsize,
+        generation: AtomicU64,
+        lock: Mutex<()>,
+        cvar: Condvar,
+    }
+
+    impl EpochBarrier {
+        fn new(n: usize) -> Self {
+            let spin = match std::thread::available_parallelism() {
+                Ok(cores) if cores.get() >= n => 4096,
+                _ => 0,
+            };
+            EpochBarrier {
+                n,
+                spin,
+                arrived: AtomicUsize::new(0),
+                generation: AtomicU64::new(0),
+                lock: Mutex::new(()),
+                cvar: Condvar::new(),
+            }
+        }
+
+        fn wait(&self) {
+            let gen = self.generation.load(Ordering::Acquire);
+            if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+                // Last arriver: reset the count for the next round
+                // (published by the generation bump below), bump the
+                // generation under the lock (so a peer between its
+                // generation check and its park cannot miss the change),
+                // and wake everyone parked.
+                self.arrived.store(0, Ordering::Relaxed);
+                {
+                    // The guarded state is `()`: a poisoned lock carries no
+                    // broken invariant.
+                    let _g = self
+                        .lock
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    self.generation.fetch_add(1, Ordering::Release);
+                }
+                self.cvar.notify_all();
+                return;
+            }
+            for _ in 0..self.spin {
+                if self.generation.load(Ordering::Acquire) != gen {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            let mut guard = self
+                .lock
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            while self.generation.load(Ordering::Acquire) == gen {
+                guard = self
+                    .cvar
+                    .wait(guard)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
+        }
+    }
+
+    struct Shared<E> {
+        barrier: EpochBarrier,
+        /// One frontier per partition: written by its owner at the end of
+        /// its epoch, swapped into the planner's copy between barriers.
+        publish: Vec<PhaseCell<Publish>>,
+        /// The plan's bounds, empty when the run is over: written by the
+        /// planner between the epoch-end and plan barriers, then read.
+        plan: PhaseCell<Vec<SimTime>>,
+        /// Double-buffered exchange: `outboxes[b][sender * n + dst]`; the
+        /// epoch barrier swaps the buffers.
+        outboxes: [Vec<PhaseCell<Outbox<E>>>; 2],
+    }
+
+    /// Runs every partition on its own scoped thread until the planner
+    /// terminates the run; returns the planner and the partitions' rows.
+    pub(super) fn run<W: PartitionWorld>(
+        planner: Planner,
+        runs: Vec<PartitionRun<'_, W>>,
+    ) -> (Planner, Vec<Row>) {
+        let n = runs.len();
+        let cells = || (0..n * n).map(|_| PhaseCell::new(Vec::new())).collect();
+        let shared: Shared<W::Event> = Shared {
+            barrier: EpochBarrier::new(n),
+            publish: (0..n).map(|_| PhaseCell::new(Publish::default())).collect(),
+            plan: PhaseCell::new(Vec::new()),
+            outboxes: [cells(), cells()],
+        };
+        let (mut planner, shared) = (Some(planner), &shared);
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = runs
+                .into_iter()
+                .map(|run| {
+                    let planner = planner.take();
+                    scope.spawn(move || partition_main(run, planner, shared))
+                })
+                .collect();
+            let (rows, planners): (Vec<_>, Vec<_>) = threads
+                .into_iter()
+                .map(|t| t.join().expect("a PDES partition thread panicked"))
+                .unzip();
+            let planner = planners.into_iter().flatten().next();
+            (planner.expect("thread 0 plans"), rows)
+        })
+    }
+
+    /// Body of each partition thread: the loop of the module docs with a
+    /// barrier after the initial frontier, after each plan and after each
+    /// epoch.
+    fn partition_main<W: PartitionWorld>(
+        mut run: PartitionRun<'_, W>,
+        mut planner: Option<Planner>,
+        shared: &Shared<W::Event>,
+    ) -> (Row, Option<Planner>) {
+        let _pdes_span = elephant_obs::span("pdes");
+        let (id, n) = (run.id, shared.publish.len());
+        // The planner's copy of the frontier (thread 0 only).
+        let mut frontier: Vec<Publish> = (0..n).map(|_| Publish::default()).collect();
+        // Exchange buffer the receivers drain this epoch; senders post into
+        // `1 - cur`. Flipped at the epoch-end barrier.
+        let mut cur = 0usize;
+
+        // SAFETY: before the first barrier each partition touches only its
+        // own publish cell; the barrier then hands them to the planner.
+        unsafe { run.publish(None, shared.publish[id].get_mut()) };
+        wait(&shared.barrier, &mut run);
+
+        loop {
+            let _epoch_span = elephant_obs::span("epoch");
+            if let Some(planner) = planner.as_mut() {
+                // SAFETY: between the epoch-end barrier and the plan
+                // barrier, thread 0 is the only accessor of the publish
+                // cells and of the plan cell.
+                unsafe {
+                    for (mine, cell) in frontier.iter_mut().zip(&shared.publish) {
+                        std::mem::swap(mine, cell.get_mut());
+                    }
+                    let bounds = shared.plan.get_mut();
+                    bounds.clear();
+                    bounds.extend_from_slice(planner.plan(&frontier).unwrap_or_default());
+                }
+            }
+            wait(&shared.barrier, &mut run);
+
+            // SAFETY: each receiver is the only accessor of its own column
+            // of the buffer being drained this phase; senders write the
+            // other buffer.
+            let inbox = (0..n).map(|s| unsafe { shared.outboxes[cur][s * n + id].get_mut() });
+            // SAFETY: the plan was written strictly between the two
+            // barriers above; every thread only reads it in this phase.
+            let bounds = unsafe { shared.plan.get_ref() };
+            if bounds.is_empty() {
+                // Deliver the mail in flight, so a chunked caller's next
+                // `run_until` resumes from exact state.
+                deliver(&mut run.part.sched, inbox);
+                break;
+            }
+            let next = 1 - cur;
+            // SAFETY: each sender is the only accessor of its own row of
+            // the buffer receivers drain next epoch.
+            let row = || (0..n).map(|d| unsafe { shared.outboxes[next][id * n + d].get_mut() });
+            // Post into the row's drained vectors and hand them back
+            // filled, so the mail needs no vectors beyond the two buffers.
+            let swap = |(o, c): (&mut Outbox<W::Event>, _)| std::mem::swap(o, c);
+            run.out.iter_mut().zip(row()).for_each(swap);
+            // SAFETY: each partition writes only its own publish cell
+            // between the plan barrier and the epoch-end barrier below.
+            run.run_epoch(bounds[id], inbox, unsafe { shared.publish[id].get_mut() });
+            run.out.iter_mut().zip(row()).for_each(swap);
+            cur = next;
+
+            // Epoch-end barrier: mail is posted and frontiers are published
+            // before the planner looks, and the exchange buffers swap.
+            wait(&shared.barrier, &mut run);
+        }
+        (run.finish(), planner)
+    }
+
+    /// Times one barrier crossing into the partition's row and (if
+    /// tracing) a timeline slice.
+    fn wait<W: PartitionWorld>(barrier: &EpochBarrier, run: &mut PartitionRun<'_, W>) {
+        let _s = elephant_obs::span("barrier_wait");
+        let t0 = Instant::now();
+        barrier.wait();
+        run.row.stats.barrier_wait_seconds += t0.elapsed().as_secs_f64();
+        if let Some(tl) = run.tl.as_mut() {
+            tl.slice("barrier_wait", t0, run.part.epochs_run);
+        }
+    }
+}
+
 /// Per-partition timeline buffer: one wall-clock track per partition with
 /// per-epoch `work` / `barrier_wait` / `marshal` slices. Records accumulate
 /// locally (no lock traffic inside the epoch loop) and flush to the global
-/// timeline in one batch when the partition thread exits. Constructed only
-/// while the timeline is enabled; every call site is a cheap `Option` probe
+/// timeline in one batch when the run ends. Constructed only while the
+/// timeline is enabled; every call site is a cheap `Option` probe
 /// otherwise.
 struct PartitionTimeline {
     buf: Vec<TraceRecord>,
@@ -920,8 +1340,8 @@ struct PartitionTimeline {
     dropped: u64,
 }
 
-/// Per-thread record bound so a long run cannot balloon memory; the global
-/// timeline applies its own cap on top.
+/// Per-partition record bound so a long run cannot balloon memory; the
+/// global timeline applies its own cap on top.
 const PARTITION_RECORD_CAP: usize = 100_000;
 
 impl PartitionTimeline {
@@ -967,431 +1387,6 @@ impl PartitionTimeline {
             );
         }
     }
-}
-
-/// Times one barrier crossing into the stats row and (if tracing) a
-/// timeline slice.
-fn timed_barrier(
-    barrier: &EpochBarrier,
-    stats: &mut PartitionStats,
-    tl: Option<&mut PartitionTimeline>,
-    epoch: u64,
-) {
-    let _s = elephant_obs::span("barrier_wait");
-    let t0 = Instant::now();
-    barrier.wait();
-    stats.barrier_wait_seconds += t0.elapsed().as_secs_f64();
-    if let Some(tl) = tl {
-        tl.slice("barrier_wait", t0, epoch);
-    }
-}
-
-/// Drains buffer `buf` of every sender's outbox addressed to `id` into the
-/// local future event list, via the scheduler's remote lane so ties resolve
-/// by `(time, sender, send-seq)`.
-fn drain_inbox<E>(
-    shared: &Shared<E>,
-    buf: usize,
-    id: PartitionId,
-    n: usize,
-    sched: &mut Scheduler<E>,
-) {
-    for sender in 0..n {
-        // SAFETY: receivers have exclusive access to their own column of the
-        // buffer being drained this phase; senders write the other buffer.
-        let cell = unsafe { shared.outboxes[buf][sender * n + id].get_mut() };
-        for (at, send_seq, ev) in cell.drain(..) {
-            sched.schedule_remote(at, sender, send_seq, ev);
-        }
-    }
-}
-
-/// Body of each partition thread: the two-barrier epoch loop described in
-/// the module docs. All threads execute this in lockstep:
-///
-/// ```text
-/// publish initial frontier
-/// BARRIER                        // frontier visible to the planner
-/// loop {
-///     thread 0 writes the plan
-///     BARRIER                    // plan visible to everyone
-///     terminate? drain in-flight mail, exit
-///     work:    drain inbox (buffer cur), execute events < bounds[id]
-///     post:    outbound mail into buffer 1-cur (marshal across machines)
-///     publish: frontier snapshot (local peek + per-dst posted minima)
-///     cur = 1 - cur
-///     BARRIER                    // mail + frontier visible; buffers swap
-/// }
-/// ```
-fn partition_main<W: PartitionWorld>(
-    id: PartitionId,
-    part: &mut PartitionSim<W>,
-    shared: &Shared<W::Event>,
-    config: &PdesConfig,
-    horizon: SimTime,
-) {
-    // Poison-on-panic guard so that one panicking thread does not leave the
-    // others parked on a barrier forever in tests: we mark poisoned and the
-    // panic unwinds through `scope`, which propagates it after joining.
-    struct Guard<'a>(&'a AtomicBool);
-    impl Drop for Guard<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-    }
-    let _guard = Guard(&shared.poisoned);
-
-    let n = config.machine_of.len();
-    let my_machine = config.machine_of[id];
-    let mut remote = RemoteSink::new(id, config.lookahead);
-    let mut send_seq = part.send_seq;
-    let mut stats = PartitionStats {
-        partition: id,
-        ..Default::default()
-    };
-    let _pdes_span = elephant_obs::span("pdes");
-    let mut tl = PartitionTimeline::new(shared.started, id);
-
-    // Fault-injection state: deterministic per-partition RNG stream plus
-    // the two partition-level faults, resolved once up front. The stream
-    // position and the epoch counter resume from the partition's persisted
-    // progress so chunked and checkpoint-restored runs roll the identical
-    // fault sequence an uninterrupted run would.
-    let mut fault_rng: Option<FaultRng> = part
-        .fault_rng_state
-        .map(FaultRng::from_state)
-        .or_else(|| config.faults.as_ref().map(|f| f.rng_for(id)));
-    let slow_here: Option<std::time::Duration> = config
-        .faults
-        .as_ref()
-        .and_then(|f| f.slow_partition)
-        .filter(|&(p, _)| p == id)
-        .map(|(_, d)| d);
-    let stall_after: Option<u64> = config
-        .faults
-        .as_ref()
-        .and_then(|f| f.stall_partition)
-        .filter(|&(p, _)| p == id)
-        .map(|(_, k)| k);
-    let mut my_epochs: u64 = part.epochs_run;
-
-    // Planner state, used by thread 0 only.
-    //
-    // Watchdog: stagnation counts only when the frozen global minimum was
-    // already covered by the previous epoch (`watch_cover`) — an adaptive
-    // epoch always covers it by at least `L`, so this matches the historic
-    // "must strictly advance" rule there, while fixed-mode epochs still
-    // grinding toward a distant event are exempt.
-    let mut watch_last: Option<SimTime> = None;
-    let mut watch_stagnant: u64 = 0;
-    let mut watch_cover: Option<SimTime> = None;
-    // Fixed-mode frontier: next epoch ends here, advancing by exactly L.
-    let mut fixed_next: Option<SimTime> = None;
-    // Scratch: earliest executable time per partition (local peek or mail
-    // in flight), rebuilt from the publish cells each planning phase.
-    let mut next_exec: Vec<Option<SimTime>> = vec![None; if id == 0 { n } else { 0 }];
-
-    // Per-epoch minimum posted delivery time per destination, reused.
-    let mut out_mins: Vec<Option<SimTime>> = vec![None; n];
-
-    // Events executed since `stats.fel_bytes_peak` was last read.
-    let mut since_fel_bytes = 0u64;
-
-    // Exchange buffer the receivers drain this epoch; senders post into
-    // `1 - cur`. Flipped at the epoch-end barrier.
-    let mut cur = 0usize;
-
-    // Publish the initial frontier so the planner can shape the first epoch.
-    {
-        // SAFETY: before the first barrier each partition touches only its
-        // own publish cell; the barrier then hands them to the planner.
-        let mine = unsafe { shared.publish[id].get_mut() };
-        mine.peek = part.sched.peek_time();
-        mine.out_min.iter_mut().for_each(|m| *m = None);
-    }
-    timed_barrier(&shared.barrier, &mut stats, tl.as_mut(), my_epochs);
-
-    loop {
-        let _epoch_span = elephant_obs::span("epoch");
-
-        // Planning phase: thread 0 reads every partition's published
-        // frontier and writes the epoch plan.
-        if id == 0 {
-            // SAFETY: between the epoch-end barrier and the plan barrier,
-            // thread 0 is the only reader of the publish cells and the only
-            // writer of the plan cell.
-            unsafe {
-                for (q, slot) in next_exec.iter_mut().enumerate() {
-                    let mut m = shared.publish[q].get_ref().peek;
-                    for s in 0..n {
-                        if let Some(t) = shared.publish[s].get_ref().out_min[q] {
-                            m = Some(m.map_or(t, |x| x.min(t)));
-                        }
-                    }
-                    *slot = m;
-                }
-            }
-            let global_min = next_exec.iter().flatten().min().copied();
-
-            // Stall watchdog: if the covered minimum sits still for
-            // `stall_epochs` consecutive epochs, name the partition holding
-            // it and abort.
-            if let Some(start) = global_min.filter(|&s| s <= horizon) {
-                if watch_last == Some(start) {
-                    if start < watch_cover.unwrap_or(SimTime::ZERO) {
-                        watch_stagnant += 1;
-                        if config.stall_epochs > 0 && watch_stagnant >= config.stall_epochs {
-                            let stuck = next_exec
-                                .iter()
-                                .position(|t| *t == Some(start))
-                                .unwrap_or_default();
-                            shared.record_failure(Failure {
-                                partition: stuck,
-                                at: start,
-                                cause: FailureCause::Stalled {
-                                    epochs: watch_stagnant,
-                                },
-                            });
-                        }
-                    }
-                } else {
-                    watch_last = Some(start);
-                    watch_stagnant = 0;
-                }
-            }
-
-            let abort = shared.abort.load(Ordering::SeqCst);
-            // SAFETY: sole writer of the plan cell in this phase.
-            let plan = unsafe { shared.plan.get_mut() };
-            match global_min {
-                Some(start) if start <= horizon && !abort => {
-                    plan.terminate = false;
-                    let l = config.lookahead;
-                    match config.epoch_mode {
-                        EpochMode::Adaptive => {
-                            if watch_cover.is_some_and(|c| start > c) {
-                                shared.epochs_jumped.fetch_add(1, Ordering::Relaxed);
-                            }
-                            for (r, b) in plan.bounds.iter_mut().enumerate() {
-                                let mut bound = SimTime::MAX;
-                                for (q, t) in next_exec.iter().enumerate() {
-                                    let Some(t) = *t else { continue };
-                                    if q != r {
-                                        bound = bound.min(t.saturating_add(l));
-                                    } else if n > 1 {
-                                        // Self-influence needs >= 2 hops
-                                        // (remote self-sends are rejected).
-                                        bound = bound.min(t.saturating_add(l).saturating_add(l));
-                                    }
-                                }
-                                *b = bound;
-                            }
-                            watch_cover = Some(start.saturating_add(l));
-                        }
-                        EpochMode::Fixed => {
-                            let end = fixed_next.unwrap_or_else(|| start.saturating_add(l));
-                            fixed_next = Some(end.saturating_add(l));
-                            plan.bounds.iter_mut().for_each(|b| *b = end);
-                            watch_cover = Some(end);
-                        }
-                    }
-                    shared.epochs.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => plan.terminate = true,
-            }
-        }
-        timed_barrier(&shared.barrier, &mut stats, tl.as_mut(), my_epochs);
-
-        // SAFETY: the plan was written strictly between the two barriers
-        // above; every thread only reads it in this phase.
-        let plan = unsafe { shared.plan.get_ref() };
-        if plan.terminate {
-            // Deliver in-flight mail into the local FEL before exiting so a
-            // chunked caller's next `run_until` resumes from exact state.
-            drain_inbox(shared, cur, id, n, &mut part.sched);
-            break;
-        }
-        let bound = plan.bounds[id];
-        my_epochs += 1;
-        let stalled = stall_after.is_some_and(|k| my_epochs > k);
-
-        // Work phase: deliver inbound mail, then execute events < bound.
-        let mut executed = 0u64;
-        {
-            let _s = elephant_obs::span("work");
-            let t0 = Instant::now();
-            if let Some(dur) = slow_here {
-                // Injected slowdown: wall-clock only; the partition still
-                // advances simulated time, so the watchdog must stay quiet.
-                std::thread::sleep(dur);
-            }
-            drain_inbox(shared, cur, id, n, &mut part.sched);
-            // `t < bound && t <= horizon` as one inclusive limit; a stalled
-            // partition (or a zero bound) has none and executes nothing.
-            let limit = match bound.as_nanos().checked_sub(1) {
-                Some(last) if !stalled => Some(SimTime::from_nanos(last).min(horizon)),
-                _ => None,
-            };
-            while let Some(Next::Event((t, ev))) = limit.map(|l| part.sched.pop_until(l)) {
-                remote.now = t;
-                // Catch model panics at the handler boundary: record a
-                // structured failure and keep following the barrier protocol
-                // so every peer exits cleanly through the planner's
-                // terminating plan. The world may hold broken invariants
-                // after an unwind (hence AssertUnwindSafe) — callers must
-                // discard or checkpoint-restore it, never resume it.
-                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    part.world.handle(ev, &mut part.sched, &mut remote);
-                }));
-                if let Err(payload) = unwound {
-                    shared.record_failure(Failure {
-                        partition: id,
-                        at: t,
-                        cause: FailureCause::Panicked {
-                            message: panic_message(payload.as_ref()),
-                        },
-                    });
-                    break;
-                }
-                executed += 1;
-            }
-            stats.work_seconds += t0.elapsed().as_secs_f64();
-            if let Some(tl) = tl.as_mut() {
-                let ts = t0.duration_since(tl.origin).as_secs_f64() * 1e6;
-                let dur = t0.elapsed().as_secs_f64() * 1e6;
-                tl.push(
-                    TraceRecord::complete(PID_PDES, tl.tid, "work", ts, dur)
-                        .arg("epoch", my_epochs)
-                        .arg("events", executed)
-                        .arg("bound_sim_us", bound.as_nanos() as f64 / 1e3),
-                );
-            }
-        }
-        stats.events += executed;
-        if executed > 0 {
-            shared.events.fetch_add(executed, Ordering::Relaxed);
-        }
-        // Sample the FEL's resident bytes at the sequential engine's
-        // cadence, not per epoch (it walks the bucket array): a read-only
-        // probe of container capacities, so it cannot perturb the
-        // simulation.
-        since_fel_bytes += executed;
-        if since_fel_bytes >= FEL_BYTES_EVERY {
-            since_fel_bytes = 0;
-            stats.fel_bytes_peak = stats.fel_bytes_peak.max(part.sched.fel_bytes() as u64);
-        }
-
-        // Post phase: outbound remote events into the next buffer,
-        // marshalling across machines. No locks: each (sender, dst) cell is
-        // exclusively ours this epoch.
-        out_mins.iter_mut().for_each(|m| *m = None);
-        if !remote.out.is_empty() {
-            let mut marshalled = 0u64;
-            let mut bytes_total = 0u64;
-            let count = remote.out.len() as u64;
-            let nxt = 1 - cur;
-            let _s = elephant_obs::span("marshal");
-            let t0 = Instant::now();
-            for (dst, at, ev) in remote.out.drain(..) {
-                assert!(dst < n, "remote event to unknown partition {dst}");
-                if config.machine_of[dst] == my_machine {
-                    // SAFETY: sender-exclusive cell of the buffer receivers
-                    // will drain next epoch.
-                    let cell = unsafe { shared.outboxes[nxt][id * n + dst].get_mut() };
-                    cell.push((at, send_seq, ev));
-                    send_seq += 1;
-                    let slot = &mut out_mins[dst];
-                    *slot = Some(slot.map_or(at, |m| m.min(at)));
-                    continue;
-                }
-
-                // Cross-machine: roll the message-level faults (sender-side,
-                // in execution order, so the sequence is deterministic and
-                // plan-independent), then push the event through the
-                // marshalled transport.
-                let faults = config.faults.as_ref();
-                let mut copies = 1usize;
-                let mut corrupt = false;
-                if let (Some(f), Some(rng)) = (faults, fault_rng.as_mut()) {
-                    if rng.roll(f.drop_prob) {
-                        shared.fault_dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    if rng.roll(f.dup_prob) {
-                        copies = 2;
-                        shared.fault_duplicated.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if rng.roll(f.corrupt_prob) {
-                        corrupt = true;
-                        shared.fault_corrupted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-
-                let (evs, nbytes) = marshal_round_trip(ev, config.envelope_bytes, copies, corrupt);
-                marshalled += copies as u64;
-                bytes_total += nbytes;
-                if evs.len() < copies {
-                    // The far side could not decode the message: surface a
-                    // structured transport error instead of panicking, and
-                    // let the planner terminate every partition cleanly.
-                    shared.record_failure(Failure {
-                        partition: id,
-                        at,
-                        cause: FailureCause::Corrupt,
-                    });
-                }
-                // SAFETY: as above — sender-exclusive cell.
-                let cell = unsafe { shared.outboxes[nxt][id * n + dst].get_mut() };
-                for ev in evs {
-                    cell.push((at, send_seq, ev));
-                    send_seq += 1;
-                    let slot = &mut out_mins[dst];
-                    *slot = Some(slot.map_or(at, |m| m.min(at)));
-                }
-            }
-            stats.marshal_seconds += t0.elapsed().as_secs_f64();
-            if let Some(tl) = tl.as_mut() {
-                tl.slice("marshal", t0, my_epochs);
-            }
-            stats.remote_events_sent += count;
-            stats.remote_bytes_sent += bytes_total;
-            shared.remote_msgs.fetch_add(count, Ordering::Relaxed);
-            if marshalled > 0 {
-                shared
-                    .marshalled_msgs
-                    .fetch_add(marshalled, Ordering::Relaxed);
-                shared
-                    .marshalled_bytes
-                    .fetch_add(bytes_total, Ordering::Relaxed);
-            }
-        }
-
-        // Publish phase: snapshot the frontier for the next plan.
-        {
-            // SAFETY: each partition writes only its own publish cell
-            // between its work phase and the epoch-end barrier below.
-            let mine = unsafe { shared.publish[id].get_mut() };
-            mine.peek = part.sched.peek_time();
-            mine.out_min.copy_from_slice(&out_mins);
-        }
-        cur = 1 - cur;
-
-        // Epoch-end barrier: mail is posted and frontiers are published
-        // before the planner looks, and the exchange buffers swap.
-        timed_barrier(&shared.barrier, &mut stats, tl.as_mut(), my_epochs);
-    }
-
-    part.send_seq = send_seq;
-    part.fault_rng_state = fault_rng.as_ref().map(FaultRng::state);
-    part.epochs_run = my_epochs;
-    stats.next_time = part.sched.peek_time();
-    stats.fel_bytes_peak = stats.fel_bytes_peak.max(part.sched.fel_bytes() as u64);
-    if let Some(tl) = tl.take() {
-        tl.flush(&stats);
-    }
-    shared.per_partition.lock()[id] = stats;
 }
 
 /// Renders a caught panic payload for [`PdesError::Panicked`].
@@ -1456,6 +1451,7 @@ fn marshal_round_trip<E: Transportable>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex as StdMutex;
 
     /// Serializes the tests that flip process-global observability state
     /// (the timeline and its enable flag).
@@ -1485,6 +1481,61 @@ mod tests {
                 value: buf.get_u64(),
             })
         }
+    }
+
+    /// Runs `runner` to `horizon` on the lockstep or the threaded driver.
+    fn drive<W: PartitionWorld>(
+        runner: &mut PdesRunner<W>,
+        horizon: SimTime,
+        lockstep: bool,
+    ) -> Result<PdesReport, PdesError> {
+        match lockstep {
+            false => runner.run_until(horizon),
+            true => runner.run_until_lockstep(horizon),
+        }
+    }
+
+    /// A run's result without its wall-clock seconds: what the simulation sets.
+    fn simulated(mut result: Result<PdesReport, PdesError>) -> Result<PdesReport, PdesError> {
+        let report: &mut PdesReport = match &mut result {
+            Ok(report) => report,
+            Err(
+                PdesError::Stalled { report, .. }
+                | PdesError::Corrupt { report, .. }
+                | PdesError::Panicked { report, .. },
+            ) => report,
+        };
+        for p in &mut report.partitions {
+            p.work_seconds = 0.0;
+            p.barrier_wait_seconds = 0.0;
+            p.marshal_seconds = 0.0;
+        }
+        result
+    }
+
+    /// Runs a runner from `make` to `horizon` under both drivers, asserts they
+    /// agree on `observe(partitions)` and the result, returns the threaded one.
+    fn both_drivers<W: PartitionWorld, T: PartialEq + std::fmt::Debug>(
+        make: impl Fn() -> PdesRunner<W>,
+        horizon: SimTime,
+        observe: impl Fn(&[PartitionSim<W>]) -> T,
+    ) -> (T, Result<PdesReport, PdesError>) {
+        let [threaded, lockstep] = [false, true].map(|lockstep| {
+            let mut runner = make();
+            let result = drive(&mut runner, horizon, lockstep);
+            (observe(runner.partitions()), result)
+        });
+        assert_eq!(threaded.0, lockstep.0, "drivers disagree on the partitions");
+        assert_eq!(
+            simulated(threaded.1.clone()),
+            simulated(lockstep.1),
+            "drivers disagree on the report"
+        );
+        threaded
+    }
+
+    fn worlds<W: PartitionWorld + Clone>(parts: &[PartitionSim<W>]) -> Vec<W> {
+        parts.iter().map(|p| p.world().clone()).collect()
     }
 
     /// An event whose wire encoding is zero bytes — the degenerate case the
@@ -1536,7 +1587,122 @@ mod tests {
         assert_eq!(nbytes, (16 + 12) * 2);
     }
 
-    #[derive(Clone)]
+    /// A planner over `n` partitions, 1 µs lookahead and a 1 s horizon.
+    fn planner(n: usize, mode: EpochMode, stall_epochs: u64) -> Planner {
+        let mut config = PdesConfig::single_machine(n, LOOKAHEAD).with_epoch_mode(mode);
+        config.stall_epochs = stall_epochs;
+        Planner::new(&config, SimTime::from_secs(1))
+    }
+
+    fn us(t: u64) -> SimTime {
+        SimTime::from_micros(t)
+    }
+
+    /// A frontier row: earliest pending event and posted mail minima, in µs.
+    fn row(peek: Option<u64>, out_min: &[Option<u64>]) -> Publish {
+        Publish {
+            peek: peek.map(us),
+            out_min: out_min.iter().map(|t| t.map(us)).collect(),
+            failure: None,
+        }
+    }
+
+    #[test]
+    fn planner_bounds_each_partition_by_its_peers_and_two_hops_to_itself() {
+        let mut p = planner(1, EpochMode::Adaptive, 0);
+        // Alone, a partition is bounded by the horizon only.
+        assert_eq!(p.plan(&[row(Some(5), &[None])]), Some(&[SimTime::MAX][..]));
+        let mut p = planner(2, EpochMode::Adaptive, 0);
+        // Partition 1 is idle: partition 0 is bounded only by its own
+        // influence returning through an intermediary, `next(0) + 2L`.
+        let plan = p.plan(&[row(Some(0), &[None, None]), row(None, &[None, None])]);
+        assert_eq!(plan, Some(&[us(2), us(1)][..]));
+        // Mail in flight is the receiver's next event: next(1) is the 3 µs
+        // message, not its 20 µs local event.
+        let plan = p.plan(&[row(Some(10), &[None, Some(3)]), row(Some(20), &[None; 2])]);
+        assert_eq!(plan, Some(&[us(4), us(5)][..]));
+    }
+
+    #[test]
+    fn planner_fixed_frontier_advances_by_exactly_the_lookahead() {
+        let mut p = planner(2, EpochMode::Fixed, 0);
+        let frontier = [row(Some(0), &[None, None]), row(Some(7), &[None, None])];
+        for k in 1..=3 {
+            assert_eq!(p.plan(&frontier), Some(&[us(k); 2][..]));
+        }
+        assert_eq!((p.epochs, p.epochs_jumped), (3, 0));
+    }
+
+    #[test]
+    fn planner_counts_only_real_jumps() {
+        let mut p = planner(1, EpochMode::Adaptive, 0);
+        // 0 µs covers up to 1 µs, 1 µs up to 2 µs; 5 µs jumps past that.
+        for t in [0, 1, 5] {
+            p.plan(&[row(Some(t), &[None])]);
+        }
+        assert_eq!((p.epochs, p.epochs_jumped), (3, 1));
+    }
+
+    #[test]
+    fn planner_watchdog_names_the_stuck_partition() {
+        let mut p = planner(2, EpochMode::Adaptive, 4);
+        let frontier = [row(None, &[None, None]), row(Some(7), &[None, None])];
+        for _ in 0..4 {
+            assert!(p.plan(&frontier).is_some());
+        }
+        assert_eq!(p.plan(&frontier), None);
+        let stalled = PdesError::Stalled {
+            partition: 1,
+            at: us(7),
+            epochs: 4,
+            report: Box::default(),
+        };
+        assert_eq!(p.failure, Some(stalled));
+    }
+
+    #[test]
+    fn planner_watchdog_is_quiet_while_fixed_mode_grinds_toward_an_event() {
+        let mut p = planner(1, EpochMode::Fixed, 4);
+        p.plan(&[row(Some(0), &[None])]);
+        let distant = [row(Some(100), &[None])];
+        for _ in 0..98 {
+            assert!(p.plan(&distant).is_some());
+        }
+        // Once the bounds cover the event and it still does not move, the
+        // watchdog counts.
+        let grinding = (0..10).take_while(|_| p.plan(&distant).is_some()).count();
+        assert_eq!(grinding, 5);
+        assert!(matches!(p.failure, Some(PdesError::Stalled { .. })));
+    }
+
+    #[test]
+    fn planner_terminates_past_the_horizon_when_idle_and_on_failure() {
+        let config = PdesConfig::single_machine(3, LOOKAHEAD);
+        let mut p = Planner::new(&config, us(10));
+        let idle = || row(None, &[None; 3]);
+        assert_eq!(p.plan(&[row(Some(11), &[None; 3]), idle(), idle()]), None);
+        assert_eq!(p.plan(&[idle(), idle(), idle()]), None);
+        assert!(p
+            .plan(&[row(Some(10), &[None; 3]), idle(), idle()])
+            .is_some());
+        assert_eq!((p.epochs, p.failure.as_ref()), (1, None));
+        // The earliest published failure ends the run; at equal times the
+        // lower partition wins.
+        let failed = |partition, at| Publish {
+            failure: Some(PdesError::Corrupt {
+                partition,
+                at: us(at),
+                report: Box::default(),
+            }),
+            ..Publish::default()
+        };
+        assert_eq!(p.plan(&[failed(0, 5), idle(), failed(2, 3)]), None);
+        assert_eq!(p.failure, failed(2, 3).failure);
+        p.plan(&[idle(), failed(2, 4), failed(1, 4)]);
+        assert_eq!(p.failure, failed(1, 4).failure);
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
     struct Ring {
         id: PartitionId,
         n: usize,
@@ -1571,13 +1737,8 @@ mod tests {
         }
     }
 
-    fn ring_run_mode(
-        n: usize,
-        hops: u32,
-        machines: usize,
-        envelope: usize,
-        mode: EpochMode,
-    ) -> (Vec<Ring>, PdesReport) {
+    /// Ring runner with the token seeded on partition 0.
+    fn ring_runner(n: usize, hops: u32, machines: usize, envelope: usize) -> PdesRunner<Ring> {
         let mut parts: Vec<PartitionSim<Ring>> = (0..n)
             .map(|id| {
                 PartitionSim::new(Ring {
@@ -1595,21 +1756,24 @@ mod tests {
                 value: 0,
             },
         );
-        let config =
-            PdesConfig::round_robin(n, machines, LOOKAHEAD, envelope).with_epoch_mode(mode);
-        let mut runner = PdesRunner::new(parts, config);
-        let report = runner
-            .run_until(SimTime::from_secs(10))
-            .expect("healthy run");
-        let worlds = runner
-            .into_partitions()
-            .into_iter()
-            .map(|p| {
-                let PartitionSim { world, .. } = p;
-                world
-            })
-            .collect();
-        (worlds, report)
+        let config = PdesConfig::round_robin(n, machines, LOOKAHEAD, envelope);
+        PdesRunner::new(parts, config)
+    }
+
+    fn ring_run_mode(
+        n: usize,
+        hops: u32,
+        machines: usize,
+        envelope: usize,
+        mode: EpochMode,
+    ) -> (Vec<Ring>, PdesReport) {
+        let make = || {
+            let mut runner = ring_runner(n, hops, machines, envelope);
+            runner.set_epoch_mode(mode);
+            runner
+        };
+        let (worlds, result) = both_drivers(make, SimTime::from_secs(10), worlds);
+        (worlds, result.expect("healthy run"))
     }
 
     fn ring_run(n: usize, hops: u32, machines: usize, envelope: usize) -> (Vec<Ring>, PdesReport) {
@@ -1658,10 +1822,7 @@ mod tests {
     fn fixed_mode_matches_adaptive_on_the_ring() {
         let (aw, ar) = ring_run_mode(4, 99, 2, 32, EpochMode::Adaptive);
         let (fw, fr) = ring_run_mode(4, 99, 2, 32, EpochMode::Fixed);
-        for (a, f) in aw.iter().zip(&fw) {
-            assert_eq!(a.arrivals, f.arrivals);
-            assert_eq!(a.last_value, f.last_value);
-        }
+        assert_eq!(aw, fw);
         assert_eq!(ar.events_executed, fr.events_executed);
         assert_eq!(ar.remote_messages, fr.remote_messages);
         assert_eq!(ar.bytes_marshalled, fr.bytes_marshalled);
@@ -1671,28 +1832,9 @@ mod tests {
     #[test]
     fn horizon_truncates() {
         // 99 hops of 1us each; horizon 10us lets hops 0..=10 land.
-        let mut parts: Vec<PartitionSim<Ring>> = (0..2)
-            .map(|id| {
-                PartitionSim::new(Ring {
-                    id,
-                    n: 2,
-                    arrivals: 0,
-                    last_value: 0,
-                })
-            })
-            .collect();
-        parts[0].scheduler_mut().schedule_at(
-            SimTime::ZERO,
-            Token {
-                hops_left: 99,
-                value: 0,
-            },
-        );
-        let mut runner = PdesRunner::new(parts, PdesConfig::single_machine(2, LOOKAHEAD));
-        let report = runner
-            .run_until(SimTime::from_micros(10))
-            .expect("healthy run");
-        assert_eq!(report.events_executed, 11);
+        let make = || ring_runner(2, 99, 1, 0);
+        let (_, result) = both_drivers(make, SimTime::from_micros(10), worlds);
+        assert_eq!(result.expect("healthy run").events_executed, 11);
     }
 
     #[test]
@@ -1704,20 +1846,8 @@ mod tests {
 
     #[test]
     fn empty_model_terminates_immediately() {
-        let parts: Vec<PartitionSim<Ring>> = (0..3)
-            .map(|id| {
-                PartitionSim::new(Ring {
-                    id,
-                    n: 3,
-                    arrivals: 0,
-                    last_value: 0,
-                })
-            })
-            .collect();
-        let mut runner = PdesRunner::new(parts, PdesConfig::single_machine(3, LOOKAHEAD));
-        let report = runner
-            .run_until(SimTime::from_secs(1))
-            .expect("healthy run");
+        let make = || inert_runner(3, &[], EpochMode::Adaptive);
+        let report = both_drivers(make, SimTime::from_secs(1), |_| ()).1.unwrap();
         assert_eq!(report.events_executed, 0);
         assert_eq!(report.epochs, 0);
     }
@@ -1794,42 +1924,6 @@ mod tests {
         assert_eq!(dropped, 13);
     }
 
-    #[test]
-    fn idle_gaps_are_skipped_in_one_epoch() {
-        // Two events 1 second apart with 1us lookahead: the next-event jump
-        // must not grind through a million empty epochs.
-        struct Sparse;
-        impl PartitionWorld for Sparse {
-            type Event = Token;
-            fn handle(&mut self, _: Token, _: &mut Scheduler<Token>, _: &mut RemoteSink<Token>) {}
-        }
-        let mut part = PartitionSim::new(Sparse);
-        part.scheduler_mut().schedule_at(
-            SimTime::ZERO,
-            Token {
-                hops_left: 0,
-                value: 0,
-            },
-        );
-        part.scheduler_mut().schedule_at(
-            SimTime::from_secs(1),
-            Token {
-                hops_left: 0,
-                value: 0,
-            },
-        );
-        let mut runner = PdesRunner::new(vec![part], PdesConfig::single_machine(1, LOOKAHEAD));
-        let report = runner
-            .run_until(SimTime::from_secs(2))
-            .expect("healthy run");
-        assert_eq!(report.events_executed, 2);
-        assert!(
-            report.epochs <= 3,
-            "expected a jump, got {} epochs",
-            report.epochs
-        );
-    }
-
     /// Ignores every event; used to compare epoch accounting across modes.
     struct Inert;
     impl PartitionWorld for Inert {
@@ -1837,25 +1931,42 @@ mod tests {
         fn handle(&mut self, _: Token, _: &mut Scheduler<Token>, _: &mut RemoteSink<Token>) {}
     }
 
+    /// `n` inert partitions, partition 0 holding one token at each of `at`.
+    fn inert_runner(n: usize, at: &[SimTime], mode: EpochMode) -> PdesRunner<Inert> {
+        let mut parts: Vec<_> = (0..n).map(|_| PartitionSim::new(Inert)).collect();
+        for &at in at {
+            parts[0].scheduler_mut().schedule_at(
+                at,
+                Token {
+                    hops_left: 0,
+                    value: 0,
+                },
+            );
+        }
+        let config = PdesConfig::single_machine(n, LOOKAHEAD).with_epoch_mode(mode);
+        PdesRunner::new(parts, config)
+    }
+
     #[test]
     fn adaptive_jumps_where_fixed_grinds() {
+        // Two events 1 s apart with 1us lookahead, alone: the next-event
+        // jump must not grind through a million empty epochs.
+        let at = [SimTime::ZERO, SimTime::from_secs(1)];
+        let make = || inert_runner(1, &at, EpochMode::Adaptive);
+        let report = both_drivers(make, SimTime::from_secs(2), |_| ()).1.unwrap();
+        assert_eq!(report.events_executed, 2);
+        assert!(
+            report.epochs <= 3,
+            "expected a jump, got {} epochs",
+            report.epochs
+        );
         // Two events 300us apart on partition 0 (partition 1 idle, so this
         // exercises the multi-partition bounds, not the n=1 shortcut).
         let run = |mode: EpochMode| {
-            let mut parts = vec![PartitionSim::new(Inert), PartitionSim::new(Inert)];
-            for at in [SimTime::ZERO, SimTime::from_micros(300)] {
-                parts[0].scheduler_mut().schedule_at(
-                    at,
-                    Token {
-                        hops_left: 0,
-                        value: 0,
-                    },
-                );
-            }
-            let config = PdesConfig::single_machine(2, LOOKAHEAD).with_epoch_mode(mode);
-            PdesRunner::new(parts, config)
-                .run_until(SimTime::from_millis(1))
-                .expect("healthy run")
+            let at = [SimTime::ZERO, SimTime::from_micros(300)];
+            let make = || inert_runner(2, &at, mode);
+            let (_, result) = both_drivers(make, SimTime::from_millis(1), |_| ());
+            result.expect("healthy run")
         };
         let adaptive = run(EpochMode::Adaptive);
         let fixed = run(EpochMode::Fixed);
@@ -1918,31 +2029,33 @@ mod tests {
 
     fn tie_run(mode: EpochMode) -> Vec<(u32, u64)> {
         const ROUNDS: u64 = 40;
-        let mut parts: Vec<PartitionSim<TiePartition>> = (0..3)
-            .map(|id| {
-                PartitionSim::new(TiePartition {
-                    id,
-                    rounds: ROUNDS,
-                    received: Vec::new(),
+        let make = || {
+            let mut parts: Vec<PartitionSim<TiePartition>> = (0..3)
+                .map(|id| {
+                    PartitionSim::new(TiePartition {
+                        id,
+                        rounds: ROUNDS,
+                        received: Vec::new(),
+                    })
                 })
-            })
-            .collect();
-        for sender in [1, 2] {
-            parts[sender].scheduler_mut().schedule_at(
-                SimTime::ZERO,
-                Token {
-                    hops_left: 0,
-                    value: 0,
-                },
-            );
-        }
-        // Two machines so some ties also cross the marshalling path.
-        let config = PdesConfig::round_robin(3, 2, LOOKAHEAD, 16).with_epoch_mode(mode);
-        let mut runner = PdesRunner::new(parts, config);
-        runner
-            .run_until(SimTime::from_secs(1))
-            .expect("healthy run");
-        runner.into_partitions().remove(0).into_world().received
+                .collect();
+            for sender in [1, 2] {
+                parts[sender].scheduler_mut().schedule_at(
+                    SimTime::ZERO,
+                    Token {
+                        hops_left: 0,
+                        value: 0,
+                    },
+                );
+            }
+            // Two machines so some ties also cross the marshalling path.
+            let config = PdesConfig::round_robin(3, 2, LOOKAHEAD, 16).with_epoch_mode(mode);
+            PdesRunner::new(parts, config)
+        };
+        let received = |parts: &[PartitionSim<TiePartition>]| parts[0].world().received.clone();
+        let (received, result) = both_drivers(make, SimTime::from_secs(1), received);
+        result.expect("healthy run");
+        received
     }
 
     #[test]
@@ -1957,29 +2070,6 @@ mod tests {
         assert_eq!(adaptive, expected, "ties must deliver in sender order");
         assert_eq!(adaptive, tie_run(EpochMode::Adaptive), "repeat run differs");
         assert_eq!(adaptive, tie_run(EpochMode::Fixed), "fixed mode differs");
-    }
-
-    /// Ring runner prepared for chunked runs: token seeded on partition 0.
-    fn ring_runner(n: usize, hops: u32, machines: usize, envelope: usize) -> PdesRunner<Ring> {
-        let mut parts: Vec<PartitionSim<Ring>> = (0..n)
-            .map(|id| {
-                PartitionSim::new(Ring {
-                    id,
-                    n,
-                    arrivals: 0,
-                    last_value: 0,
-                })
-            })
-            .collect();
-        parts[0].scheduler_mut().schedule_at(
-            SimTime::ZERO,
-            Token {
-                hops_left: hops,
-                value: 0,
-            },
-        );
-        let config = PdesConfig::round_robin(n, machines, LOOKAHEAD, envelope);
-        PdesRunner::new(parts, config)
     }
 
     fn ring_state(runner: &PdesRunner<Ring>) -> Vec<(u64, u64)> {
@@ -2001,18 +2091,25 @@ mod tests {
         let reference = ring_state(&clean);
 
         // Chunked run: checkpoint at the chunk boundary, finish, then rewind
-        // and finish again — both continuations must match the reference.
-        let mut runner = ring_runner(4, 99, 2, 32);
-        runner.run_until(mid).expect("first chunk");
-        let ck = runner.checkpoint();
-        assert_eq!(ck.partitions(), 4);
-        assert!(ck.at() >= mid);
-        runner.run_until(horizon).expect("first continuation");
-        assert_eq!(ring_state(&runner), reference);
+        // and finish again — both continuations must match the reference,
+        // under either driver.
+        for lockstep in [false, true] {
+            let mut runner = ring_runner(4, 99, 2, 32);
+            drive(&mut runner, mid, lockstep).expect("first chunk");
+            let ck = runner.checkpoint();
+            assert_eq!(ck.partitions(), 4);
+            assert!(ck.at() >= mid);
+            drive(&mut runner, horizon, lockstep).expect("first continuation");
+            assert_eq!(ring_state(&runner), reference, "lockstep {lockstep}");
 
-        runner.restore(&ck);
-        runner.run_until(horizon).expect("resumed continuation");
-        assert_eq!(ring_state(&runner), reference, "restore diverged");
+            runner.restore(&ck);
+            drive(&mut runner, horizon, lockstep).expect("resumed continuation");
+            assert_eq!(
+                ring_state(&runner),
+                reference,
+                "lockstep {lockstep}: restore diverged"
+            );
+        }
     }
 
     #[test]
@@ -2026,50 +2123,41 @@ mod tests {
             ..Default::default()
         };
 
-        let run_chunks = |restore_at_mid: bool| {
-            let mut parts: Vec<PartitionSim<Ring>> = (0..4)
-                .map(|id| {
-                    PartitionSim::new(Ring {
-                        id,
-                        n: 4,
-                        arrivals: 0,
-                        last_value: 0,
-                    })
-                })
-                .collect();
-            parts[0].scheduler_mut().schedule_at(
-                SimTime::ZERO,
-                Token {
-                    hops_left: 99,
-                    value: 0,
-                },
-            );
-            let config = PdesConfig::round_robin(4, 2, LOOKAHEAD, 32).with_faults(plan.clone());
-            let mut runner = PdesRunner::new(parts, config);
-            let mut report = runner.run_until(mid).expect("first chunk");
+        let run_chunks = |lockstep: bool, restore_at_mid: bool| {
+            let mut runner = ring_runner(4, 99, 2, 32);
+            runner.config = runner.config.clone().with_faults(plan.clone());
+            let mut report = drive(&mut runner, mid, lockstep).expect("first chunk");
             let ck = runner.checkpoint();
             if restore_at_mid {
                 // Burn some state past the boundary, then rewind: the fault
                 // RNG position must rewind with it.
-                runner.run_until(horizon).expect("burned continuation");
+                drive(&mut runner, horizon, lockstep).expect("burned continuation");
                 runner.restore(&ck);
             }
-            report.merge(&runner.run_until(horizon).expect("continuation"));
+            report.merge(&drive(&mut runner, horizon, lockstep).expect("continuation"));
             (ring_state(&runner), report.faults)
         };
 
-        let (state_a, faults_a) = run_chunks(false);
-        let (state_b, faults_b) = run_chunks(true);
+        let (state_a, faults_a) = run_chunks(false, false);
         assert!(
             faults_a.total() > 0,
             "fault plan was inert; test is vacuous"
         );
-        assert_eq!(state_a, state_b, "fault-RNG state not restored");
-        assert_eq!(faults_a, faults_b, "fault sequence diverged after restore");
+        for (lockstep, restore) in [(false, true), (true, false), (true, true)] {
+            let (state_b, faults_b) = run_chunks(lockstep, restore);
+            assert_eq!(
+                state_a, state_b,
+                "lockstep {lockstep}: fault-RNG state not restored"
+            );
+            assert_eq!(
+                faults_a, faults_b,
+                "lockstep {lockstep}: fault sequence diverged"
+            );
+        }
     }
 
     /// Panics when handling any token whose value reaches `boom_at`.
-    #[derive(Clone)]
+    #[derive(Clone, Debug, PartialEq)]
     struct Grenade {
         id: PartitionId,
         n: usize,
@@ -2102,30 +2190,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn worker_panic_surfaces_as_single_structured_error() {
-        // Token value 7 first arrives on partition 7 % 3 == 1.
-        let parts: Vec<PartitionSim<Grenade>> = (0..3)
-            .map(|id| {
-                PartitionSim::new(Grenade {
-                    id,
-                    n: 3,
-                    boom_at: 7,
-                })
-            })
+    fn grenade_runner(boom_at: u64, hops: u32) -> PdesRunner<Grenade> {
+        let parts = (0..3)
+            .map(|id| PartitionSim::new(Grenade { id, n: 3, boom_at }))
             .collect();
         let mut runner = PdesRunner::new(parts, PdesConfig::single_machine(3, LOOKAHEAD));
         runner.partitions[0].scheduler_mut().schedule_at(
             SimTime::ZERO,
             Token {
-                hops_left: 99,
+                hops_left: hops,
                 value: 0,
             },
         );
-        let err = runner
-            .run_until(SimTime::from_secs(1))
-            .expect_err("grenade must fire");
-        match err {
+        runner
+    }
+
+    #[test]
+    fn worker_panic_surfaces_as_single_structured_error() {
+        // Token value 7 first arrives on partition 7 % 3 == 1.
+        let make = || grenade_runner(7, 99);
+        let (_, result) = both_drivers(make, SimTime::from_secs(1), worlds);
+        match result.expect_err("grenade must fire") {
             PdesError::Panicked {
                 partition,
                 at,
@@ -2139,25 +2224,8 @@ mod tests {
             }
             other => panic!("expected Panicked, got {other}"),
         }
-        // The barrier is not poisoned: the runner can restart after restore.
-        let parts: Vec<PartitionSim<Grenade>> = (0..3)
-            .map(|id| {
-                PartitionSim::new(Grenade {
-                    id,
-                    n: 3,
-                    boom_at: u64::MAX,
-                })
-            })
-            .collect();
-        let mut runner = PdesRunner::new(parts, PdesConfig::single_machine(3, LOOKAHEAD));
-        runner.partitions[0].scheduler_mut().schedule_at(
-            SimTime::ZERO,
-            Token {
-                hops_left: 9,
-                value: 0,
-            },
-        );
-        runner
+        // The barrier is not poisoned: a fresh runner starts cleanly.
+        grenade_runner(u64::MAX, 9)
             .run_until(SimTime::from_secs(1))
             .expect("healthy rerun");
     }
@@ -2165,7 +2233,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "may not remote-send to itself")]
     fn remote_self_send_is_rejected() {
-        let mut sink: RemoteSink<Token> = RemoteSink::new(3, LOOKAHEAD);
+        let mut sink: RemoteSink<Token> = RemoteSink::new(3, 4, LOOKAHEAD);
         sink.send(
             3,
             SimTime::from_micros(5),
@@ -2179,7 +2247,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lookahead violation")]
     fn lookahead_violation_is_rejected() {
-        let mut sink: RemoteSink<Token> = RemoteSink::new(0, LOOKAHEAD);
+        let mut sink: RemoteSink<Token> = RemoteSink::new(0, 2, LOOKAHEAD);
         sink.now = SimTime::from_micros(10);
         // Delivery half a lookahead after `now`: inside the window other
         // partitions may already have executed past.

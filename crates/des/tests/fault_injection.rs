@@ -1,17 +1,23 @@
 //! Fault-injection suite for the PDES engine: stalls must become structured
 //! errors instead of hangs, slowdowns must not trip the watchdog, and
 //! message-level faults (drop/duplicate/corrupt) must be deterministic
-//! under a fixed seed.
+//! under a fixed seed. Every run goes through both drivers, the threaded
+//! `run_until` and the lockstep `run_until_lockstep`, which must agree on
+//! everything but wall-clock seconds.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use elephant_des::{
-    FaultPlan, PartitionId, PartitionSim, PartitionWorld, PdesConfig, PdesError, PdesRunner,
-    RemoteSink, Scheduler, SimDuration, SimTime, Transportable,
+    FaultPlan, PartitionId, PartitionSim, PartitionWorld, PdesConfig, PdesError, PdesReport,
+    PdesRunner, RemoteSink, Scheduler, SimDuration, SimTime, Transportable,
 };
 
 const LOOKAHEAD: SimDuration = SimDuration::from_micros(1);
+
+/// A token with this many hops left cannot be encoded: its codec panics.
+const UNENCODABLE: u32 = u32::MAX - 1;
 
 /// A token that hops around a partition ring, as in the engine's unit
 /// tests; its codec detects truncation (decode returns `None`).
@@ -23,6 +29,7 @@ struct Token {
 
 impl Transportable for Token {
     fn encode(&self, buf: &mut BytesMut) {
+        assert_ne!(self.hops_left, UNENCODABLE, "scripted encode panic");
         buf.put_u32(self.hops_left);
         buf.put_u64(self.value);
     }
@@ -64,9 +71,18 @@ impl PartitionWorld for Ring {
     }
 }
 
-fn ring_parts(n: usize, hops: u32) -> Vec<PartitionSim<Ring>> {
+/// Ring partitions `0..n` with the token on partition 0. Each believes the
+/// ring has `ring` partitions, so with `ring > n` the last one sends to a
+/// partition the run does not have.
+fn ring_parts(n: usize, ring: usize, hops: u32) -> Vec<PartitionSim<Ring>> {
     let mut parts: Vec<PartitionSim<Ring>> = (0..n)
-        .map(|id| PartitionSim::new(Ring { id, n, arrivals: 0 }))
+        .map(|id| {
+            PartitionSim::new(Ring {
+                id,
+                n: ring,
+                arrivals: 0,
+            })
+        })
         .collect();
     parts[0].scheduler_mut().schedule_at(
         SimTime::ZERO,
@@ -78,22 +94,73 @@ fn ring_parts(n: usize, hops: u32) -> Vec<PartitionSim<Ring>> {
     parts
 }
 
+/// A run's result with its wall-clock seconds zeroed: what the simulation
+/// alone determines.
+fn simulated(mut result: Result<PdesReport, PdesError>) -> Result<PdesReport, PdesError> {
+    let report: &mut PdesReport = match &mut result {
+        Ok(report) => report,
+        Err(
+            PdesError::Stalled { report, .. }
+            | PdesError::Corrupt { report, .. }
+            | PdesError::Panicked { report, .. },
+        ) => report,
+    };
+    for p in &mut report.partitions {
+        p.work_seconds = 0.0;
+        p.barrier_wait_seconds = 0.0;
+        p.marshal_seconds = 0.0;
+    }
+    result
+}
+
+/// Runs `f` on a thread of its own and fails, instead of hanging the suite,
+/// if it has not returned within 10 s.
+fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("the run hung"),
+        Err(RecvTimeoutError::Disconnected) => panic!("the run panicked"),
+    }
+}
+
+/// Runs `parts()` under both drivers, each within the deadline, asserts
+/// that they agree on the arrivals and the simulated result, and returns
+/// the threaded run's.
+fn both_drivers(
+    parts: impl Fn() -> Vec<PartitionSim<Ring>>,
+    config: PdesConfig,
+) -> (Vec<u64>, Result<PdesReport, PdesError>) {
+    let [threaded, lockstep] = [false, true].map(|lockstep| {
+        let mut runner = PdesRunner::new(parts(), config.clone());
+        within_deadline(move || {
+            let horizon = SimTime::from_secs(10);
+            let result = match lockstep {
+                false => runner.run_until(horizon),
+                true => runner.run_until_lockstep(horizon),
+            };
+            let arrivals = runner.partitions().iter().map(|p| p.world().arrivals);
+            (arrivals.collect::<Vec<_>>(), result)
+        })
+    });
+    assert_eq!(threaded.0, lockstep.0, "drivers disagree on the arrivals");
+    assert_eq!(
+        simulated(threaded.1.clone()),
+        simulated(lockstep.1),
+        "drivers disagree on the report"
+    );
+    threaded
+}
+
 fn ring_run(
     n: usize,
     hops: u32,
     machines: usize,
     cfg_mut: impl FnOnce(PdesConfig) -> PdesConfig,
-) -> (Vec<u64>, Result<elephant_des::PdesReport, PdesError>) {
-    let parts = ring_parts(n, hops);
+) -> (Vec<u64>, Result<PdesReport, PdesError>) {
     let config = cfg_mut(PdesConfig::round_robin(n, machines, LOOKAHEAD, 16));
-    let mut runner = PdesRunner::new(parts, config);
-    let result = runner.run_until(SimTime::from_secs(10));
-    let arrivals = runner
-        .into_partitions()
-        .into_iter()
-        .map(|p| p.world().arrivals)
-        .collect();
-    (arrivals, result)
+    both_drivers(|| ring_parts(n, n, hops), config)
 }
 
 /// The headline guarantee: a partition that stops consuming events turns
@@ -237,4 +304,76 @@ fn inert_plan_matches_unfaulted_run() {
     assert_eq!(rep_plain.events_executed, rep_inert.events_executed);
     assert_eq!(rep_plain.epochs, rep_inert.epochs);
     assert_eq!(rep_inert.faults.total(), 0);
+}
+
+/// A handler that sends to a partition the run does not have is a model
+/// bug: the sink rejects it and the run ends with `Panicked` naming the
+/// sender, where it used to kill the thread and hang its peers.
+#[test]
+fn send_to_an_unknown_partition_is_a_structured_panic() {
+    let config = PdesConfig::single_machine(2, LOOKAHEAD);
+    match both_drivers(|| ring_parts(2, 100, 5), config).1 {
+        Err(PdesError::Panicked {
+            partition,
+            at,
+            message,
+            ..
+        }) => {
+            assert_eq!((partition, at), (1, SimTime::from_micros(1)));
+            assert!(message.contains("unknown partition 2"), "got {message:?}");
+        }
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+}
+
+/// A model codec that panics while a message is marshalled across machines
+/// ends the run with `Panicked` naming the sender, instead of a hang.
+#[test]
+fn panicking_encode_is_a_structured_panic() {
+    let config = PdesConfig::round_robin(2, 2, LOOKAHEAD, 16);
+    match both_drivers(|| ring_parts(2, 2, UNENCODABLE + 1), config).1 {
+        Err(PdesError::Panicked {
+            partition,
+            at,
+            message,
+            ..
+        }) => {
+            assert_eq!((partition, at), (0, SimTime::ZERO));
+            assert!(message.contains("scripted encode panic"), "got {message:?}");
+        }
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+}
+
+/// Two partitions that fail in the same epoch are reported by the earliest
+/// `(time, partition)` on every run, under either driver — not by whichever
+/// thread got to a lock first.
+#[test]
+fn simultaneous_failures_report_the_earliest() {
+    // In the first epoch partition 0 posts a corrupt message due at 1 µs
+    // and partition 1 panics encoding one at 0.
+    let parts = || {
+        let mut parts = ring_parts(2, 2, 5);
+        let token = Token {
+            hops_left: UNENCODABLE + 1,
+            value: 0,
+        };
+        parts[1].scheduler_mut().schedule_at(SimTime::ZERO, token);
+        parts
+    };
+    let config = PdesConfig::round_robin(2, 2, LOOKAHEAD, 16).with_faults(FaultPlan {
+        seed: 1,
+        corrupt_prob: 1.0,
+        ..Default::default()
+    });
+    for _ in 0..20 {
+        match both_drivers(parts, config.clone()).1 {
+            Err(PdesError::Panicked {
+                partition: 1,
+                at: SimTime::ZERO,
+                ..
+            }) => {}
+            other => panic!("expected partition 1's panic at 0, got {other:?}"),
+        }
+    }
 }
