@@ -61,6 +61,7 @@ mod sched;
 mod sim;
 mod stats;
 mod time;
+pub mod wire;
 
 pub use checkpoint::{
     CheckpointError, CheckpointManifest, PdesCheckpoint, SimCheckpoint, CHECKPOINT_MAGIC,

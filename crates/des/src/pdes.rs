@@ -79,23 +79,26 @@
 //! The paper runs PDES across 1–4 physical machines over MPI. We emulate a
 //! machine boundary faithfully at the transport level: partitions are
 //! assigned to machines, and every event crossing a machine boundary is
-//! marshalled through a byte buffer ([`Transportable`]), prepended with a
-//! configurable envelope (modeling MPI headers and kernel copies), checksummed
-//! (forcing the copies to actually happen), and unmarshalled on the far
-//! side. Same-machine exchanges move the event by pointer. This gives the
-//! distinctive Figure-1 behaviour — more machines means more per-message
-//! overhead — without requiring actual remote hosts.
+//! encoded ([`Transportable`], through a [`wire::Writer`]) into a byte
+//! buffer the partition keeps and reuses, behind a configurable envelope
+//! (modeling MPI headers and kernel copies), checksummed (forcing the
+//! copies to actually happen), and decoded on the far side by a
+//! [`wire::Reader`] over those bytes, once per delivered copy; a read past
+//! the end, a value the encoder never writes, or a byte left unread fails
+//! the decode instead of panicking. Same-machine exchanges move the event by pointer. This
+//! gives the distinctive Figure-1 behaviour — more machines means more
+//! per-message overhead — without requiring actual remote hosts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use elephant_obs::{TraceRecord, PID_PDES};
 
 use crate::fault::{FaultCounts, FaultPlan, FaultRng};
 use crate::sched::{Next, Scheduler};
 use crate::sim::FEL_BYTES_EVERY;
 use crate::time::{SimDuration, SimTime};
+use crate::wire;
 
 /// Default watchdog bound: abort if the global minimum event time sits,
 /// already covered by the previous epoch's execution bounds, for this many
@@ -128,11 +131,12 @@ pub enum EpochMode {
 /// `encode`/`decode` must round-trip exactly; the engine asserts nothing
 /// about the wire format beyond that.
 pub trait Transportable: Sized {
-    /// Serializes `self` onto `buf`.
-    fn encode(&self, buf: &mut BytesMut);
-    /// Deserializes one value, consuming its bytes. Returns `None` on a
-    /// malformed buffer (treated as a fatal model error by the engine).
-    fn decode(buf: &mut Bytes) -> Option<Self>;
+    /// Serializes `self` onto `w`.
+    fn encode(&self, w: &mut wire::Writer);
+    /// Deserializes one value, consuming its bytes. Returns `None` on bytes
+    /// `encode` never writes, truncation included (treated as a fatal model
+    /// error by the engine).
+    fn decode(r: &mut wire::Reader<'_>) -> Option<Self>;
 }
 
 /// A partitioned simulation model.
@@ -651,6 +655,7 @@ impl<W: PartitionWorld> PdesRunner<W> {
                 remote: RemoteSink::new(id, n, config.lookahead),
                 out: (0..n).map(|_| Vec::new()).collect(),
                 since_fel_bytes: 0,
+                wire: Vec::new(),
                 row: Row::default(),
                 tl: PartitionTimeline::new(started, id),
             }
@@ -886,6 +891,9 @@ struct PartitionRun<'a, W: PartitionWorld> {
     out: Vec<Outbox<W::Event>>,
     /// Events executed since `row.stats.fel_bytes_peak` was last read.
     since_fel_bytes: u64,
+    /// The bytes of the cross-machine message being marshalled, reused
+    /// across messages.
+    wire: Vec<u8>,
     row: Row,
     tl: Option<PartitionTimeline>,
 }
@@ -1017,7 +1025,8 @@ impl<W: PartitionWorld> PartitionRun<'_, W> {
                         self.row.faults.corrupted += 1;
                     }
                 }
-                let (evs, nbytes) = marshal_round_trip(ev, config.envelope_bytes, copies, corrupt);
+                let (evs, nbytes) =
+                    marshal_round_trip(ev, &mut self.wire, config.envelope_bytes, copies, corrupt);
                 self.row.marshalled += copies as u64;
                 stats.remote_bytes_sent += nbytes;
                 if evs.len() < copies && failure.is_none() {
@@ -1400,23 +1409,26 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Pushes an event through the simulated machine boundary: encode, wrap in
-/// an envelope, checksum (so the optimizer cannot elide the copies), decode.
+/// Pushes an event through the simulated machine boundary: encode behind an
+/// envelope into `buf` (cleared first; the caller reuses it across
+/// messages), checksum (so the optimizer cannot elide the copies), decode.
 ///
 /// `copies` decodes the wire bytes that many times (fault-injected
 /// duplication); `corrupt` mangles the payload first (truncate the final
 /// byte and flip a bit), modeling a torn write. Returns the reconstructed
 /// events — possibly fewer than `copies` if a decode failed, which the
-/// caller reports as [`PdesError::Corrupt`] — and the bytes moved.
+/// caller reports as [`PdesError::Corrupt`] — and the bytes moved. Bytes
+/// left over after a decode fail it too.
 fn marshal_round_trip<E: Transportable>(
     ev: E,
+    buf: &mut Vec<u8>,
     envelope_bytes: usize,
     copies: usize,
     corrupt: bool,
 ) -> (Vec<E>, u64) {
-    let mut buf = BytesMut::with_capacity(64 + envelope_bytes);
-    buf.put_bytes(0xA5, envelope_bytes); // MPI-style envelope / copy cost
-    ev.encode(&mut buf);
+    buf.clear();
+    buf.resize(envelope_bytes, 0xA5); // MPI-style envelope / copy cost
+    ev.encode(&mut wire::Writer::new(buf));
     if corrupt {
         if buf.len() > envelope_bytes {
             buf[envelope_bytes] ^= 0x40; // flip a bit in the first payload byte
@@ -1426,23 +1438,22 @@ fn marshal_round_trip<E: Transportable>(
         // present the tear hits it and the decode below rejects the frame.
         buf.truncate(buf.len().saturating_sub(1));
     }
-    let frozen = buf.freeze();
     // Touch every byte, as a real transport would while copying to a socket.
-    let checksum: u64 = frozen
+    let checksum: u64 = buf
         .iter()
         .fold(0u64, |acc, &b| acc.wrapping_mul(31).wrapping_add(b as u64));
     std::hint::black_box(checksum);
-    let nbytes = frozen.len() as u64 * copies as u64;
+    let nbytes = buf.len() as u64 * copies as u64;
     let mut out = Vec::with_capacity(copies);
-    for _ in 0..copies {
-        let mut rd = frozen.clone();
-        if rd.len() < envelope_bytes {
-            break; // torn inside the envelope: undecodable, report corrupt
-        }
-        rd.advance(envelope_bytes);
-        match E::decode(&mut rd) {
-            Some(ev) => out.push(ev),
-            None => break, // same bytes => every later copy fails identically
+    // No payload when torn inside the envelope: undecodable, report corrupt.
+    // A frame decodes only if the event consumes every payload byte.
+    if let Some(payload) = buf.get(envelope_bytes..) {
+        for _ in 0..copies {
+            let mut r = wire::Reader::new(payload);
+            match E::decode(&mut r) {
+                Some(ev) if r.remaining() == 0 => out.push(ev),
+                _ => break, // same bytes => every later copy fails identically
+            }
         }
     }
     (out, nbytes)
@@ -1468,17 +1479,14 @@ mod tests {
     }
 
     impl Transportable for Token {
-        fn encode(&self, buf: &mut BytesMut) {
-            buf.put_u32(self.hops_left);
-            buf.put_u64(self.value);
+        fn encode(&self, w: &mut wire::Writer) {
+            w.u32(self.hops_left);
+            w.u64(self.value);
         }
-        fn decode(buf: &mut Bytes) -> Option<Self> {
-            if buf.remaining() < 12 {
-                return None;
-            }
+        fn decode(r: &mut wire::Reader<'_>) -> Option<Self> {
             Some(Token {
-                hops_left: buf.get_u32(),
-                value: buf.get_u64(),
+                hops_left: r.u32()?,
+                value: r.u64()?,
             })
         }
     }
@@ -1544,8 +1552,8 @@ mod tests {
     struct Empty;
 
     impl Transportable for Empty {
-        fn encode(&self, _buf: &mut BytesMut) {}
-        fn decode(_buf: &mut Bytes) -> Option<Self> {
+        fn encode(&self, _w: &mut wire::Writer) {}
+        fn decode(_r: &mut wire::Reader<'_>) -> Option<Self> {
             Some(Empty)
         }
     }
@@ -1559,14 +1567,14 @@ mod tests {
     fn marshal_corrupt_survives_empty_payload() {
         // No payload, no envelope: nothing to tear, nothing to decode —
         // the zero-byte frame still "decodes" as the unit event.
-        let (evs, nbytes) = marshal_round_trip(Empty, 0, 1, true);
+        let (evs, nbytes) = marshal_round_trip(Empty, &mut Vec::new(), 0, 1, true);
         assert_eq!(nbytes, 0);
         assert_eq!(evs, vec![Empty]);
 
         // No payload but an envelope: the tear lands inside the envelope,
         // so the frame is undecodable and surfaces as a corrupt transport
         // failure — not an `advance` past the end of the buffer.
-        let (evs, nbytes) = marshal_round_trip(Empty, 8, 2, true);
+        let (evs, nbytes) = marshal_round_trip(Empty, &mut Vec::new(), 8, 2, true);
         assert_eq!(nbytes, 14); // 7 surviving bytes x 2 copies
         assert!(evs.is_empty(), "torn envelope must fail the decode");
     }
@@ -1579,12 +1587,40 @@ mod tests {
             hops_left: 3,
             value: 42,
         };
-        let (evs, _) = marshal_round_trip(tok.clone(), 16, 2, true);
+        // One buffer for both messages, as a partition reuses its own.
+        let mut buf = Vec::new();
+        let (evs, _) = marshal_round_trip(tok.clone(), &mut buf, 16, 2, true);
         assert!(evs.is_empty(), "torn payload must fail the decode");
         // And without corruption every copy round-trips intact.
-        let (evs, nbytes) = marshal_round_trip(tok.clone(), 16, 2, false);
+        let (evs, nbytes) = marshal_round_trip(tok.clone(), &mut buf, 16, 2, false);
         assert_eq!(evs, vec![tok.clone(), tok]);
         assert_eq!(nbytes, (16 + 12) * 2);
+    }
+
+    /// A token whose encoder writes one byte more than its decoder reads.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Padded(Token);
+
+    impl Transportable for Padded {
+        fn encode(&self, w: &mut wire::Writer) {
+            self.0.encode(w);
+            w.u8(0);
+        }
+        fn decode(r: &mut wire::Reader<'_>) -> Option<Self> {
+            Token::decode(r).map(Padded)
+        }
+    }
+
+    /// A frame with bytes left after the decode is corrupt, not an event.
+    #[test]
+    fn marshal_trailing_bytes_fail_decode() {
+        let tok = Padded(Token {
+            hops_left: 3,
+            value: 42,
+        });
+        let (evs, nbytes) = marshal_round_trip(tok, &mut Vec::new(), 16, 2, false);
+        assert!(evs.is_empty(), "trailing byte must fail the decode");
+        assert_eq!(nbytes, (16 + 13) * 2);
     }
 
     /// A planner over `n` partitions, 1 µs lookahead and a 1 s horizon.

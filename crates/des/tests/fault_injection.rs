@@ -8,9 +8,8 @@
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use elephant_des::{
-    FaultPlan, PartitionId, PartitionSim, PartitionWorld, PdesConfig, PdesError, PdesReport,
+    wire, FaultPlan, PartitionId, PartitionSim, PartitionWorld, PdesConfig, PdesError, PdesReport,
     PdesRunner, RemoteSink, Scheduler, SimDuration, SimTime, Transportable,
 };
 
@@ -28,18 +27,15 @@ struct Token {
 }
 
 impl Transportable for Token {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, w: &mut wire::Writer) {
         assert_ne!(self.hops_left, UNENCODABLE, "scripted encode panic");
-        buf.put_u32(self.hops_left);
-        buf.put_u64(self.value);
+        w.u32(self.hops_left);
+        w.u64(self.value);
     }
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        if buf.remaining() < 12 {
-            return None;
-        }
+    fn decode(r: &mut wire::Reader<'_>) -> Option<Self> {
         Some(Token {
-            hops_left: buf.get_u32(),
-            value: buf.get_u64(),
+            hops_left: r.u32()?,
+            value: r.u64()?,
         })
     }
 }

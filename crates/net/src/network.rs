@@ -17,10 +17,9 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use elephant_des::{
-    EventKey, PartitionId, PartitionWorld, RemoteSink, Scheduler, SimDuration, SimTime, Simulator,
-    Transportable, World,
+    wire, EventKey, PartitionId, PartitionWorld, RemoteSink, Scheduler, SimDuration, SimTime,
+    Simulator, Transportable, World,
 };
 
 use crate::capture::CaptureState;
@@ -922,98 +921,67 @@ impl PartitionWorld for NetPartition {
 }
 
 impl Transportable for NetEvent {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, w: &mut wire::Writer) {
         match self {
             NetEvent::FlowStart(s) => {
-                buf.put_u8(0);
-                buf.put_u64(s.id.0);
-                for a in [s.src, s.dst] {
-                    buf.put_u16(a.cluster);
-                    buf.put_u16(a.rack);
-                    buf.put_u16(a.host);
-                }
-                buf.put_u64(s.bytes);
-                buf.put_u64(s.start.as_nanos());
+                w.u8(0);
+                w.u64(s.id.0);
+                s.src.encode(w);
+                s.dst.encode(w);
+                w.u64(s.bytes);
+                w.u64(s.start.as_nanos());
             }
             NetEvent::Arrive { node, pkt } => {
-                buf.put_u8(1);
-                buf.put_u32(node.0);
-                pkt.encode(buf);
+                w.u8(1);
+                w.u32(node.0);
+                pkt.encode(w);
             }
             NetEvent::PortFree { node, port } => {
-                buf.put_u8(2);
-                buf.put_u32(node.0);
-                buf.put_u16(port.0);
+                w.u8(2);
+                w.u32(node.0);
+                w.u16(port.0);
             }
             NetEvent::Timer {
                 slot,
                 generation,
                 kind,
             } => {
-                buf.put_u8(3);
-                buf.put_u32(*slot);
-                buf.put_u32(*generation);
-                buf.put_u8(matches!(kind, TimerKind::DelAck) as u8);
+                w.u8(3);
+                w.u32(*slot);
+                w.u32(*generation);
+                w.u8(matches!(kind, TimerKind::DelAck) as u8);
             }
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        match buf.get_u8() {
-            0 => {
-                if buf.remaining() < 8 + 12 + 8 + 8 {
-                    return None;
-                }
-                let id = FlowId(buf.get_u64());
-                let src = HostAddr::new(buf.get_u16(), buf.get_u16(), buf.get_u16());
-                let dst = HostAddr::new(buf.get_u16(), buf.get_u16(), buf.get_u16());
-                let bytes = buf.get_u64();
-                let start = SimTime::from_nanos(buf.get_u64());
-                Some(NetEvent::FlowStart(FlowSpec {
-                    id,
-                    src,
-                    dst,
-                    bytes,
-                    start,
-                }))
-            }
-            1 => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let node = NodeId(buf.get_u32());
-                Packet::decode(buf).map(|pkt| NetEvent::Arrive { node, pkt })
-            }
-            2 => {
-                if buf.remaining() < 6 {
-                    return None;
-                }
-                Some(NetEvent::PortFree {
-                    node: NodeId(buf.get_u32()),
-                    port: PortId(buf.get_u16()),
-                })
-            }
-            3 => {
-                if buf.remaining() < 9 {
-                    return None;
-                }
-                let (slot, generation) = (buf.get_u32(), buf.get_u32());
-                let kind = if buf.get_u8() == 1 {
-                    TimerKind::DelAck
-                } else {
-                    TimerKind::Rto
-                };
-                Some(NetEvent::Timer {
-                    slot,
-                    generation,
-                    kind,
-                })
-            }
-            _ => None,
-        }
+    fn decode(r: &mut wire::Reader<'_>) -> Option<Self> {
+        Some(match r.u8()? {
+            0 => NetEvent::FlowStart(FlowSpec {
+                id: FlowId(r.u64()?),
+                src: HostAddr::decode(r)?,
+                dst: HostAddr::decode(r)?,
+                bytes: r.u64()?,
+                start: SimTime::from_nanos(r.u64()?),
+            }),
+            1 => NetEvent::Arrive {
+                node: NodeId(r.u32()?),
+                pkt: Packet::decode(r)?,
+            },
+            2 => NetEvent::PortFree {
+                node: NodeId(r.u32()?),
+                port: PortId(r.u16()?),
+            },
+            3 => NetEvent::Timer {
+                slot: r.u32()?,
+                generation: r.u32()?,
+                kind: match r.u8()? {
+                    0 => TimerKind::Rto,
+                    1 => TimerKind::DelAck,
+                    _ => return None,
+                },
+            },
+            _ => return None,
+        })
     }
 }
 
@@ -1022,6 +990,7 @@ mod tests {
     use super::*;
     use crate::oracle::{FixedLatencyOracle, IdealOracle};
     use crate::topology::ClosParams;
+    use proptest::prelude::*;
 
     fn sim_with_flows(topo: Topology, cfg: NetConfig, flows: &[FlowSpec]) -> Simulator<Network> {
         let mut sim = Simulator::new(Network::new(Arc::new(topo), cfg));
@@ -1639,43 +1608,244 @@ mod tests {
         assert_eq!(sim.world().stats.flows_completed, 5);
     }
 
+    fn encode(ev: &NetEvent) -> Vec<u8> {
+        let mut buf = Vec::new();
+        ev.encode(&mut wire::Writer::new(&mut buf));
+        buf
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One event of each kind with its literal wire bytes: the format is
+    /// pinned here, not only round-tripped, so a codec change that moves a
+    /// byte fails.
+    fn pinned_events() -> Vec<(NetEvent, &'static str)> {
+        let pkt = Packet {
+            id: 77,
+            flow: FlowId(1234),
+            src: HostAddr::new(1, 2, 3),
+            dst: HostAddr::new(4, 5, 6),
+            seg: crate::packet::TcpSegment {
+                seq: 1_000_000,
+                ack: 42,
+                flags: crate::packet::TcpFlags::FIN_ACK,
+                payload_len: 1460,
+                ece: true,
+                cwr: false,
+            },
+            ecn: Ecn::CongestionExperienced,
+            sent_at: SimTime::from_micros(99),
+        };
+        vec![
+            (
+                NetEvent::FlowStart(flow(
+                    9,
+                    HostAddr::new(0, 1, 2),
+                    HostAddr::new(3, 4, 5),
+                    777,
+                    3,
+                )),
+                "00 0000000000000009 0000 0001 0002 0003 0004 0005 0000000000000309 0000000000000bb8",
+            ),
+            (
+                NetEvent::Arrive {
+                    node: NodeId(7),
+                    pkt,
+                },
+                concat!(
+                    "01 00000007 000000000000004d 00000000000004d2 0001 0002 0003 0004 0005 0006 ",
+                    "00000000000f4240 000000000000002a 06 000005b4 06 00000000000182b8",
+                ),
+            ),
+            (
+                NetEvent::PortFree {
+                    node: NodeId(12),
+                    port: PortId(3),
+                },
+                "02 0000000c 0003",
+            ),
+            (
+                NetEvent::Timer {
+                    slot: 5,
+                    generation: 88,
+                    kind: TimerKind::DelAck,
+                },
+                "03 00000005 00000058 01",
+            ),
+            (
+                NetEvent::Timer {
+                    slot: 6,
+                    generation: 89,
+                    kind: TimerKind::Rto,
+                },
+                "03 00000006 00000059 00",
+            ),
+        ]
+    }
+
     #[test]
-    fn event_transportable_round_trip() {
-        let events = vec![
-            NetEvent::FlowStart(flow(
-                9,
-                HostAddr::new(0, 1, 2),
-                HostAddr::new(3, 4, 5),
-                777,
-                3,
-            )),
-            NetEvent::PortFree {
-                node: NodeId(12),
-                port: PortId(3),
-            },
-            NetEvent::Timer {
-                slot: 5,
-                generation: 88,
-                kind: TimerKind::DelAck,
-            },
-            NetEvent::Timer {
-                slot: 6,
-                generation: 89,
-                kind: TimerKind::Rto,
-            },
-        ];
-        for ev in events {
-            let mut buf = BytesMut::new();
-            ev.encode(&mut buf);
-            let mut rd = buf.freeze();
+    fn codec_pins_the_wire_format() {
+        for (ev, pinned) in pinned_events() {
+            let bytes = encode(&ev);
+            assert_eq!(hex(&bytes), pinned.replace(' ', ""), "{ev:?}");
+            let mut rd = wire::Reader::new(&bytes);
             let back = NetEvent::decode(&mut rd).expect("decodes");
+            assert_eq!(rd.remaining(), 0, "decode consumed exactly the encoding");
             // Compare via re-encoding (NetEvent is not PartialEq).
-            let mut b1 = BytesMut::new();
-            let mut b2 = BytesMut::new();
-            ev.encode(&mut b1);
-            back.encode(&mut b2);
-            assert_eq!(b1, b2);
-            assert_eq!(rd.remaining(), 0);
+            assert_eq!(encode(&back), bytes);
+        }
+    }
+
+    /// The timer-kind byte refuses every value but the two it is written as.
+    #[test]
+    fn codec_refuses_unwritten_timer_kinds() {
+        let timer = NetEvent::Timer {
+            slot: 5,
+            generation: 88,
+            kind: TimerKind::Rto,
+        };
+        let mut bytes = encode(&timer);
+        for kind in 2..=u8::MAX {
+            *bytes.last_mut().unwrap() = kind;
+            let decoded = NetEvent::decode(&mut wire::Reader::new(&bytes));
+            assert!(
+                decoded.is_none(),
+                "timer kind {kind} decoded as {decoded:?}"
+            );
+        }
+    }
+
+    /// `bytes` decode to `None` or to an event that re-encodes to exactly
+    /// the bytes it consumed.
+    fn refused_or_faithful(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let mut rd = wire::Reader::new(bytes);
+        if let Some(ev) = NetEvent::decode(&mut rd) {
+            let consumed = &bytes[..bytes.len() - rd.remaining()];
+            prop_assert_eq!(encode(&ev), consumed, "{:?}", ev);
+        }
+        Ok(())
+    }
+
+    fn any_addr() -> impl Strategy<Value = HostAddr> {
+        (any::<u16>(), any::<u16>(), any::<u16>()).prop_map(|(c, r, h)| HostAddr::new(c, r, h))
+    }
+
+    fn any_packet() -> impl Strategy<Value = Packet> {
+        let seg = (
+            any::<u64>(),
+            any::<u64>(),
+            0u8..8,
+            any::<u32>(),
+            any::<bool>(),
+            any::<bool>(),
+        );
+        let ecn = prop_oneof![
+            Just(Ecn::NotCapable),
+            Just(Ecn::Capable),
+            Just(Ecn::CongestionExperienced)
+        ];
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any_addr(),
+            any_addr(),
+            seg,
+            ecn,
+            any::<u64>(),
+        )
+            .prop_map(
+                |(id, flow, src, dst, (seq, ack, flags, payload_len, ece, cwr), ecn, sent_at)| {
+                    Packet {
+                        id,
+                        flow: FlowId(flow),
+                        src,
+                        dst,
+                        seg: crate::packet::TcpSegment {
+                            seq,
+                            ack,
+                            flags: crate::packet::TcpFlags {
+                                syn: flags & 1 != 0,
+                                ack: flags & 2 != 0,
+                                fin: flags & 4 != 0,
+                            },
+                            payload_len,
+                            ece,
+                            cwr,
+                        },
+                        ecn,
+                        sent_at: SimTime::from_nanos(sent_at),
+                    }
+                },
+            )
+    }
+
+    fn any_event() -> impl Strategy<Value = NetEvent> {
+        let flow_start = (
+            any::<u64>(),
+            any_addr(),
+            any_addr(),
+            any::<u64>(),
+            any::<u64>(),
+        )
+            .prop_map(|(id, src, dst, bytes, start)| {
+                NetEvent::FlowStart(FlowSpec {
+                    id: FlowId(id),
+                    src,
+                    dst,
+                    bytes,
+                    start: SimTime::from_nanos(start),
+                })
+            });
+        let arrive = (any::<u32>(), any_packet()).prop_map(|(node, pkt)| NetEvent::Arrive {
+            node: NodeId(node),
+            pkt,
+        });
+        let port_free = (any::<u32>(), any::<u16>()).prop_map(|(node, port)| NetEvent::PortFree {
+            node: NodeId(node),
+            port: PortId(port),
+        });
+        let timer =
+            (any::<u32>(), any::<u32>(), any::<bool>()).prop_map(|(slot, generation, delack)| {
+                NetEvent::Timer {
+                    slot,
+                    generation,
+                    kind: if delack {
+                        TimerKind::DelAck
+                    } else {
+                        TimerKind::Rto
+                    },
+                }
+            });
+        prop_oneof![flow_start, arrive, port_free, timer]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The reader never panics on the bytes a cross-machine event can
+        /// arrive as: every truncation of an encoding is refused, and one
+        /// overwritten byte or a random string decodes to `None` or to an
+        /// event whose encoding is the bytes it consumed.
+        #[test]
+        fn codec_reader_never_panics(
+            ev in any_event(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            junk in proptest::collection::vec(any::<u8>(), 0..=96),
+        ) {
+            let bytes = encode(&ev);
+            let back = NetEvent::decode(&mut wire::Reader::new(&bytes)).map(|e| encode(&e));
+            prop_assert_eq!(back, Some(bytes.clone()));
+            for len in 0..bytes.len() {
+                let decoded = NetEvent::decode(&mut wire::Reader::new(&bytes[..len]));
+                prop_assert!(decoded.is_none(), "{} of {} bytes decoded", len, bytes.len());
+            }
+            let mut garbled = bytes.clone();
+            garbled[at % bytes.len()] = byte;
+            refused_or_faithful(&garbled)?;
+            refused_or_faithful(&junk)?;
         }
     }
 }

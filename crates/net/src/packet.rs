@@ -7,8 +7,7 @@
 //! whole class of comparison bugs. Wire sizes still account for real header
 //! overhead so link-level timing matches a 1500-byte-MTU Ethernet network.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use elephant_des::{SimTime, Transportable};
+use elephant_des::{wire, SimTime, Transportable};
 
 use crate::types::{FlowId, HostAddr};
 
@@ -58,12 +57,13 @@ impl TcpFlags {
         (self.syn as u8) | (self.ack as u8) << 1 | (self.fin as u8) << 2
     }
 
-    fn from_byte(b: u8) -> Self {
-        TcpFlags {
+    /// The flags of a byte `to_byte` writes; `None` if a bit above FIN is set.
+    fn from_byte(b: u8) -> Option<Self> {
+        (b < 8).then_some(TcpFlags {
             syn: b & 1 != 0,
             ack: b & 2 != 0,
             fin: b & 4 != 0,
-        }
+        })
     }
 }
 
@@ -132,55 +132,56 @@ impl Packet {
     }
 }
 
+impl Transportable for HostAddr {
+    fn encode(&self, w: &mut wire::Writer) {
+        w.u16(self.cluster);
+        w.u16(self.rack);
+        w.u16(self.host);
+    }
+
+    fn decode(r: &mut wire::Reader<'_>) -> Option<Self> {
+        Some(HostAddr::new(r.u16()?, r.u16()?, r.u16()?))
+    }
+}
+
 impl Transportable for Packet {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64(self.id);
-        buf.put_u64(self.flow.0);
-        for a in [self.src, self.dst] {
-            buf.put_u16(a.cluster);
-            buf.put_u16(a.rack);
-            buf.put_u16(a.host);
-        }
-        buf.put_u64(self.seg.seq);
-        buf.put_u64(self.seg.ack);
-        buf.put_u8(self.seg.flags.to_byte());
-        buf.put_u32(self.seg.payload_len);
+    fn encode(&self, w: &mut wire::Writer) {
+        w.u64(self.id);
+        w.u64(self.flow.0);
+        self.src.encode(w);
+        self.dst.encode(w);
+        w.u64(self.seg.seq);
+        w.u64(self.seg.ack);
+        w.u8(self.seg.flags.to_byte());
+        w.u32(self.seg.payload_len);
         let ecn = match self.ecn {
             Ecn::NotCapable => 0u8,
             Ecn::Capable => 1,
             Ecn::CongestionExperienced => 2,
         };
-        buf.put_u8(ecn | (self.seg.ece as u8) << 2 | (self.seg.cwr as u8) << 3);
-        buf.put_u64(self.sent_at.as_nanos());
+        w.u8(ecn | (self.seg.ece as u8) << 2 | (self.seg.cwr as u8) << 3);
+        w.u64(self.sent_at.as_nanos());
     }
 
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        if buf.remaining() < 8 + 8 + 12 + 8 + 8 + 1 + 4 + 1 + 8 {
-            return None;
-        }
-        let id = buf.get_u64();
-        let flow = FlowId(buf.get_u64());
-        let mut addrs = [HostAddr::default(); 2];
-        for a in &mut addrs {
-            *a = HostAddr::new(buf.get_u16(), buf.get_u16(), buf.get_u16());
-        }
-        let seq = buf.get_u64();
-        let ack = buf.get_u64();
-        let flags = TcpFlags::from_byte(buf.get_u8());
-        let payload_len = buf.get_u32();
-        let bits = buf.get_u8();
-        let ecn = match bits & 0b11 {
+    fn decode(r: &mut wire::Reader<'_>) -> Option<Self> {
+        let (id, flow) = (r.u64()?, FlowId(r.u64()?));
+        let (src, dst) = (HostAddr::decode(r)?, HostAddr::decode(r)?);
+        let (seq, ack) = (r.u64()?, r.u64()?);
+        let flags = TcpFlags::from_byte(r.u8()?)?;
+        let payload_len = r.u32()?;
+        let bits = r.u8()?;
+        // ECN codepoint in bits 0-1, ECE in bit 2, CWR in bit 3.
+        let ecn = match bits & !0b1100 {
             0 => Ecn::NotCapable,
             1 => Ecn::Capable,
             2 => Ecn::CongestionExperienced,
-            _ => return None,
+            _ => return None, // codepoint 3 or a bit above CWR: never written
         };
-        let sent_at = SimTime::from_nanos(buf.get_u64());
         Some(Packet {
             id,
             flow,
-            src: addrs[0],
-            dst: addrs[1],
+            src,
+            dst,
             seg: TcpSegment {
                 seq,
                 ack,
@@ -190,7 +191,7 @@ impl Transportable for Packet {
                 cwr: bits & 0b1000 != 0,
             },
             ecn,
-            sent_at,
+            sent_at: SimTime::from_nanos(r.u64()?),
         })
     }
 }
@@ -229,34 +230,65 @@ mod tests {
     }
 
     #[test]
-    fn flags_round_trip() {
+    fn codec_flags_round_trip() {
         for syn in [false, true] {
             for ack in [false, true] {
                 for fin in [false, true] {
                     let f = TcpFlags { syn, ack, fin };
-                    assert_eq!(TcpFlags::from_byte(f.to_byte()), f);
+                    assert_eq!(TcpFlags::from_byte(f.to_byte()), Some(f));
                 }
             }
         }
     }
 
+    fn encode(p: &Packet) -> Vec<u8> {
+        let mut buf = Vec::new();
+        p.encode(&mut wire::Writer::new(&mut buf));
+        buf
+    }
+
     #[test]
-    fn transportable_round_trip() {
+    fn codec_round_trip() {
         let p = sample_packet();
-        let mut buf = BytesMut::new();
-        p.encode(&mut buf);
-        let mut rd = buf.freeze();
-        let q = Packet::decode(&mut rd).expect("decodes");
-        assert_eq!(p, q);
+        let buf = encode(&p);
+        let mut rd = wire::Reader::new(&buf);
+        assert_eq!(Packet::decode(&mut rd), Some(p));
         assert_eq!(rd.remaining(), 0, "decode consumed exactly its bytes");
     }
 
     #[test]
-    fn truncated_buffer_rejected() {
-        let p = sample_packet();
-        let mut buf = BytesMut::new();
-        p.encode(&mut buf);
-        let mut rd = buf.freeze().slice(0..10);
-        assert!(Packet::decode(&mut rd).is_none());
+    fn codec_rejects_every_truncation() {
+        let buf = encode(&sample_packet());
+        for len in 0..buf.len() {
+            let mut rd = wire::Reader::new(&buf[..len]);
+            assert_eq!(
+                Packet::decode(&mut rd),
+                None,
+                "{len} of {} bytes",
+                buf.len()
+            );
+        }
+    }
+
+    /// The flags byte and the ECN/ECE/CWR byte refuse every value their
+    /// encoder never writes: a flag above FIN, ECN codepoint 3, a bit above
+    /// CWR.
+    #[test]
+    fn codec_refuses_unwritten_bits() {
+        let buf = encode(&sample_packet());
+        // After id, flow, two addresses, seq and ack; then the flags and
+        // the payload length.
+        let (flags_at, ecn_at) = (8 + 8 + 12 + 8 + 8, 44 + 1 + 4);
+        let garbled = (3..8)
+            .map(|bit| (flags_at, 1 << bit))
+            .chain((4..8).map(|bit| (ecn_at, 1 << bit)))
+            .chain([(ecn_at, 0b11)]);
+        for (at, bits) in garbled {
+            let mut bad = buf.clone();
+            bad[at] |= bits;
+            assert_ne!(bad, buf);
+            let decoded = Packet::decode(&mut wire::Reader::new(&bad));
+            assert_eq!(decoded, None, "byte {at} |= {bits:#010b}");
+        }
     }
 }
