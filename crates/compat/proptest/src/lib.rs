@@ -17,7 +17,6 @@
 /// Strategy trait and combinators.
 pub mod strategy {
     use crate::test_runner::TestRng;
-    use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
     /// A generator of values of type [`Strategy::Value`].
@@ -98,32 +97,51 @@ pub mod strategy {
     impl<T> Strategy for Union<T> {
         type Value = T;
         fn generate(&self, rng: &mut TestRng) -> T {
-            let ix = rng.0.gen_range(0..self.0.len());
+            let ix = (0..self.0.len()).generate(rng);
             self.0[ix].generate(rng)
         }
     }
 
-    impl<T> Strategy for Range<T>
-    where
-        T: Copy,
-        Range<T>: rand::SampleRange<T>,
-    {
-        type Value = T;
-        fn generate(&self, rng: &mut TestRng) -> T {
-            rng.0.gen_range(self.clone())
-        }
-    }
+    // Uniform ranges draw as `elephant_des::SmallRng` does (`start +
+    // next_u64() % span`, `lo + u·(hi − lo)`), so a test name or a
+    // `PROPTEST_SEED` keeps naming the same cases.
+    macro_rules! int_range_strategy {
+        ($($t:ty),*) => {$(
+            impl Strategy for Range<$t> {
+                type Value = $t;
+                fn generate(&self, rng: &mut TestRng) -> $t {
+                    assert!(self.start < self.end, "empty range strategy");
+                    let span = (self.end as u128).wrapping_sub(self.start as u128);
+                    self.start.wrapping_add((rng.next_u64() as u128 % span) as $t)
+                }
+            }
 
-    impl<T> Strategy for RangeInclusive<T>
-    where
-        T: Copy,
-        RangeInclusive<T>: rand::SampleRange<T>,
-    {
-        type Value = T;
-        fn generate(&self, rng: &mut TestRng) -> T {
-            rng.0.gen_range(self.clone())
-        }
+            impl Strategy for RangeInclusive<$t> {
+                type Value = $t;
+                fn generate(&self, rng: &mut TestRng) -> $t {
+                    let (lo, hi) = (*self.start(), *self.end());
+                    assert!(lo <= hi, "empty range strategy");
+                    let span = (hi as u128).wrapping_sub(lo as u128) + 1;
+                    lo.wrapping_add((rng.next_u64() as u128 % span) as $t)
+                }
+            }
+        )*};
     }
+    int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+    macro_rules! float_range_strategy {
+        ($($t:ty => $bits:expr),*) => {$(
+            impl Strategy for Range<$t> {
+                type Value = $t;
+                fn generate(&self, rng: &mut TestRng) -> $t {
+                    assert!(self.start < self.end, "empty range strategy");
+                    let u = (rng.next_u64() >> (64 - $bits)) as $t * (1.0 / (1u64 << $bits) as $t);
+                    self.start + u * (self.end - self.start)
+                }
+            }
+        )*};
+    }
+    float_range_strategy!(f32 => 24, f64 => 53);
 
     macro_rules! tuple_strategy {
         ($($S:ident $idx:tt),+) => {
@@ -153,7 +171,6 @@ pub mod strategy {
 pub mod arbitrary {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
-    use rand::Rng;
 
     /// Types with a canonical strategy.
     pub trait Arbitrary: Sized {
@@ -175,7 +192,7 @@ pub mod arbitrary {
     impl Strategy for BoolStrategy {
         type Value = bool;
         fn generate(&self, rng: &mut TestRng) -> bool {
-            rng.0.gen::<bool>()
+            rng.next_u64() & 1 == 1
         }
     }
 
@@ -197,7 +214,7 @@ pub mod arbitrary {
                 fn generate(&self, rng: &mut TestRng) -> $t {
                     // A full-width uniform u64 truncates/wraps to a
                     // full-range uniform value of any integer width.
-                    rng.0.gen::<u64>() as $t
+                    rng.next_u64() as $t
                 }
             }
 
@@ -217,7 +234,6 @@ pub mod arbitrary {
 pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
-    use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
     /// Inclusive element-count bounds for a generated collection.
@@ -270,7 +286,7 @@ pub mod collection {
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
-            let n = rng.0.gen_range(self.size.lo..=self.size.hi);
+            let n = (self.size.lo..=self.size.hi).generate(rng);
             (0..n).map(|_| self.elem.generate(rng)).collect()
         }
     }
@@ -278,11 +294,15 @@ pub mod collection {
 
 /// Test-runner plumbing used by the `proptest!` expansion.
 pub mod test_runner {
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    /// Per-test deterministic RNG (public field so strategies can sample).
-    pub struct TestRng(pub SmallRng);
+    /// Per-test deterministic RNG.
+    ///
+    /// A private copy of `elephant_des::SmallRng` (xoshiro256++ seeded
+    /// through SplitMix64): this crate cannot depend on `elephant-des`,
+    /// which dev-depends on it. `tests::generator_matches_elephant_des`
+    /// pins its first word to the known answer `elephant_des::rng` pins.
+    pub struct TestRng {
+        s: [u64; 4],
+    }
 
     impl TestRng {
         /// Seeds deterministically from the test's full name, or from
@@ -290,7 +310,7 @@ pub mod test_runner {
         pub fn from_name(name: &str) -> Self {
             if let Ok(s) = std::env::var("PROPTEST_SEED") {
                 if let Ok(seed) = s.trim().parse::<u64>() {
-                    return TestRng(SmallRng::seed_from_u64(seed));
+                    return TestRng::seed_from_u64(seed);
                 }
             }
             // FNV-1a over the name: stable across runs and platforms.
@@ -299,7 +319,32 @@ pub mod test_runner {
                 h ^= b as u64;
                 h = h.wrapping_mul(0x1_0000_01b3);
             }
-            TestRng(SmallRng::seed_from_u64(h))
+            TestRng::seed_from_u64(h)
+        }
+
+        pub(crate) fn seed_from_u64(seed: u64) -> Self {
+            let word = |i: u64| {
+                let mut z = seed.wrapping_add((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            TestRng {
+                s: [word(0), word(1), word(2), word(3)],
+            }
+        }
+
+        pub(crate) fn next_u64(&mut self) -> u64 {
+            let s = &mut self.s;
+            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+            let t = s[1] << 17;
+            s[2] ^= s[0];
+            s[3] ^= s[1];
+            s[1] ^= s[2];
+            s[0] ^= s[3];
+            s[2] ^= t;
+            s[3] = s[3].rotate_left(45);
+            result
         }
     }
 
@@ -530,6 +575,12 @@ mod tests {
             prop_assert!(v.iter().all(|&x| x == 1 || x == 5 || x == 6));
             let _ = flag; // any::<bool> participates in generation only
         }
+    }
+
+    #[test]
+    fn generator_matches_elephant_des() {
+        let mut rng = crate::test_runner::TestRng::seed_from_u64(0);
+        assert_eq!(rng.next_u64(), 0x53175d61490b23df);
     }
 
     #[test]

@@ -122,15 +122,23 @@ fn plain_run(bytes: &[u8]) -> usize {
     BLOCK * clean_blocks + rest.iter().position(stop).unwrap_or(rest.len())
 }
 
+/// How deeply arrays and objects may nest (upstream `serde_json`'s
+/// default): deeper input is refused before the recursive reader can
+/// exhaust the stack.
+const MAX_DEPTH: u32 = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: u32,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -189,8 +197,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(Error::custom(format!(
                 "unexpected `{}` at byte {}",
@@ -198,6 +206,20 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error::custom("unexpected end of input")),
         }
+    }
+
+    /// Reads one array or object a level deeper than the caller.
+    fn nested(&mut self, read: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = read(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -464,5 +486,13 @@ mod tests {
         assert!(from_str::<bool>("tru").is_err());
         assert!(from_str::<Vec<u8>>("[1,2").is_err());
         assert!(from_str::<u8>("300").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(parse_value(&"[".repeat(100_000)).is_err());
+        assert!(parse_value(&"{\"k\":".repeat(100_000)).is_err());
+        let ok = format!("{}{}", "[".repeat(100), "]".repeat(100));
+        assert!(parse_value(&ok).is_ok());
     }
 }

@@ -190,11 +190,9 @@ pub fn macro_agreement(confusion: &[[u64; 4]; 4]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elephant_des::{SimDuration, SimTime};
+    use elephant_des::{SimDuration, SimTime, SmallRng};
     use elephant_net::{ClosParams, Direction, FabricPath, FlowId, HostAddr};
     use elephant_nn::{MicroNet, MicroNetConfig};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn tiny_net(seed: u64) -> MicroNet {
         let cfg = MicroNetConfig {

@@ -11,14 +11,12 @@
 //! Figure 3 sketches ("we can then reuse the trained cluster model in
 //! large-scale simulations").
 
-use elephant_des::SimTime;
+use elephant_des::{SimTime, SmallRng};
 pub use elephant_net::OracleStats;
 use elephant_net::{
     ClosParams, ClusterOracle, Direction, OracleCtx, OracleVerdict, Packet, RawVerdict,
 };
 use elephant_nn::{MicroNet, MicroNetConfig, MicroNetState};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheStats, CacheStatsHandle, FeatureQuantizer, QuantizerConfig, VerdictCache};
@@ -564,7 +562,7 @@ impl ClusterOracle for LearnedOracle {
         }
 
         let drop = match *policy {
-            DropPolicy::Sample => rng.gen::<f32>() < pred.drop_prob,
+            DropPolicy::Sample => rng.next_f32() < pred.drop_prob,
             DropPolicy::Threshold(t) => pred.drop_prob >= t,
         };
         let verdict = if drop {
@@ -764,7 +762,7 @@ mod tests {
             let (mut b_up, mut b_down) = (back.up.init_state(), back.down.init_state());
             let mut rng = SmallRng::seed_from_u64(5);
             for step in 0..1_000 {
-                let x: Vec<f32> = (0..FEATURE_DIM).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                let x: Vec<f32> = (0..FEATURE_DIM).map(|_| rng.range_f32(-2.0..2.0)).collect();
                 let (a, b) = if step % 2 == 0 {
                     (m.up.predict(&x, &mut a_up), back.up.predict(&x, &mut b_up))
                 } else {
@@ -817,7 +815,7 @@ mod tests {
         };
         let mut rng = SmallRng::seed_from_u64(6);
         for _ in 0..10_000 {
-            let bits: u32 = rng.gen();
+            let bits = (rng.next_u64() >> 32) as u32;
             let hex: String = bits
                 .to_le_bytes()
                 .iter()

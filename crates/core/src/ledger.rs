@@ -256,6 +256,7 @@ pub fn compare_ledgers(a: &RunLedger, b: &RunLedger, tolerance: f64) -> Vec<Stri
 mod tests {
     use super::*;
     use elephant_obs::DivergenceBounds;
+    use proptest::prelude::*;
 
     fn sample_ledger() -> RunLedger {
         let mut report = RunReport::new("unit", "2 clusters, 10ms");
@@ -423,5 +424,34 @@ mod tests {
         b.seal();
         let breaches = compare_ledgers(&a, &b, 0.05);
         assert!(breaches.iter().any(|l| l.contains("KS")), "{breaches:?}");
+    }
+
+    proptest! {
+        /// The reader never panics on a damaged ledger: every truncation
+        /// of a sealed ledger is refused, and one overwritten byte or a
+        /// random string is refused or loads (whitespace overwritten with
+        /// whitespace leaves a valid ledger).
+        #[test]
+        fn the_reader_never_panics(
+            seed in any::<u64>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            junk in proptest::collection::vec(any::<u8>(), 0..=256),
+        ) {
+            let mut ledger = sample_ledger();
+            ledger.seed = seed;
+            ledger.seal();
+            let json = ledger.to_json_pretty();
+            prop_assert!(RunLedger::from_json(&json).is_ok());
+            for len in 0..json.len() {
+                let loaded = RunLedger::from_json(&json[..len]);
+                prop_assert!(loaded.is_err(), "{} of {} bytes loaded", len, json.len());
+            }
+            let mut garbled = json.into_bytes();
+            let at = at % garbled.len();
+            garbled[at] = byte;
+            let _ = RunLedger::from_json(&String::from_utf8_lossy(&garbled));
+            let _ = RunLedger::from_json(&String::from_utf8_lossy(&junk));
+        }
     }
 }

@@ -11,11 +11,10 @@
 //! held-out time suffix (split by time, not at random, so no future
 //! leaks into the past).
 
+use elephant_des::SmallRng;
 use elephant_net::{BoundaryRecord, ClosParams, Direction};
 use elephant_nn::{MicroNet, MicroNetConfig, Sample, TrainConfig, Trainer, WindowLoss};
 use elephant_obs::{LogHistogram, MetricRow};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::features::{FeatureExtractor, LatencyCodec, FEATURE_DIM};
 use crate::learned::{ClusterModel, ModelMeta};

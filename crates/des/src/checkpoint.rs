@@ -297,6 +297,7 @@ impl CheckpointManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> CheckpointManifest {
         CheckpointManifest {
@@ -354,5 +355,34 @@ mod tests {
         m.save(&path).expect("save");
         assert_eq!(CheckpointManifest::load(&path).expect("load"), m);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest! {
+        /// The reader never panics on a damaged manifest: every truncation
+        /// short of the final newline is refused (`lines()` reads the last
+        /// line the same without it), and one overwritten byte or a random
+        /// string is refused or loads.
+        #[test]
+        fn manifest_reader_never_panics(
+            seed in any::<u64>(),
+            sim_time_ns in any::<u64>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            junk in proptest::collection::vec(any::<u8>(), 0..=256),
+        ) {
+            let m = CheckpointManifest { seed, sim_time_ns, ..sample() };
+            let text = m.to_string_form();
+            let whole = text.len() - 1;
+            prop_assert_eq!(CheckpointManifest::from_string_form(&text[..whole]).ok(), Some(m));
+            for len in 0..whole {
+                let loaded = CheckpointManifest::from_string_form(&text[..len]);
+                prop_assert!(loaded.is_err(), "{} of {} bytes loaded", len, text.len());
+            }
+            let mut garbled = text.into_bytes();
+            let at = at % garbled.len();
+            garbled[at] = byte;
+            let _ = CheckpointManifest::from_string_form(&String::from_utf8_lossy(&garbled));
+            let _ = CheckpointManifest::from_string_form(&String::from_utf8_lossy(&junk));
+        }
     }
 }

@@ -17,7 +17,7 @@
 use std::time::Duration;
 
 use crate::pdes::PartitionId;
-use crate::rng::splitmix64;
+use crate::rng::{splitmix64, unit_f64};
 
 /// Declarative description of the faults to inject into a PDES run.
 ///
@@ -119,7 +119,7 @@ impl FaultRng {
 
     /// Uniform draw in `[0, 1)`.
     fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Rolls one Bernoulli trial with probability `p`.

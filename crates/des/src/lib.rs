@@ -72,7 +72,7 @@ pub use pdes::{
     EpochMode, PartitionId, PartitionSim, PartitionStats, PartitionWorld, PdesConfig, PdesError,
     PdesReport, PdesRunner, RemoteSink, Transportable, DEFAULT_STALL_EPOCHS,
 };
-pub use rng::{splitmix64, RngFactory};
+pub use rng::{splitmix64, RngFactory, SmallRng};
 pub use sched::{BinaryHeapFel, CalendarFel, EventKey, Fel, Next, Scheduler};
 pub use sim::{FelPeaks, Simulator, StopReason, World};
 pub use stats::{Ewma, TimeWeighted};

@@ -5,11 +5,9 @@
 //! seeds, asserting the transfer always completes with the exact byte
 //! count, never spins, and never reports completion twice.
 
-use elephant_des::{SimDuration, SimTime};
+use elephant_des::{SimDuration, SimTime, SmallRng};
 use elephant_net::{TcpConfig, TcpConn, TcpOutput, TcpSegment, TimerCmd};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Outcome of a lossy-wire exchange.
 struct Outcome {
@@ -54,7 +52,7 @@ fn run_lossy(bytes: u64, drop_rate: f64, seed: u64) -> Outcome {
                  now: SimTime,
                  outcome: &mut Outcome| {
         for seg in out.segments.drain(..) {
-            if rng.gen::<f64>() >= drop_rate {
+            if rng.next_f64() >= drop_rate {
                 wire.push((now + delay, !from_sender, seg));
             }
         }

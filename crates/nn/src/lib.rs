@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use elephant_nn::{MicroNet, MicroNetConfig, Sample, TrainConfig, Trainer};
-//! use rand::{rngs::SmallRng, SeedableRng};
+//! use elephant_des::SmallRng;
 //!
 //! let cfg = MicroNetConfig::compact(4);
 //! let model = MicroNet::new(cfg, &mut SmallRng::seed_from_u64(1));

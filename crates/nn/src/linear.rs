@@ -1,6 +1,6 @@
 //! Fully connected layers with gradient accumulation.
 
-use rand::Rng;
+use elephant_des::SmallRng;
 
 use crate::matrix::Matrix;
 
@@ -24,7 +24,7 @@ pub struct LinearGrad {
 
 impl Linear {
     /// Xavier-initialized layer.
-    pub fn new(input: usize, output: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(input: usize, output: usize, rng: &mut SmallRng) -> Self {
         Linear {
             w: Matrix::xavier(output, input, rng),
             b: vec![0.0; output],
@@ -89,8 +89,6 @@ impl LinearGrad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn forward_known() {

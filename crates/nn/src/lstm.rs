@@ -13,7 +13,7 @@
 //!   truncated window and [`Lstm::backward_seq`] runs full BPTT,
 //!   accumulating gradients for the optimizer.
 
-use rand::Rng;
+use elephant_des::SmallRng;
 
 use crate::activation::tanh_inplace;
 use crate::matrix::Matrix;
@@ -72,7 +72,7 @@ struct StepCache {
 impl LstmCell {
     /// Xavier-initialized cell. The forget-gate bias starts at 1.0, the
     /// standard trick that lets fresh models carry state across steps.
-    pub fn new(input: usize, hidden: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(input: usize, hidden: usize, rng: &mut SmallRng) -> Self {
         let mut b = vec![0.0; 4 * hidden];
         for v in &mut b[hidden..2 * hidden] {
             *v = 1.0;
@@ -227,7 +227,7 @@ pub struct LstmSeqCache {
 impl Lstm {
     /// Builds `layers` stacked cells: the first maps `input → hidden`, the
     /// rest `hidden → hidden`.
-    pub fn new(input: usize, hidden: usize, layers: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(input: usize, hidden: usize, layers: usize, rng: &mut SmallRng) -> Self {
         assert!(layers >= 1);
         let mut cells = Vec::with_capacity(layers);
         cells.push(LstmCell::new(input, hidden, rng));
@@ -364,8 +364,6 @@ impl Lstm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn seq(t: usize, dim: usize) -> Vec<Vec<f32>> {
         (0..t)

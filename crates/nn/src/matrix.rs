@@ -31,7 +31,7 @@
 
 use std::ops::Range;
 
-use rand::Rng;
+use elephant_des::SmallRng;
 
 use crate::activation::{sigmoid_inplace, tanh_inplace};
 
@@ -80,9 +80,9 @@ impl Matrix {
     /// Xavier/Glorot-uniform initialization: `U(-b, b)` with
     /// `b = sqrt(6 / (fan_in + fan_out))`, drawn in row-major order so a
     /// seed gives the same weight at every `(r, c)` whatever the layout.
-    pub fn xavier(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
+    pub fn xavier(rows: usize, cols: usize, rng: &mut SmallRng) -> Self {
         let bound = (6.0 / (rows + cols) as f64).sqrt() as f32;
-        Self::from_fn(rows, cols, |_, _| rng.gen_range(-bound..bound))
+        Self::from_fn(rows, cols, |_, _| rng.range_f32(-bound..bound))
     }
 
     /// Builds from a closure, called in row-major order.
@@ -312,8 +312,6 @@ fn panel_rank1<const H: usize>(w: &mut [f32], u: &[f32], v: &[f32]) {
 mod tests {
     use super::*;
     use crate::activation::{sigmoid, tanh};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     const ROWS: [usize; 6] = [1, 3, 4, 5, 12, 128];
     const COLS: [usize; 6] = [1, 7, 8, 9, 46, 64];
@@ -323,7 +321,7 @@ mod tests {
     fn sample(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = SmallRng::seed_from_u64(seed);
         Matrix::from_fn(rows, cols, |_, _| {
-            rng.gen_range(-1.0f32..1.0) * 10f32.powi(rng.gen_range(-3..3))
+            rng.range_f32(-1.0..1.0) * 10f32.powi(-3 + rng.below(6) as i32)
         })
     }
 
@@ -336,7 +334,7 @@ mod tests {
                 if i % 5 == 2 {
                     0.0
                 } else {
-                    rng.gen_range(-2.0f32..2.0)
+                    rng.range_f32(-2.0..2.0)
                 }
             })
             .collect()
@@ -579,7 +577,7 @@ mod tests {
             let bound = (6.0 / (rows + cols) as f64).sqrt() as f32;
             let mut rng = SmallRng::seed_from_u64(rows as u64);
             let draws: Vec<f32> = (0..rows * cols)
-                .map(|_| rng.gen_range(-bound..bound))
+                .map(|_| rng.range_f32(-bound..bound))
                 .collect();
             for r in 0..rows {
                 for c in 0..cols {

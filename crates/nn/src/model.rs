@@ -10,7 +10,7 @@
 //! squared error on latency, and **no latency error backpropagated for
 //! dropped packets**.
 
-use rand::Rng;
+use elephant_des::SmallRng;
 use serde::{Deserialize, Serialize};
 
 use crate::activation::sigmoid;
@@ -176,7 +176,7 @@ impl WindowLoss {
 
 impl MicroNet {
     /// Fresh Xavier-initialized model.
-    pub fn new(cfg: MicroNetConfig, rng: &mut impl Rng) -> Self {
+    pub fn new(cfg: MicroNetConfig, rng: &mut SmallRng) -> Self {
         let lstm = Lstm::new(cfg.input, cfg.hidden, cfg.layers, rng);
         MicroNet {
             latency_head: Linear::new(cfg.hidden, 1, rng),
@@ -509,8 +509,6 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn built_models_have_the_shapes_they_declare() {
@@ -581,8 +579,8 @@ mod tests {
             .map(|_| {
                 (0..len)
                     .map(|_| {
-                        let f0: f32 = rng.gen_range(-1.0..1.0);
-                        let f1: f32 = rng.gen_range(-1.0..1.0);
+                        let f0 = rng.range_f32(-1.0..1.0);
+                        let f1 = rng.range_f32(-1.0..1.0);
                         Sample {
                             features: vec![f0, f1, 0.3],
                             dropped: f0 > 0.0,
@@ -673,7 +671,7 @@ mod tests {
             let (mut wide, mut narrow) = (model.init_state(), model.init_state());
             let mut rng = SmallRng::seed_from_u64(9);
             for step in 0..2_000 {
-                let x: Vec<f32> = (0..cfg.input).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let x: Vec<f32> = (0..cfg.input).map(|_| rng.range_f32(-3.0..3.0)).collect();
                 // SAFETY: the CPU has AVX2, checked at the top.
                 let a = unsafe { model.predict_avx2(&x, &mut wide) };
                 let b = model.predict_portable(&x, &mut narrow);

@@ -15,9 +15,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use elephant_des::SmallRng;
 use elephant_nn::{MicroNet, MicroNetConfig};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 struct CountingAlloc;
 

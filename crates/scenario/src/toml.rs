@@ -142,6 +142,7 @@ impl Table {
             bytes: text.as_bytes(),
             pos: 0,
             line,
+            depth: 0,
         };
         let value = p.value()?;
         p.require_line_end()?;
@@ -179,6 +180,7 @@ pub fn parse(src: &str) -> Result<Table, TomlError> {
         bytes: src.as_bytes(),
         pos: 0,
         line: 1,
+        depth: 0,
     };
     let mut root = Table {
         entries: Vec::new(),
@@ -325,10 +327,16 @@ fn insert_dotted(
     Ok(())
 }
 
+/// How deeply arrays and inline tables may nest: deeper input is refused
+/// before the recursive reader can exhaust the stack.
+const MAX_DEPTH: u32 = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: u32,
+    /// Arrays and inline tables open around the current position.
+    depth: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -454,8 +462,8 @@ impl<'a> Parser<'a> {
                 }
                 TomlValue::Str(self.literal_string()?)
             }
-            Some(b'[') => self.array()?,
-            Some(b'{') => self.inline_table()?,
+            Some(b'[') => self.nested(Self::array)?,
+            Some(b'{') => self.nested(Self::inline_table)?,
             Some(b't' | b'f') => self.boolean()?,
             Some(b'0'..=b'9' | b'-' | b'+') => self.number()?,
             Some(c) => return Err(self.err(format!("unexpected `{}` in value", c as char))),
@@ -531,6 +539,20 @@ impl<'a> Parser<'a> {
                 _ => self.pos += 1,
             }
         }
+    }
+
+    /// Reads one array or inline table a level deeper than the caller.
+    fn nested(
+        &mut self,
+        read: fn(&mut Self) -> Result<TomlValue, TomlError>,
+    ) -> Result<TomlValue, TomlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("values nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = read(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<TomlValue, TomlError> {
@@ -811,5 +833,14 @@ mix = [
         };
         assert_eq!(get(b, "c"), &TomlValue::Int(5));
         assert_eq!(get(b, "d"), &TomlValue::Int(6));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = format!("name = {}", "[".repeat(100_000));
+        let e = parse(&deep).unwrap_err();
+        assert!(e.msg.contains("nested deeper"), "{e}");
+        let ok = format!("name = {}{}", "[".repeat(100), "]".repeat(100));
+        assert!(parse(&ok).is_ok());
     }
 }

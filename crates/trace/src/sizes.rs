@@ -10,7 +10,7 @@
 //! paper's models feed on: most flows are mice, most bytes live in
 //! elephants.
 
-use rand::Rng;
+use elephant_des::SmallRng;
 
 /// An empirical flow-size distribution given as CDF control points.
 #[derive(Clone, Debug)]
@@ -79,9 +79,8 @@ impl SizeDist {
 
     /// Inverse-transform sample, log-linear within segments. Always at
     /// least one byte.
-    pub fn sample(&self, rng: &mut impl Rng) -> u64 {
-        let u: f64 = rng.gen();
-        self.quantile(u)
+    pub fn sample(&self, rng: &mut SmallRng) -> u64 {
+        self.quantile(rng.next_f64())
     }
 
     /// The size at cumulative probability `u`.
@@ -119,8 +118,6 @@ impl SizeDist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn quantiles_interpolate_monotonically() {

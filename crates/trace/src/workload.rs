@@ -10,9 +10,8 @@
 //! workload is a pure function of `(topology parameters, config, seed)`:
 //! re-running an experiment regenerates the identical flow list.
 
-use elephant_des::{RngFactory, SimDuration, SimTime};
+use elephant_des::{RngFactory, SimDuration, SimTime, SmallRng};
 use elephant_net::{ClosParams, FlowId, FlowSpec, HostAddr};
-use rand::Rng;
 
 use crate::profile::LoadProfile;
 use crate::sizes::SizeDist;
@@ -104,13 +103,13 @@ pub fn generate(params: &ClosParams, cfg: &WorkloadConfig) -> Vec<FlowSpec> {
         let mut t = 0.0f64;
         loop {
             // Exponential inter-arrival via inverse transform.
-            let u: f64 = rng.gen_range(1e-12..1.0);
+            let u = rng.range_f64(1e-12..1.0);
             t += -u.ln() / lambda_peak;
             let start = SimTime::from_secs_f64(t);
             if start >= cfg.horizon {
                 break;
             }
-            let accept: f64 = rng.gen();
+            let accept = rng.next_f64();
             if accept * peak > cfg.profile.multiplier(start).min(peak) {
                 continue; // thinned away at this instant's load level
             }
@@ -177,7 +176,7 @@ pub fn permutation(params: &ClosParams, bytes: u64, start: SimTime, seed: u64) -
     let factory = RngFactory::new(seed);
     let mut rng = factory.stream("workload/permutation", 0);
     // Random derangement-ish: rotate by a random non-zero offset.
-    let offset = rng.gen_range(1..n.max(2));
+    let offset = 1 + rng.below(n.max(2) as u64 - 1) as usize;
     hosts
         .iter()
         .enumerate()
@@ -216,7 +215,7 @@ fn pick_destination(
     params: &ClosParams,
     src: HostAddr,
     loc: &Locality,
-    rng: &mut impl Rng,
+    rng: &mut SmallRng,
 ) -> Option<HostAddr> {
     // Zero out impossible categories before normalizing.
     let rack_ok = params.hosts_per_rack > 1;
@@ -231,7 +230,7 @@ fn pick_destination(
     if total <= 0.0 {
         return None;
     }
-    let mut draw = rng.gen_range(0.0..total);
+    let mut draw = rng.range_f64(0.0..total);
     let category = if draw < w[0] {
         0
     } else {
@@ -242,10 +241,12 @@ fn pick_destination(
             2
         }
     };
+    // A host, rack or cluster index in `[0, n)`.
+    let mut below = |n: u16| rng.below(n as u64) as u16;
     Some(match category {
         0 => {
             // Same rack, different host.
-            let mut h = rng.gen_range(0..params.hosts_per_rack - 1);
+            let mut h = below(params.hosts_per_rack - 1);
             if h >= src.host {
                 h += 1;
             }
@@ -253,22 +254,22 @@ fn pick_destination(
         }
         1 => {
             // Same cluster, different rack.
-            let mut r = rng.gen_range(0..params.racks_per_cluster - 1);
+            let mut r = below(params.racks_per_cluster - 1);
             if r >= src.rack {
                 r += 1;
             }
-            HostAddr::new(src.cluster, r, rng.gen_range(0..params.hosts_per_rack))
+            HostAddr::new(src.cluster, r, below(params.hosts_per_rack))
         }
         _ => {
             // Different cluster.
-            let mut c = rng.gen_range(0..params.clusters - 1);
+            let mut c = below(params.clusters - 1);
             if c >= src.cluster {
                 c += 1;
             }
             HostAddr::new(
                 c,
-                rng.gen_range(0..params.racks_per_cluster),
-                rng.gen_range(0..params.hosts_per_rack),
+                below(params.racks_per_cluster),
+                below(params.hosts_per_rack),
             )
         }
     })

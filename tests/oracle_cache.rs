@@ -11,6 +11,7 @@ use elephant::core::{
     run_ground_truth, run_hybrid, train_cluster_model, ClusterModel, DropPolicy, LatencyCodec,
     LearnedOracle, MacroConfig, ModelMeta, TrainingOptions,
 };
+use elephant::des::SmallRng;
 use elephant::des::{SimDuration, SimTime};
 use elephant::net::{
     BoundaryRecord, ClosParams, ClusterOracle, Direction, Ecn, FlowId, HostAddr, NetConfig,
@@ -18,8 +19,6 @@ use elephant::net::{
 };
 use elephant::nn::{MicroNet, MicroNetConfig};
 use elephant::trace::{filter_touching_cluster, generate, WorkloadConfig};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 const HORIZON: SimTime = SimTime::from_millis(12);
 const CACHE_CAP: usize = 65_536;

@@ -10,6 +10,7 @@ use elephant::core::{
     run_ground_truth, run_hybrid, train_cluster_model, ClusterModel, DropPolicy, ElephantError,
     LatencyCodec, LearnedOracle, MacroConfig, ModelFile, ModelMeta, TrainingOptions, MODEL_VERSION,
 };
+use elephant::des::SmallRng;
 use elephant::des::{SimDuration, SimTime};
 use elephant::net::{
     BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FixedLatencyOracle, GuardConfig,
@@ -17,8 +18,6 @@ use elephant::net::{
 };
 use elephant::nn::{MicroNet, MicroNetConfig};
 use elephant::trace::{filter_touching_cluster, generate, WorkloadConfig};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 const HORIZON: SimTime = SimTime::from_millis(12);
 

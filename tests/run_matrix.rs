@@ -9,12 +9,11 @@ use elephant::core::{
     oracle_stack, ClusterModel, Exec, LatencyCodec, MacroConfig, ModelMeta, Observe, OracleFactory,
     RecoveryPolicy,
 };
+use elephant::des::SmallRng;
 use elephant::des::{EpochMode, SimDuration};
 use elephant::net::{GuardConfig, NetSampler, TraceLog};
 use elephant::nn::{MicroNet, MicroNetConfig};
 use elephant::scenario::{compile, load, run_fingerprint, CompileOverrides};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// A structurally valid, untrained model: arbitrary but deterministic
 /// verdicts, with sampled drops so oracle RNG state matters to restores.
