@@ -46,8 +46,9 @@ use elephant_des::{
     SimDuration, SimTime, Simulator, StopReason,
 };
 use elephant_net::{
-    run_sampled, schedule_flows, ClosParams, ClusterOracle, ConnStats, FlowSpec, GuardSnapshot,
-    NetConfig, NetPartition, NetSampler, Network, OracleStats, RttScope, Topology, TraceLog,
+    flow_list, run_sampled, schedule_flows, ClosParams, ClusterOracle, ConnStats, FlowSpec,
+    GuardSnapshot, NetConfig, NetPartition, NetSampler, Network, OracleStats, RttScope, Topology,
+    TraceLog,
 };
 use elephant_obs::{MetricRow, PartitionRow, RunReport};
 
@@ -832,15 +833,13 @@ fn build_partitions(
             PartitionSim::new(NetPartition { net })
         })
         .collect();
-    // Each partition streams the flows its hosts open, ranked by their
-    // index in the whole list so tie order does not depend on the cut.
-    let mut owned: Vec<Vec<(u64, FlowSpec)>> = vec![Vec::new(); partitions];
-    for (rank, f) in (0..).zip(plan.flows) {
-        owned[map[topo.host_node(f.src).idx()] as usize].push((rank, *f));
-    }
-    for (part, flows) in parts.iter_mut().zip(owned) {
+    // Every partition reads one list and opens the flows its hosts source,
+    // ranked by their index in the whole list, so tie order does not
+    // depend on the cut.
+    let flows = flow_list(plan.flows);
+    for part in &mut parts {
         let (world, sched) = part.parts_mut();
-        world.net.stream_flows(flows, sched);
+        world.net.stream_flows(Arc::clone(&flows), sched);
     }
     (parts, lookahead)
 }
@@ -973,6 +972,42 @@ mod tests {
             RunPlan::new(hybrid, NetConfig::default(), &flows, horizon, fidelity),
             0,
         );
+    }
+
+    /// Under PDES every partition streams the one flow list `execute`
+    /// built, and each starts exactly the flows its hosts source.
+    #[test]
+    fn partitions_share_one_flow_list() {
+        let horizon = SimTime::from_millis(3);
+        let params = ClosParams::paper_cluster(2);
+        let flows = generate(&params, &WorkloadConfig::paper_default(horizon, 3));
+        let topo = Topology::clos(params);
+        for partitions in [2, 4] {
+            let exec = Exec::Pdes(PdesExec {
+                partitions,
+                machines: 1,
+                envelope_bytes: 64,
+                mode: EpochMode::Adaptive,
+                faults: None,
+            });
+            let fidelity = Fidelity::Full { capture: None };
+            let plan = RunPlan {
+                exec,
+                ..RunPlan::new(params, NetConfig::default(), &flows, horizon, fidelity)
+            };
+            let nets = execute(plan).expect("healthy run").nets;
+            assert_eq!(nets.len(), partitions);
+            let list = nets[0].streamed_flows();
+            assert_eq!(**list, *flows, "the list is the plan's flows");
+            let map = topo.partition_by_rack(partitions);
+            for (p, net) in nets.iter().enumerate() {
+                assert!(Arc::ptr_eq(net.streamed_flows(), list), "one shared list");
+                let own = flows
+                    .iter()
+                    .filter(|f| map[topo.host_node(f.src).idx()] as usize == p);
+                assert_eq!(net.stats.flows_started, own.count() as u64, "partition {p}");
+            }
+        }
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl RunLedger {
     /// checksum must all hold.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let ledger: RunLedger =
-            serde_json::from_str(text).map_err(|e| format!("ledger parse error: {e:?}"))?;
+            serde_json::from_str(text).map_err(|e| format!("ledger parse error: {e}"))?;
         if ledger.schema != LEDGER_SCHEMA_VERSION {
             return Err(format!(
                 "ledger schema {} unsupported (expected {LEDGER_SCHEMA_VERSION})",
@@ -136,15 +136,11 @@ impl RunLedger {
         std::fs::write(path, self.to_json_pretty())
     }
 
-    /// Loads and validates a ledger from `path`.
+    /// Loads and validates a ledger from `path`. The error does not name
+    /// the path: the caller, who knows how to show it, does.
     pub fn load(path: &Path) -> io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
-        Self::from_json(&text).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: {e}", path.display()),
-            )
-        })
+        Self::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 

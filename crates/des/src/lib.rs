@@ -63,10 +63,7 @@ mod stats;
 mod time;
 pub mod wire;
 
-pub use checkpoint::{
-    CheckpointError, CheckpointManifest, PdesCheckpoint, SimCheckpoint, CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-};
+pub use checkpoint::{PdesCheckpoint, SimCheckpoint};
 pub use fault::{FaultCounts, FaultPlan};
 pub use pdes::{
     EpochMode, PartitionId, PartitionSim, PartitionStats, PartitionWorld, PdesConfig, PdesError,

@@ -67,7 +67,7 @@ pub use guard::{
 };
 pub use metrics::{DropCounts, FctRecord, NetStats, RttScope};
 pub use network::{
-    schedule_flows, FlowSpec, NetConfig, NetEvent, NetPartition, Network, TimerKind,
+    flow_list, schedule_flows, FlowSpec, NetConfig, NetEvent, NetPartition, Network, TimerKind,
 };
 pub use oracle::{
     ClusterOracle, FixedLatencyOracle, IdealOracle, OracleCtx, OracleStats, OracleVerdict,

@@ -144,11 +144,12 @@ struct Conn {
 /// [`Network::stream_flows`]).
 #[derive(Clone)]
 struct FlowStream {
-    /// `(rank, spec)` sorted by `(spec.start, rank)`. Immutable once set,
-    /// so every clone of the network shares it.
-    flows: Arc<[(u64, FlowSpec)]>,
+    /// The run's flow list, sorted by start; a flow's rank is its index.
+    /// Immutable once set, so every clone of the network, and every
+    /// partition of the run, shares it.
+    flows: Arc<[FlowSpec]>,
     /// Index in `flows` of the one queued `FlowStart`; `flows.len()` once
-    /// the last flow has started.
+    /// the last flow this network opens has started.
     next: usize,
 }
 
@@ -306,43 +307,59 @@ impl Network {
             self.topo.len(),
             "partition map must cover every node"
         );
+        assert!(
+            self.stream.flows.is_empty(),
+            "partition a network before streaming its flows"
+        );
         self.partition = Some(PartitionCtx { my, node_part });
     }
 
-    /// Hands the network the flows it opens, as `(rank, spec)` pairs —
-    /// rank = the flow's index in the run's flow list — and queues the
-    /// first of them in `sched`. The rest wait here, sorted by `(start,
-    /// rank)`: each streamed `FlowStart` queues its successor on the
+    /// Hands the network the run's flow list, sorted by start, and queues
+    /// the first flow it opens in `sched`. A flow's rank is its index in
+    /// the list. Each streamed `FlowStart` queues its successor on the
     /// scheduler's arrival lane ([`Scheduler::schedule_arrival`]), so one
     /// flow start is pending at a time, yet every flow starts exactly where
     /// it would have had all of them been scheduled up front in rank order.
-    /// Under PDES each partition streams the flows it owns with their
-    /// ranks in the whole list, which keeps that order whatever the cut.
+    /// A partitioned network ([`Self::set_partition`], called first) skips
+    /// the flows whose source host another partition owns: every partition
+    /// reads the one list, with the ranks of the whole run, which keeps the
+    /// order whatever the cut.
     ///
     /// # Panics
-    /// Panics if the network already streams a flow list.
-    pub fn stream_flows(
-        &mut self,
-        flows: impl IntoIterator<Item = (u64, FlowSpec)>,
-        sched: &mut Scheduler<NetEvent>,
-    ) {
+    /// Panics if the network already streams a flow list, or if `flows` is
+    /// not sorted by start.
+    pub fn stream_flows(&mut self, flows: Arc<[FlowSpec]>, sched: &mut Scheduler<NetEvent>) {
         assert!(
             self.stream.flows.is_empty(),
             "a network streams one flow list"
         );
-        let mut flows: Vec<(u64, FlowSpec)> = flows.into_iter().collect();
-        flows.sort_unstable_by_key(|&(rank, spec)| (spec.start, rank));
-        self.stream = FlowStream {
-            flows: flows.into(),
-            next: 0,
-        };
+        assert!(
+            flows.is_sorted_by_key(|f| f.start),
+            "a streamed flow list is sorted by start"
+        );
+        self.stream = FlowStream { flows, next: 0 };
         self.queue_next_flow(sched);
     }
 
-    /// Queues the stream's next `FlowStart`, if any is left.
-    fn queue_next_flow(&self, sched: &mut Scheduler<NetEvent>) {
-        if let Some(&(rank, spec)) = self.stream.flows.get(self.stream.next) {
-            sched.schedule_arrival(spec.start, rank, NetEvent::FlowStart(spec));
+    /// The flow list this network streams (see [`Self::stream_flows`]).
+    pub fn streamed_flows(&self) -> &Arc<[FlowSpec]> {
+        &self.stream.flows
+    }
+
+    /// Moves the stream's cursor to the next flow this network opens, if
+    /// any is left, and queues its `FlowStart`.
+    fn queue_next_flow(&mut self, sched: &mut Scheduler<NetEvent>) {
+        let flows = &self.stream.flows;
+        let mut next = self.stream.next;
+        if let Some(p) = &self.partition {
+            let owner = |f: &FlowSpec| p.node_part[self.topo.host_node(f.src).idx()] as PartitionId;
+            while next < flows.len() && owner(&flows[next]) != p.my {
+                next += 1;
+            }
+        }
+        self.stream.next = next;
+        if let Some(&spec) = flows.get(next) {
+            sched.schedule_arrival(spec.start, next as u64, NetEvent::FlowStart(spec));
         }
     }
 
@@ -512,7 +529,7 @@ impl Network {
         // scheduled by hand, so the first start matching it is the stream's
         // own; a hand-scheduled start never advances the stream.
         let queued = self.stream.flows.get(self.stream.next);
-        if queued.is_some_and(|&(_, queued)| queued == spec && spec.start == now) {
+        if queued.is_some_and(|&queued| queued == spec && spec.start == now) {
             self.stream.next += 1;
             self.queue_next_flow(sched);
         }
@@ -887,11 +904,26 @@ impl World for Network {
     }
 }
 
-/// Streams every flow in `flows` into a sequential simulator, each ranked
-/// by its index in the slice (see [`Network::stream_flows`]).
+/// Streams every flow in `flows` into a sequential simulator, in start
+/// order and, at equal starts, in slice order (see [`flow_list`] and
+/// [`Network::stream_flows`]).
 pub fn schedule_flows(sim: &mut Simulator<Network>, flows: &[FlowSpec]) {
     let (net, sched) = sim.parts_mut();
-    net.stream_flows((0..).zip(flows.iter().copied()), sched);
+    net.stream_flows(flow_list(flows), sched);
+}
+
+/// `flows` as one shared list in start order, as [`Network::stream_flows`]
+/// reads it: one copy of the slice when it is sorted by start, else a copy
+/// stable-sorted by start. Equal starts keep their order in `flows`, so the
+/// flows start in the order that scheduling them by hand, in slice order,
+/// would give.
+pub fn flow_list(flows: &[FlowSpec]) -> Arc<[FlowSpec]> {
+    if flows.is_sorted_by_key(|f| f.start) {
+        return flows.into();
+    }
+    let mut sorted = flows.to_vec();
+    sorted.sort_by_key(|f| f.start);
+    sorted.into()
 }
 
 // ----------------------------------------------------------------------
@@ -1509,6 +1541,47 @@ mod tests {
         let sim = sim_with_flows(topo, NetConfig::default(), &flows);
         assert_eq!(sim.scheduler().pending(), 1);
         assert_eq!(sim.scheduler().scheduled_total(), 1);
+    }
+
+    /// Partitions read one list: each opens exactly the flows its hosts
+    /// source, in list order, each queued with its index in the whole list
+    /// as its rank.
+    #[test]
+    fn partitions_stream_their_own_flows_with_global_ranks() {
+        let topo = Arc::new(Topology::clos(ClosParams::paper_cluster(2)));
+        let host = |i: u64| HostAddr::new((i % 2) as u16, (i / 2 % 2) as u16, (i / 4 % 4) as u16);
+        let flows: Arc<[FlowSpec]> = (0..200u64)
+            .map(|i| flow(i + 1, host(i), host(i + 3), 1_000, i / 3 * 10))
+            .collect();
+        for n in [2, 4] {
+            let map = Arc::new(topo.partition_by_rack(n));
+            let mut ranks = vec![];
+            for p in 0..n {
+                let mut net = Network::new(Arc::clone(&topo), NetConfig::default());
+                net.set_partition(p, Arc::clone(&map));
+                let mut sched = Scheduler::new();
+                net.stream_flows(Arc::clone(&flows), &mut sched);
+                let first = ranks.len();
+                while let Some((_, ev)) = sched.pop() {
+                    let NetEvent::FlowStart(spec) = ev else {
+                        continue; // packets and timers: not the stream's
+                    };
+                    let rank = net.stream.next;
+                    assert_eq!(flows[rank], spec);
+                    assert_eq!(map[topo.host_node(spec.src).idx()] as usize, p);
+                    ranks.push(rank);
+                    net.dispatch(ev, &mut sched);
+                    net.outbox.clear();
+                }
+                assert!(ranks[first..].is_sorted(), "list order");
+            }
+            ranks.sort_unstable();
+            assert_eq!(
+                ranks,
+                (0..flows.len()).collect::<Vec<_>>(),
+                "each flow once"
+            );
+        }
     }
 
     /// Flows that never overlap hold one endpoint open at each end, however

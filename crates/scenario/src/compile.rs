@@ -132,7 +132,11 @@ pub fn compile(s: &Scenario, overrides: &CompileOverrides) -> Compiled {
         let repeat = overrides.repeat.unwrap_or(group.repeat);
         lower_group(s, group, g, repeat, seed, horizon_ms, &params, &mut flows);
     }
-    flows.sort_by_key(|f| (f.start, f.id.0));
+    // One group copied once is already in order, and so are bursty repeats
+    // whose window fits their period. Ids are unique, so the keys are too.
+    if !flows.is_sorted_by_key(|f| (f.start, f.id.0)) {
+        flows.sort_unstable_by_key(|f| (f.start, f.id.0));
+    }
 
     let faults = s.faults.as_ref().map(|f| FaultPlan {
         seed: f.seed,
@@ -241,6 +245,13 @@ fn lower_group(
         base.len() < REPEAT_STRIDE as usize,
         "window of group {g} exceeds the repeat id stride"
     );
+    if g == 0 && repeat == 1 {
+        // The first group, copied once: no id or start offset applies, and
+        // `out` is still empty, so the window's list becomes the run's.
+        *out = base;
+        return;
+    }
+    out.reserve(base.len() * repeat as usize);
     let period_ns = ms_to_time(group.period_ms).as_nanos();
     for r in 0..repeat as u64 {
         let id_base = g as u64 * GROUP_STRIDE + r * REPEAT_STRIDE;

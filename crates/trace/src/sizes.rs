@@ -15,9 +15,10 @@ use elephant_des::SmallRng;
 /// An empirical flow-size distribution given as CDF control points.
 #[derive(Clone, Debug)]
 pub struct SizeDist {
-    /// `(size_bytes, cumulative_probability)`, strictly increasing in both
-    /// coordinates, ending at probability 1.
-    points: Vec<(f64, f64)>,
+    /// `(size_bytes, cumulative_probability, ln(size_bytes))`, strictly
+    /// increasing in every coordinate, ending at probability 1. The log is
+    /// taken once here, not at every sample.
+    points: Vec<(f64, f64, f64)>,
 }
 
 impl SizeDist {
@@ -34,7 +35,7 @@ impl SizeDist {
         let last = points.last().expect("non-empty");
         assert!((last.1 - 1.0).abs() < 1e-9, "CDF must end at 1.0");
         SizeDist {
-            points: points.to_vec(),
+            points: points.iter().map(|&(s, p)| (s, p, s.ln())).collect(),
         }
     }
 
@@ -85,31 +86,42 @@ impl SizeDist {
 
     /// The size at cumulative probability `u`.
     pub fn quantile(&self, u: f64) -> u64 {
+        self.quantile_from(u, 1).0
+    }
+
+    /// [`Self::quantile`], scanning the segments from the one that ends at
+    /// point `seg`, which must not come after `u`'s own. Also returns `u`'s
+    /// segment: the scan for any larger `u` may start there.
+    fn quantile_from(&self, u: f64, mut seg: usize) -> (u64, usize) {
         let u = u.clamp(0.0, 1.0);
-        let first = self.points[0];
-        if u <= first.1 {
-            return first.0.max(1.0) as u64;
+        let (s0, p0, _) = self.points[0];
+        if u <= p0 {
+            return (s0.max(1.0) as u64, seg);
         }
-        for w in self.points.windows(2) {
-            let (s0, p0) = w[0];
-            let (s1, p1) = w[1];
+        while let Some(&(_, p1, l1)) = self.points.get(seg) {
             if u <= p1 {
+                let (_, p0, l0) = self.points[seg - 1];
                 let frac = (u - p0) / (p1 - p0);
-                let log_s = s0.ln() + frac * (s1.ln() - s0.ln());
-                return log_s.exp().max(1.0) as u64;
+                let log_s = l0 + frac * (l1 - l0);
+                return (log_s.exp().max(1.0) as u64, seg);
             }
+            seg += 1;
         }
-        self.points.last().expect("non-empty").0 as u64
+        (self.points.last().expect("non-empty").0 as u64, seg)
     }
 
     /// Mean flow size, integrated over the piecewise log-linear CDF by
-    /// fine quadrature (exact enough for load calibration).
+    /// fine quadrature (exact enough for load calibration). The quadrature
+    /// points rise in `u`, so one pass walks the segments in order. The
+    /// terms and their sum are integers below 2^53, so the sum is exact.
     pub fn mean(&self) -> f64 {
         let steps = 20_000;
-        let mut total = 0.0;
+        let (mut total, mut seg) = (0.0, 1);
         for k in 0..steps {
             let u = (k as f64 + 0.5) / steps as f64;
-            total += self.quantile(u) as f64;
+            let (q, at) = self.quantile_from(u, seg);
+            total += q as f64;
+            seg = at;
         }
         total / steps as f64
     }
@@ -182,5 +194,59 @@ mod tests {
     #[should_panic]
     fn cdf_must_reach_one() {
         let _ = SizeDist::from_cdf(&[(10.0, 0.5), (20.0, 0.9)]);
+    }
+
+    /// FNV-1a 64 over `quantile(u)` on a grid of `n + 1` points in `[0, 1]`.
+    fn quantile_digest(d: &SizeDist, n: u32) -> u64 {
+        (0..=n).fold(0xcbf2_9ce4_8422_2325, |h, k| {
+            let q = d.quantile(f64::from(k) / f64::from(n));
+            q.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// Known answers: every flow list is drawn through `quantile`, and every
+    /// Poisson rate is calibrated by `mean`, so a change that moves one bit
+    /// of either moves every fingerprint. Note `fixed(b).mean()` is `b - 1`
+    /// (2999.0 for 3000): every quantile of `fixed(b)` lands just below `b`
+    /// and floors to `b - 1`.
+    #[test]
+    fn means_and_quantiles_repeat_their_known_answers() {
+        // (distribution, mean's bits, quantiles at U, digest of a 10,001-point grid)
+        const U: [f64; 8] = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
+        let pinned: [(SizeDist, u64, [u64; 8], u64); 4] = [
+            (
+                SizeDist::web_search(),
+                0x4130_415e_9c4d_013b,
+                [
+                    6000, 6000, 15716, 47510, 942_926, 3_333_000, 13_867_456, 19_999_999,
+                ],
+                0x806d_0c49_7429_4c86,
+            ),
+            (
+                SizeDist::data_mining(),
+                0x4161_9a6a_6e47_ae14,
+                [100, 140, 293, 999, 31622, 999_999, 316_227_766, 999_999_999],
+                0xa173_8965_38cd_10cf,
+            ),
+            (
+                SizeDist::fixed(3000),
+                0x40a7_6e00_0000_0000,
+                [2999; 8],
+                0x2614_4ff4_a026_5e6f,
+            ),
+            (
+                SizeDist::fixed(40_000),
+                0x40e3_87e0_0000_0000,
+                [39_999; 8],
+                0xa5a5_b1df_ade7_ae06,
+            ),
+        ];
+        for (d, mean_bits, quantiles, digest) in pinned {
+            assert_eq!(d.mean().to_bits(), mean_bits, "{d:?}: mean {}", d.mean());
+            assert_eq!(U.map(|u| d.quantile(u)), quantiles, "{d:?}");
+            assert_eq!(quantile_digest(&d, 10_000), digest, "{d:?}");
+        }
     }
 }

@@ -211,6 +211,28 @@ fn cli_compare_flags_perturbed_ledger() {
     );
 }
 
+/// `compare` on a ledger it cannot read exits 3 with one line that names
+/// the file once and shows the reader's message, not its `Debug` form.
+#[test]
+fn cli_compare_names_an_unreadable_ledger_once() {
+    let dir = tmp_dir();
+    let garbled = dir.join("compare_garbled.json");
+    std::fs::write(&garbled, "[".repeat(1000)).unwrap();
+    let missing = dir.join("compare_missing.json");
+    let _ = std::fs::remove_file(&missing);
+    for path in [&garbled, &missing] {
+        let path = path.to_str().unwrap();
+        let out = elephant_bin()
+            .args(["compare", path, path])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{err}");
+        assert_eq!(err.matches(path).count(), 1, "path named once: {err}");
+        assert!(!err.contains("Error {"), "no Debug form: {err}");
+    }
+}
+
 /// Every driver's `--metrics-out` artifact is a schema-v1 run ledger that
 /// reloads with a valid checksum, and the audit's own ledger pair loads
 /// the same way — the full round trip `elephant compare` depends on.
