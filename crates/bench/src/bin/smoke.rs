@@ -6,13 +6,14 @@
 //!
 //! * **baseline** — [`elephant_core::execute`] on a plain sequential plan:
 //!   every hook present but switched off (no trace, no sampler, timeline
-//!   and profiler disabled), the path every production run takes;
+//!   and profiler off), the path every production run takes;
 //! * **checkpointed** — the same plan supervised at the default checkpoint
 //!   interval, no faults injected, so every cost is the periodic world
 //!   snapshot;
 //!
-//! plus one **enabled** run — timeline + strided trace + 100µs sampler —
-//! reported for information only. That switched-off hooks change nothing
+//! plus one **enabled** run — strided trace + 100µs sampler, its timeline
+//! saved as `smoke_timeline.json` under `--out` — reported for
+//! information only. That switched-off hooks change nothing
 //! is a behavioural property, pinned by
 //! `tests/determinism.rs::instrumentation_does_not_perturb_results`.
 //!
@@ -87,23 +88,22 @@ fn main() {
         checkpointed.push(run.meta.wall.as_secs_f64());
     }
 
-    // One enabled run, informational: full timeline + sampler + trace.
-    elephant_obs::timeline().reset();
-    elephant_obs::set_timeline_enabled(true);
+    // One enabled run, informational: trace + sampler, timeline saved.
     let mut sampler = NetSampler::new(SimDuration::from_micros(100), &flows);
     let trace = TraceLog::strided(50_000, events);
     let mut observed = plan();
     observed.observe = Observe {
         trace: Some(trace),
         sampler: Some(&mut sampler),
+        timeline: true,
     };
-    let (net, enabled_meta) = execute(observed)
-        .expect("unsupervised sequential runs cannot fail")
-        .into_single();
-    elephant_net::export_flow_timeline(&net, elephant_net::MAX_FLOW_TRACKS);
-    elephant_obs::set_timeline_enabled(false);
-    let timeline_records = elephant_obs::timeline().len();
-    elephant_obs::timeline().reset();
+    let enabled = execute(observed).expect("unsupervised sequential runs cannot fail");
+    let path = args.out.join("smoke_timeline.json");
+    let timeline = enabled.timeline(Some(&sampler), &[]);
+    timeline
+        .save(&path)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    let enabled_meta = enabled.meta;
 
     let med_base = median(&mut base);
     let med_checkpointed = median(&mut checkpointed);
@@ -137,8 +137,8 @@ fn main() {
     report.scalar("overhead_checkpointed", overhead_checkpointed);
     report.scalar("checkpoints_taken", checkpoints_taken as f64);
     report.scalar("overhead_enabled", overhead_enabled);
-    report.scalar("timeline_records", timeline_records as f64);
-    report.scalar("sampler_rows", sampler.rows().len() as f64);
+    report.scalar("timeline_records", timeline.records.len() as f64);
+    report.scalar("sampler_rows", sampler.samples().len() as f64);
     report.gather();
     emit_report(&report, &args);
 

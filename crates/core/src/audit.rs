@@ -120,24 +120,15 @@ pub fn run_audit(
 }
 
 /// The hybrid run's macro-regime step function, `(sample time, max regime
-/// across stub clusters)` per sampler tick, extracted from the sampler's
-/// CSV rows (`time_us` and `macro_states` columns).
+/// across stub clusters)` per sampler tick: the worst (max) regime any
+/// stub reports is the one that shaped that window's verdicts.
 fn regime_timeline(sampler: &NetSampler) -> Vec<(SimTime, u8)> {
     sampler
-        .rows()
+        .samples()
         .iter()
-        .map(|row| {
-            let ts_us: f64 = row[0].parse().unwrap_or(0.0);
-            let at = SimTime::from_nanos((ts_us * 1e3) as u64);
-            // "cluster:state;cluster:state" — the worst (max) regime any
-            // stub reports is the one that shaped this window's verdicts.
-            let state = row[10]
-                .split(';')
-                .filter_map(|pair| pair.split(':').nth(1))
-                .filter_map(|s| s.parse::<u8>().ok())
-                .max()
-                .unwrap_or(0);
-            (at, state)
+        .map(|s| {
+            let state = s.macro_states.iter().map(|&(_, r)| r).max();
+            (s.at, state.unwrap_or(0))
         })
         .collect()
 }

@@ -12,8 +12,8 @@
 //! * [`Exec`] — the sequential engine, or conservative PDES;
 //! * `supervise` — checkpoint/restore with the retry ladder of
 //!   [`crate::supervise`];
-//! * [`Observe`] — an event trace and a periodic sampler, both
-//!   bit-identity-preserving.
+//! * [`Observe`] — an event trace, a periodic sampler and the timeline
+//!   switch, all bit-identity-preserving.
 //!
 //! [`run_ground_truth`] and [`run_hybrid`] are the §3 workflow's one-call
 //! lowerings (step 2, training, lives in `train`). Every run reports
@@ -22,10 +22,11 @@
 //!
 //! A finished run is the only source of its numbers. The [`Outcome`] owns
 //! the final networks, the kernel report and the recovery log, and is
-//! read three ways, all here: [`Outcome::metric_rows`] (the ledger's
-//! metric rows), [`Outcome::partition_rows`] (its per-partition rows) and
-//! `Display` (the stdout summary). Nothing is mirrored into process-wide
-//! counters while the run executes, so two runs in one process — a
+//! read four ways, all here: [`Outcome::metric_rows`] (the ledger's
+//! metric rows), [`Outcome::partition_rows`] (its per-partition rows),
+//! [`Outcome::timeline`] (the Chrome-trace timeline) and `Display`
+//! (the stdout summary). Nothing is mirrored into process-wide counters
+//! or buffers while the run executes, so two runs in one process — a
 //! capture before a hybrid, an abandoned attempt before a restore — can
 //! not leak into each other's artifacts.
 
@@ -46,11 +47,13 @@ use elephant_des::{
     SimDuration, SimTime, Simulator, StopReason,
 };
 use elephant_net::{
-    flow_list, run_sampled, schedule_flows, ClosParams, ClusterOracle, ConnStats, FlowSpec,
-    GuardSnapshot, NetConfig, NetPartition, NetSampler, Network, OracleStats, RttScope, Topology,
-    TraceLog,
+    export_flow_timeline, flow_list, run_sampled, schedule_flows, ClosParams, ClusterOracle,
+    ConnStats, FlowSpec, GuardSnapshot, GuardViolation, NetConfig, NetPartition, NetSampler,
+    Network, OracleStats, RttScope, Topology, TraceLog, MAX_FLOW_TRACKS,
 };
-use elephant_obs::{MetricRow, PartitionRow, RunReport};
+use elephant_obs::{
+    MetricRow, PartitionRow, RunReport, Timeline, TraceRecord, PID_FLOWS, PID_PDES,
+};
 
 /// Performance facts about one run.
 #[derive(Clone, Copy, Debug)]
@@ -146,7 +149,7 @@ pub struct PdesExec {
     pub faults: Option<FaultPlan>,
 }
 
-/// Observability hooks. Both preserve bit identity: the simulation
+/// Observability hooks. All preserve bit identity: the simulation
 /// executes the exact same event sequence with or without them.
 #[derive(Default)]
 pub struct Observe<'a> {
@@ -158,14 +161,19 @@ pub struct Observe<'a> {
     /// follows one timeline: under supervision it also samples at every
     /// checkpoint boundary and keeps a failed attempt's samples.
     pub sampler: Option<&'a mut NetSampler>,
+    /// The timeline switch: PDES partitions record their per-epoch
+    /// wall-clock slices into the kernel report, for
+    /// [`Outcome::timeline`]. The rest of a timeline is read from the
+    /// finished run either way.
+    pub timeline: bool,
 }
 
 impl<'a> Observe<'a> {
-    /// No trace, and `sampler` if there is one.
+    /// No trace, no timeline, and `sampler` if there is one.
     pub fn sampled(sampler: Option<&'a mut NetSampler>) -> Self {
         Observe {
-            trace: None,
             sampler,
+            ..Observe::default()
         }
     }
 }
@@ -287,6 +295,39 @@ impl Outcome {
             wall: self.meta.wall,
             nets: self.nets,
         }
+    }
+
+    /// The run's Chrome-trace timeline: each PDES partition's epoch
+    /// slices from the kernel report (recorded under
+    /// [`Observe::timeline`]), `sampler`'s counter tracks, flow spans and
+    /// drop/oracle instants from the networks' trace logs, and the guard's
+    /// `trips` as `guard_trip` instants.
+    pub fn timeline(
+        &self,
+        sampler: Option<&NetSampler>,
+        trips: &[(SimTime, GuardViolation)],
+    ) -> Timeline {
+        let mut tl = Timeline::default();
+        if let Some(report) = &self.report {
+            tl.name_process(PID_PDES, "pdes partitions (wall clock)");
+            for p in &report.partitions {
+                let name = format!("partition {} ({} events)", p.partition, p.events);
+                tl.name_track(PID_PDES, p.partition as u64, name);
+                tl.records.extend_from_slice(&p.slices);
+                tl.dropped += p.slices_dropped;
+            }
+        }
+        if let Some(s) = sampler {
+            s.export_counters(&mut tl);
+        }
+        let nets: Vec<&Network> = self.nets.iter().collect();
+        export_flow_timeline(&nets, MAX_FLOW_TRACKS, &mut tl);
+        tl.records.extend(trips.iter().map(|(t, v)| {
+            TraceRecord::instant(PID_FLOWS, 0, "guard_trip", t.as_nanos() as f64 / 1e3)
+                .category("guard")
+                .arg("kind", format!("{v:?}"))
+        }));
+        tl
     }
 }
 
@@ -730,7 +771,7 @@ pub(crate) fn drive_pdes(
                 let exhausted = chunk.partitions.iter().all(|p| p.next_time.is_none());
                 match &mut total {
                     None => total = Some(chunk),
-                    Some(t) => t.merge(&chunk),
+                    Some(t) => t.merge(chunk),
                 }
                 let at = if exhausted && next < horizon {
                     horizon
@@ -759,6 +800,7 @@ fn run_pdes(plan: &mut RunPlan<'_>, exec: PdesExec) -> Result<Outcome, ElephantE
     if let Some(faults) = exec.faults {
         pdes_cfg = pdes_cfg.with_faults(faults);
     }
+    pdes_cfg.timeline = plan.observe.timeline;
     let mut runner = PdesRunner::new(parts, pdes_cfg);
 
     let sampler = plan.observe.sampler.as_deref_mut();
@@ -1019,5 +1061,37 @@ mod tests {
             fel_peaks: FelPeaks::default(),
         };
         assert!((m.sim_seconds_per_second() - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn timeline_carries_partition_slices_and_their_dropped_count() {
+        let slice = TraceRecord::complete(PID_PDES, 1, "work", 0.0, 1.0);
+        let partition = |partition, slices, slices_dropped| elephant_des::PartitionStats {
+            partition,
+            slices,
+            slices_dropped,
+            ..Default::default()
+        };
+        let outcome = Outcome {
+            nets: Vec::new(),
+            meta: RunMeta {
+                wall: Duration::ZERO,
+                events: 0,
+                sim_seconds: 0.0,
+                fel_peaks: FelPeaks::default(),
+            },
+            report: Some(PdesReport {
+                partitions: vec![partition(0, Vec::new(), 13), partition(1, vec![slice], 4)],
+                ..PdesReport::default()
+            }),
+            recovery: None,
+        };
+        let tl = outcome.timeline(None, &[]);
+        assert_eq!(tl.dropped, 17);
+        let kept = tl
+            .records
+            .iter()
+            .filter(|r| r.pid == PID_PDES && r.name == "work");
+        assert_eq!(kept.count(), 1);
     }
 }

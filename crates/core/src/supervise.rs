@@ -25,8 +25,7 @@
 //! Every transition is observable: the [`RecoveryLog`] records each
 //! checkpoint, restore, and degradation as plain data — the ledger's
 //! `recovery/*` rows are read off it, and tests assert that identical
-//! failure sequences produce identical ladders — and each also leaves a
-//! [`elephant_obs::PID_RECOVERY`] timeline instant.
+//! failure sequences produce identical ladders.
 //!
 //! Determinism: restoring a checkpoint rewinds *everything that shapes
 //! the simulation* (FEL, per-flow TCP state, fault-plan RNG position,
@@ -35,12 +34,12 @@
 //! kernel report are fields of that rewound state, so those statistics,
 //! too, are of the successful path alone: a recovered run's `net/*`,
 //! `des/*`, `hybrid/oracle/*` and `hybrid/macro/*` ledger rows equal a
-//! clean run's. What was retried is the [`RecoveryLog`]'s to say. Two
-//! things do keep an abandoned attempt's contribution: the process-global
-//! timeline, and the guard's and verdict cache's counters, which sit
-//! behind handles every clone of the oracle stack shares (see
-//! [`crate::OracleCounters`]) — so the CLI reports neither for a
-//! supervised run.
+//! clean run's, and so are its PDES timeline slices, which travel in the
+//! kernel report. What was retried is the [`RecoveryLog`]'s to say. The
+//! guard's and verdict cache's counters do keep an abandoned attempt's
+//! contribution: they sit behind handles every clone of the oracle stack
+//! shares (see [`crate::OracleCounters`]) — so the CLI does not report
+//! them for a supervised run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -51,7 +50,6 @@ use elephant_des::{
     EpochMode, PdesError, PdesReport, PdesRunner, SimDuration, SimTime, Simulator, StopReason,
 };
 use elephant_net::{NetPartition, NetSampler, Network};
-use elephant_obs::{TraceRecord, PID_RECOVERY};
 
 /// Default checkpoint interval: 10 simulated milliseconds.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(10);
@@ -167,16 +165,10 @@ impl RecoveryLog {
         )
     }
 
-    fn note_checkpoint(&mut self, at: SimTime) {
-        self.checkpoints_taken += 1;
-        instant("checkpoint", at);
-    }
-
     fn note_restore(&mut self, at: SimTime, rung: Rung, cause: &'static str) {
         self.restores += 1;
         self.transitions
             .push(RecoveryEvent::Restored { at, rung, cause });
-        instant("restore", at);
     }
 
     fn note_degrade(&mut self, at: SimTime, from: Rung, to: Rung) {
@@ -184,7 +176,6 @@ impl RecoveryLog {
         self.transitions
             .push(RecoveryEvent::Degraded { at, from, to });
         self.final_rung = to;
-        instant("degrade", at);
     }
 
     /// Folds a nested run's log (the sequential rung re-runs under its own
@@ -195,17 +186,6 @@ impl RecoveryLog {
         self.degradations += inner.degradations;
         self.transitions.extend(inner.transitions);
         self.final_rung = inner.final_rung;
-    }
-}
-
-fn instant(name: &'static str, at: SimTime) {
-    if elephant_obs::timeline_enabled() {
-        elephant_obs::timeline().record(TraceRecord::instant(
-            PID_RECOVERY,
-            0,
-            name,
-            at.as_secs_f64() * 1e6,
-        ));
     }
 }
 
@@ -244,7 +224,7 @@ pub(crate) fn supervise_pdes(
     loop {
         // `total` covers exactly [0, cursor], where the checkpoint sits.
         let snapshot = checkpoint.get_or_insert_with(|| {
-            log.note_checkpoint(cursor);
+            log.checkpoints_taken += 1;
             runner.checkpoint()
         });
         let next = (cursor + interval).min(horizon);
@@ -252,7 +232,7 @@ pub(crate) fn supervise_pdes(
             Ok((chunk, _)) => {
                 match &mut total {
                     None => total = Some(chunk),
-                    Some(t) => t.merge(&chunk),
+                    Some(t) => t.merge(chunk),
                 }
                 cursor = next;
                 if cursor >= horizon {
@@ -305,7 +285,7 @@ pub(crate) fn supervise_simulator(
 
     loop {
         let snapshot = checkpoint.get_or_insert_with(|| {
-            log.note_checkpoint(cursor);
+            log.checkpoints_taken += 1;
             sim.checkpoint()
         });
         let next = (cursor + interval).min(horizon);

@@ -20,9 +20,10 @@
 //! progress is part of the snapshot. The counts kept in the world and the
 //! scheduler are part of that state and rewind with it, so a retried run
 //! reports the successful path only; what sits outside the snapshot keeps
-//! an aborted attempt's contribution — the process-global *timeline*, and
-//! anything a world shares across its clones (the oracle guard's and
-//! verdict cache's counter handles). Verdict caches ride along inside
+//! an aborted attempt's contribution — anything a world shares across its
+//! clones (the oracle guard's and verdict cache's counter handles). A
+//! run's timeline is built from the finished run, so an aborted attempt
+//! leaves nothing on it. Verdict caches ride along inside
 //! the world when their oracle is cloneable; an uncloneable oracle must be
 //! rebuilt cold by the caller (documented at the driver layer).
 //!

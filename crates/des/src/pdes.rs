@@ -320,6 +320,9 @@ pub struct PdesConfig {
     pub faults: Option<FaultPlan>,
     /// Epoch planning mode (see [`EpochMode`]); adaptive by default.
     pub epoch_mode: EpochMode,
+    /// Record each partition's per-epoch wall-clock slices into
+    /// [`PartitionStats::slices`] (off by default).
+    pub timeline: bool,
 }
 
 impl PdesConfig {
@@ -332,6 +335,7 @@ impl PdesConfig {
             stall_epochs: DEFAULT_STALL_EPOCHS,
             faults: None,
             epoch_mode: EpochMode::Adaptive,
+            timeline: false,
         }
     }
 
@@ -351,6 +355,7 @@ impl PdesConfig {
             stall_epochs: DEFAULT_STALL_EPOCHS,
             faults: None,
             epoch_mode: EpochMode::Adaptive,
+            timeline: false,
         }
     }
 
@@ -490,7 +495,8 @@ pub struct PdesReport {
 }
 
 impl PdesReport {
-    /// Folds another report into this one, summing counts and wall times.
+    /// Folds another report into this one, summing counts and wall times
+    /// and moving each partition's slices over (up to 100,000 a partition).
     ///
     /// Used by sampled drivers that advance a [`PdesRunner`] in chunks
     /// (one `run_until` per sampling tick) and want run-total statistics:
@@ -501,7 +507,7 @@ impl PdesReport {
     /// Panics if the two reports have different partition counts: such
     /// reports come from different runs and zipping them would silently
     /// truncate rows.
-    pub fn merge(&mut self, other: &PdesReport) {
+    pub fn merge(&mut self, other: PdesReport) {
         self.epochs += other.epochs;
         self.epochs_jumped += other.epochs_jumped;
         self.events_executed += other.events_executed;
@@ -513,7 +519,7 @@ impl PdesReport {
         self.faults.corrupted += other.faults.corrupted;
         self.faults.armed |= other.faults.armed;
         if self.partitions.is_empty() {
-            self.partitions = other.partitions.clone();
+            self.partitions = other.partitions;
             return;
         }
         assert_eq!(
@@ -522,7 +528,7 @@ impl PdesReport {
             "PdesReport::merge: partition count mismatch — refusing to zip \
              per-partition rows from different runs"
         );
-        for (a, b) in self.partitions.iter_mut().zip(&other.partitions) {
+        for (a, b) in self.partitions.iter_mut().zip(other.partitions) {
             a.events += b.events;
             a.work_seconds += b.work_seconds;
             a.barrier_wait_seconds += b.barrier_wait_seconds;
@@ -533,6 +539,10 @@ impl PdesReport {
             // over chunks.
             a.fel_bytes_peak = a.fel_bytes_peak.max(b.fel_bytes_peak);
             a.next_time = b.next_time;
+            a.slices_dropped += b.slices_dropped;
+            for slice in b.slices {
+                a.push_slice(slice);
+            }
         }
     }
 }
@@ -566,12 +576,38 @@ pub struct PartitionStats {
     /// Earliest event still pending when the run ended — the key stall
     /// diagnostic: a stuck partition's clock freezes here.
     pub next_time: Option<SimTime>,
+    /// This partition's `work` / `barrier_wait` / `marshal` slice of each
+    /// epoch on its wall-clock timeline track ([`PID_PDES`], `tid` = the
+    /// partition), stamped in microseconds since the [`PdesRunner`] was
+    /// built; empty unless [`PdesConfig::timeline`] is on.
+    pub slices: Vec<TraceRecord>,
+    /// Slices not kept past the cap of 100,000.
+    pub slices_dropped: u64,
+}
+
+/// Slices a partition keeps, so a long traced run cannot balloon memory.
+const SLICE_CAP: usize = 100_000;
+
+impl PartitionStats {
+    /// Keeps `slice` while fewer than [`SLICE_CAP`] are kept; past the cap
+    /// it only counts it in `slices_dropped`.
+    fn push_slice(&mut self, slice: TraceRecord) -> Option<&mut TraceRecord> {
+        if self.slices.len() >= SLICE_CAP {
+            self.slices_dropped += 1;
+            return None;
+        }
+        self.slices.push(slice);
+        self.slices.last_mut()
+    }
 }
 
 /// Drives a set of [`PartitionSim`]s in parallel, one OS thread each.
 pub struct PdesRunner<W: PartitionWorld> {
     partitions: Vec<PartitionSim<W>>,
     config: PdesConfig,
+    /// When the runner was built: the zero of every chunk's slices, so a
+    /// chunked run's slices share one wall-clock axis.
+    origin: Instant,
 }
 
 impl<W: PartitionWorld> PdesRunner<W> {
@@ -592,7 +628,11 @@ impl<W: PartitionWorld> PdesRunner<W> {
             config.lookahead > SimDuration::ZERO,
             "lookahead must be positive"
         );
-        PdesRunner { partitions, config }
+        PdesRunner {
+            partitions,
+            config,
+            origin: Instant::now(),
+        }
     }
 
     /// Runs all partitions, one OS thread each, until every event with time
@@ -640,7 +680,7 @@ impl<W: PartitionWorld> PdesRunner<W> {
 
     /// The planner and the per-partition state of one `run_until` call.
     fn start(&mut self, horizon: SimTime) -> (Planner, Vec<PartitionRun<'_, W>>) {
-        let (started, config, n) = (Instant::now(), &self.config, self.partitions.len());
+        let (origin, config, n) = (self.origin, &self.config, self.partitions.len());
         let runs = (0..).zip(&mut self.partitions).map(|(id, part)| {
             // The fault stream resumes where the partition left it, so chunked
             // and restored runs roll the sequence an uninterrupted run would.
@@ -657,7 +697,7 @@ impl<W: PartitionWorld> PdesRunner<W> {
                 since_fel_bytes: 0,
                 wire: Vec::new(),
                 row: Row::default(),
-                tl: PartitionTimeline::new(started, id),
+                origin: config.timeline.then_some(origin),
             }
         });
         (Planner::new(config, horizon), runs.collect())
@@ -895,7 +935,8 @@ struct PartitionRun<'a, W: PartitionWorld> {
     /// across messages.
     wire: Vec<u8>,
     row: Row,
-    tl: Option<PartitionTimeline>,
+    /// When the runner was built, if the partition records slices.
+    origin: Option<Instant>,
 }
 
 impl<W: PartitionWorld> PartitionRun<'_, W> {
@@ -964,15 +1005,10 @@ impl<W: PartitionWorld> PartitionRun<'_, W> {
         }
         let executed = stats.events - before;
         stats.work_seconds += t0.elapsed().as_secs_f64();
-        if let Some(tl) = self.tl.as_mut() {
-            let ts = t0.duration_since(tl.origin).as_secs_f64() * 1e6;
-            let dur = t0.elapsed().as_secs_f64() * 1e6;
-            tl.push(
-                TraceRecord::complete(PID_PDES, tl.tid, "work", ts, dur)
-                    .arg("epoch", epoch)
-                    .arg("events", executed)
-                    .arg("bound_sim_us", bound.as_nanos() as f64 / 1e3),
-            );
+        if let Some(slice) = self.slice("work", t0) {
+            slice.args.push(("events".into(), executed.into()));
+            let bound_us = bound.as_nanos() as f64 / 1e3;
+            slice.args.push(("bound_sim_us".into(), bound_us.into()));
         }
         // Sample the FEL's resident bytes at the sequential engine's
         // cadence, not per epoch (it walks the bucket array): a read-only
@@ -981,7 +1017,8 @@ impl<W: PartitionWorld> PartitionRun<'_, W> {
         self.since_fel_bytes += executed;
         if self.since_fel_bytes >= FEL_BYTES_EVERY {
             self.since_fel_bytes = 0;
-            stats.fel_bytes_peak = stats.fel_bytes_peak.max(part.sched.fel_bytes() as u64);
+            let stats = &mut self.row.stats;
+            stats.fel_bytes_peak = stats.fel_bytes_peak.max(self.part.sched.fel_bytes() as u64);
         }
     }
 
@@ -1043,9 +1080,7 @@ impl<W: PartitionWorld> PartitionRun<'_, W> {
                 }
             }
             stats.marshal_seconds += t0.elapsed().as_secs_f64();
-            if let Some(tl) = self.tl.as_mut() {
-                tl.slice("marshal", t0, self.part.epochs_run);
-            }
+            self.slice("marshal", t0);
         }
         self.publish(failure, publish);
     }
@@ -1060,15 +1095,24 @@ impl<W: PartitionWorld> PartitionRun<'_, W> {
         into.failure = failure;
     }
 
+    /// Records a slice of the current epoch on this partition's track,
+    /// from `from` to now, when the partition records slices (under
+    /// [`PartitionStats::push_slice`]'s cap).
+    fn slice(&mut self, name: &'static str, from: Instant) -> Option<&mut TraceRecord> {
+        let origin = self.origin?;
+        let ts = from.duration_since(origin).as_secs_f64() * 1e6;
+        let dur = from.elapsed().as_secs_f64() * 1e6;
+        let record = TraceRecord::complete(PID_PDES, self.id as u64, name, ts, dur);
+        let stats = &mut self.row.stats;
+        stats.push_slice(record.arg("epoch", self.part.epochs_run))
+    }
+
     /// Closes the partition's row once the run is over.
     fn finish(mut self) -> Row {
         let stats = &mut self.row.stats;
         stats.partition = self.id;
         stats.next_time = self.part.sched.peek_time();
         stats.fel_bytes_peak = stats.fel_bytes_peak.max(self.part.sched.fel_bytes() as u64);
-        if let Some(tl) = self.tl.take() {
-            tl.flush(stats);
-        }
         self.row
     }
 }
@@ -1321,80 +1365,13 @@ mod threaded {
     }
 
     /// Times one barrier crossing into the partition's row and (if
-    /// tracing) a timeline slice.
+    /// recording) a slice.
     fn wait<W: PartitionWorld>(barrier: &EpochBarrier, run: &mut PartitionRun<'_, W>) {
         let _s = elephant_obs::span("barrier_wait");
         let t0 = Instant::now();
         barrier.wait();
         run.row.stats.barrier_wait_seconds += t0.elapsed().as_secs_f64();
-        if let Some(tl) = run.tl.as_mut() {
-            tl.slice("barrier_wait", t0, run.part.epochs_run);
-        }
-    }
-}
-
-/// Per-partition timeline buffer: one wall-clock track per partition with
-/// per-epoch `work` / `barrier_wait` / `marshal` slices. Records accumulate
-/// locally (no lock traffic inside the epoch loop) and flush to the global
-/// timeline in one batch when the run ends. Constructed only while the
-/// timeline is enabled; every call site is a cheap `Option` probe
-/// otherwise.
-struct PartitionTimeline {
-    buf: Vec<TraceRecord>,
-    origin: Instant,
-    tid: u64,
-    /// Records discarded past [`PARTITION_RECORD_CAP`]; added at flush time
-    /// to the timeline's own dropped count, plus a log line, so a
-    /// truncated trace is never mistaken for a complete one.
-    dropped: u64,
-}
-
-/// Per-partition record bound so a long run cannot balloon memory; the
-/// global timeline applies its own cap on top.
-const PARTITION_RECORD_CAP: usize = 100_000;
-
-impl PartitionTimeline {
-    fn new(origin: Instant, id: PartitionId) -> Option<Self> {
-        elephant_obs::timeline_enabled().then(|| PartitionTimeline {
-            buf: Vec::new(),
-            origin,
-            tid: id as u64,
-            dropped: 0,
-        })
-    }
-
-    fn push(&mut self, record: TraceRecord) {
-        if self.buf.len() < PARTITION_RECORD_CAP {
-            self.buf.push(record);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// A slice on this partition's track from `from` to now.
-    fn slice(&mut self, name: &'static str, from: Instant, epoch: u64) {
-        let ts = from.duration_since(self.origin).as_secs_f64() * 1e6;
-        let dur = from.elapsed().as_secs_f64() * 1e6;
-        self.push(TraceRecord::complete(PID_PDES, self.tid, name, ts, dur).arg("epoch", epoch));
-    }
-
-    fn flush(self, stats: &PartitionStats) {
-        let tl = elephant_obs::timeline();
-        tl.name_process(PID_PDES, "pdes partitions (wall clock)");
-        tl.name_track(
-            PID_PDES,
-            self.tid,
-            format!("partition {} ({} events)", stats.partition, stats.events),
-        );
-        tl.record_batch(self.buf);
-        if self.dropped > 0 {
-            tl.add_dropped(self.dropped);
-            eprintln!(
-                "pdes: partition {} timeline truncated — {} records dropped past \
-                 the {PARTITION_RECORD_CAP}-record cap",
-                stats.partition, self.dropped
-            );
-        }
+        run.slice("barrier_wait", t0);
     }
 }
 
@@ -1462,11 +1439,6 @@ fn marshal_round_trip<E: Transportable>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    /// Serializes the tests that flip process-global observability state
-    /// (the timeline and its enable flag).
-    static OBS_TESTS: StdMutex<()> = StdMutex::new(());
 
     /// A token that hops between partitions `hops` times, incrementing a
     /// counter on each arrival. Cross-partition delay = LOOKAHEAD.
@@ -1893,8 +1865,8 @@ mod tests {
         let (_, a) = ring_run(4, 49, 2, 32);
         let (_, b) = ring_run(4, 49, 2, 32);
         let mut merged = PdesReport::default();
-        merged.merge(&a);
-        merged.merge(&b);
+        merged.merge(a.clone());
+        merged.merge(b.clone());
         assert_eq!(
             merged.events_executed,
             a.events_executed + b.events_executed
@@ -1919,45 +1891,71 @@ mod tests {
         let (_, a) = ring_run(4, 9, 1, 0);
         let (_, b) = ring_run(2, 9, 1, 0);
         let mut merged = a.clone();
-        merged.merge(&b);
+        merged.merge(b);
     }
 
     #[test]
-    fn timeline_gets_per_epoch_partition_slices() {
-        // Process-global timeline: serialize against the other obs-flipping
-        // test; restore and clear on the way out.
-        let _obs = OBS_TESTS.lock().unwrap();
-        elephant_obs::timeline().reset();
-        elephant_obs::set_timeline_enabled(true);
-        let (_, report) = ring_run(4, 99, 2, 32);
-        elephant_obs::set_timeline_enabled(false);
-        let json = elephant_obs::TimelineWriter::from_timeline(elephant_obs::timeline()).to_json();
-        elephant_obs::timeline().reset();
-        assert!(report.epochs > 0);
-        for needle in ["barrier_wait", "\"work\"", "marshal", "partition 3"] {
-            assert!(json.contains(needle), "trace JSON missing {needle}");
-        }
-    }
-
-    #[test]
-    fn timeline_cap_surfaces_dropped_records() {
-        let _obs = OBS_TESTS.lock().unwrap();
-        elephant_obs::timeline().reset();
-        elephant_obs::set_timeline_enabled(true);
-        let mut tl = PartitionTimeline::new(Instant::now(), 7).expect("timeline enabled");
-        for i in 0..(PARTITION_RECORD_CAP + 13) {
-            tl.push(TraceRecord::complete(PID_PDES, 7, "work", i as f64, 1.0));
-        }
-        assert_eq!(tl.dropped, 13);
-        let stats = PartitionStats {
-            partition: 7,
-            ..Default::default()
+    fn slices_ride_in_the_report_only_when_the_timeline_is_on() {
+        let run = |timeline| {
+            let mut runner = ring_runner(4, 99, 2, 32);
+            runner.config.timeline = timeline;
+            runner
+                .run_until(SimTime::from_secs(10))
+                .expect("healthy run")
         };
-        tl.flush(&stats);
-        elephant_obs::set_timeline_enabled(false);
-        let dropped = elephant_obs::timeline().dropped();
-        elephant_obs::timeline().reset();
-        assert_eq!(dropped, 13);
+        let off = run(false);
+        assert!(off.partitions.iter().all(|p| p.slices.is_empty()));
+        let on = run(true);
+        assert!(on.epochs > 0);
+        for p in &on.partitions {
+            let named = |name: &str| p.slices.iter().filter(|r| r.name == name).count() as u64;
+            // Every partition runs every epoch; each forwards the token
+            // across a machine boundary at least once.
+            assert_eq!(named("work"), on.epochs, "partition {}", p.partition);
+            assert!(named("barrier_wait") > on.epochs);
+            assert!(named("marshal") > 0);
+            let track = |r: &TraceRecord| (r.pid, r.tid) == (PID_PDES, p.partition as u64);
+            assert!(p.slices.iter().all(track));
+            assert_eq!(p.slices_dropped, 0);
+        }
+    }
+
+    #[test]
+    fn chunked_slices_share_one_wall_clock_axis() {
+        let mut runner = ring_runner(2, 99, 1, 0);
+        runner.config.timeline = true;
+        let mut report = runner
+            .run_until(SimTime::from_micros(40))
+            .expect("healthy run");
+        report.merge(
+            runner
+                .run_until(SimTime::from_secs(1))
+                .expect("healthy run"),
+        );
+        let work = report.partitions[0]
+            .slices
+            .iter()
+            .filter(|r| r.name == "work");
+        let stamps: Vec<f64> = work.map(|r| r.ts_us).collect();
+        assert!(stamps.len() > 40);
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
+    }
+
+    #[test]
+    fn merge_caps_slices_and_counts_the_rest() {
+        let slice = TraceRecord::complete(PID_PDES, 0, "work", 0.0, 1.0);
+        let report = |slices: usize, dropped: u64| PdesReport {
+            partitions: vec![PartitionStats {
+                slices: vec![slice.clone(); slices],
+                slices_dropped: dropped,
+                ..PartitionStats::default()
+            }],
+            ..PdesReport::default()
+        };
+        let mut merged = report(SLICE_CAP - 5, 0);
+        merged.merge(report(12, 1));
+        assert_eq!(merged.partitions[0].slices.len(), SLICE_CAP);
+        assert_eq!(merged.partitions[0].slices_dropped, 8);
     }
 
     /// Ignores every event; used to compare epoch accounting across modes.
@@ -2170,7 +2168,7 @@ mod tests {
                 drive(&mut runner, horizon, lockstep).expect("burned continuation");
                 runner.restore(&ck);
             }
-            report.merge(&drive(&mut runner, horizon, lockstep).expect("continuation"));
+            report.merge(drive(&mut runner, horizon, lockstep).expect("continuation"));
             (ring_state(&runner), report.faults)
         };
 

@@ -198,9 +198,8 @@ where
     /// Call between `run_until` chunks (the engine is parked there);
     /// restoring the snapshot and running on is bit-identical to never
     /// having stopped. Counts kept in the world or the scheduler rewind
-    /// with them; the timeline, the [`FelPeaks`] high-water marks and
-    /// whatever the world shares across its clones are outside the
-    /// snapshot.
+    /// with them; the [`FelPeaks`] high-water marks and whatever the
+    /// world shares across its clones are outside the snapshot.
     pub fn checkpoint(&self) -> crate::checkpoint::SimCheckpoint<W> {
         crate::checkpoint::SimCheckpoint {
             world: self.world.clone(),

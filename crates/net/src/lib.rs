@@ -76,8 +76,7 @@ pub use oracle::{
 pub use packet::{Ecn, Packet, TcpFlags, TcpSegment, HEADER_BYTES, MIN_WIRE_BYTES};
 pub use port::{PortCounters, PortState, TxAction};
 pub use sampler::{
-    export_flow_timeline, export_flow_timeline_multi, run_sampled, NetSampler, MAX_FLOW_TRACKS,
-    SAMPLE_CSV_HEADER,
+    export_flow_timeline, run_sampled, NetSampler, Sample, MAX_FLOW_TRACKS, SAMPLE_CSV_HEADER,
 };
 pub use tcp::{ConnStats, EcnMode, TcpConfig, TcpConn, TcpOutput, TimerCmd};
 pub use topology::{ClosParams, FabricPath, LinkSpec, Node, PortSpec, Topology};

@@ -1,16 +1,20 @@
-//! Sim-time-driven time-series samplers and timeline export helpers.
+//! Sim-time-driven time-series samplers and the sim-time halves of a
+//! run's timeline.
 //!
-//! The metrics registry answers "how much, in total"; the timeline's
-//! counter tracks answer "when". A [`NetSampler`] observes a [`Network`]
-//! at a fixed simulated period and emits, per tick:
+//! A run's metric rows answer "how much, in total"; samples answer
+//! "when". A [`NetSampler`] observes a [`Network`] at a fixed simulated
+//! period and keeps one typed [`Sample`] per tick:
 //!
 //! * per-layer queued bytes (host NICs / ToR / Agg / Core),
 //! * the oracle's per-cluster macro congestion state, when it models one,
 //! * offered vs realized load (cumulative bytes and windowed Gbps),
 //! * the oracle drop rate over the sampling window,
 //!
-//! both as timeline counter records (on [`PID_SAMPLES`]) and as CSV rows
-//! for re-plotting via `elephant_trace::write_csv`.
+//! rendered after the run as CSV rows ([`NetSampler::rows`], for
+//! re-plotting via `elephant_trace::write_csv`) and as timeline counter
+//! tracks on [`PID_SAMPLES`] ([`NetSampler::export_counters`]).
+//! [`export_flow_timeline`] adds the finished networks' flow spans and
+//! drop/oracle instants.
 //!
 //! ## Determinism
 //!
@@ -25,10 +29,45 @@
 //! proves it end to end).
 
 use elephant_des::{SimDuration, SimTime, Simulator, StopReason};
-use elephant_obs::{timeline, timeline_enabled, TraceRecord, PID_FLOWS, PID_SAMPLES};
+use elephant_obs::{Timeline, TraceRecord, PID_FLOWS, PID_SAMPLES};
 
 use crate::network::{FlowSpec, Network};
 use crate::trace_log::TraceKind;
+
+/// One sampler tick across every observed network.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Sample {
+    /// When the sample was taken.
+    pub at: SimTime,
+    /// Queued bytes per layer: host NICs, ToR, Agg, Core.
+    pub queue: [u64; 4],
+    /// Bytes of every flow started by `at`.
+    pub offered_cum: u64,
+    /// Bytes delivered by `at`.
+    pub delivered_cum: u64,
+    /// Offered load over the sampling window, in Gbps.
+    pub offered_gbps: f64,
+    /// Delivered load over the sampling window, in Gbps.
+    pub goodput_gbps: f64,
+    /// Oracle drops over oracle verdicts in the sampling window.
+    pub oracle_drop_rate: f64,
+    /// `(cluster, regime)` of every stub cluster whose oracle models one:
+    /// the max any partition's replica reports.
+    pub macro_states: Vec<(u16, u8)>,
+    /// Flows completed by `at`.
+    pub flows_completed: u64,
+    /// Cumulative in-scope RTT median, in microseconds (0 before any RTT).
+    pub rtt_p50_us: f64,
+    /// Cumulative in-scope RTT 99th percentile, in microseconds.
+    pub rtt_p99_us: f64,
+}
+
+impl Sample {
+    /// The sample time in microseconds, as CSV rows and counters stamp it.
+    fn ts_us(&self) -> f64 {
+        self.at.as_nanos() as f64 / 1e3
+    }
+}
 
 /// CSV column layout of [`NetSampler::rows`]. The two latency columns are
 /// cumulative quantiles of the in-scope RTT histogram (merged across
@@ -52,7 +91,7 @@ pub const SAMPLE_CSV_HEADER: [&str; 14] = [
 
 /// Periodic observer of one or more [`Network`]s (several for PDES runs,
 /// where each partition holds a shard of the model). Create it per run;
-/// collect the CSV rows when the run finishes.
+/// read its samples when the run finishes.
 pub struct NetSampler {
     every: SimDuration,
     next: SimTime,
@@ -65,8 +104,7 @@ pub struct NetSampler {
     last_delivered: u64,
     last_oracle_drops: u64,
     last_oracle_delivered: u64,
-    rows: Vec<Vec<String>>,
-    named: bool,
+    samples: Vec<Sample>,
 }
 
 impl NetSampler {
@@ -89,8 +127,7 @@ impl NetSampler {
             last_delivered: 0,
             last_oracle_drops: 0,
             last_oracle_delivered: 0,
-            rows: Vec::new(),
-            named: false,
+            samples: Vec::new(),
         }
     }
 
@@ -104,9 +141,65 @@ impl NetSampler {
         self.next
     }
 
-    /// The collected CSV rows (columns per [`SAMPLE_CSV_HEADER`]).
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
+    /// The samples taken so far, in time order.
+    pub fn samples(&self) -> &[Sample] {
+        &self.samples
+    }
+
+    /// The samples as CSV rows (columns per [`SAMPLE_CSV_HEADER`]).
+    pub fn rows(&self) -> Vec<Vec<String>> {
+        let row = |s: &Sample| {
+            let states = s.macro_states.iter().map(|(c, r)| format!("{c}:{r}"));
+            vec![
+                s.ts_us().to_string(),
+                s.queue[0].to_string(),
+                s.queue[1].to_string(),
+                s.queue[2].to_string(),
+                s.queue[3].to_string(),
+                s.offered_cum.to_string(),
+                s.delivered_cum.to_string(),
+                format!("{:.6}", s.offered_gbps),
+                format!("{:.6}", s.goodput_gbps),
+                format!("{:.6}", s.oracle_drop_rate),
+                states.collect::<Vec<_>>().join(";"),
+                s.flows_completed.to_string(),
+                format!("{:.3}", s.rtt_p50_us),
+                format!("{:.3}", s.rtt_p99_us),
+            ]
+        };
+        self.samples.iter().map(row).collect()
+    }
+
+    /// Adds the samples to `tl` as counter tracks on [`PID_SAMPLES`]:
+    /// queued bytes per layer, offered and delivered Gbps, the oracle drop
+    /// rate, and each stub cluster's macro state.
+    pub fn export_counters(&self, tl: &mut Timeline) {
+        if !self.samples.is_empty() {
+            tl.name_process(PID_SAMPLES, "samplers (sim time)");
+        }
+        for s in &self.samples {
+            let ts_us = s.ts_us();
+            let [host, tor, agg, core] = s.queue;
+            tl.records.extend([
+                TraceRecord::counter(PID_SAMPLES, "queue_bytes", ts_us)
+                    .arg("host", host)
+                    .arg("tor", tor)
+                    .arg("agg", agg)
+                    .arg("core", core),
+                TraceRecord::counter(PID_SAMPLES, "load_gbps", ts_us)
+                    .arg("offered", s.offered_gbps)
+                    .arg("delivered", s.goodput_gbps),
+                TraceRecord::counter(PID_SAMPLES, "oracle_drop_rate", ts_us)
+                    .arg("window", s.oracle_drop_rate),
+            ]);
+            if !s.macro_states.is_empty() {
+                let mut rec = TraceRecord::counter(PID_SAMPLES, "macro_state", ts_us);
+                for &(c, state) in &s.macro_states {
+                    rec = rec.arg(format!("cluster{c}"), state as u64);
+                }
+                tl.records.push(rec);
+            }
+        }
     }
 
     /// Takes one sample at `now` across `nets` (pass one network for a
@@ -166,35 +259,6 @@ impl NetSampler {
         self.last_oracle_drops = oracle_drops;
         self.last_oracle_delivered = oracle_delivered;
 
-        let ts_us = now.as_nanos() as f64 / 1e3;
-        if timeline_enabled() {
-            let tl = timeline();
-            if !self.named {
-                tl.name_process(PID_SAMPLES, "samplers (sim time)");
-                self.named = true;
-            }
-            let mut batch = vec![
-                TraceRecord::counter(PID_SAMPLES, "queue_bytes", ts_us)
-                    .arg("host", queue[0])
-                    .arg("tor", queue[1])
-                    .arg("agg", queue[2])
-                    .arg("core", queue[3]),
-                TraceRecord::counter(PID_SAMPLES, "load_gbps", ts_us)
-                    .arg("offered", offered_gbps)
-                    .arg("delivered", goodput_gbps),
-                TraceRecord::counter(PID_SAMPLES, "oracle_drop_rate", ts_us)
-                    .arg("window", drop_rate),
-            ];
-            if !states.is_empty() {
-                let mut rec = TraceRecord::counter(PID_SAMPLES, "macro_state", ts_us);
-                for &(c, s) in &states {
-                    rec = rec.arg(format!("cluster{c}"), s as u64);
-                }
-                batch.push(rec);
-            }
-            tl.record_batch(batch);
-        }
-
         // Cumulative in-scope RTT quantiles, merged across partitions
         // (every Network uses the same latency-seconds geometry).
         let (rtt_p50_us, rtt_p99_us) = match nets.split_first() {
@@ -208,27 +272,19 @@ impl NetSampler {
             None => (0.0, 0.0),
         };
 
-        let states_str = states
-            .iter()
-            .map(|(c, s)| format!("{c}:{s}"))
-            .collect::<Vec<_>>()
-            .join(";");
-        self.rows.push(vec![
-            format!("{ts_us}"),
-            queue[0].to_string(),
-            queue[1].to_string(),
-            queue[2].to_string(),
-            queue[3].to_string(),
-            self.offered_cum.to_string(),
-            delivered.to_string(),
-            format!("{offered_gbps:.6}"),
-            format!("{goodput_gbps:.6}"),
-            format!("{drop_rate:.6}"),
-            states_str,
-            completed.to_string(),
-            format!("{rtt_p50_us:.3}"),
-            format!("{rtt_p99_us:.3}"),
-        ]);
+        self.samples.push(Sample {
+            at: now,
+            queue,
+            offered_cum: self.offered_cum,
+            delivered_cum: delivered,
+            offered_gbps,
+            goodput_gbps,
+            oracle_drop_rate: drop_rate,
+            macro_states: states,
+            flows_completed: completed,
+            rtt_p50_us,
+            rtt_p99_us,
+        });
     }
 }
 
@@ -259,35 +315,23 @@ pub fn run_sampled(
 /// longest flows get tracks, everything else lands on the shared track.
 pub const MAX_FLOW_TRACKS: usize = 64;
 
-/// Exports per-flow spans and drop/oracle instant events from a finished
-/// run into the global timeline (no-op while the timeline is disabled).
+/// Adds per-flow spans and drop/oracle instant events of a finished run
+/// to `tl`. Pass every partition's network for a PDES run: flow records
+/// are merged before the largest-flows cut, so track selection is global
+/// across partitions.
 ///
 /// Track layout, all on [`PID_FLOWS`] in sim time: tid 0 is a shared
 /// "events" track for instants whose flow has no track of its own; tids
 /// 1..=N are one track per completed flow (the `max_tracks` largest by
 /// bytes, ties broken by start time), each carrying the flow's span plus
 /// its own instants. Instants come from the run's [`crate::TraceLog`]
-/// (drops and oracle verdicts), so enable tracing to get them; guard-trip
-/// instants are exported separately by the CLI from the guard's trip log.
-pub fn export_flow_timeline(net: &Network, max_tracks: usize) {
-    export_flow_timeline_multi(&[net], max_tracks)
-}
-
-/// [`export_flow_timeline`] over several networks at once — the PDES
-/// case, where each partition holds the flow-completion records and trace
-/// of its own shard. Flow records are merged before the largest-flows cut,
-/// so track selection is global across partitions.
-pub fn export_flow_timeline_multi(nets: &[&Network], max_tracks: usize) {
-    if !timeline_enabled() {
-        return;
-    }
-    let tl = timeline();
+/// (drops and oracle verdicts), so enable tracing to get them.
+pub fn export_flow_timeline(nets: &[&Network], max_tracks: usize, tl: &mut Timeline) {
     tl.name_process(PID_FLOWS, "flows & events (sim time)");
     tl.name_track(PID_FLOWS, 0, "events (other flows)");
 
     let mut fct: Vec<&crate::FctRecord> = nets.iter().flat_map(|n| n.stats.fct.iter()).collect();
     fct.sort_unstable_by_key(|r| (std::cmp::Reverse(r.bytes), r.started, r.flow.0));
-    let mut batch = Vec::new();
     #[allow(clippy::disallowed_types)] // once per exported flow, after the run
     let mut track_of = std::collections::HashMap::new();
     for (i, rec) in fct.iter().take(max_tracks).enumerate() {
@@ -300,7 +344,7 @@ pub fn export_flow_timeline_multi(nets: &[&Network], max_tracks: usize) {
         );
         let ts = rec.started.as_nanos() as f64 / 1e3;
         let dur = (rec.completed.as_nanos() - rec.started.as_nanos()) as f64 / 1e3;
-        batch.push(
+        tl.records.push(
             TraceRecord::complete(PID_FLOWS, tid, format!("flow {}", rec.flow.0), ts, dur)
                 .category("flow")
                 .arg("bytes", rec.bytes)
@@ -320,7 +364,7 @@ pub fn export_flow_timeline_multi(nets: &[&Network], max_tracks: usize) {
                 TraceKind::Arrive | TraceKind::TxStart => continue,
             };
             let tid = track_of.get(&e.flow).copied().unwrap_or(0);
-            batch.push(
+            tl.records.push(
                 TraceRecord::instant(PID_FLOWS, tid, name, e.time.as_nanos() as f64 / 1e3)
                     .arg("node", e.node.0 as u64)
                     .arg("flow", e.flow.0)
@@ -328,7 +372,6 @@ pub fn export_flow_timeline_multi(nets: &[&Network], max_tracks: usize) {
             );
         }
     }
-    tl.record_batch(batch);
 }
 
 #[cfg(test)]
@@ -383,8 +426,8 @@ mod tests {
         assert_eq!(fct_a, fct_b);
         // The FEL exhausts once all flows finish, so ticks stop there; a
         // 5ms horizon at 100us can yield at most 50 samples.
-        assert!(!sampler.rows().is_empty());
-        assert!(sampler.rows().len() <= 50);
+        assert!(!sampler.samples().is_empty());
+        assert!(sampler.samples().len() <= 50);
     }
 
     #[test]
@@ -395,7 +438,7 @@ mod tests {
         run_sampled(&mut sim, horizon, &mut sampler);
         let rows = sampler.rows();
         assert!(!rows.is_empty());
-        for row in rows {
+        for row in &rows {
             assert_eq!(row.len(), SAMPLE_CSV_HEADER.len());
         }
         // Offered bytes are cumulative and must be monotone, ending at the
@@ -415,7 +458,7 @@ mod tests {
         assert!(p50 > 0.0, "p50 populated once RTTs are observed: {p50}");
         assert!(p50 <= p99, "p50 {p50} must not exceed p99 {p99}");
         // Every row parses: the columns are present from the first sample.
-        for r in rows {
+        for r in &rows {
             let (a, b): (f64, f64) = (r[12].parse().unwrap(), r[13].parse().unwrap());
             assert!(a >= 0.0 && b >= a);
         }
@@ -423,8 +466,6 @@ mod tests {
 
     #[test]
     fn flow_timeline_export_creates_tracks_and_instants() {
-        elephant_obs::timeline().reset();
-        elephant_obs::set_timeline_enabled(true);
         let horizon = SimTime::from_millis(5);
         // Hybrid build: cluster 1 is a stub so oracle instants appear.
         let topo = Topology::clos_with_stubs(ClosParams::paper_cluster(2), &[1]);
@@ -434,15 +475,29 @@ mod tests {
         schedule_flows(&mut sim, &flows());
         sim.world_mut().enable_trace(100_000);
         sim.run_until(horizon);
-        export_flow_timeline(sim.world(), 4);
-        elephant_obs::set_timeline_enabled(false);
-        let json = elephant_obs::TimelineWriter::from_timeline(elephant_obs::timeline()).to_json();
-        elephant_obs::timeline().reset();
-        assert!(
-            json.contains("\"flow 1\"") || json.contains("\"flow "),
-            "flow span present"
-        );
+        let mut tl = Timeline::default();
+        export_flow_timeline(&[sim.world()], 4, &mut tl);
+        let json = tl.to_json();
+        assert!(json.contains("\"flow "), "flow span present");
         assert!(json.contains("oracle_deliver"), "oracle instants present");
         assert!(json.contains("flows & events (sim time)"));
+    }
+
+    #[test]
+    fn counter_tracks_render_every_sample() {
+        let mut sim = build();
+        let mut sampler = NetSampler::new(SimDuration::from_micros(250), &flows());
+        run_sampled(&mut sim, SimTime::from_millis(5), &mut sampler);
+        let mut tl = Timeline::default();
+        sampler.export_counters(&mut tl);
+        // Full fidelity: no macro states, so three tracks per sample.
+        assert_eq!(tl.records.len(), 3 * sampler.samples().len());
+        let last = sampler.samples().last().expect("sampled");
+        let queue = tl.records.iter().rev().find(|r| r.name == "queue_bytes");
+        assert_eq!(
+            queue.expect("queue track").ts_us,
+            last.at.as_nanos() as f64 / 1e3
+        );
+        assert!(tl.to_json().contains("samplers (sim time)"));
     }
 }

@@ -24,10 +24,7 @@ pub use hist::{EmpiricalCdf, LogHistogram, Summary};
 pub use profile::{profiler, render_tree, span, tree_from_rows, ProfileNode, Profiler, SpanGuard};
 pub use registry::{enabled, set_enabled};
 pub use report::{MetricRow, PartitionRow, ProfileRow, RunReport};
-pub use timeline::{
-    set_timeline_enabled, timeline, timeline_enabled, ArgValue, Timeline, TimelineWriter,
-    TracePhase, TraceRecord, MAX_TIMELINE_RECORDS, PID_FLOWS, PID_PDES, PID_RECOVERY, PID_SAMPLES,
-};
+pub use timeline::{ArgValue, Timeline, TracePhase, TraceRecord, PID_FLOWS, PID_PDES, PID_SAMPLES};
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -1,11 +1,15 @@
-//! Causal timeline recorder with Chrome-trace/Perfetto export.
+//! Chrome-trace/Perfetto timelines of finished runs.
 //!
-//! A run's metric rows answer "how much, in total"; this module answers
-//! "when". Subsystems record [`TraceRecord`]s — complete slices,
-//! instant events, and counter samples — onto one process-wide
-//! [`Timeline`], and [`TimelineWriter`] serializes the result as a Chrome
-//! trace-event JSON file loadable in `chrome://tracing` or
-//! [ui.perfetto.dev](https://ui.perfetto.dev).
+//! A run's metric rows answer "how much, in total"; a [`Timeline`] answers
+//! "when". It is a plain value, built after the run from state the run
+//! already keeps — flow spans and drop/oracle instants from the networks'
+//! trace logs, counter tracks from the sampler's samples, PDES epoch
+//! slices from the kernel report, guard trips from the guard's trip log —
+//! and it serializes itself as a Chrome trace-event JSON file loadable in
+//! `chrome://tracing` or [ui.perfetto.dev](https://ui.perfetto.dev).
+//! Nothing here is process-wide: two runs in one process build two
+//! timelines, and a checkpoint restore that discards a chunk discards
+//! that chunk's slices with it.
 //!
 //! Two clock domains coexist in one export, kept apart as separate trace
 //! *processes* (`pid`s):
@@ -17,20 +21,13 @@
 //!   oracle-verdict instants, and periodic sampler counter tracks,
 //!   timestamped in simulated microseconds.
 //!
-//! The recorder follows the workspace's zero-cost-when-disabled
-//! discipline: its enabled flag is independent of the profiler's switch
-//! (so either can be exercised alone), record sites are expected to
-//! branch on [`timeline_enabled`] (a relaxed atomic load) before building
-//! a record, and hot loops batch locally and flush once via
-//! [`Timeline::record_batch`]. Wall-clock stamps never feed back into
-//! simulated time, so recording cannot perturb simulation results.
+//! Wall-clock stamps never feed back into simulated time, so recording
+//! cannot perturb simulation results.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// Trace process id for wall-clock PDES partition tracks.
 pub const PID_PDES: u32 = 1;
@@ -38,28 +35,6 @@ pub const PID_PDES: u32 = 1;
 pub const PID_FLOWS: u32 = 2;
 /// Trace process id for sim-time sampler counter tracks.
 pub const PID_SAMPLES: u32 = 3;
-/// Trace process id for recovery-driver instants (checkpoints taken,
-/// restores, degradation-ladder transitions), stamped in sim time.
-pub const PID_RECOVERY: u32 = 4;
-
-/// Hard cap on retained records; further records are counted as dropped.
-/// Generous for real runs (a record is ~100 bytes) while bounding memory
-/// if a caller leaves the timeline enabled across many runs.
-pub const MAX_TIMELINE_RECORDS: usize = 1 << 22;
-
-static TIMELINE_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns timeline recording on or off process-wide.
-pub fn set_timeline_enabled(on: bool) {
-    TIMELINE_ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether the timeline is recording. A relaxed load so record sites can
-/// branch on it in hot paths for effectively zero disabled cost.
-#[inline]
-pub fn timeline_enabled() -> bool {
-    TIMELINE_ENABLED.load(Ordering::Relaxed)
-}
 
 /// The Chrome trace-event phase of a record.
 #[derive(Clone, Debug, PartialEq)]
@@ -113,7 +88,7 @@ impl From<&str> for ArgValue {
 /// One timeline event: a slice, instant, or counter sample on a
 /// (`pid`, `tid`) track, timestamped in microseconds of its process's
 /// clock domain (wall or sim — see the module docs).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceRecord {
     /// Event name (slice label, instant label, or counter track name).
     pub name: Cow<'static, str>,
@@ -190,132 +165,36 @@ impl TraceRecord {
     }
 }
 
-#[derive(Default)]
-struct TimelineInner {
-    records: Vec<TraceRecord>,
+/// A finished run's timeline: its records plus process/track display
+/// names. Build one per run, then [`Timeline::save`] it.
+#[derive(Debug, Default)]
+pub struct Timeline {
+    /// The records, in export order.
+    pub records: Vec<TraceRecord>,
     processes: BTreeMap<u32, String>,
     tracks: BTreeMap<(u32, u64), String>,
-    dropped: u64,
-}
-
-/// The process-wide timeline: a bounded record store plus process/track
-/// display names. Obtain it via [`timeline`].
-#[derive(Default)]
-pub struct Timeline {
-    inner: Mutex<TimelineInner>,
+    /// Records producers discarded at their own caps (a PDES partition's
+    /// slice cap), so a truncated trace is never mistaken for a complete
+    /// one.
+    pub dropped: u64,
 }
 
 impl Timeline {
-    fn lock(&self) -> std::sync::MutexGuard<'_, TimelineInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Records one event if the timeline is enabled.
-    pub fn record(&self, record: TraceRecord) {
-        if !timeline_enabled() {
-            return;
-        }
-        let mut inner = self.lock();
-        if inner.records.len() < MAX_TIMELINE_RECORDS {
-            inner.records.push(record);
-        } else {
-            inner.dropped += 1;
-        }
-    }
-
-    /// Records a batch under one lock acquisition. Hot loops (PDES
-    /// partition threads, samplers) accumulate locally and flush here.
-    pub fn record_batch(&self, records: Vec<TraceRecord>) {
-        if !timeline_enabled() || records.is_empty() {
-            return;
-        }
-        let mut inner = self.lock();
-        let room = MAX_TIMELINE_RECORDS.saturating_sub(inner.records.len());
-        let take = records.len().min(room);
-        inner.dropped += (records.len() - take) as u64;
-        inner.records.extend(records.into_iter().take(take));
-    }
-
     /// Sets the display name for a trace process (track group).
-    pub fn name_process(&self, pid: u32, name: impl Into<String>) {
-        self.lock().processes.insert(pid, name.into());
+    pub fn name_process(&mut self, pid: u32, name: impl Into<String>) {
+        self.processes.insert(pid, name.into());
     }
 
     /// Sets the display name for a track within a process.
-    pub fn name_track(&self, pid: u32, tid: u64, name: impl Into<String>) {
-        self.lock().tracks.insert((pid, tid), name.into());
+    pub fn name_track(&mut self, pid: u32, tid: u64, name: impl Into<String>) {
+        self.tracks.insert((pid, tid), name.into());
     }
 
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.lock().records.len()
-    }
-
-    /// True when no records have been retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Records rejected because the [`MAX_TIMELINE_RECORDS`] cap was hit,
-    /// plus those producers discarded at their own caps ([`Self::add_dropped`]).
-    pub fn dropped(&self) -> u64 {
-        self.lock().dropped
-    }
-
-    /// Counts `n` records a producer discarded before they reached the
-    /// timeline (a PDES partition's local buffer cap), so a truncated
-    /// trace is never mistaken for a complete one.
-    pub fn add_dropped(&self, n: u64) {
-        self.lock().dropped += n;
-    }
-
-    /// Clears all records, names, and the dropped count.
-    pub fn reset(&self) {
-        let mut inner = self.lock();
-        *inner = TimelineInner::default();
-    }
-}
-
-/// The global timeline instance.
-pub fn timeline() -> &'static Timeline {
-    static GLOBAL: OnceLock<Timeline> = OnceLock::new();
-    GLOBAL.get_or_init(Timeline::default)
-}
-
-/// Serializes a [`Timeline`] snapshot as Chrome trace-event JSON.
-///
-/// The export is the "JSON object format": `{"displayTimeUnit": "ms",
-/// "traceEvents": [...]}` with `process_name` / `thread_name` metadata
-/// events first, then the records. Load it in `chrome://tracing` or drop
-/// it onto [ui.perfetto.dev](https://ui.perfetto.dev).
-pub struct TimelineWriter {
-    records: Vec<TraceRecord>,
-    processes: BTreeMap<u32, String>,
-    tracks: BTreeMap<(u32, u64), String>,
-}
-
-impl TimelineWriter {
-    /// Snapshots `t`'s current contents (the timeline keeps recording).
-    pub fn from_timeline(t: &Timeline) -> Self {
-        let inner = t.lock();
-        TimelineWriter {
-            records: inner.records.clone(),
-            processes: inner.processes.clone(),
-            tracks: inner.tracks.clone(),
-        }
-    }
-
-    /// Number of (non-metadata) events that will be written.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when there are no events to write.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Renders the full trace as a JSON string.
+    /// Renders the trace as Chrome trace-event JSON, the "JSON object
+    /// format": `{"displayTimeUnit": "ms", "traceEvents": [...]}` with
+    /// `process_name` / `thread_name` metadata events first, then the
+    /// records. Load it in `chrome://tracing` or drop it onto
+    /// [ui.perfetto.dev](https://ui.perfetto.dev).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.records.len() * 96);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -355,11 +234,6 @@ impl TimelineWriter {
         }
         out.push_str("]}");
         out
-    }
-
-    /// Writes the JSON to `w`.
-    pub fn write<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(self.to_json().as_bytes())
     }
 
     /// Writes the JSON to `path`.
@@ -440,30 +314,6 @@ fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
     use serde::Value;
-    use std::sync::{Mutex, MutexGuard};
-
-    // The global timeline and its enabled flag are process-wide; tests
-    // that touch them serialize on one lock and restore the flag.
-    static TIMELINE_LOCK: Mutex<()> = Mutex::new(());
-
-    struct TimelineScope(bool, #[allow(dead_code)] MutexGuard<'static, ()>);
-
-    impl TimelineScope {
-        fn with(on: bool) -> Self {
-            let guard = TIMELINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            let prev = timeline_enabled();
-            set_timeline_enabled(on);
-            timeline().reset();
-            TimelineScope(prev, guard)
-        }
-    }
-
-    impl Drop for TimelineScope {
-        fn drop(&mut self) {
-            timeline().reset();
-            set_timeline_enabled(self.0);
-        }
-    }
 
     fn events(json: &str) -> Vec<Value> {
         let v: Value = serde_json::from_str(json).expect("trace JSON parses");
@@ -505,36 +355,24 @@ mod tests {
     }
 
     #[test]
-    fn disabled_timeline_records_nothing() {
-        let _scope = TimelineScope::with(false);
-        timeline().record(TraceRecord::instant(PID_FLOWS, 0, "drop", 1.0));
-        timeline().record_batch(vec![TraceRecord::counter(PID_SAMPLES, "queue_bytes", 2.0)]);
-        assert!(timeline().is_empty());
-        assert_eq!(timeline().dropped(), 0);
-    }
-
-    #[test]
-    fn records_slices_instants_and_counters() {
-        let _scope = TimelineScope::with(true);
-        timeline().name_process(PID_PDES, "pdes partitions (wall clock)");
-        timeline().name_track(PID_PDES, 3, "partition 3");
-        timeline().record(
+    fn serializes_slices_instants_and_counters() {
+        let mut tl = Timeline::default();
+        tl.name_process(PID_PDES, "pdes partitions (wall clock)");
+        tl.name_track(PID_PDES, 3, "partition 3");
+        tl.records.push(
             TraceRecord::complete(PID_PDES, 3, "work", 10.0, 5.5)
                 .arg("epoch", 7u64)
                 .arg("events", 120u64),
         );
-        timeline().record(TraceRecord::instant(PID_FLOWS, 1, "drop", 42.25).arg("node", "tor3"));
-        timeline().record_batch(vec![TraceRecord::counter(
-            PID_SAMPLES,
-            "queue_bytes",
-            100.0,
-        )
-        .arg("tor", 1500.0)
-        .arg("core", 0.0)]);
-        assert_eq!(timeline().len(), 3);
+        tl.records
+            .push(TraceRecord::instant(PID_FLOWS, 1, "drop", 42.25).arg("node", "tor3"));
+        tl.records.push(
+            TraceRecord::counter(PID_SAMPLES, "queue_bytes", 100.0)
+                .arg("tor", 1500.0)
+                .arg("core", 0.0),
+        );
 
-        let json = TimelineWriter::from_timeline(timeline()).to_json();
-        let evs = events(&json);
+        let evs = events(&tl.to_json());
         // 2 process-metadata + 1 thread-metadata + 3 records.
         assert_eq!(evs.len(), 6);
         let slice = evs
@@ -565,39 +403,20 @@ mod tests {
 
     #[test]
     fn json_escapes_awkward_names() {
-        let _scope = TimelineScope::with(true);
-        timeline().record(TraceRecord::instant(
-            PID_FLOWS,
-            0,
-            "a \"b\"\\\n\tc".to_string(),
-            0.0,
-        ));
-        let json = TimelineWriter::from_timeline(timeline()).to_json();
-        let evs = events(&json);
+        let mut tl = Timeline::default();
+        let name = "a \"b\"\\\n\tc".to_string();
+        tl.records
+            .push(TraceRecord::instant(PID_FLOWS, 0, name, 0.0));
+        let evs = events(&tl.to_json());
         assert_eq!(str_of(field(&evs[0], "name")), "a \"b\"\\\n\tc");
     }
 
     #[test]
-    fn cap_counts_dropped_records() {
-        let _scope = TimelineScope::with(true);
-        // Exercise the batch clamp without allocating MAX records: fill to
-        // just below the cap is infeasible in a unit test, so check the
-        // arithmetic on the record path via a tiny shim instead.
-        let t = Timeline::default();
-        for i in 0..10 {
-            t.record(TraceRecord::instant(PID_FLOWS, 0, "x", i as f64));
-        }
-        assert_eq!(t.len(), 10);
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let _scope = TimelineScope::with(true);
-        timeline().record(TraceRecord::instant(PID_FLOWS, 0, "x", 0.0));
-        timeline().name_process(PID_FLOWS, "flows");
-        timeline().reset();
-        assert!(timeline().is_empty());
-        assert!(TimelineWriter::from_timeline(timeline()).is_empty());
+    fn an_empty_timeline_is_an_empty_trace() {
+        let tl = Timeline::default();
+        assert_eq!(
+            tl.to_json(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
+        );
     }
 }

@@ -45,9 +45,9 @@ use elephant::core::{
 use elephant::des::{EpochMode, SimDuration};
 use elephant::net::{
     BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig,
-    NetSampler, Network, OracleFaultMode, RttScope, TraceLog, MAX_FLOW_TRACKS, SAMPLE_CSV_HEADER,
+    NetSampler, OracleFaultMode, RttScope, TraceLog, SAMPLE_CSV_HEADER,
 };
-use elephant::obs::{RunReport, TimelineWriter, TraceRecord, PID_FLOWS};
+use elephant::obs::RunReport;
 use elephant::scenario::toml::{self, TomlValue};
 use elephant::scenario::{
     compile, decode, fold_fingerprints, list_scenarios, load, run_fingerprint, sweep_cells,
@@ -245,9 +245,6 @@ impl Sinks {
     fn enable(&self) {
         if self.observing() {
             elephant::obs::set_enabled(true);
-        }
-        if self.trace_out.is_some() {
-            elephant::obs::set_timeline_enabled(true);
         }
     }
 
@@ -645,6 +642,7 @@ fn dispatch(req: &Request, c: &Compiled) {
             false => req.sinks.build_trace(flows),
         },
         sampler: sampler.as_mut(),
+        timeline: req.sinks.trace_out.is_some(),
     };
     let (outcome, mut guard, mut caches) = simulate(req, c, model.as_ref(), observe);
     if c.recovery.is_some() {
@@ -845,11 +843,11 @@ fn finish(
 
     if let Some(s) = sampler {
         let path = req.sinks.samples_path();
-        written(&path, write_csv(&path, &SAMPLE_CSV_HEADER, s.rows()));
-        println!("wrote {path} ({} samples)", s.rows().len());
+        written(&path, write_csv(&path, &SAMPLE_CSV_HEADER, &s.rows()));
+        println!("wrote {path} ({} samples)", s.samples().len());
     }
     if let Some(path) = &req.sinks.trace_out {
-        write_timeline(path, &out.nets, guard);
+        write_timeline(path, out, sampler, guard);
     }
 
     // Driver and mode name the point of the run matrix that executed.
@@ -1140,35 +1138,26 @@ fn captured(capture: &Outcome) -> &[BoundaryRecord] {
     state.expect("the run captured cluster 1").records()
 }
 
-/// Writes the Chrome-trace timeline: flow tracks and drop/oracle instants
-/// from the nets' traces, guard-trip instants from the guard's log, and
-/// whatever the run itself recorded (sampler counters, PDES partitions).
-fn write_timeline(path: &str, nets: &[Network], guard: &Option<GuardStatsHandle>) {
-    let nets: Vec<&Network> = nets.iter().collect();
-    elephant::net::export_flow_timeline_multi(&nets, MAX_FLOW_TRACKS);
-    let tl = elephant::obs::timeline();
-    if let Some(h) = guard {
-        for (t, v) in h.trip_events() {
-            tl.record(
-                TraceRecord::instant(PID_FLOWS, 0, "guard_trip", t.as_nanos() as f64 / 1e3)
-                    .category("guard")
-                    .arg("kind", format!("{v:?}")),
-            );
-        }
-    }
-    let writer = TimelineWriter::from_timeline(tl);
-    written(path, writer.save(std::path::Path::new(path)));
-    let dropped = tl.dropped();
+/// Writes the run's Chrome-trace timeline, with the guard's trips.
+fn write_timeline(
+    path: &str,
+    out: &Outcome,
+    sampler: Option<&NetSampler>,
+    guard: &Option<GuardStatsHandle>,
+) {
+    let trips = guard.as_ref().map(|h| h.trip_events()).unwrap_or_default();
+    let tl = out.timeline(sampler, &trips);
+    written(path, tl.save(std::path::Path::new(path)));
+    let dropped = match tl.dropped {
+        0 => String::new(),
+        n => format!(", {n} dropped at capacity"),
+    };
     println!(
-        "wrote {path} ({} trace records{}) — open in https://ui.perfetto.dev or chrome://tracing",
-        tl.len(),
-        if dropped > 0 {
-            format!(", {dropped} dropped at capacity")
-        } else {
-            String::new()
-        }
+        "wrote {path} ({} trace records{dropped}) — open in https://ui.perfetto.dev or chrome://tracing",
+        tl.records.len()
     );
 }
+
 /// `run-scenario FILE --validate`: the document decoded and compiled
 /// with every flag edit applied, summarised instead of run.
 fn validated(req: &Request, c: &Compiled) {

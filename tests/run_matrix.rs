@@ -1,6 +1,6 @@
 //! The run matrix as one table: {full, hybrid} × {sequential, PDES} ×
-//! {unsupervised, supervised} × {unobserved, sampler + trace} on one
-//! two-cluster scenario. Within each (fidelity, engine) pair all four
+//! {unsupervised, supervised} × {unobserved, sampler + trace + timeline}
+//! on one two-cluster scenario. Within each (fidelity, engine) pair all four
 //! supervision × observation cells must land on the same fingerprint and
 //! event count: checkpointing and observing are invisible on every
 //! engine, because every cell is the same `execute` over the same world.
@@ -84,6 +84,7 @@ fn supervision_and_observation_never_move_a_fingerprint() {
                     true => Observe {
                         trace: Some(TraceLog::strided(10_000, 200_000)),
                         sampler: Some(&mut sampler),
+                        timeline: true,
                     },
                     false => Observe::default(),
                 };
@@ -97,7 +98,10 @@ fn supervision_and_observation_never_move_a_fingerprint() {
                 // Each axis actually took effect.
                 assert_eq!(out.oracle_deliveries() > 0, hybrid, "{cell}");
                 assert_eq!(out.report.is_some(), pdes, "{cell}");
-                assert_eq!(!sampler.rows().is_empty(), observed, "{cell}");
+                assert_eq!(!sampler.samples().is_empty(), observed, "{cell}");
+                let mut parts = out.report.iter().flat_map(|r| &r.partitions);
+                let sliced = parts.any(|p| !p.slices.is_empty());
+                assert_eq!(sliced, pdes && observed, "{cell}");
                 match &out.recovery {
                     Some(log) => {
                         assert!(supervised, "{cell}");

@@ -3,12 +3,24 @@
 //! change a single simulated outcome. Samplers drive the simulator in
 //! chunks instead of scheduling FEL events, and trace/timeline recording
 //! only reads state — so an observed run is bit-identical to a blind one.
+//!
+//! A timeline belongs to its run: it is built from the finished
+//! [`Outcome`], so two runs in one process never share records, and a
+//! supervised run's timeline holds only the attempts that survived.
 
-use elephant::core::{execute, single_oracle, Fidelity, Observe, RunMeta, RunPlan};
-use elephant::des::{SimDuration, SimTime};
-use elephant::net::{
-    ClosParams, FlowSpec, IdealOracle, NetConfig, NetSampler, Network, RttScope, TraceLog,
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use elephant::core::{
+    execute, single_oracle, Exec, Fidelity, Observe, Outcome, PdesExec, RecoveryPolicy, RunPlan,
 };
+use elephant::des::{EpochMode, SimDuration, SimTime};
+use elephant::net::{
+    ClosParams, ClusterOracle, FlowSpec, IdealOracle, NetConfig, NetSampler, Network, OracleCtx,
+    OracleVerdict, Packet, RttScope, TraceKind, TraceLog, MAX_FLOW_TRACKS,
+};
+use elephant::obs::{Timeline, TraceRecord, PID_FLOWS, PID_PDES};
+use elephant::scenario::{compile, load, CompileOverrides};
 use elephant::trace::{filter_touching_cluster, generate, WorkloadConfig};
 
 const HORIZON: SimTime = SimTime::from_millis(15);
@@ -58,7 +70,7 @@ fn cfg() -> NetConfig {
 
 /// Two clusters, sequential, full fidelity or (`hybrid`) cluster 0 behind
 /// an ideal oracle, under `observe`.
-fn run(flows: &[FlowSpec], hybrid: bool, observe: Observe<'_>) -> (Network, RunMeta) {
+fn run(flows: &[FlowSpec], hybrid: bool, observe: Observe<'_>) -> Outcome {
     let fidelity = match hybrid {
         false => Fidelity::Full { capture: None },
         true => Fidelity::Hybrid {
@@ -69,9 +81,21 @@ fn run(flows: &[FlowSpec], hybrid: bool, observe: Observe<'_>) -> (Network, RunM
     let params = ClosParams::paper_cluster(2);
     let mut plan = RunPlan::new(params, cfg(), flows, HORIZON, fidelity);
     plan.observe = observe;
-    execute(plan)
-        .expect("unsupervised sequential runs cannot fail")
-        .into_single()
+    execute(plan).expect("unsupervised sequential runs cannot fail")
+}
+
+/// A strided event trace, `sampler` if any, and the timeline switch on.
+fn traced(sampler: Option<&mut NetSampler>) -> Observe<'_> {
+    Observe {
+        trace: Some(TraceLog::strided(20_000, 500_000)),
+        sampler,
+        timeline: true,
+    }
+}
+
+/// The records of `tl` on trace process `pid`.
+fn on(tl: &Timeline, pid: u32) -> Vec<&TraceRecord> {
+    tl.records.iter().filter(|r| r.pid == pid).collect()
 }
 
 #[test]
@@ -79,26 +103,17 @@ fn ground_truth_fingerprint_survives_full_observability() {
     let params = ClosParams::paper_cluster(2);
     let flows = generate(&params, &WorkloadConfig::paper_default(HORIZON, 21));
 
-    let (net, meta) = run(&flows, false, Observe::default());
-    let blind = fingerprint(&net, meta.events);
+    let out = run(&flows, false, Observe::default());
+    let blind = fingerprint(&out.nets[0], out.meta.events);
 
     // Timeline on, strided trace installed, 50µs sampler chunking the run.
-    elephant::obs::timeline().reset();
-    elephant::obs::set_timeline_enabled(true);
     let mut sampler = NetSampler::new(SimDuration::from_micros(50), &flows);
-    let observe = Observe {
-        trace: Some(TraceLog::strided(20_000, 500_000)),
-        sampler: Some(&mut sampler),
-    };
-    let (net, meta) = run(&flows, false, observe);
-    elephant::net::export_flow_timeline(&net, 32);
-    elephant::obs::set_timeline_enabled(false);
-    let recorded = elephant::obs::timeline().len();
-    elephant::obs::timeline().reset();
-    let observed = fingerprint(&net, meta.events);
+    let out = run(&flows, false, traced(Some(&mut sampler)));
+    let recorded = out.timeline(Some(&sampler), &[]).records.len();
+    let observed = fingerprint(&out.nets[0], out.meta.events);
 
     assert!(recorded > 0, "timeline actually captured records");
-    assert!(!sampler.rows().is_empty(), "sampler actually ran");
+    assert!(!sampler.samples().is_empty(), "sampler actually ran");
     assert_eq!(blind, observed, "observability must be invisible");
 }
 
@@ -110,18 +125,176 @@ fn hybrid_fingerprint_survives_full_observability() {
         0,
     );
 
-    let (net, meta) = run(&flows, true, Observe::default());
-    let blind = fingerprint(&net, meta.events);
+    let out = run(&flows, true, Observe::default());
+    let blind = fingerprint(&out.nets[0], out.meta.events);
 
     let mut sampler = NetSampler::new(SimDuration::from_micros(75), &flows);
-    let observe = Observe {
-        trace: Some(TraceLog::strided(20_000, 500_000)),
-        sampler: Some(&mut sampler),
-    };
-    let (net, meta) = run(&flows, true, observe);
-    let observed = fingerprint(&net, meta.events);
+    let out = run(&flows, true, traced(Some(&mut sampler)));
+    let observed = fingerprint(&out.nets[0], out.meta.events);
 
-    assert!(net.stats.oracle_deliveries > 0, "oracle exercised");
-    assert!(!sampler.rows().is_empty(), "sampler actually ran");
+    assert!(out.oracle_deliveries() > 0, "oracle exercised");
+    assert!(!sampler.samples().is_empty(), "sampler actually ran");
     assert_eq!(blind, observed, "observability must be invisible");
+}
+
+/// A scripted stall walks the supervised PDES run down the ladder to the
+/// sequential rung: the attempts it abandoned leave no partition slice on
+/// the timeline, and its flow spans and instants are those of a clean
+/// sequential run of the same plan.
+#[test]
+fn abandoned_pdes_attempts_leave_nothing_on_the_timeline() {
+    let scenario = load("scenarios/recovery_drill.toml").expect("drill scenario loads");
+    let compiled = compile(&scenario, &CompileOverrides::default());
+    let policy = compiled
+        .recovery
+        .expect("[recovery] is enabled in the drill");
+
+    let exec = compiled.pdes(None, EpochMode::Adaptive);
+    let supervised = compiled
+        .run(None, exec, Some(&policy), traced(None))
+        .expect("the ladder ends on the sequential rung");
+    let log = supervised.recovery.as_ref().expect("supervised");
+    assert!(
+        log.restores >= 2 && log.degradations == 2,
+        "{}",
+        log.summary()
+    );
+    let degraded = supervised.timeline(None, &[]);
+    assert!(on(&degraded, PID_PDES).is_empty(), "no partition slice");
+    assert!(!degraded.to_json().contains("pdes partitions"));
+
+    let clean = compiled
+        .run(None, Exec::Sequential, None, traced(None))
+        .expect("unsupervised sequential runs cannot fail");
+    let clean = clean.timeline(None, &[]);
+    assert!(!on(&clean, PID_FLOWS).is_empty());
+    assert_eq!(on(&degraded, PID_FLOWS), on(&clean, PID_FLOWS));
+}
+
+/// Delivers like [`IdealOracle`], except that the first verdict asked
+/// for at or after 5 ms panics while `armed` is set. Checkpoint copies
+/// share the flag, so the retry after a restore runs clean.
+#[derive(Clone)]
+struct PanicsOnce {
+    armed: Arc<AtomicBool>,
+}
+
+impl ClusterOracle for PanicsOnce {
+    fn classify(&mut self, ctx: &OracleCtx<'_>, pkt: &Packet, now: SimTime) -> OracleVerdict {
+        if now >= SimTime::from_millis(5) && self.armed.swap(false, Ordering::Relaxed) {
+            panic!("scripted oracle panic");
+        }
+        IdealOracle.classify(ctx, pkt, now)
+    }
+
+    fn clone_box(&self) -> Option<Box<dyn ClusterOracle + Send>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+/// A supervised hybrid PDES run whose oracle panics once: the supervisor
+/// restores the 4 ms checkpoint and the retry finishes under PDES. The
+/// rolled-back chunk leaves no slice (each partition holds one `work`
+/// slice per epoch the report counts), and the flow spans and instants
+/// are those of a clean PDES run of the same plan.
+#[test]
+fn a_restored_pdes_chunk_leaves_nothing_on_the_timeline() {
+    let params = ClosParams::paper_cluster(2);
+    let flows = filter_touching_cluster(
+        &generate(&params, &WorkloadConfig::paper_default(HORIZON, 22)),
+        0,
+    );
+    let policy = RecoveryPolicy {
+        checkpoint_every: SimDuration::from_millis(2),
+        max_retries: 1,
+    };
+    let run = |armed: bool, supervise: Option<&RecoveryPolicy>| {
+        let armed = Arc::new(AtomicBool::new(armed));
+        let mut oracles = move |_: Option<usize>| {
+            let oracle = PanicsOnce {
+                armed: armed.clone(),
+            };
+            Box::new(oracle) as Box<dyn ClusterOracle + Send>
+        };
+        let fidelity = Fidelity::Hybrid {
+            full_cluster: 0,
+            oracles: &mut oracles,
+        };
+        let mut plan = RunPlan::new(params, cfg(), &flows, HORIZON, fidelity);
+        plan.exec = Exec::Pdes(PdesExec {
+            partitions: 2,
+            machines: 2,
+            envelope_bytes: 0,
+            mode: EpochMode::Adaptive,
+            faults: None,
+        });
+        plan.supervise = supervise;
+        plan.observe = traced(None);
+        execute(plan).expect("the retry finishes under PDES")
+    };
+
+    let restored = run(true, Some(&policy));
+    let log = restored.recovery.as_ref().expect("supervised");
+    assert_eq!(
+        (log.restores, log.degradations),
+        (1, 0),
+        "{}",
+        log.summary()
+    );
+    let report = restored.report.as_ref().expect("finished under PDES");
+    let tl = restored.timeline(None, &[]);
+    for p in &report.partitions {
+        let work = on(&tl, PID_PDES)
+            .into_iter()
+            .filter(|r| r.tid == p.partition as u64 && r.name == "work");
+        assert_eq!(
+            work.count() as u64,
+            report.epochs,
+            "partition {}",
+            p.partition
+        );
+    }
+
+    let clean = run(false, None).timeline(None, &[]);
+    assert!(!on(&clean, PID_FLOWS).is_empty());
+    assert_eq!(on(&tl, PID_FLOWS), on(&clean, PID_FLOWS));
+}
+
+/// Two runs in one process, no reset between them: each timeline holds
+/// exactly its own run's records, and the second run leaves the first
+/// run's timeline as it was.
+#[test]
+fn each_run_gets_only_its_own_records() {
+    let params = ClosParams::paper_cluster(2);
+    let full_flows = generate(&params, &WorkloadConfig::paper_default(HORIZON, 21));
+    let hybrid_flows = filter_touching_cluster(
+        &generate(&params, &WorkloadConfig::paper_default(HORIZON, 22)),
+        0,
+    );
+
+    let mut first_sampler = NetSampler::new(SimDuration::from_micros(50), &full_flows);
+    let first = run(&full_flows, false, traced(Some(&mut first_sampler)));
+    let before = first.timeline(Some(&first_sampler), &[]).to_json();
+
+    let mut second_sampler = NetSampler::new(SimDuration::from_micros(75), &hybrid_flows);
+    let second = run(&hybrid_flows, true, traced(Some(&mut second_sampler)));
+    let tl = second.timeline(Some(&second_sampler), &[]);
+
+    let after = first.timeline(Some(&first_sampler), &[]).to_json();
+    assert_eq!(before, after, "the second run left nothing on the first");
+
+    // Three counter tracks per sample (the ideal oracle models no macro
+    // state), a span per tracked flow, an instant per traced drop or
+    // oracle verdict: nothing else.
+    let net = &second.nets[0];
+    let instants = net.trace().expect("traced").entries().iter().filter(|e| {
+        matches!(
+            e.kind,
+            TraceKind::Drop | TraceKind::OracleDrop | TraceKind::OracleDeliver
+        )
+    });
+    let spans = net.stats.fct.len().min(MAX_FLOW_TRACKS);
+    let want = 3 * second_sampler.samples().len() + spans + instants.count();
+    assert_eq!(tl.records.len(), want);
+    assert!(on(&tl, PID_PDES).is_empty());
 }
