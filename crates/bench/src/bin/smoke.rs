@@ -25,7 +25,7 @@
 use elephant_bench::{emit_report, fmt_f, print_table, Args};
 use elephant_core::{execute, Fidelity, Observe, RunPlan};
 use elephant_des::SimDuration;
-use elephant_net::{NetSampler, TraceLog};
+use elephant_net::TraceLog;
 use elephant_scenario::{compile, load, CompileOverrides};
 
 /// The reference workload, shared with `elephant run-scenario`.
@@ -88,18 +88,17 @@ fn main() {
         checkpointed.push(run.meta.wall.as_secs_f64());
     }
 
-    // One enabled run, informational: trace + sampler, timeline saved.
-    let mut sampler = NetSampler::new(SimDuration::from_micros(100), &flows);
+    // One enabled run, informational: trace + samples, timeline saved.
     let trace = TraceLog::strided(50_000, events);
     let mut observed = plan();
     observed.observe = Observe {
         trace: Some(trace),
-        sampler: Some(&mut sampler),
+        sample_every: Some(SimDuration::from_micros(100)),
         timeline: true,
     };
     let enabled = execute(observed).expect("unsupervised sequential runs cannot fail");
     let path = args.out.join("smoke_timeline.json");
-    let timeline = enabled.timeline(Some(&sampler), &[]);
+    let timeline = enabled.timeline(&[]);
     timeline
         .save(&path)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
@@ -138,7 +137,7 @@ fn main() {
     report.scalar("checkpoints_taken", checkpoints_taken as f64);
     report.scalar("overhead_enabled", overhead_enabled);
     report.scalar("timeline_records", timeline.records.len() as f64);
-    report.scalar("sampler_rows", sampler.samples().len() as f64);
+    report.scalar("sampler_rows", enabled.samples.len() as f64);
     report.gather();
     emit_report(&report, &args);
 

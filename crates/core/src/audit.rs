@@ -19,7 +19,7 @@
 //!   only exist on the approximate side.
 //!
 //! Read-only contract: both sides go through [`crate::execute`] like
-//! any standalone run, the hybrid with a sampler (chunked driving, proven
+//! any standalone run, the hybrid sampled (chunked driving, proven
 //! bit-identity-preserving); `tests/audit_determinism.rs` asserts the
 //! audited runs' fingerprints equal standalone runs'.
 
@@ -33,7 +33,7 @@ use crate::macro_model::MacroState;
 
 use elephant_des::{SimDuration, SimTime};
 use elephant_net::{
-    ClosParams, ClusterOracle, FlowSpec, GuardStatsHandle, NetConfig, NetSampler, Network, RttScope,
+    ClosParams, ClusterOracle, FlowSpec, GuardStatsHandle, NetConfig, Network, RttScope, Sample,
 };
 use elephant_obs::{
     ks_distance, wasserstein1, DivergenceBounds, DivergenceReport, DriftRow, HistSummary,
@@ -97,18 +97,16 @@ pub fn run_audit(
     };
     let (truth_net, truth_meta) = run_ground_truth(params, truth_cfg, None, flows, horizon);
 
-    let mut sampler = NetSampler::new(sample_every, flows);
     let fidelity = Fidelity::Hybrid {
         full_cluster,
         oracles: &mut single_oracle(oracle),
     };
     let mut plan = RunPlan::new(params, cfg, flows, horizon, fidelity);
-    plan.observe = Observe::sampled(Some(&mut sampler));
-    let (hybrid_net, hybrid_meta) = execute(plan)
-        .expect("unsupervised sequential runs cannot fail")
-        .into_single();
+    plan.observe = Observe::sampled(Some(sample_every));
+    let hybrid = execute(plan).expect("unsupervised sequential runs cannot fail");
+    let regimes = regime_timeline(&hybrid.samples);
+    let (hybrid_net, hybrid_meta) = hybrid.into_single();
 
-    let regimes = regime_timeline(&sampler);
     let divergence = diverge(&truth_net, &hybrid_net, &regimes, bounds, &hooks);
     AuditRun {
         divergence,
@@ -122,9 +120,8 @@ pub fn run_audit(
 /// The hybrid run's macro-regime step function, `(sample time, max regime
 /// across stub clusters)` per sampler tick: the worst (max) regime any
 /// stub reports is the one that shaped that window's verdicts.
-fn regime_timeline(sampler: &NetSampler) -> Vec<(SimTime, u8)> {
-    sampler
-        .samples()
+fn regime_timeline(samples: &[Sample]) -> Vec<(SimTime, u8)> {
+    samples
         .iter()
         .map(|s| {
             let state = s.macro_states.iter().map(|&(_, r)| r).max();

@@ -12,7 +12,7 @@
 //! * [`Exec`] — the sequential engine, or conservative PDES;
 //! * `supervise` — checkpoint/restore with the retry ladder of
 //!   [`crate::supervise`];
-//! * [`Observe`] — an event trace, a periodic sampler and the timeline
+//! * [`Observe`] — an event trace, a sampling period and the timeline
 //!   switch, all bit-identity-preserving.
 //!
 //! [`run_ground_truth`] and [`run_hybrid`] are the §3 workflow's one-call
@@ -21,16 +21,17 @@
 //! currencies of Figures 1 and 5.
 //!
 //! A finished run is the only source of its numbers. The [`Outcome`] owns
-//! the final networks, the kernel report and the recovery log, and is
-//! read four ways, all here: [`Outcome::metric_rows`] (the ledger's
-//! metric rows), [`Outcome::partition_rows`] (its per-partition rows),
-//! [`Outcome::timeline`] (the Chrome-trace timeline) and `Display`
+//! the final networks, the kernel report, the samples and the recovery
+//! log, and is read four ways, all here: [`Outcome::metric_rows`] (the
+//! ledger's metric rows), [`Outcome::partition_rows`] (its per-partition
+//! rows), [`Outcome::timeline`] (the Chrome-trace timeline) and `Display`
 //! (the stdout summary). Nothing is mirrored into process-wide counters
 //! or buffers while the run executes, so two runs in one process — a
 //! capture before a hybrid, an abandoned attempt before a restore — can
 //! not leak into each other's artifacts.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,9 +48,9 @@ use elephant_des::{
     SimDuration, SimTime, Simulator, StopReason,
 };
 use elephant_net::{
-    export_flow_timeline, flow_list, run_sampled, schedule_flows, ClosParams, ClusterOracle,
-    ConnStats, FlowSpec, GuardSnapshot, GuardViolation, NetConfig, NetPartition, NetSampler,
-    Network, OracleStats, RttScope, Topology, TraceLog, MAX_FLOW_TRACKS,
+    export_flow_timeline, export_sample_counters, flow_list, run_sampled, ClosParams,
+    ClusterOracle, ConnStats, FlowSpec, GuardSnapshot, GuardViolation, NetConfig, NetPartition,
+    NetSampler, Network, OracleStats, RttScope, Sample, Topology, TraceLog, MAX_FLOW_TRACKS,
 };
 use elephant_obs::{
     MetricRow, PartitionRow, RunReport, Timeline, TraceRecord, PID_FLOWS, PID_PDES,
@@ -152,15 +153,17 @@ pub struct PdesExec {
 /// Observability hooks. All preserve bit identity: the simulation
 /// executes the exact same event sequence with or without them.
 #[derive(Default)]
-pub struct Observe<'a> {
+pub struct Observe {
     /// Event trace (first-N or strided) installed on the network.
     /// Sequential runs only.
     pub trace: Option<TraceLog>,
-    /// Drives the run in sampling-period chunks, recording time series
-    /// between chunks (across all partitions under PDES). A sampler
-    /// follows one timeline: under supervision it also samples at every
-    /// checkpoint boundary and keeps a failed attempt's samples.
-    pub sampler: Option<&'a mut NetSampler>,
+    /// The sampling period. The run is driven in period-long chunks and
+    /// its networks sampled between them (across all partitions under
+    /// PDES), at every multiple of the period before the horizon and once
+    /// at the horizon, into [`Outcome::samples`]. The samples are part of
+    /// the run: a supervised run's checkpoints rewind them with its world,
+    /// so it samples exactly the ticks an unsupervised run does.
+    pub sample_every: Option<SimDuration>,
     /// The timeline switch: PDES partitions record their per-epoch
     /// wall-clock slices into the kernel report, for
     /// [`Outcome::timeline`]. The rest of a timeline is read from the
@@ -168,11 +171,11 @@ pub struct Observe<'a> {
     pub timeline: bool,
 }
 
-impl<'a> Observe<'a> {
-    /// No trace, no timeline, and `sampler` if there is one.
-    pub fn sampled(sampler: Option<&'a mut NetSampler>) -> Self {
+impl Observe {
+    /// No trace, no timeline, and samples every `sample_every`, if set.
+    pub fn sampled(sample_every: Option<SimDuration>) -> Self {
         Observe {
-            sampler,
+            sample_every,
             ..Observe::default()
         }
     }
@@ -196,8 +199,8 @@ pub struct RunPlan<'a> {
     pub exec: Exec,
     /// Checkpoint + retry-ladder supervision, if any.
     pub supervise: Option<&'a RecoveryPolicy>,
-    /// Trace and sampler.
-    pub observe: Observe<'a>,
+    /// Trace, sampling and timeline.
+    pub observe: Observe,
 }
 
 impl<'a> RunPlan<'a> {
@@ -269,6 +272,9 @@ pub struct Outcome {
     pub report: Option<PdesReport>,
     /// What the supervisor did; `None` for unsupervised runs.
     pub recovery: Option<RecoveryLog>,
+    /// The samples, in time order; empty unless [`Observe::sample_every`]
+    /// was set.
+    pub samples: Vec<Sample>,
 }
 
 impl Outcome {
@@ -299,14 +305,10 @@ impl Outcome {
 
     /// The run's Chrome-trace timeline: each PDES partition's epoch
     /// slices from the kernel report (recorded under
-    /// [`Observe::timeline`]), `sampler`'s counter tracks, flow spans and
+    /// [`Observe::timeline`]), the samples' counter tracks, flow spans and
     /// drop/oracle instants from the networks' trace logs, and the guard's
     /// `trips` as `guard_trip` instants.
-    pub fn timeline(
-        &self,
-        sampler: Option<&NetSampler>,
-        trips: &[(SimTime, GuardViolation)],
-    ) -> Timeline {
+    pub fn timeline(&self, trips: &[(SimTime, GuardViolation)]) -> Timeline {
         let mut tl = Timeline::default();
         if let Some(report) = &self.report {
             tl.name_process(PID_PDES, "pdes partitions (wall clock)");
@@ -317,9 +319,7 @@ impl Outcome {
                 tl.dropped += p.slices_dropped;
             }
         }
-        if let Some(s) = sampler {
-            s.export_counters(&mut tl);
-        }
+        export_sample_counters(&self.samples, &mut tl);
         let nets: Vec<&Network> = self.nets.iter().collect();
         export_flow_timeline(&nets, MAX_FLOW_TRACKS, &mut tl);
         tl.records.extend(trips.iter().map(|(t, v)| {
@@ -616,8 +616,8 @@ impl fmt::Display for Outcome {
 /// Outcome of a run that finished under PDES: the merged kernel report,
 /// wall time, and the consumed partition networks.
 pub struct PdesRun {
-    /// Kernel statistics, merged across sampling chunks if a sampler was
-    /// attached.
+    /// Kernel statistics, merged across sampling chunks if the run was
+    /// sampled.
     pub report: PdesReport,
     /// Wall-clock duration of the run (excludes construction).
     pub wall: Duration,
@@ -637,11 +637,16 @@ impl PdesRun {
 /// [`ElephantError::RecoveryExhausted`]; unsupervised sequential runs
 /// cannot fail.
 pub fn execute(mut plan: RunPlan<'_>) -> Result<Outcome, ElephantError> {
+    // One flow list per run: the networks stream it, every PDES partition
+    // shares it, and the sampler reads the offered load off it.
+    let flows = flow_list(plan.flows);
+    let every = plan.observe.sample_every;
+    let sampler = NetSampler::new(every, plan.horizon, Arc::clone(&flows));
     // A PDES plan is left describing its own terminal rung: the same run
     // on the sequential engine.
     match std::mem::replace(&mut plan.exec, Exec::Sequential) {
-        Exec::Sequential => run_sequential(&mut plan),
-        Exec::Pdes(pdes) => run_pdes(&mut plan, pdes),
+        Exec::Sequential => run_sequential(&mut plan, &flows, sampler),
+        Exec::Pdes(pdes) => run_pdes(&mut plan, pdes, &flows, sampler),
     }
 }
 
@@ -694,20 +699,25 @@ pub fn capture_records(net: Network) -> Result<Vec<elephant_net::BoundaryRecord>
         .ok_or(ElephantError::CaptureMissing)
 }
 
-/// Advances a sequential simulation to `until`, through the sampler when
-/// one is attached.
+/// Advances a sequential simulation to `until`, sampling on the way.
+/// Returns whether the event list ran dry.
 pub(crate) fn drive(
     sim: &mut Simulator<Network>,
     until: SimTime,
-    sampler: Option<&mut NetSampler>,
-) -> StopReason {
-    match sampler {
-        Some(s) => run_sampled(sim, until, s),
-        None => sim.run_until(until),
-    }
+    sampler: &mut NetSampler,
+) -> bool {
+    let advance = |sim: &mut Simulator<Network>, t| {
+        Ok::<_, Infallible>(sim.run_until(t) == StopReason::Exhausted)
+    };
+    let Ok(dry) = run_sampled(sim, until, sampler, advance, |sim| vec![sim.world()]);
+    dry
 }
 
-fn run_sequential(plan: &mut RunPlan<'_>) -> Result<Outcome, ElephantError> {
+fn run_sequential(
+    plan: &mut RunPlan<'_>,
+    flows: &Arc<[FlowSpec]>,
+    mut sampler: NetSampler,
+) -> Result<Outcome, ElephantError> {
     let _span = elephant_obs::span(match plan.fidelity {
         Fidelity::Full { .. } => "ground_truth",
         Fidelity::Hybrid { .. } => "hybrid",
@@ -719,21 +729,21 @@ fn run_sequential(plan: &mut RunPlan<'_>) -> Result<Outcome, ElephantError> {
         net.install_trace(log);
     }
     let mut sim = Simulator::new(net);
-    schedule_flows(&mut sim, plan.flows);
+    let (net, sched) = sim.parts_mut();
+    net.stream_flows(Arc::clone(flows), sched);
 
     let _run = elephant_obs::span("run");
     let start = Instant::now();
-    let sampler = plan.observe.sampler.as_deref_mut();
     let recovery = match plan.supervise {
         None => {
-            drive(&mut sim, plan.horizon, sampler);
+            drive(&mut sim, plan.horizon, &mut sampler);
             None
         }
         Some(policy) => Some(supervise_simulator(
             &mut sim,
             plan.horizon,
             policy,
-            sampler,
+            &mut sampler,
         )?),
     };
     let meta = RunMeta {
@@ -747,53 +757,46 @@ fn run_sequential(plan: &mut RunPlan<'_>) -> Result<Outcome, ElephantError> {
         meta,
         report: None,
         recovery,
+        samples: sampler.into_samples(),
     })
 }
 
-/// Drives a [`PdesRunner`] to `horizon`, optionally pausing at every
-/// sampler tick to record time series across all partitions. Chunked
-/// driving is exact: each `run_until` chunk resumes the per-partition
-/// schedulers where the previous one parked them, and the per-chunk
-/// reports are disjoint, so the merged report equals a single-call run's.
+/// Drives a [`PdesRunner`] to `until`, pausing at every sampler tick to
+/// sample all partitions. Chunked driving is exact: each `run_until`
+/// chunk resumes the per-partition schedulers where the previous one
+/// parked them, and the per-chunk reports are disjoint, so the merged
+/// report equals a single-call run's.
 pub(crate) fn drive_pdes(
     runner: &mut PdesRunner<NetPartition>,
-    horizon: SimTime,
-    sampler: Option<&mut NetSampler>,
+    until: SimTime,
+    sampler: &mut NetSampler,
 ) -> Result<(PdesReport, Duration), PdesError> {
     let t0 = Instant::now();
-    let report = match sampler {
-        None => runner.run_until(horizon)?,
-        Some(s) => {
-            let mut total: Option<PdesReport> = None;
-            loop {
-                let next = s.next_due().min(horizon);
-                let chunk = runner.run_until(next)?;
-                let exhausted = chunk.partitions.iter().all(|p| p.next_time.is_none());
-                match &mut total {
-                    None => total = Some(chunk),
-                    Some(t) => t.merge(chunk),
-                }
-                let at = if exhausted && next < horizon {
-                    horizon
-                } else {
-                    next
-                };
-                let nets: Vec<&Network> =
-                    runner.partitions().iter().map(|p| &p.world().net).collect();
-                s.sample(at, &nets);
-                if at >= horizon {
-                    break;
-                }
-            }
-            total.expect("loop samples at least once")
+    let mut total: Option<PdesReport> = None;
+    let advance = |runner: &mut PdesRunner<NetPartition>, t| {
+        let chunk = runner.run_until(t)?;
+        let dry = chunk.partitions.iter().all(|p| p.next_time.is_none());
+        match &mut total {
+            None => total = Some(chunk),
+            Some(report) => report.merge(chunk),
         }
+        Ok(dry)
     };
+    run_sampled(runner, until, sampler, advance, |runner| {
+        runner.partitions().iter().map(|p| &p.world().net).collect()
+    })?;
+    let report = total.expect("a drive runs at least one chunk");
     Ok((report, t0.elapsed()))
 }
 
-fn run_pdes(plan: &mut RunPlan<'_>, exec: PdesExec) -> Result<Outcome, ElephantError> {
+fn run_pdes(
+    plan: &mut RunPlan<'_>,
+    exec: PdesExec,
+    flows: &Arc<[FlowSpec]>,
+    mut sampler: NetSampler,
+) -> Result<Outcome, ElephantError> {
     let mode = exec.mode;
-    let (parts, lookahead) = build_partitions(plan, exec.partitions);
+    let (parts, lookahead) = build_partitions(plan, exec.partitions, flows);
     let mut pdes_cfg =
         PdesConfig::round_robin(parts.len(), exec.machines, lookahead, exec.envelope_bytes)
             .with_epoch_mode(mode);
@@ -803,24 +806,25 @@ fn run_pdes(plan: &mut RunPlan<'_>, exec: PdesExec) -> Result<Outcome, ElephantE
     pdes_cfg.timeline = plan.observe.timeline;
     let mut runner = PdesRunner::new(parts, pdes_cfg);
 
-    let sampler = plan.observe.sampler.as_deref_mut();
     let (report, wall, recovery) = match plan.supervise {
         None => {
             let (report, wall) =
-                drive_pdes(&mut runner, plan.horizon, sampler).map_err(ElephantError::Pdes)?;
+                drive_pdes(&mut runner, plan.horizon, &mut sampler).map_err(ElephantError::Pdes)?;
             (report, wall, None)
         }
         Some(policy) => {
             let _span = elephant_obs::span("pdes_supervised");
             let t0 = Instant::now();
             let (report, mut log) =
-                supervise_pdes(&mut runner, plan.horizon, policy, mode, sampler);
+                supervise_pdes(&mut runner, plan.horizon, policy, mode, &mut sampler);
             let Some(report) = report else {
                 // Terminal rung: restart from time zero on the sequential
                 // engine, built from the same plan the partitions were
-                // (fingerprint-preserving for fault-free dynamics).
+                // (fingerprint-preserving for fault-free dynamics), with
+                // the sampler rewound to time zero too.
                 drop(runner);
-                let mut out = run_sequential(plan)?;
+                sampler.rewind(0);
+                let mut out = run_sequential(plan, flows, sampler)?;
                 log.absorb(out.recovery.take().expect("the plan is supervised"));
                 out.recovery = Some(log);
                 out.meta.wall = t0.elapsed();
@@ -845,16 +849,18 @@ fn run_pdes(plan: &mut RunPlan<'_>, exec: PdesExec) -> Result<Outcome, ElephantE
         meta,
         report: Some(report),
         recovery,
+        samples: sampler.into_samples(),
     })
 }
 
 /// Builds the logical processes of a PDES run — rack partitions at full
 /// fidelity, one per cluster (each with its own oracle replica) for a
-/// hybrid — and has each partition stream the flows it owns.
-/// Returns the partitions plus the min-cut lookahead.
+/// hybrid — and has each partition stream the flows it owns from `flows`,
+/// the run's one list. Returns the partitions plus the min-cut lookahead.
 fn build_partitions(
     plan: &mut RunPlan<'_>,
     rack_partitions: usize,
+    flows: &Arc<[FlowSpec]>,
 ) -> (Vec<PartitionSim<NetPartition>>, SimDuration) {
     let (topo, mut cfg) = plan.world();
     cfg.rtt_scope = RttScope::None;
@@ -878,10 +884,9 @@ fn build_partitions(
     // Every partition reads one list and opens the flows its hosts source,
     // ranked by their index in the whole list, so tie order does not
     // depend on the cut.
-    let flows = flow_list(plan.flows);
     for part in &mut parts {
         let (world, sched) = part.parts_mut();
-        world.net.stream_flows(Arc::clone(&flows), sched);
+        world.net.stream_flows(Arc::clone(flows), sched);
     }
     (parts, lookahead)
 }
@@ -891,7 +896,7 @@ mod tests {
     use super::*;
     use crate::learned::{DropPolicy, LearnedOracle};
     use crate::train::{train_cluster_model, TrainingOptions};
-    use elephant_net::IdealOracle;
+    use elephant_net::{FlowId, HostAddr, IdealOracle};
     use elephant_nn::TrainConfig;
     use elephant_trace::{filter_touching_cluster, generate, WorkloadConfig};
 
@@ -981,7 +986,8 @@ mod tests {
         let horizon = SimTime::from_millis(4);
         let agree = |mut plan: RunPlan<'_>, partitions: usize| {
             let [threaded, lockstep] = [false, true].map(|lockstep| {
-                let (parts, lookahead) = build_partitions(&mut plan, partitions);
+                let flows = flow_list(plan.flows);
+                let (parts, lookahead) = build_partitions(&mut plan, partitions, &flows);
                 let config = PdesConfig::round_robin(parts.len(), 2, lookahead, 64);
                 let mut runner = PdesRunner::new(parts, config);
                 let report = match lockstep {
@@ -1052,6 +1058,51 @@ mod tests {
         }
     }
 
+    /// Both engines end a sampled run the same way: a few flows that all
+    /// finish long before the horizon (off the sampling grid) are sampled
+    /// at the same ticks sequentially and under PDES, the last at the
+    /// horizon.
+    #[test]
+    fn both_engines_end_a_sampled_run_at_the_horizon() {
+        let params = ClosParams::paper_cluster(2);
+        let flows: Vec<FlowSpec> = (0..4)
+            .map(|i| FlowSpec {
+                id: FlowId(i + 1),
+                src: HostAddr::new(0, 0, i as u16),
+                dst: HostAddr::new(1, 0, i as u16),
+                bytes: 10_000,
+                start: SimTime::from_micros(i * 20),
+            })
+            .collect();
+        let horizon = SimTime::from_micros(2_450);
+        let run = |exec| {
+            let fidelity = Fidelity::Full { capture: None };
+            let mut plan = RunPlan::new(params, NetConfig::default(), &flows, horizon, fidelity);
+            plan.exec = exec;
+            plan.observe = Observe::sampled(Some(SimDuration::from_micros(200)));
+            execute(plan).expect("healthy run")
+        };
+        let seq = run(Exec::Sequential);
+        let pdes = run(Exec::Pdes(PdesExec {
+            partitions: 2,
+            machines: 1,
+            envelope_bytes: 64,
+            mode: EpochMode::Adaptive,
+            faults: None,
+        }));
+        let at = |o: &Outcome| o.samples.iter().map(|s| s.at).collect::<Vec<_>>();
+        assert_eq!(at(&seq), at(&pdes));
+        assert_eq!(at(&seq).last(), Some(&horizon));
+        assert!(seq.samples.len() < 13, "the event list ran dry early");
+        let done = |o: &Outcome| {
+            o.samples
+                .last()
+                .map(|s| (s.flows_completed, s.delivered_cum))
+        };
+        assert_eq!(done(&seq), Some((4, 40_000)));
+        assert_eq!(done(&seq), done(&pdes));
+    }
+
     #[test]
     fn meta_math() {
         let m = RunMeta {
@@ -1085,8 +1136,9 @@ mod tests {
                 ..PdesReport::default()
             }),
             recovery: None,
+            samples: Vec::new(),
         };
-        let tl = outcome.timeline(None, &[]);
+        let tl = outcome.timeline(&[]);
         assert_eq!(tl.dropped, 17);
         let kept = tl
             .records

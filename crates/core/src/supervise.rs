@@ -35,20 +35,21 @@
 //! too, are of the successful path alone: a recovered run's `net/*`,
 //! `des/*`, `hybrid/oracle/*` and `hybrid/macro/*` ledger rows equal a
 //! clean run's, and so are its PDES timeline slices, which travel in the
-//! kernel report. What was retried is the [`RecoveryLog`]'s to say. The
-//! guard's and verdict cache's counters do keep an abandoned attempt's
-//! contribution: they sit behind handles every clone of the oracle stack
-//! shares (see [`crate::OracleCounters`]) — so the CLI does not report
-//! them for a supervised run.
+//! kernel report. Samples rewind with the checkpoint: each checkpoint
+//! keeps the sampler's mark and a restore returns to it, and a chunk that
+//! ends between sampling ticks takes no sample, so a recovered run's
+//! samples equal a clean run's too. What was retried is the
+//! [`RecoveryLog`]'s to say. The guard's and verdict cache's counters do
+//! keep an abandoned attempt's contribution: they sit behind handles
+//! every clone of the oracle stack shares (see [`crate::OracleCounters`])
+//! — so the CLI does not report them for a supervised run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::error::ElephantError;
 use crate::experiment::{drive, drive_pdes};
 
-use elephant_des::{
-    EpochMode, PdesError, PdesReport, PdesRunner, SimDuration, SimTime, Simulator, StopReason,
-};
+use elephant_des::{EpochMode, PdesError, PdesReport, PdesRunner, SimDuration, SimTime, Simulator};
 use elephant_net::{NetPartition, NetSampler, Network};
 
 /// Default checkpoint interval: 10 simulated milliseconds.
@@ -208,7 +209,7 @@ pub(crate) fn supervise_pdes(
     horizon: SimTime,
     policy: &RecoveryPolicy,
     mode: EpochMode,
-    mut sampler: Option<&mut NetSampler>,
+    sampler: &mut NetSampler,
 ) -> (Option<PdesReport>, RecoveryLog) {
     let mut rung = match mode {
         EpochMode::Adaptive => Rung::Adaptive,
@@ -223,12 +224,12 @@ pub(crate) fn supervise_pdes(
 
     loop {
         // `total` covers exactly [0, cursor], where the checkpoint sits.
-        let snapshot = checkpoint.get_or_insert_with(|| {
+        let (snapshot, mark) = checkpoint.get_or_insert_with(|| {
             log.checkpoints_taken += 1;
-            runner.checkpoint()
+            (runner.checkpoint(), sampler.mark())
         });
         let next = (cursor + interval).min(horizon);
-        match drive_pdes(runner, next, sampler.as_deref_mut()) {
+        match drive_pdes(runner, next, sampler) {
             Ok((chunk, _)) => {
                 match &mut total {
                     None => total = Some(chunk),
@@ -245,9 +246,11 @@ pub(crate) fn supervise_pdes(
                 if retries < policy.max_retries {
                     retries += 1;
                     runner.restore(snapshot);
+                    sampler.rewind(*mark);
                     log.note_restore(at, rung, cause_label(&e));
                 } else if rung == Rung::Adaptive {
                     runner.restore(snapshot);
+                    sampler.rewind(*mark);
                     runner.set_epoch_mode(EpochMode::Fixed);
                     log.note_degrade(at, Rung::Adaptive, Rung::Fixed);
                     rung = Rung::Fixed;
@@ -275,7 +278,7 @@ pub(crate) fn supervise_simulator(
     sim: &mut Simulator<Network>,
     horizon: SimTime,
     policy: &RecoveryPolicy,
-    mut sampler: Option<&mut NetSampler>,
+    sampler: &mut NetSampler,
 ) -> Result<RecoveryLog, ElephantError> {
     let mut log = RecoveryLog::new(Rung::Sequential);
     let interval = policy.interval();
@@ -284,17 +287,15 @@ pub(crate) fn supervise_simulator(
     let mut checkpoint = None;
 
     loop {
-        let snapshot = checkpoint.get_or_insert_with(|| {
+        let (snapshot, mark) = checkpoint.get_or_insert_with(|| {
             log.checkpoints_taken += 1;
-            sim.checkpoint()
+            (sim.checkpoint(), sampler.mark())
         });
         let next = (cursor + interval).min(horizon);
-        match catch_unwind(AssertUnwindSafe(|| {
-            drive(sim, next, sampler.as_deref_mut())
-        })) {
-            Ok(stop) => {
+        match catch_unwind(AssertUnwindSafe(|| drive(sim, next, sampler))) {
+            Ok(dry) => {
                 cursor = next;
-                if cursor >= horizon || stop == StopReason::Exhausted {
+                if cursor >= horizon || dry {
                     break;
                 }
                 checkpoint = None;
@@ -312,6 +313,7 @@ pub(crate) fn supervise_simulator(
                 }
                 retries += 1;
                 sim.restore(snapshot);
+                sampler.rewind(*mark);
                 log.note_restore(cursor, Rung::Sequential, "panicked");
             }
         }

@@ -2,33 +2,40 @@
 //! run's timeline.
 //!
 //! A run's metric rows answer "how much, in total"; samples answer
-//! "when". A [`NetSampler`] observes a [`Network`] at a fixed simulated
-//! period and keeps one typed [`Sample`] per tick:
+//! "when". A [`NetSampler`] observes a run's [`Network`]s at a fixed
+//! simulated period and keeps one typed [`Sample`] per tick:
 //!
 //! * per-layer queued bytes (host NICs / ToR / Agg / Core),
 //! * the oracle's per-cluster macro congestion state, when it models one,
 //! * offered vs realized load (cumulative bytes and windowed Gbps),
 //! * the oracle drop rate over the sampling window,
 //!
-//! rendered after the run as CSV rows ([`NetSampler::rows`], for
+//! rendered after the run as CSV rows ([`Sample::csv_row`], for
 //! re-plotting via `elephant_trace::write_csv`) and as timeline counter
-//! tracks on [`PID_SAMPLES`] ([`NetSampler::export_counters`]).
+//! tracks on [`PID_SAMPLES`] ([`export_sample_counters`]).
 //! [`export_flow_timeline`] adds the finished networks' flow spans and
 //! drop/oracle instants.
+//!
+//! A sampler belongs to one run: it reads the run's own flow list (the
+//! one `Arc` the networks stream), and everything it knows is its samples,
+//! so [`NetSampler::mark`] / [`NetSampler::rewind`] checkpoint and restore
+//! it alongside the run's world.
 //!
 //! ## Determinism
 //!
 //! Sampling must never perturb the simulation. Scheduling "sampler tick"
 //! events into the FEL would do exactly that — the scheduler breaks
 //! same-time ties by insertion order, so extra events shift every later
-//! sequence number. Instead, [`run_sampled`] drives the simulator in
-//! chunks (`run_until(tick)` per sampling period) and reads network state
-//! *between* chunks. `Simulator::run_until` is resumable and executes the
-//! identical pop/push sequence whether or not it is chunked, so a sampled
-//! run is bit-identical to an unsampled one (`tests/timeline_determinism.rs`
-//! proves it end to end).
+//! sequence number. Instead, [`run_sampled`] drives the engine in chunks
+//! (`run_until(tick)` per sampling period) and reads network state
+//! *between* chunks. Both engines' `run_until` are resumable and execute
+//! the identical event sequence whether or not they are chunked, so a
+//! sampled run is bit-identical to an unsampled one
+//! (`tests/timeline_determinism.rs` proves it end to end).
 
-use elephant_des::{SimDuration, SimTime, Simulator, StopReason};
+use std::sync::Arc;
+
+use elephant_des::{SimDuration, SimTime};
 use elephant_obs::{Timeline, TraceRecord, PID_FLOWS, PID_SAMPLES};
 
 use crate::network::{FlowSpec, Network};
@@ -49,6 +56,10 @@ pub struct Sample {
     pub offered_gbps: f64,
     /// Delivered load over the sampling window, in Gbps.
     pub goodput_gbps: f64,
+    /// Oracle drops by `at`.
+    pub oracle_drops_cum: u64,
+    /// Oracle deliveries by `at`.
+    pub oracle_delivered_cum: u64,
     /// Oracle drops over oracle verdicts in the sampling window.
     pub oracle_drop_rate: f64,
     /// `(cluster, regime)` of every stub cluster whose oracle models one:
@@ -67,9 +78,30 @@ impl Sample {
     fn ts_us(&self) -> f64 {
         self.at.as_nanos() as f64 / 1e3
     }
+
+    /// The sample as a CSV row (columns per [`SAMPLE_CSV_HEADER`]).
+    pub fn csv_row(&self) -> Vec<String> {
+        let states = self.macro_states.iter().map(|(c, r)| format!("{c}:{r}"));
+        vec![
+            self.ts_us().to_string(),
+            self.queue[0].to_string(),
+            self.queue[1].to_string(),
+            self.queue[2].to_string(),
+            self.queue[3].to_string(),
+            self.offered_cum.to_string(),
+            self.delivered_cum.to_string(),
+            format!("{:.6}", self.offered_gbps),
+            format!("{:.6}", self.goodput_gbps),
+            format!("{:.6}", self.oracle_drop_rate),
+            states.collect::<Vec<_>>().join(";"),
+            self.flows_completed.to_string(),
+            format!("{:.3}", self.rtt_p50_us),
+            format!("{:.3}", self.rtt_p99_us),
+        ]
+    }
 }
 
-/// CSV column layout of [`NetSampler::rows`]. The two latency columns are
+/// CSV column layout of [`Sample::csv_row`]. The two latency columns are
 /// cumulative quantiles of the in-scope RTT histogram (merged across
 /// partitions for PDES runs), in microseconds; 0 until the first sample.
 pub const SAMPLE_CSV_HEADER: [&str; 14] = [
@@ -89,133 +121,108 @@ pub const SAMPLE_CSV_HEADER: [&str; 14] = [
     "rtt_p99_us",
 ];
 
-/// Periodic observer of one or more [`Network`]s (several for PDES runs,
-/// where each partition holds a shard of the model). Create it per run;
-/// read its samples when the run finishes.
+/// Adds `samples` to `tl` as counter tracks on [`PID_SAMPLES`]: queued
+/// bytes per layer, offered and delivered Gbps, the oracle drop rate, and
+/// each stub cluster's macro state.
+pub fn export_sample_counters(samples: &[Sample], tl: &mut Timeline) {
+    if !samples.is_empty() {
+        tl.name_process(PID_SAMPLES, "samplers (sim time)");
+    }
+    for s in samples {
+        let ts_us = s.ts_us();
+        let [host, tor, agg, core] = s.queue;
+        tl.records.extend([
+            TraceRecord::counter(PID_SAMPLES, "queue_bytes", ts_us)
+                .arg("host", host)
+                .arg("tor", tor)
+                .arg("agg", agg)
+                .arg("core", core),
+            TraceRecord::counter(PID_SAMPLES, "load_gbps", ts_us)
+                .arg("offered", s.offered_gbps)
+                .arg("delivered", s.goodput_gbps),
+            TraceRecord::counter(PID_SAMPLES, "oracle_drop_rate", ts_us)
+                .arg("window", s.oracle_drop_rate),
+        ]);
+        if !s.macro_states.is_empty() {
+            let mut rec = TraceRecord::counter(PID_SAMPLES, "macro_state", ts_us);
+            for &(c, state) in &s.macro_states {
+                rec = rec.arg(format!("cluster{c}"), state as u64);
+            }
+            tl.records.push(rec);
+        }
+    }
+}
+
+/// Periodic observer of one run's [`Network`]s (several for PDES runs,
+/// where each partition holds a shard of the model). It samples at every
+/// multiple of its period before the horizon and once at the horizon, or
+/// never without a period, and its samples are its whole state.
 pub struct NetSampler {
-    every: SimDuration,
-    next: SimTime,
-    /// `(start, bytes)` of every injected flow, sorted by start time —
-    /// the offered-load ramp, consumed with a cursor as time advances.
-    offered: Vec<(SimTime, u64)>,
-    offered_idx: usize,
-    offered_cum: u64,
-    last_offered: u64,
-    last_delivered: u64,
-    last_oracle_drops: u64,
-    last_oracle_delivered: u64,
+    every: Option<SimDuration>,
+    horizon: SimTime,
+    /// The run's flow list, sorted by start: the offered-load ramp.
+    flows: Arc<[FlowSpec]>,
     samples: Vec<Sample>,
 }
 
 impl NetSampler {
-    /// A sampler observing every `every` of simulated time. `flows` is the
-    /// workload being injected (for the offered-load series).
-    pub fn new(every: SimDuration, flows: &[FlowSpec]) -> Self {
+    /// A sampler observing every `every` of simulated time up to
+    /// `horizon`, if set. `flows` is the run's flow list, sorted by start,
+    /// as the networks stream it (for the offered-load series).
+    pub fn new(every: Option<SimDuration>, horizon: SimTime, flows: Arc<[FlowSpec]>) -> Self {
         assert!(
-            every > SimDuration::ZERO,
+            every.is_none_or(|d| d > SimDuration::ZERO),
             "sampling period must be positive"
         );
-        let mut offered: Vec<(SimTime, u64)> = flows.iter().map(|f| (f.start, f.bytes)).collect();
-        offered.sort_unstable();
+        debug_assert!(flows.is_sorted_by_key(|f| f.start));
         NetSampler {
             every,
-            next: SimTime::ZERO + every,
-            offered,
-            offered_idx: 0,
-            offered_cum: 0,
-            last_offered: 0,
-            last_delivered: 0,
-            last_oracle_drops: 0,
-            last_oracle_delivered: 0,
+            horizon,
+            flows,
             samples: Vec::new(),
         }
     }
 
-    /// The sampling period.
-    pub fn every(&self) -> SimDuration {
-        self.every
+    /// Where the sampler stands: the number of samples taken. A
+    /// checkpoint keeps it, and [`Self::rewind`] returns to it.
+    pub fn mark(&self) -> usize {
+        self.samples.len()
     }
 
-    /// The next simulated time a sample is due.
-    pub fn next_due(&self) -> SimTime {
-        self.next
+    /// Forgets every sample taken after `mark`, so that the sampler
+    /// resumes where it stood then.
+    pub fn rewind(&mut self, mark: usize) {
+        self.samples.truncate(mark);
     }
 
-    /// The samples taken so far, in time order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
+    /// The samples taken, in time order.
+    pub fn into_samples(self) -> Vec<Sample> {
+        self.samples
     }
 
-    /// The samples as CSV rows (columns per [`SAMPLE_CSV_HEADER`]).
-    pub fn rows(&self) -> Vec<Vec<String>> {
-        let row = |s: &Sample| {
-            let states = s.macro_states.iter().map(|(c, r)| format!("{c}:{r}"));
-            vec![
-                s.ts_us().to_string(),
-                s.queue[0].to_string(),
-                s.queue[1].to_string(),
-                s.queue[2].to_string(),
-                s.queue[3].to_string(),
-                s.offered_cum.to_string(),
-                s.delivered_cum.to_string(),
-                format!("{:.6}", s.offered_gbps),
-                format!("{:.6}", s.goodput_gbps),
-                format!("{:.6}", s.oracle_drop_rate),
-                states.collect::<Vec<_>>().join(";"),
-                s.flows_completed.to_string(),
-                format!("{:.3}", s.rtt_p50_us),
-                format!("{:.3}", s.rtt_p99_us),
-            ]
+    /// The next sample time: the first multiple of the period after the
+    /// last sample, capped at the horizon; `None` once the horizon is
+    /// sampled, or without a period.
+    fn next_due(&self) -> Option<SimTime> {
+        let every = self.every?;
+        let Some(last) = self.samples.last() else {
+            return Some((SimTime::ZERO + every).min(self.horizon));
         };
-        self.samples.iter().map(row).collect()
+        let ticks = (last.at - SimTime::ZERO) / every + 1;
+        (last.at < self.horizon).then(|| (SimTime::ZERO + every * ticks).min(self.horizon))
     }
 
-    /// Adds the samples to `tl` as counter tracks on [`PID_SAMPLES`]:
-    /// queued bytes per layer, offered and delivered Gbps, the oracle drop
-    /// rate, and each stub cluster's macro state.
-    pub fn export_counters(&self, tl: &mut Timeline) {
-        if !self.samples.is_empty() {
-            tl.name_process(PID_SAMPLES, "samplers (sim time)");
-        }
-        for s in &self.samples {
-            let ts_us = s.ts_us();
-            let [host, tor, agg, core] = s.queue;
-            tl.records.extend([
-                TraceRecord::counter(PID_SAMPLES, "queue_bytes", ts_us)
-                    .arg("host", host)
-                    .arg("tor", tor)
-                    .arg("agg", agg)
-                    .arg("core", core),
-                TraceRecord::counter(PID_SAMPLES, "load_gbps", ts_us)
-                    .arg("offered", s.offered_gbps)
-                    .arg("delivered", s.goodput_gbps),
-                TraceRecord::counter(PID_SAMPLES, "oracle_drop_rate", ts_us)
-                    .arg("window", s.oracle_drop_rate),
-            ]);
-            if !s.macro_states.is_empty() {
-                let mut rec = TraceRecord::counter(PID_SAMPLES, "macro_state", ts_us);
-                for &(c, state) in &s.macro_states {
-                    rec = rec.arg(format!("cluster{c}"), state as u64);
-                }
-                tl.records.push(rec);
-            }
-        }
-    }
-
-    /// Takes one sample at `now` across `nets` (pass one network for a
+    /// Takes one sample at `at` across `nets` (one network for a
     /// sequential run, every partition's for PDES). Read-only on the
-    /// networks; advances only the sampler's own cursors.
-    pub fn sample(&mut self, now: SimTime, nets: &[&Network]) {
-        self.next = now + self.every;
-
-        while self
-            .offered
-            .get(self.offered_idx)
-            .is_some_and(|&(start, _)| start <= now)
-        {
-            self.offered_cum += self.offered[self.offered_idx].1;
-            self.offered_idx += 1;
-        }
+    /// networks; windowed rates cover the time since the previous sample.
+    fn sample(&mut self, at: SimTime, nets: &[&Network]) {
+        // The window opens at the previous sample (time zero for the first).
+        let prev = self.samples.last();
+        let last = |field: fn(&Sample) -> u64| prev.map_or(0, field);
+        let since = prev.map_or(SimTime::ZERO, |p| p.at);
+        let started = |t: SimTime| self.flows.partition_point(|f| f.start <= t);
+        let newly = &self.flows[prev.map_or(0, |p| started(p.at))..started(at)];
+        let offered_cum = last(|p| p.offered_cum) + newly.iter().map(|f| f.bytes).sum::<u64>();
 
         let mut queue = [0u64; 4];
         let mut delivered = 0u64;
@@ -248,16 +255,16 @@ impl NetSampler {
             }
         }
 
-        let secs = self.every.as_secs_f64();
-        let offered_gbps = (self.offered_cum - self.last_offered) as f64 * 8.0 / secs / 1e9;
-        let goodput_gbps = (delivered - self.last_delivered) as f64 * 8.0 / secs / 1e9;
-        let wd = oracle_drops - self.last_oracle_drops;
-        let wv = wd + (oracle_delivered - self.last_oracle_delivered);
+        let secs = (at - since).as_secs_f64();
+        let gbps = |bytes: u64| match secs > 0.0 {
+            true => bytes as f64 * 8.0 / secs / 1e9,
+            false => 0.0,
+        };
+        let offered_gbps = gbps(offered_cum - last(|p| p.offered_cum));
+        let goodput_gbps = gbps(delivered - last(|p| p.delivered_cum));
+        let wd = oracle_drops - last(|p| p.oracle_drops_cum);
+        let wv = wd + (oracle_delivered - last(|p| p.oracle_delivered_cum));
         let drop_rate = if wv > 0 { wd as f64 / wv as f64 } else { 0.0 };
-        self.last_offered = self.offered_cum;
-        self.last_delivered = delivered;
-        self.last_oracle_drops = oracle_drops;
-        self.last_oracle_delivered = oracle_delivered;
 
         // Cumulative in-scope RTT quantiles, merged across partitions
         // (every Network uses the same latency-seconds geometry).
@@ -273,12 +280,14 @@ impl NetSampler {
         };
 
         self.samples.push(Sample {
-            at: now,
+            at,
             queue,
-            offered_cum: self.offered_cum,
+            offered_cum,
             delivered_cum: delivered,
             offered_gbps,
             goodput_gbps,
+            oracle_drops_cum: oracle_drops,
+            oracle_delivered_cum: oracle_delivered,
             oracle_drop_rate: drop_rate,
             macro_states: states,
             flows_completed: completed,
@@ -288,25 +297,34 @@ impl NetSampler {
     }
 }
 
-/// Runs a sequential simulation to `horizon`, sampling at the sampler's
-/// period, bit-identically to a plain `sim.run_until(horizon)` (see the
-/// module docs). A final sample is taken at the horizon.
-pub fn run_sampled(
-    sim: &mut Simulator<Network>,
-    horizon: SimTime,
+/// Advances a run to `until` through `advance` — an engine's `run_until`,
+/// answering whether its event list ran dry — and has `sampler` sample
+/// `nets` at every tick due by `until`: the one tick loop of both
+/// engines. A chunk that ends between ticks takes no sample, so a run
+/// driven in checkpoint chunks samples exactly the ticks a run driven in
+/// one call does. A run whose event list ran dry is in its final state:
+/// it takes its horizon sample at once and stops. Without a period this
+/// is one `advance(until)`. Returns whether the event list ran dry.
+pub fn run_sampled<W, E>(
+    world: &mut W,
+    until: SimTime,
     sampler: &mut NetSampler,
-) -> StopReason {
+    mut advance: impl FnMut(&mut W, SimTime) -> Result<bool, E>,
+    nets: impl Fn(&W) -> Vec<&Network>,
+) -> Result<bool, E> {
     loop {
-        let next = sampler.next_due();
-        if next >= horizon {
-            let reason = sim.run_until(horizon);
-            sampler.sample(horizon, &[sim.world()]);
-            return reason;
+        let due = sampler.next_due().filter(|&t| t <= until);
+        let step = due.unwrap_or(until);
+        let dry = advance(world, step)?;
+        let at = match dry {
+            true => sampler.next_due().map(|_| sampler.horizon),
+            false => due,
+        };
+        if let Some(at) = at {
+            sampler.sample(at, &nets(world));
         }
-        let reason = sim.run_until(next);
-        sampler.sample(next, &[sim.world()]);
-        if reason == StopReason::Exhausted {
-            return reason;
+        if dry || step >= until {
+            return Ok(dry);
         }
     }
 }
@@ -377,11 +395,12 @@ pub fn export_flow_timeline(nets: &[&Network], max_tracks: usize, tl: &mut Timel
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::schedule_flows;
+    use crate::network::{flow_list, schedule_flows};
     use crate::topology::{ClosParams, Topology};
     use crate::types::{FlowId, HostAddr};
     use crate::NetConfig;
-    use std::sync::Arc;
+    use elephant_des::{Simulator, StopReason};
+    use std::convert::Infallible;
 
     fn flows() -> Vec<FlowSpec> {
         (0..8)
@@ -402,15 +421,29 @@ mod tests {
         sim
     }
 
+    fn advance(sim: &mut Simulator<Network>, until: SimTime) -> Result<bool, Infallible> {
+        Ok(sim.run_until(until) == StopReason::Exhausted)
+    }
+
+    fn nets(sim: &Simulator<Network>) -> Vec<&Network> {
+        vec![sim.world()]
+    }
+
+    /// A sequential run of [`flows`] to `horizon`, sampled every `every`.
+    fn sampled(every: SimDuration, horizon: SimTime) -> (Simulator<Network>, Vec<Sample>) {
+        let mut sim = build();
+        let mut sampler = NetSampler::new(Some(every), horizon, flow_list(&flows()));
+        let Ok(_) = run_sampled(&mut sim, horizon, &mut sampler, advance, nets);
+        (sim, sampler.into_samples())
+    }
+
     #[test]
     fn sampled_run_is_bit_identical_to_plain_run() {
         let horizon = SimTime::from_millis(5);
         let mut plain = build();
         plain.run_until(horizon);
 
-        let mut sampled = build();
-        let mut sampler = NetSampler::new(SimDuration::from_micros(100), &flows());
-        run_sampled(&mut sampled, horizon, &mut sampler);
+        let (sampled, samples) = sampled(SimDuration::from_micros(100), horizon);
 
         let a = plain.world();
         let b = sampled.world();
@@ -424,19 +457,19 @@ mod tests {
         let fct_a: Vec<_> = a.stats.fct.iter().map(|r| (r.flow, r.completed)).collect();
         let fct_b: Vec<_> = b.stats.fct.iter().map(|r| (r.flow, r.completed)).collect();
         assert_eq!(fct_a, fct_b);
-        // The FEL exhausts once all flows finish, so ticks stop there; a
-        // 5ms horizon at 100us can yield at most 50 samples.
-        assert!(!sampler.samples().is_empty());
-        assert!(sampler.samples().len() <= 50);
+        // The FEL runs dry once all flows finish; the first tick to find
+        // it dry is stamped at the horizon instead, and is the last.
+        assert!(samples.len() < 50, "{} samples", samples.len());
+        let last = samples.last().expect("sampled");
+        assert_eq!(last.at, horizon);
+        let mut grid = samples[..samples.len() - 1].iter().enumerate();
+        assert!(grid.all(|(i, s)| s.at == SimTime::from_micros(100 * (i as u64 + 1))));
     }
 
     #[test]
     fn sampler_rows_track_load_and_queues() {
-        let horizon = SimTime::from_millis(5);
-        let mut sim = build();
-        let mut sampler = NetSampler::new(SimDuration::from_micros(250), &flows());
-        run_sampled(&mut sim, horizon, &mut sampler);
-        let rows = sampler.rows();
+        let (_, samples) = sampled(SimDuration::from_micros(250), SimTime::from_millis(5));
+        let rows: Vec<_> = samples.iter().map(Sample::csv_row).collect();
         assert!(!rows.is_empty());
         for row in &rows {
             assert_eq!(row.len(), SAMPLE_CSV_HEADER.len());
@@ -464,6 +497,47 @@ mod tests {
         }
     }
 
+    /// Windowed rates divide by the window each sample closes, not by the
+    /// period: a horizon off the grid closes a shorter last window.
+    #[test]
+    fn rates_cover_the_real_window_at_an_off_grid_horizon() {
+        let horizon = SimTime::from_micros(150);
+        let (_, samples) = sampled(SimDuration::from_micros(100), horizon);
+        let at: Vec<SimTime> = samples.iter().map(|s| s.at).collect();
+        assert_eq!(at, [SimTime::from_micros(100), horizon]);
+        let (prev, last) = (&samples[0], &samples[1]);
+        // Flow 4 (23 kB, starting at 150 µs) is the one start in (100, 150].
+        let offered = last.offered_cum - prev.offered_cum;
+        let delivered = last.delivered_cum - prev.delivered_cum;
+        assert_eq!(offered, 23_000);
+        assert!(delivered > 0, "the last window delivers");
+        let gbps = |bytes: u64| bytes as f64 * 8.0 / 50e-6 / 1e9;
+        assert_eq!(last.offered_gbps, gbps(offered));
+        assert_eq!(last.goodput_gbps, gbps(delivered));
+        let first = |bytes: u64| bytes as f64 * 8.0 / 100e-6 / 1e9;
+        assert_eq!(prev.offered_gbps, first(prev.offered_cum));
+    }
+
+    /// A sampler rewound to a mark resumes as if the samples after it had
+    /// never been taken.
+    #[test]
+    fn a_rewound_sampler_resumes_at_its_mark() {
+        let every = SimDuration::from_micros(100);
+        let horizon = SimTime::from_millis(1);
+        let (_, clean) = sampled(every, horizon);
+
+        let mut sim = build();
+        let mut sampler = NetSampler::new(Some(every), horizon, flow_list(&flows()));
+        let mid = SimTime::from_micros(450);
+        let Ok(_) = run_sampled(&mut sim, mid, &mut sampler, advance, nets);
+        let (checkpoint, mark) = (sim.checkpoint(), sampler.mark());
+        let Ok(_) = run_sampled(&mut sim, horizon, &mut sampler, advance, nets);
+        sim.restore(&checkpoint);
+        sampler.rewind(mark);
+        let Ok(_) = run_sampled(&mut sim, horizon, &mut sampler, advance, nets);
+        assert_eq!(sampler.into_samples(), clean);
+    }
+
     #[test]
     fn flow_timeline_export_creates_tracks_and_instants() {
         let horizon = SimTime::from_millis(5);
@@ -485,14 +559,12 @@ mod tests {
 
     #[test]
     fn counter_tracks_render_every_sample() {
-        let mut sim = build();
-        let mut sampler = NetSampler::new(SimDuration::from_micros(250), &flows());
-        run_sampled(&mut sim, SimTime::from_millis(5), &mut sampler);
+        let (_, samples) = sampled(SimDuration::from_micros(250), SimTime::from_millis(5));
         let mut tl = Timeline::default();
-        sampler.export_counters(&mut tl);
+        export_sample_counters(&samples, &mut tl);
         // Full fidelity: no macro states, so three tracks per sample.
-        assert_eq!(tl.records.len(), 3 * sampler.samples().len());
-        let last = sampler.samples().last().expect("sampled");
+        assert_eq!(tl.records.len(), 3 * samples.len());
+        let last = samples.last().expect("sampled");
         let queue = tl.records.iter().rev().find(|r| r.name == "queue_bytes");
         assert_eq!(
             queue.expect("queue track").ts_us,

@@ -23,8 +23,8 @@ use elephant_core::{
 };
 use elephant_des::{EpochMode, FaultPlan, SimDuration, SimTime};
 use elephant_net::{
-    ClosParams, ClusterOracle, FlowId, FlowSpec, GuardConfig, HostAddr, NetConfig, NetSampler,
-    Network, RttScope, TcpConfig,
+    ClosParams, ClusterOracle, FlowId, FlowSpec, GuardConfig, HostAddr, NetConfig, Network,
+    RttScope, TcpConfig,
 };
 use elephant_obs::DivergenceBounds;
 use elephant_trace::{
@@ -486,7 +486,7 @@ impl Compiled {
         oracles: Option<OracleFactory<'_>>,
         exec: Exec,
         supervise: Option<&RecoveryPolicy>,
-        observe: Observe<'_>,
+        observe: Observe,
     ) -> Result<Outcome, ElephantError> {
         let elided;
         let (fidelity, flows) = match oracles {
@@ -515,9 +515,12 @@ impl Compiled {
         })
     }
 
-    /// [`Self::run`] at full fidelity on the sequential engine.
-    pub fn run_sequential(&self, sampler: Option<&mut NetSampler>) -> (Network, RunMeta) {
-        self.run(None, Exec::Sequential, None, Observe::sampled(sampler))
+    /// [`Self::run`] at full fidelity on the sequential engine. The three
+    /// `run_*` wrappers return no samples: their last parameter, the
+    /// sampling period, keeps the arity `benchmark/src/bind.rs` binds, and
+    /// every caller passes `None`.
+    pub fn run_sequential(&self, sample_every: Option<SimDuration>) -> (Network, RunMeta) {
+        self.run(None, Exec::Sequential, None, Observe::sampled(sample_every))
             .expect("unsupervised sequential runs cannot fail")
             .into_single()
     }
@@ -527,14 +530,14 @@ impl Compiled {
     pub fn run_hybrid(
         &self,
         oracle: Box<dyn ClusterOracle + Send>,
-        sampler: Option<&mut NetSampler>,
+        sample_every: Option<SimDuration>,
     ) -> (Network, RunMeta) {
         let oracles = &mut single_oracle(oracle);
         self.run(
             Some(oracles),
             Exec::Sequential,
             None,
-            Observe::sampled(sampler),
+            Observe::sampled(sample_every),
         )
         .expect("unsupervised sequential runs cannot fail")
         .into_single()
@@ -545,9 +548,9 @@ impl Compiled {
         &self,
         partitions: Option<usize>,
         mode: EpochMode,
-        sampler: Option<&mut NetSampler>,
+        sample_every: Option<SimDuration>,
     ) -> Result<PdesRun, ElephantError> {
-        let observe = Observe::sampled(sampler);
+        let observe = Observe::sampled(sample_every);
         self.run(None, self.pdes(partitions, mode), None, observe)
             .map(Outcome::into_pdes_run)
     }

@@ -45,7 +45,7 @@ use elephant::core::{
 use elephant::des::{EpochMode, SimDuration};
 use elephant::net::{
     BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig,
-    NetSampler, OracleFaultMode, RttScope, TraceLog, SAMPLE_CSV_HEADER,
+    OracleFaultMode, RttScope, Sample, TraceLog, SAMPLE_CSV_HEADER,
 };
 use elephant::obs::RunReport;
 use elephant::scenario::toml::{self, TomlValue};
@@ -614,14 +614,6 @@ fn dispatch(req: &Request, c: &Compiled) {
         return audit(req, c, model.expect("audits are hybrid"), flows);
     }
 
-    let mut sampler = c.sample_every.map(|d| NetSampler::new(d, flows));
-    if c.recovery.is_some() && sampler.is_some() {
-        println!(
-            "note: samplers observe a single timeline and cannot follow checkpoint \
-             restores; sampling is disabled under [recovery] supervision"
-        );
-        sampler = None;
-    }
     if req.pdes && (req.sinks.trace.is_some() || req.sinks.trace_out.is_some()) {
         println!("note: --pdes runs record no raw event trace; the timeline still gets partition, flow, and sampler tracks");
     }
@@ -641,7 +633,7 @@ fn dispatch(req: &Request, c: &Compiled) {
             true => None,
             false => req.sinks.build_trace(flows),
         },
-        sampler: sampler.as_mut(),
+        sample_every: c.sample_every,
         timeline: req.sinks.trace_out.is_some(),
     };
     let (outcome, mut guard, mut caches) = simulate(req, c, model.as_ref(), observe);
@@ -652,7 +644,7 @@ fn dispatch(req: &Request, c: &Compiled) {
         guard = None;
         caches.clear();
     }
-    finish(req, c, &outcome, &guard, &caches, sampler.as_ref());
+    finish(req, c, &outcome, &guard, &caches);
 }
 
 /// A hybrid approximates every cluster but the full-fidelity one.
@@ -675,7 +667,7 @@ fn simulate(
     req: &Request,
     c: &Compiled,
     model: Option<&ClusterModel>,
-    observe: Observe<'_>,
+    observe: Observe,
 ) -> (Outcome, Option<GuardStatsHandle>, Vec<CacheStatsHandle>) {
     let mut guard = None;
     let mut caches = Vec::new();
@@ -820,7 +812,6 @@ fn finish(
     out: &Outcome,
     guard: &Option<GuardStatsHandle>,
     caches: &[CacheStatsHandle],
-    sampler: Option<&NetSampler>,
 ) {
     println!("\n{out}");
     if let Some(trace) = out.nets[0].trace().filter(|_| req.sinks.trace.is_some()) {
@@ -841,13 +832,14 @@ fn finish(
     let fingerprint = run_fingerprint(&out.nets);
     println!("  fingerprint: {fingerprint:#018x}");
 
-    if let Some(s) = sampler {
+    if c.sample_every.is_some() {
         let path = req.sinks.samples_path();
-        written(&path, write_csv(&path, &SAMPLE_CSV_HEADER, &s.rows()));
-        println!("wrote {path} ({} samples)", s.samples().len());
+        let rows: Vec<_> = out.samples.iter().map(Sample::csv_row).collect();
+        written(&path, write_csv(&path, &SAMPLE_CSV_HEADER, &rows));
+        println!("wrote {path} ({} samples)", rows.len());
     }
     if let Some(path) = &req.sinks.trace_out {
-        write_timeline(path, out, sampler, guard);
+        write_timeline(path, out, guard);
     }
 
     // Driver and mode name the point of the run matrix that executed.
@@ -1139,14 +1131,9 @@ fn captured(capture: &Outcome) -> &[BoundaryRecord] {
 }
 
 /// Writes the run's Chrome-trace timeline, with the guard's trips.
-fn write_timeline(
-    path: &str,
-    out: &Outcome,
-    sampler: Option<&NetSampler>,
-    guard: &Option<GuardStatsHandle>,
-) {
+fn write_timeline(path: &str, out: &Outcome, guard: &Option<GuardStatsHandle>) {
     let trips = guard.as_ref().map(|h| h.trip_events()).unwrap_or_default();
-    let tl = out.timeline(sampler, &trips);
+    let tl = out.timeline(&trips);
     written(path, tl.save(std::path::Path::new(path)));
     let dropped = match tl.dropped {
         0 => String::new(),

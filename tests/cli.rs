@@ -143,6 +143,38 @@ fn cli_trace_out_writes_perfetto_timeline() {
     assert!(csv.lines().count() > 2, "CSV has sample rows");
 }
 
+/// A `[recovery]` scenario samples like any other run: the drill writes
+/// its CSV with no note, and under `--pdes`, where the ladder restores
+/// twice and restarts on the sequential rung, the same bytes.
+#[test]
+fn cli_supervised_run_writes_its_samples() {
+    let dir = std::env::temp_dir().join("elephant_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = |engine: &[&str]| {
+        let path = dir.join(format!("drill{}.samples.csv", engine.concat()));
+        let path = path.to_str().unwrap();
+        let args = ["run-scenario", "scenarios/recovery_drill.toml"];
+        let sampled = ["--sample-every", "100", "--samples-out", path];
+        let out = run_ok(&[&args[..], engine, &sampled].concat());
+        assert!(out.contains("recovery: "), "supervised:\n{out}");
+        assert!(!out.contains("sampling"), "no sampling note:\n{out}");
+        assert!(out.contains(&format!("wrote {path} (")), "{out}");
+        (
+            out,
+            std::fs::read_to_string(path).expect("samples CSV written"),
+        )
+    };
+    let (_, sequential) = csv(&[]);
+    assert!(
+        sequential.starts_with("time_us,queue_host_bytes"),
+        "CSV header"
+    );
+    assert!(sequential.lines().count() > 2, "CSV has sample rows");
+    let (out, pdes) = csv(&["--pdes"]);
+    assert!(out.contains("restores=2 degradations=2"), "{out}");
+    assert_eq!(pdes, sequential);
+}
+
 #[test]
 fn cli_rejects_bad_usage() {
     let out = elephant().args(["frobnicate"]).output().unwrap();

@@ -1,9 +1,11 @@
 //! The run matrix as one table: {full, hybrid} × {sequential, PDES} ×
-//! {unsupervised, supervised} × {unobserved, sampler + trace + timeline}
+//! {unsupervised, supervised} × {unobserved, samples + trace + timeline}
 //! on one two-cluster scenario. Within each (fidelity, engine) pair all four
 //! supervision × observation cells must land on the same fingerprint and
 //! event count: checkpointing and observing are invisible on every
 //! engine, because every cell is the same `execute` over the same world.
+//! The two observed cells also take the same samples: checkpoints (here
+//! off the sampling grid) neither add nor shift a tick.
 
 use elephant::core::{
     oracle_stack, ClusterModel, Exec, LatencyCodec, MacroConfig, ModelMeta, Observe, OracleFactory,
@@ -11,7 +13,7 @@ use elephant::core::{
 };
 use elephant::des::SmallRng;
 use elephant::des::{EpochMode, SimDuration};
-use elephant::net::{GuardConfig, NetSampler, TraceLog};
+use elephant::net::{GuardConfig, TraceLog};
 use elephant::nn::{MicroNet, MicroNetConfig};
 use elephant::scenario::{compile, load, run_fingerprint, CompileOverrides};
 
@@ -50,12 +52,9 @@ fn supervision_and_observation_never_move_a_fingerprint() {
     };
 
     for hybrid in [false, true] {
-        let flows = match hybrid {
-            true => compiled.hybrid_flows(),
-            false => compiled.flows.clone(),
-        };
         for pdes in [false, true] {
             let mut cells = Vec::new();
+            let mut sampled = Vec::new();
             for (supervised, observed) in
                 [(false, false), (false, true), (true, false), (true, true)]
             {
@@ -79,11 +78,10 @@ fn supervision_and_observation_never_move_a_fingerprint() {
                     true => compiled.pdes(None, EpochMode::Adaptive),
                     false => Exec::Sequential,
                 };
-                let mut sampler = NetSampler::new(SimDuration::from_micros(150), &flows);
                 let observe = match observed {
                     true => Observe {
                         trace: Some(TraceLog::strided(10_000, 200_000)),
-                        sampler: Some(&mut sampler),
+                        sample_every: Some(SimDuration::from_micros(150)),
                         timeline: true,
                     },
                     false => Observe::default(),
@@ -98,7 +96,7 @@ fn supervision_and_observation_never_move_a_fingerprint() {
                 // Each axis actually took effect.
                 assert_eq!(out.oracle_deliveries() > 0, hybrid, "{cell}");
                 assert_eq!(out.report.is_some(), pdes, "{cell}");
-                assert_eq!(!sampler.samples().is_empty(), observed, "{cell}");
+                assert_eq!(!out.samples.is_empty(), observed, "{cell}");
                 let mut parts = out.report.iter().flat_map(|r| &r.partitions);
                 let sliced = parts.any(|p| !p.slices.is_empty());
                 assert_eq!(sliced, pdes && observed, "{cell}");
@@ -111,6 +109,9 @@ fn supervision_and_observation_never_move_a_fingerprint() {
                     None => assert!(!supervised, "{cell}"),
                 }
                 cells.push((cell, run_fingerprint(&out.nets), out.meta.events));
+                if observed {
+                    sampled.push(out.samples);
+                }
             }
             let (_, fingerprint, events) = &cells[0];
             for (cell, f, e) in &cells[1..] {
@@ -121,6 +122,13 @@ fn supervision_and_observation_never_move_a_fingerprint() {
                     cells[0].0
                 );
             }
+            let [unsupervised, supervised] = &sampled[..] else {
+                unreachable!("two observed cells")
+            };
+            assert_eq!(
+                supervised, unsupervised,
+                "hybrid={hybrid} pdes={pdes}: supervised samples differ"
+            );
         }
     }
 }

@@ -6,7 +6,9 @@
 //!
 //! A timeline belongs to its run: it is built from the finished
 //! [`Outcome`], so two runs in one process never share records, and a
-//! supervised run's timeline holds only the attempts that survived.
+//! supervised run's timeline holds only the attempts that survived. So do
+//! its samples: a run that restored a checkpoint, on either engine,
+//! samples exactly what a clean run does.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,8 +18,8 @@ use elephant::core::{
 };
 use elephant::des::{EpochMode, SimDuration, SimTime};
 use elephant::net::{
-    ClosParams, ClusterOracle, FlowSpec, IdealOracle, NetConfig, NetSampler, Network, OracleCtx,
-    OracleVerdict, Packet, RttScope, TraceKind, TraceLog, MAX_FLOW_TRACKS,
+    ClosParams, ClusterOracle, FlowSpec, IdealOracle, NetConfig, Network, OracleCtx, OracleVerdict,
+    Packet, RttScope, TraceKind, TraceLog, MAX_FLOW_TRACKS,
 };
 use elephant::obs::{Timeline, TraceRecord, PID_FLOWS, PID_PDES};
 use elephant::scenario::{compile, load, CompileOverrides};
@@ -70,7 +72,7 @@ fn cfg() -> NetConfig {
 
 /// Two clusters, sequential, full fidelity or (`hybrid`) cluster 0 behind
 /// an ideal oracle, under `observe`.
-fn run(flows: &[FlowSpec], hybrid: bool, observe: Observe<'_>) -> Outcome {
+fn run(flows: &[FlowSpec], hybrid: bool, observe: Observe) -> Outcome {
     let fidelity = match hybrid {
         false => Fidelity::Full { capture: None },
         true => Fidelity::Hybrid {
@@ -84,11 +86,12 @@ fn run(flows: &[FlowSpec], hybrid: bool, observe: Observe<'_>) -> Outcome {
     execute(plan).expect("unsupervised sequential runs cannot fail")
 }
 
-/// A strided event trace, `sampler` if any, and the timeline switch on.
-fn traced(sampler: Option<&mut NetSampler>) -> Observe<'_> {
+/// A strided event trace, samples every `sample_every` if set, and the
+/// timeline switch on.
+fn traced(sample_every: Option<SimDuration>) -> Observe {
     Observe {
         trace: Some(TraceLog::strided(20_000, 500_000)),
-        sampler,
+        sample_every,
         timeline: true,
     }
 }
@@ -106,14 +109,13 @@ fn ground_truth_fingerprint_survives_full_observability() {
     let out = run(&flows, false, Observe::default());
     let blind = fingerprint(&out.nets[0], out.meta.events);
 
-    // Timeline on, strided trace installed, 50µs sampler chunking the run.
-    let mut sampler = NetSampler::new(SimDuration::from_micros(50), &flows);
-    let out = run(&flows, false, traced(Some(&mut sampler)));
-    let recorded = out.timeline(Some(&sampler), &[]).records.len();
+    // Timeline on, strided trace installed, 50µs samples chunking the run.
+    let out = run(&flows, false, traced(Some(SimDuration::from_micros(50))));
+    let recorded = out.timeline(&[]).records.len();
     let observed = fingerprint(&out.nets[0], out.meta.events);
 
     assert!(recorded > 0, "timeline actually captured records");
-    assert!(!sampler.samples().is_empty(), "sampler actually ran");
+    assert!(!out.samples.is_empty(), "sampler actually ran");
     assert_eq!(blind, observed, "observability must be invisible");
 }
 
@@ -128,12 +130,11 @@ fn hybrid_fingerprint_survives_full_observability() {
     let out = run(&flows, true, Observe::default());
     let blind = fingerprint(&out.nets[0], out.meta.events);
 
-    let mut sampler = NetSampler::new(SimDuration::from_micros(75), &flows);
-    let out = run(&flows, true, traced(Some(&mut sampler)));
+    let out = run(&flows, true, traced(Some(SimDuration::from_micros(75))));
     let observed = fingerprint(&out.nets[0], out.meta.events);
 
     assert!(out.oracle_deliveries() > 0, "oracle exercised");
-    assert!(!sampler.samples().is_empty(), "sampler actually ran");
+    assert!(!out.samples.is_empty(), "sampler actually ran");
     assert_eq!(blind, observed, "observability must be invisible");
 }
 
@@ -159,14 +160,14 @@ fn abandoned_pdes_attempts_leave_nothing_on_the_timeline() {
         "{}",
         log.summary()
     );
-    let degraded = supervised.timeline(None, &[]);
+    let degraded = supervised.timeline(&[]);
     assert!(on(&degraded, PID_PDES).is_empty(), "no partition slice");
     assert!(!degraded.to_json().contains("pdes partitions"));
 
     let clean = compiled
         .run(None, Exec::Sequential, None, traced(None))
         .expect("unsupervised sequential runs cannot fail");
-    let clean = clean.timeline(None, &[]);
+    let clean = clean.timeline(&[]);
     assert!(!on(&clean, PID_FLOWS).is_empty());
     assert_eq!(on(&degraded, PID_FLOWS), on(&clean, PID_FLOWS));
 }
@@ -192,35 +193,33 @@ impl ClusterOracle for PanicsOnce {
     }
 }
 
-/// A supervised hybrid PDES run whose oracle panics once: the supervisor
-/// restores the 4 ms checkpoint and the retry finishes under PDES. The
-/// rolled-back chunk leaves no slice (each partition holds one `work`
-/// slice per epoch the report counts), and the flow spans and instants
-/// are those of a clean PDES run of the same plan.
-#[test]
-fn a_restored_pdes_chunk_leaves_nothing_on_the_timeline() {
+/// Two clusters, cluster 0 at packet fidelity and cluster 1 behind a
+/// [`PanicsOnce`] oracle (`armed` or not), on the sequential engine or
+/// (`pdes`) two partitions, under `supervise` and `observe`.
+fn panics_once(
+    pdes: bool,
+    armed: bool,
+    supervise: Option<&RecoveryPolicy>,
+    observe: Observe,
+) -> Outcome {
     let params = ClosParams::paper_cluster(2);
     let flows = filter_touching_cluster(
         &generate(&params, &WorkloadConfig::paper_default(HORIZON, 22)),
         0,
     );
-    let policy = RecoveryPolicy {
-        checkpoint_every: SimDuration::from_millis(2),
-        max_retries: 1,
+    let armed = Arc::new(AtomicBool::new(armed));
+    let mut oracles = move |_: Option<usize>| {
+        let oracle = PanicsOnce {
+            armed: armed.clone(),
+        };
+        Box::new(oracle) as Box<dyn ClusterOracle + Send>
     };
-    let run = |armed: bool, supervise: Option<&RecoveryPolicy>| {
-        let armed = Arc::new(AtomicBool::new(armed));
-        let mut oracles = move |_: Option<usize>| {
-            let oracle = PanicsOnce {
-                armed: armed.clone(),
-            };
-            Box::new(oracle) as Box<dyn ClusterOracle + Send>
-        };
-        let fidelity = Fidelity::Hybrid {
-            full_cluster: 0,
-            oracles: &mut oracles,
-        };
-        let mut plan = RunPlan::new(params, cfg(), &flows, HORIZON, fidelity);
+    let fidelity = Fidelity::Hybrid {
+        full_cluster: 0,
+        oracles: &mut oracles,
+    };
+    let mut plan = RunPlan::new(params, cfg(), &flows, HORIZON, fidelity);
+    if pdes {
         plan.exec = Exec::Pdes(PdesExec {
             partitions: 2,
             machines: 2,
@@ -228,21 +227,38 @@ fn a_restored_pdes_chunk_leaves_nothing_on_the_timeline() {
             mode: EpochMode::Adaptive,
             faults: None,
         });
-        plan.supervise = supervise;
-        plan.observe = traced(None);
-        execute(plan).expect("the retry finishes under PDES")
-    };
+    }
+    plan.supervise = supervise;
+    plan.observe = observe;
+    execute(plan).expect("the retry finishes on the engine it started on")
+}
 
-    let restored = run(true, Some(&policy));
-    let log = restored.recovery.as_ref().expect("supervised");
+/// `outcome` restored once and degraded never.
+fn restored_once(outcome: &Outcome) {
+    let log = outcome.recovery.as_ref().expect("supervised");
     assert_eq!(
         (log.restores, log.degradations),
         (1, 0),
         "{}",
         log.summary()
     );
+}
+
+/// A supervised hybrid PDES run whose oracle panics once: the supervisor
+/// restores the 4 ms checkpoint and the retry finishes under PDES. The
+/// rolled-back chunk leaves no slice (each partition holds one `work`
+/// slice per epoch the report counts), and the flow spans and instants
+/// are those of a clean PDES run of the same plan.
+#[test]
+fn a_restored_pdes_chunk_leaves_nothing_on_the_timeline() {
+    let policy = RecoveryPolicy {
+        checkpoint_every: SimDuration::from_millis(2),
+        max_retries: 1,
+    };
+    let restored = panics_once(true, true, Some(&policy), traced(None));
+    restored_once(&restored);
     let report = restored.report.as_ref().expect("finished under PDES");
-    let tl = restored.timeline(None, &[]);
+    let tl = restored.timeline(&[]);
     for p in &report.partitions {
         let work = on(&tl, PID_PDES)
             .into_iter()
@@ -255,9 +271,40 @@ fn a_restored_pdes_chunk_leaves_nothing_on_the_timeline() {
         );
     }
 
-    let clean = run(false, None).timeline(None, &[]);
+    let clean = panics_once(true, false, None, traced(None)).timeline(&[]);
     assert!(!on(&clean, PID_FLOWS).is_empty());
     assert_eq!(on(&tl, PID_FLOWS), on(&clean, PID_FLOWS));
+}
+
+/// A supervised hybrid run whose oracle panics once, on `pdes` or the
+/// sequential engine, checkpointed every 4 ms and sampled every 300 µs —
+/// off each other's grid: the chunk the supervisor rolls back leaves no
+/// sample, no checkpoint adds one, and the samples equal a clean run's.
+fn restored_run_samples_like_a_clean_run(pdes: bool) {
+    let policy = RecoveryPolicy {
+        checkpoint_every: SimDuration::from_millis(4),
+        max_retries: 1,
+    };
+    let every = Some(SimDuration::from_micros(300));
+    let restored = panics_once(pdes, true, Some(&policy), Observe::sampled(every));
+    restored_once(&restored);
+    assert_eq!(restored.report.is_some(), pdes, "finished on its engine");
+
+    let clean = panics_once(pdes, false, None, Observe::sampled(every));
+    let ticks = (1..=50).map(|k| SimTime::from_micros(300 * k));
+    let at: Vec<SimTime> = clean.samples.iter().map(|s| s.at).collect();
+    assert_eq!(at, ticks.collect::<Vec<_>>(), "one sample per tick");
+    assert_eq!(restored.samples, clean.samples);
+}
+
+#[test]
+fn a_restored_sequential_run_samples_like_a_clean_run() {
+    restored_run_samples_like_a_clean_run(false);
+}
+
+#[test]
+fn a_restored_pdes_run_samples_like_a_clean_run() {
+    restored_run_samples_like_a_clean_run(true);
 }
 
 /// Two runs in one process, no reset between them: each timeline holds
@@ -272,15 +319,21 @@ fn each_run_gets_only_its_own_records() {
         0,
     );
 
-    let mut first_sampler = NetSampler::new(SimDuration::from_micros(50), &full_flows);
-    let first = run(&full_flows, false, traced(Some(&mut first_sampler)));
-    let before = first.timeline(Some(&first_sampler), &[]).to_json();
+    let first = run(
+        &full_flows,
+        false,
+        traced(Some(SimDuration::from_micros(50))),
+    );
+    let before = first.timeline(&[]).to_json();
 
-    let mut second_sampler = NetSampler::new(SimDuration::from_micros(75), &hybrid_flows);
-    let second = run(&hybrid_flows, true, traced(Some(&mut second_sampler)));
-    let tl = second.timeline(Some(&second_sampler), &[]);
+    let second = run(
+        &hybrid_flows,
+        true,
+        traced(Some(SimDuration::from_micros(75))),
+    );
+    let tl = second.timeline(&[]);
 
-    let after = first.timeline(Some(&first_sampler), &[]).to_json();
+    let after = first.timeline(&[]).to_json();
     assert_eq!(before, after, "the second run left nothing on the first");
 
     // Three counter tracks per sample (the ideal oracle models no macro
@@ -294,7 +347,7 @@ fn each_run_gets_only_its_own_records() {
         )
     });
     let spans = net.stats.fct.len().min(MAX_FLOW_TRACKS);
-    let want = 3 * second_sampler.samples().len() + spans + instants.count();
+    let want = 3 * second.samples.len() + spans + instants.count();
     assert_eq!(tl.records.len(), want);
     assert!(on(&tl, PID_PDES).is_empty());
 }
