@@ -15,7 +15,6 @@ use elephant_trace::{generate, write_csv, WorkloadConfig};
 
 fn main() {
     let args = Args::parse();
-    elephant_obs::set_enabled(true);
     let horizon = args.horizon(40, 200);
     let params = ClosParams::paper_cluster(2);
 
@@ -77,6 +76,5 @@ fn main() {
     println!("\nwrote {}", args.out.join("ablation_alpha.csv").display());
     println!("shape target: latency RMSE falls as alpha rises; drop accuracy holds or dips.");
 
-    run_report.gather();
     emit_report(&run_report, &args);
 }

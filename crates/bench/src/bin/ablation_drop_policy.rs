@@ -19,7 +19,6 @@ use elephant_trace::{filter_touching_cluster, generate, write_csv, WorkloadConfi
 
 fn main() {
     let args = Args::parse();
-    elephant_obs::set_enabled(true);
     let horizon = args.horizon(40, 120);
     let params = ClosParams::paper_cluster(2);
 
@@ -107,6 +106,5 @@ fn main() {
     );
 
     report.scalar("truth_drops", truth.stats.drops.total() as f64);
-    report.gather();
     emit_report(&report, &args);
 }

@@ -16,7 +16,6 @@ use elephant_trace::{generate, incast, write_csv, WorkloadConfig};
 
 fn main() {
     let args = Args::parse();
-    elephant_obs::set_enabled(true);
     let horizon = args.horizon(40, 200);
     let params = ClosParams::paper_cluster(2);
 
@@ -102,6 +101,5 @@ fn main() {
     println!("shape target: ablating the macro feature should not *improve* accuracy;");
     println!("under bursty load it typically costs latency accuracy (§4.1's rationale).");
 
-    run_report.gather();
     emit_report(&run_report, &args);
 }

@@ -17,7 +17,6 @@ use elephant_trace::{generate, write_csv, WorkloadConfig};
 
 fn main() {
     let args = Args::parse();
-    elephant_obs::set_enabled(true);
     let horizon = args.horizon(40, 200);
     let params = ClosParams::paper_cluster(2);
 
@@ -127,6 +126,5 @@ fn main() {
     );
     println!("shape target: accuracy saturates while train+inference cost keeps rising (§7).");
 
-    run_report.gather();
     emit_report(&run_report, &args);
 }

@@ -22,7 +22,6 @@ use elephant_trace::{generate, incast, write_csv, WorkloadConfig};
 
 fn main() {
     let args = Args::parse();
-    elephant_obs::set_enabled(true);
     let horizon = args.horizon(20, 100);
     let params = ClosParams::paper_cluster(2);
     let topo = Topology::clos(params);
@@ -102,7 +101,6 @@ fn main() {
          an incast loss storm — the fidelity gap motivating the paper."
     );
 
-    report.gather();
     emit_report(&report, &args);
 }
 

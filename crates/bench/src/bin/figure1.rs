@@ -18,14 +18,14 @@
 //! claim is the *degradation*: sync + marshalling overhead grows with
 //! network size and machine count.
 //!
-//! Each size runs the single-threaded engine twice — observability off,
-//! then on — so the report carries the measured instrumentation overhead
-//! fraction alongside the performance figures.
+//! Each size runs the single-threaded engine twice — unprofiled, then
+//! profiled (`Observe::profile`: the per-event FEL-peak sampler) — so the
+//! report carries the measured instrumentation overhead fraction alongside
+//! the performance figures.
 //!
 //! Output: sim-seconds per wall-second per (size, engine), printed and
 //! written to `figure1.csv`, plus the full run report as
-//! `BENCH_figure1.json` (events/sec, per-partition barrier-wait share,
-//! profiler tree).
+//! `BENCH_figure1.json` (events/sec, per-partition barrier-wait share).
 
 use elephant_bench::{emit_report, fmt_f, print_table, Args};
 use elephant_core::{execute, partition_rows, Exec, Fidelity, PdesExec, RunPlan};
@@ -80,11 +80,13 @@ fn main() {
         // Best-of-three wall times on both sides keep scheduler noise out
         // of the overhead figure (sub-second runs jitter by several
         // percent on a shared core).
-        let best_run = |obs_on: bool| {
-            elephant_obs::set_enabled(obs_on);
+        let best_run = |profile: bool| {
             let mut best: Option<elephant_core::RunMeta> = None;
             for _ in 0..3 {
-                let (_, m) = elephant_core::run_ground_truth(params, cfg, None, &flows, horizon);
+                let fidelity = Fidelity::Full { capture: None };
+                let mut plan = RunPlan::new(params, cfg, &flows, horizon, fidelity);
+                plan.observe.profile = profile;
+                let m = execute(plan).unwrap_or_else(|e| panic!("{e}")).meta;
                 if best.as_ref().map(|b| m.wall < b.wall).unwrap_or(true) {
                     best = Some(m);
                 }
@@ -94,7 +96,7 @@ fn main() {
         let base_meta = best_run(false);
         let single = base_meta.sim_seconds_per_second();
 
-        // Single thread again with collection on: the difference is the
+        // Single thread again, profiled: the difference is the
         // observability overhead (acceptance target: under 5%).
         let meta = best_run(true);
         let overhead = (meta.wall.as_secs_f64() - base_meta.wall.as_secs_f64())
@@ -104,8 +106,8 @@ fn main() {
         report.scalar(format!("overhead_fraction_n{n}"), overhead);
         report.scalar(format!("single_sim_s_per_s_n{n}"), single);
 
-        // PDES at 1, 2, 4 machines (collection stays on so the partition
-        // breakdown lands in the report).
+        // PDES at 1, 2, 4 machines; the partition breakdown comes from the
+        // kernel report.
         let mut pdes_rates = Vec::new();
         for &m in &machines {
             // LPs scale with the module graph, as OMNeT++'s partitioning
@@ -187,6 +189,5 @@ fn main() {
         (inst_wall_total - base_wall_total) / base_wall_total.max(1e-12),
     );
 
-    report.gather();
     emit_report(&report, &args);
 }

@@ -24,7 +24,6 @@ use elephant_trace::{filter_touching_cluster, generate, write_xy, WorkloadConfig
 
 fn main() {
     let args = Args::parse();
-    elephant_obs::set_enabled(true);
     let train_horizon = args.horizon(40, 400);
     let eval_horizon = args.horizon(40, 400);
     let params = ClosParams::paper_cluster(2);
@@ -163,6 +162,5 @@ fn main() {
     run_report.scalar("truth_drops", truth_net.stats.drops.total() as f64);
     run_report.scalar("approx_drops", approx_net.stats.drops.total() as f64);
     run_report.scalar("oracle_drops", approx_net.stats.drops.oracle as f64);
-    run_report.gather();
     emit_report(&run_report, &args);
 }

@@ -16,7 +16,6 @@ use elephant_trace::{generate, incast, write_csv, LoadProfile, WorkloadConfig};
 
 fn main() {
     let args = Args::parse();
-    elephant_obs::set_enabled(true);
     let horizon = args.horizon(40, 200);
     let params = ClosParams::paper_cluster(2);
 
@@ -181,7 +180,6 @@ fn main() {
             occupancy[s.index()] as f64 / total.max(1) as f64,
         );
     }
-    report.gather();
     emit_report(&report, &args);
 }
 

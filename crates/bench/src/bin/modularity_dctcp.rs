@@ -19,7 +19,6 @@ use elephant_trace::{generate, write_csv, WorkloadConfig};
 
 fn main() {
     let args = Args::parse();
-    elephant_obs::set_enabled(true);
     let horizon = args.horizon(40, 200);
 
     // ECN marking threshold: 30 kB (20 full frames), the DCTCP regime.
@@ -131,6 +130,5 @@ fn main() {
          p99); the untouched pipeline reaches comparable accuracy on both."
     );
 
-    run_report.gather();
     emit_report(&run_report, &args);
 }

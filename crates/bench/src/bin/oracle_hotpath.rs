@@ -239,6 +239,7 @@ fn drive(
             cluster: 1,
             direction: Direction::Up,
             path: *path,
+            profile: false,
         };
         oracle.classify_raw(&ctx, pkt, *now);
     }
@@ -251,6 +252,7 @@ fn drive(
             cluster: 1,
             direction: Direction::Up,
             path: *path,
+            profile: false,
         };
         if matches!(
             oracle.classify_raw(&ctx, pkt, *now),
@@ -358,7 +360,6 @@ fn main() {
     report.set_run(total_wall, total_verdicts, 0.0);
     report.scalar("speedup_reference", ref_speedup);
     report.scalar("hit_rate_reference", ref_hit_rate);
-    report.gather();
     emit_report(&report, &args);
 
     // Gates. The baseline comparison is speedup-normalized: absolute

@@ -374,7 +374,6 @@ fn main() {
     let top = density.last().expect("density sweep is nonempty");
     report.scalar("fel_bytes_per_host_reference", top.calendar_bytes_per_host);
     report.partitions = partition_rows(&adaptive.report);
-    report.gather();
     emit_report(&report, &args);
 
     let baseline = serde_json::from_str::<serde::Value>(BASELINE_JSON).ok();

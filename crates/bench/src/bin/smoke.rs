@@ -6,13 +6,13 @@
 //!
 //! * **baseline** — [`elephant_core::execute`] on a plain sequential plan:
 //!   every hook present but switched off (no trace, no sampler, timeline
-//!   and profiler off), the path every production run takes;
+//!   and profile off), the path every production run takes;
 //! * **checkpointed** — the same plan supervised at the default checkpoint
 //!   interval, no faults injected, so every cost is the periodic world
 //!   snapshot;
 //!
-//! plus one **enabled** run — strided trace + 100µs sampler, its timeline
-//! saved as `smoke_timeline.json` under `--out` — reported for
+//! plus one **enabled** run — strided trace + 100µs sampler + profile, its
+//! timeline saved as `smoke_timeline.json` under `--out` — reported for
 //! information only. That switched-off hooks change nothing
 //! is a behavioural property, pinned by
 //! `tests/determinism.rs::instrumentation_does_not_perturb_results`.
@@ -88,13 +88,15 @@ fn main() {
         checkpointed.push(run.meta.wall.as_secs_f64());
     }
 
-    // One enabled run, informational: trace + samples, timeline saved.
+    // One enabled run, informational: trace + samples + profile, timeline
+    // saved.
     let trace = TraceLog::strided(50_000, events);
     let mut observed = plan();
     observed.observe = Observe {
         trace: Some(trace),
         sample_every: Some(SimDuration::from_micros(100)),
         timeline: true,
+        profile: true,
     };
     let enabled = execute(observed).expect("unsupervised sequential runs cannot fail");
     let path = args.out.join("smoke_timeline.json");
@@ -138,7 +140,6 @@ fn main() {
     report.scalar("overhead_enabled", overhead_enabled);
     report.scalar("timeline_records", timeline.records.len() as f64);
     report.scalar("sampler_rows", enabled.samples.len() as f64);
-    report.gather();
     emit_report(&report, &args);
 
     let ckpt_delta = med_checkpointed - med_base;

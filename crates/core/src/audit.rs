@@ -90,7 +90,6 @@ pub fn run_audit(
     sample_every: SimDuration,
     hooks: AuditHooks,
 ) -> AuditRun {
-    let _span = elephant_obs::span("audit");
     let truth_cfg = NetConfig {
         rtt_scope: RttScope::Cluster(full_cluster),
         ..cfg

@@ -12,8 +12,8 @@
 //! * [`Exec`] — the sequential engine, or conservative PDES;
 //! * `supervise` — checkpoint/restore with the retry ladder of
 //!   [`crate::supervise`];
-//! * [`Observe`] — an event trace, a sampling period and the timeline
-//!   switch, all bit-identity-preserving.
+//! * [`Observe`] — an event trace, a sampling period, the timeline
+//!   switch and the profile switch, all bit-identity-preserving.
 //!
 //! [`run_ground_truth`] and [`run_hybrid`] are the §3 workflow's one-call
 //! lowerings (step 2, training, lives in `train`). Every run reports
@@ -25,10 +25,11 @@
 //! log, and is read four ways, all here: [`Outcome::metric_rows`] (the
 //! ledger's metric rows), [`Outcome::partition_rows`] (its per-partition
 //! rows), [`Outcome::timeline`] (the Chrome-trace timeline) and `Display`
-//! (the stdout summary). Nothing is mirrored into process-wide counters
-//! or buffers while the run executes, so two runs in one process — a
-//! capture before a hybrid, an abandoned attempt before a restore — can
-//! not leak into each other's artifacts.
+//! (the stdout summary); [`Outcome::describe`] fills a report from the
+//! first two and the run's own clocks. Nothing is mirrored into
+//! process-wide counters, clocks or buffers while the run executes, so
+//! two runs in one process — a capture before a hybrid, an abandoned
+//! attempt before a restore — can not leak into each other's artifacts.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -53,12 +54,16 @@ use elephant_net::{
     NetSampler, Network, OracleStats, RttScope, Sample, Topology, TraceLog, MAX_FLOW_TRACKS,
 };
 use elephant_obs::{
-    MetricRow, PartitionRow, RunReport, Timeline, TraceRecord, PID_FLOWS, PID_PDES,
+    MetricRow, PartitionRow, ProfileRow, RunReport, Timeline, TraceRecord, PID_FLOWS, PID_PDES,
 };
 
 /// Performance facts about one run.
 #[derive(Clone, Copy, Debug)]
 pub struct RunMeta {
+    /// Wall-clock time [`execute`] spent building the world — the flow
+    /// list, the sampler, the networks and their first events — before
+    /// the run loop started.
+    pub setup: Duration,
     /// Wall-clock time spent in the run loop (world construction
     /// excluded; failed attempts and restores of a supervised run
     /// included).
@@ -68,8 +73,8 @@ pub struct RunMeta {
     /// Simulated horizon reached, in seconds.
     pub sim_seconds: f64,
     /// The sequential kernel's FEL high-water marks (zero unless
-    /// observability was on; under PDES each partition's peak is in
-    /// [`elephant_des::PartitionStats::fel_bytes_peak`] instead).
+    /// [`Observe::profile`] was set; under PDES each partition's peak is
+    /// in [`elephant_des::PartitionStats::fel_bytes_peak`] instead).
     pub fel_peaks: FelPeaks,
 }
 
@@ -169,10 +174,17 @@ pub struct Observe {
     /// [`Outcome::timeline`]. The rest of a timeline is read from the
     /// finished run either way.
     pub timeline: bool,
+    /// The profile switch: the sequential kernel samples its FEL peaks
+    /// ([`RunMeta::fel_peaks`]) and a learned oracle times its inferences
+    /// (`OracleStats::infer_seconds`, through
+    /// [`elephant_net::OracleCtx::profile`]). Both cost something per
+    /// event or per verdict, so an unprofiled run skips them.
+    pub profile: bool,
 }
 
 impl Observe {
-    /// No trace, no timeline, and samples every `sample_every`, if set.
+    /// No trace, no timeline, no profile, and samples every
+    /// `sample_every`, if set.
     pub fn sampled(sample_every: Option<SimDuration>) -> Self {
         Observe {
             sample_every,
@@ -186,8 +198,9 @@ pub struct RunPlan<'a> {
     /// Topology.
     pub params: ClosParams,
     /// Network configuration. Fidelity and execution override
-    /// `capture_cluster` and `rtt_scope`; everything else (notably `tcp`)
-    /// reaches every engine unchanged.
+    /// `capture_cluster` and `rtt_scope`, and [`Observe::profile`]
+    /// overrides `profile`; everything else (notably `tcp`) reaches every
+    /// engine unchanged.
     pub cfg: NetConfig,
     /// Flows to schedule.
     pub flows: &'a [FlowSpec],
@@ -199,7 +212,7 @@ pub struct RunPlan<'a> {
     pub exec: Exec,
     /// Checkpoint + retry-ladder supervision, if any.
     pub supervise: Option<&'a RecoveryPolicy>,
-    /// Trace, sampling and timeline.
+    /// Trace, sampling, timeline and profile.
     pub observe: Observe,
 }
 
@@ -229,6 +242,7 @@ impl<'a> RunPlan<'a> {
     /// fidelity shapes the world, shared by every engine.
     fn world(&self) -> (Arc<Topology>, NetConfig) {
         let mut cfg = self.cfg;
+        cfg.profile = self.observe.profile;
         let topo = match self.fidelity {
             Fidelity::Full { capture } => {
                 cfg.capture_cluster = capture;
@@ -550,13 +564,18 @@ impl Outcome {
         rows
     }
 
-    /// Fills `report`'s throughput figures, partition rows and metric rows
-    /// from this run (see [`Outcome::metric_rows`] for `oracle`).
+    /// Fills `report`'s throughput figures, partition rows, metric rows
+    /// and phase clocks (`setup`, `run`) from this run (see
+    /// [`Outcome::metric_rows`] for `oracle`).
     pub fn describe(&self, report: &mut RunReport, oracle: &OracleCounters) {
         let m = &self.meta;
         report.set_run(m.wall.as_secs_f64(), m.events, m.sim_seconds);
         report.partitions = self.partition_rows();
         report.metrics = self.metric_rows(oracle);
+        report.profile = vec![
+            ProfileRow::once("setup", m.setup.as_secs_f64()),
+            ProfileRow::once("run", m.wall.as_secs_f64()),
+        ];
     }
 }
 
@@ -637,6 +656,7 @@ impl PdesRun {
 /// [`ElephantError::RecoveryExhausted`]; unsupervised sequential runs
 /// cannot fail.
 pub fn execute(mut plan: RunPlan<'_>) -> Result<Outcome, ElephantError> {
+    let started = Instant::now();
     // One flow list per run: the networks stream it, every PDES partition
     // shares it, and the sampler reads the offered load off it.
     let flows = flow_list(plan.flows);
@@ -645,8 +665,8 @@ pub fn execute(mut plan: RunPlan<'_>) -> Result<Outcome, ElephantError> {
     // A PDES plan is left describing its own terminal rung: the same run
     // on the sequential engine.
     match std::mem::replace(&mut plan.exec, Exec::Sequential) {
-        Exec::Sequential => run_sequential(&mut plan, &flows, sampler),
-        Exec::Pdes(pdes) => run_pdes(&mut plan, pdes, &flows, sampler),
+        Exec::Sequential => run_sequential(&mut plan, &flows, sampler, started),
+        Exec::Pdes(pdes) => run_pdes(&mut plan, pdes, &flows, sampler, started),
     }
 }
 
@@ -713,15 +733,14 @@ pub(crate) fn drive(
     dry
 }
 
+/// Builds and drives a run on the sequential engine; `started` is when
+/// [`execute`] began building it.
 fn run_sequential(
     plan: &mut RunPlan<'_>,
     flows: &Arc<[FlowSpec]>,
     mut sampler: NetSampler,
+    started: Instant,
 ) -> Result<Outcome, ElephantError> {
-    let _span = elephant_obs::span(match plan.fidelity {
-        Fidelity::Full { .. } => "ground_truth",
-        Fidelity::Hybrid { .. } => "hybrid",
-    });
     let (topo, cfg) = plan.world();
     let mut net = Network::new(topo, cfg);
     plan.install_oracle(&mut net, None);
@@ -729,10 +748,10 @@ fn run_sequential(
         net.install_trace(log);
     }
     let mut sim = Simulator::new(net);
+    sim.set_profile(plan.observe.profile);
     let (net, sched) = sim.parts_mut();
     net.stream_flows(Arc::clone(flows), sched);
 
-    let _run = elephant_obs::span("run");
     let start = Instant::now();
     let recovery = match plan.supervise {
         None => {
@@ -747,6 +766,7 @@ fn run_sequential(
         )?),
     };
     let meta = RunMeta {
+        setup: start - started,
         wall: start.elapsed(),
         events: sim.scheduler().executed_total(),
         sim_seconds: plan.horizon.as_secs_f64(),
@@ -789,11 +809,13 @@ pub(crate) fn drive_pdes(
     Ok((report, t0.elapsed()))
 }
 
+/// Builds and drives a run on the PDES engine (see [`run_sequential`]).
 fn run_pdes(
     plan: &mut RunPlan<'_>,
     exec: PdesExec,
     flows: &Arc<[FlowSpec]>,
     mut sampler: NetSampler,
+    started: Instant,
 ) -> Result<Outcome, ElephantError> {
     let mode = exec.mode;
     let (parts, lookahead) = build_partitions(plan, exec.partitions, flows);
@@ -806,6 +828,7 @@ fn run_pdes(
     pdes_cfg.timeline = plan.observe.timeline;
     let mut runner = PdesRunner::new(parts, pdes_cfg);
 
+    let setup = started.elapsed();
     let (report, wall, recovery) = match plan.supervise {
         None => {
             let (report, wall) =
@@ -813,7 +836,6 @@ fn run_pdes(
             (report, wall, None)
         }
         Some(policy) => {
-            let _span = elephant_obs::span("pdes_supervised");
             let t0 = Instant::now();
             let (report, mut log) =
                 supervise_pdes(&mut runner, plan.horizon, policy, mode, &mut sampler);
@@ -824,9 +846,10 @@ fn run_pdes(
                 // the sampler rewound to time zero too.
                 drop(runner);
                 sampler.rewind(0);
-                let mut out = run_sequential(plan, flows, sampler)?;
+                let mut out = run_sequential(plan, flows, sampler, t0)?;
                 log.absorb(out.recovery.take().expect("the plan is supervised"));
                 out.recovery = Some(log);
+                out.meta.setup = setup;
                 out.meta.wall = t0.elapsed();
                 return Ok(out);
             };
@@ -834,6 +857,7 @@ fn run_pdes(
         }
     };
     let meta = RunMeta {
+        setup,
         wall,
         events: report.events_executed,
         sim_seconds: plan.horizon.as_secs_f64(),
@@ -1106,6 +1130,7 @@ mod tests {
     #[test]
     fn meta_math() {
         let m = RunMeta {
+            setup: Duration::ZERO,
             wall: Duration::from_millis(500),
             events: 10,
             sim_seconds: 2.0,
@@ -1126,6 +1151,7 @@ mod tests {
         let outcome = Outcome {
             nets: Vec::new(),
             meta: RunMeta {
+                setup: Duration::ZERO,
                 wall: Duration::ZERO,
                 events: 0,
                 sim_seconds: 0.0,

@@ -555,7 +555,7 @@ impl ClusterOracle for LearnedOracle {
             }
         }
 
-        let t0 = elephant_obs::enabled().then(std::time::Instant::now);
+        let t0 = ctx.profile.then(std::time::Instant::now);
         let pred = net.predict(&rt.feat_buf, net_state);
         if let Some(t0) = t0 {
             stats.infer_seconds.record(t0.elapsed().as_secs_f64());
@@ -652,6 +652,7 @@ mod tests {
                 cluster: 1,
                 direction: Direction::Up,
                 path,
+                profile: false,
             };
             match oracle.classify(&ctx, &p, SimTime::from_micros(i * 10)) {
                 OracleVerdict::Deliver { latency } => {
@@ -689,6 +690,7 @@ mod tests {
                         cluster: 1,
                         direction: Direction::Up,
                         path,
+                        profile: false,
                     };
                     match oracle.classify(&ctx, &p, SimTime::from_micros(i * 5)) {
                         OracleVerdict::Drop => -1.0,
@@ -716,6 +718,7 @@ mod tests {
                 cluster: 1,
                 direction: Direction::Up,
                 path,
+                profile: false,
             };
             oracle.classify(&ctx, &p, SimTime::from_micros(i));
         }

@@ -318,14 +318,11 @@ fn train_direction(
     let mut trainer = Trainer::new(model, opts.train);
     let mut epochs = Vec::with_capacity(opts.epochs);
     let mut last_epoch_seconds = 0.0;
-    let _train_span = elephant_obs::span("train");
     for _ in 0..opts.epochs {
-        let _epoch_span = elephant_obs::span("epoch");
         let t0 = std::time::Instant::now();
         epochs.push(trainer.train_epoch(&windows));
         last_epoch_seconds = t0.elapsed().as_secs_f64();
     }
-    drop(_train_span);
     let model = trainer.into_model();
 
     let eval = evaluate(&model, eval_slice, opts.window);

@@ -973,7 +973,6 @@ impl<W: PartitionWorld> PartitionRun<'_, W> {
     where
         W::Event: 'm,
     {
-        let _s = elephant_obs::span("work");
         let t0 = Instant::now();
         let epoch = self.part.epochs_run;
         let faults = self.config.faults.as_ref();
@@ -1028,7 +1027,6 @@ impl<W: PartitionWorld> PartitionRun<'_, W> {
     fn post(&mut self, publish: &mut Publish) {
         let mut failure = None;
         if !self.remote.out.is_empty() {
-            let _s = elephant_obs::span("marshal");
             let t0 = Instant::now();
             let config = self.config;
             let mine = config.machine_of[self.id];
@@ -1300,7 +1298,6 @@ mod threaded {
         mut planner: Option<Planner>,
         shared: &Shared<W::Event>,
     ) -> (Row, Option<Planner>) {
-        let _pdes_span = elephant_obs::span("pdes");
         let (id, n) = (run.id, shared.publish.len());
         // The planner's copy of the frontier (thread 0 only).
         let mut frontier: Vec<Publish> = (0..n).map(|_| Publish::default()).collect();
@@ -1314,7 +1311,6 @@ mod threaded {
         wait(&shared.barrier, &mut run);
 
         loop {
-            let _epoch_span = elephant_obs::span("epoch");
             if let Some(planner) = planner.as_mut() {
                 // SAFETY: between the epoch-end barrier and the plan
                 // barrier, thread 0 is the only accessor of the publish
@@ -1367,7 +1363,6 @@ mod threaded {
     /// Times one barrier crossing into the partition's row and (if
     /// recording) a slice.
     fn wait<W: PartitionWorld>(barrier: &EpochBarrier, run: &mut PartitionRun<'_, W>) {
-        let _s = elephant_obs::span("barrier_wait");
         let t0 = Instant::now();
         barrier.wait();
         run.row.stats.barrier_wait_seconds += t0.elapsed().as_secs_f64();

@@ -33,9 +33,10 @@ pub enum StopReason {
     BudgetSpent,
 }
 
-/// High-water marks of the future event list. Sampled only while the
-/// `elephant_obs` switch is on — all zero otherwise — so they cost a run
-/// that did not ask for them one relaxed load per event.
+/// High-water marks of the future event list. Sampled only by a profiled
+/// simulator ([`Simulator::set_profile`]) — all zero otherwise — so they
+/// cost a run that did not ask for them one test of a plain field per
+/// event.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FelPeaks {
     /// Most events pending at the moment one popped (itself included).
@@ -58,6 +59,8 @@ pub struct Simulator<W: World> {
     peaks: FelPeaks,
     /// Events popped since `peaks.bytes` was last read.
     since_bytes: u64,
+    /// Whether `peaks` is sampled.
+    profile: bool,
 }
 
 impl<W: World> Simulator<W> {
@@ -68,7 +71,14 @@ impl<W: World> Simulator<W> {
             sched: Scheduler::new(),
             peaks: FelPeaks::default(),
             since_bytes: 0,
+            profile: false,
         }
+    }
+
+    /// Samples the [`FelPeaks`] from now on (`true`), or stops (off by
+    /// default).
+    pub fn set_profile(&mut self, on: bool) {
+        self.profile = on;
     }
 
     /// The current simulated time.
@@ -103,7 +113,7 @@ impl<W: World> Simulator<W> {
         (&mut self.world, &mut self.sched)
     }
 
-    /// The FEL high-water marks observed so far.
+    /// The FEL high-water marks observed so far (zero unless profiled).
     pub fn fel_peaks(&self) -> FelPeaks {
         self.peaks
     }
@@ -112,7 +122,7 @@ impl<W: World> Simulator<W> {
     /// left the queue, and without when a run loop returns.
     #[inline]
     fn sample_fel(&mut self, popped: bool) {
-        if !elephant_obs::enabled() {
+        if !self.profile {
             return;
         }
         if popped {

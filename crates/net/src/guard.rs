@@ -476,6 +476,7 @@ mod tests {
             cluster: 1,
             direction: Direction::Up,
             path,
+            profile: false,
         };
         f(&ctx, &p)
     }

@@ -108,6 +108,10 @@ pub struct NetConfig {
     /// cost per enqueue/dequeue; read back via
     /// [`Network::queue_depth_by_layer`]).
     pub track_queues: bool,
+    /// Profile the run: the installed oracle times its inferences
+    /// ([`OracleCtx::profile`]). `elephant_core::execute` sets it from the
+    /// run's `Observe::profile`.
+    pub profile: bool,
 }
 
 impl Default for NetConfig {
@@ -119,6 +123,7 @@ impl Default for NetConfig {
             capture_cluster: None,
             oracle_latency_floor: SimDuration::from_micros(2),
             track_queues: false,
+            profile: false,
         }
     }
 }
@@ -632,6 +637,7 @@ impl Network {
             cluster,
             direction,
             path,
+            profile: self.cfg.profile,
         };
         let oracle = self
             .oracle

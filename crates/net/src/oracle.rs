@@ -45,6 +45,9 @@ pub struct OracleCtx<'a> {
     pub direction: Direction,
     /// The ECMP path the packet would have taken through the fabric.
     pub path: FabricPath,
+    /// Whether the run is profiled: an oracle that times its inferences
+    /// ([`OracleStats::infer_seconds`]) does so only then.
+    pub profile: bool,
 }
 
 /// What an oracle *actually* computed, before any validation.
@@ -91,9 +94,9 @@ pub struct OracleStats {
     pub drops: u64,
     /// Verdicts issued in each macro state (by index).
     pub per_state: [u64; 4],
-    /// Wall-clock seconds per model inference; recorded only while the
-    /// `elephant_obs` switch is on, because timing a verdict costs two
-    /// clock reads.
+    /// Wall-clock seconds per model inference; recorded only in a
+    /// profiled run ([`OracleCtx::profile`]), because timing a verdict
+    /// costs two clock reads.
     pub infer_seconds: LogHistogram,
 }
 
@@ -239,6 +242,7 @@ mod tests {
             cluster: 1,
             direction: Direction::Up,
             path,
+            profile: false,
         };
         let full = mk(1460);
         let ack = mk(0);

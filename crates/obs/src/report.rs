@@ -1,14 +1,13 @@
 //! Exportable run reports: one serializable struct capturing a run's
-//! throughput figures, metric rows, per-partition timing, and profiler
-//! breakdown, with human-table / JSON renderers. Bench binaries emit
-//! these as `BENCH_<name>.json`.
+//! throughput figures, metric rows, per-partition timing, and phase
+//! clocks, with human-table / JSON renderers. Bench binaries emit these
+//! as `BENCH_<name>.json`.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::hist::LogHistogram;
-use crate::profile::{profiler, render_tree, tree_from_rows};
 
 /// One exported metric (counter, gauge, or histogram summary).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -73,15 +72,26 @@ impl MetricRow {
     }
 }
 
-/// One aggregated profiler path.
+/// One timed phase of the run a report describes.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ProfileRow {
-    /// `/`-joined span path, e.g. `pdes/epoch/barrier_wait`.
+    /// The phase: `setup` (world build), `run` (the run loop) or `train`.
     pub path: String,
-    /// Times the path was entered.
+    /// Times the phase ran.
     pub count: u64,
-    /// Total wall seconds spent (including nested spans).
+    /// Total wall seconds spent in it.
     pub seconds: f64,
+}
+
+impl ProfileRow {
+    /// A phase that ran once and took `seconds`.
+    pub fn once(path: &str, seconds: f64) -> Self {
+        ProfileRow {
+            path: path.to_string(),
+            count: 1,
+            seconds,
+        }
+    }
 }
 
 /// Per-partition timing breakdown of a parallel (PDES) run.
@@ -141,8 +151,18 @@ pub struct RunReport {
     pub partitions: Vec<PartitionRow>,
     /// Metric rows derived from the finished run (filled by the driver).
     pub metrics: Vec<MetricRow>,
-    /// Profiler snapshot.
+    /// The run's phase clocks (filled by the driver).
     pub profile: Vec<ProfileRow>,
+}
+
+fn format_secs(s: f64) -> String {
+    if s < 1e-3 {
+        format!("{:.1}µs", s * 1e6)
+    } else if s < 1.0 {
+        format!("{:.2}ms", s * 1e3)
+    } else {
+        format!("{s:.3}s")
+    }
 }
 
 fn finite(x: f64) -> f64 {
@@ -177,13 +197,8 @@ impl RunReport {
         self.scalars.insert(key.into(), finite(value));
     }
 
-    /// Captures the global profiler's contents.
-    pub fn gather(&mut self) {
-        self.profile = profiler().snapshot();
-    }
-
     /// Renders a human-readable table (run line, scalars, partitions,
-    /// metrics, profile tree).
+    /// metrics, phase clocks).
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} ==\n", self.name));
@@ -260,7 +275,14 @@ impl RunReport {
         }
         if !self.profile.is_empty() {
             out.push_str("-- profile --\n");
-            out.push_str(&render_tree(&tree_from_rows(&self.profile)));
+            out.push_str(&format!(
+                "{:<40} {:>10} {:>12}\n",
+                "phase", "count", "total"
+            ));
+            for p in &self.profile {
+                let secs = format_secs(p.seconds);
+                out.push_str(&format!("{:<40} {:>10} {secs:>12}\n", p.path, p.count));
+            }
         }
         out
     }
@@ -293,16 +315,8 @@ mod tests {
             MetricRow::histogram("hybrid/oracle/infer", "", &h),
         ];
         r.profile = vec![
-            ProfileRow {
-                path: "run".into(),
-                count: 1,
-                seconds: 2.0,
-            },
-            ProfileRow {
-                path: "run/epoch".into(),
-                count: 10,
-                seconds: 1.5,
-            },
+            ProfileRow::once("setup", 0.25),
+            ProfileRow::once("run", 2.0),
         ];
         r.partitions = vec![PartitionRow {
             partition: 0,
@@ -341,19 +355,10 @@ mod tests {
         assert!(t.contains("net/port/drops[tor]"));
         assert!(t.contains("hybrid/oracle/infer"));
         assert!(t.contains("overhead_fraction"));
-        assert!(t.contains("epoch"));
+        assert!(
+            t.contains("setup") && t.contains("250.00ms"),
+            "phase rendered: {t}"
+        );
         assert!(t.contains("20.0%"), "barrier share rendered: {t}");
-    }
-
-    #[test]
-    fn gather_pulls_the_profiler() {
-        let _on = crate::testutil::EnableScope::new();
-        crate::profiler().reset();
-        {
-            let _s = crate::span("gather_span");
-        }
-        let mut r = RunReport::new("gather", "");
-        r.gather();
-        assert!(r.profile.iter().any(|p| p.path == "gather_span"));
     }
 }

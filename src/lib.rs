@@ -14,7 +14,7 @@
 //! * [`net`] — packet-level Clos simulator (switches, ECMP, TCP New
 //!   Reno / DCTCP) with the oracle seam and boundary capture;
 //! * [`nn`] — the LSTM/linear/SGD substrate the micro models run on;
-//! * [`obs`] — opt-in observability: phase profiler, timeline, and
+//! * [`obs`] — observability values: timeline, statistics kernels, and
 //!   exportable run reports;
 //! * [`trace`] — workload synthesis (DCTCP web-search sizes, Poisson
 //!   arrivals, locality mixes) and CSV export;

@@ -27,13 +27,16 @@
 //! What a run reports has one source, the finished `Outcome`: the stdout
 //! summary is its `Display`, and the `--profile` table and the sealed
 //! `--metrics-out` ledger are filled by `Outcome::describe` (metric rows,
-//! partition rows, run line) plus the phase profiler's tree. Nothing is
-//! counted in process-wide state, so the fallback capture before a hybrid
-//! run, or an attempt abandoned by the recovery ladder, never shows in
-//! the artifact of the run that follows it.
+//! partition rows, run line, and the run's `setup` and `run` clocks;
+//! `train` adds its training clock). Either flag profiles the run it
+//! reports (`Observe::profile`) and no other. Nothing is counted or timed
+//! in process-wide state, so the fallback capture and training before a
+//! hybrid run, or an attempt abandoned by the recovery ladder, never
+//! shows in the artifact of the run that follows it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::exit;
+use std::time::Instant;
 
 use elephant::core::{
     compare_cdfs, compare_ledgers, execute, guard_primary, oracle_stack, run_audit,
@@ -47,7 +50,7 @@ use elephant::net::{
     BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig,
     OracleFaultMode, RttScope, Sample, TraceLog, SAMPLE_CSV_HEADER,
 };
-use elephant::obs::RunReport;
+use elephant::obs::{ProfileRow, RunReport};
 use elephant::scenario::toml::{self, TomlValue};
 use elephant::scenario::{
     compile, decode, fold_fingerprints, list_scenarios, load, run_fingerprint, sweep_cells,
@@ -237,15 +240,9 @@ struct Sinks {
 }
 
 impl Sinks {
+    /// Whether the run is reported, and so profiled.
     fn observing(&self) -> bool {
         self.profile || self.metrics_out.is_some()
-    }
-
-    /// Switches on the collection these sinks read from.
-    fn enable(&self) {
-        if self.observing() {
-            elephant::obs::set_enabled(true);
-        }
     }
 
     /// The event trace to install, if any: `--trace N` keeps the first N;
@@ -387,8 +384,8 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--pdes", metavar: "N", cmds: RUN | HYBRID | SCENARIO, to: To::Pdes, help: "run under conservative PDES: N rack partitions for run, one partition per\ncluster for hybrid; run-scenario takes no N and reads [topology.pdes]" },
     Flag { name: "--partitions", metavar: "N", cmds: SCENARIO, to: Key(PARTITIONS), help: "rack partition count; implies PDES" },
     Flag { name: "--machines", metavar: "M", cmds: RUN | HYBRID, to: Key("topology.pdes.machines"), help: "emulated machines for PDES marshalling" },
-    Flag { name: "--profile", metavar: "", cmds: SIMULATE & !AUDIT, to: Field(|r, _| { r.sinks.profile = true; true }, ""), help: "collect metrics + span timings; print the report" },
-    Flag { name: "--metrics-out", metavar: "P", cmds: SIMULATE, to: Field(|r, v| set_some(&mut r.sinks.metrics_out, v), ""), help: "write a schema-v1 run-ledger JSON to P (implies collection); an audit writes\nthe hybrid side (with divergence block) to P, the truth side to\nP-minus-.json + .truth.json. `elephant compare A.json B.json` diffs two" },
+    Flag { name: "--profile", metavar: "", cmds: SIMULATE & !AUDIT, to: Field(|r, _| { r.sinks.profile = true; true }, ""), help: "profile the run (FEL peaks, inference timer); print its report" },
+    Flag { name: "--metrics-out", metavar: "P", cmds: SIMULATE, to: Field(|r, v| set_some(&mut r.sinks.metrics_out, v), ""), help: "write a schema-v1 run-ledger JSON to P (profiles the run); an audit writes\nthe hybrid side (with divergence block) to P, the truth side to\nP-minus-.json + .truth.json. `elephant compare A.json B.json` diffs two" },
     Flag { name: "--oracle-cache", metavar: "", cmds: ORACLE | AUDIT, to: Switch("oracle.cache", "true"), help: "memoize verdicts for quantized feature keys (DESIGN.md \"Oracle fast path\")" },
     Flag { name: "--oracle-cache-cap", metavar: "N", cmds: ORACLE | AUDIT, to: Key("oracle.cache_cap"), help: "cache capacity in verdicts" },
     Flag { name: "--no-guard", metavar: "", cmds: ORACLE | AUDIT, to: Switch("guard.enabled", "false"), help: "run the oracle unguarded: faults panic the run (DESIGN.md \"Robustness\")" },
@@ -573,11 +570,17 @@ impl Request {
 
 /// Runs `c` on the engine `req` selects and reports through [`finish`].
 fn dispatch(req: &Request, c: &Compiled) {
+    if req.audit && req.sinks.profile {
+        bad_usage(
+            req.cmd,
+            "--profile does not apply to --audit: it reports one run, an audit is a pair \
+             (--metrics-out writes both ledgers)",
+        )
+    }
     let hybrid = req.hybrid(c);
     if hybrid {
         needs_two_clusters(req, c);
     }
-    req.sinks.enable();
     println!(
         "{}: {} clusters, {} hosts, {} flows, horizon {}, seed {}{}",
         req.title(c),
@@ -635,6 +638,7 @@ fn dispatch(req: &Request, c: &Compiled) {
         },
         sample_every: c.sample_every,
         timeline: req.sinks.trace_out.is_some(),
+        profile: req.sinks.observing(),
     };
     let (outcome, mut guard, mut caches) = simulate(req, c, model.as_ref(), observe);
     if c.recovery.is_some() {
@@ -905,15 +909,14 @@ fn stamp(driver: &str, command: &str, what: String, seed: u64, fingerprint: u64)
 }
 
 /// Has `describe` fill `ledger`'s report from the finished run
-/// ([`Outcome::describe`]), adds the profiler's tree, prints the report
-/// under `--profile`, and seals the ledger under `--metrics-out`.
+/// ([`Outcome::describe`]), prints the report under `--profile`, and
+/// seals the ledger under `--metrics-out`.
 fn emit_ledger(sinks: &Sinks, mut ledger: RunLedger, describe: impl FnOnce(&mut RunReport)) {
     if !sinks.observing() {
         return;
     }
     let report = &mut ledger.report;
     describe(report);
-    report.gather();
     if sinks.profile {
         println!("\n{}", report.to_table());
     }
@@ -1104,7 +1107,7 @@ fn quick_default_model(req: &Request, c: &Compiled) -> ClusterModel {
         ..Default::default()
     };
     let small = compile(&s, &over);
-    let capture = capture_ground_truth(&small, c);
+    let capture = capture_ground_truth(&small, c, false);
     let opts = TrainingOptions {
         hidden: 16,
         layers: 1,
@@ -1115,14 +1118,17 @@ fn quick_default_model(req: &Request, c: &Compiled) -> ClusterModel {
 }
 
 /// Ground truth of `c` with boundary capture around cluster 1 — the
-/// training input, read back with [`captured`] — under `tcp`'s TCP flavour.
-fn capture_ground_truth(c: &Compiled, tcp: &Compiled) -> Outcome {
+/// training input, read back with [`captured`] — under `tcp`'s TCP
+/// flavour, profiled when it is the run a report describes.
+fn capture_ground_truth(c: &Compiled, tcp: &Compiled, profile: bool) -> Outcome {
     let cfg = NetConfig {
         rtt_scope: RttScope::None,
         ..tcp.net_config()
     };
     let fidelity = Fidelity::Full { capture: Some(1) };
-    execute(RunPlan::new(c.params, cfg, &c.flows, c.horizon, fidelity)).unwrap_or_else(|e| die(e))
+    let mut plan = RunPlan::new(c.params, cfg, &c.flows, c.horizon, fidelity);
+    plan.observe.profile = profile;
+    execute(plan).unwrap_or_else(|e| die(e))
 }
 
 fn captured(capture: &Outcome) -> &[BoundaryRecord] {
@@ -1186,7 +1192,6 @@ fn list(dir: &str) {
 }
 
 fn train(req: &Request, s: &Scenario) {
-    req.sinks.enable();
     let c = compile(s, &req.over);
     println!(
         "capturing ground truth: {} clusters, {} flows, horizon {} ...",
@@ -1194,7 +1199,7 @@ fn train(req: &Request, s: &Scenario) {
         c.flows.len(),
         c.horizon
     );
-    let capture = capture_ground_truth(&c, &c);
+    let capture = capture_ground_truth(&c, &c, req.sinks.observing());
     let records = captured(&capture);
     println!(
         "  {} events, {} boundary records",
@@ -1205,7 +1210,9 @@ fn train(req: &Request, s: &Scenario) {
     let opts = &req.train;
     let shape = format!("{}x{} LSTM", opts.layers, opts.hidden);
     println!("training {shape} for {} epochs ...", opts.epochs);
+    let t0 = Instant::now();
     let (model, report) = train_cluster_model(records, &c.params, opts);
+    let train_wall = t0.elapsed();
     println!(
         "  up:   {} samples | drop accuracy {:.3} | latency rmse {:.3}",
         report.up.train_samples, report.up.eval.drop_accuracy, report.up.eval.latency_rmse
@@ -1227,11 +1234,12 @@ fn train(req: &Request, s: &Scenario) {
     emit_ledger(&req.sinks, stamp("train", "train", what, c.seed, 0), |r| {
         capture.describe(r, &OracleCounters::default());
         r.metrics.extend(report.metric_rows(opts.alpha));
+        r.profile
+            .push(ProfileRow::once("train", train_wall.as_secs_f64()));
     });
 }
 
 fn compare(req: &Request, s: &Scenario) {
-    req.sinks.enable();
     let Some(path) = &req.model_flag else {
         bad_usage(req.cmd, "--model PATH is required")
     };
@@ -1260,8 +1268,9 @@ fn compare(req: &Request, s: &Scenario) {
         full_cluster,
         oracles: &mut single_oracle(stack.oracle),
     };
-    let out = execute(RunPlan::new(c.params, cfg, &elided, c.horizon, fidelity))
-        .unwrap_or_else(|e| die(e));
+    let mut plan = RunPlan::new(c.params, cfg, &elided, c.horizon, fidelity);
+    plan.observe.profile = req.sinks.observing();
+    let out = execute(plan).unwrap_or_else(|e| die(e));
     let oracle = report_oracle(&stack.guard, stack.cache.as_slice());
     let (hybrid, hmeta) = (&out.nets[0], &out.meta);
 

@@ -4,6 +4,8 @@
 
 use std::process::Command;
 
+use elephant::core::RunLedger;
+
 fn elephant() -> Command {
     Command::new(env!("CARGO_BIN_EXE_elephant"))
 }
@@ -195,8 +197,11 @@ fn cli_rejects_bad_usage() {
     }
     // A flag's value meets the scenario decoder's rules, and a flag the
     // command does not read is not silently dropped: exit 2, the first
-    // line of stderr naming the flag (the last flag of each row).
+    // line of stderr naming the flag (the last flag of each row). An
+    // audit is a pair of runs, so `--profile`, which names one, is
+    // refused there too.
     const INCAST: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/incast.toml");
+    const HYBRID_SMOKE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/hybrid_smoke.toml");
     for bad in [
         &["run", "--clusters", "0"][..],
         &["run", "--load", "0"],
@@ -224,6 +229,8 @@ fn cli_rejects_bad_usage() {
         &["compare", "a.json", "b.json", "--tolerance", "nan"],
         &["compare", "a.json", "b.json", "--tolerance", "-1"],
         &["compare", "a.json", "b.json", "--tolerance", "inf"],
+        &["run-scenario", HYBRID_SMOKE, "--profile", "--audit"],
+        &["run-scenario", HYBRID_SMOKE, "--audit", "--profile"],
     ] {
         let out = elephant().args(bad).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -559,5 +566,50 @@ fn cli_hybrid_without_model_trains_fallback() {
     assert!(
         json.contains("events_per_second") && json.contains("\"metrics\""),
         "report has run stats and metric rows:\n{json}"
+    );
+}
+
+/// A report describes the run it names and nothing else that ran in the
+/// process: `hybrid` without `--model` first captures a ground truth and
+/// trains a model on it, and neither shows in the hybrid run's
+/// `--profile` table or its `--metrics-out` ledger, whose phase clocks
+/// are that run's `setup` and `run`, once each.
+#[test]
+fn cli_report_counts_only_its_own_run() {
+    let dir = std::env::temp_dir().join("elephant_cli_own_run");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("hybrid.json");
+    let out = run_ok(&[
+        "hybrid",
+        "--clusters",
+        "2",
+        "--horizon-ms",
+        "4",
+        "--profile",
+        "--metrics-out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.contains("default model"),
+        "the fallback ran first:\n{out}"
+    );
+    let (_, table) = out
+        .split_once("-- profile --\n")
+        .expect("profile table printed");
+    let rows = table.lines().skip(1).take_while(|l| !l.trim().is_empty());
+    let phases: Vec<&str> = rows.filter_map(|l| l.split_whitespace().next()).collect();
+    assert_eq!(phases, ["setup", "run"], "printed report:\n{out}");
+
+    let ledger = RunLedger::load(&path).expect("ledger sealed");
+    let report = &ledger.report;
+    let phases: Vec<(&str, u64)> = report
+        .profile
+        .iter()
+        .map(|p| (p.path.as_str(), p.count))
+        .collect();
+    assert_eq!(phases, [("setup", 1), ("run", 1)], "ledger profile");
+    assert_eq!(
+        report.profile[1].seconds, report.wall_seconds,
+        "the run clock is the run's wall"
     );
 }

@@ -247,6 +247,7 @@ fn drive(
                 cluster: 1,
                 direction: Direction::Up,
                 path: *path,
+                profile: false,
             };
             oracle.classify_raw(&ctx, pkt, *now)
         })

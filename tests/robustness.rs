@@ -219,6 +219,7 @@ fn guard_raw_seam_forwards_ctx_to_fallback() {
             cluster: 1,
             direction: dir,
             path,
+            profile: false,
         };
         let got = guard.classify_raw(&ctx, &pkt, t);
         let want = IdealOracle::base_latency(&ctx, &pkt).as_secs_f64();

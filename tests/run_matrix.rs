@@ -1,6 +1,6 @@
 //! The run matrix as one table: {full, hybrid} × {sequential, PDES} ×
-//! {unsupervised, supervised} × {unobserved, samples + trace + timeline}
-//! on one two-cluster scenario. Within each (fidelity, engine) pair all four
+//! {unsupervised, supervised} × {unobserved, samples + trace + timeline +
+//! profile} on one two-cluster scenario. Within each (fidelity, engine) pair all four
 //! supervision × observation cells must land on the same fingerprint and
 //! event count: checkpointing and observing are invisible on every
 //! engine, because every cell is the same `execute` over the same world.
@@ -83,6 +83,7 @@ fn supervision_and_observation_never_move_a_fingerprint() {
                         trace: Some(TraceLog::strided(10_000, 200_000)),
                         sample_every: Some(SimDuration::from_micros(150)),
                         timeline: true,
+                        profile: true,
                     },
                     false => Observe::default(),
                 };

@@ -87,12 +87,13 @@ fn run(flows: &[FlowSpec], hybrid: bool, observe: Observe) -> Outcome {
 }
 
 /// A strided event trace, samples every `sample_every` if set, and the
-/// timeline switch on.
+/// timeline and profile switches on.
 fn traced(sample_every: Option<SimDuration>) -> Observe {
     Observe {
         trace: Some(TraceLog::strided(20_000, 500_000)),
         sample_every,
         timeline: true,
+        profile: true,
     }
 }
 
