@@ -40,13 +40,14 @@ use std::time::{Duration, Instant};
 use crate::cache::CacheTotals;
 use crate::error::ElephantError;
 use crate::macro_model::MacroState;
+use crate::pipeline::{Serving, VerdictClocks, VerdictServer};
 use crate::supervise::{
     supervise_pdes, supervise_simulator, RecoveryEvent, RecoveryLog, RecoveryPolicy,
 };
 
 use elephant_des::{
     EpochMode, FaultPlan, FelPeaks, PartitionSim, PdesConfig, PdesError, PdesReport, PdesRunner,
-    SimDuration, SimTime, Simulator, StopReason,
+    SimDuration, SimTime, Simulator,
 };
 use elephant_net::{
     export_flow_timeline, export_sample_counters, flow_list, run_sampled, ClosParams,
@@ -74,8 +75,14 @@ pub struct RunMeta {
     pub sim_seconds: f64,
     /// The sequential kernel's FEL high-water marks (zero unless
     /// [`Observe::profile`] was set; under PDES each partition's peak is
-    /// in [`elephant_des::PartitionStats::fel_bytes_peak`] instead).
+    /// in [`elephant_des::PartitionStats::fel_bytes_peak`] instead). A
+    /// pipelined hybrid's queue leaves out the deliveries whose verdicts
+    /// are still on the worker ([`Serving`]).
     pub fel_peaks: FelPeaks,
+    /// Where the verdict time of a hybrid that served its verdicts on a
+    /// worker thread went; `None` unless [`Observe::profile`] was set and
+    /// the run was pipelined.
+    pub verdicts: Option<VerdictClocks>,
 }
 
 impl RunMeta {
@@ -214,6 +221,9 @@ pub struct RunPlan<'a> {
     pub supervise: Option<&'a RecoveryPolicy>,
     /// Trace, sampling, timeline and profile.
     pub observe: Observe,
+    /// Where a sequential hybrid's verdicts are served. Every choice runs
+    /// the same simulation.
+    pub serving: Serving,
 }
 
 impl<'a> RunPlan<'a> {
@@ -235,6 +245,7 @@ impl<'a> RunPlan<'a> {
             exec: Exec::Sequential,
             supervise: None,
             observe: Observe::default(),
+            serving: Serving::Auto,
         }
     }
 
@@ -566,7 +577,9 @@ impl Outcome {
 
     /// Fills `report`'s throughput figures, partition rows, metric rows
     /// and phase clocks (`setup`, `run`) from this run (see
-    /// [`Outcome::metric_rows`] for `oracle`).
+    /// [`Outcome::metric_rows`] for `oracle`), and for a profiled run that
+    /// served its verdicts on a worker, the [`VerdictClocks`] as the
+    /// scalars `verdict_{wait,stolen,busy}_seconds`.
     pub fn describe(&self, report: &mut RunReport, oracle: &OracleCounters) {
         let m = &self.meta;
         report.set_run(m.wall.as_secs_f64(), m.events, m.sim_seconds);
@@ -576,6 +589,11 @@ impl Outcome {
             ProfileRow::once("setup", m.setup.as_secs_f64()),
             ProfileRow::once("run", m.wall.as_secs_f64()),
         ];
+        if let Some(v) = m.verdicts {
+            report.scalar("verdict_wait_seconds", v.wait.as_secs_f64());
+            report.scalar("verdict_stolen_seconds", v.stolen.as_secs_f64());
+            report.scalar("verdict_busy_seconds", v.busy.as_secs_f64());
+        }
     }
 }
 
@@ -719,16 +737,16 @@ pub fn capture_records(net: Network) -> Result<Vec<elephant_net::BoundaryRecord>
         .ok_or(ElephantError::CaptureMissing)
 }
 
-/// Advances a sequential simulation to `until`, sampling on the way.
-/// Returns whether the event list ran dry.
+/// Advances a sequential simulation to `until`, sampling on the way, with
+/// its verdicts served by `verdicts`. Returns whether the event list ran
+/// dry.
 pub(crate) fn drive(
     sim: &mut Simulator<Network>,
     until: SimTime,
     sampler: &mut NetSampler,
+    verdicts: &mut VerdictServer,
 ) -> bool {
-    let advance = |sim: &mut Simulator<Network>, t| {
-        Ok::<_, Infallible>(sim.run_until(t) == StopReason::Exhausted)
-    };
+    let advance = |sim: &mut Simulator<Network>, t| Ok::<_, Infallible>(verdicts.run_until(sim, t));
     let Ok(dry) = run_sampled(sim, until, sampler, advance, |sim| vec![sim.world()]);
     dry
 }
@@ -753,9 +771,10 @@ fn run_sequential(
     net.stream_flows(Arc::clone(flows), sched);
 
     let start = Instant::now();
+    let mut verdicts = VerdictServer::new(plan.serving, plan.observe.profile);
     let recovery = match plan.supervise {
         None => {
-            drive(&mut sim, plan.horizon, &mut sampler);
+            drive(&mut sim, plan.horizon, &mut sampler, &mut verdicts);
             None
         }
         Some(policy) => Some(supervise_simulator(
@@ -763,6 +782,7 @@ fn run_sequential(
             plan.horizon,
             policy,
             &mut sampler,
+            &mut verdicts,
         )?),
     };
     let meta = RunMeta {
@@ -771,6 +791,7 @@ fn run_sequential(
         events: sim.scheduler().executed_total(),
         sim_seconds: plan.horizon.as_secs_f64(),
         fel_peaks: sim.fel_peaks(),
+        verdicts: verdicts.clocks(),
     };
     Ok(Outcome {
         nets: vec![sim.into_world()],
@@ -862,6 +883,7 @@ fn run_pdes(
         events: report.events_executed,
         sim_seconds: plan.horizon.as_secs_f64(),
         fel_peaks: FelPeaks::default(),
+        verdicts: None,
     };
     let nets = runner
         .into_partitions()
@@ -1135,6 +1157,7 @@ mod tests {
             events: 10,
             sim_seconds: 2.0,
             fel_peaks: FelPeaks::default(),
+            verdicts: None,
         };
         assert!((m.sim_seconds_per_second() - 4.0).abs() < 1e-9);
     }
@@ -1156,6 +1179,7 @@ mod tests {
                 events: 0,
                 sim_seconds: 0.0,
                 fel_peaks: FelPeaks::default(),
+                verdicts: None,
             },
             report: Some(PdesReport {
                 partitions: vec![partition(0, Vec::new(), 13), partition(1, vec![slice], 4)],

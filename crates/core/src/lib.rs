@@ -62,6 +62,7 @@ mod learned;
 mod ledger;
 mod macro_model;
 mod oracle_stack;
+mod pipeline;
 mod supervise;
 mod train;
 
@@ -87,6 +88,7 @@ pub use learned::{
 pub use ledger::{compare_ledgers, fnv1a_64, RunLedger, LEDGER_SCHEMA_VERSION};
 pub use macro_model::{MacroConfig, MacroModel, MacroState};
 pub use oracle_stack::{guard_primary, oracle_stack, OracleStack};
+pub use pipeline::{Serving, VerdictClocks};
 pub use supervise::{
     RecoveryEvent, RecoveryLog, RecoveryPolicy, Rung, DEFAULT_CHECKPOINT_EVERY, DEFAULT_MAX_RETRIES,
 };

@@ -48,6 +48,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::error::ElephantError;
 use crate::experiment::{drive, drive_pdes};
+use crate::pipeline::VerdictServer;
 
 use elephant_des::{EpochMode, PdesError, PdesReport, PdesRunner, SimDuration, SimTime, Simulator};
 use elephant_net::{NetPartition, NetSampler, Network};
@@ -279,6 +280,7 @@ pub(crate) fn supervise_simulator(
     horizon: SimTime,
     policy: &RecoveryPolicy,
     sampler: &mut NetSampler,
+    verdicts: &mut VerdictServer,
 ) -> Result<RecoveryLog, ElephantError> {
     let mut log = RecoveryLog::new(Rung::Sequential);
     let interval = policy.interval();
@@ -292,7 +294,7 @@ pub(crate) fn supervise_simulator(
             (sim.checkpoint(), sampler.mark())
         });
         let next = (cursor + interval).min(horizon);
-        match catch_unwind(AssertUnwindSafe(|| drive(sim, next, sampler))) {
+        match catch_unwind(AssertUnwindSafe(|| drive(sim, next, sampler, verdicts))) {
             Ok(dry) => {
                 cursor = next;
                 if cursor >= horizon || dry {

@@ -28,6 +28,12 @@
 //!   epoch (or which chunked `run_until` call) happened to deliver them, so
 //!   tie order is identical across epoch plans, partition counts held fixed.
 //!
+//! A local event may also take its posting-order number now and be pushed
+//! later ([`Scheduler::reserve_seq`], [`Scheduler::schedule_reserved`]):
+//! it fires exactly where it would have, had it been pushed when it took
+//! the number. A hybrid network uses this to serve oracle verdicts off the
+//! simulation thread.
+//!
 //! ## FEL backends
 //!
 //! The queue structure is pluggable through the [`Fel`] trait, with two
@@ -1031,6 +1037,22 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
             "attempted to schedule an event in the past ({at} < now {})",
             self.now
         );
+        let stamp = self.reserve_seq();
+        self.scheduled_total += 1;
+        self.fel.push(at, stamp, Some(at - self.now), event)
+    }
+
+    /// Takes the next local sequence number now, for an event to be pushed
+    /// later with [`Scheduler::schedule_reserved`]. The event then fires
+    /// exactly where it would have, had it been scheduled at this moment:
+    /// its tie-break key is the posting order it reserved, not the order in
+    /// which it was finally pushed. A number reserved and never used is a
+    /// hole, which moves no relative order.
+    ///
+    /// # Panics
+    /// Panics if the local sequence space is exhausted (always checked, as
+    /// in [`Scheduler::schedule_at`]).
+    pub fn reserve_seq(&mut self) -> u64 {
         let stamp = self.next_seq;
         assert!(
             stamp < REMOTE_LANE,
@@ -1038,8 +1060,32 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
              and corrupt tie-break order"
         );
         self.next_seq += 1;
+        stamp
+    }
+
+    /// Schedules `event` at `at` under the sequence number `seq`, which
+    /// [`Scheduler::reserve_seq`] handed out earlier and no other event
+    /// took. The push carries no delay hint, so it goes to the calendar and
+    /// never to a delay lane: a lane must receive its pushes in `(time,
+    /// seq)` order, and a reserved number is older than every number
+    /// issued since. Counts as one scheduled event (reservations do not).
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past, or if `seq` was never handed out as a
+    /// local sequence number (both always checked: either would corrupt
+    /// the order silently).
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) -> EventKey {
+        assert!(
+            at >= self.now,
+            "attempted to schedule a reserved event in the past ({at} < now {})",
+            self.now
+        );
+        assert!(
+            (ARRIVAL_BAND..self.next_seq).contains(&seq),
+            "sequence number {seq} was never reserved"
+        );
         self.scheduled_total += 1;
-        self.fel.push(at, stamp, Some(at - self.now), event)
+        self.fel.push(at, seq, None, event)
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -1360,6 +1406,36 @@ mod tests {
         s.schedule_now("second");
         let (t, e) = s.pop().unwrap();
         assert_eq!((t, e), (SimTime::from_nanos(10), "second"));
+    }
+
+    /// A reserved event pushed last fires where its reservation put it,
+    /// even on a lane-eligible delay whose lane holds later numbers; an
+    /// unused reservation is a hole that moves nothing, and only pushes
+    /// count as scheduled.
+    #[test]
+    fn a_reserved_event_fires_in_its_reserved_place() {
+        let mut s: Scheduler<&str> = Scheduler::new();
+        let t = SimTime::from_nanos(50);
+        s.schedule_at(t, "a");
+        let b = s.reserve_seq();
+        s.schedule_at(t, "c");
+        let _hole = s.reserve_seq();
+        s.schedule_at(t, "d");
+        s.schedule_at(t, "e");
+        s.fel.check_invariants();
+        s.schedule_reserved(t, b, "b");
+        s.fel.check_invariants();
+        assert_eq!(s.scheduled_total(), 5);
+        let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["a", "b", "c", "d", "e"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "never reserved")]
+    fn a_number_never_reserved_is_refused() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let seq = s.reserve_seq();
+        s.schedule_reserved(SimTime::from_nanos(1), seq + 1, 0);
     }
 
     #[test]

@@ -161,20 +161,34 @@ impl<W: World> Simulator<W> {
     /// `horizon` so a subsequent call can resume seamlessly.
     pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
         let reason = loop {
-            match self.sched.pop_until(horizon) {
+            match self.step_until(horizon) {
                 Next::Empty => break StopReason::Exhausted,
                 Next::Later(_) => {
                     self.sched.advance_clock(horizon.max(self.sched.now()));
                     break StopReason::HorizonReached;
                 }
-                Next::Event((_, ev)) => {
-                    self.sample_fel(true);
-                    self.world.handle(ev, &mut self.sched);
-                }
+                Next::Event(()) => {}
             }
         };
         self.sample_fel(false);
         reason
+    }
+
+    /// Executes the earliest event if it is due at or before `limit`;
+    /// otherwise says when it is due, or that none is left, and leaves the
+    /// clock alone. The step of a run loop whose limit moves from event to
+    /// event; [`Simulator::run_until`] is the loop with a fixed one.
+    #[inline]
+    pub fn step_until(&mut self, limit: SimTime) -> Next<()> {
+        match self.sched.pop_until(limit) {
+            Next::Event((_, ev)) => {
+                self.sample_fel(true);
+                self.world.handle(ev, &mut self.sched);
+                Next::Event(())
+            }
+            Next::Later(t) => Next::Later(t),
+            Next::Empty => Next::Empty,
+        }
     }
 
     /// Runs until the event list drains or `budget` events have executed,

@@ -239,7 +239,184 @@ fn arb_any_fel_ops() -> impl Strategy<Value = Vec<FelOp>> {
     prop_oneof![arb_fel_ops(), arb_bimodal_ops(), arb_lane_ops()]
 }
 
+/// The reserved-push alphabet: the scheduler's own operations, plus
+/// requests whose event the deferred side pushes late under a number it
+/// reserved when asked (the shape of a verdict served off the simulation
+/// thread), and early releases of the oldest held request.
+#[derive(Clone, Debug)]
+enum DeferOp {
+    Fel(FelOp),
+    /// An event due `floor + extra` after the current instant.
+    Request(u64),
+    /// The deferred side pushes its oldest held request now.
+    Release,
+}
+
+fn arb_defer_ops() -> impl Strategy<Value = (u64, Vec<DeferOp>)> {
+    let fel = || {
+        prop_oneof![
+            lane_delay().prop_map(FelOp::Schedule),
+            lane_delay().prop_map(FelOp::Schedule),
+            (0u64..3_000).prop_map(FelOp::Schedule),
+            (60_000u64..200_000).prop_map(FelOp::Schedule),
+            Just(FelOp::ScheduleNow),
+            lane_delay().prop_map(FelOp::Arrival),
+            (0usize..4, lane_delay()).prop_map(|(sender, offset)| FelOp::Remote { sender, offset }),
+            (0usize..8).prop_map(FelOp::CancelRecent),
+            Just(FelOp::Peek),
+            Just(FelOp::Pop),
+            Just(FelOp::Pop),
+            (0u64..2_500).prop_map(FelOp::PopUntil),
+        ]
+    };
+    let floor = prop_oneof![Just(0u64), Just(1), Just(2_000)];
+    let ops = proptest::collection::vec(
+        prop_oneof![
+            fel().prop_map(DeferOp::Fel),
+            fel().prop_map(DeferOp::Fel),
+            fel().prop_map(DeferOp::Fel),
+            fel().prop_map(DeferOp::Fel),
+            lane_delay().prop_map(DeferOp::Request),
+            lane_delay().prop_map(DeferOp::Request),
+            (0u64..3_000).prop_map(DeferOp::Request),
+            Just(DeferOp::Release),
+        ],
+        1..400,
+    );
+    (floor, ops)
+}
+
+/// A request the deferred side holds: asked at `asked`, due at `at`, under
+/// the reserved `seq`.
+struct Held {
+    asked: SimTime,
+    at: SimTime,
+    seq: u64,
+    payload: u64,
+}
+
+/// `pop_until(limit)` on the deferred side, run the way a verdict pipeline
+/// runs: only events strictly before the oldest held request's
+/// `asked + floor` may pop, and at that bound (or when nothing else is
+/// left) the oldest request is pushed first.
+fn pop_deferred(
+    s: &mut Scheduler<u64>,
+    held: &mut std::collections::VecDeque<Held>,
+    floor: u64,
+    limit: SimTime,
+) -> elephant_des::Next<(SimTime, u64)> {
+    use elephant_des::Next;
+    loop {
+        let bound = held.front().map(|h| h.asked.as_nanos() + floor);
+        let capped = match bound {
+            Some(b) if b <= limit.as_nanos() => b.checked_sub(1).map(SimTime::from_nanos),
+            _ => Some(limit),
+        };
+        let next = match capped {
+            Some(capped) => s.pop_until(capped),
+            None => Next::Empty,
+        };
+        match (next, held.pop_front()) {
+            (Next::Event(popped), front) => {
+                if let Some(h) = front {
+                    held.push_front(h);
+                }
+                return Next::Event(popped);
+            }
+            (_, Some(h)) => {
+                s.schedule_reserved(h.at, h.seq, h.payload);
+            }
+            (other, None) => return other,
+        }
+    }
+}
+
 proptest! {
+    /// Reserved pushes released late — at the pipeline's bound, early, or
+    /// at the end — interleaved with lane, calendar, arrival and remote
+    /// pushes, pop in the order the same events pushed immediately pop in,
+    /// checked against the binary-heap reference: a verdict served off the
+    /// simulation thread changes no event order.
+    #[test]
+    fn reserved_pushes_pop_like_immediate_ones((floor, ops) in arb_defer_ops()) {
+        let mut cal: Scheduler<u64> = Scheduler::new();
+        let mut heap: HeapScheduler = Scheduler::new();
+        let mut held = std::collections::VecDeque::new();
+        let mut keys = Vec::new();
+        let mut send_seqs = [0u64; 4];
+        let (mut arrivals, mut payload) = (0u64, 0u64);
+        for op in ops {
+            match op {
+                DeferOp::Request(extra) => {
+                    payload += 1;
+                    let at = cal.now() + SimDuration::from_nanos(floor + extra);
+                    heap.schedule_at(at, payload);
+                    let seq = cal.reserve_seq();
+                    held.push_back(Held { asked: cal.now(), at, seq, payload });
+                }
+                DeferOp::Release => {
+                    if let Some(h) = held.pop_front() {
+                        cal.schedule_reserved(h.at, h.seq, h.payload);
+                    }
+                }
+                DeferOp::Fel(FelOp::Schedule(offset)) => {
+                    payload += 1;
+                    let t = cal.now() + SimDuration::from_nanos(offset);
+                    keys.push((cal.schedule_at(t, payload), heap.schedule_at(t, payload)));
+                }
+                DeferOp::Fel(FelOp::ScheduleNow) => {
+                    payload += 1;
+                    keys.push((cal.schedule_now(payload), heap.schedule_now(payload)));
+                }
+                DeferOp::Fel(FelOp::Arrival(offset)) => {
+                    payload += 1;
+                    arrivals += 1;
+                    let t = cal.now() + SimDuration::from_nanos(offset);
+                    keys.push((
+                        cal.schedule_arrival(t, rank(arrivals), payload),
+                        heap.schedule_arrival(t, rank(arrivals), payload),
+                    ));
+                }
+                DeferOp::Fel(FelOp::Remote { sender, offset }) => {
+                    payload += 1;
+                    let t = cal.now() + SimDuration::from_nanos(offset);
+                    let seq = send_seqs[sender];
+                    send_seqs[sender] += 1;
+                    cal.schedule_remote(t, sender, seq, payload);
+                    heap.schedule_remote(t, sender, seq, payload);
+                }
+                DeferOp::Fel(FelOp::CancelNth(n) | FelOp::CancelRecent(n)) => {
+                    if let Some((ck, hk)) = recent(&keys, n) {
+                        prop_assert_eq!(cal.cancel(ck), heap.cancel(hk));
+                    }
+                }
+                DeferOp::Fel(FelOp::Peek) => {
+                    while let Some(h) = held.pop_front() {
+                        cal.schedule_reserved(h.at, h.seq, h.payload);
+                    }
+                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                }
+                DeferOp::Fel(FelOp::Pop) => {
+                    let popped = pop_deferred(&mut cal, &mut held, floor, SimTime::MAX);
+                    prop_assert_eq!(popped, heap.pop_until(SimTime::MAX));
+                }
+                DeferOp::Fel(FelOp::PopUntil(offset)) => {
+                    let limit = cal.now() + SimDuration::from_nanos(offset);
+                    let popped = pop_deferred(&mut cal, &mut held, floor, limit);
+                    prop_assert_eq!(popped, heap.pop_until(limit));
+                }
+            }
+            prop_assert_eq!(cal.now(), heap.now());
+        }
+        while let Some(h) = held.pop_front() {
+            cal.schedule_reserved(h.at, h.seq, h.payload);
+        }
+        prop_assert_eq!(drain(&mut cal), drain(&mut heap));
+        prop_assert_eq!(cal.scheduled_total(), heap.scheduled_total());
+        prop_assert_eq!(cal.executed_total(), heap.executed_total());
+        prop_assert_eq!(cal.cancelled_total(), heap.cancelled_total());
+    }
+
     /// The scheduler agrees with a reference model (a sorted multiset of
     /// (time, seq) pairs with tombstones) on every pop.
     #[test]

@@ -67,7 +67,8 @@ pub use guard::{
 };
 pub use metrics::{DropCounts, FctRecord, NetStats, RttScope};
 pub use network::{
-    flow_list, schedule_flows, FlowSpec, NetConfig, NetEvent, NetPartition, Network, TimerKind,
+    flow_list, schedule_flows, FlowSpec, LentOracle, NetConfig, NetEvent, NetPartition, Network,
+    TimerKind, VerdictRequest,
 };
 pub use oracle::{
     ClusterOracle, FixedLatencyOracle, IdealOracle, OracleCtx, OracleStats, OracleVerdict,

@@ -15,6 +15,7 @@
 //!    engine; cross-partition packet deliveries travel through
 //!    [`elephant_des::RemoteSink`].
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use elephant_des::{
@@ -29,7 +30,7 @@ use crate::oracle::{ClusterOracle, OracleCtx, OracleStats, OracleVerdict};
 use crate::packet::{Ecn, Packet};
 use crate::port::{PortCounters, PortState, TxAction};
 use crate::tcp::{ConnStats, TcpConfig, TcpConn, TcpOutput, TimerCmd};
-use crate::topology::Topology;
+use crate::topology::{FabricPath, Topology};
 use crate::trace_log::{TraceEntry, TraceKind, TraceLog};
 use crate::types::{Direction, FlowId, HostAddr, NodeId, NodeKind, PortId};
 
@@ -101,8 +102,10 @@ pub struct NetConfig {
     /// Record ground-truth boundary traversals of this cluster.
     pub capture_cluster: Option<u16>,
     /// Minimum latency any oracle verdict may report. Keeps predictions
-    /// physical and — when the hybrid simulator runs under PDES — supplies
-    /// the lookahead floor for oracle deliveries.
+    /// physical, supplies the lookahead floor for oracle deliveries when
+    /// the hybrid simulator runs under PDES, and is how far a verdict
+    /// served on another thread may lag its request
+    /// ([`Network::lend_oracle`]).
     pub oracle_latency_floor: SimDuration,
     /// Track exact time-weighted queue occupancy per port (small constant
     /// cost per enqueue/dequeue; read back via
@@ -164,6 +167,68 @@ struct PartitionCtx {
     node_part: Arc<Vec<u32>>,
 }
 
+/// One boundary crossing waiting for its verdict: what the oracle reads,
+/// plus the delivery's sequence number and trace entry, both taken when
+/// the packet crossed (see [`Network::lend_oracle`]).
+#[derive(Clone, Copy, Debug)]
+pub struct VerdictRequest {
+    /// When the packet reached the boundary.
+    pub now: SimTime,
+    pkt: Packet,
+    cluster: u16,
+    direction: Direction,
+    path: FabricPath,
+    /// The delivery's tie-break key ([`Scheduler::reserve_seq`]).
+    seq: u64,
+    /// Where the crossing's entry sits in the trace log, if it was kept.
+    trace: Option<usize>,
+}
+
+/// Asks `oracle` for `req`'s verdict: the one place a crossing's
+/// [`OracleCtx`] is built, whichever thread serves it.
+fn classify(
+    oracle: &mut dyn ClusterOracle,
+    topo: &Topology,
+    profile: bool,
+    req: &VerdictRequest,
+) -> OracleVerdict {
+    let ctx = OracleCtx {
+        topo,
+        cluster: req.cluster,
+        direction: req.direction,
+        path: req.path,
+        profile,
+    };
+    oracle.classify(&ctx, &req.pkt, req.now)
+}
+
+/// A network's oracle, lent out to serve its verdicts on another thread
+/// ([`Network::lend_oracle`]): the oracle plus what it reads besides the
+/// requests.
+pub struct LentOracle {
+    oracle: Box<dyn ClusterOracle + Send>,
+    topo: Arc<Topology>,
+    profile: bool,
+}
+
+impl LentOracle {
+    /// `req`'s verdict, exactly as the network would have served it
+    /// inline. Requests must be classified in the order they were made.
+    pub fn classify(&mut self, req: &VerdictRequest) -> OracleVerdict {
+        classify(self.oracle.as_mut(), &self.topo, self.profile, req)
+    }
+}
+
+/// Where a network's verdicts come from.
+enum Verdicts {
+    /// No oracle: a boundary crossing is a configuration error.
+    Missing,
+    /// The installed oracle, asked as each crossing is handled.
+    Inline(Box<dyn ClusterOracle + Send>),
+    /// The oracle is lent out; crossings queue here for the borrower.
+    Lent(VecDeque<VerdictRequest>),
+}
+
 /// The packet-level simulator state (see module docs).
 pub struct Network {
     topo: Arc<Topology>,
@@ -175,7 +240,7 @@ pub struct Network {
     /// Measurement state, public for read-out after a run.
     pub stats: NetStats,
     capture: Option<CaptureState>,
-    oracle: Option<Box<dyn ClusterOracle + Send>>,
+    verdicts: Verdicts,
     /// Last scheduled oracle delivery per destination, for the paper's
     /// conflict rule: "the one processed first is given priority, with the
     /// conflicting packet sent at the next possible time" (§4.2). Indexed
@@ -206,12 +271,14 @@ pub struct Network {
 /// — such a network cannot be checkpointed; rebuild the oracle cold instead.
 impl Clone for Network {
     fn clone(&self) -> Self {
-        let oracle = self.oracle.as_ref().map(|o| {
-            o.clone_box().expect(
+        let verdicts = match &self.verdicts {
+            Verdicts::Missing => Verdicts::Missing,
+            Verdicts::Inline(o) => Verdicts::Inline(o.clone_box().expect(
                 "installed oracle does not support clone_box(); a network \
                  holding it cannot be checkpointed — rebuild the oracle cold",
-            )
-        });
+            )),
+            Verdicts::Lent(queue) => Verdicts::Lent(queue.clone()),
+        };
         Network {
             topo: Arc::clone(&self.topo),
             cfg: self.cfg,
@@ -220,7 +287,7 @@ impl Clone for Network {
             stream: self.stream.clone(),
             stats: self.stats.clone(),
             capture: self.capture.clone(),
-            oracle,
+            verdicts,
             boundary_gate: self.boundary_gate.clone(),
             next_pkt_id: self.next_pkt_id,
             scratch: TcpOutput::default(),
@@ -248,7 +315,7 @@ impl Network {
         Network {
             stats: NetStats::new(cfg.rtt_scope, cfg.raw_rtt_limit),
             capture,
-            oracle: None,
+            verdicts: Verdicts::Missing,
             boundary_gate: vec![None; topo.len()],
             next_pkt_id: 0,
             scratch: TcpOutput::default(),
@@ -269,7 +336,63 @@ impl Network {
     /// Installs the oracle serving every stub cluster. Required before any
     /// packet reaches a boundary.
     pub fn set_oracle(&mut self, oracle: Box<dyn ClusterOracle + Send>) {
-        self.oracle = Some(oracle);
+        self.verdicts = Verdicts::Inline(oracle);
+    }
+
+    /// Lends the installed oracle out, so that another thread can serve
+    /// this network's verdicts; `None`, and nothing changes, without one.
+    /// Until [`Network::return_oracle`], a boundary crossing is only
+    /// requested: it takes its delivery's sequence number and trace entry
+    /// and queues a [`VerdictRequest`] ([`Network::take_request`]). The
+    /// borrower answers the requests in the order they were made, each
+    /// through [`Network::apply_verdict`] before the simulation clock
+    /// reaches its `now` plus the oracle latency floor — the earliest its
+    /// delivery can fire. The run is then bit-identical to one served
+    /// inline.
+    pub fn lend_oracle(&mut self) -> Option<LentOracle> {
+        match std::mem::replace(&mut self.verdicts, Verdicts::Lent(VecDeque::new())) {
+            Verdicts::Inline(oracle) => Some(LentOracle {
+                oracle,
+                topo: Arc::clone(&self.topo),
+                profile: self.cfg.profile,
+            }),
+            other => {
+                self.verdicts = other;
+                None
+            }
+        }
+    }
+
+    /// Takes back an oracle [`Network::lend_oracle`] lent out.
+    ///
+    /// # Panics
+    /// Panics if the oracle is not lent out, or if a request is still
+    /// queued: it would never be answered.
+    pub fn return_oracle(&mut self, lent: LentOracle) {
+        match &self.verdicts {
+            Verdicts::Lent(queue) if queue.is_empty() => {}
+            Verdicts::Lent(_) => panic!("returning an oracle with requests unanswered"),
+            _ => panic!("returning an oracle that was not lent out"),
+        }
+        self.verdicts = Verdicts::Inline(lent.oracle);
+    }
+
+    /// The oldest request queued while the oracle is lent out.
+    #[inline]
+    pub fn take_request(&mut self) -> Option<VerdictRequest> {
+        match &mut self.verdicts {
+            Verdicts::Lent(queue) => queue.pop_front(),
+            _ => None,
+        }
+    }
+
+    /// The oracle's installed instance, when it is neither missing nor
+    /// lent out.
+    fn oracle(&self) -> Option<&(dyn ClusterOracle + Send)> {
+        match &self.verdicts {
+            Verdicts::Inline(oracle) => Some(oracle.as_ref()),
+            _ => None,
+        }
     }
 
     /// Enables raw event tracing (§2.1's "print raw packet/event traces"),
@@ -290,18 +413,23 @@ impl Network {
         self.trace.as_ref()
     }
 
+    /// Records a trace entry, if tracing; returns where it was kept.
     #[inline]
-    fn trace_event(&mut self, time: SimTime, kind: TraceKind, node: NodeId, pkt: &Packet) {
-        if let Some(t) = &mut self.trace {
-            t.record(TraceEntry {
-                time,
-                kind,
-                node,
-                packet: pkt.id,
-                flow: pkt.flow,
-                seq: pkt.seg.seq,
-            });
-        }
+    fn trace_event(
+        &mut self,
+        time: SimTime,
+        kind: TraceKind,
+        node: NodeId,
+        pkt: &Packet,
+    ) -> Option<usize> {
+        self.trace.as_mut()?.record(TraceEntry {
+            time,
+            kind,
+            node,
+            packet: pkt.id,
+            flow: pkt.flow,
+            seq: pkt.seg.seq,
+        })
     }
 
     /// Marks this instance as partition `my` of a PDES run; events for
@@ -441,13 +569,13 @@ impl Network {
     /// (`None` without an oracle, or when the oracle models no regime).
     /// See [`ClusterOracle::macro_state_of`].
     pub fn oracle_macro_state(&self, cluster: u16) -> Option<u8> {
-        self.oracle.as_ref().and_then(|o| o.macro_state_of(cluster))
+        self.oracle().and_then(|o| o.macro_state_of(cluster))
     }
 
     /// The installed oracle's own counters (`None` without an oracle, or
     /// when it keeps none). See [`ClusterOracle::oracle_stats`].
     pub fn oracle_stats(&self) -> Option<&OracleStats> {
-        self.oracle.as_ref().and_then(|o| o.oracle_stats())
+        self.oracle().and_then(|o| o.oracle_stats())
     }
 
     /// The TCP counters of every still-open connection. `stats` holds the
@@ -623,6 +751,11 @@ impl Network {
         });
     }
 
+    /// A packet reached a stub cluster's boundary: the request step. The
+    /// crossing takes its delivery's sequence number and its trace entry
+    /// now, so however late its verdict is applied, the delivery fires and
+    /// the trace reads as if it had been applied here. An installed oracle
+    /// answers at once; a lent one later ([`Network::lend_oracle`]).
     fn boundary_arrive(&mut self, cluster: u16, pkt: Packet, sched: &mut Scheduler<NetEvent>) {
         let now = sched.now();
         let direction = if pkt.dst.cluster == cluster {
@@ -630,28 +763,50 @@ impl Network {
         } else {
             Direction::Up
         };
-        let path = self.topo.fabric_path(pkt.src, pkt.dst, pkt.flow);
-        let topo = Arc::clone(&self.topo);
-        let ctx = OracleCtx {
-            topo: &topo,
+        let boundary = self.topo.boundary_node(cluster).expect("stub cluster");
+        let req = VerdictRequest {
+            path: self.topo.fabric_path(pkt.src, pkt.dst, pkt.flow),
+            // The kind is the verdict's; `apply_verdict` rewrites a drop.
+            trace: self.trace_event(now, TraceKind::OracleDeliver, boundary, &pkt),
+            seq: sched.reserve_seq(),
+            pkt,
+            now,
             cluster,
             direction,
-            path,
-            profile: self.cfg.profile,
         };
-        let oracle = self
-            .oracle
-            .as_mut()
-            .expect("topology has stub clusters but no oracle was installed");
-        let boundary = self.topo.boundary_node(cluster).expect("stub cluster");
-        match oracle.classify(&ctx, &pkt, now) {
+        match &mut self.verdicts {
+            Verdicts::Inline(oracle) => {
+                let verdict = classify(oracle.as_mut(), &self.topo, self.cfg.profile, &req);
+                self.apply_verdict(&req, verdict, sched);
+            }
+            Verdicts::Lent(queue) => queue.push_back(req),
+            Verdicts::Missing => panic!("topology has stub clusters but no oracle was installed"),
+        }
+    }
+
+    /// The apply step of a boundary crossing ([`Network::lend_oracle`]):
+    /// counts the verdict and, for a delivery, raises its latency to the
+    /// oracle floor, applies the conflict rule and schedules it under the
+    /// sequence number the crossing reserved. Verdicts must be applied in
+    /// the order their requests were made, each before the clock reaches
+    /// `req.now` plus the floor.
+    pub fn apply_verdict(
+        &mut self,
+        req: &VerdictRequest,
+        verdict: OracleVerdict,
+        sched: &mut Scheduler<NetEvent>,
+    ) {
+        let (pkt, path) = (req.pkt, req.path);
+        match verdict {
             OracleVerdict::Drop => {
                 self.stats.drops.oracle += 1;
-                self.trace_event(now, TraceKind::OracleDrop, boundary, &pkt);
+                if let (Some(trace), Some(at)) = (&mut self.trace, req.trace) {
+                    trace.set_kind(at, TraceKind::OracleDrop);
+                }
             }
             OracleVerdict::Deliver { latency } => {
                 let latency = latency.max(self.cfg.oracle_latency_floor);
-                let dest = match direction {
+                let dest = match req.direction {
                     Direction::Down => self.topo.host_node(pkt.dst),
                     Direction::Up => {
                         let core = path.core.expect("Up traversal crosses the core layer");
@@ -662,8 +817,8 @@ impl Network {
                 // same destination at the same instant; later predictions
                 // are pushed to "the next possible time" — one wire
                 // serialization later.
-                let mut at = now + latency;
-                let rate = match direction {
+                let mut at = req.now + latency;
+                let rate = match req.direction {
                     Direction::Down => self.topo.params().host_link.rate_gbps,
                     Direction::Up => self.topo.params().core_link.rate_gbps,
                 };
@@ -676,8 +831,13 @@ impl Network {
                 }
                 *gate = Some(at);
                 self.stats.oracle_deliveries += 1;
-                self.trace_event(now, TraceKind::OracleDeliver, boundary, &pkt);
-                self.deliver(dest, at, pkt, sched);
+                let arrive = NetEvent::Arrive { node: dest, pkt };
+                match self.remote_owner(dest) {
+                    Some(owner) => self.outbox.push((owner, at, arrive)),
+                    None => {
+                        sched.schedule_reserved(at, req.seq, arrive);
+                    }
+                }
             }
         }
     }
@@ -868,15 +1028,22 @@ impl Network {
     /// Schedules an arrival, routing through the PDES outbox when the
     /// destination node belongs to another partition.
     fn deliver(&mut self, node: NodeId, at: SimTime, pkt: Packet, sched: &mut Scheduler<NetEvent>) {
-        if let Some(p) = &self.partition {
-            let owner = p.node_part[node.idx()] as PartitionId;
-            if owner != p.my {
-                self.outbox
-                    .push((owner, at, NetEvent::Arrive { node, pkt }));
-                return;
+        let arrive = NetEvent::Arrive { node, pkt };
+        match self.remote_owner(node) {
+            Some(owner) => self.outbox.push((owner, at, arrive)),
+            None => {
+                sched.schedule_at(at, arrive);
             }
         }
-        sched.schedule_at(at, NetEvent::Arrive { node, pkt });
+    }
+
+    /// The partition owning `node`, when this network is a PDES partition
+    /// that does not.
+    #[inline]
+    fn remote_owner(&self, node: NodeId) -> Option<PartitionId> {
+        let p = self.partition.as_ref()?;
+        let owner = p.node_part[node.idx()] as PartitionId;
+        (owner != p.my).then_some(owner)
     }
 }
 

@@ -112,14 +112,24 @@ impl TraceLog {
     }
 
     /// Records an entry (dropped silently once full or off-stride;
-    /// `observed` still counts).
+    /// `observed` still counts). Returns where it was kept, if it was.
     #[inline]
-    pub fn record(&mut self, entry: TraceEntry) {
+    pub fn record(&mut self, entry: TraceEntry) -> Option<usize> {
         let keep = self.observed.is_multiple_of(self.stride);
         self.observed += 1;
-        if keep && self.entries.len() < self.limit {
-            self.entries.push(entry);
+        let at = self.entries.len();
+        if !keep || at >= self.limit {
+            return None;
         }
+        self.entries.push(entry);
+        Some(at)
+    }
+
+    /// Rewrites the kind of the entry [`TraceLog::record`] kept at `at`:
+    /// a boundary crossing takes its place in the log when it is handled
+    /// and learns its verdict when that is applied.
+    pub(crate) fn set_kind(&mut self, at: usize, kind: TraceKind) {
+        self.entries[at].kind = kind;
     }
 
     /// The retained entries, in simulation order.

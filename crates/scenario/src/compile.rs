@@ -19,7 +19,7 @@
 use crate::schema::{ProfileSpec, RegimeWindow, Scenario, SizeSpec, TrafficGroup, TrafficKind};
 use elephant_core::{
     execute, single_oracle, ElephantError, Exec, Fidelity, Observe, OracleFactory, Outcome,
-    PdesExec, PdesRun, RecoveryPolicy, RunMeta, RunPlan,
+    PdesExec, PdesRun, RecoveryPolicy, RunMeta, RunPlan, Serving,
 };
 use elephant_des::{EpochMode, FaultPlan, SimDuration, SimTime};
 use elephant_net::{
@@ -512,6 +512,7 @@ impl Compiled {
             exec,
             supervise,
             observe,
+            serving: Serving::Auto,
         })
     }
 

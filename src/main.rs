@@ -80,6 +80,12 @@ fn main() {
         }
     };
     let req = Request::parse(cmd, rest);
+    if let (true, [flag, ..]) = (req.validate, &req.sinks.flags()[..]) {
+        bad_usage(
+            cmd,
+            format!("{flag} does not apply to --validate: it runs nothing, so it writes nothing"),
+        )
+    }
     if cmd == Cmd::Ledgers {
         return diff_ledgers(&req);
     }
@@ -240,6 +246,21 @@ struct Sinks {
 }
 
 impl Sinks {
+    /// The sink flags set, by name.
+    fn flags(&self) -> Vec<&'static str> {
+        let set = [
+            ("--profile", self.profile),
+            ("--metrics-out", self.metrics_out.is_some()),
+            ("--samples-out", self.samples_out.is_some()),
+            ("--trace", self.trace.is_some()),
+            ("--trace-out", self.trace_out.is_some()),
+            ("--csv", self.csv.is_some()),
+        ];
+        set.into_iter()
+            .filter_map(|(f, on)| on.then_some(f))
+            .collect()
+    }
+
     /// Whether the run is reported, and so profiled.
     fn observing(&self) -> bool {
         self.profile || self.metrics_out.is_some()

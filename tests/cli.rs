@@ -242,6 +242,58 @@ fn cli_rejects_bad_usage() {
     }
 }
 
+/// `--validate` runs nothing, so a sink flag beside it would write
+/// nothing: each one is a usage error naming itself (exit 2, no file
+/// written), on a plain scenario and on a sweep alike, while `--validate`
+/// alone still passes.
+#[test]
+fn cli_validate_refuses_the_sinks_it_would_ignore() {
+    const SMOKE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/smoke.toml");
+    const FIGURE5: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/figures/figure5.toml"
+    );
+    let dir = std::env::temp_dir().join("elephant_cli_validate_sinks");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_path = dir.join("never_written");
+    let _ = std::fs::remove_file(&out_path);
+    let p = out_path.to_str().unwrap();
+    for file in [SMOKE, FIGURE5] {
+        let ok = elephant()
+            .args(["run-scenario", file, "--validate"])
+            .output()
+            .unwrap();
+        assert_eq!(ok.status.code(), Some(0), "{file} validates");
+        for sink in [
+            &["--profile"][..],
+            &["--metrics-out", p],
+            &["--samples-out", p],
+            &["--csv", p],
+        ] {
+            for flags in [
+                [&["--validate"][..], sink].concat(),
+                [sink, &["--validate"][..]].concat(),
+            ] {
+                let out = elephant()
+                    .args(["run-scenario", file])
+                    .args(&flags)
+                    .output()
+                    .unwrap();
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+                let first = stderr.lines().next().unwrap_or("");
+                assert!(
+                    first.contains(sink[0]),
+                    "{flags:?} names {}: {first}",
+                    sink[0]
+                );
+                assert!(first.contains("--validate"), "{flags:?}: {first}");
+                assert!(!out_path.exists(), "{flags:?} wrote {p}");
+            }
+        }
+    }
+}
+
 /// The positional arguments that select each of the seven subcommands.
 const COMMANDS: [&[&str]; 7] = [
     &["run"],
