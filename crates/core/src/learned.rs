@@ -594,13 +594,13 @@ impl ClusterOracle for LearnedOracle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use elephant_des::SimDuration;
     use elephant_net::{Ecn, FlowId, HostAddr, TcpFlags, TcpSegment, Topology};
     use proptest::prelude::*;
 
-    fn tiny_model() -> ClusterModel {
+    pub(crate) fn tiny_model() -> ClusterModel {
         let mut rng = SmallRng::seed_from_u64(1);
         let cfg = MicroNetConfig {
             input: FEATURE_DIM,

@@ -50,7 +50,9 @@ use crate::error::ElephantError;
 use crate::experiment::{drive, drive_pdes};
 use crate::pipeline::VerdictServer;
 
-use elephant_des::{EpochMode, PdesError, PdesReport, PdesRunner, SimDuration, SimTime, Simulator};
+use elephant_des::{
+    panic_message, EpochMode, PdesError, PdesReport, PdesRunner, SimDuration, SimTime, Simulator,
+};
 use elephant_net::{NetPartition, NetSampler, Network};
 
 /// Default checkpoint interval: 10 simulated milliseconds.
@@ -321,16 +323,6 @@ pub(crate) fn supervise_simulator(
         }
     }
     Ok(log)
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

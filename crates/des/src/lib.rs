@@ -61,16 +61,18 @@ mod sched;
 mod sim;
 mod stats;
 mod time;
+mod wait;
 pub mod wire;
 
 pub use checkpoint::{PdesCheckpoint, SimCheckpoint};
 pub use fault::{FaultCounts, FaultPlan};
 pub use pdes::{
-    EpochMode, PartitionId, PartitionSim, PartitionStats, PartitionWorld, PdesConfig, PdesError,
-    PdesReport, PdesRunner, RemoteSink, Transportable, DEFAULT_STALL_EPOCHS,
+    panic_message, EpochMode, PartitionId, PartitionSim, PartitionStats, PartitionWorld,
+    PdesConfig, PdesError, PdesReport, PdesRunner, RemoteSink, Transportable, DEFAULT_STALL_EPOCHS,
 };
 pub use rng::{splitmix64, RngFactory, SmallRng};
 pub use sched::{BinaryHeapFel, CalendarFel, EventKey, Fel, Next, Scheduler};
 pub use sim::{FelPeaks, Simulator, StopReason, World};
 pub use stats::{Ewma, TimeWeighted};
 pub use time::{SimDuration, SimTime};
+pub use wait::Waiter;

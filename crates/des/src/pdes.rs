@@ -71,8 +71,9 @@
 //! double-buffered: senders fill their row of one buffer while receivers
 //! drain their column of the other — disjoint cells, no locks. The barrier
 //! swaps the buffers and publishes the writes (its atomics establish the
-//! happens-before edges); it spins briefly before parking, as epochs are
-//! often shorter than a park/unpark round trip.
+//! happens-before edges). It waits through the [`Waiter`](crate::Waiter)
+//! the verdict pipeline uses too: spinning first when each partition has a
+//! core, as epochs are often shorter than a park/unpark round trip.
 //!
 //! ## Emulating multi-machine deployments
 //!
@@ -328,15 +329,7 @@ pub struct PdesConfig {
 impl PdesConfig {
     /// All partitions on a single machine.
     pub fn single_machine(partitions: usize, lookahead: SimDuration) -> Self {
-        PdesConfig {
-            lookahead,
-            machine_of: vec![0; partitions],
-            envelope_bytes: 0,
-            stall_epochs: DEFAULT_STALL_EPOCHS,
-            faults: None,
-            epoch_mode: EpochMode::Adaptive,
-            timeline: false,
-        }
+        Self::round_robin(partitions, 1, lookahead, 0)
     }
 
     /// Partitions dealt round-robin across `machines` machines with the
@@ -418,15 +411,6 @@ pub enum PdesError {
 }
 
 impl PdesError {
-    /// The partial report assembled when the run aborted.
-    pub fn report(&self) -> &PdesReport {
-        match self {
-            PdesError::Stalled { report, .. }
-            | PdesError::Corrupt { report, .. }
-            | PdesError::Panicked { report, .. } => report,
-        }
-    }
-
     /// When and where the run failed. Of the failures published in one
     /// epoch, the run reports the one with the least `(at, partition)`.
     pub fn origin(&self) -> (SimTime, PartitionId) {
@@ -439,28 +423,19 @@ impl PdesError {
 
 impl std::fmt::Display for PdesError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (at, partition) = self.origin();
         match self {
-            PdesError::Stalled {
-                partition,
-                at,
-                epochs,
-                ..
-            } => write!(
+            PdesError::Stalled { epochs, .. } => write!(
                 f,
                 "PDES stalled: partition {partition} failed to advance past {at} \
                  for {epochs} consecutive epochs"
             ),
-            PdesError::Corrupt { partition, at, .. } => write!(
+            PdesError::Corrupt { .. } => write!(
                 f,
                 "PDES transport corruption: message from partition {partition} \
                  due at {at} failed to decode"
             ),
-            PdesError::Panicked {
-                partition,
-                at,
-                message,
-                ..
-            } => write!(
+            PdesError::Panicked { message, .. } => write!(
                 f,
                 "PDES worker panic: partition {partition} panicked handling an \
                  event at {at}: {message}"
@@ -608,6 +583,9 @@ pub struct PdesRunner<W: PartitionWorld> {
     /// When the runner was built: the zero of every chunk's slices, so a
     /// chunked run's slices share one wall-clock axis.
     origin: Instant,
+    /// The cores the process may use, read once (it walks cgroup files):
+    /// the barrier spins only when each partition has one.
+    cores: usize,
 }
 
 impl<W: PartitionWorld> PdesRunner<W> {
@@ -632,6 +610,7 @@ impl<W: PartitionWorld> PdesRunner<W> {
             partitions,
             config,
             origin: Instant::now(),
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -641,8 +620,9 @@ impl<W: PartitionWorld> PdesRunner<W> {
     /// a marshalled message failed to decode or a partition panicked — the
     /// error carries the partial report for per-partition diagnostics.
     pub fn run_until(&mut self, horizon: SimTime) -> Result<PdesReport, PdesError> {
+        let cores = self.cores;
         let (planner, runs) = self.start(horizon);
-        let (planner, rows) = threaded::run(planner, runs);
+        let (planner, rows) = threaded::run(planner, runs, cores);
         planner.finish(rows, &self.config)
     }
 
@@ -711,11 +691,6 @@ impl<W: PartitionWorld> PdesRunner<W> {
     /// Immutable view of the partitions.
     pub fn partitions(&self) -> &[PartitionSim<W>] {
         &self.partitions
-    }
-
-    /// The epoch planning mode currently in effect.
-    pub fn epoch_mode(&self) -> EpochMode {
-        self.config.epoch_mode
     }
 
     /// Switches the epoch planning mode for subsequent `run_until` calls.
@@ -1131,11 +1106,11 @@ fn deliver<'m, E: 'm>(sched: &mut Scheduler<E>, inbox: impl Iterator<Item = &'m 
 /// is here.
 mod threaded {
     use std::cell::UnsafeCell;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex};
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
     use std::time::Instant;
 
     use super::{deliver, Outbox, PartitionRun, PartitionWorld, Planner, Publish, Row, SimTime};
+    use crate::wait::Waiter;
 
     /// Cache-line-padded slot whose cross-thread access is serialized by
     /// the epoch-barrier protocol rather than a lock: each cell is written
@@ -1171,77 +1146,36 @@ mod threaded {
         }
     }
 
-    /// Sense-reversing barrier tuned for the epoch loop: arrivals spin
-    /// briefly (epochs are often shorter than a park/unpark round trip) and
-    /// then park on a condvar. The generation counter is the sense; its
-    /// release/acquire pair also publishes every pre-barrier write to every
-    /// post-barrier reader, which is what makes the lock-free [`PhaseCell`]
+    /// The barrier of the epoch loop: a count of arrivals. No partition
+    /// arrives at a barrier before all have arrived at the one before, so
+    /// arrival `k` belongs to round `k / n`, which is over once the count
+    /// reaches `(k / n + 1) · n`. Arrivals wait through the shared
+    /// [`Waiter`] (epochs are often shorter than a park/unpark round trip,
+    /// so they spin first when each partition has a core). The count's
+    /// `SeqCst` increments form one release sequence that every waiter's
+    /// load reads from, which publishes every pre-barrier write to every
+    /// post-barrier reader: what makes the lock-free [`PhaseCell`]
     /// exchange sound.
     struct EpochBarrier {
         n: usize,
-        /// Spin iterations before parking; zero when the host has fewer
-        /// cores than partitions, where spinning only steals the
-        /// straggler's timeslice.
-        spin: u32,
         arrived: AtomicUsize,
-        generation: AtomicU64,
-        lock: Mutex<()>,
-        cvar: Condvar,
+        waiter: Waiter,
     }
 
     impl EpochBarrier {
-        fn new(n: usize) -> Self {
-            let spin = match std::thread::available_parallelism() {
-                Ok(cores) if cores.get() >= n => 4096,
-                _ => 0,
-            };
-            EpochBarrier {
-                n,
-                spin,
-                arrived: AtomicUsize::new(0),
-                generation: AtomicU64::new(0),
-                lock: Mutex::new(()),
-                cvar: Condvar::new(),
+        /// Crosses the barrier, timing the wait into the partition's row
+        /// and (if recording) a slice.
+        fn wait<W: PartitionWorld>(&self, run: &mut PartitionRun<'_, W>) {
+            let t0 = Instant::now();
+            let arrival = self.arrived.fetch_add(1, SeqCst);
+            let all = (arrival / self.n + 1) * self.n;
+            if arrival + 1 == all {
+                self.waiter.notify();
+            } else {
+                self.waiter.wait_until(|| self.arrived.load(SeqCst) >= all);
             }
-        }
-
-        fn wait(&self) {
-            let gen = self.generation.load(Ordering::Acquire);
-            if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-                // Last arriver: reset the count for the next round
-                // (published by the generation bump below), bump the
-                // generation under the lock (so a peer between its
-                // generation check and its park cannot miss the change),
-                // and wake everyone parked.
-                self.arrived.store(0, Ordering::Relaxed);
-                {
-                    // The guarded state is `()`: a poisoned lock carries no
-                    // broken invariant.
-                    let _g = self
-                        .lock
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    self.generation.fetch_add(1, Ordering::Release);
-                }
-                self.cvar.notify_all();
-                return;
-            }
-            for _ in 0..self.spin {
-                if self.generation.load(Ordering::Acquire) != gen {
-                    return;
-                }
-                std::hint::spin_loop();
-            }
-            let mut guard = self
-                .lock
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            while self.generation.load(Ordering::Acquire) == gen {
-                guard = self
-                    .cvar
-                    .wait(guard)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
+            run.row.stats.barrier_wait_seconds += t0.elapsed().as_secs_f64();
+            run.slice("barrier_wait", t0);
         }
     }
 
@@ -1263,11 +1197,16 @@ mod threaded {
     pub(super) fn run<W: PartitionWorld>(
         planner: Planner,
         runs: Vec<PartitionRun<'_, W>>,
+        cores: usize,
     ) -> (Planner, Vec<Row>) {
         let n = runs.len();
         let cells = || (0..n * n).map(|_| PhaseCell::new(Vec::new())).collect();
         let shared: Shared<W::Event> = Shared {
-            barrier: EpochBarrier::new(n),
+            barrier: EpochBarrier {
+                n,
+                arrived: AtomicUsize::new(0),
+                waiter: Waiter::new(n, cores),
+            },
             publish: (0..n).map(|_| PhaseCell::new(Publish::default())).collect(),
             plan: PhaseCell::new(Vec::new()),
             outboxes: [cells(), cells()],
@@ -1308,7 +1247,7 @@ mod threaded {
         // SAFETY: before the first barrier each partition touches only its
         // own publish cell; the barrier then hands them to the planner.
         unsafe { run.publish(None, shared.publish[id].get_mut()) };
-        wait(&shared.barrier, &mut run);
+        shared.barrier.wait(&mut run);
 
         loop {
             if let Some(planner) = planner.as_mut() {
@@ -1324,7 +1263,7 @@ mod threaded {
                     bounds.extend_from_slice(planner.plan(&frontier).unwrap_or_default());
                 }
             }
-            wait(&shared.barrier, &mut run);
+            shared.barrier.wait(&mut run);
 
             // SAFETY: each receiver is the only accessor of its own column
             // of the buffer being drained this phase; senders write the
@@ -1355,30 +1294,18 @@ mod threaded {
 
             // Epoch-end barrier: mail is posted and frontiers are published
             // before the planner looks, and the exchange buffers swap.
-            wait(&shared.barrier, &mut run);
+            shared.barrier.wait(&mut run);
         }
         (run.finish(), planner)
     }
-
-    /// Times one barrier crossing into the partition's row and (if
-    /// recording) a slice.
-    fn wait<W: PartitionWorld>(barrier: &EpochBarrier, run: &mut PartitionRun<'_, W>) {
-        let t0 = Instant::now();
-        barrier.wait();
-        run.row.stats.barrier_wait_seconds += t0.elapsed().as_secs_f64();
-        run.slice("barrier_wait", t0);
-    }
 }
 
-/// Renders a caught panic payload for [`PdesError::Panicked`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Renders a caught panic payload: the message of a `panic!` with a
+/// string, for [`PdesError::Panicked`] and the sequential supervisor.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = payload.downcast_ref::<&str>().copied();
+    let text = text.or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    text.unwrap_or("non-string panic payload").to_string()
 }
 
 /// Pushes an event through the simulated machine boundary: encode behind an
