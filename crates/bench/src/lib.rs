@@ -2,9 +2,14 @@
 //!
 //! One binary per figure of the paper's evaluation that is not yet a
 //! scenario sweep (see DESIGN.md's per-experiment index), plus ablations
-//! and baselines. This library holds what they share: argument parsing,
-//! table printing, the default train-once-reuse-everywhere model
-//! pipeline, and the [`fluid`] engine `baseline_flow` compares against.
+//! and baselines. Figure 5, the scaling and hybrid-PDES sweeps, the model
+//! capacity ablation (A1) and the DCTCP modularity run are scenario files
+//! under `scenarios/figures/` instead, run by `elephant run-scenario FILE
+//! --csv results/NAME.csv`; the last two are `[train]` sweeps, which
+//! capture and train once per cell. This library holds what the binaries
+//! share: argument parsing, table printing, the default
+//! train-once-reuse-everywhere model pipeline, and the [`fluid`] engine
+//! `baseline_flow` compares against.
 //!
 //! Every harness prints a human-readable table and writes CSVs under
 //! `--out` (default `results/`), so figures can be re-plotted offline.
@@ -138,7 +143,7 @@ pub fn emit_report(report: &elephant_obs::RunReport, args: &Args) {
     }
 }
 
-/// The standard "train once" step used by Figure 4 and the ablations:
+/// The standard "train once" step used by Figure 4 and ablation A5:
 /// a two-cluster ground-truth run with capture around cluster 1, then the
 /// §3 training pipeline. Returns the records too, so ablations can retrain
 /// from the same capture.

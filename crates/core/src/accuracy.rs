@@ -76,24 +76,6 @@ pub fn compare_cdfs(truth: &EmpiricalCdf, approx: &EmpiricalCdf) -> CdfCompariso
     }
 }
 
-impl CdfComparison {
-    /// The median-quantile relative error magnitude — a one-number summary
-    /// for ablation sweeps.
-    pub fn median_abs_rel_error(&self) -> f64 {
-        let mut errs: Vec<f64> = self
-            .rows
-            .iter()
-            .map(|r| r.rel_error().abs())
-            .filter(|e| e.is_finite())
-            .collect();
-        if errs.is_empty() {
-            return f64::INFINITY;
-        }
-        errs.sort_by(f64::total_cmp);
-        errs[errs.len() / 2]
-    }
-}
-
 /// Confusion matrix of the deployed (auto-regressive) macro classifier
 /// against the ground-truth-driven one, over the same boundary stream.
 ///
@@ -281,7 +263,6 @@ mod tests {
             assert_eq!(r.truth, r.approx);
             assert_eq!(r.rel_error(), 0.0);
         }
-        assert_eq!(c.median_abs_rel_error(), 0.0);
     }
 
     #[test]
@@ -300,49 +281,6 @@ mod tests {
                 r
             );
         }
-        assert!((c.median_abs_rel_error() - 0.2).abs() < 0.01);
-    }
-
-    #[test]
-    fn nan_quantiles_do_not_panic_the_summary() {
-        // A degenerate comparison whose quantiles contain NaN must not
-        // panic the median (the old partial_cmp comparator aborted here);
-        // NaN rows are non-finite and thus excluded from the summary.
-        let rows = vec![
-            PercentileRow {
-                q: 0.5,
-                truth: f64::NAN,
-                approx: 1.0,
-            },
-            PercentileRow {
-                q: 0.9,
-                truth: 2.0,
-                approx: f64::NAN,
-            },
-            PercentileRow {
-                q: 0.99,
-                truth: 10.0,
-                approx: 11.0,
-            },
-        ];
-        let c = CdfComparison {
-            ks: 0.0,
-            rows,
-            truth_samples: 3,
-            approx_samples: 3,
-        };
-        assert!((c.median_abs_rel_error() - 0.1).abs() < 1e-12);
-        let all_nan = CdfComparison {
-            ks: 0.0,
-            rows: vec![PercentileRow {
-                q: 0.5,
-                truth: f64::NAN,
-                approx: f64::NAN,
-            }],
-            truth_samples: 1,
-            approx_samples: 1,
-        };
-        assert!(all_nan.median_abs_rel_error().is_infinite());
     }
 
     #[test]

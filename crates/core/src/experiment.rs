@@ -442,8 +442,8 @@ impl Outcome {
             let peaks = self.meta.fel_peaks;
             rows.extend([
                 counter("des/kernel/events_executed", "", self.meta.events),
-                gauge("des/kernel/heap_depth_peak", "", peaks.depth as i64),
-                gauge("des/kernel/fel_bytes_peak", "", peaks.bytes as i64),
+                gauge("des/kernel/heap_depth_peak", "", peaks.depth as f64),
+                gauge("des/kernel/fel_bytes_peak", "", peaks.bytes as f64),
             ]);
         }
 
@@ -490,7 +490,7 @@ impl Outcome {
             counter("net/tcp/rto_fired", "", tcp.timeouts),
             counter("net/tcp/fast_retransmits", "", tcp.fast_retransmits),
             counter("net/tcp/retransmitted_segments", "", tcp.retransmissions),
-            gauge("net/tcp/conns_peak", "", conns_peak as i64),
+            gauge("net/tcp/conns_peak", "", conns_peak as f64),
             counter("hybrid/oracle/elided_packets", "", verdicts.classified),
             counter("hybrid/oracle/drops", "", verdicts.drops),
             MetricRow::histogram("hybrid/oracle/infer_seconds", "", &verdicts.infer_seconds),
@@ -539,7 +539,7 @@ impl Outcome {
                 rows.push(counter(&format!("fault/{kind}"), "", n));
             }
             for p in &r.partitions {
-                let (label, peak) = (p.partition.to_string(), p.fel_bytes_peak as i64);
+                let (label, peak) = (p.partition.to_string(), p.fel_bytes_peak as f64);
                 let (sent, bytes) = (p.remote_events_sent, p.remote_bytes_sent);
                 rows.extend([
                     counter("pdes/partition/events", &label, p.events),

@@ -349,7 +349,7 @@ mod tests {
                 MetricRow::counter("net/port/drops", "tor", drops),
                 MetricRow::counter("net/port/enqueued", "tor", epochs),
                 MetricRow::counter("pdes/epoch/planned", "", epochs),
-                MetricRow::gauge("des/kernel/fel_bytes_peak", "", epochs as i64),
+                MetricRow::gauge("des/kernel/fel_bytes_peak", "", epochs as f64),
             ];
             l
         };

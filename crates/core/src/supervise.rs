@@ -15,12 +15,18 @@
 //!    to [`EpochMode::Fixed`] — the conservative planner with no frontier
 //!    jumping — then retry the chunk with a fresh retry budget.
 //! 3. **PDES → sequential**: abandon parallel execution and re-run the
-//!    whole scenario on the sequential engine from time zero. Remote
-//!    delivery uses plan-independent `(time, sender, seq)` keys, so a
-//!    healthy sequential run is bit-identical to the PDES run it
-//!    replaces — degrading preserves the fingerprint. Exchange-layer
-//!    fault injection does not exist sequentially, so scripted stalls
-//!    (and drop/dup fault plans) cannot follow the run down this rung.
+//!    whole scenario on the sequential engine from time zero. The run
+//!    then finishes bit-identical to a clean sequential run of the same
+//!    scenario, not to the PDES run it replaces: the engines order
+//!    same-instant events differently (local events by insertion order,
+//!    remote ones by `(sender, send_seq)`), so their fingerprints agree
+//!    only where no such tie decides an outcome (ROADMAP item 1). In
+//!    `tests/golden_fingerprints.txt` the `run` pair agrees, and
+//!    `recovery_drill`'s `--pdes` row equals its sequential row because
+//!    that drill ends on this rung; the other scenarios' rows differ.
+//!    Exchange-layer fault injection does not exist sequentially, so
+//!    scripted stalls (and drop/dup fault plans) cannot follow the run
+//!    down this rung.
 //!
 //! Every transition is observable: the [`RecoveryLog`] records each
 //! checkpoint, restore, and degradation as plain data — the ledger's

@@ -96,6 +96,8 @@ pub struct EvalMetrics {
     pub samples: usize,
     /// Ground-truth drop rate of the held-out slice.
     pub true_drop_rate: f64,
+    /// Wall seconds the evaluation spent per held-out sample.
+    pub seconds_per_sample: f64,
 }
 
 /// Outcome of training one direction.
@@ -128,7 +130,8 @@ pub struct TrainReport {
 impl TrainReport {
     /// The ledger's `train/epoch/*` rows: every epoch's loss under weight
     /// `alpha`, the samples those epochs consumed, and the rate of the last
-    /// epoch trained (up before down).
+    /// epoch trained (up before down); then, per trained direction, the
+    /// `train/eval/*` rows of its held-out evaluation.
     pub fn metric_rows(&self, alpha: f32) -> Vec<MetricRow> {
         let epochs = || [&self.up, &self.down].into_iter().flat_map(|d| &d.epochs);
         let mut loss = LogHistogram::for_latency_seconds();
@@ -141,8 +144,18 @@ impl TrainReport {
         // Down trains after up; an untrained direction took no time.
         let timed = |d: &&DirectionReport| d.last_epoch_seconds > 0.0;
         if let Some(d) = [&self.down, &self.up].into_iter().find(timed) {
-            let rate = (d.train_loss.samples as f64 / d.last_epoch_seconds) as i64;
+            let rate = (d.train_loss.samples as f64 / d.last_epoch_seconds).trunc();
             rows.push(MetricRow::gauge("train/epoch/samples_per_sec", "", rate));
+        }
+        for (label, d) in [("up", &self.up), ("down", &self.down)] {
+            let e = &d.eval;
+            if e.samples > 0 {
+                rows.extend([
+                    MetricRow::gauge("train/eval/drop_accuracy", label, e.drop_accuracy),
+                    MetricRow::gauge("train/eval/latency_rmse", label, e.latency_rmse),
+                    MetricRow::gauge("train/eval/seconds_per_sample", label, e.seconds_per_sample),
+                ]);
+            }
         }
         rows
     }
@@ -343,12 +356,14 @@ pub fn evaluate(model: &MicroNet, samples: &[Sample], window: usize) -> EvalMetr
     if samples.is_empty() {
         return EvalMetrics::default();
     }
+    let t0 = std::time::Instant::now();
     let mut agg = WindowLoss::default();
     for chunk in samples.chunks(window.max(2)) {
         if chunk.len() >= 2 {
             agg.merge(&model.evaluate_window(chunk));
         }
     }
+    let wall = t0.elapsed().as_secs_f64();
     let drops = samples.iter().filter(|s| s.dropped).count();
     EvalMetrics {
         drop_accuracy: if agg.samples > 0 {
@@ -359,6 +374,7 @@ pub fn evaluate(model: &MicroNet, samples: &[Sample], window: usize) -> EvalMetr
         latency_rmse: agg.latency_loss.sqrt(),
         samples: agg.samples,
         true_drop_rate: drops as f64 / samples.len() as f64,
+        seconds_per_sample: wall / agg.samples.max(1) as f64,
     }
 }
 

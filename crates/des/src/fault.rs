@@ -47,11 +47,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// True if any fault is configured.
-    pub fn is_active(&self) -> bool {
-        self.probabilistic() || self.slow_partition.is_some() || self.stall_partition.is_some()
-    }
-
     /// True if the plan rolls dice per message (drop, duplicate, corrupt),
     /// as opposed to scripting a sick partition.
     pub fn probabilistic(&self) -> bool {
@@ -135,7 +130,8 @@ mod tests {
     #[test]
     fn default_plan_is_inert() {
         let plan = FaultPlan::default();
-        assert!(!plan.is_active());
+        assert!(!plan.probabilistic());
+        assert!(plan.slow_partition.is_none() && plan.stall_partition.is_none());
         assert_eq!(FaultCounts::default().total(), 0);
     }
 

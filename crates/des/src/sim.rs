@@ -29,8 +29,6 @@ pub enum StopReason {
     Exhausted,
     /// The configured time horizon was reached.
     HorizonReached,
-    /// The configured event budget was spent.
-    BudgetSpent,
 }
 
 /// High-water marks of the future event list. Sampled only by a profiled
@@ -191,21 +189,6 @@ impl<W: World> Simulator<W> {
         }
     }
 
-    /// Runs until the event list drains or `budget` events have executed,
-    /// whichever comes first. Useful for watchdogs around possibly-livelocked
-    /// models.
-    pub fn run_events(&mut self, budget: u64) -> StopReason {
-        let mut reason = StopReason::BudgetSpent;
-        for _ in 0..budget {
-            if !self.step() {
-                reason = StopReason::Exhausted;
-                break;
-            }
-        }
-        self.sample_fel(false);
-        reason
-    }
-
     /// Consumes the simulator and returns the world, e.g. to extract final
     /// statistics.
     pub fn into_world(self) -> W {
@@ -328,14 +311,6 @@ mod tests {
     fn run_until_reports_exhaustion() {
         let mut sim = countdown(2);
         assert_eq!(sim.run_until(SimTime::from_secs(1)), StopReason::Exhausted);
-    }
-
-    #[test]
-    fn run_events_respects_budget() {
-        let mut sim = countdown(100);
-        assert_eq!(sim.run_events(10), StopReason::BudgetSpent);
-        assert_eq!(sim.world().fired_at.len(), 10);
-        assert_eq!(sim.scheduler().executed_total(), 10);
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference between two instants.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Addition that saturates at [`SimTime::MAX`] instead of overflowing.
     #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
@@ -335,10 +329,6 @@ mod tests {
         assert_eq!(
             SimDuration::from_nanos(3).saturating_sub(SimDuration::from_nanos(5)),
             SimDuration::ZERO
-        );
-        assert_eq!(
-            SimTime::from_secs(1).checked_since(SimTime::from_secs(2)),
-            None
         );
     }
 

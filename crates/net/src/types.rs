@@ -82,11 +82,6 @@ impl HostAddr {
         }
     }
 
-    /// True if both addresses are under the same ToR.
-    pub fn same_rack(&self, other: &HostAddr) -> bool {
-        self.cluster == other.cluster && self.rack == other.rack
-    }
-
     /// True if both addresses are in the same cluster.
     pub fn same_cluster(&self, other: &HostAddr) -> bool {
         self.cluster == other.cluster
@@ -159,14 +154,6 @@ impl NodeKind {
             NodeKind::Core { .. } => None,
         }
     }
-
-    /// True for any switch role (ToR, Agg, Core).
-    pub fn is_switch(&self) -> bool {
-        matches!(
-            self,
-            NodeKind::Tor { .. } | NodeKind::Agg { .. } | NodeKind::Core { .. }
-        )
-    }
 }
 
 /// Direction of a fabric traversal relative to an approximated cluster.
@@ -187,8 +174,6 @@ mod tests {
     #[test]
     fn addr_relations() {
         let a = HostAddr::new(1, 2, 3);
-        assert!(a.same_rack(&HostAddr::new(1, 2, 9)));
-        assert!(!a.same_rack(&HostAddr::new(1, 3, 3)));
         assert!(a.same_cluster(&HostAddr::new(1, 7, 0)));
         assert!(!a.same_cluster(&HostAddr::new(2, 2, 3)));
         assert_eq!(format!("{a}"), "c1r2h3");
@@ -222,7 +207,5 @@ mod tests {
             Some(2)
         );
         assert_eq!(NodeKind::Core { group: 0, index: 1 }.cluster(), None);
-        assert!(NodeKind::Core { group: 0, index: 1 }.is_switch());
-        assert!(!NodeKind::Boundary { cluster: 1 }.is_switch());
     }
 }

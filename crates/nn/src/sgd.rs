@@ -26,22 +26,6 @@ impl Sgd {
         }
     }
 
-    /// The paper's settings: lr 1e-4, momentum 0.9.
-    pub fn paper_defaults() -> Self {
-        Sgd::new(1e-4, 0.9)
-    }
-
-    /// Learning rate (mutable for schedules).
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Adjusts the learning rate.
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0);
-        self.lr = lr;
-    }
-
     /// Applies one update. `params[i]` and `grads[i]` must be parallel
     /// slices, presented in the same order on every call.
     pub fn step(&mut self, params: &mut [&mut [f32]], grads: &[&[f32]]) {
@@ -152,14 +136,6 @@ mod tests {
         let norm = clip_global_norm(&mut [&mut a], 1.0);
         assert!((norm - 0.5).abs() < 1e-6);
         assert_eq!(a, [0.3, 0.4]);
-    }
-
-    #[test]
-    fn lr_is_adjustable() {
-        let mut sgd = Sgd::paper_defaults();
-        assert!((sgd.lr() - 1e-4).abs() < 1e-12);
-        sgd.set_lr(0.01);
-        assert!((sgd.lr() - 0.01).abs() < 1e-12);
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl DivergenceReport {
         out
     }
 
-    /// True when every divergence metric sits within bounds.
-    pub fn within_bounds(&self) -> bool {
-        self.breaches().is_empty()
-    }
-
     /// Renders the terminal divergence table.
     pub fn to_table(&self) -> String {
         let b = &self.bounds;
@@ -301,9 +296,8 @@ mod tests {
             rtt_ks: 0.1,
             ..Default::default()
         };
-        assert!(r.within_bounds(), "breaches: {:?}", r.breaches());
+        assert!(r.breaches().is_empty(), "breaches: {:?}", r.breaches());
         r.fct_ks = 0.9;
-        assert!(!r.within_bounds());
         assert!(r.breaches().iter().any(|b| b.contains("KS")));
         r.fct_ks = 0.1;
         r.drop_rate_approx = 0.5;
@@ -313,7 +307,6 @@ mod tests {
     #[test]
     fn zero_matched_flows_is_a_breach() {
         let r = DivergenceReport::default();
-        assert!(!r.within_bounds());
         assert!(r.breaches().iter().any(|b| b.contains("no matched flows")));
     }
 

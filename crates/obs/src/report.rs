@@ -46,12 +46,12 @@ impl MetricRow {
     }
 
     /// Row for a gauge level.
-    pub fn gauge(name: &str, label: &str, value: i64) -> Self {
+    pub fn gauge(name: &str, label: &str, value: f64) -> Self {
         MetricRow {
             name: name.to_string(),
             label: label.to_string(),
             kind: "gauge".to_string(),
-            value: value as f64,
+            value,
             ..Default::default()
         }
     }

@@ -19,7 +19,7 @@
 use crate::schema::{ProfileSpec, RegimeWindow, Scenario, SizeSpec, TrafficGroup, TrafficKind};
 use elephant_core::{
     execute, single_oracle, ElephantError, Exec, Fidelity, Observe, OracleFactory, Outcome,
-    PdesExec, PdesRun, RecoveryPolicy, RunMeta, RunPlan, Serving,
+    PdesExec, PdesRun, RecoveryPolicy, RunMeta, RunPlan, Serving, TrainingOptions,
 };
 use elephant_des::{EpochMode, FaultPlan, SimDuration, SimTime};
 use elephant_net::{
@@ -82,6 +82,9 @@ pub struct Compiled {
     pub audit_bounds: Option<DivergenceBounds>,
     /// Lowered hybrid-run settings (`[model]`/`[guard]`/`[oracle]`).
     pub hybrid: HybridSpec,
+    /// What a `[train]` document trains: its keys over the workspace's
+    /// default options.
+    pub train: Option<TrainingOptions>,
 }
 
 /// The hybrid driver's lowered settings: which cluster stays at packet
@@ -202,6 +205,12 @@ pub fn compile(s: &Scenario, overrides: &CompileOverrides) -> Compiled {
                 max_w1_ratio: a.max_w1_ratio,
             }),
         hybrid,
+        train: s.train.map(|t| TrainingOptions {
+            hidden: t.hidden,
+            layers: t.layers,
+            epochs: t.epochs,
+            ..Default::default()
+        }),
     }
 }
 

@@ -10,7 +10,7 @@
 use crate::schema::{
     AuditSpec, FaultSpec, GuardSpec, HostSelector, LinkSpecToml, LocalitySpec, ModelSpec,
     OracleSpec, OutputSpec, PdesSpec, ProfileSpec, RecoverySpec, RegimeWindow, RunSpec, Scenario,
-    SizeSpec, SweepAxis, TopologySpec, TrafficGroup, TrafficKind, SCHEMA_VERSION,
+    SizeSpec, SweepAxis, TopologySpec, TrafficGroup, TrafficKind, TrainSpec, SCHEMA_VERSION,
 };
 use crate::toml::{self, Spanned, Table, TomlValue};
 use crate::ScenarioError;
@@ -158,7 +158,7 @@ pub fn from_table(root: &Table) -> Result<Scenario, ScenarioError> {
         "scenario file",
         &[
             "schema", "scenario", "topology", "run", "traffic", "regime", "faults", "guard",
-            "recovery", "audit", "model", "oracle", "outputs", "sweep",
+            "recovery", "audit", "model", "train", "oracle", "outputs", "sweep",
         ],
     )?;
 
@@ -233,6 +233,24 @@ pub fn from_table(root: &Table) -> Result<Scenario, ScenarioError> {
         None => None,
         Some(s) => Some(decode_model(table_of(s, "model")?, &topology)?),
     };
+    let train = match root.get("train") {
+        None => None,
+        Some(s) if model.is_some() => {
+            return Err(err(
+                s.line,
+                "[train]: a document either trains a model ([train]) or deploys one \
+                 ([model]), not both",
+            ))
+        }
+        Some(s) if topology.clusters < 2 => {
+            return Err(err(
+                s.line,
+                "[train]: the capture records cluster 1's boundary, so topology.clusters \
+                 must be >= 2",
+            ))
+        }
+        Some(s) => Some(decode_train(table_of(s, "train")?)?),
+    };
     let oracle = match root.get("oracle") {
         None => OracleSpec::default(),
         Some(s) => decode_oracle(table_of(s, "oracle")?)?,
@@ -258,6 +276,7 @@ pub fn from_table(root: &Table) -> Result<Scenario, ScenarioError> {
         recovery,
         audit,
         model,
+        train,
         oracle,
         outputs,
         sweep,
@@ -1123,6 +1142,25 @@ fn decode_model(t: &Table, topo: &TopologySpec) -> Result<ModelSpec, ScenarioErr
     }
     if let Some(s) = t.get("train_fallback") {
         spec.train_fallback = bool_of(s, "model.train_fallback")?;
+    }
+    Ok(spec)
+}
+
+fn decode_train(t: &Table) -> Result<TrainSpec, ScenarioError> {
+    reject_unknown(t, "[train]", &["hidden", "layers", "epochs"])?;
+    let mut spec = TrainSpec::default();
+    for (key, slot) in [
+        ("hidden", &mut spec.hidden),
+        ("layers", &mut spec.layers),
+        ("epochs", &mut spec.epochs),
+    ] {
+        if let Some(s) = t.get(key) {
+            let w = format!("train.{key}");
+            *slot = usize_of(s, &w)?;
+            if *slot == 0 {
+                return Err(err(s.line, format!("{w}: must be >= 1")));
+            }
+        }
     }
     Ok(spec)
 }

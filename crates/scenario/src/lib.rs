@@ -41,7 +41,7 @@ pub use decode::{sweep_cells, SweepCell};
 pub use schema::{
     AuditSpec, FaultSpec, GuardSpec, HostSelector, LinkSpecToml, LocalitySpec, ModelSpec,
     OracleSpec, OutputSpec, PdesSpec, ProfileSpec, RecoverySpec, RegimeWindow, RunSpec, Scenario,
-    SizeSpec, SweepAxis, TopologySpec, TrafficGroup, TrafficKind, SCHEMA_VERSION,
+    SizeSpec, SweepAxis, TopologySpec, TrafficGroup, TrafficKind, TrainSpec, SCHEMA_VERSION,
 };
 
 use elephant_core::ElephantError;
@@ -519,6 +519,46 @@ sample_every_us = 100
             assert_eq!(c.hybrid.full_cluster, 1);
             assert!(c.hybrid.cache);
             assert_eq!(c.hybrid.cache_cap, 9);
+        }
+
+        #[test]
+        fn train_section_rules_and_lowering() {
+            let two = base().replace("clusters = 1", "clusters = 2");
+            for key in ["hidden", "layers", "epochs"] {
+                let doc = format!("{two}\n[train]\n{key} = 0\n");
+                let e = expect_err(&doc, &format!("train.{key}: must be >= 1"));
+                assert_eq!(e.line, 15, "{e}");
+            }
+            expect_err(
+                &format!("{two}\n[train]\nwidth = 8\n"),
+                "unknown key `width`",
+            );
+            let both = format!("{two}\n[model]\ntrain_fallback = true\n[train]\n");
+            expect_err(&both, "not both");
+            expect_err(
+                &format!("{}\n[train]\n", base()),
+                "topology.clusters must be >= 2",
+            );
+
+            // Unset keys are the workspace's training defaults; the section
+            // round-trips through the emitter.
+            let doc = format!("{two}\n[train]\nhidden = 8\n");
+            let s = Scenario::from_toml_str(&doc).expect("valid scenario");
+            let emitted = Scenario::from_toml_str(&s.to_toml_string()).expect("re-parses");
+            assert_eq!(s, emitted, "emit → decode must round-trip");
+            let opts = compile(&s, &CompileOverrides::default())
+                .train
+                .expect("lowered");
+            let default = elephant_core::TrainingOptions::default();
+            assert_eq!((opts.hidden, opts.layers, opts.epochs), (8, 2, 8));
+            assert_eq!(
+                (opts.alpha, opts.window, opts.seed),
+                (default.alpha, default.window, default.seed)
+            );
+            let plain = Scenario::from_toml_str(&two).expect("valid scenario");
+            assert!(compile(&plain, &CompileOverrides::default())
+                .train
+                .is_none());
         }
 
         #[test]

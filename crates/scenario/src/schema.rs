@@ -11,6 +11,7 @@
 //! decoder reads, so scenarios round-trip: programmatically built ones can
 //! be committed, and committed ones can be re-emitted canonically.
 
+use elephant_core::TrainingOptions;
 use elephant_des::SimDuration;
 use elephant_net::{ClosParams, HostAddr, LinkSpec};
 
@@ -42,6 +43,10 @@ pub struct Scenario {
     pub audit: Option<AuditSpec>,
     /// Optional learned-model artifact binding (hybrid runs).
     pub model: Option<ModelSpec>,
+    /// Optional capture-and-train settings: a document with `[train]`
+    /// captures cluster 1's boundary at full fidelity and trains a model
+    /// on it instead of running a simulation.
+    pub train: Option<TrainSpec>,
     /// Oracle-cache configuration (hybrid runs).
     pub oracle: OracleSpec,
     /// Sampler / artifact outputs.
@@ -573,6 +578,30 @@ impl PartialEq for ModelSpec {
     }
 }
 
+/// The model a `[train]` document trains: the LSTM's width and depth, and
+/// the passes over the training windows. Every other training option is
+/// the workspace default (`elephant_core::TrainingOptions`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TrainSpec {
+    /// Hidden units per LSTM layer.
+    pub hidden: usize,
+    /// Stacked LSTM layers.
+    pub layers: usize,
+    /// Training epochs.
+    pub epochs: usize,
+}
+
+impl Default for TrainSpec {
+    fn default() -> Self {
+        let o = TrainingOptions::default();
+        TrainSpec {
+            hidden: o.hidden,
+            layers: o.layers,
+            epochs: o.epochs,
+        }
+    }
+}
+
 /// Sampler / timeline outputs.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct OutputSpec {
@@ -798,6 +827,13 @@ impl Scenario {
             if m.train_fallback {
                 out.push_str("train_fallback = true\n");
             }
+        }
+
+        if let Some(t) = &self.train {
+            out.push_str("\n[train]\n");
+            out.push_str(&format!("hidden = {}\n", t.hidden));
+            out.push_str(&format!("layers = {}\n", t.layers));
+            out.push_str(&format!("epochs = {}\n", t.epochs));
         }
 
         let o = &self.oracle;

@@ -16,7 +16,10 @@
 //! Every simulation is one pipeline: **scenario document → flag edits →
 //! decode → compile → [`dispatch`] → [`finish`]**. `run-scenario` and
 //! `audit` start from a file; `run`, `hybrid`, `train` and `compare
-//! --model` start from the built-in [`TEMPLATE`]. A flag is one row of
+//! --model` start from the built-in [`TEMPLATE`]. A document with a
+//! `[train]` section (`train`'s always has one) captures and trains
+//! instead, through the one [`capture_and_train`] path that also serves
+//! training sweeps and the quick-trained fallback model. A flag is one row of
 //! [`FLAGS`] — name, help, the commands that accept it, and where its
 //! value lands: a key of the scenario document (written before the
 //! decoder runs, so the decoder is the one validator of flag and file
@@ -42,15 +45,15 @@ use elephant::core::{
     compare_cdfs, compare_ledgers, execute, guard_primary, oracle_stack, run_audit,
     run_ground_truth, single_oracle, train_cluster_model, AuditHooks, CacheStatsHandle,
     CacheTotals, ClusterModel, ElephantError, Exec, Fidelity, Observe, OracleCounters,
-    OracleFactory, OracleStack, Outcome, RunLedger, RunMeta, RunPlan, TrainingOptions,
+    OracleFactory, OracleStack, Outcome, RunLedger, RunMeta, RunPlan, TrainReport, TrainingOptions,
     LEDGER_SCHEMA_VERSION,
 };
 use elephant::des::{EpochMode, SimDuration};
 use elephant::net::{
-    BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig,
+    ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig,
     OracleFaultMode, RttScope, Sample, TraceLog, SAMPLE_CSV_HEADER,
 };
-use elephant::obs::{ProfileRow, RunReport};
+use elephant::obs::{MetricRow, ProfileRow, RunReport};
 use elephant::scenario::toml::{self, TomlValue};
 use elephant::scenario::{
     compile, decode, fold_fingerprints, list_scenarios, load, run_fingerprint, sweep_cells,
@@ -96,13 +99,13 @@ fn main() {
     let doc = req.document();
     let scenario = decode::from_table(&doc).unwrap_or_else(|e| req.reject(e.line, e.detail));
     match cmd {
-        Cmd::Train => train(&req, &scenario),
         Cmd::Compare => compare(&req, &scenario),
         _ if !scenario.sweep.is_empty() => sweep(&req, &doc, &scenario),
         _ if req.sinks.csv.is_some() => {
             bad_usage(cmd, "--csv needs a scenario with [[sweep]] axes")
         }
         _ if req.validate => validated(&req, &compile(&scenario, &req.over)),
+        _ if scenario.train.is_some() => train(&req, &compile(&scenario, &req.over)),
         _ => dispatch(&req, &compile(&scenario, &req.over)),
     }
 }
@@ -243,6 +246,8 @@ struct Sinks {
     trace: Option<usize>,
     trace_out: Option<String>,
     csv: Option<String>,
+    /// `--out`: where a `[train]` run writes its model.
+    out: Option<String>,
 }
 
 impl Sinks {
@@ -255,6 +260,7 @@ impl Sinks {
             ("--trace", self.trace.is_some()),
             ("--trace-out", self.trace_out.is_some()),
             ("--csv", self.csv.is_some()),
+            ("--out", self.out.is_some()),
         ];
         set.into_iter()
             .filter_map(|(f, on)| on.then_some(f))
@@ -304,17 +310,18 @@ const TEMPLATE: &str = "schema = 1\n\
 
 /// [`TEMPLATE`] parsed, with what the command fixes about it: `hybrid`
 /// declares a `[model]` (which routes the run onto the hybrid engine and
-/// quick-trains a model when no artifact is given), `train` captures on
-/// two clusters.
+/// quick-trains a model when no artifact is given), `train` declares a
+/// `[train]` (which routes it onto [`capture_and_train`]) on two clusters.
 fn builtin(cmd: Cmd) -> toml::Table {
     let mut doc = toml::parse(TEMPLATE).expect("the template parses");
-    let fixed = match cmd {
-        Cmd::Hybrid => ("model.train_fallback", "true"),
-        Cmd::Train => ("topology.clusters", "2"),
-        _ => return doc,
+    let fixed: &[(&str, &str)] = match cmd {
+        Cmd::Hybrid => &[("model.train_fallback", "true")],
+        Cmd::Train => &[("topology.clusters", "2"), ("train", "{}")],
+        _ => &[],
     };
-    doc.set(fixed.0, fixed.1, 0)
-        .expect("the fixed value parses");
+    for (key, text) in fixed {
+        doc.set(key, text, 0).expect("the fixed value parses");
+    }
     doc
 }
 
@@ -393,11 +400,11 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--repeat", metavar: "N", cmds: SCENARIO | AUDIT, to: Field(|r, v| set_some(&mut r.over.repeat, v), ""), help: "override every traffic group's repeat count" },
     Flag { name: "--dctcp", metavar: "", cmds: BUILTIN, to: Switch("run.dctcp", "true"), help: "DCTCP + ECN-marking switches instead of New Reno" },
     Flag { name: "--model", metavar: "PATH", cmds: ORACLE | SCENARIO | AUDIT, to: Field(|r, v| set_some(&mut r.model_flag, v), ""), help: "trained model artifact; wins over the scenario's [model] path and alone makes\na scenario run hybrid. compare needs one; the rest capture and train a small\ndefault model when no artifact is bound" },
-    Flag { name: "--out", metavar: "PATH", cmds: TRAIN, to: Field(|r, v| set(&mut r.out, v), "model.json"), help: "where train writes the model" },
+    Flag { name: "--out", metavar: "PATH", cmds: TRAIN | SCENARIO, to: Field(|r, v| set_some(&mut r.sinks.out, v), ""), help: "where a [train] run writes its model (model.json)" },
     Flag { name: "--full-cluster", metavar: "N", cmds: ORACLE, to: Key("model.full_cluster"), help: "the cluster kept at packet fidelity" },
-    Flag { name: "--hidden", metavar: "N", cmds: TRAIN, to: Field(|r, v| set(&mut r.train.hidden, v), "32"), help: "LSTM width" },
-    Flag { name: "--layers", metavar: "N", cmds: TRAIN, to: Field(|r, v| set(&mut r.train.layers, v), "2"), help: "LSTM depth" },
-    Flag { name: "--epochs", metavar: "N", cmds: TRAIN, to: Field(|r, v| set(&mut r.train.epochs, v), "8"), help: "training epochs" },
+    Flag { name: "--hidden", metavar: "N", cmds: TRAIN | SCENARIO, to: Key("train.hidden"), help: "LSTM width" },
+    Flag { name: "--layers", metavar: "N", cmds: TRAIN | SCENARIO, to: Key("train.layers"), help: "LSTM depth" },
+    Flag { name: "--epochs", metavar: "N", cmds: TRAIN | SCENARIO, to: Key("train.epochs"), help: "training epochs" },
     Flag { name: "--trace", metavar: "N", cmds: RUN | HYBRID, to: Field(|r, v| set_some(&mut r.sinks.trace, v), ""), help: "retain the first N raw events and print a sample" },
     Flag { name: "--trace-out", metavar: "P", cmds: RUN | HYBRID, to: Field(|r, v| set_some(&mut r.sinks.trace_out, v), ""), help: "write a Chrome-trace JSON timeline to P (open in https://ui.perfetto.dev):\nper-flow spans, drop and oracle-verdict instants, sampler counter tracks,\nper-partition compute/barrier slices under PDES (DESIGN.md \"Observability\")" },
     Flag { name: "--sample-every", metavar: "T", cmds: RUN | HYBRID | SCENARIO | AUDIT, to: Key("outputs.sample_every_us"), help: "sample queue depths, offered/realized load, macro state and oracle drop rate\nevery T us of sim time into --samples-out, else <trace-out>.samples.csv, else\nsamples.csv; an audit's regime timeline granularity" },
@@ -448,8 +455,6 @@ struct Request {
     fault_mode: Option<OracleFaultMode>,
     fault_every: u64,
     pdes: bool,
-    train: TrainingOptions,
-    out: String,
     tolerance: f64,
     sinks: Sinks,
 }
@@ -591,6 +596,9 @@ impl Request {
 
 /// Runs `c` on the engine `req` selects and reports through [`finish`].
 fn dispatch(req: &Request, c: &Compiled) {
+    if req.sinks.out.is_some() {
+        bad_usage(req.cmd, "--out needs a [train] document")
+    }
     if req.audit && req.sinks.profile {
         bad_usage(
             req.cmd,
@@ -712,16 +720,25 @@ fn simulate(
     (outcome.unwrap_or_else(|e| die(e)), guard, caches)
 }
 
-/// A sweep run's CSV row: the axis values and the run's own columns, its
-/// metric rows by column name, and a hybrid run's speedup over the cell's
-/// full run.
+/// A sweep row of the CSV: its fixed columns (the axis values, then
+/// [`RUN_COLUMNS`] or [`TRAIN_COLUMNS`]), its metric rows by column name
+/// ([`metric_columns`]), and a hybrid run's speedup over the cell's full
+/// run.
 type SweepRow = (Vec<String>, BTreeMap<String, f64>, Option<f64>);
 
-/// `run-scenario` on a document with `[[sweep]]` axes: each cell runs at
-/// full fidelity and, when the document is hybrid, then as the hybrid,
-/// through [`simulate`] like any run, with one model resolved from the
-/// base document. Prints a line per cell and the fold of the runs'
-/// fingerprints; `--csv P` writes a row per (cell, fidelity).
+/// The fixed columns of a simulation sweep's rows, and of a training
+/// sweep's: the capture run's, then the model's checksum and training
+/// clock.
+const RUN_COLUMNS: &str = "fidelity,flows,events,wall_s,sim_s,fingerprint";
+const TRAIN_COLUMNS: &str = "flows,events,wall_s,sim_s,fingerprint,checksum,train_wall_s";
+
+/// `run-scenario` on a document with `[[sweep]]` axes. A `[train]`
+/// document captures and trains once per cell ([`capture_and_train`]);
+/// any other runs each cell at full fidelity and, when the document is
+/// hybrid, then as the hybrid, through [`simulate`] like any run, with
+/// one model resolved from the base document. Prints a line per cell and
+/// the fold of the runs' fingerprints (and models' checksums); `--csv P`
+/// writes a row per cell and run.
 fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
     // What names one run's artifact, or one paired run: a sweep has no
     // one run to give it to. `--sample-every`, `--checkpoint-every-ms` and
@@ -729,6 +746,7 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
     let one_run = [
         (req.sinks.metrics_out.is_some(), "--metrics-out"),
         (req.sinks.samples_out.is_some(), "--samples-out"),
+        (req.sinks.out.is_some(), "--out"),
         (req.sinks.profile, "--profile"),
         (req.audit, "an audit"),
         (s.outputs.sample_every_us.is_some(), "an [outputs] section"),
@@ -752,6 +770,8 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
         .into_iter()
         .map(|cell| (cell.edits, compile(&cell.scenario, &req.over)))
         .collect();
+    // Every cell sets the same keys, so all or none declare [train].
+    let training = cells[0].1.train.is_some();
     if req.validate {
         for (n, (edits, c)) in cells.iter().enumerate() {
             println!("[[sweep]] cell {n} ({})", label(edits));
@@ -759,14 +779,45 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
         }
         return;
     }
-    let base = compile(s, &req.over);
-    let hybrid = req.hybrid(&base);
-    let model = hybrid.then(|| resolve_model(req, &base));
+    let model = match training {
+        true => {
+            refuse_for_training(req, &cells[0].1);
+            None
+        }
+        false => {
+            let base = compile(s, &req.over);
+            req.hybrid(&base).then(|| resolve_model(req, &base))
+        }
+    };
 
     let mut rows: Vec<SweepRow> = Vec::new();
     let mut fingerprints = Vec::new();
     for (n, (edits, c)) in cells.iter().enumerate() {
         let mut line = format!("  cell {n} ({}):", label(edits));
+        let axes = || edits.iter().map(|(_, v)| csv_field(v)).collect::<Vec<_>>();
+        if training {
+            let t = capture_and_train(c, false);
+            let (out, checksum) = (&t.capture, t.model.weight_checksum());
+            let fingerprint = run_fingerprint(&out.nets);
+            fingerprints.extend([fingerprint, checksum]);
+            let (events, wall) = (out.meta.events, out.meta.wall.as_secs_f64());
+            let train_wall = t.wall.as_secs_f64();
+            let mut fixed = axes();
+            fixed.push(format!(
+                "{},{events},{wall},{},{fingerprint:#018x},{checksum:#018x},{train_wall}",
+                c.flows.len(),
+                out.meta.sim_seconds
+            ));
+            let mut metrics = out.metric_rows(&OracleCounters::default());
+            metrics.extend(t.rows());
+            rows.push((fixed, metric_columns(metrics), None));
+            line += &format!(
+                " capture {events} events {wall:.2}s, trained {train_wall:.2}s, \
+                 checksum {checksum:#018x}"
+            );
+            println!("{line}");
+            continue;
+        }
         let mut full_wall = None;
         for model in [None].into_iter().chain(model.as_ref().map(Some)) {
             if model.is_some() {
@@ -781,16 +832,12 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
             let fidelity = model.map_or("full", |_| "hybrid");
             let flows = model.map_or(c.flows.len(), |_| c.hybrid_flows().len());
             let (events, sim_s) = (out.meta.events, out.meta.sim_seconds);
-            let mut fixed: Vec<String> = edits.iter().map(|(_, v)| csv_field(v)).collect();
+            let mut fixed = axes();
             fixed.push(format!(
                 "{fidelity},{flows},{events},{wall},{sim_s},{fingerprint:#018x}"
             ));
             let metrics = out.metric_rows(&oracle_counters(&guard, &caches));
-            let metrics = metrics.into_iter().map(|m| match m.label.is_empty() {
-                true => (m.name, m.value),
-                false => (format!("{}[{}]", m.name, m.label), m.value),
-            });
-            rows.push((fixed, metrics.collect(), speedup));
+            rows.push((fixed, metric_columns(metrics), speedup));
             line += &format!(" {fidelity} {events} events {wall:.2}s");
             if let Some(x) = speedup {
                 line += &format!(" ({x:.2}x)");
@@ -801,9 +848,10 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
     println!("  fingerprint: {:#018x}", fold_fingerprints(fingerprints));
 
     let Some(path) = &req.sinks.csv else { return };
+    let hybrid = model.is_some();
     let metrics: BTreeSet<String> = rows.iter().flat_map(|r| r.1.keys().cloned()).collect();
     let mut header: Vec<&str> = cells[0].0.iter().map(|(k, _)| k.as_str()).collect();
-    header.push("fidelity,flows,events,wall_s,sim_s,fingerprint");
+    header.push(if training { TRAIN_COLUMNS } else { RUN_COLUMNS });
     header.extend(metrics.iter().map(String::as_str));
     header.extend(hybrid.then_some("speedup_vs_full"));
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -819,6 +867,23 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
     }
     written(path, std::fs::write(path, text));
     println!("wrote {path} ({count} rows)");
+}
+
+/// Metric rows as CSV columns: `name[label]` (or `name`) holds the row's
+/// value, and a histogram adds its 99th percentile as `name[label].p99`.
+fn metric_columns(rows: Vec<MetricRow>) -> BTreeMap<String, f64> {
+    let mut columns = BTreeMap::new();
+    for m in rows {
+        let column = match m.label.is_empty() {
+            true => m.name,
+            false => format!("{}[{}]", m.name, m.label),
+        };
+        if m.kind == "histogram" {
+            columns.insert(format!("{column}.p99"), m.p99);
+        }
+        columns.insert(column, m.value);
+    }
+    columns
 }
 
 /// A CSV field: quoted when it holds a comma or a quote.
@@ -1118,43 +1183,108 @@ fn resolve_model(req: &Request, c: &Compiled) -> ClusterModel {
 /// seed, `--load` and TCP flavour.
 fn quick_default_model(req: &Request, c: &Compiled) -> ClusterModel {
     let mut doc = builtin(Cmd::Train);
-    doc.set("run.horizon_ms", "30", 0).expect("a number");
-    for load in req.edits_of(LOAD) {
-        doc.set(LOAD, load, 0).expect("the run's document took it");
+    let dctcp = c.dctcp.to_string();
+    let quick = [
+        ("run.horizon_ms", "30"),
+        ("run.dctcp", &dctcp),
+        ("train.hidden", "16"),
+        ("train.layers", "1"),
+        ("train.epochs", "4"),
+    ];
+    let loads = req.edits_of(LOAD).map(|load| (LOAD, load));
+    for (key, text) in quick.into_iter().chain(loads) {
+        doc.set(key, text, 0).expect("the run's document took it");
     }
     let s = decode::from_table(&doc).expect("the run's document passed the same rules");
     let over = CompileOverrides {
         seed: Some(c.seed),
         ..Default::default()
     };
-    let small = compile(&s, &over);
-    let capture = capture_ground_truth(&small, c, false);
-    let opts = TrainingOptions {
-        hidden: 16,
-        layers: 1,
-        epochs: 4,
-        ..Default::default()
-    };
-    train_cluster_model(captured(&capture), &small.params, &opts).0
+    capture_and_train(&compile(&s, &over), false).model
 }
 
-/// Ground truth of `c` with boundary capture around cluster 1 — the
-/// training input, read back with [`captured`] — under `tcp`'s TCP
-/// flavour, profiled when it is the run a report describes.
-fn capture_ground_truth(c: &Compiled, tcp: &Compiled, profile: bool) -> Outcome {
-    let cfg = NetConfig {
-        rtt_scope: RttScope::None,
-        ..tcp.net_config()
-    };
+/// What a `[train]` document's run made: the capture, the options it
+/// trained with, the model and the report of its held-out evaluation, and
+/// the training's wall time.
+struct Trained {
+    capture: Outcome,
+    opts: TrainingOptions,
+    model: ClusterModel,
+    report: TrainReport,
+    wall: std::time::Duration,
+}
+
+impl Trained {
+    /// What the run adds to its capture's metric rows: the capture as
+    /// training data (`train/capture/*`: completed flows, drops, ECN
+    /// marks, RTTs and the boundary records' drop rate) and the training
+    /// report's rows.
+    fn rows(&self) -> Vec<MetricRow> {
+        let (net, meta) = (&self.capture.nets[0], &self.model.meta);
+        let stats = &net.stats;
+        let mut rows = vec![
+            MetricRow::counter("train/capture/flows_completed", "", stats.flows_completed),
+            MetricRow::counter("train/capture/drops", "", stats.drops.total()),
+            MetricRow::counter("train/capture/ecn_marks", "", net.port_totals().0),
+            MetricRow::histogram("train/capture/rtt_seconds", "", &stats.rtt_hist),
+            MetricRow::gauge("train/capture/drop_rate", "", meta.train_drop_rate),
+        ];
+        rows.extend(self.report.metric_rows(self.opts.alpha));
+        rows
+    }
+}
+
+/// The one capture-and-train path (paper §3): `c`'s ground truth at full
+/// fidelity with boundary capture around cluster 1, profiled when it is
+/// the run a report describes, then a model trained on the captured
+/// records with `c`'s `[train]` options. An empty capture exits 5.
+fn capture_and_train(c: &Compiled, profile: bool) -> Trained {
+    let opts = c.train.expect("a [train] document");
     let fidelity = Fidelity::Full { capture: Some(1) };
-    let mut plan = RunPlan::new(c.params, cfg, &c.flows, c.horizon, fidelity);
+    let mut plan = RunPlan::new(c.params, c.net_config(), &c.flows, c.horizon, fidelity);
     plan.observe.profile = profile;
-    execute(plan).unwrap_or_else(|e| die(e))
+    let capture = execute(plan).unwrap_or_else(|e| die(e));
+    let records = capture.nets[0]
+        .capture()
+        .expect("the run captured cluster 1")
+        .records();
+    if records.is_empty() {
+        eprintln!(
+            "elephant: the capture saw no packet cross cluster 1's boundary in {}; \
+             nothing to train on (lengthen the horizon)",
+            c.horizon
+        );
+        exit(5)
+    }
+    let t0 = Instant::now();
+    let (model, report) = train_cluster_model(records, &c.params, &opts);
+    let wall = t0.elapsed();
+    Trained {
+        capture,
+        opts,
+        model,
+        report,
+        wall,
+    }
 }
 
-fn captured(capture: &Outcome) -> &[BoundaryRecord] {
-    let state = capture.nets[0].capture();
-    state.expect("the run captured cluster 1").records()
+/// What a capture-and-train run cannot honour: it is one sequential
+/// full-fidelity capture, and it deploys no model.
+fn refuse_for_training(req: &Request, c: &Compiled) {
+    let refused = [
+        (req.pdes, "PDES"),
+        (req.audit, "an audit"),
+        (req.model_flag.is_some(), "--model"),
+        (c.recovery.is_some(), "a [recovery] section"),
+        (c.sample_every.is_some(), "an [outputs] section"),
+        (c.faults.is_some(), "a [faults] section"),
+    ];
+    if let Some((_, what)) = refused.iter().find(|(given, _)| *given) {
+        bad_usage(
+            req.cmd,
+            format!("{what} does not apply to a [train] document, which captures and trains"),
+        )
+    }
 }
 
 /// Writes the run's Chrome-trace timeline, with the guard's trips.
@@ -1186,6 +1316,11 @@ fn validated(req: &Request, c: &Compiled) {
         c.horizon,
         c.partitions,
     );
+    if let Some(t) = c.train {
+        refuse_for_training(req, c);
+        let shape = format!("{}x{} LSTM", t.layers, t.hidden);
+        println!("  [train]: {shape}, {} epochs", t.epochs);
+    }
     let spec = &c.hybrid;
     if spec.model_declared {
         println!(
@@ -1212,51 +1347,49 @@ fn list(dir: &str) {
     }
 }
 
-fn train(req: &Request, s: &Scenario) {
-    let c = compile(s, &req.over);
+/// A `[train]` document's run: [`capture_and_train`], the held-out
+/// evaluation printed per direction, the model written to `--out`, and
+/// under `--profile`/`--metrics-out` the capture's report with
+/// [`training_rows`] and the training clock.
+fn train(req: &Request, c: &Compiled) {
+    refuse_for_training(req, c);
+    let opts = c.train.expect("a [train] document");
+    let shape = format!("{}x{} LSTM", opts.layers, opts.hidden);
     println!(
-        "capturing ground truth: {} clusters, {} flows, horizon {} ...",
+        "capturing ground truth: {} clusters, {} flows, horizon {}; then training {shape} \
+         for {} epochs ...",
         c.params.clusters,
         c.flows.len(),
-        c.horizon
+        c.horizon,
+        opts.epochs
     );
-    let capture = capture_ground_truth(&c, &c, req.sinks.observing());
-    let records = captured(&capture);
+    let t = capture_and_train(c, req.sinks.observing());
     println!(
         "  {} events, {} boundary records",
-        capture.meta.events,
-        records.len()
+        t.capture.meta.events, t.model.meta.train_records
     );
-
-    let opts = &req.train;
-    let shape = format!("{}x{} LSTM", opts.layers, opts.hidden);
-    println!("training {shape} for {} epochs ...", opts.epochs);
-    let t0 = Instant::now();
-    let (model, report) = train_cluster_model(records, &c.params, opts);
-    let train_wall = t0.elapsed();
+    for (name, d) in [("up:  ", &t.report.up), ("down:", &t.report.down)] {
+        println!(
+            "  {name} {} samples | drop accuracy {:.3} | latency rmse {:.3}",
+            d.train_samples, d.eval.drop_accuracy, d.eval.latency_rmse
+        );
+    }
+    let path = req.sinks.out.as_deref().unwrap_or("model.json");
+    std::fs::write(path, t.model.to_file_json()).unwrap_or_else(|e| io_die(path, e));
     println!(
-        "  up:   {} samples | drop accuracy {:.3} | latency rmse {:.3}",
-        report.up.train_samples, report.up.eval.drop_accuracy, report.up.eval.latency_rmse
-    );
-    println!(
-        "  down: {} samples | drop accuracy {:.3} | latency rmse {:.3}",
-        report.down.train_samples, report.down.eval.drop_accuracy, report.down.eval.latency_rmse
-    );
-    std::fs::write(&req.out, model.to_file_json()).unwrap_or_else(|e| io_die(&req.out, e));
-    println!(
-        "wrote {} (format v{}, checksum {:#018x})",
-        req.out,
+        "wrote {path} (format v{}, checksum {:#018x})",
         elephant::core::MODEL_VERSION,
-        model.weight_checksum()
+        t.model.weight_checksum()
     );
     // The ledger describes the capture run plus the training on top of
     // it; a model is not a network state, so no fingerprint.
     let what = format!("capture + {shape} training, seed {}", c.seed);
-    emit_ledger(&req.sinks, stamp("train", "train", what, c.seed, 0), |r| {
-        capture.describe(r, &OracleCounters::default());
-        r.metrics.extend(report.metric_rows(opts.alpha));
+    let ledger = stamp("train", req.cmd.name(), what, c.seed, 0);
+    emit_ledger(&req.sinks, ledger, |r| {
+        t.capture.describe(r, &OracleCounters::default());
+        r.metrics.extend(t.rows());
         r.profile
-            .push(ProfileRow::once("train", train_wall.as_secs_f64()));
+            .push(ProfileRow::once("train", t.wall.as_secs_f64()));
     });
 }
 

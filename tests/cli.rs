@@ -220,6 +220,10 @@ fn cli_rejects_bad_usage() {
         &["run", "--horizon-ms", "0"],
         &["run-scenario", INCAST, "--horizon-ms", "0"],
         &["train", "--pdes", "2"],
+        &["train", "--layers", "0"],
+        &["train", "--hidden", "0"],
+        &["train", "--epochs", "0"],
+        &["run-scenario", INCAST, "--out", "x.json"],
         &["run", "--model", "nope.json"],
         &["run", "--full-cluster", "9"],
         &["run", "--hidden", "8"],
@@ -269,6 +273,7 @@ fn cli_validate_refuses_the_sinks_it_would_ignore() {
             &["--metrics-out", p],
             &["--samples-out", p],
             &["--csv", p],
+            &["--out", p],
         ] {
             for flags in [
                 [&["--validate"][..], sink].concat(),
@@ -664,4 +669,183 @@ fn cli_report_counts_only_its_own_run() {
         report.profile[1].seconds, report.wall_seconds,
         "the run clock is the run's wall"
     );
+}
+
+/// The fingerprint line of a run's stdout.
+fn fingerprint_line(out: &str) -> String {
+    let line = out.lines().find(|l| l.contains("fingerprint: "));
+    let line = line.unwrap_or_else(|| panic!("no fingerprint in:\n{out}"));
+    line.trim().to_string()
+}
+
+/// A model's checksum as `train` prints it.
+fn checksum_of(out: &str) -> String {
+    let (_, rest) = out
+        .split_once("checksum ")
+        .expect("train prints a checksum");
+    rest.split(')').next().unwrap().to_string()
+}
+
+/// `hybrid` without `--model` deploys the model `train` writes with the
+/// quick flags at the run's seed and transport: the same run, New Reno
+/// and DCTCP alike (the fallback's capture runs on the run's switches).
+#[test]
+fn cli_fallback_is_train_with_the_quick_flags() {
+    let dir = std::env::temp_dir().join("elephant_cli_quick_train");
+    std::fs::create_dir_all(&dir).unwrap();
+    for transport in [&[][..], &["--dctcp"]] {
+        let model = dir.join(format!("quick{}.json", transport.len()));
+        let model = model.to_str().unwrap();
+        let quick = ["--hidden", "16", "--layers", "1", "--epochs", "4"];
+        let capture = ["train", "--horizon-ms", "30", "--seed", "5", "--out", model];
+        run_ok(&[&capture[..], &quick, transport].concat());
+        let hybrid = [
+            "hybrid",
+            "--clusters",
+            "2",
+            "--horizon-ms",
+            "2",
+            "--seed",
+            "5",
+        ];
+        let fallback = run_ok(&[&hybrid[..], transport].concat());
+        assert!(fallback.contains("default model"), "{fallback}");
+        let explicit = run_ok(&[&hybrid[..], transport, &["--model", model]].concat());
+        assert_eq!(
+            fingerprint_line(&fallback),
+            fingerprint_line(&explicit),
+            "{transport:?}"
+        );
+    }
+}
+
+/// What `[train]` admits: a zero-sized model is refused by the one
+/// decoder, exit 6 with `file:line` from a file (and exit 2 naming the
+/// flag from a flag, see `cli_rejects_bad_usage`); a document cannot
+/// both train and deploy; and what a capture cannot honour, or a model
+/// path on a document that trains nothing, is a usage error.
+#[test]
+fn cli_train_documents_are_validated() {
+    let dir = std::env::temp_dir().join("elephant_cli_train_rules");
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, extra: &str| {
+        let file = dir.join(name);
+        let doc = format!(
+            "schema = 1\n[scenario]\nname = \"rules\"\n[topology]\nclusters = 2\n\
+             [run]\nhorizon_ms = 2\n[[traffic]]\nkind = \"poisson\"\nload = 0.3\n{extra}"
+        );
+        std::fs::write(&file, doc).unwrap();
+        file.to_str().unwrap().to_string()
+    };
+    let cases = [
+        (
+            write("zero_layers.toml", "[train]\nlayers = 0\n"),
+            "zero_layers.toml:12",
+            "train.layers: must be >= 1",
+        ),
+        (
+            write("zero_hidden.toml", "[train]\nhidden = 0\n"),
+            "zero_hidden.toml:12",
+            "train.hidden: must be >= 1",
+        ),
+        (
+            write("zero_epochs.toml", "[train]\nepochs = 0\n"),
+            "zero_epochs.toml:12",
+            "train.epochs: must be >= 1",
+        ),
+        (
+            write("both.toml", "[model]\ntrain_fallback = true\n[train]\n"),
+            "both.toml:13",
+            "not both",
+        ),
+    ];
+    for (file, at, rule) in &cases {
+        let out = elephant().args(["run-scenario", file]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(6), "{file}: {stderr}");
+        assert!(stderr.contains(at) && stderr.contains(rule), "{stderr}");
+    }
+    let train = write("train.toml", "[train]\n");
+    let plain = write("plain.toml", "");
+    for (bad, names) in [
+        (&["run-scenario", &train, "--pdes"][..], "PDES"),
+        (&["run-scenario", &train, "--model", "m.json"], "--model"),
+        (
+            &["run-scenario", &train, "--sample-every", "100"],
+            "[outputs]",
+        ),
+        (&["run-scenario", &plain, "--out", "m.json"], "--out"),
+    ] {
+        let out = elephant().args(bad).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(first.contains(names), "{bad:?} names {names}: {first}");
+    }
+}
+
+/// A `[[sweep]]` over a `[train]` document trains once per cell, and each
+/// CSV row is what `train` reports for the same flags: the model's
+/// checksum and both directions' held-out evaluation.
+#[test]
+fn cli_training_sweep_rows_equal_train() {
+    let dir = std::env::temp_dir().join("elephant_cli_train_sweep");
+    std::fs::create_dir_all(&dir).unwrap();
+    // `train`'s own document, with one epoch and an axis over the width.
+    let file = dir.join("widths.toml");
+    std::fs::write(
+        &file,
+        "schema = 1\n[scenario]\nname = \"widths\"\n[topology]\nclusters = 2\n\
+         [run]\nhorizon_ms = 50\nseed = 42\n[[traffic]]\nkind = \"poisson\"\nload = 0.3\n\
+         [train]\nepochs = 1\n[[sweep]]\nkeys = [\"train.hidden\"]\nvalues = [8, 16]\n",
+    )
+    .unwrap();
+    let csv = dir.join("widths.csv");
+    let swept = ["run-scenario", file.to_str().unwrap(), "--horizon-ms", "2"];
+    run_ok(&[&swept[..], &["--csv", csv.to_str().unwrap()]].concat());
+    let text = std::fs::read_to_string(&csv).expect("CSV written");
+    let mut lines = text.lines().skip(1);
+    let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+    let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+    assert_eq!(rows.len(), 2, "{text}");
+    let column = |row: &[&str], name: &str| {
+        let i = header.iter().position(|h| *h == name);
+        row[i.unwrap_or_else(|| panic!("no {name} column: {header:?}"))].to_string()
+    };
+    let evals = ["train/eval/drop_accuracy", "train/eval/latency_rmse"];
+    for row in &rows {
+        let hidden = column(row, "train.hidden");
+        let model = dir.join(format!("hidden{hidden}.json"));
+        let ledger = dir.join(format!("hidden{hidden}.ledger.json"));
+        let out = run_ok(&[
+            "train",
+            "--horizon-ms",
+            "2",
+            "--epochs",
+            "1",
+            "--hidden",
+            &hidden,
+            "--out",
+            model.to_str().unwrap(),
+            "--metrics-out",
+            ledger.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            column(row, "checksum"),
+            checksum_of(&out),
+            "hidden {hidden}"
+        );
+        let sealed = RunLedger::load(&ledger).expect("ledger sealed");
+        for name in evals {
+            for label in ["up", "down"] {
+                let metric = sealed.report.metrics.iter();
+                let mut metric = metric.filter(|m| m.name == name && m.label == label);
+                let want = metric
+                    .next()
+                    .unwrap_or_else(|| panic!("no {name}[{label}]"));
+                let got: f64 = column(row, &format!("{name}[{label}]")).parse().unwrap();
+                assert_eq!(got, want.value, "hidden {hidden}: {name}[{label}]");
+            }
+        }
+    }
 }
