@@ -3,10 +3,11 @@
 //! One binary per figure of the paper's evaluation that is not yet a
 //! scenario sweep (see DESIGN.md's per-experiment index), plus ablations
 //! and baselines. Figure 5, the scaling and hybrid-PDES sweeps, the model
-//! capacity ablation (A1) and the DCTCP modularity run are scenario files
-//! under `scenarios/figures/` instead, run by `elephant run-scenario FILE
-//! --csv results/NAME.csv`; the last two are `[train]` sweeps, which
-//! capture and train once per cell. This library holds what the binaries
+//! capacity (A1), loss-balance α (A2) and macro-state (A3) ablations and
+//! the DCTCP modularity run are scenario files under `scenarios/figures/`
+//! instead, run by `elephant run-scenario FILE --csv results/NAME.csv`;
+//! the last four are `[train]` sweeps, which train once per cell on one
+//! capture per distinct ground truth. This library holds what the binaries
 //! share: argument parsing, table printing, the default
 //! train-once-reuse-everywhere model pipeline, and the [`fluid`] engine
 //! `baseline_flow` compares against.

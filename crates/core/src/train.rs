@@ -39,10 +39,10 @@ pub struct TrainingOptions {
     pub holdout: f64,
     /// Weight-initialization / shuffling seed.
     pub seed: u64,
-    /// Overrides the calibrated macro thresholds (ablations: a config
-    /// whose thresholds can never fire pins the macro feature to
-    /// `Minimal`, removing its information content).
-    pub macro_override: Option<MacroConfig>,
+    /// Feed the micro model the macro regime (§4.1). `false` is the
+    /// ablation: thresholds that can never fire keep the regime at
+    /// `Minimal`, so its one-hot feature carries nothing.
+    pub macro_state: bool,
 }
 
 impl Default for TrainingOptions {
@@ -61,7 +61,7 @@ impl Default for TrainingOptions {
             window: 32,
             holdout: 0.2,
             seed: 0xE1E,
-            macro_override: None,
+            macro_state: true,
         }
     }
 }
@@ -79,7 +79,7 @@ impl TrainingOptions {
             window: 64,
             holdout: 0.2,
             seed: 0xE1E,
-            macro_override: None,
+            macro_state: true,
         }
     }
 }
@@ -234,6 +234,19 @@ pub fn calibrate_macro(records: &[BoundaryRecord]) -> MacroConfig {
     MacroConfig::calibrate(&latencies, drop_rate)
 }
 
+/// The macro thresholds of a model trained without the macro state: no
+/// finite latency exceeds `latency_low` and no drop rate reaches
+/// `drop_high`, so the regime stays `Minimal`. The bound is `f64::MAX`,
+/// not `+inf`: JSON has no infinity, and the model file would read it
+/// back as NaN, which no latency is at or below.
+fn pinned_macro() -> MacroConfig {
+    MacroConfig {
+        latency_low: f64::MAX,
+        drop_high: 2.0,
+        ..MacroConfig::default()
+    }
+}
+
 /// Training-time statistics embedded in the model artifact, from which
 /// deployment derives guardrail tolerance bands (drop-rate drift, latency
 /// ceilings).
@@ -275,9 +288,10 @@ pub fn train_cluster_model(
 ) -> (ClusterModel, TrainReport) {
     assert!(!records.is_empty(), "cannot train on an empty capture");
     assert!((0.0..1.0).contains(&opts.holdout));
-    let macro_cfg = opts
-        .macro_override
-        .unwrap_or_else(|| calibrate_macro(records));
+    let macro_cfg = match opts.macro_state {
+        true => calibrate_macro(records),
+        false => pinned_macro(),
+    };
     let codec = LatencyCodec::default();
     let (up_samples, down_samples) = build_samples(records, params, macro_cfg, codec);
 
@@ -381,6 +395,7 @@ pub fn evaluate(model: &MicroNet, samples: &[Sample], window: usize) -> EvalMetr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::macro_model::MacroState;
     use elephant_des::{SimDuration, SimTime};
     use elephant_net::{FabricPath, FlowId, HostAddr};
 
@@ -510,6 +525,24 @@ mod tests {
         assert_eq!(report.down.train_samples, 0);
         assert_eq!(report.down.eval.samples, 0);
         assert!(report.up.train_samples > 0);
+    }
+
+    #[test]
+    fn a_model_without_the_macro_state_stays_minimal_and_loads() {
+        let params = ClosParams::paper_cluster(2);
+        let records = synthetic_records(600);
+        let opts = TrainingOptions {
+            epochs: 1,
+            macro_state: false,
+            ..Default::default()
+        };
+        let (model, _) = train_cluster_model(&records, &params, &opts);
+        let loaded = ClusterModel::load_json(&model.to_file_json()).expect("the file loads");
+        let mut regime = MacroModel::new(loaded.macro_cfg);
+        for r in &records {
+            let latency = (!r.dropped).then(|| r.latency.as_secs_f64());
+            assert_eq!(regime.observe(latency, r.dropped), MacroState::Minimal);
+        }
     }
 
     #[test]

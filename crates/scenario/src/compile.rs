@@ -209,6 +209,8 @@ pub fn compile(s: &Scenario, overrides: &CompileOverrides) -> Compiled {
             hidden: t.hidden,
             layers: t.layers,
             epochs: t.epochs,
+            alpha: t.alpha,
+            macro_state: t.macro_state,
             ..Default::default()
         }),
     }

@@ -1147,7 +1147,11 @@ fn decode_model(t: &Table, topo: &TopologySpec) -> Result<ModelSpec, ScenarioErr
 }
 
 fn decode_train(t: &Table) -> Result<TrainSpec, ScenarioError> {
-    reject_unknown(t, "[train]", &["hidden", "layers", "epochs"])?;
+    reject_unknown(
+        t,
+        "[train]",
+        &["hidden", "layers", "epochs", "alpha", "macro_state"],
+    )?;
     let mut spec = TrainSpec::default();
     for (key, slot) in [
         ("hidden", &mut spec.hidden),
@@ -1161,6 +1165,18 @@ fn decode_train(t: &Table) -> Result<TrainSpec, ScenarioError> {
                 return Err(err(s.line, format!("{w}: must be >= 1")));
             }
         }
+    }
+    if let Some(s) = t.get("alpha") {
+        let v = float_of(s, "train.alpha")?;
+        spec.alpha = v as f32;
+        // Checked after the narrowing too: a tiny α would train as 0.
+        if !(v > 0.0 && v <= 1.0 && spec.alpha > 0.0) {
+            let detail = format!("train.alpha: must be in (0, 1], got {v}");
+            return Err(err(s.line, detail));
+        }
+    }
+    if let Some(s) = t.get("macro_state") {
+        spec.macro_state = bool_of(s, "train.macro_state")?;
     }
     Ok(spec)
 }

@@ -529,6 +529,22 @@ sample_every_us = 100
                 let e = expect_err(&doc, &format!("train.{key}: must be >= 1"));
                 assert_eq!(e.line, 15, "{e}");
             }
+            for (value, needle) in [
+                ("0", "train.alpha: must be in (0, 1], got 0"),
+                ("-0.5", "train.alpha: must be in (0, 1], got -0.5"),
+                ("1.5", "train.alpha: must be in (0, 1], got 1.5"),
+                ("1e-60", "train.alpha: must be in (0, 1]"),
+                ("1e400", "train.alpha: must be finite"),
+                ("\"half\"", "train.alpha: expected a number"),
+            ] {
+                let e = expect_err(&format!("{two}\n[train]\nalpha = {value}\n"), needle);
+                assert_eq!(e.line, 15, "{e}");
+            }
+            let e = expect_err(
+                &format!("{two}\n[train]\nmacro_state = 0\n"),
+                "train.macro_state: expected a boolean",
+            );
+            assert_eq!(e.line, 15, "{e}");
             expect_err(
                 &format!("{two}\n[train]\nwidth = 8\n"),
                 "unknown key `width`",
@@ -542,7 +558,7 @@ sample_every_us = 100
 
             // Unset keys are the workspace's training defaults; the section
             // round-trips through the emitter.
-            let doc = format!("{two}\n[train]\nhidden = 8\n");
+            let doc = format!("{two}\n[train]\nhidden = 8\nalpha = 0.25\nmacro_state = false\n");
             let s = Scenario::from_toml_str(&doc).expect("valid scenario");
             let emitted = Scenario::from_toml_str(&s.to_toml_string()).expect("re-parses");
             assert_eq!(s, emitted, "emit → decode must round-trip");
@@ -551,10 +567,13 @@ sample_every_us = 100
                 .expect("lowered");
             let default = elephant_core::TrainingOptions::default();
             assert_eq!((opts.hidden, opts.layers, opts.epochs), (8, 2, 8));
-            assert_eq!(
-                (opts.alpha, opts.window, opts.seed),
-                (default.alpha, default.window, default.seed)
-            );
+            assert_eq!((opts.alpha, opts.macro_state), (0.25, false));
+            assert_eq!((opts.window, opts.seed), (default.window, default.seed));
+            let bare = Scenario::from_toml_str(&format!("{two}\n[train]\n")).expect("valid");
+            let opts = compile(&bare, &CompileOverrides::default())
+                .train
+                .expect("lowered");
+            assert_eq!((opts.alpha, opts.macro_state), (0.5, true));
             let plain = Scenario::from_toml_str(&two).expect("valid scenario");
             assert!(compile(&plain, &CompileOverrides::default())
                 .train

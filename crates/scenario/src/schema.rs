@@ -578,9 +578,10 @@ impl PartialEq for ModelSpec {
     }
 }
 
-/// The model a `[train]` document trains: the LSTM's width and depth, and
-/// the passes over the training windows. Every other training option is
-/// the workspace default (`elephant_core::TrainingOptions`).
+/// The model a `[train]` document trains: the LSTM's width and depth, the
+/// passes over the training windows, the loss balance α and whether the
+/// micro model sees the macro regime. Every other training option is the
+/// workspace default (`elephant_core::TrainingOptions`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrainSpec {
     /// Hidden units per LSTM layer.
@@ -589,6 +590,11 @@ pub struct TrainSpec {
     pub layers: usize,
     /// Training epochs.
     pub epochs: usize,
+    /// Loss balance α in L = L_drop + α·L_latency (§4.2), in (0, 1].
+    pub alpha: f32,
+    /// Feed the micro model the macro regime (§4.1); `false` pins it at
+    /// `Minimal`.
+    pub macro_state: bool,
 }
 
 impl Default for TrainSpec {
@@ -598,6 +604,8 @@ impl Default for TrainSpec {
             hidden: o.hidden,
             layers: o.layers,
             epochs: o.epochs,
+            alpha: o.alpha,
+            macro_state: o.macro_state,
         }
     }
 }
@@ -834,6 +842,8 @@ impl Scenario {
             out.push_str(&format!("hidden = {}\n", t.hidden));
             out.push_str(&format!("layers = {}\n", t.layers));
             out.push_str(&format!("epochs = {}\n", t.epochs));
+            out.push_str(&format!("alpha = {}\n", t.alpha));
+            out.push_str(&format!("macro_state = {}\n", t.macro_state));
         }
 
         let o = &self.oracle;

@@ -18,11 +18,11 @@
 //! `audit` start from a file; `run`, `hybrid`, `train` and `compare
 //! --model` start from the built-in [`TEMPLATE`]. A document with a
 //! `[train]` section (`train`'s always has one) captures and trains
-//! instead, through the one [`capture_and_train`] path that also serves
-//! training sweeps and the quick-trained fallback model. A flag is one row of
-//! [`FLAGS`] — name, help, the commands that accept it, and where its
-//! value lands: a key of the scenario document (written before the
-//! decoder runs, so the decoder is the one validator of flag and file
+//! instead, through the one [`capture`] and [`train_on`] path that also
+//! serves training sweeps and the quick-trained fallback model. A flag is
+//! one row of [`FLAGS`] — name, help, the commands that accept it, and
+//! where its value lands: a key of the scenario document (written before
+//! the decoder runs, so the decoder is the one validator of flag and file
 //! values alike) or a field of the [`Request`]. `--help` and the parser
 //! are both read off that table. Every command prints a summary and is a
 //! pure function of its seed.
@@ -50,7 +50,7 @@ use elephant::core::{
 };
 use elephant::des::{EpochMode, SimDuration};
 use elephant::net::{
-    ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig,
+    BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig,
     OracleFaultMode, RttScope, Sample, TraceLog, SAMPLE_CSV_HEADER,
 };
 use elephant::obs::{MetricRow, ProfileRow, RunReport};
@@ -311,7 +311,8 @@ const TEMPLATE: &str = "schema = 1\n\
 /// [`TEMPLATE`] parsed, with what the command fixes about it: `hybrid`
 /// declares a `[model]` (which routes the run onto the hybrid engine and
 /// quick-trains a model when no artifact is given), `train` declares a
-/// `[train]` (which routes it onto [`capture_and_train`]) on two clusters.
+/// `[train]` (which routes it onto [`capture`] and [`train_on`]) on two
+/// clusters.
 fn builtin(cmd: Cmd) -> toml::Table {
     let mut doc = toml::parse(TEMPLATE).expect("the template parses");
     let fixed: &[(&str, &str)] = match cmd {
@@ -733,8 +734,9 @@ const RUN_COLUMNS: &str = "fidelity,flows,events,wall_s,sim_s,fingerprint";
 const TRAIN_COLUMNS: &str = "flows,events,wall_s,sim_s,fingerprint,checksum,train_wall_s";
 
 /// `run-scenario` on a document with `[[sweep]]` axes. A `[train]`
-/// document captures and trains once per cell ([`capture_and_train`]);
-/// any other runs each cell at full fidelity and, when the document is
+/// document trains once per cell ([`train_on`]), on one [`capture`] per
+/// distinct set of non-`train.*` cell edits ([`GroundTruth`]); any other
+/// runs each cell at full fidelity and, when the document is
 /// hybrid, then as the hybrid, through [`simulate`] like any run, with
 /// one model resolved from the base document. Prints a line per cell and
 /// the fold of the runs' fingerprints (and models' checksums); `--csv P`
@@ -792,30 +794,39 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
 
     let mut rows: Vec<SweepRow> = Vec::new();
     let mut fingerprints = Vec::new();
+    // A training sweep's cells that differ only in `train.*` keys train on
+    // one capture, kept until the last of them has trained.
+    let shared: Vec<Vec<_>> = cells
+        .iter()
+        .map(|(edits, _)| edits.iter().filter(|e| !e.0.starts_with("train.")))
+        .map(|kept| kept.cloned().collect())
+        .collect();
+    let mut truths: BTreeMap<&[(String, String)], GroundTruth> = BTreeMap::new();
     for (n, (edits, c)) in cells.iter().enumerate() {
         let mut line = format!("  cell {n} ({}):", label(edits));
         let axes = || edits.iter().map(|(_, v)| csv_field(v)).collect::<Vec<_>>();
         if training {
-            let t = capture_and_train(c, false);
-            let (out, checksum) = (&t.capture, t.model.weight_checksum());
-            let fingerprint = run_fingerprint(&out.nets);
-            fingerprints.extend([fingerprint, checksum]);
-            let (events, wall) = (out.meta.events, out.meta.wall.as_secs_f64());
+            let key = shared[n].as_slice();
+            let g = truths
+                .entry(key)
+                .or_insert_with(|| GroundTruth::capture(c, n));
+            let t = train_on(c, &g.records);
+            let checksum = t.model.weight_checksum();
+            fingerprints.extend([g.fingerprint, checksum]);
             let train_wall = t.wall.as_secs_f64();
             let mut fixed = axes();
-            fixed.push(format!(
-                "{},{events},{wall},{},{fingerprint:#018x},{checksum:#018x},{train_wall}",
-                c.flows.len(),
-                out.meta.sim_seconds
-            ));
-            let mut metrics = out.metric_rows(&OracleCounters::default());
-            metrics.extend(t.rows());
+            fixed.push(format!("{},{checksum:#018x},{train_wall}", g.columns));
+            let mut metrics = g.rows.clone();
+            metrics.extend(t.report.metric_rows(t.opts.alpha));
             rows.push((fixed, metric_columns(metrics), None));
-            line += &format!(
-                " capture {events} events {wall:.2}s, trained {train_wall:.2}s, \
-                 checksum {checksum:#018x}"
-            );
-            println!("{line}");
+            match g.cell {
+                k if k == n => line += &g.summary,
+                k => line += &format!(" capture reused (cell {k})"),
+            }
+            println!("{line}, trained {train_wall:.2}s, checksum {checksum:#018x}");
+            if !shared[n + 1..].contains(&shared[n]) {
+                truths.remove(key);
+            }
             continue;
         }
         let mut full_wall = None;
@@ -867,6 +878,42 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
     }
     written(path, std::fs::write(path, text));
     println!("wrote {path} ({count} rows)");
+}
+
+/// What a training sweep keeps of one [`capture`] for every cell that
+/// shares its non-`train.*` edits: the boundary records, the capture's CSV
+/// columns, metric rows, fingerprint and summary, and the cell that ran
+/// it; not its networks.
+struct GroundTruth {
+    cell: usize,
+    records: Vec<BoundaryRecord>,
+    fingerprint: u64,
+    columns: String,
+    rows: Vec<MetricRow>,
+    summary: String,
+}
+
+impl GroundTruth {
+    fn capture(c: &Compiled, cell: usize) -> GroundTruth {
+        let out = capture(c, false);
+        let fingerprint = run_fingerprint(&out.nets);
+        let (flows, events, sim_s) = (c.flows.len(), out.meta.events, out.meta.sim_seconds);
+        let wall = out.meta.wall.as_secs_f64();
+        let mut rows = out.metric_rows(&OracleCounters::default());
+        rows.extend(capture_rows(&out));
+        let net = out.into_single().0;
+        GroundTruth {
+            cell,
+            records: net
+                .into_capture()
+                .expect("the run captured cluster 1")
+                .into_records(),
+            fingerprint,
+            columns: format!("{flows},{events},{wall},{sim_s},{fingerprint:#018x}"),
+            rows,
+            summary: format!(" capture {events} events {wall:.2}s"),
+        }
+    }
 }
 
 /// Metric rows as CSV columns: `name[label]` (or `name`) holds the row's
@@ -1200,55 +1247,28 @@ fn quick_default_model(req: &Request, c: &Compiled) -> ClusterModel {
         seed: Some(c.seed),
         ..Default::default()
     };
-    capture_and_train(&compile(&s, &over), false).model
+    let c = compile(&s, &over);
+    train_on(&c, records(&capture(&c, false))).model
 }
 
-/// What a `[train]` document's run made: the capture, the options it
-/// trained with, the model and the report of its held-out evaluation, and
-/// the training's wall time.
+/// What a `[train]` document's run trained: the options, the model, the
+/// report of its held-out evaluation, and the training's wall time.
 struct Trained {
-    capture: Outcome,
     opts: TrainingOptions,
     model: ClusterModel,
     report: TrainReport,
     wall: std::time::Duration,
 }
 
-impl Trained {
-    /// What the run adds to its capture's metric rows: the capture as
-    /// training data (`train/capture/*`: completed flows, drops, ECN
-    /// marks, RTTs and the boundary records' drop rate) and the training
-    /// report's rows.
-    fn rows(&self) -> Vec<MetricRow> {
-        let (net, meta) = (&self.capture.nets[0], &self.model.meta);
-        let stats = &net.stats;
-        let mut rows = vec![
-            MetricRow::counter("train/capture/flows_completed", "", stats.flows_completed),
-            MetricRow::counter("train/capture/drops", "", stats.drops.total()),
-            MetricRow::counter("train/capture/ecn_marks", "", net.port_totals().0),
-            MetricRow::histogram("train/capture/rtt_seconds", "", &stats.rtt_hist),
-            MetricRow::gauge("train/capture/drop_rate", "", meta.train_drop_rate),
-        ];
-        rows.extend(self.report.metric_rows(self.opts.alpha));
-        rows
-    }
-}
-
-/// The one capture-and-train path (paper §3): `c`'s ground truth at full
-/// fidelity with boundary capture around cluster 1, profiled when it is
-/// the run a report describes, then a model trained on the captured
-/// records with `c`'s `[train]` options. An empty capture exits 5.
-fn capture_and_train(c: &Compiled, profile: bool) -> Trained {
-    let opts = c.train.expect("a [train] document");
+/// The ground truth of a `[train]` document (paper §3): `c`'s flows at
+/// full fidelity with boundary capture around cluster 1, profiled when it
+/// is the run a report describes. An empty capture exits 5.
+fn capture(c: &Compiled, profile: bool) -> Outcome {
     let fidelity = Fidelity::Full { capture: Some(1) };
     let mut plan = RunPlan::new(c.params, c.net_config(), &c.flows, c.horizon, fidelity);
     plan.observe.profile = profile;
     let capture = execute(plan).unwrap_or_else(|e| die(e));
-    let records = capture.nets[0]
-        .capture()
-        .expect("the run captured cluster 1")
-        .records();
-    if records.is_empty() {
+    if records(&capture).is_empty() {
         eprintln!(
             "elephant: the capture saw no packet cross cluster 1's boundary in {}; \
              nothing to train on (lengthen the horizon)",
@@ -1256,15 +1276,40 @@ fn capture_and_train(c: &Compiled, profile: bool) -> Trained {
         );
         exit(5)
     }
+    capture
+}
+
+/// The boundary records of a [`capture`].
+fn records(capture: &Outcome) -> &[BoundaryRecord] {
+    let net = &capture.nets[0];
+    net.capture().expect("the run captured cluster 1").records()
+}
+
+/// The capture as training data (`train/capture/*`): completed flows,
+/// drops, ECN marks, RTTs and the boundary records' drop rate.
+fn capture_rows(capture: &Outcome) -> Vec<MetricRow> {
+    let (net, records) = (&capture.nets[0], records(capture));
+    let stats = &net.stats;
+    let drop_rate = records.iter().filter(|r| r.dropped).count() as f64 / records.len() as f64;
+    vec![
+        MetricRow::counter("train/capture/flows_completed", "", stats.flows_completed),
+        MetricRow::counter("train/capture/drops", "", stats.drops.total()),
+        MetricRow::counter("train/capture/ecn_marks", "", net.port_totals().0),
+        MetricRow::histogram("train/capture/rtt_seconds", "", &stats.rtt_hist),
+        MetricRow::gauge("train/capture/drop_rate", "", drop_rate),
+    ]
+}
+
+/// A model trained on `records` with `c`'s `[train]` options.
+fn train_on(c: &Compiled, records: &[BoundaryRecord]) -> Trained {
+    let opts = c.train.expect("a [train] document");
     let t0 = Instant::now();
     let (model, report) = train_cluster_model(records, &c.params, &opts);
-    let wall = t0.elapsed();
     Trained {
-        capture,
         opts,
         model,
         report,
-        wall,
+        wall: t0.elapsed(),
     }
 }
 
@@ -1319,7 +1364,11 @@ fn validated(req: &Request, c: &Compiled) {
     if let Some(t) = c.train {
         refuse_for_training(req, c);
         let shape = format!("{}x{} LSTM", t.layers, t.hidden);
-        println!("  [train]: {shape}, {} epochs", t.epochs);
+        let regime = if t.macro_state { "on" } else { "off" };
+        println!(
+            "  [train]: {shape}, {} epochs, alpha {}, macro state {regime}",
+            t.epochs, t.alpha
+        );
     }
     let spec = &c.hybrid;
     if spec.model_declared {
@@ -1347,10 +1396,10 @@ fn list(dir: &str) {
     }
 }
 
-/// A `[train]` document's run: [`capture_and_train`], the held-out
-/// evaluation printed per direction, the model written to `--out`, and
-/// under `--profile`/`--metrics-out` the capture's report with
-/// [`training_rows`] and the training clock.
+/// A `[train]` document's run: [`capture`] then [`train_on`], the
+/// held-out evaluation printed per direction, the model written to
+/// `--out`, and under `--profile`/`--metrics-out` the capture's report
+/// with [`capture_rows`], the training rows and the training clock.
 fn train(req: &Request, c: &Compiled) {
     refuse_for_training(req, c);
     let opts = c.train.expect("a [train] document");
@@ -1363,10 +1412,11 @@ fn train(req: &Request, c: &Compiled) {
         c.horizon,
         opts.epochs
     );
-    let t = capture_and_train(c, req.sinks.observing());
+    let out = capture(c, req.sinks.observing());
+    let t = train_on(c, records(&out));
     println!(
         "  {} events, {} boundary records",
-        t.capture.meta.events, t.model.meta.train_records
+        out.meta.events, t.model.meta.train_records
     );
     for (name, d) in [("up:  ", &t.report.up), ("down:", &t.report.down)] {
         println!(
@@ -1386,8 +1436,9 @@ fn train(req: &Request, c: &Compiled) {
     let what = format!("capture + {shape} training, seed {}", c.seed);
     let ledger = stamp("train", req.cmd.name(), what, c.seed, 0);
     emit_ledger(&req.sinks, ledger, |r| {
-        t.capture.describe(r, &OracleCounters::default());
-        r.metrics.extend(t.rows());
+        out.describe(r, &OracleCounters::default());
+        r.metrics.extend(capture_rows(&out));
+        r.metrics.extend(t.report.metric_rows(t.opts.alpha));
         r.profile
             .push(ProfileRow::once("train", t.wall.as_secs_f64()));
     });

@@ -849,3 +849,56 @@ fn cli_training_sweep_rows_equal_train() {
         }
     }
 }
+
+/// A training sweep captures each distinct ground truth once: cells that
+/// differ only in `train.*` keys train on the capture of the first cell
+/// with their other edits, so the cells of one seed share a fingerprint.
+#[test]
+fn cli_training_sweep_captures_each_ground_truth_once() {
+    let dir = std::env::temp_dir().join("elephant_cli_capture_reuse");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("alphas.toml");
+    std::fs::write(
+        &file,
+        "schema = 1\n[scenario]\nname = \"alphas\"\n[topology]\nclusters = 2\n\
+         [run]\nhorizon_ms = 50\nseed = 42\n[[traffic]]\nkind = \"poisson\"\nload = 0.3\n\
+         [train]\nhidden = 8\nlayers = 1\nepochs = 1\n\
+         [[sweep]]\nkeys = [\"train.alpha\"]\nvalues = [0.25, 1.0]\n\
+         [[sweep]]\nkeys = [\"run.seed\"]\nvalues = [42, 7]\n",
+    )
+    .unwrap();
+    let csv = dir.join("alphas.csv");
+    let out = run_ok(&[
+        "run-scenario",
+        file.to_str().unwrap(),
+        "--horizon-ms",
+        "2",
+        "--csv",
+        csv.to_str().unwrap(),
+    ]);
+    let cells = out.lines().filter(|l| l.contains(": capture "));
+    let (reuses, captures): (Vec<&str>, Vec<&str>) = cells.partition(|l| l.contains("reused"));
+    assert_eq!((captures.len(), reuses.len()), (2, 2), "{out}");
+    assert!(
+        reuses[0].contains("cell 2 ") && reuses[0].contains("(cell 0)"),
+        "{out}"
+    );
+    assert!(
+        reuses[1].contains("cell 3 ") && reuses[1].contains("(cell 1)"),
+        "{out}"
+    );
+
+    let text = std::fs::read_to_string(&csv).expect("CSV written");
+    let mut lines = text.lines().skip(1);
+    let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+    let at = |name: &str| header.iter().position(|h| *h == name).unwrap();
+    let (seed, fingerprint) = (at("run.seed"), at("fingerprint"));
+    let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+    assert_eq!(rows.len(), 4, "{text}");
+    for a in &rows {
+        for b in &rows {
+            let same_seed = a[seed] == b[seed];
+            assert_eq!(same_seed, a[fingerprint] == b[fingerprint], "{text}");
+        }
+    }
+}
