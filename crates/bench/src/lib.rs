@@ -7,7 +7,10 @@
 //! the DCTCP modularity run are scenario files under `scenarios/figures/`
 //! instead, run by `elephant run-scenario FILE --csv results/NAME.csv`;
 //! the last four are `[train]` sweeps, which train once per cell on one
-//! capture per distinct ground truth. This library holds what the binaries
+//! capture per distinct ground truth. Figure 4 (RTT CDFs, ground truth
+//! against the hybrid) is figure5.toml's 2-cluster hybrid row: every
+//! hybrid sweep row carries its `hybrid/rtt/*` score against the cell's
+//! own full run. This library holds what the binaries
 //! share: argument parsing, table printing, the default
 //! train-once-reuse-everywhere model pipeline, and the [`fluid`] engine
 //! `baseline_flow` compares against.

@@ -8,12 +8,11 @@
 //! a table of per-quantile relative errors.
 
 use elephant_net::BoundaryRecord;
-use elephant_nn::MicroNet;
-use elephant_obs::EmpiricalCdf;
+use elephant_obs::{EmpiricalCdf, MetricRow};
 
 use crate::error::ElephantError;
-use crate::features::LatencyCodec;
-use crate::macro_model::{MacroConfig, MacroModel};
+use crate::learned::ClusterModel;
+use crate::macro_model::MacroModel;
 use crate::train::build_samples;
 
 /// One quantile's comparison.
@@ -55,6 +54,48 @@ pub struct CdfComparison {
     pub approx_samples: usize,
 }
 
+impl CdfComparison {
+    /// The comparison as `hybrid/rtt/*` metric rows, the columns a hybrid
+    /// sweep row and `compare`'s ledger carry: the KS distance, both
+    /// sides' value at each [`REPORT_QUANTILES`] point in seconds
+    /// (`truth[p10]` … `approx[p99.9]`), and both sample counts.
+    pub fn metric_rows(&self) -> Vec<MetricRow> {
+        let mut rows = vec![MetricRow::gauge("hybrid/rtt/ks", "", self.ks)];
+        for r in &self.rows {
+            let label = format!("p{}", r.q * 100.0);
+            rows.push(MetricRow::gauge("hybrid/rtt/truth", &label, r.truth));
+            rows.push(MetricRow::gauge("hybrid/rtt/approx", &label, r.approx));
+        }
+        let samples = [
+            ("truth", self.truth_samples),
+            ("approx", self.approx_samples),
+        ];
+        rows.extend(
+            samples.map(|(side, n)| MetricRow::counter("hybrid/rtt/samples", side, n as u64)),
+        );
+        rows
+    }
+}
+
+/// The quantile table `compare` prints: truth, approximation and the
+/// signed relative error at each [`REPORT_QUANTILES`] point, in µs.
+impl std::fmt::Display for CdfComparison {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(f, "  quantile   truth       hybrid      error")?;
+        for r in &self.rows {
+            writeln!(
+                f,
+                "  p{:<8} {:>9.1}us {:>9.1}us {:>+8.1}%",
+                r.q * 100.0,
+                r.truth * 1e6,
+                r.approx * 1e6,
+                r.rel_error() * 100.0
+            )?;
+        }
+        Ok(())
+    }
+}
+
 /// The quantiles every comparison reports.
 pub const REPORT_QUANTILES: [f64; 7] = [0.10, 0.25, 0.50, 0.75, 0.90, 0.99, 0.999];
 
@@ -82,8 +123,9 @@ pub fn compare_cdfs(truth: &EmpiricalCdf, approx: &EmpiricalCdf) -> CdfCompariso
 /// At training time the macro model observes measured latencies and drops;
 /// at simulation time it observes the micro model's *predictions*. This
 /// diagnostic quantifies how far that auto-regression drifts: it replays
-/// `records` twice — once feeding ground truth, once feeding the micro
-/// models' teacher-forced predictions — and counts state agreements.
+/// `records` twice — once feeding ground truth, once feeding `model`'s
+/// micro models' teacher-forced predictions, decoded with its codec — and
+/// counts state agreements under its macro thresholds.
 /// `confusion[truth][predicted]` in [`crate::MacroState`] index order.
 ///
 /// Errors with [`ElephantError::StreamMisaligned`] if the feature-sample
@@ -91,12 +133,11 @@ pub fn compare_cdfs(truth: &EmpiricalCdf, approx: &EmpiricalCdf) -> CdfCompariso
 /// only happen when the two inputs were produced from different captures.
 pub fn macro_confusion(
     records: &[BoundaryRecord],
-    up: &MicroNet,
-    down: &MicroNet,
-    macro_cfg: MacroConfig,
-    codec: LatencyCodec,
+    model: &ClusterModel,
     params: &elephant_net::ClosParams,
 ) -> Result<[[u64; 4]; 4], ElephantError> {
+    let (up, down) = (&model.up, &model.down);
+    let (macro_cfg, codec) = (model.macro_cfg, model.codec);
     let mut order: Vec<usize> = (0..records.len()).collect();
     order.sort_by_key(|&i| records[i].t_in);
 
@@ -172,6 +213,8 @@ pub fn macro_agreement(confusion: &[[u64; 4]; 4]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::LatencyCodec;
+    use crate::macro_model::MacroConfig;
     use elephant_des::{SimDuration, SimTime, SmallRng};
     use elephant_net::{ClosParams, Direction, FabricPath, FlowId, HostAddr};
     use elephant_nn::{MicroNet, MicroNetConfig};
@@ -216,31 +259,20 @@ mod tests {
     fn macro_confusion_conserves_and_bounds() {
         let params = ClosParams::paper_cluster(2);
         let recs = records(200);
-        let up = tiny_net(1);
-        let down = tiny_net(2);
-        let c = macro_confusion(
-            &recs,
-            &up,
-            &down,
-            MacroConfig::default(),
-            LatencyCodec::default(),
-            &params,
-        )
-        .expect("aligned streams");
+        let model = ClusterModel {
+            up: tiny_net(1),
+            down: tiny_net(2),
+            macro_cfg: MacroConfig::default(),
+            codec: LatencyCodec::default(),
+            meta: Default::default(),
+        };
+        let c = macro_confusion(&recs, &model, &params).expect("aligned streams");
         let total: u64 = c.iter().flatten().sum();
         assert_eq!(total, 200, "one cell per record");
         let a = macro_agreement(&c);
         assert!((0.0..=1.0).contains(&a));
         // Deterministic.
-        let c2 = macro_confusion(
-            &recs,
-            &up,
-            &down,
-            MacroConfig::default(),
-            LatencyCodec::default(),
-            &params,
-        )
-        .expect("aligned streams");
+        let c2 = macro_confusion(&recs, &model, &params).expect("aligned streams");
         assert_eq!(c, c2);
     }
 
@@ -280,6 +312,41 @@ mod tests {
                 "underestimates by 20%: {:?}",
                 r
             );
+        }
+    }
+
+    #[test]
+    fn metric_rows_name_every_reported_quantile() {
+        let truth: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
+        let approx: Vec<f64> = (1..=500).map(|i| i as f64 * 2.0).collect();
+        let c = compare_cdfs(
+            &EmpiricalCdf::from_samples(&truth),
+            &EmpiricalCdf::from_samples(&approx),
+        );
+        let rows = c.metric_rows();
+        let named: Vec<String> = rows
+            .iter()
+            .map(|m| format!("{}[{}]", m.name, m.label))
+            .collect();
+        assert_eq!(named[0], "hybrid/rtt/ks[]");
+        assert_eq!(
+            named[1..3],
+            ["hybrid/rtt/truth[p10]", "hybrid/rtt/approx[p10]"]
+        );
+        assert_eq!(
+            named[13..15],
+            ["hybrid/rtt/truth[p99.9]", "hybrid/rtt/approx[p99.9]"]
+        );
+        assert_eq!(
+            named[15..],
+            ["hybrid/rtt/samples[truth]", "hybrid/rtt/samples[approx]"]
+        );
+        assert_eq!(
+            (rows[0].value, rows[15].count, rows[16].count),
+            (c.ks, 1000, 500)
+        );
+        for (r, pair) in c.rows.iter().zip(rows[1..15].chunks(2)) {
+            assert_eq!((pair[0].value, pair[1].value), (r.truth, r.approx));
         }
     }
 

@@ -50,6 +50,15 @@ pub enum ElephantError {
         /// Number of non-finite parameters found.
         count: usize,
     },
+    /// A float of the model's header — a macro threshold, the latency
+    /// codec or a training statistic — is NaN or infinite (JSON `null`
+    /// reads as NaN), so the regime or the guard it feeds would be too.
+    ModelHeader {
+        /// The field, as `section.name`.
+        field: &'static str,
+        /// What it holds.
+        value: f64,
+    },
     /// The weights do not have the shapes the model's architecture implies
     /// (a matrix storing more or fewer values than `rows × cols`, layers
     /// that do not chain, a head of the wrong width), so the first verdict
@@ -101,6 +110,7 @@ impl ElephantError {
             | ElephantError::ModelVersion { .. }
             | ElephantError::ModelChecksum { .. }
             | ElephantError::ModelNonFinite { .. }
+            | ElephantError::ModelHeader { .. }
             | ElephantError::ModelShape { .. } => 4,
             ElephantError::CaptureMissing
             | ElephantError::StreamMisaligned { .. }
@@ -135,6 +145,10 @@ impl fmt::Display for ElephantError {
             ElephantError::ModelNonFinite { count } => write!(
                 f,
                 "model contains {count} non-finite weight(s); refusing to load"
+            ),
+            ElephantError::ModelHeader { field, value } => write!(
+                f,
+                "model header field `{field}` is {value}, not a finite number; refusing to load"
             ),
             ElephantError::ModelShape { detail } => {
                 write!(f, "model weights do not fit its architecture: {detail}")

@@ -83,8 +83,8 @@ pub struct ClusterModel {
 /// (magic, version, checksum, both micro models' architectures and the
 /// small calibrated parts) and one hex string holding every weight.
 /// [`ClusterModel::to_file_json`] writes one; [`ClusterModel::load_json`]
-/// validates magic, version, configs, payload length, checksum and weight
-/// finiteness before handing the model out.
+/// validates magic, version, configs, header floats, payload length,
+/// checksum and weight finiteness before handing the model out.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ModelFile {
     /// Must equal [`MODEL_MAGIC`].
@@ -174,6 +174,7 @@ impl ModelFile {
     pub fn into_model(self) -> Result<ClusterModel, ElephantError> {
         check_header(&self.magic, self.version)?;
         self.check_configs()?;
+        self.check_floats()?;
         let hex = self.weights.as_bytes();
         let need = self
             .up
@@ -246,6 +247,28 @@ impl ModelFile {
         }
         Ok(())
     }
+
+    /// Fails on the first non-finite float of the header: the macro
+    /// thresholds, the latency codec and the training statistics. The
+    /// checksum covers only the weights, and JSON `null` reads as NaN.
+    fn check_floats(&self) -> Result<(), ElephantError> {
+        let (m, codec, meta) = (&self.macro_cfg, &self.codec, &self.meta);
+        let floats = [
+            ("macro_cfg.latency_low", m.latency_low),
+            ("macro_cfg.drop_high", m.drop_high),
+            ("macro_cfg.fast_alpha", m.fast_alpha),
+            ("macro_cfg.slow_alpha", m.slow_alpha),
+            ("codec.lo", codec.lo),
+            ("codec.hi", codec.hi),
+            ("meta.train_drop_rate", meta.train_drop_rate),
+            ("meta.train_latency_p50", meta.train_latency_p50),
+            ("meta.train_latency_p99", meta.train_latency_p99),
+        ];
+        match floats.into_iter().find(|(_, v)| !v.is_finite()) {
+            Some((field, value)) => Err(ElephantError::ModelHeader { field, value }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl ClusterModel {
@@ -281,8 +304,9 @@ impl ClusterModel {
     }
 
     /// Loads a model from the versioned on-disk format, validating the
-    /// header and the weights (configs, payload length, checksum, then
-    /// finiteness), so a model that loads can serve a verdict. All failure
+    /// header and the weights (configs, header floats, payload length,
+    /// checksum, then finiteness), so a model that loads can serve a
+    /// verdict. All failure
     /// modes are typed; a file without the header is refused
     /// ([`ElephantError::ModelParse`]), since nothing in it says how its
     /// weights are laid out.
@@ -974,6 +998,30 @@ pub(crate) mod tests {
             "{err}"
         );
         assert_eq!(err.exit_code(), 4);
+    }
+
+    /// A header float edited to JSON `null` reads back as NaN and is
+    /// refused by name, whichever section holds it; the weights and their
+    /// checksum are untouched, so nothing else would catch it.
+    #[test]
+    fn a_non_finite_header_float_is_refused() {
+        let json = tiny_model().to_file_json();
+        for (key, field) in [
+            ("latency_low", "macro_cfg.latency_low"),
+            ("hi", "codec.hi"),
+            ("train_latency_p99", "meta.train_latency_p99"),
+        ] {
+            let at = json.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+            let end = at + json[at..].find([',', '}']).unwrap();
+            let edited = format!("{}null{}", &json[..at], &json[end..]);
+            let err = ClusterModel::load_json(&edited).unwrap_err();
+            assert!(
+                matches!(&err, ElephantError::ModelHeader { field: f, value } if *f == field && value.is_nan()),
+                "{err}"
+            );
+            assert!(err.to_string().contains(field), "{err}");
+            assert_eq!(err.exit_code(), 4);
+        }
     }
 
     /// A payload one weight short, or with half a byte cut off, fails

@@ -199,25 +199,6 @@ impl LogHistogram {
         }
     }
 
-    /// Extracts `(value, cumulative_fraction)` points, one per non-empty
-    /// bucket, suitable for plotting an empirical CDF.
-    pub fn cdf_points(&self) -> Vec<(f64, f64)> {
-        let n = self.counts.len() - 2;
-        let mut pts = Vec::new();
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            seen += c;
-            pts.push((
-                self.bucket_value(i, 1.0, n),
-                seen as f64 / self.total as f64,
-            ));
-        }
-        pts
-    }
-
     /// Merges another histogram with identical geometry.
     pub fn merge(&mut self, other: &LogHistogram) {
         assert_eq!(
@@ -387,21 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_cdf_points_monotone() {
-        let mut h = LogHistogram::for_latency_seconds();
-        for i in 1..100 {
-            h.record(i as f64 * 1e-4);
-        }
-        let pts = h.cdf_points();
-        assert!(!pts.is_empty());
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0, "x not sorted");
-            assert!(w[0].1 <= w[1].1, "F not monotone");
-        }
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn log_histogram_merge() {
         let mut a = LogHistogram::new(1e-6, 1.0, 60);
         let mut b = LogHistogram::new(1e-6, 1.0, 60);
@@ -423,7 +389,6 @@ mod tests {
             assert_eq!(h.quantile(q), 0.0, "empty histogram at q={q}");
         }
         assert_eq!(h.mean(), 0.0);
-        assert!(h.cdf_points().is_empty());
     }
 
     #[test]

@@ -492,12 +492,15 @@ impl Compiled {
     /// the run is hybrid — the `[model]`-selected full cluster at packet
     /// fidelity over the elided flow list, every other cluster served by
     /// the oracles the factory builds — and full fidelity without.
+    /// `rtt_scope` is where a full-fidelity sequential run samples RTTs; a
+    /// hybrid samples its full cluster, a PDES partition none.
     pub fn run(
         &self,
         oracles: Option<OracleFactory<'_>>,
         exec: Exec,
         supervise: Option<&RecoveryPolicy>,
         observe: Observe,
+        rtt_scope: RttScope,
     ) -> Result<Outcome, ElephantError> {
         let elided;
         let (fidelity, flows) = match oracles {
@@ -516,7 +519,10 @@ impl Compiled {
         };
         execute(RunPlan {
             params: self.params,
-            cfg: self.net_config(),
+            cfg: NetConfig {
+                rtt_scope,
+                ..self.net_config()
+            },
             flows,
             horizon: self.horizon,
             fidelity,
@@ -532,7 +538,8 @@ impl Compiled {
     /// sampling period, keeps the arity `benchmark/src/bind.rs` binds, and
     /// every caller passes `None`.
     pub fn run_sequential(&self, sample_every: Option<SimDuration>) -> (Network, RunMeta) {
-        self.run(None, Exec::Sequential, None, Observe::sampled(sample_every))
+        let observe = Observe::sampled(sample_every);
+        self.run(None, Exec::Sequential, None, observe, RttScope::All)
             .expect("unsupervised sequential runs cannot fail")
             .into_single()
     }
@@ -550,6 +557,7 @@ impl Compiled {
             Exec::Sequential,
             None,
             Observe::sampled(sample_every),
+            RttScope::All,
         )
         .expect("unsupervised sequential runs cannot fail")
         .into_single()
@@ -563,8 +571,14 @@ impl Compiled {
         sample_every: Option<SimDuration>,
     ) -> Result<PdesRun, ElephantError> {
         let observe = Observe::sampled(sample_every);
-        self.run(None, self.pdes(partitions, mode), None, observe)
-            .map(Outcome::into_pdes_run)
+        self.run(
+            None,
+            self.pdes(partitions, mode),
+            None,
+            observe,
+            RttScope::All,
+        )
+        .map(Outcome::into_pdes_run)
     }
 }
 

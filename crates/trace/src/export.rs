@@ -46,20 +46,6 @@ pub fn write_csv<P: AsRef<Path>>(path: P, header: &[&str], rows: &[Vec<String>])
     w.flush()
 }
 
-/// Writes `(x, y)` points (e.g. a CDF) to `path`.
-pub fn write_xy<P: AsRef<Path>>(
-    path: P,
-    x_name: &str,
-    y_name: &str,
-    points: &[(f64, f64)],
-) -> Result<()> {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|&(x, y)| vec![format!("{x}"), format!("{y}")])
-        .collect();
-    write_csv(path, &[x_name, y_name], &rows)
-}
-
 fn escape(field: &str) -> String {
     if field.contains(',') || field.contains('"') || field.contains('\n') {
         format!("\"{}\"", field.replace('"', "\"\""))
@@ -104,15 +90,5 @@ mod tests {
         .expect_err("ragged row must fail");
         assert_eq!(err.kind(), ErrorKind::InvalidInput);
         assert!(err.to_string().contains("row 1"), "got: {err}");
-    }
-
-    #[test]
-    fn writes_xy() {
-        let dir = std::env::temp_dir().join("elephant_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("xy.csv");
-        write_xy(&path, "latency", "cdf", &[(1.0, 0.5), (2.0, 1.0)]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "latency,cdf\n1,0.5\n2,1\n");
     }
 }

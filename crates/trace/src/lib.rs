@@ -18,7 +18,7 @@ mod profile;
 mod sizes;
 mod workload;
 
-pub use export::{write_csv, write_xy};
+pub use export::write_csv;
 pub use profile::LoadProfile;
 pub use sizes::SizeDist;
 pub use workload::{

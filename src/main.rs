@@ -19,7 +19,8 @@
 //! --model` start from the built-in [`TEMPLATE`]. A document with a
 //! `[train]` section (`train`'s always has one) captures and trains
 //! instead, through the one [`capture`] and [`train_on`] path that also
-//! serves training sweeps and the quick-trained fallback model. A flag is
+//! serves training sweeps; the quick-trained fallback model trains on the
+//! same [`capture`] but skips `train_on`'s report. A flag is
 //! one row of [`FLAGS`] — name, help, the commands that accept it, and
 //! where its value lands: a key of the scenario document (written before
 //! the decoder runs, so the decoder is the one validator of flag and file
@@ -42,15 +43,15 @@ use std::process::exit;
 use std::time::Instant;
 
 use elephant::core::{
-    compare_cdfs, compare_ledgers, execute, guard_primary, oracle_stack, run_audit,
-    run_ground_truth, single_oracle, train_cluster_model, AuditHooks, CacheStatsHandle,
-    CacheTotals, ClusterModel, ElephantError, Exec, Fidelity, Observe, OracleCounters,
-    OracleFactory, OracleStack, Outcome, RunLedger, RunMeta, RunPlan, TrainReport, TrainingOptions,
+    compare_cdfs, compare_ledgers, execute, guard_primary, macro_agreement, macro_confusion,
+    oracle_stack, run_audit, train_cluster_model, AuditHooks, CacheStatsHandle, CacheTotals,
+    CdfComparison, ClusterModel, ElephantError, Exec, Fidelity, Observe, OracleCounters,
+    OracleFactory, OracleStack, Outcome, RunLedger, RunMeta, RunPlan, TrainReport,
     LEDGER_SCHEMA_VERSION,
 };
 use elephant::des::{EpochMode, SimDuration};
 use elephant::net::{
-    BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle, NetConfig,
+    BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle,
     OracleFaultMode, RttScope, Sample, TraceLog, SAMPLE_CSV_HEADER,
 };
 use elephant::obs::{MetricRow, ProfileRow, RunReport};
@@ -670,7 +671,7 @@ fn dispatch(req: &Request, c: &Compiled) {
         timeline: req.sinks.trace_out.is_some(),
         profile: req.sinks.observing(),
     };
-    let (outcome, mut guard, mut caches) = simulate(req, c, model.as_ref(), observe);
+    let (outcome, mut guard, mut caches) = simulate(req, c, model.as_ref(), observe, RttScope::All);
     if c.recovery.is_some() {
         // The handles count every attempt (a restored net carries a clone
         // of its oracle stack, which counts onto the same handle), so
@@ -695,13 +696,14 @@ fn needs_two_clusters(req: &Request, c: &Compiled) {
 
 /// One run of `c` on the engine `req` selects: with a model, the hybrid
 /// served by its oracle stack (one per PDES partition), else full
-/// fidelity. Returns the outcome and the handles onto the stacks' guard
-/// and caches.
+/// fidelity, sampling RTTs over `rtt`. Returns the outcome and the
+/// handles onto the stacks' guard and caches.
 fn simulate(
     req: &Request,
     c: &Compiled,
     model: Option<&ClusterModel>,
     observe: Observe,
+    rtt: RttScope,
 ) -> (Outcome, Option<GuardStatsHandle>, Vec<CacheStatsHandle>) {
     let mut guard = None;
     let mut caches = Vec::new();
@@ -717,14 +719,14 @@ fn simulate(
         false => Exec::Sequential,
     };
     let oracles = model.is_some().then_some(&mut oracles as OracleFactory<'_>);
-    let outcome = c.run(oracles, exec, c.recovery.as_ref(), observe);
+    let outcome = c.run(oracles, exec, c.recovery.as_ref(), observe, rtt);
     (outcome.unwrap_or_else(|e| die(e)), guard, caches)
 }
 
 /// A sweep row of the CSV: its fixed columns (the axis values, then
 /// [`RUN_COLUMNS`] or [`TRAIN_COLUMNS`]), its metric rows by column name
-/// ([`metric_columns`]), and a hybrid run's speedup over the cell's full
-/// run.
+/// ([`metric_columns`]; a hybrid run's include its `hybrid/rtt/*` score
+/// against the cell's full run), and a hybrid run's speedup over that run.
 type SweepRow = (Vec<String>, BTreeMap<String, f64>, Option<f64>);
 
 /// The fixed columns of a simulation sweep's rows, and of a training
@@ -736,9 +738,11 @@ const TRAIN_COLUMNS: &str = "flows,events,wall_s,sim_s,fingerprint,checksum,trai
 /// `run-scenario` on a document with `[[sweep]]` axes. A `[train]`
 /// document trains once per cell ([`train_on`]), on one [`capture`] per
 /// distinct set of non-`train.*` cell edits ([`GroundTruth`]); any other
-/// runs each cell at full fidelity and, when the document is
-/// hybrid, then as the hybrid, through [`simulate`] like any run, with
-/// one model resolved from the base document. Prints a line per cell and
+/// runs each cell at full fidelity and, when the document is hybrid, then
+/// as the hybrid, through [`simulate`] like any run, with one model
+/// resolved from the base document. Both sides sample RTTs in the full
+/// cluster only, and the hybrid is scored against the full run's RTT
+/// distribution as `compare` scores it. Prints a line per cell and
 /// the fold of the runs' fingerprints (and models' checksums); `--csv P`
 /// writes a row per cell and run.
 fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
@@ -817,7 +821,7 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
             let mut fixed = axes();
             fixed.push(format!("{},{checksum:#018x},{train_wall}", g.columns));
             let mut metrics = g.rows.clone();
-            metrics.extend(t.report.metric_rows(t.opts.alpha));
+            metrics.extend(t.rows);
             rows.push((fixed, metric_columns(metrics), None));
             match g.cell {
                 k if k == n => line += &g.summary,
@@ -829,15 +833,20 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
             }
             continue;
         }
-        let mut full_wall = None;
+        let rtt = RttScope::Cluster(c.hybrid.full_cluster);
+        let (mut full_wall, mut truth) = (None, None);
         for model in [None].into_iter().chain(model.as_ref().map(Some)) {
             if model.is_some() {
                 needs_two_clusters(req, c);
             }
-            let (out, guard, caches) = simulate(req, c, model, Observe::default());
+            let (out, guard, caches) = simulate(req, c, model, Observe::default(), rtt);
             let wall = out.meta.wall.as_secs_f64();
             let speedup = full_wall.map(|full: f64| full / wall.max(1e-9));
             full_wall.get_or_insert(wall);
+            // A side without RTT samples (every PDES partition) is not scored.
+            let rtts = out.nets[0].stats.rtt_cdf();
+            let scored = truth.as_ref().filter(|_| !rtts.is_empty());
+            let score = scored.map(|t| compare_cdfs(t, &rtts));
             let fingerprint = run_fingerprint(&out.nets);
             fingerprints.push(fingerprint);
             let fidelity = model.map_or("full", |_| "hybrid");
@@ -847,12 +856,15 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
             fixed.push(format!(
                 "{fidelity},{flows},{events},{wall},{sim_s},{fingerprint:#018x}"
             ));
-            let metrics = out.metric_rows(&oracle_counters(&guard, &caches));
+            let mut metrics = out.metric_rows(&oracle_counters(&guard, &caches));
+            metrics.extend(score.iter().flat_map(CdfComparison::metric_rows));
             rows.push((fixed, metric_columns(metrics), speedup));
             line += &format!(" {fidelity} {events} events {wall:.2}s");
             if let Some(x) = speedup {
                 line += &format!(" ({x:.2}x)");
             }
+            line += &score.map_or(String::new(), |s| format!(", KS {:.3}", s.ks));
+            truth = truth.or(Some(rtts).filter(|r| !r.is_empty()));
         }
         println!("{line}");
     }
@@ -1230,9 +1242,10 @@ fn resolve_model(req: &Request, c: &Compiled) -> ClusterModel {
 /// seed, `--load` and TCP flavour.
 fn quick_default_model(req: &Request, c: &Compiled) -> ClusterModel {
     let mut doc = builtin(Cmd::Train);
-    let dctcp = c.dctcp.to_string();
+    let (seed, dctcp) = (c.seed.to_string(), c.dctcp.to_string());
     let quick = [
         ("run.horizon_ms", "30"),
+        ("run.seed", &seed),
         ("run.dctcp", &dctcp),
         ("train.hidden", "16"),
         ("train.layers", "1"),
@@ -1243,20 +1256,19 @@ fn quick_default_model(req: &Request, c: &Compiled) -> ClusterModel {
         doc.set(key, text, 0).expect("the run's document took it");
     }
     let s = decode::from_table(&doc).expect("the run's document passed the same rules");
-    let over = CompileOverrides {
-        seed: Some(c.seed),
-        ..Default::default()
-    };
-    let c = compile(&s, &over);
-    train_on(&c, records(&capture(&c, false))).model
+    let c = compile(&s, &CompileOverrides::default());
+    let opts = c.train.expect("train's document has a [train] section");
+    train_cluster_model(records(&capture(&c, false)), &c.params, &opts).0
 }
 
-/// What a `[train]` document's run trained: the options, the model, the
-/// report of its held-out evaluation, and the training's wall time.
+/// What a `[train]` document's run trained: the model, the report of its
+/// held-out evaluation, the macro-state agreement, their metric rows, and
+/// the training's wall time.
 struct Trained {
-    opts: TrainingOptions,
     model: ClusterModel,
     report: TrainReport,
+    agreement: f64,
+    rows: Vec<MetricRow>,
     wall: std::time::Duration,
 }
 
@@ -1300,16 +1312,28 @@ fn capture_rows(capture: &Outcome) -> Vec<MetricRow> {
     ]
 }
 
-/// A model trained on `records` with `c`'s `[train]` options.
+/// A model trained on `records` with `c`'s `[train]` options, and, off
+/// the training clock, how often its macro classifier fed on the model's
+/// own predictions agrees with one fed on the records
+/// (`train/eval/macro_agreement`, the drift of the deployed regime).
 fn train_on(c: &Compiled, records: &[BoundaryRecord]) -> Trained {
     let opts = c.train.expect("a [train] document");
     let t0 = Instant::now();
     let (model, report) = train_cluster_model(records, &c.params, &opts);
+    let wall = t0.elapsed();
+    let confusion = macro_confusion(records, &model, &c.params).unwrap_or_else(|e| die(e));
+    let (agreement, mut rows) = (macro_agreement(&confusion), report.metric_rows(opts.alpha));
+    rows.push(MetricRow::gauge(
+        "train/eval/macro_agreement",
+        "",
+        agreement,
+    ));
     Trained {
-        opts,
         model,
         report,
-        wall: t0.elapsed(),
+        agreement,
+        rows,
+        wall,
     }
 }
 
@@ -1424,6 +1448,8 @@ fn train(req: &Request, c: &Compiled) {
             d.train_samples, d.eval.drop_accuracy, d.eval.latency_rmse
         );
     }
+    let agreement = t.agreement * 100.0;
+    println!("  macro-state agreement (auto-regressive vs truth-fed): {agreement:.1}%");
     let path = req.sinks.out.as_deref().unwrap_or("model.json");
     std::fs::write(path, t.model.to_file_json()).unwrap_or_else(|e| io_die(path, e));
     println!(
@@ -1438,12 +1464,16 @@ fn train(req: &Request, c: &Compiled) {
     emit_ledger(&req.sinks, ledger, |r| {
         out.describe(r, &OracleCounters::default());
         r.metrics.extend(capture_rows(&out));
-        r.metrics.extend(t.report.metric_rows(t.opts.alpha));
+        r.metrics.extend(t.rows);
         r.profile
             .push(ProfileRow::once("train", t.wall.as_secs_f64()));
     });
 }
 
+/// `compare --model`: the run's full-fidelity truth and its hybrid, both
+/// through [`simulate`] as a hybrid sweep cell runs them, sampling RTTs in
+/// the full cluster; prints the RTT quantile table and seals the hybrid's
+/// ledger with the same `hybrid/rtt/*` rows as the sweep's hybrid row.
 fn compare(req: &Request, s: &Scenario) {
     let Some(path) = &req.model_flag else {
         bad_usage(req.cmd, "--model PATH is required")
@@ -1458,59 +1488,37 @@ fn compare(req: &Request, s: &Scenario) {
             ..req.over
         },
     );
-    let full_cluster = c.hybrid.full_cluster;
-    let cfg = NetConfig {
-        rtt_scope: RttScope::Cluster(full_cluster),
-        ..c.net_config()
-    };
-
+    let rtt = RttScope::Cluster(c.hybrid.full_cluster);
     println!("ground truth ({} flows) ...", c.flows.len());
-    let (truth, tmeta) = run_ground_truth(c.params, cfg, None, &c.flows, c.horizon);
-    let elided = c.hybrid_flows();
-    println!("hybrid ({} flows after elision) ...", elided.len());
-    let stack = build_stack(model, c.params, c.seed, &c.hybrid, req.fault(), None);
-    let fidelity = Fidelity::Hybrid {
-        full_cluster,
-        oracles: &mut single_oracle(stack.oracle),
+    let (truth, ..) = simulate(req, &c, None, Observe::default(), rtt);
+    let elided = c.hybrid_flows().len();
+    println!("hybrid ({elided} flows after elision) ...");
+    let observe = Observe {
+        profile: req.sinks.observing(),
+        ..Observe::default()
     };
-    let mut plan = RunPlan::new(c.params, cfg, &elided, c.horizon, fidelity);
-    plan.observe.profile = req.sinks.observing();
-    let out = execute(plan).unwrap_or_else(|e| die(e));
-    let oracle = report_oracle(&stack.guard, stack.cache.as_slice());
-    let (hybrid, hmeta) = (&out.nets[0], &out.meta);
+    let (out, guard, caches) = simulate(req, &c, Some(&model), observe, rtt);
+    let oracle = report_oracle(&guard, &caches);
 
-    let cmp = compare_cdfs(&truth.stats.rtt_cdf(), &hybrid.stats.rtt_cdf());
-    println!("\n  quantile   truth       hybrid      error");
-    for r in &cmp.rows {
-        println!(
-            "  p{:<8} {:>9.1}us {:>9.1}us {:>+8.1}%",
-            r.q * 100.0,
-            r.truth * 1e6,
-            r.approx * 1e6,
-            r.rel_error() * 100.0
-        );
-    }
+    let cmp = compare_cdfs(&truth.nets[0].stats.rtt_cdf(), &out.nets[0].stats.rtt_cdf());
+    print!("\n{cmp}");
     println!(
         "\n  KS distance {:.4} | wall {:.2}s truth vs {:.2}s hybrid ({:.2}x) | events {:.1}x fewer",
         cmp.ks,
-        tmeta.wall.as_secs_f64(),
-        hmeta.wall.as_secs_f64(),
-        tmeta.wall.as_secs_f64() / hmeta.wall.as_secs_f64().max(1e-9),
-        tmeta.events as f64 / hmeta.events.max(1) as f64,
+        truth.meta.wall.as_secs_f64(),
+        out.meta.wall.as_secs_f64(),
+        truth.meta.wall.as_secs_f64() / out.meta.wall.as_secs_f64().max(1e-9),
+        truth.meta.events as f64 / out.meta.events.max(1) as f64,
     );
-    let what = format!(
-        "truth vs hybrid, {} clusters, seed {}",
-        c.params.clusters, c.seed
-    );
+    let what = format!("truth vs hybrid, {} clusters", c.params.clusters);
+    let what = format!("{what}, seed {}", c.seed);
     // The ledger names the hybrid run, so that is the run it counts.
-    let ledger = stamp(
-        "compare",
-        "compare",
-        what,
-        c.seed,
-        run_fingerprint([hybrid]),
-    );
-    emit_ledger(&req.sinks, ledger, |r| out.describe(r, &oracle));
+    let fingerprint = run_fingerprint(&out.nets);
+    let ledger = stamp("compare", "compare", what, c.seed, fingerprint);
+    emit_ledger(&req.sinks, ledger, |r| {
+        out.describe(r, &oracle);
+        r.metrics.extend(cmp.metric_rows());
+    });
 }
 
 /// `compare A.json B.json`: validate and diff two run-ledger artifacts.

@@ -598,6 +598,103 @@ fn cli_sweep_writes_a_row_per_cell_and_fidelity() {
     }
 }
 
+/// A hybrid sweep row is scored the way `compare` scores its run: a
+/// one-cell sweep over `compare`'s own document, at the seed `compare`
+/// evaluates and bound to the same model, writes exactly the
+/// `hybrid/rtt/*` values and the fingerprint that `compare` seals in its
+/// ledger. The full row leaves those columns empty, and so does every
+/// PDES cell, whose partitions sample no RTT.
+#[test]
+fn cli_hybrid_sweep_rows_equal_compare() {
+    let dir = std::env::temp_dir().join("elephant_cli_hybrid_sweep");
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("model.json");
+    let model = model.to_str().unwrap();
+    let tiny = [
+        "--horizon-ms",
+        "8",
+        "--epochs",
+        "1",
+        "--hidden",
+        "8",
+        "--layers",
+        "1",
+    ];
+    run_ok(&[&["train"][..], &tiny, &["--out", model]].concat());
+    let ledger = dir.join("compare.json");
+    let shape = ["--model", model, "--clusters", "2", "--horizon-ms", "5"];
+    let extra = ["--seed", "6", "--metrics-out", ledger.to_str().unwrap()];
+    run_ok(&[&["compare"][..], &shape, &extra].concat());
+    let sealed = RunLedger::load(&ledger).expect("ledger sealed");
+
+    // `compare`'s built-in document with its flags written in, at seed
+    // 6 + 1 and bound to the model, as a one-cell sweep.
+    let file = dir.join("cell.toml");
+    std::fs::write(
+        &file,
+        format!(
+            "schema = 1\n[scenario]\nname = \"flags\"\n[topology]\nclusters = 2\n\
+             [run]\nhorizon_ms = 5\nseed = 7\n[[traffic]]\nkind = \"poisson\"\nload = 0.3\n\
+             [model]\npath = {model:?}\n\
+             [[sweep]]\nkeys = [\"topology.clusters\"]\nvalues = [2]\n"
+        ),
+    )
+    .unwrap();
+    let csv = |args: &[&str], name: &str| {
+        let path = dir.join(name);
+        run_ok(&[args, &["--csv", path.to_str().unwrap()]].concat());
+        let text = std::fs::read_to_string(&path).expect("CSV written");
+        let mut lines = text.lines().skip(1).map(|l| l.split(',').map(String::from));
+        let header: Vec<String> = lines.next().unwrap().collect();
+        let rows: Vec<Vec<String>> = lines.map(Iterator::collect).collect();
+        (header, rows)
+    };
+    let (header, rows) = csv(&["run-scenario", file.to_str().unwrap()], "cell.csv");
+    let at = |name: &str| header.iter().position(|h| h == name).unwrap();
+    let [full, hybrid] = &rows[..] else {
+        panic!("one cell, two rows: {rows:?}")
+    };
+    assert_eq!(
+        (&*full[at("fidelity")], &*hybrid[at("fidelity")]),
+        ("full", "hybrid")
+    );
+    let fingerprint = format!("{:#018x}", sealed.fingerprint);
+    assert_eq!(hybrid[at("fingerprint")], fingerprint);
+
+    let metrics = sealed.report.metrics.iter();
+    let sealed_rtt: Vec<_> = metrics
+        .filter(|m| m.name.starts_with("hybrid/rtt/"))
+        .collect();
+    assert_eq!(
+        sealed_rtt.len(),
+        17,
+        "KS, 7 quantiles a side, 2 sample counts"
+    );
+    for m in sealed_rtt {
+        let column = match m.label.is_empty() {
+            true => m.name.clone(),
+            false => format!("{}[{}]", m.name, m.label),
+        };
+        let got: f64 = hybrid[at(&column)].parse().unwrap();
+        assert_eq!(got, m.value, "{column}");
+        assert_eq!(full[at(&column)], "", "{column} on the full row");
+    }
+
+    const HYBRID_PDES: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/figures/hybrid_pdes.toml"
+    );
+    let pdes = ["run-scenario", HYBRID_PDES, "--horizon-ms", "2", "--pdes"];
+    let (header, rows) = csv(&pdes, "pdes.csv");
+    assert!(!rows.is_empty());
+    for row in &rows {
+        for (name, cell) in header.iter().zip(row) {
+            let scored = name.starts_with("hybrid/rtt/") && !cell.is_empty();
+            assert!(!scored, "{name} = {cell} on a PDES row");
+        }
+    }
+}
+
 /// `hybrid` without `--model` falls back to capturing and training a small
 /// model on the spot, so `--profile`/`--metrics-out` work standalone.
 #[test]

@@ -391,7 +391,7 @@ fn scripted_stall_recovers_to_the_healthy_fingerprint() {
 
     let supervised = || {
         let exec = compiled.pdes(None, EpochMode::Adaptive);
-        compiled.run(None, exec, Some(&policy), Observe::default())
+        compiled.run(None, exec, Some(&policy), Observe::default(), RttScope::All)
     };
     let run = supervised().expect("supervised run must survive the scripted stall");
     let log = run.recovery.as_ref().expect("supervised runs carry a log");
@@ -441,7 +441,7 @@ fn supervised_pdes_without_faults_matches_unsupervised_fingerprint() {
         .expect("unsupervised run completes");
     let exec = compiled.pdes(None, EpochMode::Adaptive);
     let run = compiled
-        .run(None, exec, Some(&policy), Observe::default())
+        .run(None, exec, Some(&policy), Observe::default(), RttScope::All)
         .expect("supervised run completes");
 
     let log = run.recovery.as_ref().expect("supervised runs carry a log");

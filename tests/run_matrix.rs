@@ -13,7 +13,7 @@ use elephant::core::{
 };
 use elephant::des::SmallRng;
 use elephant::des::{EpochMode, SimDuration};
-use elephant::net::{GuardConfig, TraceLog};
+use elephant::net::{GuardConfig, RttScope, TraceLog};
 use elephant::nn::{MicroNet, MicroNetConfig};
 use elephant::scenario::{compile, load, run_fingerprint, CompileOverrides};
 
@@ -91,7 +91,13 @@ fn supervision_and_observation_never_move_a_fingerprint() {
                     "hybrid={hybrid} pdes={pdes} supervised={supervised} observed={observed}"
                 );
                 let out = compiled
-                    .run(factory, exec, supervised.then_some(&policy), observe)
+                    .run(
+                        factory,
+                        exec,
+                        supervised.then_some(&policy),
+                        observe,
+                        RttScope::All,
+                    )
                     .unwrap_or_else(|e| panic!("{cell}: {e}"));
 
                 // Each axis actually took effect.

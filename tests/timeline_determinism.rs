@@ -153,7 +153,7 @@ fn abandoned_pdes_attempts_leave_nothing_on_the_timeline() {
 
     let exec = compiled.pdes(None, EpochMode::Adaptive);
     let supervised = compiled
-        .run(None, exec, Some(&policy), traced(None))
+        .run(None, exec, Some(&policy), traced(None), RttScope::All)
         .expect("the ladder ends on the sequential rung");
     let log = supervised.recovery.as_ref().expect("supervised");
     assert!(
@@ -166,7 +166,7 @@ fn abandoned_pdes_attempts_leave_nothing_on_the_timeline() {
     assert!(!degraded.to_json().contains("pdes partitions"));
 
     let clean = compiled
-        .run(None, Exec::Sequential, None, traced(None))
+        .run(None, Exec::Sequential, None, traced(None), RttScope::All)
         .expect("unsupervised sequential runs cannot fail");
     let clean = clean.timeline(&[]);
     assert!(!on(&clean, PID_FLOWS).is_empty());
