@@ -1,8 +1,8 @@
-//! Smoke bench: gates checkpoint overhead and reports what full
-//! observation costs.
+//! Smoke bench: gates checkpoint overhead and reports what profiling and
+//! full observation cost.
 //!
 //! Runs `scenarios/smoke.toml` (the paper's two-cluster Poisson web-search
-//! mix) two ways, interleaved to defeat thermal/frequency drift:
+//! mix) three ways, interleaved to defeat thermal/frequency drift:
 //!
 //! * **baseline** — [`elephant_core::execute`] on a plain sequential plan:
 //!   every hook present but switched off (no trace, no sampler, timeline
@@ -10,6 +10,10 @@
 //! * **checkpointed** — the same plan supervised at the default checkpoint
 //!   interval, no faults injected, so every cost is the periodic world
 //!   snapshot;
+//! * **profiled** — the same plan with `Observe::profile` on (FEL peaks,
+//!   oracle inference timer), the cost a `--profile` or `--metrics-out`
+//!   run pays; reported as `overhead_profiled` (target: under 5%), not
+//!   gated;
 //!
 //! plus one **enabled** run — strided trace + 100µs sampler + profile, its
 //! timeline saved as `smoke_timeline.json` under `--out` — reported for
@@ -75,6 +79,7 @@ fn main() {
     let policy = elephant_core::RecoveryPolicy::default();
     let mut base = Vec::with_capacity(ROUNDS);
     let mut checkpointed = Vec::with_capacity(ROUNDS);
+    let mut profiled = Vec::with_capacity(ROUNDS);
     let mut events = 0u64;
     let mut checkpoints_taken = 0u64;
     for _ in 0..ROUNDS {
@@ -86,6 +91,10 @@ fn main() {
         let run = execute(supervised).unwrap_or_else(|e| panic!("supervised run failed: {e}"));
         checkpoints_taken = run.recovery.expect("supervised").checkpoints_taken;
         checkpointed.push(run.meta.wall.as_secs_f64());
+        let mut observed = plan();
+        observed.observe.profile = true;
+        let run = execute(observed).expect("unsupervised sequential runs cannot fail");
+        profiled.push(run.meta.wall.as_secs_f64());
     }
 
     // One enabled run, informational: trace + samples + profile, timeline
@@ -108,25 +117,27 @@ fn main() {
 
     let med_base = median(&mut base);
     let med_checkpointed = median(&mut checkpointed);
+    let med_profiled = median(&mut profiled);
     let med_enabled = enabled_meta.wall.as_secs_f64();
     let overhead_checkpointed = (med_checkpointed - med_base) / med_base;
+    let overhead_profiled = (med_profiled - med_base) / med_base;
     let overhead_enabled = (med_enabled - med_base) / med_base;
 
+    let variant = |name: String, wall: f64| {
+        let vs = format!("{:+.2}%", (wall - med_base) / med_base * 100.0);
+        vec![name, fmt_f(wall), vs]
+    };
     print_table(
         "observability + checkpoint overhead (median wall seconds)",
         &["variant", "wall_s", "vs baseline"],
         &[
             vec!["baseline".into(), fmt_f(med_base), "-".into()],
-            vec![
+            variant(
                 format!("checkpointed x{checkpoints_taken}"),
-                fmt_f(med_checkpointed),
-                format!("{:+.2}%", overhead_checkpointed * 100.0),
-            ],
-            vec![
-                "obs enabled".into(),
-                fmt_f(med_enabled),
-                format!("{:+.2}%", overhead_enabled * 100.0),
-            ],
+                med_checkpointed,
+            ),
+            variant("profiled".into(), med_profiled),
+            variant("obs enabled".into(), med_enabled),
         ],
     );
 
@@ -137,6 +148,7 @@ fn main() {
     report.scalar("wall_enabled_s", med_enabled);
     report.scalar("overhead_checkpointed", overhead_checkpointed);
     report.scalar("checkpoints_taken", checkpoints_taken as f64);
+    report.scalar("overhead_profiled", overhead_profiled);
     report.scalar("overhead_enabled", overhead_enabled);
     report.scalar("timeline_records", timeline.records.len() as f64);
     report.scalar("sampler_rows", enabled.samples.len() as f64);

@@ -2,10 +2,12 @@
 //!
 //! One binary per figure of the paper's evaluation that is not yet a
 //! scenario sweep (see DESIGN.md's per-experiment index), plus ablations
-//! and baselines. Figure 5, the scaling and hybrid-PDES sweeps, the model
-//! capacity (A1), loss-balance α (A2) and macro-state (A3) ablations and
-//! the DCTCP modularity run are scenario files under `scenarios/figures/`
-//! instead, run by `elephant run-scenario FILE --csv results/NAME.csv`;
+//! and baselines. Figures 1 and 5, the scaling and hybrid-PDES sweeps, the
+//! model capacity (A1), loss-balance α (A2) and macro-state (A3) ablations
+//! and the DCTCP modularity run are scenario files under
+//! `scenarios/figures/` instead, run by `elephant run-scenario FILE --csv
+//! results/NAME.csv` (Figure 1 is two: `figure1.toml` on one thread,
+//! `figure1_pdes.toml` under `--pdes`);
 //! the last four are `[train]` sweeps, which train once per cell on one
 //! capture per distinct ground truth. Figure 4 (RTT CDFs, ground truth
 //! against the hybrid) is figure5.toml's 2-cluster hybrid row: every

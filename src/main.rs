@@ -850,7 +850,7 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
             let fingerprint = run_fingerprint(&out.nets);
             fingerprints.push(fingerprint);
             let fidelity = model.map_or("full", |_| "hybrid");
-            let flows = model.map_or(c.flows.len(), |_| c.hybrid_flows().len());
+            let flows = out.nets[0].streamed_flows().len();
             let (events, sim_s) = (out.meta.events, out.meta.sim_seconds);
             let mut fixed = axes();
             fixed.push(format!(
@@ -1262,12 +1262,12 @@ fn quick_default_model(req: &Request, c: &Compiled) -> ClusterModel {
 }
 
 /// What a `[train]` document's run trained: the model, the report of its
-/// held-out evaluation, the macro-state agreement, their metric rows, and
-/// the training's wall time.
+/// held-out evaluation, the macro-state agreement (none when the regime is
+/// pinned), their metric rows, and the training's wall time.
 struct Trained {
     model: ClusterModel,
     report: TrainReport,
-    agreement: f64,
+    agreement: Option<f64>,
     rows: Vec<MetricRow>,
     wall: std::time::Duration,
 }
@@ -1315,19 +1315,20 @@ fn capture_rows(capture: &Outcome) -> Vec<MetricRow> {
 /// A model trained on `records` with `c`'s `[train]` options, and, off
 /// the training clock, how often its macro classifier fed on the model's
 /// own predictions agrees with one fed on the records
-/// (`train/eval/macro_agreement`, the drift of the deployed regime).
+/// (`train/eval/macro_agreement`, the drift of the deployed regime). A
+/// `macro_state = false` model pins the regime, so it has no agreement to
+/// measure and no such row.
 fn train_on(c: &Compiled, records: &[BoundaryRecord]) -> Trained {
     let opts = c.train.expect("a [train] document");
     let t0 = Instant::now();
     let (model, report) = train_cluster_model(records, &c.params, &opts);
     let wall = t0.elapsed();
-    let confusion = macro_confusion(records, &model, &c.params).unwrap_or_else(|e| die(e));
-    let (agreement, mut rows) = (macro_agreement(&confusion), report.metric_rows(opts.alpha));
-    rows.push(MetricRow::gauge(
-        "train/eval/macro_agreement",
-        "",
-        agreement,
-    ));
+    let agreement = opts.macro_state.then(|| {
+        let confusion = macro_confusion(records, &model, &c.params).unwrap_or_else(|e| die(e));
+        macro_agreement(&confusion)
+    });
+    let mut rows = report.metric_rows(opts.alpha);
+    rows.extend(agreement.map(|a| MetricRow::gauge("train/eval/macro_agreement", "", a)));
     Trained {
         model,
         report,
@@ -1448,8 +1449,11 @@ fn train(req: &Request, c: &Compiled) {
             d.train_samples, d.eval.drop_accuracy, d.eval.latency_rmse
         );
     }
-    let agreement = t.agreement * 100.0;
-    println!("  macro-state agreement (auto-regressive vs truth-fed): {agreement:.1}%");
+    let agreement = match t.agreement {
+        Some(a) => format!("{:.1}%", a * 100.0),
+        None => "pinned (macro_state = false)".into(),
+    };
+    println!("  macro-state agreement (auto-regressive vs truth-fed): {agreement}");
     let path = req.sinks.out.as_deref().unwrap_or("model.json");
     std::fs::write(path, t.model.to_file_json()).unwrap_or_else(|e| io_die(path, e));
     println!(

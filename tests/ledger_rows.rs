@@ -246,6 +246,26 @@ fn train_rows_count_every_epoch() {
     );
     assert_eq!(counter(&ledger, "train/epoch/loss", ""), 4);
     assert_eq!(counter(&ledger, "train/epoch/samples", ""), 158_896);
+    assert!(ledger.report.metrics.iter().any(|m| m.name == AGREEMENT));
+}
+
+const AGREEMENT: &str = "train/eval/macro_agreement";
+
+/// A `macro_state = false` model pins the regime, so there is no agreement
+/// to measure: its training ledger has no such row (a calibrated model's
+/// has, above), and the run says why.
+#[test]
+fn a_pinned_regime_seals_no_macro_agreement() {
+    let file = std::env::temp_dir().join("elephant_pinned.toml");
+    let model = file.with_extension("json");
+    let doc = "schema = 1\n[scenario]\nname = \"pinned\"\n[topology]\nclusters = 2\n\
+               [run]\nhorizon_ms = 2\n[[traffic]]\nkind = \"poisson\"\nload = 0.3\n\
+               [train]\nhidden = 8\nlayers = 1\nepochs = 1\nmacro_state = false\n";
+    std::fs::write(&file, doc).unwrap();
+    let (file, model) = (file.to_str().unwrap(), model.to_str().unwrap());
+    let (stdout, ledger) = sealed("pinned", &["run-scenario", file, "--out", model]);
+    assert!(stdout.contains("pinned (macro_state = false)"), "{stdout}");
+    assert!(ledger.report.metrics.iter().all(|m| m.name != AGREEMENT));
 }
 
 /// A probabilistic fault plan that never fired is flagged in the artifact,

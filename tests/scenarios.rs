@@ -11,7 +11,8 @@ use elephant::core::{capture_records, run_ground_truth, train_cluster_model, Tra
 use elephant::des::{EpochMode, SimTime};
 use elephant::net::{ClosParams, NetConfig, RttScope};
 use elephant::scenario::{
-    compile, list_scenarios, load, run_fingerprint, CompileOverrides, Compiled, Scenario,
+    compile, list_scenarios, load, run_fingerprint, sweep_cells, toml, CompileOverrides, Compiled,
+    Scenario,
 };
 use elephant::trace::{generate, WorkloadConfig};
 
@@ -103,6 +104,32 @@ fn compilation_is_a_pure_function_of_scenario_and_seed() {
         },
     );
     assert_ne!(a.flows, c.flows, "seed does not reach the workload");
+}
+
+/// Figure 1's two documents, the single thread and PDES, describe one
+/// workload: each PDES cell compiles to the network and flows of the
+/// single-thread cell of its size.
+#[test]
+fn figure1_documents_describe_one_workload() {
+    let cells = |name: &str| -> Vec<Compiled> {
+        let path = scenario_dir().join("figures").join(name);
+        let doc = toml::parse(&std::fs::read_to_string(path).unwrap()).expect("parses");
+        let cells = sweep_cells(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let over = CompileOverrides::default();
+        cells.iter().map(|c| compile(&c.scenario, &over)).collect()
+    };
+    let (single, pdes) = (cells("figure1.toml"), cells("figure1_pdes.toml"));
+    assert_eq!((single.len(), pdes.len()), (5, 15));
+    for s in &single {
+        let size = s.params.racks_per_cluster;
+        let same = pdes.iter().filter(|p| p.params.racks_per_cluster == size);
+        let machines: Vec<usize> = same.clone().map(|p| p.machines).collect();
+        assert_eq!(machines, [1, 2, 4], "size {size}");
+        for p in same {
+            assert_eq!(format!("{:?}", p.params), format!("{:?}", s.params));
+            assert!(p.flows == s.flows, "size {size}: the flows differ");
+        }
+    }
 }
 
 // ---- CLI contract ------------------------------------------------------
