@@ -2,7 +2,7 @@
 //! full observation cost.
 //!
 //! Runs `scenarios/smoke.toml` (the paper's two-cluster Poisson web-search
-//! mix) three ways, interleaved to defeat thermal/frequency drift:
+//! mix) four ways, interleaved to defeat thermal/frequency drift:
 //!
 //! * **baseline** — [`elephant_core::execute`] on a plain sequential plan:
 //!   every hook present but switched off (no trace, no sampler, timeline
@@ -14,10 +14,12 @@
 //!   oracle inference timer), the cost a `--profile` or `--metrics-out`
 //!   run pays; reported as `overhead_profiled` (target: under 5%), not
 //!   gated;
+//! * **enabled** — strided trace + 100µs sampler + profile, the last
+//!   round's timeline saved as `smoke_timeline.json` under `--out`;
+//!   reported as `overhead_enabled`, for information only.
 //!
-//! plus one **enabled** run — strided trace + 100µs sampler + profile, its
-//! timeline saved as `smoke_timeline.json` under `--out` — reported for
-//! information only. That switched-off hooks change nothing
+//! Every overhead is a median against the baseline median. That
+//! switched-off hooks change nothing
 //! is a behavioural property, pinned by
 //! `tests/determinism.rs::instrumentation_does_not_perturb_results`.
 //!
@@ -80,8 +82,10 @@ fn main() {
     let mut base = Vec::with_capacity(ROUNDS);
     let mut checkpointed = Vec::with_capacity(ROUNDS);
     let mut profiled = Vec::with_capacity(ROUNDS);
+    let mut walls_enabled = Vec::with_capacity(ROUNDS);
     let mut events = 0u64;
     let mut checkpoints_taken = 0u64;
+    let mut enabled = None;
     for _ in 0..ROUNDS {
         let run = execute(plan()).expect("unsupervised sequential runs cannot fail");
         base.push(run.meta.wall.as_secs_f64());
@@ -95,30 +99,29 @@ fn main() {
         observed.observe.profile = true;
         let run = execute(observed).expect("unsupervised sequential runs cannot fail");
         profiled.push(run.meta.wall.as_secs_f64());
+        let mut observed = plan();
+        observed.observe = Observe {
+            trace: Some(TraceLog::strided(50_000, events)),
+            sample_every: Some(SimDuration::from_micros(100)),
+            timeline: true,
+            profile: true,
+        };
+        let run = execute(observed).expect("unsupervised sequential runs cannot fail");
+        walls_enabled.push(run.meta.wall.as_secs_f64());
+        enabled = Some(run);
     }
 
-    // One enabled run, informational: trace + samples + profile, timeline
-    // saved.
-    let trace = TraceLog::strided(50_000, events);
-    let mut observed = plan();
-    observed.observe = Observe {
-        trace: Some(trace),
-        sample_every: Some(SimDuration::from_micros(100)),
-        timeline: true,
-        profile: true,
-    };
-    let enabled = execute(observed).expect("unsupervised sequential runs cannot fail");
+    let enabled = enabled.expect("at least one round");
     let path = args.out.join("smoke_timeline.json");
     let timeline = enabled.timeline(&[]);
     timeline
         .save(&path)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    let enabled_meta = enabled.meta;
 
     let med_base = median(&mut base);
     let med_checkpointed = median(&mut checkpointed);
     let med_profiled = median(&mut profiled);
-    let med_enabled = enabled_meta.wall.as_secs_f64();
+    let med_enabled = median(&mut walls_enabled);
     let overhead_checkpointed = (med_checkpointed - med_base) / med_base;
     let overhead_profiled = (med_profiled - med_base) / med_base;
     let overhead_enabled = (med_enabled - med_base) / med_base;

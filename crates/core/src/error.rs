@@ -70,6 +70,12 @@ pub enum ElephantError {
     /// A capture was requested from a network that was not configured to
     /// record one.
     CaptureMissing,
+    /// A training capture ran but saw no packet cross cluster 1's boundary
+    /// (the cluster it records), so there is nothing to train on.
+    EmptyCapture {
+        /// The capture's horizon.
+        horizon: elephant_des::SimTime,
+    },
     /// Two record streams that must advance in lockstep did not (internal
     /// invariant; indicates corrupt or inconsistent training data).
     StreamMisaligned {
@@ -113,6 +119,7 @@ impl ElephantError {
             | ElephantError::ModelHeader { .. }
             | ElephantError::ModelShape { .. } => 4,
             ElephantError::CaptureMissing
+            | ElephantError::EmptyCapture { .. }
             | ElephantError::StreamMisaligned { .. }
             | ElephantError::Pdes(_) => 5,
             ElephantError::Scenario { .. } => 6,
@@ -159,6 +166,11 @@ impl fmt::Display for ElephantError {
                     "no boundary capture: the run was not configured to record one"
                 )
             }
+            ElephantError::EmptyCapture { horizon } => write!(
+                f,
+                "the capture saw no packet cross cluster 1's boundary in {horizon}; \
+                 nothing to train on (lengthen the horizon)"
+            ),
             ElephantError::StreamMisaligned { detail } => {
                 write!(f, "record streams misaligned: {detail}")
             }
@@ -210,6 +222,8 @@ mod tests {
             4
         );
         assert_eq!(ElephantError::CaptureMissing.exit_code(), 5);
+        let horizon = elephant_des::SimTime::ZERO;
+        assert_eq!(ElephantError::EmptyCapture { horizon }.exit_code(), 5);
         assert_eq!(
             ElephantError::Scenario {
                 path: "s.toml".into(),

@@ -18,16 +18,24 @@
 //!       │                 cell the document plus its axes' Table::set edits)
 //!           └─ compile    [`Compiled`]: ClosParams + flows + FaultPlan
 //!               └─ Compiled::run ─► elephant_core::execute
+//!                   └─ matrix  the experiments made of runs: one run with
+//!                              its oracle stack, a truth-vs-hybrid pair,
+//!                              capture + train, the sweep runner
 //! ```
 //!
 //! Runs are deterministic by `(scenario file, seed)`: compilation is a
 //! pure function, and [`run_fingerprint`] condenses a run's outcome into
 //! one comparable `u64` so the contract is testable end to end. The CLI
 //! (`elephant run-scenario`) and `crates/bench` binaries both load
-//! scenarios through [`load`].
+//! scenarios through [`load`]; every experiment the CLI runs — a run, the
+//! pair `compare --model` and a hybrid sweep cell share, the capture and
+//! training `train`, training sweeps and the quick fallback model share,
+//! a whole sweep — is a function of [`matrix`], so a test or another
+//! program calls it without the binary.
 
 pub mod compile;
 pub mod decode;
+pub mod matrix;
 pub mod schema;
 pub mod toml;
 

@@ -16,11 +16,14 @@
 //! Every simulation is one pipeline: **scenario document → flag edits →
 //! decode → compile → [`dispatch`] → [`finish`]**. `run-scenario` and
 //! `audit` start from a file; `run`, `hybrid`, `train` and `compare
-//! --model` start from the built-in [`TEMPLATE`]. A document with a
-//! `[train]` section (`train`'s always has one) captures and trains
-//! instead, through the one [`capture`] and [`train_on`] path that also
-//! serves training sweeps; the quick-trained fallback model trains on the
-//! same [`capture`] but skips `train_on`'s report. A flag is
+//! --model` start from the built-in [`TEMPLATE`]. What runs is the
+//! library's run matrix (`elephant::scenario::matrix`): one run, one
+//! truth-vs-hybrid pair (`compare --model`, a hybrid sweep cell), one
+//! capture-and-train path (a document with a `[train]` section —
+//! `train`'s always has one — training sweeps, and the quick-trained
+//! fallback model) and the sweep runner. This file keeps what is the
+//! command line's: flags, usage errors, exit codes, model resolution,
+//! printing and sinks. A flag is
 //! one row of [`FLAGS`] — name, help, the commands that accept it, and
 //! where its value lands: a key of the scenario document (written before
 //! the decoder runs, so the decoder is the one validator of flag and file
@@ -38,27 +41,19 @@
 //! hybrid run, or an attempt abandoned by the recovery ladder, never
 //! shows in the artifact of the run that follows it.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::process::exit;
-use std::time::Instant;
 
 use elephant::core::{
-    compare_cdfs, compare_ledgers, execute, guard_primary, macro_agreement, macro_confusion,
-    oracle_stack, run_audit, train_cluster_model, AuditHooks, CacheStatsHandle, CacheTotals,
-    CdfComparison, ClusterModel, ElephantError, Exec, Fidelity, Observe, OracleCounters,
-    OracleFactory, OracleStack, Outcome, RunLedger, RunMeta, RunPlan, TrainReport,
+    compare_ledgers, ClusterModel, ElephantError, Observe, OracleCounters, RunLedger, RunMeta,
     LEDGER_SCHEMA_VERSION,
 };
-use elephant::des::{EpochMode, SimDuration};
-use elephant::net::{
-    BoundaryRecord, ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardStatsHandle,
-    OracleFaultMode, RttScope, Sample, TraceLog, SAMPLE_CSV_HEADER,
-};
-use elephant::obs::{MetricRow, ProfileRow, RunReport};
+use elephant::net::{FlowSpec, OracleFaultMode, RttScope, Sample, TraceLog, SAMPLE_CSV_HEADER};
+use elephant::obs::{ProfileRow, RunReport};
+use elephant::scenario::matrix::{self, Capture, Engine, Ran};
 use elephant::scenario::toml::{self, TomlValue};
 use elephant::scenario::{
-    compile, decode, fold_fingerprints, list_scenarios, load, run_fingerprint, sweep_cells,
-    CompileOverrides, Compiled, HybridSpec, Scenario,
+    compile, decode, list_scenarios, load, run_fingerprint, sweep_cells, CompileOverrides,
+    Compiled, Scenario,
 };
 use elephant::trace::write_csv;
 
@@ -312,8 +307,8 @@ const TEMPLATE: &str = "schema = 1\n\
 /// [`TEMPLATE`] parsed, with what the command fixes about it: `hybrid`
 /// declares a `[model]` (which routes the run onto the hybrid engine and
 /// quick-trains a model when no artifact is given), `train` declares a
-/// `[train]` (which routes it onto [`capture`] and [`train_on`]) on two
-/// clusters.
+/// `[train]` (which routes it onto `matrix::Capture` and
+/// `matrix::train_on`) on two clusters.
 fn builtin(cmd: Cmd) -> toml::Table {
     let mut doc = toml::parse(TEMPLATE).expect("the template parses");
     let fixed: &[(&str, &str)] = match cmd {
@@ -590,10 +585,6 @@ impl Request {
     fn hybrid(&self, c: &Compiled) -> bool {
         self.audit || self.model_flag.is_some() || c.hybrid.model_declared
     }
-
-    fn fault(&self) -> Option<(OracleFaultMode, u64)> {
-        self.fault_mode.map(|mode| (mode, self.fault_every))
-    }
 }
 
 /// Runs `c` on the engine `req` selects and reports through [`finish`].
@@ -645,7 +636,7 @@ fn dispatch(req: &Request, c: &Compiled) {
         );
     }
     if req.audit {
-        return audit(req, c, model.expect("audits are hybrid"), flows);
+        return audit(req, c, model.expect("audits are hybrid"));
     }
 
     if req.pdes && (req.sinks.trace.is_some() || req.sinks.trace_out.is_some()) {
@@ -671,15 +662,9 @@ fn dispatch(req: &Request, c: &Compiled) {
         timeline: req.sinks.trace_out.is_some(),
         profile: req.sinks.observing(),
     };
-    let (outcome, mut guard, mut caches) = simulate(req, c, model.as_ref(), observe, RttScope::All);
-    if c.recovery.is_some() {
-        // The handles count every attempt (a restored net carries a clone
-        // of its oracle stack, which counts onto the same handle), so
-        // supervised runs report recovery state, not guard/cache stats.
-        guard = None;
-        caches.clear();
-    }
-    finish(req, c, &outcome, &guard, &caches);
+    let engine = engine(req);
+    let ran = matrix::run(c, engine, model.as_ref(), observe, RttScope::All);
+    finish(req, c, &ran.unwrap_or_else(|e| die(e)));
 }
 
 /// A hybrid approximates every cluster but the full-fidelity one.
@@ -694,57 +679,25 @@ fn needs_two_clusters(req: &Request, c: &Compiled) {
     }
 }
 
-/// One run of `c` on the engine `req` selects: with a model, the hybrid
-/// served by its oracle stack (one per PDES partition), else full
-/// fidelity, sampling RTTs over `rtt`. Returns the outcome and the
-/// handles onto the stacks' guard and caches.
-fn simulate(
-    req: &Request,
-    c: &Compiled,
-    model: Option<&ClusterModel>,
-    observe: Observe,
-    rtt: RttScope,
-) -> (Outcome, Option<GuardStatsHandle>, Vec<CacheStatsHandle>) {
-    let mut guard = None;
-    let mut caches = Vec::new();
-    let mut oracles = |partition: Option<usize>| {
-        let model = model.expect("hybrid runs have a model").clone();
-        let stack = build_stack(model, c.params, c.seed, &c.hybrid, req.fault(), partition);
-        guard = stack.guard;
-        caches.extend(stack.cache);
-        stack.oracle
-    };
-    let exec = match req.pdes {
-        true => c.pdes(None, EpochMode::Adaptive),
-        false => Exec::Sequential,
-    };
-    let oracles = model.is_some().then_some(&mut oracles as OracleFactory<'_>);
-    let outcome = c.run(oracles, exec, c.recovery.as_ref(), observe, rtt);
-    (outcome.unwrap_or_else(|e| die(e)), guard, caches)
+/// The engine `req` selects, announcing a `--fault-oracle` drill (a flag
+/// of the hybrid-only commands) where it applies: on one thread, since
+/// PDES partitions run unguarded.
+fn engine(req: &Request) -> Engine {
+    let fault = req.fault_mode.map(|mode| (mode, req.fault_every));
+    if let Some((mode, every)) = fault.filter(|_| !req.pdes) {
+        println!("fault drill: oracle emits {mode:?} latency every {every} verdicts");
+    }
+    Engine {
+        pdes: req.pdes,
+        fault,
+    }
 }
 
-/// A sweep row of the CSV: its fixed columns (the axis values, then
-/// [`RUN_COLUMNS`] or [`TRAIN_COLUMNS`]), its metric rows by column name
-/// ([`metric_columns`]; a hybrid run's include its `hybrid/rtt/*` score
-/// against the cell's full run), and a hybrid run's speedup over that run.
-type SweepRow = (Vec<String>, BTreeMap<String, f64>, Option<f64>);
-
-/// The fixed columns of a simulation sweep's rows, and of a training
-/// sweep's: the capture run's, then the model's checksum and training
-/// clock.
-const RUN_COLUMNS: &str = "fidelity,flows,events,wall_s,sim_s,fingerprint";
-const TRAIN_COLUMNS: &str = "flows,events,wall_s,sim_s,fingerprint,checksum,train_wall_s";
-
-/// `run-scenario` on a document with `[[sweep]]` axes. A `[train]`
-/// document trains once per cell ([`train_on`]), on one [`capture`] per
-/// distinct set of non-`train.*` cell edits ([`GroundTruth`]); any other
-/// runs each cell at full fidelity and, when the document is hybrid, then
-/// as the hybrid, through [`simulate`] like any run, with one model
-/// resolved from the base document. Both sides sample RTTs in the full
-/// cluster only, and the hybrid is scored against the full run's RTT
-/// distribution as `compare` scores it. Prints a line per cell and
-/// the fold of the runs' fingerprints (and models' checksums); `--csv P`
-/// writes a row per cell and run.
+/// `run-scenario` on a document with `[[sweep]]` axes: the usage checks,
+/// the one model a hybrid sweep deploys (resolved from the base
+/// document), then `matrix::sweep` — a line per cell as it finishes, the
+/// fold of the runs' fingerprints (and models' checksums), and under
+/// `--csv P` a row per cell and run.
 fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
     // What names one run's artifact, or one paired run: a sweep has no
     // one run to give it to. `--sample-every`, `--checkpoint-every-ms` and
@@ -768,200 +721,46 @@ fn sweep(req: &Request, doc: &toml::Table, s: &Scenario) {
         bad_usage(req.cmd, format!("{flag}: `{key}` is a [[sweep]] axis"))
     }
     let cells = sweep_cells(doc).unwrap_or_else(|e| req.reject(e.line, e.detail));
-    let label = |edits: &[(String, String)]| {
-        let set: Vec<String> = edits.iter().map(|(k, v)| format!("{k} = {v}")).collect();
-        set.join(", ")
-    };
     let cells: Vec<_> = cells
         .into_iter()
         .map(|cell| (cell.edits, compile(&cell.scenario, &req.over)))
         .collect();
-    // Every cell sets the same keys, so all or none declare [train].
-    let training = cells[0].1.train.is_some();
     if req.validate {
         for (n, (edits, c)) in cells.iter().enumerate() {
-            println!("[[sweep]] cell {n} ({})", label(edits));
+            println!("[[sweep]] cell {n} ({})", matrix::label(edits));
             validated(req, c);
         }
         return;
     }
-    let model = match training {
-        true => {
+    // Every cell sets the same keys, so all or none declare [train].
+    let model = match cells[0].1.train {
+        Some(_) => {
             refuse_for_training(req, &cells[0].1);
             None
         }
-        false => {
+        None => {
             let base = compile(s, &req.over);
             req.hybrid(&base).then(|| resolve_model(req, &base))
         }
     };
-
-    let mut rows: Vec<SweepRow> = Vec::new();
-    let mut fingerprints = Vec::new();
-    // A training sweep's cells that differ only in `train.*` keys train on
-    // one capture, kept until the last of them has trained.
-    let shared: Vec<Vec<_>> = cells
-        .iter()
-        .map(|(edits, _)| edits.iter().filter(|e| !e.0.starts_with("train.")))
-        .map(|kept| kept.cloned().collect())
-        .collect();
-    let mut truths: BTreeMap<&[(String, String)], GroundTruth> = BTreeMap::new();
-    for (n, (edits, c)) in cells.iter().enumerate() {
-        let mut line = format!("  cell {n} ({}):", label(edits));
-        let axes = || edits.iter().map(|(_, v)| csv_field(v)).collect::<Vec<_>>();
-        if training {
-            let key = shared[n].as_slice();
-            let g = truths
-                .entry(key)
-                .or_insert_with(|| GroundTruth::capture(c, n));
-            let t = train_on(c, &g.records);
-            let checksum = t.model.weight_checksum();
-            fingerprints.extend([g.fingerprint, checksum]);
-            let train_wall = t.wall.as_secs_f64();
-            let mut fixed = axes();
-            fixed.push(format!("{},{checksum:#018x},{train_wall}", g.columns));
-            let mut metrics = g.rows.clone();
-            metrics.extend(t.rows);
-            rows.push((fixed, metric_columns(metrics), None));
-            match g.cell {
-                k if k == n => line += &g.summary,
-                k => line += &format!(" capture reused (cell {k})"),
-            }
-            println!("{line}, trained {train_wall:.2}s, checksum {checksum:#018x}");
-            if !shared[n + 1..].contains(&shared[n]) {
-                truths.remove(key);
-            }
-            continue;
-        }
-        let rtt = RttScope::Cluster(c.hybrid.full_cluster);
-        let (mut full_wall, mut truth) = (None, None);
-        for model in [None].into_iter().chain(model.as_ref().map(Some)) {
-            if model.is_some() {
-                needs_two_clusters(req, c);
-            }
-            let (out, guard, caches) = simulate(req, c, model, Observe::default(), rtt);
-            let wall = out.meta.wall.as_secs_f64();
-            let speedup = full_wall.map(|full: f64| full / wall.max(1e-9));
-            full_wall.get_or_insert(wall);
-            // A side without RTT samples (every PDES partition) is not scored.
-            let rtts = out.nets[0].stats.rtt_cdf();
-            let scored = truth.as_ref().filter(|_| !rtts.is_empty());
-            let score = scored.map(|t| compare_cdfs(t, &rtts));
-            let fingerprint = run_fingerprint(&out.nets);
-            fingerprints.push(fingerprint);
-            let fidelity = model.map_or("full", |_| "hybrid");
-            let flows = out.nets[0].streamed_flows().len();
-            let (events, sim_s) = (out.meta.events, out.meta.sim_seconds);
-            let mut fixed = axes();
-            fixed.push(format!(
-                "{fidelity},{flows},{events},{wall},{sim_s},{fingerprint:#018x}"
-            ));
-            let mut metrics = out.metric_rows(&oracle_counters(&guard, &caches));
-            metrics.extend(score.iter().flat_map(CdfComparison::metric_rows));
-            rows.push((fixed, metric_columns(metrics), speedup));
-            line += &format!(" {fidelity} {events} events {wall:.2}s");
-            if let Some(x) = speedup {
-                line += &format!(" ({x:.2}x)");
-            }
-            line += &score.map_or(String::new(), |s| format!(", KS {:.3}", s.ks));
-            truth = truth.or(Some(rtts).filter(|r| !r.is_empty()));
-        }
-        println!("{line}");
+    if model.is_some() {
+        cells.iter().for_each(|(_, c)| needs_two_clusters(req, c));
     }
-    println!("  fingerprint: {:#018x}", fold_fingerprints(fingerprints));
-
+    let progress = &mut |line: &str| println!("{line}");
+    let sweep = matrix::sweep(&cells, engine(req), model.as_ref(), progress);
+    let sweep = sweep.unwrap_or_else(|e| die(e));
+    println!("  fingerprint: {:#018x}", sweep.fingerprint);
     let Some(path) = &req.sinks.csv else { return };
-    let hybrid = model.is_some();
-    let metrics: BTreeSet<String> = rows.iter().flat_map(|r| r.1.keys().cloned()).collect();
-    let mut header: Vec<&str> = cells[0].0.iter().map(|(k, _)| k.as_str()).collect();
-    header.push(if training { TRAIN_COLUMNS } else { RUN_COLUMNS });
-    header.extend(metrics.iter().map(String::as_str));
-    header.extend(hybrid.then_some("speedup_vs_full"));
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut text = format!("# elephant {}\n{}\n", args.join(" "), header.join(","));
-    let count = rows.len();
-    for (mut row, values, speedup) in rows {
-        let value = |m| values.get(m).map_or(String::new(), f64::to_string);
-        row.extend(metrics.iter().map(value));
-        if hybrid {
-            row.push(speedup.map_or(String::new(), |x| x.to_string()));
-        }
-        text += &(row.join(",") + "\n");
-    }
-    written(path, std::fs::write(path, text));
-    println!("wrote {path} ({count} rows)");
-}
-
-/// What a training sweep keeps of one [`capture`] for every cell that
-/// shares its non-`train.*` edits: the boundary records, the capture's CSV
-/// columns, metric rows, fingerprint and summary, and the cell that ran
-/// it; not its networks.
-struct GroundTruth {
-    cell: usize,
-    records: Vec<BoundaryRecord>,
-    fingerprint: u64,
-    columns: String,
-    rows: Vec<MetricRow>,
-    summary: String,
-}
-
-impl GroundTruth {
-    fn capture(c: &Compiled, cell: usize) -> GroundTruth {
-        let out = capture(c, false);
-        let fingerprint = run_fingerprint(&out.nets);
-        let (flows, events, sim_s) = (c.flows.len(), out.meta.events, out.meta.sim_seconds);
-        let wall = out.meta.wall.as_secs_f64();
-        let mut rows = out.metric_rows(&OracleCounters::default());
-        rows.extend(capture_rows(&out));
-        let net = out.into_single().0;
-        GroundTruth {
-            cell,
-            records: net
-                .into_capture()
-                .expect("the run captured cluster 1")
-                .into_records(),
-            fingerprint,
-            columns: format!("{flows},{events},{wall},{sim_s},{fingerprint:#018x}"),
-            rows,
-            summary: format!(" capture {events} events {wall:.2}s"),
-        }
-    }
-}
-
-/// Metric rows as CSV columns: `name[label]` (or `name`) holds the row's
-/// value, and a histogram adds its 99th percentile as `name[label].p99`.
-fn metric_columns(rows: Vec<MetricRow>) -> BTreeMap<String, f64> {
-    let mut columns = BTreeMap::new();
-    for m in rows {
-        let column = match m.label.is_empty() {
-            true => m.name,
-            false => format!("{}[{}]", m.name, m.label),
-        };
-        if m.kind == "histogram" {
-            columns.insert(format!("{column}.p99"), m.p99);
-        }
-        columns.insert(column, m.value);
-    }
-    columns
-}
-
-/// A CSV field: quoted when it holds a comma or a quote.
-fn csv_field(text: &str) -> String {
-    match text.contains([',', '"']) {
-        true => format!("\"{}\"", text.replace('"', "\"\"")),
-        false => text.to_string(),
-    }
+    let csv = sweep.csv(&format!("elephant {}", args.join(" ")));
+    written(path, std::fs::write(path, csv));
+    println!("wrote {path} ({} rows)", sweep.rows.len());
 }
 
 /// The one epilogue: summary, guard/cache report, fingerprint line,
 /// samples CSV, `--trace-out` timeline, `--profile` table, sealed ledger.
-fn finish(
-    req: &Request,
-    c: &Compiled,
-    out: &Outcome,
-    guard: &Option<GuardStatsHandle>,
-    caches: &[CacheStatsHandle],
-) {
+fn finish(req: &Request, c: &Compiled, ran: &Ran) {
+    let out = &ran.outcome;
     println!("\n{out}");
     if let Some(trace) = out.nets[0].trace().filter(|_| req.sinks.trace.is_some()) {
         println!("\n{trace}");
@@ -977,7 +776,7 @@ fn finish(
              probabilities, or add cross-machine traffic)"
         );
     }
-    let oracle = report_oracle(guard, caches);
+    report_oracle(&ran.oracle);
     let fingerprint = run_fingerprint(&out.nets);
     println!("  fingerprint: {fingerprint:#018x}");
 
@@ -988,12 +787,11 @@ fn finish(
         println!("wrote {path} ({} samples)", rows.len());
     }
     if let Some(path) = &req.sinks.trace_out {
-        write_timeline(path, out, guard);
+        write_timeline(path, ran);
     }
 
     // Driver and mode name the point of the run matrix that executed.
-    let supervised = out.recovery.is_some();
-    let engine = match (supervised, req.pdes) {
+    let engine = match (out.recovery.is_some(), req.pdes) {
         (true, _) => "supervised",
         (false, true) => "pdes",
         (false, false) => "sequential",
@@ -1004,50 +802,33 @@ fn finish(
         (true, engine) => format!("hybrid-{engine}"),
     };
     let what = format!("{}, seed {}", req.title(c), c.seed);
-    let mut ledger = stamp(&driver, req.cmd.name(), what, c.seed, fingerprint);
-    ledger.mode = match req.pdes {
-        true => "adaptive",
-        false => "sequential",
-    }
-    .to_string();
+    let report = RunReport::new(req.cmd.name(), what);
+    let mut ledger = stamp(&driver, report, c.seed, fingerprint);
+    ledger.mode = if req.pdes { "adaptive" } else { "sequential" }.into();
     if let Some(log) = &out.recovery {
-        ledger.recovery = vec![log.summary()];
-        ledger
-            .recovery
-            .extend(log.transitions.iter().map(|t| format!("{t:?}")));
+        let transitions = log.transitions.iter().map(|t| format!("{t:?}"));
+        ledger.recovery = std::iter::once(log.summary()).chain(transitions).collect();
     }
-    emit_ledger(&req.sinks, ledger, |r| out.describe(r, &oracle));
+    emit_ledger(&req.sinks, ledger, |r| out.describe(r, &ran.oracle));
 }
 
 /// Prints the guard and verdict-cache lines of a hybrid run (one cache
-/// sequentially, the fleet total across PDES partitions) and returns the
-/// counters they were printed from, for the ledger's `hybrid/guard/*` and
-/// `hybrid/cache/*` rows.
-fn report_oracle(guard: &Option<GuardStatsHandle>, caches: &[CacheStatsHandle]) -> OracleCounters {
-    let counters = oracle_counters(guard, caches);
+/// sequentially, the fleet total across PDES partitions): the counters
+/// behind the ledger's `hybrid/guard/*` and `hybrid/cache/*` rows.
+fn report_oracle(counters: &OracleCounters) {
     if let Some(g) = &counters.guard {
         println!("  guardrail : {g}");
     }
     if let Some(c) = &counters.cache {
         println!("  cache     : {c}");
     }
-    counters
-}
-
-/// What a run's oracle stack counted, read off its live handles.
-fn oracle_counters(
-    guard: &Option<GuardStatsHandle>,
-    caches: &[CacheStatsHandle],
-) -> OracleCounters {
-    let guard = guard.as_ref().map(|h| h.snapshot());
-    let cache = CacheTotals::of(caches);
-    OracleCounters { guard, cache }
 }
 
 /// The ledger every command seals: `driver` names the point of the run
-/// matrix that executed, `command` and `what` the report inside it.
-fn stamp(driver: &str, command: &str, what: String, seed: u64, fingerprint: u64) -> RunLedger {
-    let mut ledger = RunLedger::new(driver, RunReport::new(command, what));
+/// matrix that executed, `report` (its command and what it ran) the
+/// report inside it.
+fn stamp(driver: &str, report: RunReport, seed: u64, fingerprint: u64) -> RunLedger {
+    let mut ledger = RunLedger::new(driver, report);
     ledger.seed = seed;
     ledger.fingerprint = fingerprint;
     ledger
@@ -1082,30 +863,15 @@ fn save_ledger(path: &str, mut ledger: RunLedger) {
 /// same elided flows and seed, the divergence table attributed by
 /// regime/layer/oracle, the ledger pair under `--metrics-out`, and the
 /// gate on the scenario's `[audit]` bounds (exit 8 on breach).
-fn audit(req: &Request, c: &Compiled, model: ClusterModel, flows: &[FlowSpec]) {
+fn audit(req: &Request, c: &Compiled, model: ClusterModel) {
     if c.recovery.is_some() {
         println!("note: --audit runs both sides unsupervised; the [recovery] ladder is ignored");
     }
     if req.pdes {
         println!("note: --audit runs both sides sequentially; --pdes is ignored");
     }
-    let bounds = c.audit_bounds.unwrap_or_default();
-    let stack = build_stack(model, c.params, c.seed, &c.hybrid, None, None);
-    let run = run_audit(
-        c.params,
-        c.hybrid.full_cluster,
-        stack.oracle,
-        c.net_config(),
-        flows,
-        c.horizon,
-        bounds,
-        c.sample_every
-            .unwrap_or_else(|| SimDuration::from_micros(200)),
-        AuditHooks {
-            cache: stack.cache,
-            guard: stack.guard,
-        },
-    );
+    let run = matrix::audit(c, model);
+    let bounds = run.divergence.bounds;
     println!("\n{}", run.divergence.to_table());
     println!(
         "  truth : {} events in {:.2}s wall | hybrid: {} events in {:.2}s wall \
@@ -1122,9 +888,9 @@ fn audit(req: &Request, c: &Compiled, model: ClusterModel, flows: &[FlowSpec]) {
     if let Some(base) = &req.sinks.metrics_out {
         let side = |driver: &str, meta: &RunMeta, fingerprint: u64| {
             let what = format!("{}, seed {}", req.title(c), c.seed);
-            let mut ledger = stamp(driver, driver, what, c.seed, fingerprint);
-            let report = &mut ledger.report;
-            report.set_run(meta.wall.as_secs_f64(), meta.events, meta.sim_seconds);
+            let mut ledger = stamp(driver, RunReport::new(driver, what), c.seed, fingerprint);
+            let (wall, events) = (meta.wall.as_secs_f64(), meta.events);
+            ledger.report.set_run(wall, events, meta.sim_seconds);
             ledger.mode = "paired".to_string();
             ledger
         };
@@ -1132,10 +898,9 @@ fn audit(req: &Request, c: &Compiled, model: ClusterModel, flows: &[FlowSpec]) {
         hybrid.divergence = Some(run.divergence.clone());
         save_ledger(base, hybrid);
         let truth_fingerprint = run_fingerprint([&run.truth_net]);
-        save_ledger(
-            &format!("{}.truth.json", base.trim_end_matches(".json")),
-            side("audit-truth", &run.truth_meta, truth_fingerprint),
-        );
+        let truth = side("audit-truth", &run.truth_meta, truth_fingerprint);
+        let path = format!("{}.truth.json", base.trim_end_matches(".json"));
+        save_ledger(&path, truth);
     }
 
     let breaches = run.divergence.breaches();
@@ -1155,41 +920,6 @@ fn audit(req: &Request, c: &Compiled, model: ClusterModel, flows: &[FlowSpec]) {
         run.divergence.w1_ratio(),
         bounds.max_w1_ratio
     );
-}
-
-/// Assembles the oracle stack `spec` describes (see
-/// `elephant_core::oracle_stack`). `--fault-oracle` substitutes a
-/// deliberately faulty primary under the same guard — sequential runs
-/// only, like the guard itself.
-fn build_stack(
-    model: ClusterModel,
-    params: ClosParams,
-    seed: u64,
-    spec: &HybridSpec,
-    fault: Option<(OracleFaultMode, u64)>,
-    partition: Option<usize>,
-) -> OracleStack {
-    let Some((mode, every)) = fault.filter(|_| partition.is_none()) else {
-        return oracle_stack(
-            model,
-            params,
-            seed,
-            partition,
-            spec.cache.then_some(spec.cache_cap),
-            spec.guard.as_ref(),
-        );
-    };
-    println!("fault drill: oracle emits {mode:?} latency every {every} verdicts");
-    let faulty: Box<dyn ClusterOracle + Send> =
-        Box::new(FaultyOracle::new(mode, every, SimDuration::from_micros(5)));
-    match &spec.guard {
-        Some(cfg) => guard_primary(faulty, &model.meta, cfg),
-        None => OracleStack {
-            oracle: faulty,
-            guard: None,
-            cache: None,
-        },
-    }
 }
 
 fn read_model(path: &str) -> Result<ClusterModel, ElephantError> {
@@ -1257,85 +987,8 @@ fn quick_default_model(req: &Request, c: &Compiled) -> ClusterModel {
     }
     let s = decode::from_table(&doc).expect("the run's document passed the same rules");
     let c = compile(&s, &CompileOverrides::default());
-    let opts = c.train.expect("train's document has a [train] section");
-    train_cluster_model(records(&capture(&c, false)), &c.params, &opts).0
-}
-
-/// What a `[train]` document's run trained: the model, the report of its
-/// held-out evaluation, the macro-state agreement (none when the regime is
-/// pinned), their metric rows, and the training's wall time.
-struct Trained {
-    model: ClusterModel,
-    report: TrainReport,
-    agreement: Option<f64>,
-    rows: Vec<MetricRow>,
-    wall: std::time::Duration,
-}
-
-/// The ground truth of a `[train]` document (paper §3): `c`'s flows at
-/// full fidelity with boundary capture around cluster 1, profiled when it
-/// is the run a report describes. An empty capture exits 5.
-fn capture(c: &Compiled, profile: bool) -> Outcome {
-    let fidelity = Fidelity::Full { capture: Some(1) };
-    let mut plan = RunPlan::new(c.params, c.net_config(), &c.flows, c.horizon, fidelity);
-    plan.observe.profile = profile;
-    let capture = execute(plan).unwrap_or_else(|e| die(e));
-    if records(&capture).is_empty() {
-        eprintln!(
-            "elephant: the capture saw no packet cross cluster 1's boundary in {}; \
-             nothing to train on (lengthen the horizon)",
-            c.horizon
-        );
-        exit(5)
-    }
-    capture
-}
-
-/// The boundary records of a [`capture`].
-fn records(capture: &Outcome) -> &[BoundaryRecord] {
-    let net = &capture.nets[0];
-    net.capture().expect("the run captured cluster 1").records()
-}
-
-/// The capture as training data (`train/capture/*`): completed flows,
-/// drops, ECN marks, RTTs and the boundary records' drop rate.
-fn capture_rows(capture: &Outcome) -> Vec<MetricRow> {
-    let (net, records) = (&capture.nets[0], records(capture));
-    let stats = &net.stats;
-    let drop_rate = records.iter().filter(|r| r.dropped).count() as f64 / records.len() as f64;
-    vec![
-        MetricRow::counter("train/capture/flows_completed", "", stats.flows_completed),
-        MetricRow::counter("train/capture/drops", "", stats.drops.total()),
-        MetricRow::counter("train/capture/ecn_marks", "", net.port_totals().0),
-        MetricRow::histogram("train/capture/rtt_seconds", "", &stats.rtt_hist),
-        MetricRow::gauge("train/capture/drop_rate", "", drop_rate),
-    ]
-}
-
-/// A model trained on `records` with `c`'s `[train]` options, and, off
-/// the training clock, how often its macro classifier fed on the model's
-/// own predictions agrees with one fed on the records
-/// (`train/eval/macro_agreement`, the drift of the deployed regime). A
-/// `macro_state = false` model pins the regime, so it has no agreement to
-/// measure and no such row.
-fn train_on(c: &Compiled, records: &[BoundaryRecord]) -> Trained {
-    let opts = c.train.expect("a [train] document");
-    let t0 = Instant::now();
-    let (model, report) = train_cluster_model(records, &c.params, &opts);
-    let wall = t0.elapsed();
-    let agreement = opts.macro_state.then(|| {
-        let confusion = macro_confusion(records, &model, &c.params).unwrap_or_else(|e| die(e));
-        macro_agreement(&confusion)
-    });
-    let mut rows = report.metric_rows(opts.alpha);
-    rows.extend(agreement.map(|a| MetricRow::gauge("train/eval/macro_agreement", "", a)));
-    Trained {
-        model,
-        report,
-        agreement,
-        rows,
-        wall,
-    }
+    let trained = Capture::take(&c, false).and_then(|g| matrix::train_on(&c, &g.records));
+    trained.unwrap_or_else(|e| die(e)).model
 }
 
 /// What a capture-and-train run cannot honour: it is one sequential
@@ -1358,9 +1011,8 @@ fn refuse_for_training(req: &Request, c: &Compiled) {
 }
 
 /// Writes the run's Chrome-trace timeline, with the guard's trips.
-fn write_timeline(path: &str, out: &Outcome, guard: &Option<GuardStatsHandle>) {
-    let trips = guard.as_ref().map(|h| h.trip_events()).unwrap_or_default();
-    let tl = out.timeline(&trips);
+fn write_timeline(path: &str, ran: &Ran) {
+    let tl = ran.outcome.timeline(&ran.trips);
     written(path, tl.save(std::path::Path::new(path)));
     let dropped = match tl.dropped {
         0 => String::new(),
@@ -1421,10 +1073,11 @@ fn list(dir: &str) {
     }
 }
 
-/// A `[train]` document's run: [`capture`] then [`train_on`], the
-/// held-out evaluation printed per direction, the model written to
+/// A `[train]` document's run: `matrix::Capture` then `matrix::train_on`,
+/// the held-out evaluation printed per direction, the model written to
 /// `--out`, and under `--profile`/`--metrics-out` the capture's report
-/// with [`capture_rows`], the training rows and the training clock.
+/// (with its `train/capture/*` rows), the training rows and the training
+/// clock.
 fn train(req: &Request, c: &Compiled) {
     refuse_for_training(req, c);
     let opts = c.train.expect("a [train] document");
@@ -1437,11 +1090,11 @@ fn train(req: &Request, c: &Compiled) {
         c.horizon,
         opts.epochs
     );
-    let out = capture(c, req.sinks.observing());
-    let t = train_on(c, records(&out));
+    let capture = Capture::take(c, req.sinks.observing()).unwrap_or_else(|e| die(e));
+    let t = matrix::train_on(c, &capture.records).unwrap_or_else(|e| die(e));
     println!(
         "  {} events, {} boundary records",
-        out.meta.events, t.model.meta.train_records
+        capture.report.events, t.model.meta.train_records
     );
     for (name, d) in [("up:  ", &t.report.up), ("down:", &t.report.down)] {
         println!(
@@ -1463,21 +1116,22 @@ fn train(req: &Request, c: &Compiled) {
     );
     // The ledger describes the capture run plus the training on top of
     // it; a model is not a network state, so no fingerprint.
-    let what = format!("capture + {shape} training, seed {}", c.seed);
-    let ledger = stamp("train", req.cmd.name(), what, c.seed, 0);
-    emit_ledger(&req.sinks, ledger, |r| {
-        out.describe(r, &OracleCounters::default());
-        r.metrics.extend(capture_rows(&out));
+    let report = RunReport {
+        name: req.cmd.name().into(),
+        scenario: format!("capture + {shape} training, seed {}", c.seed),
+        ..capture.report
+    };
+    emit_ledger(&req.sinks, stamp("train", report, c.seed, 0), |r| {
         r.metrics.extend(t.rows);
         r.profile
             .push(ProfileRow::once("train", t.wall.as_secs_f64()));
     });
 }
 
-/// `compare --model`: the run's full-fidelity truth and its hybrid, both
-/// through [`simulate`] as a hybrid sweep cell runs them, sampling RTTs in
-/// the full cluster; prints the RTT quantile table and seals the hybrid's
-/// ledger with the same `hybrid/rtt/*` rows as the sweep's hybrid row.
+/// `compare --model`: `matrix::pair` — the run's full-fidelity truth and
+/// its hybrid, as a hybrid sweep cell runs them; prints the RTT quantile
+/// table and seals the hybrid's ledger with the same `hybrid/rtt/*` rows
+/// as the sweep's hybrid row.
 fn compare(req: &Request, s: &Scenario) {
     let Some(path) = &req.model_flag else {
         bad_usage(req.cmd, "--model PATH is required")
@@ -1492,35 +1146,34 @@ fn compare(req: &Request, s: &Scenario) {
             ..req.over
         },
     );
-    let rtt = RttScope::Cluster(c.hybrid.full_cluster);
     println!("ground truth ({} flows) ...", c.flows.len());
-    let (truth, ..) = simulate(req, &c, None, Observe::default(), rtt);
     let elided = c.hybrid_flows().len();
     println!("hybrid ({elided} flows after elision) ...");
     let observe = Observe {
         profile: req.sinks.observing(),
         ..Observe::default()
     };
-    let (out, guard, caches) = simulate(req, &c, Some(&model), observe, rtt);
-    let oracle = report_oracle(&guard, &caches);
-
-    let cmp = compare_cdfs(&truth.nets[0].stats.rtt_cdf(), &out.nets[0].stats.rtt_cdf());
+    let pair = matrix::pair(&c, engine(req), &model, observe);
+    let pair = pair.unwrap_or_else(|e| die(e));
+    let (truth, out, cmp) = (&pair.truth.outcome, &pair.hybrid.outcome, &pair.score);
+    report_oracle(&pair.hybrid.oracle);
     print!("\n{cmp}");
     println!(
         "\n  KS distance {:.4} | wall {:.2}s truth vs {:.2}s hybrid ({:.2}x) | events {:.1}x fewer",
         cmp.ks,
         truth.meta.wall.as_secs_f64(),
         out.meta.wall.as_secs_f64(),
-        truth.meta.wall.as_secs_f64() / out.meta.wall.as_secs_f64().max(1e-9),
+        pair.speedup,
         truth.meta.events as f64 / out.meta.events.max(1) as f64,
     );
     let what = format!("truth vs hybrid, {} clusters", c.params.clusters);
     let what = format!("{what}, seed {}", c.seed);
     // The ledger names the hybrid run, so that is the run it counts.
     let fingerprint = run_fingerprint(&out.nets);
-    let ledger = stamp("compare", "compare", what, c.seed, fingerprint);
+    let report = RunReport::new("compare", what);
+    let ledger = stamp("compare", report, c.seed, fingerprint);
     emit_ledger(&req.sinks, ledger, |r| {
-        out.describe(r, &oracle);
+        out.describe(r, &pair.hybrid.oracle);
         r.metrics.extend(cmp.metric_rows());
     });
 }

@@ -999,3 +999,26 @@ fn cli_training_sweep_captures_each_ground_truth_once() {
         }
     }
 }
+
+/// A capture that no packet crosses leaves nothing to train on: exit 5
+/// with the typed error's message on stderr, and no model written.
+#[test]
+fn cli_empty_capture_exits_5() {
+    let dir = std::env::temp_dir().join("elephant_cli_empty_capture");
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("model.json");
+    let _ = std::fs::remove_file(&model);
+    let out = elephant()
+        .args(["train", "--horizon-ms", "0.001", "--out"])
+        .arg(&model)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(5), "{stderr}");
+    assert_eq!(
+        stderr,
+        "elephant: the capture saw no packet cross cluster 1's boundary in 1.000us; \
+         nothing to train on (lengthen the horizon)\n"
+    );
+    assert!(!model.exists(), "no model is written");
+}

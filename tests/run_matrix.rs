@@ -6,6 +6,10 @@
 //! engine, because every cell is the same `execute` over the same world.
 //! The two observed cells also take the same samples: checkpoints (here
 //! off the sampling grid) neither add nor shift a tick.
+//!
+//! The library's experiments (`elephant::scenario::matrix`) are checked
+//! here too, without the binary: a hybrid sweep's rows are its cells'
+//! pairs, and a training sweep captures each ground truth once.
 
 use elephant::core::{
     oracle_stack, ClusterModel, Exec, LatencyCodec, MacroConfig, ModelMeta, Observe, OracleFactory,
@@ -15,7 +19,11 @@ use elephant::des::SmallRng;
 use elephant::des::{EpochMode, SimDuration};
 use elephant::net::{GuardConfig, RttScope, TraceLog};
 use elephant::nn::{MicroNet, MicroNetConfig};
-use elephant::scenario::{compile, load, run_fingerprint, CompileOverrides};
+use elephant::scenario::matrix::{self, Capture, Engine};
+use elephant::scenario::{
+    compile, fold_fingerprints, load, run_fingerprint, sweep_cells, toml, CompileOverrides,
+    Compiled,
+};
 
 /// A structurally valid, untrained model: arbitrary but deterministic
 /// verdicts, with sampled drops so oracle RNG state matters to restores.
@@ -138,4 +146,101 @@ fn supervision_and_observation_never_move_a_fingerprint() {
             );
         }
     }
+}
+
+/// A two-cluster document with one `[[sweep]]` axis, plus `extra`,
+/// compiled cell by cell.
+fn cells(extra: &str, axis: &str) -> Vec<(Vec<(String, String)>, Compiled)> {
+    let text = format!(
+        "schema = 1\n[scenario]\nname = \"matrix\"\n[topology]\nclusters = 2\n\
+         [run]\nhorizon_ms = 2\nseed = 42\n[[traffic]]\nkind = \"poisson\"\nload = 0.3\n\
+         {extra}[[sweep]]\n{axis}\n"
+    );
+    let doc = toml::parse(&text).expect("the document parses");
+    let cells = sweep_cells(&doc).expect("the document decodes");
+    let over = CompileOverrides::default();
+    let compiled = |cell: elephant::scenario::SweepCell| {
+        let c = compile(&cell.scenario, &over);
+        (cell.edits, c)
+    };
+    cells.into_iter().map(compiled).collect()
+}
+
+/// A hybrid sweep cell is `matrix::pair`: each full row carries the
+/// truth's fingerprint, each hybrid row the hybrid's and exactly the
+/// `hybrid/rtt/*` values the pair scores, and the sweep's fingerprint
+/// folds the four runs'.
+#[test]
+fn hybrid_sweep_rows_are_their_cells_pairs() {
+    let cells = cells("", "keys = [\"run.seed\"]\nvalues = [42, 7]");
+    let (model, engine) = (untrained_model(), Engine::default());
+    let sweep = matrix::sweep(&cells, engine, Some(&model), &mut |_| {}).expect("the sweep runs");
+    let at = |name: &str| {
+        let column = sweep.header.iter().position(|h| h == name);
+        column.unwrap_or_else(|| panic!("no {name} column: {:?}", sweep.header))
+    };
+    assert_eq!(sweep.rows.len(), 4, "a full and a hybrid row per cell");
+    let mut fingerprints = Vec::new();
+    for (n, (edits, c)) in cells.iter().enumerate() {
+        let pair = matrix::pair(c, engine, &model, Observe::default()).expect("the pair runs");
+        let (full, hybrid) = (&sweep.rows[2 * n], &sweep.rows[2 * n + 1]);
+        assert_eq!(
+            (&*full[at("fidelity")], &*hybrid[at("fidelity")]),
+            ("full", "hybrid")
+        );
+        for (row, ran) in [(full, &pair.truth), (hybrid, &pair.hybrid)] {
+            let fingerprint = run_fingerprint(&ran.outcome.nets);
+            assert_eq!(
+                row[at("fingerprint")],
+                format!("{fingerprint:#018x}"),
+                "{edits:?}"
+            );
+            fingerprints.push(fingerprint);
+        }
+        let scored = pair.score.metric_rows();
+        assert_eq!(scored.len(), 17, "KS, 7 quantiles a side, 2 sample counts");
+        assert!(pair.score.truth_samples > 0 && pair.score.approx_samples > 0);
+        for m in scored {
+            let column = match m.label.is_empty() {
+                true => m.name.clone(),
+                false => format!("{}[{}]", m.name, m.label),
+            };
+            assert_eq!(
+                hybrid[at(&column)],
+                m.value.to_string(),
+                "{edits:?}: {column}"
+            );
+            assert_eq!(full[at(&column)], "", "{edits:?}: {column} on the full row");
+        }
+    }
+    assert_eq!(sweep.fingerprint, fold_fingerprints(fingerprints));
+}
+
+/// A training sweep whose cells differ only in `train.epochs` captures its
+/// ground truth once, and each cell's model is what `train_on` trains on a
+/// fresh capture of that cell.
+#[test]
+fn training_sweep_captures_once_and_trains_each_cell() {
+    let train = "[train]\nhidden = 8\nlayers = 1\n";
+    let cells = cells(train, "keys = [\"train.epochs\"]\nvalues = [1, 2]");
+    let mut lines = Vec::new();
+    let progress = &mut |line: &str| lines.push(line.to_string());
+    let sweep = matrix::sweep(&cells, Engine::default(), None, progress).expect("the sweep runs");
+    assert!(!lines[0].contains("reused"), "{lines:?}");
+    assert!(lines[1].contains("capture reused (cell 0)"), "{lines:?}");
+    let at = |name: &str| sweep.header.iter().position(|h| h == name).unwrap();
+    let mut folded = Vec::new();
+    for ((_, c), row) in cells.iter().zip(&sweep.rows) {
+        let fresh = Capture::take(c, false).expect("the capture saw traffic");
+        let trained = matrix::train_on(c, &fresh.records).expect("training runs");
+        let checksum = trained.model.weight_checksum();
+        assert_eq!(row[at("checksum")], format!("{checksum:#018x}"));
+        assert_eq!(
+            row[at("fingerprint")],
+            format!("{:#018x}", fresh.fingerprint)
+        );
+        folded.extend([fresh.fingerprint, checksum]);
+    }
+    assert_ne!(sweep.rows[0][at("checksum")], sweep.rows[1][at("checksum")]);
+    assert_eq!(sweep.fingerprint, fold_fingerprints(folded));
 }
