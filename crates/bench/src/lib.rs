@@ -12,8 +12,10 @@
 //! capture per distinct ground truth. Figure 4 (RTT CDFs, ground truth
 //! against the hybrid) is figure5.toml's 2-cluster hybrid row: every
 //! hybrid sweep row carries its `hybrid/rtt/*` score against the cell's
-//! own full run. This library holds what the binaries
-//! share: argument parsing, table printing, the default
+//! own full run. §4.1's regime occupancy is ablation_macro.toml's
+//! calibrated row: every training row with the macro state on carries
+//! `train/eval/macro_occupancy[<state>]`. This library holds what the
+//! binaries share: argument parsing, table printing, the default
 //! train-once-reuse-everywhere model pipeline, and the [`fluid`] engine
 //! `baseline_flow` compares against.
 //!

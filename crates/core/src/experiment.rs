@@ -496,8 +496,7 @@ impl Outcome {
             MetricRow::histogram("hybrid/oracle/infer_seconds", "", &verdicts.infer_seconds),
         ]);
         for (state, n) in MacroState::ALL.iter().zip(verdicts.per_state) {
-            let label = format!("{state:?}").to_lowercase();
-            rows.push(counter("hybrid/macro/occupancy", &label, n));
+            rows.push(counter("hybrid/macro/occupancy", &state.label(), n));
         }
         if let Some(g) = &oracle.guard {
             rows.extend([

@@ -93,6 +93,6 @@ pub use supervise::{
     RecoveryEvent, RecoveryLog, RecoveryPolicy, Rung, DEFAULT_CHECKPOINT_EVERY, DEFAULT_MAX_RETRIES,
 };
 pub use train::{
-    build_samples, calibrate_macro, evaluate, model_meta, train_cluster_model, DirectionReport,
-    EvalMetrics, TrainReport, TrainingOptions,
+    build_samples, evaluate, model_meta, train_cluster_model, DirectionReport, EvalMetrics,
+    TrainReport, TrainingOptions,
 };

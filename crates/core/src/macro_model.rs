@@ -48,6 +48,12 @@ impl MacroState {
         }
     }
 
+    /// The state's metric label: `minimal`, `increasing`, `high` or
+    /// `decreasing`.
+    pub fn label(self) -> String {
+        format!("{self:?}").to_lowercase()
+    }
+
     /// All states, in index order.
     pub const ALL: [MacroState; 4] = [
         MacroState::Minimal,

@@ -220,7 +220,7 @@ pub fn build_samples(
 
 /// Calibrates the macro thresholds from raw records (§4.1's "relatively
 /// low/high" made concrete).
-pub fn calibrate_macro(records: &[BoundaryRecord]) -> MacroConfig {
+fn calibrate_macro(records: &[BoundaryRecord]) -> MacroConfig {
     let latencies: Vec<f64> = records
         .iter()
         .filter(|r| !r.dropped)

@@ -73,6 +73,6 @@ pub use pdes::{
 pub use rng::{splitmix64, RngFactory, SmallRng};
 pub use sched::{BinaryHeapFel, CalendarFel, EventKey, Fel, Next, Scheduler};
 pub use sim::{FelPeaks, Simulator, StopReason, World};
-pub use stats::{Ewma, TimeWeighted};
+pub use stats::Ewma;
 pub use time::{SimDuration, SimTime};
 pub use wait::Waiter;

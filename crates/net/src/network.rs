@@ -107,10 +107,6 @@ pub struct NetConfig {
     /// served on another thread may lag its request
     /// ([`Network::lend_oracle`]).
     pub oracle_latency_floor: SimDuration,
-    /// Track exact time-weighted queue occupancy per port (small constant
-    /// cost per enqueue/dequeue; read back via
-    /// [`Network::queue_depth_by_layer`]).
-    pub track_queues: bool,
     /// Profile the run: the installed oracle times its inferences
     /// ([`OracleCtx::profile`]). `elephant_core::execute` sets it from the
     /// run's `Observe::profile`.
@@ -125,7 +121,6 @@ impl Default for NetConfig {
             raw_rtt_limit: 1_000_000,
             capture_cluster: None,
             oracle_latency_floor: SimDuration::from_micros(2),
-            track_queues: false,
             profile: false,
         }
     }
@@ -302,11 +297,7 @@ impl Network {
     /// Builds runtime state over `topo`.
     pub fn new(topo: Arc<Topology>, cfg: NetConfig) -> Self {
         let ports = (topo.nodes().iter())
-            .map(|node| {
-                (node.ports.iter())
-                    .map(|p| PortState::with_tracking(*p, cfg.track_queues))
-                    .collect()
-            })
+            .map(|node| node.ports.iter().copied().map(PortState::new).collect())
             .collect();
         let capture = cfg.capture_cluster.map(|c| {
             assert!(!topo.is_stub(c), "cannot capture a stub cluster's fabric");
@@ -525,33 +516,9 @@ impl Network {
         }
     }
 
-    /// Mean and peak queue occupancy (bytes) per layer, measured exactly
-    /// (time-weighted) up to `now`. Requires `cfg.track_queues`; returns
-    /// `None` otherwise. Layers: host NICs, ToR, Agg, Core.
-    pub fn queue_depth_by_layer(&self, now: SimTime) -> Option<[(f64, f64); 4]> {
-        if !self.cfg.track_queues {
-            return None;
-        }
-        let mut acc = [(0.0f64, 0.0f64, 0u32); 4]; // (sum of means, peak, ports)
-        for (i, node) in self.ports.iter().enumerate() {
-            let Some(layer) = self.topo.node(NodeId(i as u32)).kind.layer() else {
-                continue;
-            };
-            for p in node {
-                let d = p.depth().expect("tracking enabled");
-                acc[layer].0 += d.mean(now);
-                acc[layer].1 = acc[layer].1.max(d.peak());
-                acc[layer].2 += 1;
-            }
-        }
-        Some(acc.map(|(sum, peak, n)| (if n > 0 { sum / n as f64 } else { 0.0 }, peak)))
-    }
-
     /// Instantaneous queued bytes per layer (host NICs, ToR, Agg, Core),
-    /// summed over every port. Unlike [`Network::queue_depth_by_layer`]
-    /// this reads the live queue state directly, so it needs no
-    /// time-weighted tracking and works in any configuration — the
-    /// sampler's per-tick view of buffer pressure.
+    /// summed over every port: the sampler's per-tick view of buffer
+    /// pressure.
     pub fn queue_bytes_by_layer(&self) -> [u64; 4] {
         let mut acc = [0u64; 4];
         for (i, node) in self.ports.iter().enumerate() {
@@ -828,7 +795,7 @@ impl Network {
         let now = sched.now();
         let (next, spec) = {
             let ps = &mut self.ports[node.idx()][port.idx()];
-            (ps.transmit_next(now), *ps.spec())
+            (ps.transmit_next(), *ps.spec())
         };
         if let Some((pkt, serialize)) = next {
             self.trace_event(now, TraceKind::TxStart, node, &pkt);
@@ -975,7 +942,7 @@ impl Network {
         let now = sched.now();
         let (action, spec) = {
             let ps = &mut self.ports[node.idx()][port.idx()];
-            (ps.offer(&mut pkt, now), *ps.spec())
+            (ps.offer(&mut pkt), *ps.spec())
         };
         match action {
             TxAction::StartTx { serialize } => {
@@ -1441,51 +1408,6 @@ mod tests {
             .map(|n| n.ports.len())
             .sum();
         assert_eq!(sim.world().port_counters().count(), n_ports);
-    }
-
-    #[test]
-    fn queue_tracking_measures_occupancy() {
-        let topo = Topology::clos(ClosParams::paper_cluster(2));
-        let dst = HostAddr::new(0, 0, 0);
-        let flows: Vec<FlowSpec> = (0..6)
-            .map(|i| {
-                flow(
-                    i + 1,
-                    HostAddr::new(1, (i % 2) as u16, (i % 4) as u16),
-                    dst,
-                    400_000,
-                    0,
-                )
-            })
-            .collect();
-        let cfg = NetConfig {
-            track_queues: true,
-            ..Default::default()
-        };
-        let mut sim = sim_with_flows(topo, cfg, &flows);
-        let horizon = SimTime::from_millis(20);
-        sim.run_until(horizon);
-        let layers = sim
-            .world()
-            .queue_depth_by_layer(horizon)
-            .expect("tracking on");
-        // The incast bottleneck is the victim ToR's host-facing port: the
-        // ToR layer must show real occupancy, and every peak is within the
-        // configured queue capacity.
-        let (tor_mean, tor_peak) = layers[1];
-        assert!(tor_mean > 100.0, "ToR mean occupancy {tor_mean} bytes");
-        assert!(tor_peak > 10_000.0, "ToR peak occupancy {tor_peak} bytes");
-        for (layer, &(mean, peak)) in layers.iter().enumerate() {
-            assert!(
-                peak <= 150_000.0,
-                "layer {layer} peak {peak} within capacity"
-            );
-            assert!(mean <= peak, "mean below peak");
-        }
-        // Untracked runs report None.
-        let topo2 = Topology::clos(ClosParams::paper_cluster(2));
-        let sim2 = sim_with_flows(topo2, NetConfig::default(), &flows);
-        assert!(sim2.world().queue_depth_by_layer(horizon).is_none());
     }
 
     #[test]

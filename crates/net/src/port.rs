@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use elephant_des::{SimDuration, SimTime, TimeWeighted};
+use elephant_des::SimDuration;
 
 use crate::packet::{Ecn, Packet};
 use crate::topology::PortSpec;
@@ -59,32 +59,18 @@ pub struct PortState {
     queued_bytes: u64,
     busy: bool,
     counters: PortCounters,
-    /// Exact time-weighted queue-occupancy signal, when tracking is on.
-    depth: Option<TimeWeighted>,
 }
 
 impl PortState {
     /// Creates an idle port for the given attachment.
     pub fn new(spec: PortSpec) -> Self {
-        Self::with_tracking(spec, false)
-    }
-
-    /// Creates a port, optionally tracking exact time-weighted queue
-    /// occupancy (small constant overhead per enqueue/dequeue).
-    pub fn with_tracking(spec: PortSpec, track_depth: bool) -> Self {
         PortState {
             spec,
             queue: VecDeque::new(),
             queued_bytes: 0,
             busy: false,
             counters: PortCounters::default(),
-            depth: track_depth.then(|| TimeWeighted::new(SimTime::ZERO, 0.0)),
         }
-    }
-
-    /// The time-weighted occupancy signal, if tracking was enabled.
-    pub fn depth(&self) -> Option<&TimeWeighted> {
-        self.depth.as_ref()
     }
 
     /// The static attachment info.
@@ -114,9 +100,9 @@ impl PortState {
         self.busy
     }
 
-    /// Offers `packet` to the port at time `now`. Marks ECN and mutates
-    /// the packet in place when applicable.
-    pub fn offer(&mut self, packet: &mut Packet, now: SimTime) -> TxAction {
+    /// Offers `packet` to the port. Marks ECN and mutates the packet in
+    /// place when applicable.
+    pub fn offer(&mut self, packet: &mut Packet) -> TxAction {
         self.counters.offered += 1;
         let size = packet.wire_bytes() as u64;
         if !self.busy {
@@ -141,25 +127,19 @@ impl PortState {
         self.queued_bytes += size;
         self.counters.queued += 1;
         self.counters.peak_queue_bytes = self.counters.peak_queue_bytes.max(self.queued_bytes);
-        if let Some(d) = &mut self.depth {
-            d.set(now, self.queued_bytes as f64);
-        }
         self.queue.push_back(*packet);
         TxAction::Queued
     }
 
-    /// Called when the previous serialization finishes at time `now`.
-    /// Returns the next packet to transmit and its serialization time, or
-    /// `None` if the port goes idle.
-    pub fn transmit_next(&mut self, now: SimTime) -> Option<(Packet, SimDuration)> {
+    /// Called when the previous serialization finishes. Returns the next
+    /// packet to transmit and its serialization time, or `None` if the
+    /// port goes idle.
+    pub fn transmit_next(&mut self) -> Option<(Packet, SimDuration)> {
         debug_assert!(self.busy, "transmit_next on an idle port");
         match self.queue.pop_front() {
             Some(pkt) => {
                 let size = pkt.wire_bytes() as u64;
                 self.queued_bytes -= size;
-                if let Some(d) = &mut self.depth {
-                    d.set(now, self.queued_bytes as f64);
-                }
                 self.counters.tx_packets += 1;
                 self.counters.tx_bytes += size;
                 Some((
@@ -181,8 +161,7 @@ mod tests {
     use crate::packet::{TcpFlags, TcpSegment};
     use crate::topology::LinkSpec;
     use crate::types::{FlowId, HostAddr, NodeId, PortId};
-
-    const T0: SimTime = SimTime::ZERO;
+    use elephant_des::SimTime;
 
     fn mk_port(cap: u64, ecn: Option<u64>) -> PortState {
         PortState::new(PortSpec {
@@ -220,7 +199,7 @@ mod tests {
     fn idle_port_transmits_immediately() {
         let mut p = mk_port(10_000, None);
         let mut pkt = mk_pkt(1460, Ecn::NotCapable);
-        match p.offer(&mut pkt, T0) {
+        match p.offer(&mut pkt) {
             TxAction::StartTx { serialize } => {
                 assert_eq!(serialize, SimDuration::from_nanos(1200)); // 1500B @ 10G
             }
@@ -234,18 +213,18 @@ mod tests {
     fn busy_port_queues_then_drains_fifo() {
         let mut p = mk_port(10_000, None);
         let mut first = mk_pkt(1460, Ecn::NotCapable);
-        p.offer(&mut first, T0);
+        p.offer(&mut first);
         for i in 0..3 {
             let mut pkt = mk_pkt(100 + i, Ecn::NotCapable);
-            assert_eq!(p.offer(&mut pkt, T0), TxAction::Queued);
+            assert_eq!(p.offer(&mut pkt), TxAction::Queued);
         }
         assert_eq!(p.queue_len(), 3);
-        let (a, _) = p.transmit_next(T0).unwrap();
+        let (a, _) = p.transmit_next().unwrap();
         assert_eq!(a.seg.payload_len, 100, "FIFO order");
-        let (b, _) = p.transmit_next(T0).unwrap();
+        let (b, _) = p.transmit_next().unwrap();
         assert_eq!(b.seg.payload_len, 101);
-        p.transmit_next(T0).unwrap();
-        assert!(p.transmit_next(T0).is_none(), "queue empty -> idle");
+        p.transmit_next().unwrap();
+        assert!(p.transmit_next().is_none(), "queue empty -> idle");
         assert!(!p.is_busy());
     }
 
@@ -253,13 +232,13 @@ mod tests {
     fn full_queue_drops() {
         let mut p = mk_port(3000, None); // fits exactly two 1500B packets
         let mut tx = mk_pkt(1460, Ecn::NotCapable);
-        p.offer(&mut tx, T0); // serializing, not queued
+        p.offer(&mut tx); // serializing, not queued
         let mut q1 = mk_pkt(1460, Ecn::NotCapable);
         let mut q2 = mk_pkt(1460, Ecn::NotCapable);
         let mut q3 = mk_pkt(1460, Ecn::NotCapable);
-        assert_eq!(p.offer(&mut q1, T0), TxAction::Queued);
-        assert_eq!(p.offer(&mut q2, T0), TxAction::Queued);
-        assert_eq!(p.offer(&mut q3, T0), TxAction::Dropped);
+        assert_eq!(p.offer(&mut q1), TxAction::Queued);
+        assert_eq!(p.offer(&mut q2), TxAction::Queued);
+        assert_eq!(p.offer(&mut q3), TxAction::Dropped);
         assert_eq!(p.counters().drops, 1);
         assert_eq!(p.counters().peak_queue_bytes, 3000);
     }
@@ -268,18 +247,18 @@ mod tests {
     fn ecn_marks_only_capable_packets_over_threshold() {
         let mut p = mk_port(30_000, Some(1500));
         let mut tx = mk_pkt(1460, Ecn::Capable);
-        p.offer(&mut tx, T0);
+        p.offer(&mut tx);
         // First queued packet: queue at 0 bytes < K, no mark.
         let mut a = mk_pkt(1460, Ecn::Capable);
-        assert_eq!(p.offer(&mut a, T0), TxAction::Queued);
+        assert_eq!(p.offer(&mut a), TxAction::Queued);
         assert_eq!(a.ecn, Ecn::Capable);
         // Second: queue at 1500 >= K, marked.
         let mut b = mk_pkt(1460, Ecn::Capable);
-        p.offer(&mut b, T0);
+        p.offer(&mut b);
         assert_eq!(b.ecn, Ecn::CongestionExperienced);
         // Non-capable packet at same depth: dropped? No — queued unmarked.
         let mut c = mk_pkt(1460, Ecn::NotCapable);
-        p.offer(&mut c, T0);
+        p.offer(&mut c);
         assert_eq!(c.ecn, Ecn::NotCapable);
         assert_eq!(p.counters().ecn_marks, 1);
     }
@@ -288,7 +267,7 @@ mod tests {
     fn tiny_ack_pads_to_min_frame_for_serialization() {
         let mut p = mk_port(10_000, None);
         let mut ack = mk_pkt(0, Ecn::NotCapable);
-        match p.offer(&mut ack, T0) {
+        match p.offer(&mut ack) {
             TxAction::StartTx { serialize } => {
                 // 64 bytes @ 10 Gbps = 51.2 ns, rounded up.
                 assert_eq!(serialize, SimDuration::from_nanos(52));

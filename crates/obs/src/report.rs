@@ -268,7 +268,7 @@ impl RunReport {
                 } else {
                     out.push_str(&format!(
                         "{:<44} {:>10} {:>12} {:>12} {:>12} {:>12}\n",
-                        name, m.kind, m.value as i64, "-", "-", "-"
+                        name, m.kind, m.value, "-", "-", "-"
                     ));
                 }
             }
@@ -360,5 +360,22 @@ mod tests {
             "phase rendered: {t}"
         );
         assert!(t.contains("20.0%"), "barrier share rendered: {t}");
+    }
+
+    #[test]
+    fn table_prints_gauges_unrounded() {
+        let mut r = RunReport::new("unit", "gauges");
+        r.metrics = vec![
+            MetricRow::gauge("train/eval/macro_agreement", "", 0.185),
+            MetricRow::gauge("des/kernel/heap_depth_peak", "", 4756.0),
+        ];
+        let t = r.to_table();
+        // Column 3 is the value, as CI's `awk '{ print $3 }'` reads it.
+        let value = |name: &str| {
+            let line = t.lines().find(|l| l.starts_with(name)).expect("row");
+            line.split_whitespace().nth(2).expect("value").to_string()
+        };
+        assert_eq!(value("train/eval/macro_agreement"), "0.185", "{t}");
+        assert_eq!(value("des/kernel/heap_depth_peak"), "4756", "{t}");
     }
 }

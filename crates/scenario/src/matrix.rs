@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 use elephant_core::{
     compare_cdfs, execute, guard_primary, macro_agreement, macro_confusion, oracle_stack,
     run_audit, train_cluster_model, AuditHooks, AuditRun, CacheTotals, CdfComparison, ClusterModel,
-    ElephantError, Exec, Fidelity, Observe, OracleCounters, OracleFactory, OracleStack, Outcome,
-    RunPlan, TrainReport,
+    ElephantError, Exec, Fidelity, MacroState, Observe, OracleCounters, OracleFactory, OracleStack,
+    Outcome, RunPlan, TrainReport,
 };
 use elephant_des::{EpochMode, SimDuration, SimTime};
 use elephant_net::{
@@ -245,20 +245,26 @@ pub struct Trained {
 /// A model trained on `records` with `c`'s `[train]` options, and, off
 /// the training clock, how often its macro classifier fed on the model's
 /// own predictions agrees with one fed on the records
-/// (`train/eval/macro_agreement`, the drift of the deployed regime). A
-/// `macro_state = false` model pins the regime, so it has no agreement to
-/// measure and no such row.
+/// (`train/eval/macro_agreement`, the drift of the deployed regime), and
+/// how many records the records-fed classifier spent in each of §4.1's
+/// regimes (`train/eval/macro_occupancy[<state>]`, the confusion
+/// matrix's row sums). A `macro_state = false` model pins the regime, so
+/// it has neither to measure and no such rows.
 pub fn train_on(c: &Compiled, records: &[BoundaryRecord]) -> Result<Trained, ElephantError> {
     let opts = c.train.expect("a [train] document");
     let t0 = Instant::now();
     let (model, report) = train_cluster_model(records, &c.params, &opts);
     let wall = t0.elapsed();
-    let confusion = opts
-        .macro_state
-        .then(|| macro_confusion(records, &model, &c.params));
-    let agreement = confusion.transpose()?.as_ref().map(macro_agreement);
+    let confusion = (opts.macro_state)
+        .then(|| macro_confusion(records, &model, &c.params))
+        .transpose()?;
+    let agreement = confusion.as_ref().map(macro_agreement);
     let mut rows = report.metric_rows(opts.alpha);
     rows.extend(agreement.map(|a| MetricRow::gauge("train/eval/macro_agreement", "", a)));
+    for (state, truth) in MacroState::ALL.iter().zip(confusion.iter().flatten()) {
+        let (label, n) = (state.label(), truth.iter().sum());
+        rows.push(MetricRow::counter("train/eval/macro_occupancy", &label, n));
+    }
     Ok(Trained {
         model,
         report,

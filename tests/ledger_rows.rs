@@ -246,14 +246,25 @@ fn train_rows_count_every_epoch() {
     );
     assert_eq!(counter(&ledger, "train/epoch/loss", ""), 4);
     assert_eq!(counter(&ledger, "train/epoch/samples", ""), 158_896);
-    assert!(ledger.report.metrics.iter().any(|m| m.name == AGREEMENT));
+    let sealed = keys(&ledger.report.metrics);
+    for key in MACRO_ROWS {
+        assert!(sealed.contains(&key), "missing {key:?}");
+    }
 }
 
-const AGREEMENT: &str = "train/eval/macro_agreement";
+/// The rows a calibrated model's training seals: the deployed regime's
+/// agreement with the truth-fed one, and the truth-fed regime's occupancy.
+const MACRO_ROWS: [Key; 5] = [
+    ("train/eval/macro_agreement", "", "gauge"),
+    ("train/eval/macro_occupancy", "decreasing", "counter"),
+    ("train/eval/macro_occupancy", "high", "counter"),
+    ("train/eval/macro_occupancy", "increasing", "counter"),
+    ("train/eval/macro_occupancy", "minimal", "counter"),
+];
 
 /// A `macro_state = false` model pins the regime, so there is no agreement
-/// to measure: its training ledger has no such row (a calibrated model's
-/// has, above), and the run says why.
+/// or occupancy to measure: its training ledger has none of those rows (a
+/// calibrated model's has, above), and the run says why.
 #[test]
 fn a_pinned_regime_seals_no_macro_agreement() {
     let file = std::env::temp_dir().join("elephant_pinned.toml");
@@ -265,7 +276,8 @@ fn a_pinned_regime_seals_no_macro_agreement() {
     let (file, model) = (file.to_str().unwrap(), model.to_str().unwrap());
     let (stdout, ledger) = sealed("pinned", &["run-scenario", file, "--out", model]);
     assert!(stdout.contains("pinned (macro_state = false)"), "{stdout}");
-    assert!(ledger.report.metrics.iter().all(|m| m.name != AGREEMENT));
+    let sealed = keys(&ledger.report.metrics);
+    assert!(MACRO_ROWS.iter().all(|key| !sealed.contains(key)));
 }
 
 /// A probabilistic fault plan that never fired is flagged in the artifact,

@@ -9,16 +9,18 @@
 //!
 //! The library's experiments (`elephant::scenario::matrix`) are checked
 //! here too, without the binary: a hybrid sweep's rows are its cells'
-//! pairs, and a training sweep captures each ground truth once.
+//! pairs, a training sweep captures each ground truth once, and training
+//! seals §4.1's regime occupancy.
 
 use elephant::core::{
-    oracle_stack, ClusterModel, Exec, LatencyCodec, MacroConfig, ModelMeta, Observe, OracleFactory,
-    RecoveryPolicy,
+    oracle_stack, ClusterModel, Exec, LatencyCodec, MacroConfig, MacroModel, MacroState, ModelMeta,
+    Observe, OracleFactory, RecoveryPolicy,
 };
 use elephant::des::SmallRng;
 use elephant::des::{EpochMode, SimDuration};
 use elephant::net::{GuardConfig, RttScope, TraceLog};
 use elephant::nn::{MicroNet, MicroNetConfig};
+use elephant::obs::MetricRow;
 use elephant::scenario::matrix::{self, Capture, Engine};
 use elephant::scenario::{
     compile, fold_fingerprints, load, run_fingerprint, sweep_cells, toml, CompileOverrides,
@@ -243,4 +245,73 @@ fn training_sweep_captures_once_and_trains_each_cell() {
     }
     assert_ne!(sweep.rows[0][at("checksum")], sweep.rows[1][at("checksum")]);
     assert_eq!(sweep.fingerprint, fold_fingerprints(folded));
+}
+
+/// §4.1's evidence is a training row: on `ablation_macro.toml`'s
+/// workload, the calibrated cell's `train/eval/macro_occupancy[<state>]`
+/// counters split the capture's records among all four regimes, each
+/// exactly as often as a classifier replaying the records in time order
+/// holds that state when a record arrives. The whole capture ends in the
+/// regime the classifier starts in, where counting the state after each
+/// record would count the same; so the replay is checked again on the
+/// capture's first 90 %, which ends mid-congestion. The pinned cell seals
+/// no occupancy.
+#[test]
+fn training_seals_the_regime_occupancy_of_its_capture() {
+    let text = std::fs::read_to_string("scenarios/figures/ablation_macro.toml").unwrap();
+    let mut doc = toml::parse(&text).expect("the figure parses");
+    for (key, value) in [
+        ("train.hidden", "8"),
+        ("train.layers", "1"),
+        ("train.epochs", "1"),
+    ] {
+        doc.set(key, value, 0).expect("a [train] key");
+    }
+    let over = CompileOverrides {
+        horizon_ms: Some(10.0),
+        ..Default::default()
+    };
+    let cells = sweep_cells(&doc).expect("the figure decodes");
+    let [calibrated, pinned] = &cells[..] else {
+        panic!("two cells: train.macro_state = true, false")
+    };
+    let (calibrated, pinned) = (
+        compile(&calibrated.scenario, &over),
+        compile(&pinned.scenario, &over),
+    );
+    let capture = Capture::take(&calibrated, false).expect("the capture saw traffic");
+    let occupancy = |rows: &[MetricRow]| -> Vec<(String, u64)> {
+        let rows = rows
+            .iter()
+            .filter(|m| m.name == "train/eval/macro_occupancy");
+        rows.map(|m| (m.label.clone(), m.count)).collect()
+    };
+
+    let mut in_time = capture.records.clone();
+    in_time.sort_by_key(|r| r.t_in);
+    let cut = &in_time[..in_time.len() * 9 / 10];
+    for (records, whole) in [(&capture.records[..], true), (cut, false)] {
+        let trained = matrix::train_on(&calibrated, records).expect("training runs");
+        let mut regime = MacroModel::new(trained.model.macro_cfg);
+        let mut held = [0u64; 4];
+        for r in &in_time[..records.len()] {
+            held[regime.state().index()] += 1;
+            regime.observe((!r.dropped).then(|| r.latency.as_secs_f64()), r.dropped);
+        }
+        let want: Vec<(String, u64)> = MacroState::ALL
+            .iter()
+            .map(|s| (s.label(), held[s.index()]))
+            .collect();
+        let sealed = occupancy(&trained.rows);
+        assert_eq!(sealed, want, "whole capture: {whole}");
+        let total: u64 = sealed.iter().map(|(_, n)| n).sum();
+        assert_eq!(total, records.len() as u64);
+        match whole {
+            true => assert!(held.iter().all(|&n| n > 0), "four regimes: {held:?}"),
+            false => assert_ne!(regime.state(), MacroState::Minimal, "the cut ends calm"),
+        }
+    }
+
+    let trained = matrix::train_on(&pinned, &capture.records).expect("training runs");
+    assert_eq!(occupancy(&trained.rows), vec![]);
 }
