@@ -294,7 +294,7 @@ fn diverge(
         fct_ks: ks_distance(&fct_truth, &fct_approx),
         fct_w1_seconds: wasserstein1(&fct_truth, &fct_approx),
         fct_mean_truth_seconds: fct_mean_truth,
-        rtt_ks: ks_distance(truth.stats.raw_rtt(), hybrid.stats.raw_rtt()),
+        rtt_ks: ks_distance(&truth.stats.raw_rtt(), &hybrid.stats.raw_rtt()),
         abs_rel_error: HistSummary::of(&err_hist),
         signed_mean_rel_error: if matched > 0 {
             signed_sum / matched as f64

@@ -51,8 +51,9 @@ use elephant_des::{
 };
 use elephant_net::{
     export_flow_timeline, export_sample_counters, flow_list, run_sampled, ClosParams,
-    ClusterOracle, ConnStats, FlowSpec, GuardSnapshot, GuardViolation, NetConfig, NetPartition,
-    NetSampler, Network, OracleStats, RttScope, Sample, Topology, TraceLog, MAX_FLOW_TRACKS,
+    ClusterOracle, ConnStats, FlowSpec, GuardSnapshot, GuardViolation, NetConfig, NetMemory,
+    NetPartition, NetSampler, Network, OracleStats, RttScope, Sample, Topology, TraceLog,
+    MAX_FLOW_TRACKS,
 };
 use elephant_obs::{
     MetricRow, PartitionRow, ProfileRow, RunReport, Timeline, TraceRecord, PID_FLOWS, PID_PDES,
@@ -431,10 +432,17 @@ impl Outcome {
 
     /// The ledger's metric rows, sorted by (name, label) — the one place a
     /// run's statistics become [`MetricRow`]s. Everything is read from the
-    /// finished run: the nets' port, TCP and oracle counters and their
-    /// connection tables' peaks (summed over partitions), the kernel
-    /// report, the recovery log — and `oracle`, the one part of a run's
-    /// statistics the nets do not hold.
+    /// finished run: the nets' port, TCP and oracle counters, their
+    /// connection tables' peaks and their memory (summed over partitions),
+    /// the kernel report, the recovery log — and `oracle`, the one part of
+    /// a run's statistics the nets do not hold.
+    ///
+    /// The `mem/*` gauges are the simulated state's heap at its high-water,
+    /// by part: `mem/packet_store/slots` (the most packets queued at once),
+    /// `mem/bytes[part]` for each [`NetMemory::parts`] label and the
+    /// streamed flow list, and `mem/bytes_per_host`, their sum with the FEL
+    /// peak (`des/kernel/fel_bytes_peak`, or the partitions') over the
+    /// topology's hosts.
     pub fn metric_rows(&self, oracle: &OracleCounters) -> Vec<MetricRow> {
         let (counter, gauge) = (MetricRow::counter, MetricRow::gauge);
         let mut rows = Vec::new();
@@ -452,6 +460,8 @@ impl Outcome {
         let mut tcp = ConnStats::default();
         let mut conns_peak = 0;
         let mut verdicts = OracleStats::default();
+        let mut store_slots = 0;
+        let mut mem = NetMemory::default().parts();
         for net in &self.nets {
             for (node, _, c) in net.port_counters() {
                 if let Some(tier) = net.topo().node(node).kind.layer() {
@@ -470,6 +480,11 @@ impl Outcome {
                 tcp.retransmissions += c.retransmissions;
             }
             conns_peak += net.conns_peak();
+            let m = net.memory();
+            store_slots += m.store_slots;
+            for ((_, sum), (_, bytes)) in mem.iter_mut().zip(m.parts()) {
+                *sum += bytes;
+            }
             if let Some(o) = net.oracle_stats() {
                 verdicts.classified += o.classified;
                 verdicts.drops += o.drops;
@@ -548,6 +563,22 @@ impl Outcome {
                 ]);
             }
         }
+        if let Some(net) = self.nets.first() {
+            let fel = match &self.report {
+                Some(r) => r.partitions.iter().map(|p| p.fel_bytes_peak).sum(),
+                None => self.meta.fel_peaks.bytes,
+            };
+            // Every partition streams the one shared list.
+            let flows = net.streamed_flows().len() * std::mem::size_of::<FlowSpec>();
+            let total = mem.iter().map(|(_, b)| b).sum::<usize>() + flows + fel as usize;
+            let per_host = total as f64 / f64::from(net.topo().params().total_hosts());
+            rows.push(gauge("mem/packet_store/slots", "", store_slots as f64));
+            rows.push(gauge("mem/bytes", "flow_list", flows as f64));
+            for (part, bytes) in mem {
+                rows.push(gauge("mem/bytes", part, bytes as f64));
+            }
+            rows.push(gauge("mem/bytes_per_host", "", per_host.round()));
+        }
         if let Some(log) = &self.recovery {
             rows.push(counter("recovery/checkpoints", "", log.checkpoints_taken));
             let mut transitions = BTreeMap::<(&str, String), u64>::new();
@@ -576,7 +607,10 @@ impl Outcome {
 
     /// Fills `report`'s throughput figures, partition rows, metric rows
     /// and phase clocks (`setup`, `run`) from this run (see
-    /// [`Outcome::metric_rows`] for `oracle`), and for a profiled run that
+    /// [`Outcome::metric_rows`] for `oracle`), the process's peak resident
+    /// set as `mem/peak_rss_bytes` (where `/proc/self/status` says it; it
+    /// is process history, so it stays out of `metric_rows` and the sweep
+    /// rows made from them), and for a profiled run that
     /// served its verdicts on a worker, the [`VerdictClocks`] as the
     /// scalars `verdict_{wait,stolen,busy}_seconds`.
     pub fn describe(&self, report: &mut RunReport, oracle: &OracleCounters) {
@@ -584,6 +618,12 @@ impl Outcome {
         report.set_run(m.wall.as_secs_f64(), m.events, m.sim_seconds);
         report.partitions = self.partition_rows();
         report.metrics = self.metric_rows(oracle);
+        if let Some(rss) = peak_rss_bytes() {
+            let row = MetricRow::gauge("mem/peak_rss_bytes", "", rss as f64);
+            let rows = &mut report.metrics;
+            let at = rows.partition_point(|m| (&m.name, &m.label) < (&row.name, &row.label));
+            rows.insert(at, row);
+        }
         report.profile = vec![
             ProfileRow::once("setup", m.setup.as_secs_f64()),
             ProfileRow::once("run", m.wall.as_secs_f64()),
@@ -594,6 +634,24 @@ impl Outcome {
             report.scalar("verdict_busy_seconds", v.busy.as_secs_f64());
         }
     }
+}
+
+/// This process's peak resident set in bytes, from the `VmHWM` line of
+/// `/proc/self/status`; `None` where there is no such file.
+fn peak_rss_bytes() -> Option<u64> {
+    vm_hwm_bytes(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// The `VmHWM:   N kB` line of a `/proc/<pid>/status` text, in bytes.
+fn vm_hwm_bytes(status: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb = line
+        .trim()
+        .strip_suffix("kB")?
+        .trim_end()
+        .parse::<u64>()
+        .ok()?;
+    kb.checked_mul(1024)
 }
 
 /// The post-run summary: the run line, network statistics (per-layer
@@ -944,6 +1002,28 @@ mod tests {
     use elephant_net::{FlowId, HostAddr, IdealOracle};
     use elephant_nn::TrainConfig;
     use elephant_trace::{filter_touching_cluster, generate, WorkloadConfig};
+
+    #[test]
+    fn vm_hwm_reads_the_kernels_status_line() {
+        let status =
+            "Name:\telephant\nVmPeak:\t  123456 kB\nVmHWM:\t    9632 kB\nVmRSS:\t 9000 kB\n";
+        assert_eq!(vm_hwm_bytes(status), Some(9632 * 1024));
+        assert_eq!(vm_hwm_bytes("VmHWM: 0 kB"), Some(0));
+        for bad in [
+            "",
+            "VmRSS:\t 9000 kB\n",
+            "VmHWM:\t 12 MB\n",
+            "VmHWM:\t kB\n",
+            "VmHWM: -3 kB",
+        ] {
+            assert_eq!(vm_hwm_bytes(bad), None, "{bad:?}");
+        }
+        assert_eq!(
+            vm_hwm_bytes("VmHWM: 18014398509481984 kB"),
+            None,
+            "overflows u64 bytes"
+        );
+    }
 
     /// The complete §3 workflow, end to end, at miniature scale: simulate
     /// two clusters fully, train on the capture, deploy the learned model

@@ -159,6 +159,14 @@ impl<C> ConnTable<C> {
     pub(crate) fn peak(&self) -> usize {
         self.slots.len()
     }
+
+    /// Heap bytes the slab, its free list and the demux map hold.
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.slots.capacity() * size_of::<Slot<C>>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.demux.buckets.capacity() * size_of::<(u64, u32)>()
+    }
 }
 
 /// Marks a free bucket.

@@ -67,15 +67,15 @@ pub use guard::{
 };
 pub use metrics::{DropCounts, FctRecord, NetStats, RttScope};
 pub use network::{
-    flow_list, schedule_flows, FlowSpec, LentOracle, NetConfig, NetEvent, NetPartition, Network,
-    TimerKind, VerdictRequest,
+    flow_list, schedule_flows, FlowSpec, LentOracle, NetConfig, NetEvent, NetMemory, NetPartition,
+    Network, TimerKind, VerdictRequest,
 };
 pub use oracle::{
     ClusterOracle, FixedLatencyOracle, IdealOracle, OracleCtx, OracleStats, OracleVerdict,
     RawVerdict,
 };
 pub use packet::{Ecn, Packet, TcpFlags, TcpSegment, HEADER_BYTES, MIN_WIRE_BYTES};
-pub use port::{PortCounters, PortState, TxAction};
+pub use port::{PacketStore, PortCounters, PortState, TxAction};
 pub use sampler::{
     export_flow_timeline, export_sample_counters, run_sampled, NetSampler, Sample, MAX_FLOW_TRACKS,
     SAMPLE_CSV_HEADER,

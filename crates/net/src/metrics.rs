@@ -83,13 +83,61 @@ impl DropCounts {
     }
 }
 
+/// Exact RTT samples in whole nanoseconds. Four bytes hold a sample below
+/// 2^32 ns (4.29 s), so the buffer starts narrow, and the first sample that
+/// does not fit widens it to eight bytes once: no input loses a bit.
+#[derive(Clone, Debug)]
+enum RttSamples {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+impl RttSamples {
+    fn len(&self) -> usize {
+        match self {
+            RttSamples::Narrow(v) => v.len(),
+            RttSamples::Wide(v) => v.len(),
+        }
+    }
+
+    fn push(&mut self, ns: u64) {
+        match self {
+            RttSamples::Narrow(v) => match u32::try_from(ns) {
+                Ok(ns) => v.push(ns),
+                Err(_) => {
+                    let mut wide: Vec<u64> = v.iter().map(|&n| n.into()).collect();
+                    wide.push(ns);
+                    *self = RttSamples::Wide(wide);
+                }
+            },
+            RttSamples::Wide(v) => v.push(ns),
+        }
+    }
+
+    /// Every sample in seconds, as [`SimDuration::as_secs_f64`] gives them.
+    fn seconds(&self) -> Vec<f64> {
+        let secs = |ns: u64| SimDuration::from_nanos(ns).as_secs_f64();
+        match self {
+            RttSamples::Narrow(v) => v.iter().map(|&ns| secs(ns.into())).collect(),
+            RttSamples::Wide(v) => v.iter().map(|&ns| secs(ns)).collect(),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            RttSamples::Narrow(v) => v.capacity() * std::mem::size_of::<u32>(),
+            RttSamples::Wide(v) => v.capacity() * std::mem::size_of::<u64>(),
+        }
+    }
+}
+
 /// All measurement state owned by a [`crate::Network`].
 #[derive(Clone, Debug)]
 pub struct NetStats {
     scope: RttScope,
     /// Histogram of all in-scope RTT samples, in seconds.
     pub rtt_hist: LogHistogram,
-    raw_rtt: Vec<f64>,
+    raw_rtt: RttSamples,
     raw_rtt_limit: usize,
     /// Completed flows.
     pub fct: Vec<FctRecord>,
@@ -171,7 +219,7 @@ impl NetStats {
         NetStats {
             scope,
             rtt_hist: LogHistogram::for_latency_seconds(),
-            raw_rtt: Vec::new(),
+            raw_rtt: RttSamples::Narrow(Vec::new()),
             raw_rtt_limit,
             fct: Vec::new(),
             flows_started: 0,
@@ -205,18 +253,24 @@ impl NetStats {
         self.rtt_hist.record(secs);
         self.rtt_summary.record(secs);
         if self.raw_rtt.len() < self.raw_rtt_limit {
-            self.raw_rtt.push(secs);
+            self.raw_rtt.push(rtt.as_nanos());
         }
     }
 
-    /// The exact retained RTT samples (seconds), up to the configured cap.
-    pub fn raw_rtt(&self) -> &[f64] {
-        &self.raw_rtt
+    /// The exact retained RTT samples (seconds), up to the configured cap,
+    /// in the order they were recorded.
+    pub fn raw_rtt(&self) -> Vec<f64> {
+        self.raw_rtt.seconds()
     }
 
     /// Builds an exact empirical CDF from the retained samples.
     pub fn rtt_cdf(&self) -> EmpiricalCdf {
-        EmpiricalCdf::from_samples(&self.raw_rtt)
+        EmpiricalCdf::from_samples(&self.raw_rtt())
+    }
+
+    /// Heap bytes the retained RTT samples hold.
+    pub fn rtt_sample_bytes(&self) -> usize {
+        self.raw_rtt.bytes()
     }
 
     /// Mean flow completion time over completed flows.
@@ -250,6 +304,25 @@ mod tests {
         assert_eq!(s.raw_rtt().len(), 2);
         assert_eq!(s.rtt_hist.count(), 5);
         assert_eq!(s.rtt_summary.count(), 5);
+    }
+
+    /// A sample past 2^32 ns widens the buffer; every sample before and
+    /// after it comes back with the bits `SimDuration::as_secs_f64` gives.
+    #[test]
+    fn rtt_samples_are_exact_past_four_bytes() {
+        let mut s = NetStats::new(RttScope::All, 10);
+        let nanos = [1, 38_517, u32::MAX as u64, 1 << 32, 5_000_000_007, 2];
+        for (i, &ns) in nanos.iter().enumerate() {
+            s.record_rtt(HostAddr::new(0, 0, 0), SimDuration::from_nanos(ns));
+            // Narrow until 2^32 arrives, wide from then on.
+            let narrow = matches!(s.raw_rtt, RttSamples::Narrow(_));
+            assert_eq!(narrow, i < 3, "{ns}");
+        }
+        let want = nanos.map(|ns| SimDuration::from_nanos(ns).as_secs_f64().to_bits());
+        let got: Vec<u64> = s.raw_rtt().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want);
+        assert_eq!(s.raw_rtt()[4], 5.000000007);
+        assert!(s.rtt_sample_bytes() >= nanos.len() * 8);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::conn_table::ConnTable;
 use crate::metrics::{FctRecord, NetStats, RttScope};
 use crate::oracle::{ClusterOracle, OracleCtx, OracleStats, OracleVerdict};
 use crate::packet::{Ecn, Packet};
-use crate::port::{PortCounters, PortState, TxAction};
+use crate::port::{PacketStore, PortCounters, PortState, TxAction};
 use crate::tcp::{ConnStats, TcpConfig, TcpConn, TcpOutput, TimerCmd};
 use crate::topology::{FabricPath, Topology};
 use crate::trace_log::{TraceEntry, TraceKind, TraceLog};
@@ -214,6 +214,39 @@ impl LentOracle {
     }
 }
 
+/// Heap bytes one network's state holds, by part ([`Network::memory`]).
+/// The streamed flow list is not among them: every partition of a run
+/// shares it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NetMemory {
+    /// The most packets queued at once: the packet store's slots.
+    pub store_slots: usize,
+    /// The packet store's slab.
+    pub packet_store: usize,
+    /// Every port's state: attachment, FIFO ends, counters.
+    pub ports: usize,
+    /// The connection table's slab and demux map (not the buffers each
+    /// endpoint holds outside its slot).
+    pub conn_table: usize,
+    /// The retained RTT samples.
+    pub rtt_samples: usize,
+    /// The completed-flow records.
+    pub fct_records: usize,
+}
+
+impl NetMemory {
+    /// Every byte count with its label, as the `mem/bytes` rows name it.
+    pub fn parts(&self) -> [(&'static str, usize); 5] {
+        [
+            ("packet_store", self.packet_store),
+            ("ports", self.ports),
+            ("conn_table", self.conn_table),
+            ("rtt_samples", self.rtt_samples),
+            ("fct_records", self.fct_records),
+        ]
+    }
+}
+
 /// Where a network's verdicts come from.
 enum Verdicts {
     /// No oracle: a boundary crossing is a configuration error.
@@ -229,6 +262,8 @@ pub struct Network {
     topo: Arc<Topology>,
     cfg: NetConfig,
     ports: Vec<Vec<PortState>>,
+    /// Every packet queued at any port; each port's FIFO links through it.
+    store: PacketStore,
     /// Every TCP endpoint on every host.
     conns: ConnTable<Conn>,
     stream: FlowStream,
@@ -249,7 +284,8 @@ pub struct Network {
 }
 
 /// Cloning a network deep-copies every piece of simulation state — port
-/// queues, TCP connections, the flow stream's cursor, measurement state,
+/// queues (the packet store, as long as the most packets ever queued at
+/// once), TCP connections, the flow stream's cursor, measurement state,
 /// capture and trace buffers, and (via [`ClusterOracle::clone_box`]) the
 /// installed oracle with its regime, RNN, and verdict-cache state. The
 /// topology, the partition map and the streamed flow list stay shared
@@ -278,6 +314,7 @@ impl Clone for Network {
             topo: Arc::clone(&self.topo),
             cfg: self.cfg,
             ports: self.ports.clone(),
+            store: self.store.clone(),
             conns: self.conns.clone(),
             stream: self.stream.clone(),
             stats: self.stats.clone(),
@@ -314,6 +351,7 @@ impl Network {
             outbox: Vec::new(),
             trace: None,
             ports,
+            store: PacketStore::default(),
             conns: ConnTable::new(),
             stream: FlowStream {
                 flows: Arc::new([]),
@@ -559,6 +597,24 @@ impl Network {
         self.conns.peak()
     }
 
+    /// What this network's state holds on the heap, by part, read from its
+    /// buffers' lengths and capacities: nothing is counted while the run
+    /// executes. A clone (a checkpoint, a restore) allocates each buffer
+    /// at its length, so after a restore the byte counts can read lower
+    /// than a clean run's; the slot counts are the same.
+    pub fn memory(&self) -> NetMemory {
+        use std::mem::size_of;
+        let ports: usize = self.ports.iter().map(Vec::capacity).sum();
+        NetMemory {
+            store_slots: self.store.peak(),
+            packet_store: self.store.bytes(),
+            ports: ports * size_of::<PortState>(),
+            conn_table: self.conns.bytes(),
+            rtt_samples: self.stats.rtt_sample_bytes(),
+            fct_records: self.stats.fct.capacity() * size_of::<FctRecord>(),
+        }
+    }
+
     /// Iterates every port's counters with its owning node and port id —
     /// the raw material for custom link-level analyses.
     pub fn port_counters(&self) -> impl Iterator<Item = (NodeId, PortId, &PortCounters)> {
@@ -795,7 +851,7 @@ impl Network {
         let now = sched.now();
         let (next, spec) = {
             let ps = &mut self.ports[node.idx()][port.idx()];
-            (ps.transmit_next(), *ps.spec())
+            (ps.transmit_next(&mut self.store), *ps.spec())
         };
         if let Some((pkt, serialize)) = next {
             self.trace_event(now, TraceKind::TxStart, node, &pkt);
@@ -942,7 +998,7 @@ impl Network {
         let now = sched.now();
         let (action, spec) = {
             let ps = &mut self.ports[node.idx()][port.idx()];
-            (ps.offer(&mut pkt), *ps.spec())
+            (ps.offer(&mut pkt, &mut self.store), *ps.spec())
         };
         match action {
             TxAction::StartTx { serialize } => {

@@ -266,9 +266,16 @@ impl RunReport {
                         name, m.kind, m.count, m.p50, m.p90, m.p99
                     ));
                 } else {
+                    // Unrounded when that fits the column (so whole numbers
+                    // print whole: CI compares some as integers), else in
+                    // a form that fits whatever the magnitude.
+                    let mut value = m.value.to_string();
+                    if value.len() > 12 {
+                        value = format!("{:.6e}", m.value);
+                    }
                     out.push_str(&format!(
-                        "{:<44} {:>10} {:>12} {:>12} {:>12} {:>12}\n",
-                        name, m.kind, m.value, "-", "-", "-"
+                        "{:<44} {:>10} {value:>12} {:>12} {:>12} {:>12}\n",
+                        name, m.kind, "-", "-", "-"
                     ));
                 }
             }
@@ -346,6 +353,45 @@ mod tests {
         assert!((back.scalars["overhead_fraction"] - 0.013).abs() < 1e-12);
         let pretty: RunReport = serde_json::from_str(&r.to_json_pretty()).expect("parses");
         assert_eq!(pretty.profile.len(), 2);
+    }
+
+    /// Where each whitespace-separated field of `line` ends.
+    fn field_ends(line: &str) -> Vec<usize> {
+        let b = line.as_bytes();
+        (1..=b.len())
+            .filter(|&i| b[i - 1] != b' ' && (i == b.len() || b[i] == b' '))
+            .collect()
+    }
+
+    /// Every metrics row, whatever its kind or value, ends its fields
+    /// where the header ends its column names.
+    #[test]
+    fn metric_columns_line_up() {
+        let mut r = sample_report();
+        r.metrics.extend([
+            MetricRow::gauge(
+                "train/eval/seconds_per_sample",
+                "up",
+                0.0000006859552941176471,
+            ),
+            MetricRow::gauge("des/kernel/heap_depth_peak", "", 4756.0),
+            MetricRow::gauge("mem/peak_rss_bytes", "", 90_505_216.0),
+            MetricRow::gauge("mem/bytes", "huge", 1e15),
+            MetricRow::gauge("hybrid/rtt/ks", "", -12345678.25),
+            MetricRow::gauge("hybrid/guard/fallback_active", "", 0.0),
+            MetricRow::gauge("nan", "", f64::NAN),
+        ]);
+        let t = r.to_table();
+        let mut lines = t.lines().skip_while(|l| *l != "-- metrics --").skip(1);
+        // The name column is left-aligned; the rest end together.
+        let header = field_ends(lines.next().unwrap())[1..].to_vec();
+        let rows: Vec<&str> = lines.take_while(|l| !l.starts_with("--")).collect();
+        assert_eq!(rows.len(), r.metrics.len());
+        for row in rows {
+            assert_eq!(field_ends(row)[1..], header, "{row:?}");
+        }
+        assert!(t.contains(" 4756 "), "integral gauges print whole: {t}");
+        assert!(t.contains(" 6.859553e-7 "), "{t}");
     }
 
     #[test]

@@ -303,10 +303,19 @@ fn keys(rows: &[MetricRow]) -> BTreeSet<(&str, &str, &str)> {
 
 /// Every row of `run --clusters 2 --horizon-ms 5` (seed 42), with the
 /// counter values the pre-refactor registry sealed for it.
-const SEQUENTIAL: [(Key, u64); 12] = [
+const SEQUENTIAL: [(Key, u64); 21] = [
     (("des/kernel/events_executed", "", "counter"), 109_742),
     (("des/kernel/fel_bytes_peak", "", "gauge"), 0),
     (("des/kernel/heap_depth_peak", "", "gauge"), 0),
+    (("mem/bytes", "conn_table", "gauge"), 0),
+    (("mem/bytes", "fct_records", "gauge"), 0),
+    (("mem/bytes", "flow_list", "gauge"), 0),
+    (("mem/bytes", "packet_store", "gauge"), 0),
+    (("mem/bytes", "ports", "gauge"), 0),
+    (("mem/bytes", "rtt_samples", "gauge"), 0),
+    (("mem/bytes_per_host", "", "gauge"), 0),
+    (("mem/packet_store/slots", "", "gauge"), 0),
+    (("mem/peak_rss_bytes", "", "gauge"), 0),
     (("net/port/drops", "agg", "counter"), 118),
     (("net/port/drops", "host", "counter"), 205),
     (("net/port/enqueued", "agg", "counter"), 9_191),
@@ -318,8 +327,16 @@ const SEQUENTIAL: [(Key, u64); 12] = [
     (("net/tcp/retransmitted_segments", "", "counter"), 134),
 ];
 
-/// The same run under `--pdes 2`.
-const PDES2: [(Key, u64); 18] = [
+/// The same run under `--pdes 2` (whose partitions keep no RTT samples).
+const PDES2: [(Key, u64); 26] = [
+    (("mem/bytes", "conn_table", "gauge"), 0),
+    (("mem/bytes", "fct_records", "gauge"), 0),
+    (("mem/bytes", "flow_list", "gauge"), 0),
+    (("mem/bytes", "packet_store", "gauge"), 0),
+    (("mem/bytes", "ports", "gauge"), 0),
+    (("mem/bytes_per_host", "", "gauge"), 0),
+    (("mem/packet_store/slots", "", "gauge"), 0),
+    (("mem/peak_rss_bytes", "", "gauge"), 0),
     (("net/port/drops", "agg", "counter"), 118),
     (("net/port/drops", "host", "counter"), 205),
     (("net/port/enqueued", "agg", "counter"), 5_516),
@@ -343,7 +360,7 @@ const PDES2: [(Key, u64); 18] = [
 /// What a guarded, cached hybrid run may seal, and (`true`) what it always
 /// does: regime occupancy and the drop rows depend on the model's verdicts,
 /// ECN marks on the congestion control.
-const HYBRID: [(Key, bool); 37] = [
+const HYBRID: [(Key, bool); 46] = [
     (("des/kernel/events_executed", "", "counter"), true),
     (("des/kernel/fel_bytes_peak", "", "gauge"), true),
     (("des/kernel/heap_depth_peak", "", "gauge"), true),
@@ -365,6 +382,15 @@ const HYBRID: [(Key, bool); 37] = [
     (("hybrid/oracle/drops", "", "counter"), false),
     (("hybrid/oracle/elided_packets", "", "counter"), true),
     (("hybrid/oracle/infer_seconds", "", "histogram"), true),
+    (("mem/bytes", "conn_table", "gauge"), true),
+    (("mem/bytes", "fct_records", "gauge"), false),
+    (("mem/bytes", "flow_list", "gauge"), true),
+    (("mem/bytes", "packet_store", "gauge"), true),
+    (("mem/bytes", "ports", "gauge"), true),
+    (("mem/bytes", "rtt_samples", "gauge"), false),
+    (("mem/bytes_per_host", "", "gauge"), true),
+    (("mem/packet_store/slots", "", "gauge"), true),
+    (("mem/peak_rss_bytes", "", "gauge"), false),
     (("net/port/drops", "agg", "counter"), false),
     (("net/port/drops", "core", "counter"), false),
     (("net/port/drops", "host", "counter"), false),
@@ -390,8 +416,13 @@ fn row_names_and_counter_values_are_pinned() {
     let run = ["run", "--clusters", "2", "--horizon-ms", "5"];
     let (_, seq) = sealed("pin_seq", &run);
     let (_, pdes) = sealed("pin_pdes", &[&run[..], &["--pdes", "2"]].concat());
+    // Peak RSS is read where `/proc/self/status` exists.
+    let rss = std::path::Path::new("/proc/self/status").exists();
     for (ledger, pinned) in [(&seq, &SEQUENTIAL[..]), (&pdes, &PDES2[..])] {
-        let want: BTreeSet<_> = pinned.iter().map(|(k, _)| *k).collect();
+        let keys_of = pinned.iter().map(|(k, _)| *k);
+        let want: BTreeSet<_> = keys_of
+            .filter(|k| rss || k.0 != "mem/peak_rss_bytes")
+            .collect();
         assert_eq!(keys(&ledger.report.metrics), want, "{}", ledger.driver);
         for ((name, label, kind), value) in pinned {
             if *kind == "counter" {

@@ -124,7 +124,7 @@ fn cached_hybrid_matches_uncached_statistics() {
             let (net, _) = run_hybrid(params, 0, oracle, hybrid_cfg(), &elided, HORIZON);
             let verdicts = net.stats.oracle_deliveries + net.stats.drops.oracle;
             let drop_rate = net.stats.drops.oracle as f64 / verdicts.max(1) as f64;
-            (drop_rate, net.stats.raw_rtt().to_vec(), verdicts)
+            (drop_rate, net.stats.raw_rtt(), verdicts)
         };
 
         let (dr_off, rtt_off, v_off) = run(Box::new(LearnedOracle::new(
