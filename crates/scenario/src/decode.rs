@@ -1074,11 +1074,11 @@ fn decode_recovery(t: &Table) -> Result<RecoverySpec, ScenarioError> {
         )?;
     }
     if let Some(s) = t.get("max_retries") {
-        let v = u64_of(s, "recovery.max_retries")?;
+        let v = u32_of(s, "recovery.max_retries")?;
         if v == 0 {
             return Err(err(s.line, "recovery.max_retries: must be >= 1"));
         }
-        spec.max_retries = v as u32;
+        spec.max_retries = v;
     }
     Ok(spec)
 }

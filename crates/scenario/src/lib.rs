@@ -476,6 +476,21 @@ sample_every_us = 100
         }
 
         #[test]
+        fn max_retries_past_u32_is_out_of_range() {
+            // Read as a u32: 2^32 once wrapped to 0 retries and passed.
+            for v in ["4294967296", "-1"] {
+                let doc = format!("{}\n[recovery]\nmax_retries = {v}\n", base());
+                expect_err(
+                    &doc,
+                    &format!("recovery.max_retries: out of range, got {v}"),
+                );
+            }
+            let doc = format!("{}\n[recovery]\nmax_retries = 4294967295\n", base());
+            let s = Scenario::from_toml_str(&doc).expect("u32::MAX is in range");
+            assert_eq!(s.recovery.expect("declared").max_retries, u32::MAX);
+        }
+
+        #[test]
         fn audit_ranges_and_typos() {
             let doc = format!("{}\n[audit]\nmax_ks = 1.5\n", base());
             expect_err(&doc, "max_ks: must be in [0, 1]");

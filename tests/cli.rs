@@ -1022,3 +1022,48 @@ fn cli_empty_capture_exits_5() {
     );
     assert!(!model.exists(), "no model is written");
 }
+
+/// Every help page and usage error, byte for byte: `tests/help_pages.txt`
+/// records each invocation's exit code, stdout and stderr. The defaults
+/// in a page come from what the scenario decoder resolves for the
+/// command's built-in document, so a decoder change that moves one shows
+/// here. `ELEPHANT_BLESS=1 cargo test --test cli cli_help_pages` rewrites
+/// the record.
+#[test]
+fn cli_help_pages_are_the_recorded_text() {
+    const RECORD: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/help_pages.txt");
+    let mut invocations: Vec<Vec<&str>> = vec![vec![], vec!["--help"], vec!["-h"], vec!["help"]];
+    for cmd in COMMANDS {
+        invocations.push([cmd, &["--help"][..]].concat());
+    }
+    invocations.extend([
+        vec!["bogus"],
+        vec!["run", "--bogus"],
+        vec!["run", "--clusters"],
+        vec!["run", "--clusters", "0"],
+        vec!["train", "--pdes", "2"],
+        vec!["hybrid", "--guard-tolerance", "5"],
+        vec!["run-scenario"],
+        vec!["compare", "A.json"],
+    ]);
+    let mut got = String::new();
+    for args in &invocations {
+        let out = elephant().args(args).output().expect("binary runs");
+        got += &format!(
+            "$ elephant {}\nexit {:?}\n--- stdout\n{}--- stderr\n{}",
+            args.join(" "),
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    if std::env::var_os("ELEPHANT_BLESS").is_some() {
+        std::fs::write(RECORD, &got).expect("the record writes");
+        return;
+    }
+    let want = std::fs::read_to_string(RECORD).expect("the record reads");
+    for (w, g) in want.lines().zip(got.lines()) {
+        assert_eq!(w, g, "first differing line");
+    }
+    assert_eq!(want, got, "the same pages");
+}
