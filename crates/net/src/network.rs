@@ -473,6 +473,13 @@ impl Network {
             self.stream.flows.is_empty(),
             "partition a network before streaming its flows"
         );
+        // Only an owned node's ports are ever offered a packet, so the
+        // partition keeps no port state for the other nodes.
+        for (ports, &owner) in self.ports.iter_mut().zip(node_part.iter()) {
+            if owner as PartitionId != my {
+                *ports = Vec::new();
+            }
+        }
         self.partition = Some(PartitionCtx { my, node_part });
     }
 
